@@ -16,7 +16,7 @@
 //! Grid cells are independent by construction — each `(source, seed,
 //! localizer)` cell instantiates its problem from `(source, seed)` alone
 //! and derives a private RNG stream from `(seed, localizer index)` — so
-//! [`Campaign::run`] shards them across `std::thread` workers
+//! [`Campaign::run`] shards them across the [`rl_net::pool`] workers
 //! ([`CampaignConfig`] sets the pool size and the work-unit
 //! [`Chunking`]). The contract, asserted by `tests/determinism.rs` at the
 //! repository root and by the `campaign_smoke` release binary:
@@ -50,13 +50,13 @@
 //! println!("{}", report.summary_table());
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rl_core::eval::Evaluation;
 use rl_core::problem::{Localizer, Problem, Solution};
 use rl_core::{LocalizationError, LssConfig, LssSolver, MultilaterationConfig};
 use rl_deploy::Scenario;
+use rl_net::pool::{par_map_indexed, resolve_workers};
 
 use crate::report::m;
 use crate::Table;
@@ -140,18 +140,6 @@ impl CampaignConfig {
     pub fn with_chunking(mut self, chunking: Chunking) -> Self {
         self.chunking = chunking;
         self
-    }
-
-    /// The effective pool size for `units` work units.
-    fn resolve_workers(&self, units: usize) -> usize {
-        let requested = if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        requested.clamp(1, units.max(1))
     }
 }
 
@@ -246,78 +234,43 @@ impl Campaign {
             Chunking::Instance => instances,
             Chunking::Cell => instances * n_loc,
         };
-        let workers = config.resolve_workers(units);
+        let workers = resolve_workers(config.workers, units);
         let started = Instant::now();
-
-        let mut indexed: Vec<(usize, RunRecord)> = if workers <= 1 {
-            let mut out = Vec::with_capacity(instances * n_loc);
-            for unit in 0..units {
-                self.execute_unit(unit, config.chunking, seeds, &mut out);
-            }
-            out
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let unit = next.fetch_add(1, Ordering::Relaxed);
-                                if unit >= units {
-                                    break;
-                                }
-                                self.execute_unit(unit, config.chunking, seeds, &mut local);
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("campaign worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Scheduling decided only who computed what; canonical grid order
-        // is restored here so the report is schedule-independent.
-        indexed.sort_by_key(|(cell, _)| *cell);
+        // The pool returns units in index order, and units cover the grid
+        // in canonical order, so the report is schedule-independent.
+        let runs = par_map_indexed(units, workers, |unit| {
+            self.execute_unit(unit, config.chunking, seeds)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         CampaignReport {
-            runs: indexed.into_iter().map(|(_, r)| r).collect(),
+            runs,
             workers,
             total_wall: started.elapsed(),
         }
     }
 
-    /// Executes one work unit, pushing `(canonical cell index, record)`
-    /// pairs. A unit is one problem instance (all localizers) under
+    /// Executes one work unit, returning its records in canonical cell
+    /// order. A unit is one problem instance (all localizers) under
     /// [`Chunking::Instance`], or a single cell under [`Chunking::Cell`].
-    fn execute_unit(
-        &self,
-        unit: usize,
-        chunking: Chunking,
-        seeds: &[u64],
-        out: &mut Vec<(usize, RunRecord)>,
-    ) {
+    fn execute_unit(&self, unit: usize, chunking: Chunking, seeds: &[u64]) -> Vec<RunRecord> {
         let n_loc = self.localizers.len();
         match chunking {
             Chunking::Instance => {
                 let source = &self.sources[unit / seeds.len()];
                 let seed = seeds[unit % seeds.len()];
                 let problem = source.instantiate(seed);
-                for li in 0..n_loc {
-                    let record = self.run_cell(&problem, source.name(), seed, li);
-                    out.push((unit * n_loc + li, record));
-                }
+                (0..n_loc)
+                    .map(|li| self.run_cell(&problem, source.name(), seed, li))
+                    .collect()
             }
             Chunking::Cell => {
                 let (instance, li) = (unit / n_loc, unit % n_loc);
                 let source = &self.sources[instance / seeds.len()];
                 let seed = seeds[instance % seeds.len()];
                 let problem = source.instantiate(seed);
-                out.push((unit, self.run_cell(&problem, source.name(), seed, li)));
+                vec![self.run_cell(&problem, source.name(), seed, li)]
             }
         }
     }

@@ -298,47 +298,6 @@ impl StreamingTracker {
         self.warm_updates
     }
 
-    /// Captures the tracker's complete replayable state: carried
-    /// positions, the latest solution, and every stream counter. A
-    /// tracker restored from this snapshot (same configuration, same
-    /// cold localizer) continues the observation stream **bit-identically**
-    /// to the original — the cold-seed derivation depends only on the
-    /// counters carried here. The serving layer leans on this to hand a
-    /// session's tracker between owners without breaking the replay
-    /// contract.
-    pub fn snapshot(&self) -> TrackerSnapshot {
-        TrackerSnapshot {
-            config: self.config.clone(),
-            positions: self.positions.clone(),
-            latest: self.latest.clone(),
-            ticks: self.ticks,
-            cold_solves: self.cold_solves,
-            warm_updates: self.warm_updates,
-        }
-    }
-
-    /// Replaces the tracker's state with a snapshot's.
-    ///
-    /// # Errors
-    ///
-    /// [`LocalizationError::InvalidConfig`] when the snapshot was taken
-    /// under a different [`TrackerConfig`] — restoring it would silently
-    /// change the stream's cold seeds and warm step budget, breaking the
-    /// bit-replay contract the snapshot exists to preserve.
-    pub fn restore(&mut self, snapshot: TrackerSnapshot) -> Result<()> {
-        if snapshot.config != self.config {
-            return Err(LocalizationError::InvalidConfig(
-                "snapshot was taken under a different tracker configuration",
-            ));
-        }
-        self.positions = snapshot.positions;
-        self.latest = snapshot.latest;
-        self.ticks = snapshot.ticks;
-        self.cold_solves = snapshot.cold_solves;
-        self.warm_updates = snapshot.warm_updates;
-        Ok(())
-    }
-
     /// Solves the active subnetwork from scratch with the cold
     /// localizer, replacing the carried estimates on success.
     fn cold_solve(&mut self, obs: &TickObservation, tick: u64) -> Result<Frame> {
@@ -443,38 +402,6 @@ impl StreamingTracker {
             cg_iterations: outcome.cg_iterations,
             pins: pins.len(),
         })
-    }
-}
-
-/// A point-in-time capture of a [`StreamingTracker`]'s replayable state
-/// (see [`StreamingTracker::snapshot`]). Deliberately opaque: the only
-/// thing to do with one is [`StreamingTracker::restore`] it into a
-/// tracker of the same configuration; the accessors exist for
-/// bookkeeping, not for editing the state they describe.
-#[derive(Debug, Clone)]
-pub struct TrackerSnapshot {
-    config: TrackerConfig,
-    positions: PositionMap,
-    latest: Option<Solution>,
-    ticks: u64,
-    cold_solves: u64,
-    warm_updates: u64,
-}
-
-impl TrackerSnapshot {
-    /// The configuration the snapshot was taken under.
-    pub fn config(&self) -> &TrackerConfig {
-        &self.config
-    }
-
-    /// Observations the snapshotted tracker had consumed.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The snapshotted tracker's most recent solution, if any.
-    pub fn latest(&self) -> Option<&Solution> {
-        self.latest.as_ref()
     }
 }
 
@@ -721,48 +648,6 @@ mod tests {
             .map(|t| solution_fingerprint(tracker.observe(&static_obs(t).1).unwrap()))
             .collect();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn snapshot_handoff_replays_bit_identically() {
-        // Reference stream, solo tracker.
-        let mut reference = StreamingTracker::with_lss(TrackerConfig::new(5));
-        let expected: Vec<u64> = (0..6)
-            .map(|t| solution_fingerprint(reference.observe(&static_obs(t).1).unwrap()))
-            .collect();
-        // Same stream with a mid-stream handoff: snapshot after tick 2,
-        // restore into a *fresh* tracker, continue there.
-        let mut first_owner = StreamingTracker::with_lss(TrackerConfig::new(5));
-        let mut fps: Vec<u64> = (0..3)
-            .map(|t| solution_fingerprint(first_owner.observe(&static_obs(t).1).unwrap()))
-            .collect();
-        let snapshot = first_owner.snapshot();
-        assert_eq!(snapshot.ticks(), 3);
-        assert!(snapshot.latest().is_some());
-        drop(first_owner);
-        let mut second_owner = StreamingTracker::with_lss(TrackerConfig::new(5));
-        second_owner.restore(snapshot).unwrap();
-        for t in 3..6 {
-            fps.push(solution_fingerprint(
-                second_owner.observe(&static_obs(t).1).unwrap(),
-            ));
-        }
-        assert_eq!(fps, expected);
-        // Counters carried over: one cold first tick, warm after.
-        assert_eq!(second_owner.cold_solves(), 1);
-        assert_eq!(second_owner.warm_updates(), 5);
-    }
-
-    #[test]
-    fn snapshots_refuse_mismatched_configurations() {
-        let mut tracker = StreamingTracker::with_lss(TrackerConfig::new(1));
-        tracker.observe(&static_obs(0).1).unwrap();
-        let snapshot = tracker.snapshot();
-        let mut other = StreamingTracker::with_lss(TrackerConfig::new(2));
-        assert!(matches!(
-            other.restore(snapshot),
-            Err(LocalizationError::InvalidConfig(_))
-        ));
     }
 
     #[test]

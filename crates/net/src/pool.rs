@@ -5,8 +5,8 @@
 //! solves its own local map, which at metro scale dominates the whole
 //! protocol's wall time. Those per-node computations are embarrassingly
 //! parallel (each node only reads shared inputs), so this module shards
-//! them across `std::thread` workers with the same work-stealing pattern
-//! the `rl-bench` campaign runner uses, under the same contract:
+//! them across `std::thread` workers (the `rl-bench` campaign runner
+//! shards its grid on the same pool), under one contract:
 //!
 //! **The output is bit-identical for any worker count.** [`par_map_indexed`]
 //! requires `f(i)` to be a pure function of the index `i` and the captured

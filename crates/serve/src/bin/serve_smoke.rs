@@ -24,6 +24,7 @@
 
 use std::time::{Duration, Instant};
 
+use rl_math::stats::quantile;
 use rl_serve::server::solve_direct;
 use rl_serve::{Client, ServeConfig, Server};
 use serde::Serialize;
@@ -105,11 +106,6 @@ fn assert_bitwise(
         return false;
     }
     true
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -265,41 +261,42 @@ fn main() {
             })
         })
         .collect();
-    let mut latencies: Vec<Duration> = clients
+    let mut latencies_ms: Vec<f64> = clients
         .into_iter()
         .flat_map(|t| t.join().expect("load thread"))
+        .map(|d| d.as_secs_f64() * 1e3)
         .collect();
     let wall = started.elapsed();
     let stats = control.status().expect("status");
     control.shutdown().expect("shutdown");
     handle.join().expect("join").expect("serve");
 
-    latencies.sort();
     let total = CLIENTS * REQUESTS_PER_CLIENT;
     let rps = total as f64 / wall.as_secs_f64();
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
+    let p50_ms = quantile(&mut latencies_ms, 0.50).expect("load latencies");
+    let p99_ms = quantile(&mut latencies_ms, 0.99).expect("load latencies");
+    let p99_budget_ms = P99_BUDGET.as_secs_f64() * 1e3;
     let throughput = ThroughputRecord {
         clients: CLIENTS,
         requests: total,
         wall_ms: wall.as_secs_f64() * 1e3,
         rps,
         rps_floor: RPS_FLOOR,
-        p50_ms: p50.as_secs_f64() * 1e3,
-        p99_ms: p99.as_secs_f64() * 1e3,
-        p99_budget_ms: P99_BUDGET.as_secs_f64() * 1e3,
+        p50_ms,
+        p99_ms,
+        p99_budget_ms,
     };
     println!(
         "throughput: {CLIENTS} clients x {REQUESTS_PER_CLIENT} cached town queries in {wall:.2?} \
-         -> {rps:.0} req/s (floor {RPS_FLOOR:.0}), p50 {p50:.2?}, p99 {p99:.2?} (budget \
-         {P99_BUDGET:.0?})"
+         -> {rps:.0} req/s (floor {RPS_FLOOR:.0}), p50 {p50_ms:.2} ms, p99 {p99_ms:.2} ms \
+         (budget {p99_budget_ms:.0} ms)"
     );
     if rps < RPS_FLOOR {
         eprintln!("THROUGHPUT FLOOR MISSED: {rps:.0} req/s < {RPS_FLOOR:.0} req/s");
         failed = true;
     }
-    if p99 > P99_BUDGET {
-        eprintln!("P99 BUDGET EXCEEDED: {p99:.2?} > {P99_BUDGET:.0?}");
+    if p99_ms > p99_budget_ms {
+        eprintln!("P99 BUDGET EXCEEDED: {p99_ms:.2} ms > {p99_budget_ms:.0} ms");
         failed = true;
     }
     let expected_hits = total as u64; // warm request solved; all load requests hit

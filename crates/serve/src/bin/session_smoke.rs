@@ -4,7 +4,7 @@
 //! cargo run --release -p rl-serve --bin session_smoke
 //! ```
 //!
-//! Exercises protocol v2's `stream` namespace end to end and enforces:
+//! Exercises the protocol's `stream` namespace end to end and enforces:
 //!
 //! 1. **Replay bit-identity** — a wire-driven session replaying the
 //!    town mobility trace produces per-push solution fingerprints (and
@@ -30,6 +30,7 @@ use rl_core::tracking::{
     solution_fingerprint, StreamingTracker, TickObservation, Tracker, TrackerConfig,
 };
 use rl_deploy::mobility;
+use rl_math::stats::quantile;
 use rl_serve::protocol::stream::{StreamSource, TrackerSpec};
 use rl_serve::server::solve_direct;
 use rl_serve::{Client, ServeConfig, Server};
@@ -97,11 +98,6 @@ fn town_source() -> StreamSource {
     StreamSource::Preset {
         name: "town-mobile".into(),
     }
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -185,30 +181,30 @@ fn main() {
         if tick == 0 {
             cold = elapsed;
         } else {
-            warm.push(elapsed);
+            warm.push(elapsed.as_secs_f64() * 1e3);
         }
     }
     session.close().expect("close session");
     client.shutdown().expect("shutdown");
     handle.join().expect("join").expect("serve");
-    warm.sort();
-    let p50 = percentile(&warm, 0.50);
-    let p99 = percentile(&warm, 0.99);
+    let p50_ms = quantile(&mut warm, 0.50).expect("warm ticks");
+    let p99_ms = quantile(&mut warm, 0.99).expect("warm ticks");
+    let p99_budget_ms = WARM_P99_BUDGET.as_secs_f64() * 1e3;
     let latency = LatencyRecord {
         ticks: observations.len(),
         universe,
         cold_ms: cold.as_secs_f64() * 1e3,
-        p50_ms: p50.as_secs_f64() * 1e3,
-        p99_ms: p99.as_secs_f64() * 1e3,
-        p99_budget_ms: WARM_P99_BUDGET.as_secs_f64() * 1e3,
+        p50_ms,
+        p99_ms,
+        p99_budget_ms,
     };
     println!(
         "latency: {} warm ticks over the wire at town scale ({universe} nodes): cold {cold:.2?}, \
-         p50 {p50:.2?}, p99 {p99:.2?} (budget {WARM_P99_BUDGET:.0?})",
+         p50 {p50_ms:.2} ms, p99 {p99_ms:.2} ms (budget {p99_budget_ms:.0} ms)",
         warm.len()
     );
-    if p99 > WARM_P99_BUDGET {
-        eprintln!("WARM TICK BUDGET EXCEEDED: p99 {p99:.2?} > {WARM_P99_BUDGET:.0?}");
+    if p99_ms > p99_budget_ms {
+        eprintln!("WARM TICK BUDGET EXCEEDED: p99 {p99_ms:.2} ms > {p99_budget_ms:.0} ms");
         failed = true;
     }
 

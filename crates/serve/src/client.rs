@@ -18,7 +18,7 @@
 //! # Streaming sessions
 //!
 //! [`Client::open_stream`] returns a typed [`StreamSession`] handle for
-//! protocol v2's session vocabulary: push observation deltas, read the
+//! the protocol's session vocabulary: push observation deltas, read the
 //! evolving solution (full or per-node), and close. The handle closes
 //! its session on drop (best effort); call [`StreamSession::close`] to
 //! observe the result.
@@ -99,7 +99,6 @@ impl From<FrameError> for ClientError {
 pub struct Client {
     stream: TcpStream,
     max_frame: usize,
-    negotiated: u32,
     /// The server identification string from the handshake, e.g.
     /// `"rl-serve/0.1.0"`.
     pub server: String,
@@ -120,14 +119,12 @@ impl Client {
         let mut client = Client {
             stream,
             max_frame: protocol::DEFAULT_MAX_FRAME,
-            negotiated: PROTOCOL_VERSION,
             server: String::new(),
         };
         match client.roundtrip(&Request::Hello {
             protocol: PROTOCOL_VERSION,
         })? {
-            Response::Hello { protocol, server } => {
-                client.negotiated = protocol;
+            Response::Hello { server, .. } => {
                 client.server = server;
                 Ok(client)
             }
@@ -136,11 +133,6 @@ impl Client {
                 "expected Hello, got {other:?}"
             ))),
         }
-    }
-
-    /// The protocol version this connection negotiated.
-    pub fn negotiated(&self) -> u32 {
-        self.negotiated
     }
 
     /// Sets a read timeout for replies (`None` blocks indefinitely,
@@ -201,9 +193,8 @@ impl Client {
         }
     }
 
-    /// Localizes like [`Client::localize`] but asks only for `nodes`
-    /// (protocol v2). The reply is **byte-identical** to slicing the
-    /// full frame with
+    /// Localizes like [`Client::localize`] but asks only for `nodes`.
+    /// The reply is **byte-identical** to slicing the full frame with
     /// [`Projection::slice`](crate::protocol::batch::Projection::slice),
     /// and is served against the same cache as full frames.
     ///
@@ -265,7 +256,7 @@ impl Client {
         }
     }
 
-    /// Opens a server-owned streaming session (protocol v2) and returns
+    /// Opens a server-owned streaming session and returns
     /// its typed handle. The handle borrows this client — the protocol
     /// is strict request/response, so session traffic and other requests
     /// share the connection sequentially.

@@ -14,7 +14,7 @@
 //! * **Caching** — completed solutions land in an LRU keyed by a
 //!   problem/config fingerprint ([`cache`]), and a cached response is
 //!   **bit-identical** to the cold one.
-//! * **Sessions** — protocol v2's `stream` namespace puts the tracking
+//! * **Sessions** — the protocol's `stream` namespace puts the tracking
 //!   layer behind the wire: server-owned
 //!   [`StreamingTracker`](rl_core::tracking::StreamingTracker) sessions
 //!   ([`session`]) fed by client-pushed observation deltas, with TTL
@@ -67,8 +67,7 @@ pub mod session;
 
 pub use client::{Client, ClientError, StreamSession};
 pub use protocol::{
-    ErrorCode, LocalizeReply, Request, Response, ServerStats, WireError, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    ErrorCode, LocalizeReply, Request, Response, ServerStats, WireError, PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server};
 pub use session::{Clock, ManualClock, SessionManager, SystemClock};

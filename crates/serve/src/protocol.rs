@@ -27,43 +27,37 @@
 //! pushes unsolicited frames. A connection serves any number of
 //! requests.
 //!
-//! # Namespaces (v2)
+//! # Namespaces
 //!
-//! Version 2 splits the message space into two namespaces plus a small
-//! shared envelope:
+//! The message space is split into two namespaces plus a small shared
+//! envelope:
 //!
 //! * **[`batch`]** — the stateless requests: one-shot preset solves
 //!   ([`batch::Request::Localize`], optionally projected to a node
-//!   subset), counters, shutdown. Exactly the v1 vocabulary, so a v1
-//!   frame is also a valid v2 frame.
+//!   subset), counters, shutdown.
 //! * **[`stream`]** — the session-scoped requests: open a server-owned
 //!   [`StreamingTracker`](rl_core::tracking::StreamingTracker) session,
 //!   push [`TickObservation`](rl_core::tracking::TickObservation)
 //!   deltas through it, read full or per-node solutions, close.
-//! * **Envelope** — [`Request::Hello`] (version negotiation, shared by
+//! * **Envelope** — [`Request::Hello`] (the version check, shared by
 //!   both namespaces) and [`Response::Error`] (typed failures).
 //!
-//! On the wire the envelope is *flat*: the namespace is a type-level
-//! grouping, not a JSON nesting, so `{"Localize":{...}}` means the same
-//! bytes in v1 and v2. This is load-bearing — the v1 compatibility
-//! contract below depends on it.
+//! Every type's serde impls are derived, so the namespace nests on the
+//! wire like any other tuple variant: a full-frame localize request is
+//! `{"Batch":[{"Localize":{...}}]}` and its answer
+//! `{"Batch":[{"Localized":[{...}]}]}`. The golden-frame unit tests pin
+//! these bytes.
 //!
 //! # Versioning
 //!
-//! Clients should open with [`Request::Hello`] carrying their version;
-//! the server accepts anything in
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and answers
-//! [`Response::Hello`] echoing the *negotiated* (client's) version, or
-//! [`ErrorCode::UnsupportedProtocol`] outside that range. A connection
-//! negotiated at v1 is batch-only: stream requests and the v2-only
-//! `nodes` projection are rejected with
-//! [`ErrorCode::UnsupportedProtocol`]. A connection that never says
-//! `Hello` is assumed current-version. **v1 compatibility is a byte
-//! contract**: a v1 client's `Localize` round-trip — request bytes in,
-//! response bytes out — is bit-identical to what a v1 server produced
-//! (pinned by golden-frame tests). The version is bumped whenever an
-//! existing field or variant changes meaning; purely additive variants
-//! and fields keep the version (unknown variants already fail closed as
+//! The server speaks exactly one version, [`PROTOCOL_VERSION`]. Clients
+//! should open with [`Request::Hello`] carrying it; the server answers
+//! [`Response::Hello`] with the same version, and any other version
+//! with [`ErrorCode::UnsupportedProtocol`] on a connection that keeps
+//! serving. A connection that never says `Hello` is assumed to speak
+//! the current version. The version is bumped whenever the bytes of an
+//! existing field or variant change; purely additive variants and
+//! fields keep the version (unknown variants already fail closed as
 //! [`ErrorCode::MalformedFrame`], and absent newer `Option` fields read
 //! as `None`).
 //!
@@ -93,19 +87,15 @@
 //! * `session_capacity` — the configured open-session bound,
 //! * `ticks_served` — observations accepted by session trackers
 //!   (cumulative),
-//! * `batch_queued` / `stream_queued` — per-class queue depths (gauges);
-//!   `queued` is their sum, keeping its v1 meaning of "jobs waiting".
+//! * `batch_queued` / `stream_queued` — per-class queue depths (gauges).
 
 use std::io::{self, Read, Write};
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
-/// Current protocol version. See the module docs for the bump policy.
-pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version the server still negotiates. v1 connections
-/// are batch-only (see the module docs).
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
+/// The protocol version, the only one the server speaks. See the module
+/// docs for the bump policy.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Default maximum frame size (1 MiB): comfortably above a metro-1000
 /// [`LocalizeReply`] (~50 KiB), far below anything a hostile or confused
@@ -113,12 +103,12 @@ pub const MIN_PROTOCOL_VERSION: u32 = 1;
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
 /// A client-to-server message: the version handshake plus the two
-/// namespaces, flattened on the wire (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+/// namespaces (see the module docs).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Version handshake; answered by [`Response::Hello`].
     Hello {
-        /// The client's protocol version (≤ [`PROTOCOL_VERSION`]).
+        /// The client's protocol version (must be [`PROTOCOL_VERSION`]).
         protocol: u32,
     },
     /// A stateless request (localize, status, shutdown).
@@ -153,12 +143,12 @@ impl From<stream::Request> for Request {
 }
 
 /// A server-to-client message: the handshake answer, typed errors, and
-/// the two namespaces, flattened on the wire.
-#[derive(Debug, Clone, PartialEq)]
+/// the two namespaces.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Handshake answer.
     Hello {
-        /// The negotiated protocol version this connection will speak.
+        /// The server's [`PROTOCOL_VERSION`].
         protocol: u32,
         /// Human-readable server identifier.
         server: String,
@@ -184,137 +174,9 @@ impl From<stream::Response> for Response {
     }
 }
 
-/// Builds the single-entry map a JSON enum variant encodes to.
-fn variant(name: &str, payload: Value) -> Value {
-    Value::Map(vec![(Value::Str(name.to_string()), payload)])
-}
-
-/// The variant tag of a serialized enum: the string itself for unit
-/// variants, the single key for payload-carrying ones.
-fn variant_tag(value: &Value) -> Result<&str, SerdeError> {
-    match value {
-        Value::Str(s) => Ok(s),
-        Value::Map(entries) if entries.len() == 1 => entries[0]
-            .0
-            .as_str()
-            .ok_or_else(|| SerdeError::custom("enum variant key must be a string")),
-        other => Err(SerdeError::expected("enum variant", other)),
-    }
-}
-
-/// The payload of a payload-carrying variant (the single map value).
-fn variant_payload(value: &Value) -> Result<&Value, SerdeError> {
-    match value {
-        Value::Map(entries) if entries.len() == 1 => Ok(&entries[0].1),
-        other => Err(SerdeError::expected("single-variant map", other)),
-    }
-}
-
-// The envelope's serde impls are manual so the namespaces stay flat on
-// the wire: `Request::Batch(Localize{..})` must serialize to exactly the
-// bytes v1's un-namespaced `Request::Localize{..}` produced. A derived
-// impl would nest (`{"Batch":{"Localize":{..}}}`) and break the byte
-// contract.
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Hello { protocol } => variant(
-                "Hello",
-                Value::Map(vec![(
-                    Value::Str("protocol".to_string()),
-                    protocol.to_value(),
-                )]),
-            ),
-            Request::Batch(r) => r.to_value(),
-            Request::Stream(r) => r.to_value(),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match variant_tag(value)? {
-            "Hello" => {
-                let payload = variant_payload(value)?;
-                let entries = payload
-                    .as_map()
-                    .ok_or_else(|| SerdeError::expected("Hello payload map", payload))?;
-                Ok(Request::Hello {
-                    protocol: serde::__get_field(entries, "protocol")?,
-                })
-            }
-            "Localize" | "Status" | "Shutdown" => {
-                batch::Request::from_value(value).map(Request::Batch)
-            }
-            "OpenStream" | "PushTicks" | "ReadSolution" | "CloseStream" => {
-                stream::Request::from_value(value).map(Request::Stream)
-            }
-            other => Err(SerdeError::custom(format!(
-                "unknown Request variant `{other}`"
-            ))),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        match self {
-            Response::Hello { protocol, server } => variant(
-                "Hello",
-                Value::Map(vec![
-                    (Value::Str("protocol".to_string()), protocol.to_value()),
-                    (Value::Str("server".to_string()), server.to_value()),
-                ]),
-            ),
-            Response::Batch(r) => r.to_value(),
-            Response::Stream(r) => r.to_value(),
-            // Tuple-variant encoding, matching v1's derived impl.
-            Response::Error(e) => variant("Error", Value::Seq(vec![e.to_value()])),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        match variant_tag(value)? {
-            "Hello" => {
-                let payload = variant_payload(value)?;
-                let entries = payload
-                    .as_map()
-                    .ok_or_else(|| SerdeError::expected("Hello payload map", payload))?;
-                Ok(Response::Hello {
-                    protocol: serde::__get_field(entries, "protocol")?,
-                    server: serde::__get_field(entries, "server")?,
-                })
-            }
-            "Error" => {
-                let payload = variant_payload(value)?;
-                let items = payload
-                    .as_seq()
-                    .ok_or_else(|| SerdeError::expected("Error payload sequence", payload))?;
-                match items {
-                    [e] => Ok(Response::Error(WireError::from_value(e)?)),
-                    _ => Err(SerdeError::custom("Error payload must hold one value")),
-                }
-            }
-            "Localized" | "Projected" | "Status" | "ShuttingDown" => {
-                batch::Response::from_value(value).map(Response::Batch)
-            }
-            "StreamOpened" | "TicksPushed" | "Solution" | "StreamClosed" => {
-                stream::Response::from_value(value).map(Response::Stream)
-            }
-            other => Err(SerdeError::custom(format!(
-                "unknown Response variant `{other}`"
-            ))),
-        }
-    }
-}
-
 pub mod batch {
-    //! The stateless namespace: one-shot preset solves and server
-    //! control. This is exactly the v1 vocabulary — every v1 frame is a
-    //! valid frame of this namespace, byte for byte — plus the additive
-    //! `nodes` projection on [`Request::Localize`].
+    //! The stateless namespace: one-shot preset solves, optionally
+    //! projected to a node subset, and server control.
 
     use super::{ErrorCode, LocalizeReply, ServerStats, WireError};
     use serde::{Deserialize, Serialize};
@@ -335,11 +197,11 @@ pub mod batch {
             /// `(deployment, solver, seed)` triple always yields the
             /// same reply, bit for bit.
             seed: u64,
-            /// Optional per-node projection (v2): answer with only these
-            /// node ids' positions, served against the same cache as
-            /// full frames and **byte-identical** to slicing one
-            /// ([`Projection::slice`]). `None` (or absent, as every v1
-            /// frame has it) returns the full frame.
+            /// Optional per-node projection: answer with only these node
+            /// ids' positions, served against the same cache as full
+            /// frames and **byte-identical** to slicing one
+            /// ([`Projection::slice`]). `None` (or absent) returns the
+            /// full frame.
             nodes: Option<Vec<u64>>,
         },
         /// Server statistics snapshot; answered by [`Response::Status`].
@@ -355,7 +217,7 @@ pub mod batch {
     pub enum Response {
         /// A completed full-frame localize request.
         Localized(LocalizeReply),
-        /// A completed projected localize request (v2).
+        /// A completed projected localize request.
         Projected(Projection),
         /// A statistics snapshot.
         Status(ServerStats),
@@ -835,9 +697,6 @@ pub struct ServerStats {
     pub cache_entries: u64,
     /// Solution-cache capacity.
     pub cache_capacity: u64,
-    /// Jobs currently waiting across both queues (a gauge; the sum of
-    /// `batch_queued` and `stream_queued`).
-    pub queued: u64,
     /// Configured per-class job-queue depth bound; `0` means unbounded.
     pub queue_depth: u64,
     /// Requests rejected with [`ErrorCode::Overloaded`] (full queue,
@@ -893,9 +752,8 @@ pub enum ErrorCode {
     MalformedFrame,
     /// The frame's declared length exceeded the receiver's maximum.
     FrameTooLarge,
-    /// [`Request::Hello`] carried an unsupported protocol version, or a
-    /// v1-negotiated connection sent a v2-only request (a stream request
-    /// or a `nodes` projection).
+    /// [`Request::Hello`] carried a version other than
+    /// [`PROTOCOL_VERSION`].
     UnsupportedProtocol,
     /// The request named a deployment or mobility source outside the
     /// preset registries.
@@ -915,16 +773,15 @@ pub enum ErrorCode {
     /// stays open.
     Overloaded,
     /// A stream request named a session token the server does not know
-    /// (never opened, or already closed). Additive in v2.
+    /// (never opened, or already closed).
     UnknownSession,
     /// A stream request named a session the idle TTL reaped. The state
-    /// is gone — reopen and replay to continue. Additive in v2.
+    /// is gone — reopen and replay to continue.
     SessionEvicted,
     /// A projection named a node id outside the deployment's universe.
-    /// Additive in v2.
     UnknownNode,
     /// A pushed observation failed wire-level validation (universe
-    /// mismatch, out-of-range ids, non-finite numbers). Additive in v2.
+    /// mismatch, out-of-range ids, non-finite numbers).
     InvalidObservation,
 }
 
@@ -1178,7 +1035,7 @@ mod tests {
         }
         let responses = [
             Response::Hello {
-                protocol: 2,
+                protocol: PROTOCOL_VERSION,
                 server: "rl-serve/test".into(),
             },
             Response::Batch(batch::Response::Localized(sample_reply())),
@@ -1219,74 +1076,83 @@ mod tests {
         }
     }
 
-    /// The v1 compatibility contract, pinned at the byte level: v1
-    /// request literals decode, and v1-vocabulary responses encode to
-    /// exactly the frames a v1 server produced (derived-enum encoding:
-    /// unit variant = string, tuple variant = single-key map to a list,
-    /// struct variant/field order = declaration order).
+    /// The wire bytes, pinned: derived-enum encoding (unit variant =
+    /// string, tuple variant = single-key map to a list, struct
+    /// variant/field order = declaration order), with each namespace
+    /// nested as a tuple variant of the envelope. Any change here is a
+    /// [`PROTOCOL_VERSION`] bump.
     #[test]
-    fn v1_frames_stay_decodable_and_byte_identical() {
-        // v1 requests (no `nodes` field existed) decode into the batch
-        // namespace with `nodes: None`.
-        let localize: Request =
-            serde_json::from_str(r#"{"Localize":{"deployment":"town","solver":"lss","seed":7}}"#)
-                .unwrap();
-        assert_eq!(localize, Request::localize("town", "lss", 7));
-        assert_eq!(
-            serde_json::from_str::<Request>(r#""Status""#).unwrap(),
-            Request::Batch(batch::Request::Status)
+    fn golden_frames_are_byte_identical() {
+        fn pin<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(message: T, bytes: &str) {
+            assert_eq!(serde_json::to_string(&message).unwrap(), bytes);
+            assert_eq!(serde_json::from_str::<T>(bytes).unwrap(), message);
+        }
+        pin(
+            Request::Hello { protocol: 3 },
+            r#"{"Hello":{"protocol":3}}"#,
         );
-        assert_eq!(
-            serde_json::from_str::<Request>(r#""Shutdown""#).unwrap(),
-            Request::Batch(batch::Request::Shutdown)
+        pin(
+            Response::Hello {
+                protocol: 3,
+                server: "rl-serve/x".into(),
+            },
+            r#"{"Hello":{"protocol":3,"server":"rl-serve/x"}}"#,
         );
-        assert_eq!(
-            serde_json::from_str::<Request>(r#"{"Hello":{"protocol":1}}"#).unwrap(),
-            Request::Hello { protocol: 1 }
+        pin(
+            Request::localize("town", "lss", 7),
+            r#"{"Batch":[{"Localize":{"deployment":"town","solver":"lss","seed":7,"nodes":null}}]}"#,
         );
-
-        // v1 response vocabulary encodes byte-identically through the
-        // v2 envelope.
-        let reply = LocalizeReply {
-            deployment: "d".into(),
-            solver: "s".into(),
-            seed: 1,
-            frame: "absolute".into(),
-            positions: vec![Some((1.5, -2.0)), None],
-            iterations: 3,
-            residual: None,
-            converged: Some(false),
-            mean_error_m: None,
-            localized: 1,
-        };
-        assert_eq!(
-            serde_json::to_string(&Response::Batch(batch::Response::Localized(reply))).unwrap(),
+        pin(
+            Response::Batch(batch::Response::Localized(LocalizeReply {
+                deployment: "d".into(),
+                solver: "s".into(),
+                seed: 1,
+                frame: "absolute".into(),
+                positions: vec![Some((1.5, -2.0)), None],
+                iterations: 3,
+                residual: None,
+                converged: Some(false),
+                mean_error_m: None,
+                localized: 1,
+            })),
             concat!(
-                r#"{"Localized":[{"deployment":"d","solver":"s","seed":1,"#,
+                r#"{"Batch":[{"Localized":[{"deployment":"d","solver":"s","seed":1,"#,
                 r#""frame":"absolute","positions":[[1.5,-2.0],null],"#,
                 r#""iterations":3,"residual":null,"converged":false,"#,
-                r#""mean_error_m":null,"localized":1}]}"#
+                r#""mean_error_m":null,"localized":1}]}]}"#
+            ),
+        );
+        pin(
+            Request::Stream(stream::Request::PushTicks {
+                session: 9,
+                observations: vec![stream::WireObservation {
+                    tick: 0,
+                    universe: 2,
+                    edges: vec![(0, 1, 9.5, 1.0)],
+                    anchors: vec![(0, 0.0, 0.0)],
+                    active: vec![0, 1],
+                    joined: vec![0, 1],
+                    left: vec![],
+                    truth: None,
+                }],
+            }),
+            concat!(
+                r#"{"Stream":[{"PushTicks":{"session":9,"observations":[{"tick":0,"#,
+                r#""universe":2,"edges":[[0,1,9.5,1.0]],"anchors":[[0,0.0,0.0]],"#,
+                r#""active":[0,1],"joined":[0,1],"left":[],"truth":null}]}}]}"#
+            ),
+        );
+        pin(
+            Response::Error(WireError::new(ErrorCode::Overloaded, "busy")),
+            r#"{"Error":[{"code":"Overloaded","message":"busy"}]}"#,
+        );
+        // Absent `Option` fields read as `None` (the additive-field rule).
+        assert_eq!(
+            serde_json::from_str::<Request>(
+                r#"{"Batch":[{"Localize":{"deployment":"town","solver":"lss","seed":7}}]}"#
             )
-        );
-        assert_eq!(
-            serde_json::to_string(&Response::Batch(batch::Response::ShuttingDown)).unwrap(),
-            r#""ShuttingDown""#
-        );
-        assert_eq!(
-            serde_json::to_string(&Response::Hello {
-                protocol: 1,
-                server: "rl-serve/x".into(),
-            })
             .unwrap(),
-            r#"{"Hello":{"protocol":1,"server":"rl-serve/x"}}"#
-        );
-        assert_eq!(
-            serde_json::to_string(&Response::Error(WireError::new(
-                ErrorCode::Overloaded,
-                "busy"
-            )))
-            .unwrap(),
-            r#"{"Error":[{"code":"Overloaded","message":"busy"}]}"#
+            Request::localize("town", "lss", 7)
         );
     }
 

@@ -23,7 +23,7 @@
 //!    projected request (`Localize` with `nodes`) is served against the
 //!    same cache by slicing the full reply
 //!    ([`Projection::slice`](crate::protocol::batch::Projection::slice)).
-//! 4. **Sessions** — protocol v2's `stream` namespace maps onto
+//! 4. **Sessions** — the protocol's `stream` namespace maps onto
 //!    server-owned [`StreamingTracker`] sessions managed by a
 //!    [`SessionManager`]: `OpenStream` hands out a capability token,
 //!    `PushTicks` feeds observation deltas through the worker pool, and
@@ -75,7 +75,7 @@ use rl_net::RadioModel;
 use crate::cache::LruCache;
 use crate::protocol::{
     self, batch, stream, ErrorCode, LocalizeReply, Request, Response, ServerStats, WireError,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use crate::session::{Clock, SessionManager, SystemClock};
 
@@ -431,7 +431,6 @@ impl Shared {
             errors: self.errors.load(Ordering::Relaxed),
             cache_entries: cache.len() as u64,
             cache_capacity: cache.capacity() as u64,
-            queued: batch_queued + stream_queued,
             queue_depth: self.config.queue_depth as u64,
             overloaded: self.overloaded.load(Ordering::Relaxed),
             sessions_open: self.sessions.open_count(),
@@ -1043,10 +1042,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         return;
     }
     let local_addr = stream.local_addr().ok();
-    // A connection that never sends Hello speaks the current protocol;
-    // a Hello pins whatever both sides support (v1 connections are
-    // batch-only — see the protocol module docs).
-    let mut negotiated = PROTOCOL_VERSION;
     loop {
         let payload = match read_frame_polled(&mut stream, shared) {
             ReadOutcome::Frame(payload) => payload,
@@ -1081,31 +1076,17 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             }
         };
         let response = match request {
-            Request::Hello { protocol } => {
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&protocol) {
-                    negotiated = protocol;
-                    Response::Hello {
-                        protocol: negotiated,
-                        server: concat!("rl-serve/", env!("CARGO_PKG_VERSION")).to_string(),
-                    }
-                } else {
-                    Response::Error(WireError::new(
-                        ErrorCode::UnsupportedProtocol,
-                        format!(
-                            "client speaks v{protocol}, server speaks \
-                             v{MIN_PROTOCOL_VERSION}..=v{PROTOCOL_VERSION}"
-                        ),
-                    ))
-                }
-            }
-            Request::Batch(request) => handle_batch(shared, request, negotiated, &mut stream),
+            Request::Hello { protocol } if protocol == PROTOCOL_VERSION => Response::Hello {
+                protocol,
+                server: concat!("rl-serve/", env!("CARGO_PKG_VERSION")).to_string(),
+            },
+            Request::Hello { protocol } => Response::Error(WireError::new(
+                ErrorCode::UnsupportedProtocol,
+                format!("client speaks v{protocol}, server speaks v{PROTOCOL_VERSION}"),
+            )),
+            Request::Batch(request) => handle_batch(shared, request, &mut stream),
             Request::Stream(request) => {
-                if negotiated < 2 {
-                    Response::Error(WireError::new(
-                        ErrorCode::UnsupportedProtocol,
-                        format!("stream requests need protocol v2; this connection negotiated v{negotiated}"),
-                    ))
-                } else if shared.stop.load(Ordering::SeqCst) {
+                if shared.stop.load(Ordering::SeqCst) {
                     Response::Error(WireError::new(
                         ErrorCode::ShuttingDown,
                         "server is shutting down",
@@ -1167,12 +1148,7 @@ fn response_or_shutdown(
 }
 
 /// Dispatches one batch-namespace request.
-fn handle_batch(
-    shared: &Shared,
-    request: batch::Request,
-    negotiated: u32,
-    stream: &mut TcpStream,
-) -> Response {
+fn handle_batch(shared: &Shared, request: batch::Request, stream: &mut TcpStream) -> Response {
     match request {
         batch::Request::Status => batch::Response::Status(shared.stats()).into(),
         batch::Request::Shutdown => {
@@ -1187,15 +1163,7 @@ fn handle_batch(
             seed,
             nodes,
         } => {
-            if negotiated < 2 && nodes.is_some() {
-                Response::Error(WireError::new(
-                    ErrorCode::UnsupportedProtocol,
-                    format!(
-                        "the `nodes` projection needs protocol v2; \
-                         this connection negotiated v{negotiated}"
-                    ),
-                ))
-            } else if shared.stop.load(Ordering::SeqCst) {
+            if shared.stop.load(Ordering::SeqCst) {
                 Response::Error(WireError::new(
                     ErrorCode::ShuttingDown,
                     "server is shutting down",

@@ -34,6 +34,25 @@ fn assert_reply_bitwise(
     }
 }
 
+/// Sends one raw frame payload on an unhandshaken connection and
+/// decodes the reply.
+fn exchange(stream: &mut TcpStream, payload: &[u8]) -> Response {
+    protocol::write_frame(stream, payload, usize::MAX).unwrap();
+    let reply = protocol::read_frame(stream, usize::MAX).unwrap().unwrap();
+    protocol::decode(&reply).unwrap()
+}
+
+fn roundtrip(stream: &mut TcpStream, request: &Request) -> Response {
+    exchange(stream, serde_json::to_string(request).unwrap().as_bytes())
+}
+
+fn assert_malformed(stream: &mut TcpStream, payload: &[u8]) {
+    match exchange(stream, payload) {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::MalformedFrame),
+        other => panic!("expected MalformedFrame, got {other:?}"),
+    }
+}
+
 #[test]
 fn concurrent_clients_get_bitwise_direct_results() {
     let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
@@ -186,36 +205,12 @@ fn malformed_frames_get_typed_errors_without_dropping_the_connection() {
     let mut stream = TcpStream::connect(addr).unwrap();
 
     // Valid frame, invalid payload (not JSON at all).
-    protocol::write_frame(&mut stream, b"definitely not json", usize::MAX).unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Error(e) => assert_eq!(e.code, ErrorCode::MalformedFrame),
-        other => panic!("expected MalformedFrame, got {other:?}"),
-    }
-
+    assert_malformed(&mut stream, b"definitely not json");
     // Valid JSON of the wrong shape.
-    protocol::write_frame(&mut stream, br#"{"Nonsense":{"x":1}}"#, usize::MAX).unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Error(e) => assert_eq!(e.code, ErrorCode::MalformedFrame),
-        other => panic!("expected MalformedFrame, got {other:?}"),
-    }
+    assert_malformed(&mut stream, br#"{"Nonsense":{"x":1}}"#);
 
     // The same raw connection still works (framing never desynced).
-    protocol::send(
-        &mut stream,
-        &Request::Batch(batch::Request::Status),
-        usize::MAX,
-    )
-    .unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
+    match roundtrip(&mut stream, &Request::Batch(batch::Request::Status)) {
         Response::Batch(batch::Response::Status(stats)) => assert!(stats.errors >= 2),
         other => panic!("expected Status, got {other:?}"),
     }
@@ -285,31 +280,48 @@ fn idle_connections_time_out_without_affecting_others() {
 fn protocol_version_mismatch_is_a_typed_error() {
     let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
     let mut stream = TcpStream::connect(addr).unwrap();
-    protocol::send(
+    // The server speaks exactly one version: older and newer ones are
+    // refused alike, and the connection keeps serving after each.
+    for version in [1, 2, PROTOCOL_VERSION + 1] {
+        match roundtrip(&mut stream, &Request::Hello { protocol: version }) {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedProtocol),
+            other => panic!("expected UnsupportedProtocol for v{version}, got {other:?}"),
+        }
+    }
+    match roundtrip(
         &mut stream,
         &Request::Hello {
-            protocol: PROTOCOL_VERSION + 1,
+            protocol: PROTOCOL_VERSION,
         },
-        usize::MAX,
-    )
-    .unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedProtocol),
-        other => panic!("expected UnsupportedProtocol, got {other:?}"),
+    ) {
+        Response::Hello { protocol, .. } => assert_eq!(protocol, PROTOCOL_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let localize = Request::localize("parking-lot", "centroid", 1);
+    match roundtrip(&mut stream, &localize) {
+        Response::Batch(batch::Response::Localized(reply)) => assert!(reply.localized > 0),
+        other => panic!("expected Localized, got {other:?}"),
     }
 
-    // The connection survives the rejection, and v1 is still
-    // negotiated: the server echoes the older version back.
-    protocol::send(&mut stream, &Request::Hello { protocol: 1 }, usize::MAX).unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Hello { protocol, .. } => assert_eq!(protocol, 1),
-        other => panic!("expected a v1 Hello, got {other:?}"),
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn json_depth_bombs_get_typed_errors_and_the_connection_survives() {
+    let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // 400 KB of `[`: well under the 1 MiB frame cap, and deep enough to
+    // overflow a thread stack in an unbounded recursive-descent parser.
+    assert_malformed(&mut stream, &[b'['; 400_000]);
+    // Same connection, normal service.
+    let localize = Request::localize("parking-lot", "centroid", 1);
+    match roundtrip(&mut stream, &localize) {
+        Response::Batch(batch::Response::Localized(reply)) => {
+            assert_reply_bitwise(&reply, &solve_direct("parking-lot", "centroid", 1).unwrap());
+        }
+        other => panic!("expected Localized, got {other:?}"),
     }
 
     let mut client = Client::connect(addr).unwrap();
@@ -361,7 +373,7 @@ fn full_queues_reject_with_a_typed_overloaded_error() {
         let mut client = Client::connect(addr).unwrap();
         client.localize("town", "centroid", 12).unwrap();
     });
-    while control.status().unwrap().queued < 1 {
+    while control.status().unwrap().batch_queued < 1 {
         std::thread::sleep(Duration::from_millis(5));
     }
     let stats = control.status().unwrap();
@@ -369,7 +381,7 @@ fn full_queues_reject_with_a_typed_overloaded_error() {
         stats.queue_depth, 1,
         "stats must report the configured bound"
     );
-    assert_eq!(stats.queued, 1);
+    assert_eq!(stats.batch_queued, 1);
 
     // A third distinct request now finds the queue full.
     let mut rejected = Client::connect(addr).unwrap();
@@ -392,7 +404,7 @@ fn full_queues_reject_with_a_typed_overloaded_error() {
 
     let stats = control.status().unwrap();
     assert!(stats.overloaded >= 1, "rejections must be counted");
-    assert_eq!(stats.queued, 0, "queue gauge must drain to zero");
+    assert_eq!(stats.batch_queued, 0, "queue gauge must drain to zero");
     control.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }

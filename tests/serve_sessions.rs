@@ -1,10 +1,8 @@
-//! Loopback-TCP integration tests for protocol v2's streaming sessions:
-//! lifecycle, determinism against directly-driven trackers, TTL
-//! eviction under an injected clock, quota rejections, partial reads,
-//! and v1 compatibility — all against a real server on an ephemeral
-//! port.
+//! Loopback-TCP integration tests for the protocol's streaming
+//! sessions: lifecycle, determinism against directly-driven trackers,
+//! TTL eviction under an injected clock, quota rejections, and partial
+//! reads — all against a real server on an ephemeral port.
 
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,8 +12,7 @@ use resilient_localization::localization::tracking::{
 };
 use resilient_localization::serve::client::{Client, ClientError};
 use resilient_localization::serve::protocol::stream::{StreamSource, TrackerSpec};
-use resilient_localization::serve::protocol::{self, batch, stream, ErrorCode, Request, Response};
-use resilient_localization::serve::server::solve_direct;
+use resilient_localization::serve::protocol::{batch, stream, ErrorCode, Request, Response};
 use resilient_localization::serve::{ManualClock, ServeConfig, Server};
 
 const SEED: u64 = 20050614;
@@ -268,81 +265,6 @@ fn session_quotas_reject_with_typed_overloaded_errors() {
     assert_eq!(stats.session_capacity, 1);
     assert_eq!(stats.ticks_served, 1);
 
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-}
-
-#[test]
-fn v1_connections_stay_byte_compatible_and_batch_only() {
-    let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(addr).unwrap();
-
-    // Negotiate v1 explicitly.
-    protocol::send(&mut stream, &Request::Hello { protocol: 1 }, usize::MAX).unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Hello { protocol, .. } => assert_eq!(protocol, 1),
-        other => panic!("expected a v1 Hello, got {other:?}"),
-    }
-
-    // A raw v1 Localize frame — exactly the bytes a v1 client ships —
-    // is answered with exactly the bytes a v1 server shipped:
-    // `{"Localized":[{...}]}` serialized from the direct solve.
-    protocol::write_frame(
-        &mut stream,
-        br#"{"Localize":{"deployment":"parking-lot","solver":"centroid","seed":7}}"#,
-        usize::MAX,
-    )
-    .unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    let direct = solve_direct("parking-lot", "centroid", 7).unwrap();
-    assert_eq!(
-        payload,
-        payload_bytes(&Response::Batch(batch::Response::Localized(direct))),
-        "v1 Localize reply frames must stay byte-identical"
-    );
-
-    // v2-only vocabulary is rejected on a v1 connection, typed.
-    protocol::send(
-        &mut stream,
-        &Request::Stream(stream::Request::ReadSolution {
-            session: 1,
-            nodes: None,
-        }),
-        usize::MAX,
-    )
-    .unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedProtocol),
-        other => panic!("expected UnsupportedProtocol for a v1 stream request, got {other:?}"),
-    }
-    protocol::send(
-        &mut stream,
-        &Request::Batch(batch::Request::Localize {
-            deployment: "parking-lot".into(),
-            solver: "centroid".into(),
-            seed: 7,
-            nodes: Some(vec![0]),
-        }),
-        usize::MAX,
-    )
-    .unwrap();
-    let payload = protocol::read_frame(&mut stream, usize::MAX)
-        .unwrap()
-        .unwrap();
-    match protocol::decode::<Response>(&payload).unwrap() {
-        Response::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedProtocol),
-        other => panic!("expected UnsupportedProtocol for a v1 projection, got {other:?}"),
-    }
-
-    let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
