@@ -65,7 +65,7 @@ fn bench_mdsmap_backends(c: &mut Criterion) {
     // Sparse-only headroom rungs: the dense path at these sizes is the
     // minutes-long wall the backend exists to remove. The 2500 rung is
     // the multi-source-Dijkstra / blocked-eigensolver stress tier that
-    // `sparse_smoke` wall-gates in CI.
+    // `smoke sparse` wall-gates in CI.
     for (label, nodes) in [("metro1000", 1000), ("metro2500", 2500)] {
         let problem = Scenario::metro_sized(nodes, 0.10, SEED).instantiate(SEED);
         c.bench_function(&format!("mdsmap/{label}_sparse"), |b| {

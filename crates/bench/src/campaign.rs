@@ -19,7 +19,7 @@
 //! [`Campaign::run`] shards them across the [`rl_net::pool`] workers
 //! ([`CampaignConfig`] sets the pool size and the work-unit
 //! [`Chunking`]). The contract, asserted by `tests/determinism.rs` at the
-//! repository root and by the `campaign_smoke` release binary:
+//! repository root and by the `smoke campaign` release suite:
 //!
 //! **Same campaign, same seeds ⇒ a bit-identical [`CampaignReport`],
 //! regardless of worker count or chunking.** Records land in canonical

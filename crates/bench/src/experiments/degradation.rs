@@ -69,7 +69,7 @@ pub fn regimes() -> Vec<(&'static str, RangingChannel)> {
     ]
 }
 
-/// The contaminated rung's channel alone (the `resilience_smoke` CI gate
+/// The contaminated rung's channel alone (the `smoke resilience` CI gate
 /// runs exactly this regime).
 pub fn contaminated_channel() -> RangingChannel {
     RangingChannel::paper().with_stage(ADVERSARIAL)
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn robust_loss_survives_the_contamination_that_collapses_squared_loss() {
-        // The resilience_smoke CI gate in debug miniature: town scale,
+        // The `smoke resilience` CI gate in debug miniature: town scale,
         // contaminated rung, centralized LSS with both losses.
         let scenario = degraded(
             &Scenario::town(7),

@@ -165,7 +165,7 @@ mod tests {
         // The full panel on the ladder's first rung (the paper's town)
         // keeps this test debug-fast while exercising exactly the cells
         // the experiment runs; the metro rungs run in release via the
-        // `metro_smoke` CI binary and the figures experiment.
+        // `smoke metro` CI suite and the figures experiment.
         let campaign = Campaign::new()
             .scenario(Scenario::town(5))
             .localizers(metro_localizers())

@@ -44,6 +44,11 @@
 //! solver-comparison experiments above are built on it, and the `METRO`
 //! experiment pushes it to 1000-node deployments.
 //!
+//! The [`gate`] module is the release gate harness behind the `smoke`
+//! binary (`cargo run --release -p rl-bench --bin smoke [suite…]`): each
+//! suite records `(name, value, budget, ok)` gates, and one run writes
+//! one versioned `BENCH_smoke.json`.
+//!
 //! ```
 //! use rl_bench::campaign::{Campaign, CampaignConfig};
 //! use rl_core::baselines::CentroidLocalizer;
@@ -72,6 +77,7 @@
 
 pub mod campaign;
 pub mod experiments;
+pub mod gate;
 pub mod report;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignReport, Chunking};

@@ -469,7 +469,7 @@ impl DistributedConfig {
     /// deployments (uniform edge weights, narrow degree spread), so
     /// Jacobi measured as a slight iteration-count *increase* there —
     /// the preconditioner that pays at metro scale is [`IC(0)`] on
-    /// explicitly assembled systems, which the `sparse_smoke` CI bin
+    /// explicitly assembled systems, which the `smoke sparse` CI suite
     /// gates at ≥2x iteration reduction.
     ///
     /// Same optimization problem and stopping rules as `metro()` — the
@@ -522,41 +522,6 @@ impl DistributedConfig {
     /// does — folded local maps then poison the pairwise transforms.
     pub fn with_min_spacing(mut self, min_spacing_m: f64, weight: f64) -> Self {
         self.local_lss = self.local_lss.with_min_spacing(min_spacing_m, weight);
-        self
-    }
-
-    /// Replaces the LSS configuration used for per-node local maps
-    /// (builder style).
-    pub fn with_local_lss(mut self, local_lss: LssConfig) -> Self {
-        self.local_lss = local_lss;
-        self
-    }
-
-    /// Replaces the pairwise transform estimation method (builder style).
-    pub fn with_transform(mut self, transform: TransformMethod) -> Self {
-        self.transform = transform;
-        self
-    }
-
-    /// Replaces the transform sanity guards (builder style);
-    /// [`TransformGuards::permissive`] reproduces the paper's unguarded
-    /// behavior.
-    pub fn with_guards(mut self, guards: TransformGuards) -> Self {
-        self.guards = guards;
-        self
-    }
-
-    /// Replaces the radio model used for the protocol run (builder
-    /// style).
-    pub fn with_radio(mut self, radio: RadioModel) -> Self {
-        self.radio = radio;
-        self
-    }
-
-    /// Replaces the delay before the root starts the alignment flood
-    /// (builder style).
-    pub fn with_alignment_delay(mut self, delay_s: f64) -> Self {
-        self.alignment_delay_s = delay_s;
         self
     }
 }
@@ -1129,7 +1094,7 @@ mod tests {
         // accumulates almost no drift, so refinement is a wash within
         // the measurement noise (its real work — collapsing tens of
         // meters of metro-scale drift — is covered by the refine module
-        // tests and the metro_smoke error budget); what this asserts is
+        // tests and the `smoke metro` error budget); what this asserts is
         // that the stage reports what it did and never *degrades* a
         // good run beyond noise level.
         let truth = grid(5, 4, 9.0);

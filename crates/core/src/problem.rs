@@ -298,8 +298,8 @@ pub struct SolveStats {
     pub converged: Option<bool>,
     /// Cumulative inner conjugate-gradient iterations, for solvers whose
     /// refinement stage runs CG (distributed LSS, the tracking warm
-    /// path); `None` for solvers with no CG inside. The `sparse_smoke`
-    /// CI bin reads this to gate the preconditioned-CG iteration win —
+    /// path); `None` for solvers with no CG inside. The `smoke sparse`
+    /// CI suite reads this to gate the preconditioned-CG iteration win —
     /// deliberately **not** part of any campaign fingerprint, which were
     /// pinned before the field existed.
     pub cg_iterations: Option<usize>,

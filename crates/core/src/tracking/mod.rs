@@ -180,12 +180,6 @@ impl TrackerConfig {
         config
     }
 
-    /// Replaces the warm-path refinement configuration (builder style).
-    pub fn with_warm(mut self, warm: RefineConfig) -> Self {
-        self.warm = warm;
-        self
-    }
-
     /// Sets the warm path's Gauss–Newton step budget per tick (builder
     /// style).
     pub fn with_steps_per_tick(mut self, steps: usize) -> Self {

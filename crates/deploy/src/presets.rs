@@ -49,7 +49,7 @@ pub const NAMES: &[&str] = &[
 /// * `"metro-250"` / `"metro-500"` / `"metro-1000"` / `"metro-2500"` —
 ///   the metro ladder (district grids, 10% anchors). The 2500-node rung
 ///   is the sparse-kernel stress tier: dense `O(n²)`–`O(n³)` paths are
-///   visibly infeasible there, so it anchors the `sparse_smoke` wall
+///   visibly infeasible there, so it anchors the `smoke sparse` wall
 ///   gates and the top `sparse_bench` rung.
 pub fn preset(name: &str) -> Option<Scenario> {
     match name {

@@ -41,7 +41,7 @@
 //!    they feed anything observable. Under these rules the same seed
 //!    produces a bit-identical report for *any* worker count — asserted
 //!    for `workers ∈ {1, 4}` by `tests/determinism.rs` at the repository
-//!    root and by the `campaign_smoke` release binary in CI.
+//!    root and by the `smoke campaign` release suite in CI.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -18,15 +18,15 @@
 //!   layer behind the wire: server-owned
 //!   [`StreamingTracker`](rl_core::tracking::StreamingTracker) sessions
 //!   ([`session`]) fed by client-pushed observation deltas, with TTL
-//!   eviction, bounded per-session mailboxes, and a two-class
-//!   weighted-fair scheduler sharing the worker pool with batch solves.
+//!   eviction, bounded per-session mailboxes, and a scheduler that
+//!   alternates stream ticks with batch solves on the worker pool.
 //!
 //! Modules:
 //!
 //! * [`protocol`] — the wire protocol: length-prefixed JSON frames, the
 //!   `batch`/`stream` namespaces, versioning, typed errors,
 //! * [`server`] — [`Server`], the worker pool, coalescing, the
-//!   weighted-fair scheduler, and the graceful lifecycle,
+//!   batch/stream scheduler, and the graceful lifecycle,
 //! * [`session`] — [`SessionManager`], the
 //!   injectable [`Clock`], and TTL eviction,
 //! * [`client`] — [`Client`], a blocking handshaken client, and its

@@ -28,10 +28,9 @@
 //!    [`SessionManager`]: `OpenStream` hands out a capability token,
 //!    `PushTicks` feeds observation deltas through the worker pool, and
 //!    idle sessions are reaped by a TTL. Tick jobs and batch solves
-//!    share the pool through a two-class weighted-fair scheduler
-//!    ([`ServeConfig::batch_weight`] / [`ServeConfig::stream_weight`]),
-//!    so a firehose of stream ticks cannot starve batch solves or vice
-//!    versa.
+//!    share the pool through a scheduler that alternates the two
+//!    classes, so a firehose of stream ticks cannot starve batch solves
+//!    or vice versa.
 //!
 //! Determinism is inherited from the solving layers: a batch solve seeds
 //! its RNG from the request seed alone ([`solve_direct`] is the
@@ -183,11 +182,6 @@ pub struct ServeConfig {
     /// yet processed) beyond it reject the push with
     /// [`ErrorCode::Overloaded`]. `0` means unbounded.
     pub session_mailbox: usize,
-    /// Batch share of the two-class weighted-fair scheduler (see the
-    /// module docs); must be ≥ 1 with [`ServeConfig::stream_weight`].
-    pub batch_weight: u32,
-    /// Stream share of the two-class weighted-fair scheduler.
-    pub stream_weight: u32,
     /// Time source for session TTL eviction; `None` means the monotonic
     /// [`SystemClock`]. Tests inject a
     /// [`ManualClock`](crate::session::ManualClock) to make eviction
@@ -209,8 +203,6 @@ impl Default for ServeConfig {
             session_ttl: Duration::from_secs(300),
             session_capacity: 64,
             session_mailbox: 256,
-            batch_weight: 1,
-            stream_weight: 1,
             clock: None,
         }
     }
@@ -278,13 +270,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the scheduler class weights (both clamped to ≥ 1).
-    pub fn with_weights(mut self, batch: u32, stream: u32) -> Self {
-        self.batch_weight = batch.max(1);
-        self.stream_weight = stream.max(1);
-        self
-    }
-
     /// Injects a [`Clock`] for session TTL eviction (test
     /// instrumentation).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
@@ -310,40 +295,16 @@ struct StreamJob {
     tx: mpsc::Sender<Result<stream::PushReply, WireError>>,
 }
 
-/// A scheduler class: one slot of the weighted-fair wheel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Batch,
-    Stream,
-}
-
-/// Builds the weighted-round-robin wheel for the two job classes,
-/// interleaved (`B S B S B …`) so neither class waits a full burst of
-/// the other even at skewed weights.
-fn schedule_wheel(batch_weight: u32, stream_weight: u32) -> Vec<Class> {
-    let (b, s) = (batch_weight.max(1), stream_weight.max(1));
-    let mut wheel = Vec::with_capacity((b + s) as usize);
-    for i in 0..b.max(s) {
-        if i < b {
-            wheel.push(Class::Batch);
-        }
-        if i < s {
-            wheel.push(Class::Stream);
-        }
-    }
-    wheel
-}
-
 /// The shared scheduler state: both class queues plus the shutdown
 /// latch, guarded together so a successful enqueue is always drained
 /// before the workers exit.
 struct QueueState {
     batch: VecDeque<BatchJob>,
     stream: VecDeque<StreamJob>,
-    /// Next wheel slot to offer work; advances past the slot that
-    /// actually supplied a job, which is what makes the wheel
-    /// weighted-fair under sustained load.
-    cursor: usize,
+    /// Whether the stream class is offered work first on the next pop;
+    /// flips to the class that did *not* supply the last job, which is
+    /// what makes the alternation fair under sustained load.
+    stream_turn: bool,
     shutdown: bool,
 }
 
@@ -353,22 +314,19 @@ enum Job {
 }
 
 impl QueueState {
-    /// Pops the next job by walking the wheel from the cursor. The
-    /// scheduler is work-conserving: when only one class has work, it
-    /// runs without waiting on the other's slots.
-    fn pop_next(&mut self, wheel: &[Class]) -> Option<Job> {
-        for step in 0..wheel.len() {
-            let slot = (self.cursor + step) % wheel.len();
-            let job = match wheel[slot] {
-                Class::Batch => self.batch.pop_front().map(Job::Batch),
-                Class::Stream => self.stream.pop_front().map(Job::Stream),
-            };
-            if let Some(job) = job {
-                self.cursor = (slot + 1) % wheel.len();
-                return Some(job);
-            }
-        }
-        None
+    /// Pops the next job, alternating batch and stream. The scheduler
+    /// is work-conserving: when only one class has work, it runs
+    /// without waiting on the other's turn.
+    fn pop_next(&mut self) -> Option<Job> {
+        let batch = |q: &mut Self| q.batch.pop_front().map(Job::Batch);
+        let stream = |q: &mut Self| q.stream.pop_front().map(Job::Stream);
+        let job = if self.stream_turn {
+            stream(self).or_else(|| batch(self))
+        } else {
+            batch(self).or_else(|| stream(self))
+        }?;
+        self.stream_turn = matches!(job, Job::Batch(_));
+        Some(job)
     }
 }
 
@@ -386,8 +344,6 @@ struct Shared {
     config: ServeConfig,
     resolved_workers: usize,
     presets: Vec<PresetEntry>,
-    /// The weighted-fair wheel (fixed at bind time).
-    wheel: Vec<Class>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     /// In-flight solves: cache key -> waiters. Lock order is `inflight`
@@ -608,11 +564,10 @@ impl Server {
         let shared = Arc::new(Shared {
             resolved_workers,
             presets,
-            wheel: schedule_wheel(config.batch_weight, config.stream_weight),
             queue: Mutex::new(QueueState {
                 batch: VecDeque::new(),
                 stream: VecDeque::new(),
-                cursor: 0,
+                stream_turn: false,
                 shutdown: false,
             }),
             queue_cv: Condvar::new(),
@@ -722,7 +677,7 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut q = shared.queue.lock().expect("queue lock");
             loop {
-                if let Some(job) = q.pop_next(&shared.wheel) {
+                if let Some(job) = q.pop_next() {
                     break job;
                 }
                 if q.shutdown {
@@ -1323,65 +1278,52 @@ mod tests {
     }
 
     #[test]
-    fn schedule_wheel_interleaves_weighted_slots() {
-        assert_eq!(schedule_wheel(1, 1), vec![Class::Batch, Class::Stream]);
-        assert_eq!(
-            schedule_wheel(3, 1),
-            vec![Class::Batch, Class::Stream, Class::Batch, Class::Batch]
-        );
-        // Degenerate weights still yield a serviceable wheel.
-        assert_eq!(schedule_wheel(0, 0), vec![Class::Batch, Class::Stream]);
-    }
-
-    #[test]
-    fn weighted_wheel_shares_service_between_classes() {
-        let wheel = schedule_wheel(2, 1);
+    fn scheduler_alternates_classes_and_conserves_work() {
         let mut q = QueueState {
             batch: VecDeque::new(),
             stream: VecDeque::new(),
-            cursor: 0,
+            stream_turn: false,
             shutdown: false,
         };
         let (tx, _rx) = mpsc::channel();
-        for i in 0..6 {
+        for i in 0..4 {
             q.batch.push_back(BatchJob {
                 key: i,
                 preset: 0,
                 solver: "lss".to_string(),
                 seed: i,
             });
+        }
+        for i in 0..2 {
             q.stream.push_back(StreamJob {
                 session: i,
                 observations: Vec::new(),
                 tx: tx.clone(),
             });
         }
-        let mut order = Vec::new();
-        while let Some(job) = q.pop_next(&wheel) {
+        let mut order = String::new();
+        while let Some(job) = q.pop_next() {
             order.push(match job {
-                Job::Batch(_) => Class::Batch,
-                Job::Stream(_) => Class::Stream,
+                Job::Batch(_) => 'B',
+                Job::Stream(_) => 'S',
             });
         }
-        // 2:1 batch:stream service while both queues are backlogged,
-        // then the work-conserving drain of the leftover stream jobs.
-        assert_eq!(
-            order,
-            vec![
-                Class::Batch,
-                Class::Stream,
-                Class::Batch,
-                Class::Batch,
-                Class::Stream,
-                Class::Batch,
-                Class::Batch,
-                Class::Stream,
-                Class::Batch,
-                Class::Stream,
-                Class::Stream,
-                Class::Stream,
-            ]
-        );
+        // Alternation while both queues are backlogged, then the
+        // work-conserving drain of the leftover batch jobs.
+        assert_eq!(order, "BSBSBB");
+        // A stream job arriving after a batch-only drain is next in line.
+        q.batch.push_back(BatchJob {
+            key: 9,
+            preset: 0,
+            solver: "lss".to_string(),
+            seed: 9,
+        });
+        q.stream.push_back(StreamJob {
+            session: 9,
+            observations: Vec::new(),
+            tx,
+        });
+        assert!(matches!(q.pop_next(), Some(Job::Stream(_))));
     }
 
     #[test]

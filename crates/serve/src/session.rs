@@ -32,7 +32,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use rl_core::tracking::{solution_fingerprint, StreamingTracker, TickObservation, Tracker};
@@ -373,8 +373,11 @@ impl SessionManager {
     }
 
     /// Evicts every session idle past the TTL. Sessions with reserved
-    /// mailbox slots are never evicted (their work is in flight). A
-    /// no-op when the TTL is zero.
+    /// mailbox slots are never evicted (their work is in flight), and
+    /// neither are sessions whose lock is held: a session in the middle
+    /// of a tick is not idle, and waiting on it here would stall every
+    /// other session's lookup behind that tick. A no-op when the TTL is
+    /// zero.
     pub fn sweep(&self) {
         if self.ttl.is_zero() {
             return;
@@ -383,9 +386,12 @@ impl SessionManager {
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         let expired: Vec<u64> = sessions
             .iter()
-            .filter(|(_, session)| {
-                let state = session.lock().expect("session poisoned");
-                state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl
+            .filter(|(_, session)| match session.try_lock() {
+                Ok(state) => {
+                    state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl
+                }
+                Err(TryLockError::WouldBlock) => false,
+                Err(TryLockError::Poisoned(_)) => panic!("session poisoned"),
             })
             .map(|(&token, _)| token)
             .collect();
@@ -597,6 +603,30 @@ mod tests {
             ErrorCode::SessionEvicted
         ));
         assert!(manager.read(busy, None).is_ok());
+    }
+
+    #[test]
+    fn reads_do_not_wait_behind_another_sessions_tick() {
+        let (manager, _) = manager(Duration::from_secs(300), 0, 0);
+        let busy = manager.open("busy", 4, tracker(1)).unwrap();
+        let idle = manager.open("idle", 4, tracker(2)).unwrap();
+        manager.reserve(idle, 1).unwrap();
+        manager.process(idle, &[square_tick(0)]).unwrap();
+        let busy = Arc::clone(&manager.sessions.lock().unwrap()[&busy]);
+        let manager = &manager;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            // Stands in for a worker in the middle of a tick on `busy`.
+            let tick = busy.lock().unwrap();
+            s.spawn(move || tx.send(manager.read(idle, None).is_ok()).unwrap());
+            let read = rx.recv_timeout(Duration::from_secs(2));
+            drop(tick);
+            assert_eq!(
+                read,
+                Ok(true),
+                "the read waited behind another session's tick"
+            );
+        });
     }
 
     #[test]

@@ -64,6 +64,9 @@ fn concurrent_clients_get_bitwise_direct_results() {
         ("grass-grid", "lss", 3),
         ("parking-lot", "dv-hop", 4),
         ("town", "mds-map", 5),
+        ("town", "lss", SEED),
+        ("grass-grid", "distributed-lss", SEED),
+        ("metro-250", "centroid", SEED),
     ];
     let served: Vec<_> = triples
         .map(|(deployment, solver, seed)| {
