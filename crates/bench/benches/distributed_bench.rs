@@ -9,17 +9,17 @@ use rl_core::distributed::{
     TransformMethod,
 };
 use rl_core::lss::LssConfig;
-use rl_deploy::synth::SyntheticRanging;
 use rl_geom::{Point2, RigidTransform, Vec2};
 use rl_math::gradient::DescentConfig;
 use rl_net::NodeId;
+use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 fn grid(n_side: usize) -> (Vec<Point2>, MeasurementSet) {
     let truth: Vec<Point2> = (0..n_side * n_side)
         .map(|i| Point2::new((i % n_side) as f64 * 9.144, (i / n_side) as f64 * 9.144))
         .collect();
-    let set = SyntheticRanging::paper().measure_all(&truth, &mut rl_math::rng::seeded(1));
+    let set = RangingChannel::paper().measure_all(&truth, &mut rl_math::rng::seeded(1));
     (truth, set)
 }
 

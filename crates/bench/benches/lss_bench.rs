@@ -5,16 +5,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use rl_core::lss::{InitStrategy, LssConfig, LssObjective, LssSolver, SoftConstraint};
-use rl_deploy::synth::SyntheticRanging;
 use rl_geom::Point2;
 use rl_math::gradient::Objective;
+use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 fn grid_set(n_side: usize) -> (Vec<Point2>, MeasurementSet) {
     let truth: Vec<Point2> = (0..n_side * n_side)
         .map(|i| Point2::new((i % n_side) as f64 * 9.144, (i / n_side) as f64 * 9.144))
         .collect();
-    let set = SyntheticRanging::paper().measure_all(&truth, &mut rl_math::rng::seeded(1));
+    let set = RangingChannel::paper().measure_all(&truth, &mut rl_math::rng::seeded(1));
     (truth, set)
 }
 

@@ -8,9 +8,9 @@ use rl_core::multilateration::{
     IntersectionConsistency, MultilaterationConfig, MultilaterationSolver, RangeToAnchor,
 };
 use rl_core::types::Anchor;
-use rl_deploy::synth::SyntheticRanging;
 use rl_deploy::Scenario;
 use rl_geom::Point2;
+use rl_ranging::channel::RangingChannel;
 
 fn observations() -> Vec<RangeToAnchor> {
     let node = Point2::new(5.0, 5.0);
@@ -45,7 +45,7 @@ fn bench_consistency(c: &mut Criterion) {
 fn bench_solve(c: &mut Criterion) {
     let scenario = Scenario::town(1);
     let truth = &scenario.deployment.positions;
-    let set = SyntheticRanging::paper().measure_all(truth, &mut rl_math::rng::seeded(2));
+    let set = RangingChannel::paper().measure_all(truth, &mut rl_math::rng::seeded(2));
     let anchors = Anchor::from_truth(&scenario.anchors, truth);
     let solver = MultilaterationSolver::new(MultilaterationConfig::paper());
     c.bench_function("multilateration/town_59_18anchors", |b| {

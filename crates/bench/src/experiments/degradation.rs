@@ -220,7 +220,15 @@ mod tests {
             assert_eq!(s.deployment, base.deployment);
             assert_eq!(s.anchors, base.anchors);
             assert!(s.name.ends_with(rung), "{} !~ {rung}", s.name);
-            assert!(s.channel.is_some());
+            assert_eq!(s.channel, channel);
+        }
+        // The clean rung is the undegraded scenario: same bits per seed.
+        let clean = degraded(&base, "clean", &RangingChannel::paper());
+        for seed in [1, 2] {
+            assert_eq!(
+                clean.instantiate(seed).measurements(),
+                base.instantiate(seed).measurements()
+            );
         }
     }
 

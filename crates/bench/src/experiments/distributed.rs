@@ -3,10 +3,10 @@
 
 use rl_core::distributed::{DistributedConfig, DistributedSolver, TransformMethod};
 use rl_core::eval::evaluate_against_truth;
-use rl_deploy::synth::SyntheticRanging;
 use rl_geom::Point2;
 use rl_math::gradient::DescentConfig;
 use rl_net::NodeId;
+use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 use super::multilateration::grass_grid_measurements;
@@ -176,7 +176,7 @@ pub fn figure25_augmented(seed: u64) -> ExperimentResult {
     let (scenario, mut set) = strict_grass_measurements(seed);
     let truth = &scenario.deployment.positions;
     let mut rng = rl_math::rng::seeded(seed ^ 0x31);
-    let added = SyntheticRanging::paper().augment(&mut set, truth, &mut rng);
+    let added = RangingChannel::paper().augment(&mut set, truth, &mut rng);
     // Paper-comparable run: guarded transforms but no refinement stage,
     // so the figure isolates the paper's variable (measurement
     // augmentation) exactly as its 0.534 m number does.
@@ -202,7 +202,7 @@ pub fn transform_method_ablation(seed: u64) -> ExperimentResult {
     let (scenario, mut set) = strict_grass_measurements(seed);
     let truth = &scenario.deployment.positions;
     let mut rng = rl_math::rng::seeded(seed ^ 0x33);
-    SyntheticRanging::paper().augment(&mut set, truth, &mut rng);
+    RangingChannel::paper().augment(&mut set, truth, &mut rng);
 
     let mut t = Table::new(
         "transform method comparison (augmented grid)",

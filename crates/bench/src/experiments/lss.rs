@@ -10,9 +10,9 @@ use rl_core::eval::evaluate_against_truth;
 use rl_core::lss::{InitStrategy, LssConfig, LssSolver};
 use rl_core::problem::Problem;
 use rl_core::types::PositionMap;
-use rl_deploy::synth::SyntheticRanging;
 use rl_deploy::Scenario;
 use rl_geom::Point2;
+use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 use super::multilateration::grass_grid_measurements;
@@ -208,7 +208,7 @@ pub fn figure19_grid_unconstrained(seed: u64) -> ExperimentResult {
 fn town_measurements(seed: u64) -> (Scenario, MeasurementSet) {
     let scenario = Scenario::town(seed);
     let mut rng = rl_math::rng::seeded(seed ^ 0x21);
-    let set = SyntheticRanging::paper().measure_all(&scenario.deployment.positions, &mut rng);
+    let set = RangingChannel::paper().measure_all(&scenario.deployment.positions, &mut rng);
     (scenario, set)
 }
 

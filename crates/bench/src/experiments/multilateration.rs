@@ -14,10 +14,10 @@ use rl_core::multilateration::{
 };
 use rl_core::problem::Problem;
 use rl_core::types::{Anchor, PositionMap};
-use rl_deploy::synth::SyntheticRanging;
 use rl_deploy::Scenario;
 use rl_geom::Point2;
 use rl_net::NodeId;
+use rl_ranging::channel::RangingChannel;
 use rl_ranging::consistency::{merge_bidirectional, ConsistencyConfig};
 use rl_ranging::filter::StatFilter;
 use rl_ranging::measurement::MeasurementSet;
@@ -289,7 +289,7 @@ pub fn figure16_augmented_grid(seed: u64) -> ExperimentResult {
     let (scenario, mut set) = grass_grid_measurements(seed);
     let truth = &scenario.deployment.positions;
     let mut rng = rl_math::rng::seeded(seed ^ 0x16);
-    let added = SyntheticRanging::paper().augment(&mut set, truth, &mut rng);
+    let added = RangingChannel::paper().augment(&mut set, truth, &mut rng);
     let pairs = set.len();
 
     let anchors = Anchor::from_truth(&scenario.anchors, truth);

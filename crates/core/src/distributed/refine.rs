@@ -318,7 +318,7 @@ pub fn refine_anchored(
             };
             let dist = (dx * dx + dy * dy).sqrt();
             let r = dist - d;
-            let wr = config.loss.reweight(w, r);
+            let wr = w * config.loss.irls_factor(r);
             lin.stress += wr * r * r;
             lin.w_tilde.push(wr);
             lin.residuals.push(r);

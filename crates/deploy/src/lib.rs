@@ -4,9 +4,9 @@
 //! the 7×7 offset grid of Figure 5 (46–47 motes on a grassy field), a
 //! 15-node parking lot with 5 anchors, and "59 plausible node positions in
 //! a map of a few city blocks in a small town". This crate generates those
-//! geometries deterministically, selects anchors, and produces the paper's
-//! synthetic distance sets (true distances under 22 m perturbed by
-//! `N(0, 0.33 m)`):
+//! geometries deterministically, selects anchors, and measures them with
+//! the paper's synthetic recipe (true distances under 22 m perturbed by
+//! `N(0, 0.33 m)`, `rl_ranging::channel::RangingChannel::paper()`):
 //!
 //! * [`grid`] — offset grids ([`grid::OffsetGrid`], including the exact
 //!   Figure 5 layout),
@@ -15,7 +15,6 @@
 //! * [`metro`] — metro-scale district grids with obstruction belts
 //!   (thousands of nodes, ~10× and beyond the paper's town),
 //! * [`anchors`] — anchor selection strategies,
-//! * [`synth`] — synthetic measurement generation and augmentation,
 //! * [`scenario`] — the named paper scenarios (plus metro-scale
 //!   extensions) used by the benchmark harness,
 //! * [`mobility`] — time-stepped mobility scenarios (motion + churn +
@@ -35,8 +34,8 @@
 //! assert!((d - 9.144).abs() < 1e-9);
 //! ```
 //!
-//! A [`Scenario`] bundles a deployment with anchors and a synthetic
-//! error model, and instantiates directly into a solver-ready
+//! A [`Scenario`] bundles a deployment with anchors and a ranging-error
+//! channel, and instantiates directly into a solver-ready
 //! [`Problem`](rl_core::problem::Problem):
 //!
 //! ```
@@ -60,14 +59,12 @@ pub mod mobility;
 pub mod presets;
 pub mod random;
 pub mod scenario;
-pub mod synth;
 pub mod town;
 
 pub use anchors::AnchorSelection;
 pub use metro::MetroMap;
 pub use mobility::{ChurnModel, MobilityScenario, MobilityTrace, MotionModel};
 pub use scenario::Scenario;
-pub use synth::SyntheticRanging;
 
 use rl_geom::Point2;
 use serde::{Deserialize, Serialize};

@@ -3,10 +3,9 @@
 //! A [`Scenario`] is one frozen snapshot; a [`MobilityScenario`] is the
 //! same geometry set in motion. Every tick, non-anchor nodes move under a
 //! [`MotionModel`], join and leave under a [`ChurnModel`], and the active
-//! subnetwork re-measures its ranges through the scenario's existing
-//! error-model stack ([`SyntheticRanging`](crate::SyntheticRanging) or a
-//! composed [`RangingChannel`](rl_ranging::channel::RangingChannel)). The
-//! result is a stream of solver-ready
+//! subnetwork re-measures its ranges through the scenario's
+//! [`RangingChannel`](rl_ranging::channel::RangingChannel) (the paper's
+//! clean recipe or a degraded stack). The result is a stream of solver-ready
 //! [`TickObservation`]s — the input
 //! contract of [`rl_core::tracking::Tracker`].
 //!
@@ -285,13 +284,10 @@ impl MobilityScenario {
             let active_positions: Vec<Point2> =
                 active_ids.iter().map(|id| positions[id.index()]).collect();
             let mut tick_rng = seeded(seed ^ (tick as u64 + 1).wrapping_mul(MEASURE_STREAM));
-            let compact = match &self.base.channel {
-                Some(channel) => channel.measure_all(&active_positions, &mut tick_rng),
-                None => self
-                    .base
-                    .ranging
-                    .measure_all(&active_positions, &mut tick_rng),
-            };
+            let compact = self
+                .base
+                .channel
+                .measure_all(&active_positions, &mut tick_rng);
             let mut measurements = MeasurementSet::new(n);
             for (a, b, d, w) in compact.iter_weighted() {
                 measurements.insert_weighted(active_ids[a.index()], active_ids[b.index()], d, w);

@@ -1,11 +1,13 @@
 //! Named experiment scenarios.
 //!
-//! Each scenario bundles a deployment, an anchor set, a synthetic ranging
-//! error model and the seeds that make the paper's experiments
-//! reproducible bit-for-bit. The `rl-bench` harness builds every figure
-//! from one of these, and [`Scenario::instantiate`] turns one directly
-//! into a solver-ready [`Problem`] for the
-//! unified [`Localizer`](rl_core::problem::Localizer) API.
+//! Each scenario bundles a deployment, an anchor set, the ranging-error
+//! channel that measures it (the paper's synthetic recipe,
+//! [`RangingChannel::paper`], unless a degraded regime is installed) and
+//! the seeds that make the paper's experiments reproducible bit-for-bit.
+//! The `rl-bench` harness builds every figure from one of these, and
+//! [`Scenario::instantiate`] turns one directly into a solver-ready
+//! [`Problem`] for the unified
+//! [`Localizer`](rl_core::problem::Localizer) API.
 
 use rand::Rng;
 use rl_core::problem::Problem;
@@ -19,12 +21,11 @@ use crate::anchors::AnchorSelection;
 use crate::grid::OffsetGrid;
 use crate::metro::MetroMap;
 use crate::random::RandomDeployment;
-use crate::synth::SyntheticRanging;
 use crate::town::TownMap;
 use crate::Deployment;
 
 /// A reproducible experiment geometry: deployment, anchors, and the
-/// synthetic error model used when the scenario is instantiated into a
+/// ranging-error channel used when the scenario is instantiated into a
 /// [`Problem`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -34,16 +35,12 @@ pub struct Scenario {
     pub deployment: Deployment,
     /// Anchor node ids (sorted).
     pub anchors: Vec<NodeId>,
-    /// The synthetic measurement recipe applied by
-    /// [`Scenario::instantiate`] (the paper's 22 m / N(0, 0.33 m) recipe
-    /// by default).
-    pub ranging: SyntheticRanging,
-    /// Optional composable error-channel stack. When set, it replaces
-    /// `ranging` at instantiation time: NLOS bias, multipath, clock
-    /// drift and adversarial contamination stages compose on top of the
-    /// clean recipe. `None` (the default everywhere) keeps every
-    /// existing scenario bit-identical to its pre-channel behavior.
-    pub channel: Option<RangingChannel>,
+    /// The error-channel stack that measures the scenario in
+    /// [`Scenario::instantiate`]: the paper's 22 m / N(0, 0.33 m) recipe
+    /// ([`RangingChannel::paper`]) by default, with NLOS bias, multipath,
+    /// clock drift or adversarial stages composed on top for degraded
+    /// regimes.
+    pub channel: RangingChannel,
 }
 
 impl Scenario {
@@ -54,8 +51,7 @@ impl Scenario {
             name: "grass-grid-47".into(),
             deployment,
             anchors: Vec::new(),
-            ranging: SyntheticRanging::paper(),
-            channel: None,
+            channel: RangingChannel::paper(),
         }
     }
 
@@ -70,8 +66,7 @@ impl Scenario {
             name: "grass-grid-46-13anchors".into(),
             deployment,
             anchors,
-            ranging: SyntheticRanging::paper(),
-            channel: None,
+            channel: RangingChannel::paper(),
         }
     }
 
@@ -89,8 +84,7 @@ impl Scenario {
             name: "parking-lot-15-5anchors".into(),
             deployment,
             anchors,
-            ranging: SyntheticRanging::paper(),
-            channel: None,
+            channel: RangingChannel::paper(),
         }
     }
 
@@ -104,8 +98,7 @@ impl Scenario {
             name: "town-59-18anchors".into(),
             deployment,
             anchors,
-            ranging: SyntheticRanging::paper(),
-            channel: None,
+            channel: RangingChannel::paper(),
         }
     }
 
@@ -122,8 +115,7 @@ impl Scenario {
             name: "urban-60".into(),
             deployment: Deployment::new("urban-60", deployment.positions),
             anchors: Vec::new(),
-            ranging: SyntheticRanging::paper(),
-            channel: None,
+            channel: RangingChannel::paper(),
         }
     }
 
@@ -181,8 +173,7 @@ impl Scenario {
             name: format!("metro-{nodes}-{count}anchors"),
             deployment,
             anchors,
-            ranging: SyntheticRanging::paper(),
-            channel: None,
+            channel: RangingChannel::paper(),
         }
     }
 
@@ -199,16 +190,9 @@ impl Scenario {
         crate::anchors::split_nodes(self.deployment.len(), &self.anchors).1
     }
 
-    /// Replaces the synthetic error model (builder style).
-    pub fn with_ranging(mut self, ranging: SyntheticRanging) -> Self {
-        self.ranging = ranging;
-        self
-    }
-
-    /// Installs a composable error-channel stack (builder style): the
-    /// channel replaces the plain `ranging` recipe at instantiation
-    /// time. Same `(scenario, seed)` pair, same bit-identical problem —
-    /// the channel draws its sub-streams from the instantiation seed.
+    /// Replaces the error-channel stack (builder style). Same
+    /// `(scenario, seed)` pair, same bit-identical problem — the channel
+    /// draws its sub-streams from the instantiation seed.
     ///
     /// ```
     /// use rl_deploy::Scenario;
@@ -227,7 +211,7 @@ impl Scenario {
     /// assert_ne!(a.measurements(), b.measurements());
     /// ```
     pub fn with_channel(mut self, channel: RangingChannel) -> Self {
-        self.channel = Some(channel);
+        self.channel = channel;
         self
     }
 
@@ -238,7 +222,7 @@ impl Scenario {
     }
 
     /// Instantiates the scenario into a solver-ready
-    /// [`Problem`]: the error model measures
+    /// [`Problem`]: the channel measures
     /// every in-range pair (seeded by `seed`), anchors are resolved to
     /// their ground-truth positions, and the deployment's positions ride
     /// along as ground truth for evaluation and radio connectivity.
@@ -247,12 +231,9 @@ impl Scenario {
     /// problem.
     pub fn instantiate(&self, seed: u64) -> Problem {
         let mut rng = rl_math::rng::seeded(seed);
-        let measurements = match &self.channel {
-            Some(channel) => channel.measure_all(&self.deployment.positions, &mut rng),
-            None => self
-                .ranging
-                .measure_all(&self.deployment.positions, &mut rng),
-        };
+        let measurements = self
+            .channel
+            .measure_all(&self.deployment.positions, &mut rng);
         Problem::builder(measurements)
             .name(self.name.clone())
             .anchors(self.anchor_list())
@@ -272,7 +253,6 @@ impl Scenario {
             name: self.name.clone(),
             deployment: self.deployment.clone(),
             anchors,
-            ranging: self.ranging,
             channel: self.channel.clone(),
         }
     }
@@ -377,7 +357,7 @@ mod tests {
         assert_eq!(p.truth().unwrap(), &s.deployment.positions[..]);
         assert_eq!(
             p.measurements().len(),
-            s.deployment.pairs_within(s.ranging.max_range_m)
+            s.deployment.pairs_within(s.channel.max_range_m())
         );
         // Anchors sit at their ground-truth positions.
         for a in p.anchors() {
@@ -420,8 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn with_ranging_changes_the_error_model() {
-        let s = Scenario::grass_grid().with_ranging(SyntheticRanging::new(10.0, 0.1));
+    fn with_channel_changes_the_range_cutoff() {
+        use rl_ranging::channel::ChannelStage;
+        let s = Scenario::grass_grid().with_channel(
+            RangingChannel::ideal(10.0).with_stage(ChannelStage::GaussianNoise { sigma_m: 0.1 }),
+        );
         let p = s.instantiate(1);
         assert_eq!(
             p.measurements().len(),

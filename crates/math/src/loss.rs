@@ -19,10 +19,9 @@
 //! The solvers never evaluate `ρ` directly; they run IRLS, re-solving the
 //! weighted quadratic problem with each measurement's weight multiplied
 //! by the loss's *IRLS factor* `ψ(r)/r` at the previous iterate's
-//! residual. Both kernels here are exact re-expressions of formulas that
-//! predate this module (the LSS robust-reweight loop and the refinement
-//! stage's Cauchy weighting), preserved term for term so the promotion to
-//! a shared type is bit-identical.
+//! residual. The LSS robust-reweight loop and the distributed
+//! refinement stage both compute `w · irls_factor(r)`, so one kernel
+//! serves every robust solve.
 //!
 //! # Example
 //!
@@ -97,31 +96,6 @@ impl RobustLoss {
         }
     }
 
-    /// Applies the loss to a base weight: the robustified weight
-    /// `w · ψ(r)/r` used when assembling the normal equations.
-    ///
-    /// For `Cauchy` this evaluates `w / (1 + (r/c)·(r/c))` — the exact
-    /// expression (and floating-point evaluation order) of the
-    /// refinement stage's historical Cauchy reweighting, so swapping the
-    /// old `robust_scale_m: Option<f64>` for a `RobustLoss` is
-    /// bit-preserving. For `SquaredL2` it returns `weight` unchanged.
-    pub fn reweight(&self, weight: f64, residual: f64) -> f64 {
-        match *self {
-            RobustLoss::SquaredL2 => weight,
-            RobustLoss::Huber { delta_m } => {
-                let a = residual.abs();
-                if a <= delta_m {
-                    weight
-                } else {
-                    weight * (delta_m / a)
-                }
-            }
-            RobustLoss::Cauchy { scale_m } => {
-                weight / (1.0 + (residual / scale_m) * (residual / scale_m))
-            }
-        }
-    }
-
     /// Whether this loss is the plain quadratic: IRLS reweighting is a
     /// no-op, and solvers use this to skip reweight-re-solve iterations
     /// entirely (keeping RNG streams identical to a non-robust solve).
@@ -139,7 +113,6 @@ mod tests {
         let loss = RobustLoss::SquaredL2;
         for r in [0.0, 0.5, 3.0, 1e6, -7.0] {
             assert_eq!(loss.irls_factor(r), 1.0);
-            assert_eq!(loss.reweight(2.5, r), 2.5);
         }
         assert!(loss.is_quadratic());
     }
@@ -155,17 +128,13 @@ mod tests {
     }
 
     #[test]
-    fn cauchy_matches_the_historical_kernels_bitwise() {
+    fn cauchy_matches_the_historical_lss_kernel_bitwise() {
         let c = 2.0;
         let loss = RobustLoss::Cauchy { scale_m: c };
         for r in [0.0f64, 0.1, 1.0, 2.0, 5.7, -13.0, 100.0] {
             // The LSS robust-reweight loop's expression.
             let lss = 1.0 / (1.0 + (r / c).powi(2));
             assert_eq!(loss.irls_factor(r).to_bits(), lss.to_bits());
-            // The refinement stage's expression.
-            let w = 0.83;
-            let refine = w / (1.0 + (r / c) * (r / c));
-            assert_eq!(loss.reweight(w, r).to_bits(), refine.to_bits());
         }
     }
 

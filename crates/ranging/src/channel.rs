@@ -27,11 +27,12 @@
 //!
 //! # Determinism
 //!
-//! `measure_all` draws exactly **one** `u64` from the caller's stream
-//! and expands it into an independent sub-stream per stage *kind* (the
-//! same whole-stream derivation pattern the distributed pipeline uses
-//! for per-node solves — rule 5 of the `rl_math::rng` seeding
-//! contract). Stages are applied in a fixed canonical kind order, so:
+//! `measure_all` (like `augment`) draws exactly **one** `u64` from the
+//! caller's stream and expands it into an independent sub-stream per
+//! stage *kind* (the same whole-stream derivation pattern the
+//! distributed pipeline uses for per-node solves — rule 5 of the
+//! `rl_math::rng` seeding contract). Stages are applied in a fixed
+//! canonical kind order, so:
 //!
 //! * the same seed reproduces bit-identical measurements,
 //! * stacks that differ only in *construction order* of distinct-kind
@@ -232,9 +233,33 @@ impl RangingChannel {
         positions: &[Point2],
         rng: &mut R,
     ) -> MeasurementSet {
+        let mut set = MeasurementSet::new(positions.len());
+        self.augment(&mut set, positions, rng);
+        set
+    }
+
+    /// Measures every in-range pair that `set` *lacks*, keeping existing
+    /// measurements as they are (the paper's augmentation of sparse field
+    /// data, Section 4.1.3 and Figure 25); returns how many pairs were
+    /// added. Draws exactly one `u64` from `rng`, like
+    /// [`measure_all`](Self::measure_all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` and `positions` disagree on the node count.
+    pub fn augment<R: Rng + ?Sized>(
+        &self,
+        set: &mut MeasurementSet,
+        positions: &[Point2],
+        rng: &mut R,
+    ) -> usize {
+        assert_eq!(
+            set.node_count(),
+            positions.len(),
+            "measurement set and positions must agree on node count"
+        );
         let base: u64 = rng.random();
         let n = positions.len();
-        let mut set = MeasurementSet::new(n);
 
         // Stable sort into canonical kind order; each stage owns the
         // sub-stream of its kind.
@@ -245,10 +270,11 @@ impl RangingChannel {
             .map(|s| StageState::prepare(s, base, n))
             .collect();
 
+        let mut added = 0;
         for i in 0..n {
             for j in (i + 1)..n {
                 let true_d = positions[i].distance(positions[j]);
-                if true_d > self.max_range_m {
+                if true_d > self.max_range_m || set.contains(NodeId(i), NodeId(j)) {
                     continue;
                 }
                 let mut d = true_d;
@@ -256,9 +282,10 @@ impl RangingChannel {
                     d = state.apply(d, i, j);
                 }
                 set.insert(NodeId(i), NodeId(j), d.max(0.0));
+                added += 1;
             }
         }
-        set
+        added
     }
 }
 
@@ -492,6 +519,49 @@ mod tests {
         for (_, _, d) in set.iter() {
             assert!(d.is_finite() && d >= 0.0, "bad measurement {d}");
         }
+    }
+
+    #[test]
+    fn paper_noise_has_the_recipes_mean_and_spread() {
+        // Two nodes 10 m apart: every draw is one sample of the noise.
+        let positions = [Point2::new(0.0, 0.0), Point2::new(10.0, 0.0)];
+        let channel = RangingChannel::paper();
+        let mut rng = rl_math::rng::seeded(2);
+        let errors: Vec<f64> = (0..20_000)
+            .map(|_| {
+                let set = channel.measure_all(&positions, &mut rng);
+                set.get(NodeId(0), NodeId(1)).unwrap() - 10.0
+            })
+            .collect();
+        let mean = rl_math::stats::mean(&errors).unwrap();
+        let sd = rl_math::stats::std_dev(&errors).unwrap();
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((sd - 0.33).abs() < 0.01, "sd {sd}");
+    }
+
+    #[test]
+    fn augment_fills_only_missing_in_range_pairs() {
+        // A square of side 10: four 10 m sides in range, the ~14.1 m
+        // diagonals beyond the 12 m cutoff.
+        let positions = grid(2, 2, 10.0);
+        let channel =
+            RangingChannel::ideal(12.0).with_stage(ChannelStage::GaussianNoise { sigma_m: 0.1 });
+        let mut set = MeasurementSet::new(4);
+        set.insert(NodeId(0), NodeId(1), 77.0); // deliberately wrong
+        let mut rng = rl_math::rng::seeded(4);
+        let added = channel.augment(&mut set, &positions, &mut rng);
+        assert_eq!(added, 3);
+        assert_eq!(set.get(NodeId(0), NodeId(1)), Some(77.0), "kept as-is");
+        assert_eq!(set.len(), 4);
+        assert!(!set.contains(NodeId(0), NodeId(3)) && !set.contains(NodeId(1), NodeId(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "node count")]
+    fn augment_checks_node_count() {
+        let mut set = MeasurementSet::new(2);
+        let mut rng = rl_math::rng::seeded(6);
+        let _ = RangingChannel::paper().augment(&mut set, &grid(2, 2, 10.0), &mut rng);
     }
 
     #[test]

@@ -15,17 +15,12 @@
 //!   measurements (Section 3.5),
 //! * [`consistency`] — bidirectional agreement and triangle-inequality
 //!   checks (Section 3.5),
-//! * [`constraints`] — deployment-constraint filtering: plausible
-//!   inter-node distance catalogs deduced from the deployment pattern
-//!   (Section 3.5.1, implemented beyond the paper's future-work sketch),
-//! * [`error_model`] — a fast empirical error model calibrated to the
-//!   paper's reported distributions, for large simulation sweeps that do
-//!   not need the sample-level acoustic path,
-//! * [`channel`] — a composable ranging-error channel stack
-//!   ([`channel::RangingChannel`]): Gaussian noise, NLOS bias, multipath
-//!   delay spread, clock drift, and adversarial contamination as
-//!   independently seeded, stackable stages for stress-testing the
-//!   resilience claims.
+//! * [`channel`] — the composable ranging-error channel stack
+//!   ([`channel::RangingChannel`]) that measures every simulated
+//!   scenario: the paper's synthetic recipe (`RangingChannel::paper()`)
+//!   plus NLOS bias, multipath delay spread, clock drift, and adversarial
+//!   contamination as independently seeded, stackable stages for
+//!   stress-testing the resilience claims.
 //!
 //! # Example
 //!
@@ -46,8 +41,6 @@
 
 pub mod channel;
 pub mod consistency;
-pub mod constraints;
-pub mod error_model;
 pub mod filter;
 pub mod measurement;
 pub mod service;
@@ -55,8 +48,6 @@ pub mod tdoa;
 
 pub use channel::{ChannelStage, RangingChannel};
 pub use consistency::{BidirectionalPolicy, ConsistencyConfig};
-pub use constraints::DistanceCatalog;
-pub use error_model::EmpiricalRangingModel;
 pub use filter::StatFilter;
 pub use measurement::{MeasurementSet, RangingCampaign};
 pub use service::{RangingService, ServiceConfig, ServiceMode};

@@ -22,7 +22,7 @@ fn main() -> Result<()> {
         scenario.deployment.pairs_within(22.0)
     );
 
-    let set = rl_deploy::SyntheticRanging::paper().measure_all(truth, &mut rng);
+    let set = rl_ranging::RangingChannel::paper().measure_all(truth, &mut rng);
     println!("measured pairs: {}\n", set.len());
 
     // --- Multilateration with 18 anchors -------------------------------

@@ -19,8 +19,7 @@ fn main() -> Result<()> {
     println!("deployment: {} with {} nodes", field.name, field.len());
 
     // 2. Ranging: every pair under 22 m gets a noisy distance.
-    let measurements =
-        rl_deploy::synth::SyntheticRanging::paper().measure_all(&field.positions, &mut rng);
+    let measurements = rl_ranging::RangingChannel::paper().measure_all(&field.positions, &mut rng);
     println!(
         "measurements: {} pairs (average degree {:.1})",
         measurements.len(),

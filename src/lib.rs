@@ -17,8 +17,8 @@
 //! | [`geom`] | `rl-geom` | points, rigid transforms, circles, Procrustes |
 //! | [`signal`] | `rl-signal` | acoustic channel, tone detection, chirp patterns |
 //! | [`net`] | `rl-net` | discrete-event WSN simulator, time sync, flooding |
-//! | [`ranging`] | `rl-ranging` | TDoA ranging service, filtering, consistency |
-//! | [`deploy`] | `rl-deploy` | deployments, anchors, synthetic measurements, scenarios, mobility |
+//! | [`ranging`] | `rl-ranging` | TDoA ranging service, filtering, consistency, the `RangingChannel` error stack |
+//! | [`deploy`] | `rl-deploy` | deployments, anchors, scenarios, mobility |
 //! | [`localization`] | `rl-core` | multilateration, LSS, distributed LSS, MDS, tracking, `Problem`/`Localizer` |
 //! | [`bench`](mod@bench) | `rl-bench` | campaign runner, experiment harness, figure reproductions |
 //! | [`serve`] | `rl-serve` | TCP localization server: worker pool, request batching, solution cache |
@@ -32,7 +32,7 @@
 //! // synthetic ranging: true distances under 22 m + N(0, 0.33 m) noise.
 //! let mut rng = rl_math::rng::seeded(7);
 //! let field = rl_deploy::grid::OffsetGrid::new(4, 4, 9.144, 9.144).generate();
-//! let measurements = rl_deploy::synth::SyntheticRanging::paper()
+//! let measurements = rl_ranging::RangingChannel::paper()
 //!     .measure_all(&field.positions, &mut rng);
 //!
 //! // Centralized LSS with the minimum-spacing soft constraint.

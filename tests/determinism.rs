@@ -123,7 +123,7 @@ fn distributed_pipeline_bit_identical_for_1_and_4_workers() {
 
     let field = rl_deploy::grid::OffsetGrid::new(5, 4, 9.144, 9.144).generate();
     let mut rng = rl_math::rng::seeded(31);
-    let set = rl_deploy::synth::SyntheticRanging::paper().measure_all(&field.positions, &mut rng);
+    let set = rl_ranging::RangingChannel::paper().measure_all(&field.positions, &mut rng);
 
     let fingerprint = |workers: usize| -> Vec<Option<(u64, u64)>> {
         let mut rng = rl_math::rng::seeded(77);
@@ -158,8 +158,7 @@ fn synthetic_ranging_is_bit_deterministic() {
     let measure = |seed: u64| {
         let mut rng = rl_math::rng::seeded(seed);
         let field = rl_deploy::grid::OffsetGrid::new(5, 5, 9.144, 9.144).generate();
-        let set =
-            rl_deploy::synth::SyntheticRanging::paper().measure_all(&field.positions, &mut rng);
+        let set = rl_ranging::RangingChannel::paper().measure_all(&field.positions, &mut rng);
         set.iter()
             .map(|(a, b, d)| (a.index(), b.index(), d.to_bits()))
             .collect::<Vec<_>>()

@@ -90,7 +90,7 @@ fn distributed_protocol_on_town() {
     let mut rng = rl_math::rng::seeded(1003);
     let scenario = rl_deploy::Scenario::town(1003);
     let truth = &scenario.deployment.positions;
-    let set = rl_deploy::SyntheticRanging::paper().measure_all(truth, &mut rng);
+    let set = rl_ranging::RangingChannel::paper().measure_all(truth, &mut rng);
 
     let config = rl_core::distributed::DistributedConfig::default().with_min_spacing(9.0, 10.0);
     let out = rl_core::distributed::run_distributed(&set, truth, NodeId(0), &config, &mut rng)
@@ -119,7 +119,7 @@ fn full_pipeline_is_deterministic() {
     let run = || {
         let mut rng = rl_math::rng::seeded(1004);
         let field = rl_deploy::grid::OffsetGrid::new(3, 3, 9.144, 9.144).generate();
-        let set = rl_deploy::SyntheticRanging::paper().measure_all(&field.positions, &mut rng);
+        let set = rl_ranging::RangingChannel::paper().measure_all(&field.positions, &mut rng);
         let solution = LssSolver::new(LssConfig::default().with_min_spacing(9.14, 10.0))
             .solve(&set, &mut rng)
             .expect("solvable");
@@ -135,7 +135,7 @@ fn cross_crate_serde_roundtrip() {
     let mut rng = rl_math::rng::seeded(1005);
     let scenario = rl_deploy::Scenario::parking_lot(1005);
     let set =
-        rl_deploy::SyntheticRanging::paper().measure_all(&scenario.deployment.positions, &mut rng);
+        rl_ranging::RangingChannel::paper().measure_all(&scenario.deployment.positions, &mut rng);
 
     let json = serde_json::to_string(&(&scenario, &set)).expect("serializes");
     let (scenario2, set2): (rl_deploy::Scenario, MeasurementSet) =

@@ -6,6 +6,7 @@ use rl_core::lss::{LssConfig, LssObjective, LssSolver, SoftConstraint};
 use rl_geom::{RigidTransform, Vec2};
 use rl_math::gradient::Objective;
 use rl_net::NodeId as NetNodeId;
+use rl_ranging::{ChannelStage, RangingChannel};
 
 fn measurement_set(
     pts: &[(f64, f64)],
@@ -187,7 +188,9 @@ proptest! {
             .map(|i| Point2::new((i % 3) as f64 * 9.0, (i / 3) as f64 * 9.0))
             .collect();
         let mut rng = rl_math::rng::seeded(seed);
-        let set = rl_deploy::SyntheticRanging::new(25.0, 0.2).measure_all(&truth, &mut rng);
+        let set = RangingChannel::ideal(25.0)
+            .with_stage(ChannelStage::GaussianNoise { sigma_m: 0.2 })
+            .measure_all(&truth, &mut rng);
         let sol = LssSolver::new(LssConfig::default().with_min_spacing(9.0, 10.0))
             .solve(&set, &mut rng)
             .unwrap();

@@ -3,6 +3,7 @@
 
 use resilient_localization::prelude::*;
 use rl_core::lss::{LssConfig, LssSolver, RobustReweight};
+use rl_ranging::{ChannelStage, RangingChannel};
 
 fn grid(nx: usize, ny: usize, spacing: f64) -> Vec<Point2> {
     (0..nx * ny)
@@ -16,7 +17,9 @@ fn grid(nx: usize, ny: usize, spacing: f64) -> Vec<Point2> {
 fn lss_degrades_gracefully_with_sparsity() {
     let truth = grid(4, 4, 9.0);
     let mut rng = rl_math::rng::seeded(2001);
-    let full = rl_deploy::SyntheticRanging::new(40.0, 0.2).measure_all(&truth, &mut rng);
+    let full = RangingChannel::ideal(40.0)
+        .with_stage(ChannelStage::GaussianNoise { sigma_m: 0.2 })
+        .measure_all(&truth, &mut rng);
 
     for keep_fraction in [1.0f64, 0.7, 0.5] {
         // Keep a deterministic stride of pairs (spread over the graph, so
@@ -47,7 +50,9 @@ fn lss_degrades_gracefully_with_sparsity() {
 fn robust_lss_survives_outlier_injection() {
     let truth = grid(4, 4, 9.0);
     let mut rng = rl_math::rng::seeded(2002);
-    let mut set = rl_deploy::SyntheticRanging::new(25.0, 0.2).measure_all(&truth, &mut rng);
+    let mut set = RangingChannel::ideal(25.0)
+        .with_stage(ChannelStage::GaussianNoise { sigma_m: 0.2 })
+        .measure_all(&truth, &mut rng);
 
     // Corrupt 5% of the edges with echo-style gross underestimates.
     let edges: Vec<_> = set.iter().collect();
@@ -79,7 +84,7 @@ fn lss_tolerates_node_failures() {
     // Three nodes die before ranging.
     let survivors = deployment.without_nodes(&[3, 9, 17]);
     let mut rng = rl_math::rng::seeded(2003);
-    let set = rl_deploy::SyntheticRanging::paper().measure_all(&survivors.positions, &mut rng);
+    let set = RangingChannel::paper().measure_all(&survivors.positions, &mut rng);
 
     let config = LssConfig::default().with_min_spacing(9.0, 10.0);
     let solution = LssSolver::new(config)
@@ -98,7 +103,9 @@ fn lss_tolerates_node_failures() {
 fn multilateration_does_not_invent_positions() {
     let truth = grid(5, 4, 9.0);
     let mut rng = rl_math::rng::seeded(2004);
-    let set = rl_deploy::SyntheticRanging::new(15.0, 0.33).measure_all(&truth, &mut rng);
+    let set = RangingChannel::ideal(15.0)
+        .with_stage(ChannelStage::GaussianNoise { sigma_m: 0.33 })
+        .measure_all(&truth, &mut rng);
 
     let anchor_ids = [NodeId(0), NodeId(4), NodeId(15), NodeId(19), NodeId(7)];
     let anchors = Anchor::from_truth(&anchor_ids, &truth);
@@ -131,7 +138,7 @@ fn distributed_tolerates_node_with_zero_neighbors() {
     let mut truth = grid(4, 4, 9.0);
     truth.push(Point2::new(500.0, 500.0)); // far beyond ranging and radio
     let mut rng = rl_math::rng::seeded(2006);
-    let set = rl_deploy::SyntheticRanging::paper().measure_all(&truth, &mut rng);
+    let set = RangingChannel::paper().measure_all(&truth, &mut rng);
     assert_eq!(set.degree(NodeId(16)), 0, "the outlier must be isolated");
 
     let config = DistributedConfig::default().with_min_spacing(9.0, 10.0);
@@ -157,7 +164,7 @@ fn distributed_survives_disconnected_district() {
         .collect();
     truth.extend(far);
     let mut rng = rl_math::rng::seeded(2007);
-    let set = rl_deploy::SyntheticRanging::paper().measure_all(&truth, &mut rng);
+    let set = RangingChannel::paper().measure_all(&truth, &mut rng);
 
     let config = DistributedConfig::default().with_min_spacing(9.0, 10.0);
     let out = run_distributed(&set, &truth, NodeId(0), &config, &mut rng).expect("protocol runs");
@@ -181,7 +188,7 @@ fn distributed_survives_lossy_radio() {
     use rl_core::distributed::{run_distributed, DistributedConfig};
     let truth = grid(4, 4, 9.0);
     let mut rng = rl_math::rng::seeded(2005);
-    let set = rl_deploy::SyntheticRanging::paper().measure_all(&truth, &mut rng);
+    let set = RangingChannel::paper().measure_all(&truth, &mut rng);
 
     let config = DistributedConfig {
         radio: rl_net::RadioModel {
