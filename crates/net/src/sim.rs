@@ -329,6 +329,7 @@ impl<N: Node> Simulator<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rl_math::fingerprint::Fnv1a;
 
     /// Counts pings; used by several tests.
     struct Ping {
@@ -495,6 +496,148 @@ mod tests {
         let nodes = sim.into_nodes();
         assert_eq!(nodes.len(), 2);
         assert!(nodes.iter().all(|n| n.sent));
+    }
+
+    /// A shared delivery log: every delivery's time bits, sender,
+    /// receiver and message, in the order the simulator delivered them.
+    type Log = std::rc::Rc<std::cell::RefCell<Fnv1a>>;
+
+    fn log_delivery(log: &Log, now: f64, from: NodeId, to: NodeId, words: &[u64]) {
+        let mut h = log.borrow_mut();
+        h.write_f64(now);
+        h.write_u64(from.index() as u64);
+        h.write_u64(to.index() as u64);
+        for &w in words {
+            h.write_u64(w);
+        }
+    }
+
+    fn finish_log(log: &Log, stats: SimStats, end: f64) -> u64 {
+        let mut h = log.borrow().clone();
+        h.write_u64(stats.events as u64);
+        h.write_u64(stats.delivered as u64);
+        h.write_u64(stats.dropped as u64);
+        h.write_f64(end);
+        h.finish()
+    }
+
+    /// Jittered 6×5 grid, 10 m pitch: a multi-hop topology at 25 m range.
+    fn jittered_grid(seed: u64) -> Vec<Point2> {
+        use rand::Rng;
+        let mut rng = rl_math::rng::seeded(seed);
+        (0..30)
+            .map(|i| {
+                Point2::new(
+                    (i % 6) as f64 * 10.0 + rng.random::<f64>() * 4.0,
+                    (i / 6) as f64 * 10.0 + rng.random::<f64>() * 4.0,
+                )
+            })
+            .collect()
+    }
+
+    /// Broadcasts, in- and out-of-range unicasts, timers, and relays of
+    /// first-hop messages: every scheduling path in one protocol.
+    struct Chatty {
+        log: Log,
+        relayed: usize,
+    }
+
+    impl Node for Chatty {
+        type Msg = (u32, u32);
+        fn on_start(&mut self, api: &mut Api<'_, (u32, u32)>) {
+            let me = api.id().index();
+            api.broadcast((me as u32, 0));
+            api.send(NodeId((me + 1) % 30), (me as u32, 1));
+            api.send(NodeId((me + 15) % 30), (me as u32, 2));
+            api.set_timer(0.004 + (me % 5) as f64 * 0.001, me as u64);
+            api.set_timer(0.0, 99);
+        }
+        fn on_message(&mut self, from: NodeId, msg: (u32, u32), api: &mut Api<'_, (u32, u32)>) {
+            log_delivery(
+                &self.log,
+                api.now(),
+                from,
+                api.id(),
+                &[msg.0 as u64, msg.1 as u64],
+            );
+            if msg.1 == 0 && self.relayed < 3 {
+                self.relayed += 1;
+                api.broadcast((msg.0, 3));
+            }
+        }
+        fn on_timer(&mut self, id: u64, api: &mut Api<'_, (u32, u32)>) {
+            if id != 99 {
+                api.broadcast((api.id().index() as u32, 4));
+            }
+        }
+    }
+
+    /// A [`FloodNode`](crate::flood::FloodNode) that logs what it hears.
+    struct LoggedFlood {
+        log: Log,
+        inner: crate::flood::FloodNode<u32>,
+    }
+
+    impl Node for LoggedFlood {
+        type Msg = crate::flood::FloodMsg<u32>;
+        fn on_start(&mut self, api: &mut Api<'_, Self::Msg>) {
+            self.inner.on_start(api);
+        }
+        fn on_message(&mut self, from: NodeId, msg: Self::Msg, api: &mut Api<'_, Self::Msg>) {
+            let words = [
+                msg.origin.index() as u64,
+                msg.hops as u64,
+                msg.payload as u64,
+            ];
+            log_delivery(&self.log, api.now(), from, api.id(), &words);
+            self.inner.on_message(from, msg, api);
+        }
+    }
+
+    /// Pins the exact delivery order of two runs, so any scheduler change
+    /// must reproduce the per-delivery priority queue's `(time, seq)`
+    /// order bit for bit. Both digests were generated with the
+    /// one-heap-entry-per-delivery scheduler, before deliveries were
+    /// grouped into per-transmission bursts.
+    #[test]
+    fn delivery_order_matches_the_per_delivery_scheduler() {
+        const GOLDEN_CHATTY: u64 = 0x18e3d18c927b8f67;
+        const GOLDEN_FLOOD: u64 = 0x610e3223e969ac3f;
+
+        let log = Log::default();
+        let nodes = (0..30)
+            .map(|_| Chatty {
+                log: log.clone(),
+                relayed: 0,
+            })
+            .collect();
+        let radio = RadioModel {
+            range_m: 25.0,
+            loss_probability: 0.1,
+            ..RadioModel::mica2()
+        };
+        let mut sim = Simulator::new(nodes, &jittered_grid(11), radio, 12);
+        let stats = sim.run().unwrap();
+        assert!(stats.dropped > 0 && stats.delivered > 500, "{stats:?}");
+        let chatty = finish_log(&log, stats, sim.time());
+
+        let log = Log::default();
+        let nodes = (0..30)
+            .map(|i| LoggedFlood {
+                log: log.clone(),
+                inner: if i % 7 == 3 {
+                    crate::flood::FloodNode::origin(i as u32 * 10)
+                } else {
+                    crate::flood::FloodNode::relay()
+                },
+            })
+            .collect();
+        let mut sim = Simulator::new(nodes, &jittered_grid(13), RadioModel::ideal(15.0), 14);
+        let stats = sim.run().unwrap();
+        let flood = finish_log(&log, stats, sim.time());
+
+        assert_eq!(chatty, GOLDEN_CHATTY, "lossy jittered delivery order drifted");
+        assert_eq!(flood, GOLDEN_FLOOD, "multi-origin flood delivery order drifted");
     }
 
     #[test]

@@ -60,6 +60,9 @@ const GOLDEN_REFINE_PLAIN: u64 = 0x28f22f44c92ce6a4;
 const GOLDEN_REFINE_CAUCHY: u64 = 0x2c2c86a17396012c;
 const GOLDEN_METRO250_LSS: u64 = 0xe77c6753996835f0;
 const GOLDEN_METRO250_DIST: u64 = 0x328a47167b8ce9b4;
+/// Town distributed LSS under the paper's unguarded transforms, captured
+/// before receivers began discarding maps too small to align.
+const GOLDEN_TOWN_DIST_PERMISSIVE: u64 = 0x0dd67642d7372e52;
 
 fn town_lss(robust: Option<RobustReweight>) -> u64 {
     let problem = rl_deploy::Scenario::town(7).instantiate(7);
@@ -165,5 +168,28 @@ fn metro250_distributed_matches_prerefactor_bits() {
         position_fingerprint(sol.positions()),
         GOLDEN_METRO250_DIST,
         "metro-250 distributed pipeline drifted"
+    );
+}
+
+/// Town distributed LSS under [`TransformGuards::permissive`]: receivers
+/// keep only the neighbour maps that can align, and with three shared
+/// nodes enough under the paper's guards, that filter must not change
+/// which transforms the alignment flood finds.
+#[test]
+fn town_distributed_permissive_guards_match_prefilter_bits() {
+    use rl_core::distributed::{run_distributed, TransformGuards};
+    let mut rng = rl_math::rng::seeded(1003);
+    let scenario = rl_deploy::Scenario::town(1003);
+    let truth = &scenario.deployment.positions;
+    let set = rl_ranging::RangingChannel::paper().measure_all(truth, &mut rng);
+    let config = DistributedConfig {
+        guards: TransformGuards::permissive(),
+        ..DistributedConfig::default().with_min_spacing(9.0, 10.0)
+    };
+    let out = run_distributed(&set, truth, NodeId(0), &config, &mut rng).expect("protocol runs");
+    assert_eq!(
+        position_fingerprint(&out.positions),
+        GOLDEN_TOWN_DIST_PERMISSIVE,
+        "permissive-guard distributed pipeline drifted"
     );
 }
