@@ -13,7 +13,7 @@
 //! | suite | gates |
 //! |---|---|
 //! | `campaign` | four campaign schedules bit-identical (prints the serial-vs-parallel speedup) |
-//! | `metro` | six families on metro-250 + metro-1000: no failed cell, distributed LSS ≤ 2 m and ≤ 3× sparse LSS wall, 300 s wall |
+//! | `metro` | six families on metro-250 + metro-1000: no failed cell, distributed LSS ≤ 2 m and ≤ 1.2× sparse LSS wall, DV-hop ≤ 0.75× sparse LSS wall, 300 s wall |
 //! | `resilience` | degradation ladder pooled = serial, Cauchy LSS ≤ 2 m where squared loss collapses, 300 s wall |
 //! | `sparse` | IC(0)-PCG ≥ 2× fewer iterations at 1e-4 agreement, warm starts never worse, metro-2500 MDS ≤ 120 s and refinement ≤ 60 s, `cg_iterations` reaches `SolveStats` |
 //! | `tracking` | warm ticks ≥ 3× faster than cold at ≤ 1.25× the error, replay identical at 1 and 2 workers, 300 s wall |

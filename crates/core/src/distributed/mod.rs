@@ -640,10 +640,49 @@ pub enum DistMsg {
 
 const ALIGN_TIMER: u64 = 1;
 
+/// Membership bitset over the node ids of one local map, covering only
+/// the 64-id words between its smallest and largest id.
+#[derive(Debug, Default)]
+struct NodeSet {
+    first_word: usize,
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn new(ids: &[NodeId]) -> Self {
+        let (Some(lo), Some(hi)) = (ids.iter().min(), ids.iter().max()) else {
+            return NodeSet::default();
+        };
+        let first_word = lo.index() / 64;
+        let mut words = vec![0u64; hi.index() / 64 - first_word + 1];
+        for id in ids {
+            words[id.index() / 64 - first_word] |= 1 << (id.index() % 64);
+        }
+        NodeSet { first_word, words }
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        let word = (id.index() / 64).wrapping_sub(self.first_word);
+        self.words
+            .get(word)
+            .is_some_and(|w| (w >> (id.index() % 64)) & 1 == 1)
+    }
+
+    /// How many of `ids` are members: `a.shared_nodes(b).len()` when
+    /// `self` is `b`'s set and `ids` are `a.nodes`.
+    fn count_in(&self, ids: &[NodeId]) -> usize {
+        ids.iter().filter(|&&id| self.contains(id)).count()
+    }
+}
+
 /// Per-node protocol state.
 #[derive(Debug)]
 struct DistNode {
     local_map: Option<LocalMap>,
+    /// Membership of `local_map`'s nodes (empty without a map).
+    members: NodeSet,
+    /// Received neighbour maps that share enough nodes with `local_map`
+    /// to pass [`TransformGuards::min_shared`]; no other map can align.
     neighbor_maps: BTreeMap<NodeId, LocalMap>,
     global_pos: Option<Point2>,
     is_root: bool,
@@ -684,23 +723,27 @@ impl Node for DistNode {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: DistMsg, api: &mut Api<'_, DistMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: &DistMsg, api: &mut Api<'_, DistMsg>) {
         match msg {
             DistMsg::Map(map) => {
-                self.neighbor_maps.insert(from, map);
+                // `estimate_transform` rejects any pair with fewer shared
+                // nodes, so a smaller overlap could never align.
+                if self.members.count_in(&map.nodes) >= self.guards.min_shared {
+                    self.neighbor_maps.insert(from, map.clone());
+                }
             }
-            DistMsg::Align { origin, ex, ey } => {
+            &DistMsg::Align { origin, ex, ey } => {
                 if self.global_pos.is_some() {
                     return; // first alignment wins
                 }
-                let Some(my_map) = self.local_map.clone() else {
+                let Some(my_map) = &self.local_map else {
                     return;
                 };
                 let Some(sender_map) = self.neighbor_maps.get(&from) else {
                     return;
                 };
                 // Transform from the sender's frame into mine.
-                let Ok(t) = estimate_transform(sender_map, &my_map, &self.transform, &self.guards)
+                let Ok(t) = estimate_transform(sender_map, my_map, &self.transform, &self.guards)
                 else {
                     return;
                 };
@@ -792,6 +835,9 @@ pub fn run_distributed<R: Rng + ?Sized>(
         .into_iter()
         .enumerate()
         .map(|(i, local_map)| DistNode {
+            members: local_map
+                .as_ref()
+                .map_or_else(NodeSet::default, |map| NodeSet::new(&map.nodes)),
             local_map,
             neighbor_maps: BTreeMap::new(),
             global_pos: None,
@@ -1003,6 +1049,72 @@ mod tests {
             ),
             Err(LocalizationError::InsufficientMeasurements(_))
         ));
+    }
+
+    /// Receivers keep a neighbour's map only if it shares at least
+    /// `guards.min_shared` nodes with their own: node 0 shares three
+    /// nodes with node 1's map and four with node 2's.
+    #[test]
+    fn receivers_keep_only_maps_that_can_align() {
+        let map = |center: usize, ids: [usize; 5]| {
+            let nodes: Vec<NodeId> = ids.into_iter().map(NodeId).collect();
+            let coords = nodes
+                .iter()
+                .map(|id| Point2::new(id.index() as f64, (id.index() * id.index()) as f64))
+                .collect();
+            LocalMap {
+                center: NodeId(center),
+                nodes,
+                coords,
+            }
+        };
+        let stored = |guards: TransformGuards| {
+            let maps = [
+                map(0, [0, 1, 2, 3, 4]),
+                map(1, [0, 1, 2, 5, 6]),
+                map(2, [0, 1, 2, 3, 7]),
+            ];
+            let nodes = maps
+                .into_iter()
+                .map(|local_map| DistNode {
+                    members: NodeSet::new(&local_map.nodes),
+                    local_map: Some(local_map),
+                    neighbor_maps: BTreeMap::new(),
+                    global_pos: None,
+                    is_root: false,
+                    transform: TransformMethod::Covariance,
+                    guards,
+                    align_delay_s: 1.0,
+                })
+                .collect();
+            let positions = [Point2::ORIGIN, Point2::new(5.0, 0.0), Point2::new(0.0, 5.0)];
+            let mut sim = Simulator::new(nodes, &positions, RadioModel::ideal(10.0), 1);
+            assert_eq!(sim.run().unwrap().delivered, 6);
+            sim.node(NodeId(0))
+                .neighbor_maps
+                .keys()
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stored(TransformGuards::default()), vec![NodeId(2)]);
+        assert_eq!(
+            stored(TransformGuards::permissive()),
+            vec![NodeId(1), NodeId(2)]
+        );
+    }
+
+    #[test]
+    fn node_set_counts_members_across_words() {
+        let set = NodeSet::new(&[NodeId(70), NodeId(300), NodeId(130)]);
+        assert!(set.contains(NodeId(70)) && set.contains(NodeId(130)) && set.contains(NodeId(300)));
+        assert!(
+            !set.contains(NodeId(3)) && !set.contains(NodeId(71)) && !set.contains(NodeId(2000))
+        );
+        assert_eq!(
+            set.count_in(&[NodeId(3), NodeId(70), NodeId(300), NodeId(999)]),
+            2
+        );
+        assert_eq!(NodeSet::default().count_in(&[NodeId(0)]), 0);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! that rebroadcasts each origin's payload once, recording hop count and
 //! parent, and [`run_flood`] wraps a full simulation run.
 
+use std::collections::btree_map::Entry;
+
 use rl_geom::Point2;
 use serde::{Deserialize, Serialize};
 
@@ -27,14 +29,14 @@ pub struct FloodMsg<P> {
 ///
 /// Rebroadcasts the first copy received per origin; later copies are
 /// absorbed (but a shorter-hop copy still updates the recorded distance,
-/// which can happen with lossy links and timing races).
+/// which can happen with lossy links and timing races). The payload is
+/// cloned only when a copy is stored or relayed.
 #[derive(Debug, Clone)]
 pub struct FloodNode<P: Clone + core::fmt::Debug> {
     /// Payload this node floods at start, if it is an origin.
     pub initial: Option<P>,
     /// Received payloads by origin: `(hops, parent, payload)`.
     pub received: std::collections::BTreeMap<NodeId, (usize, NodeId, P)>,
-    relay: bool,
 }
 
 impl<P: Clone + core::fmt::Debug> FloodNode<P> {
@@ -43,7 +45,6 @@ impl<P: Clone + core::fmt::Debug> FloodNode<P> {
         FloodNode {
             initial: None,
             received: Default::default(),
-            relay: true,
         }
     }
 
@@ -52,7 +53,6 @@ impl<P: Clone + core::fmt::Debug> FloodNode<P> {
         FloodNode {
             initial: Some(payload),
             received: Default::default(),
-            relay: true,
         }
     }
 
@@ -80,26 +80,24 @@ impl<P: Clone + core::fmt::Debug> Node for FloodNode<P> {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: FloodMsg<P>, api: &mut Api<'_, Self::Msg>) {
+    fn on_message(&mut self, from: NodeId, msg: &FloodMsg<P>, api: &mut Api<'_, Self::Msg>) {
         if msg.origin == api.id() {
             return; // own flood reflected back
         }
-        let better = match self.received.get(&msg.origin) {
-            None => true,
-            Some((hops, _, _)) => msg.hops < *hops,
-        };
-        if !better {
-            return;
-        }
-        let first_time = !self.received.contains_key(&msg.origin);
-        self.received
-            .insert(msg.origin, (msg.hops, from, msg.payload.clone()));
-        if self.relay && first_time {
-            api.broadcast(FloodMsg {
-                origin: msg.origin,
-                hops: msg.hops + 1,
-                payload: msg.payload,
-            });
+        match self.received.entry(msg.origin) {
+            Entry::Vacant(slot) => {
+                slot.insert((msg.hops, from, msg.payload.clone()));
+                api.broadcast(FloodMsg {
+                    origin: msg.origin,
+                    hops: msg.hops + 1,
+                    payload: msg.payload.clone(),
+                });
+            }
+            Entry::Occupied(mut known) => {
+                if msg.hops < known.get().0 {
+                    known.insert((msg.hops, from, msg.payload.clone()));
+                }
+            }
         }
     }
 }

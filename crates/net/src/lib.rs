@@ -13,7 +13,10 @@
 //! * [`radio`] — a disk communication model with per-link delivery
 //!   probability and MAC delay jitter,
 //! * [`sim`] — the event loop: typed per-node state machines exchanging
-//!   messages and timers ([`sim::Node`], [`sim::Simulator`]),
+//!   messages and timers ([`sim::Node`], [`sim::Simulator`]). Each
+//!   transmission is one *burst* in the event queue — the message, held
+//!   once, and the recipients the radio reached — and receivers get the
+//!   message by reference, so the simulator never copies one,
 //! * [`flood`] — reusable network-wide flooding with hop counting (also the
 //!   basis of a DV-hop baseline),
 //! * [`pool`] — a deterministic worker pool for the per-node computation
@@ -23,8 +26,9 @@
 //!   radio range.
 //!
 //! Everything is deterministic: the event loop is driven by one seeded
-//! RNG, events at equal timestamps pop in a fixed order, and no code
-//! reads ambient entropy — so a simulation replays bit-for-bit and can
+//! RNG, events pop in `(time, seq)` order (`seq` numbers events as they
+//! are scheduled, so equal timestamps pop in a fixed order — bursts
+//! merge into exactly that order), and no code reads ambient entropy — so a simulation replays bit-for-bit and can
 //! safely run inside the sharded campaign workers of `rl-bench` (see the
 //! seeding contract in `rl_math::rng`).
 //!

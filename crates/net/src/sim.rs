@@ -4,8 +4,29 @@
 //! machine per sensor node, delivers broadcast/unicast messages according to
 //! the [`crate::RadioModel`] and the disk topology, and fires
 //! timers. Everything is deterministic given the seed.
+//!
+//! # Scheduling
+//!
+//! Every event carries a `(time, seq)` key, where `seq` counts scheduled
+//! events, and events run in ascending key order. A transmission (a
+//! broadcast, or a unicast to a neighbour) becomes one *burst*: the
+//! message, held once, plus the recipients the radio reached, each with
+//! its own key, sorted. The radio draws per neighbour in topology order
+//! (`delivered?`, then the latency) and only delivered recipients consume
+//! a `seq`. The priority queue holds one entry per burst, keyed by the
+//! burst's next pending recipient, so popping it is a k-way merge of the
+//! sorted bursts: deliveries come out in exactly the `(time, seq)` order a
+//! queue with one entry per delivery would give. After a delivery the
+//! burst's entry is re-keyed in place to its next recipient; the
+//! sift-down that follows stops at once while the burst still comes
+//! first, so a burst drains without queue traffic until another event
+//! precedes it.
+//!
+//! Receivers get the message by reference ([`Node::on_message`]); the
+//! simulator never clones one, so a protocol copies a payload only when
+//! it keeps or relays it.
 
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use rand::rngs::StdRng;
 use rl_geom::Point2;
@@ -15,13 +36,14 @@ use crate::{NetError, NodeId, RadioModel, Result, Topology};
 /// A per-node protocol state machine.
 pub trait Node {
     /// Message type exchanged by this protocol.
-    type Msg: Clone + core::fmt::Debug;
+    type Msg: core::fmt::Debug;
 
     /// Called once when the simulation starts.
     fn on_start(&mut self, api: &mut Api<'_, Self::Msg>);
 
-    /// Called when a message from `from` is delivered to this node.
-    fn on_message(&mut self, from: NodeId, msg: Self::Msg, api: &mut Api<'_, Self::Msg>);
+    /// Called when a message from `from` is delivered to this node. Every
+    /// recipient of one transmission sees the same message, by reference.
+    fn on_message(&mut self, from: NodeId, msg: &Self::Msg, api: &mut Api<'_, Self::Msg>);
 
     /// Called when a timer set via [`Api::set_timer`] fires.
     fn on_timer(&mut self, timer: u64, api: &mut Api<'_, Self::Msg>) {
@@ -72,26 +94,32 @@ enum Action<M> {
     Timer(f64, u64),
 }
 
-#[derive(Debug)]
-enum EventKind<M> {
+/// What a queue entry stands for.
+#[derive(Debug, Clone, Copy)]
+enum Event {
     Start(NodeId),
-    Deliver { to: NodeId, from: NodeId, msg: M },
-    Timer { node: NodeId, id: u64 },
+    Timer {
+        node: NodeId,
+        id: u64,
+    },
+    /// The next pending delivery of the burst in this slot.
+    Burst(usize),
 }
 
-struct Scheduled<M> {
+/// A queue entry, ordered by its `(time, seq)` key.
+struct Scheduled {
     time: f64,
     seq: u64,
-    kind: EventKind<M>,
+    event: Event,
 }
 
-impl<M> PartialEq for Scheduled<M> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> Ord for Scheduled<M> {
+impl Eq for Scheduled {}
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
         // BinaryHeap is a max-heap: invert so the earliest event pops first,
         // with the sequence number as a deterministic tie-breaker.
@@ -102,10 +130,28 @@ impl<M> Ord for Scheduled<M> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl<M> PartialOrd for Scheduled<M> {
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// One recipient of a burst.
+#[derive(Debug, Clone, Copy)]
+struct Delivery {
+    time: f64,
+    seq: u64,
+    to: NodeId,
+}
+
+/// One transmission: the message, held once, and the recipients the
+/// radio reached, in `(time, seq)` order. Slots are reused, so the
+/// `deliveries` buffer keeps its capacity across transmissions.
+struct Burst<M> {
+    from: NodeId,
+    msg: Option<M>,
+    deliveries: Vec<Delivery>,
+    next: usize,
 }
 
 /// Statistics of one simulation run.
@@ -132,7 +178,7 @@ pub struct SimStats {
 /// impl Node for Ping {
 ///     type Msg = ();
 ///     fn on_start(&mut self, api: &mut Api<'_, ()>) { api.broadcast(()); }
-///     fn on_message(&mut self, _from: NodeId, _msg: (), _api: &mut Api<'_, ()>) {
+///     fn on_message(&mut self, _from: NodeId, _msg: &(), _api: &mut Api<'_, ()>) {
 ///         self.heard += 1;
 ///     }
 /// }
@@ -148,7 +194,10 @@ pub struct Simulator<N: Node> {
     nodes: Vec<N>,
     topology: Topology,
     radio: RadioModel,
-    queue: BinaryHeap<Scheduled<N::Msg>>,
+    queue: BinaryHeap<Scheduled>,
+    bursts: Vec<Burst<N::Msg>>,
+    free_bursts: Vec<usize>,
+    actions: Vec<Action<N::Msg>>,
     time: f64,
     seq: u64,
     rng: StdRng,
@@ -177,6 +226,9 @@ impl<N: Node> Simulator<N> {
             topology,
             radio,
             queue: BinaryHeap::new(),
+            bursts: Vec::new(),
+            free_bursts: Vec::new(),
+            actions: Vec::new(),
             time: 0.0,
             seq: 0,
             rng: rl_math::rng::seeded(seed),
@@ -225,12 +277,12 @@ impl<N: Node> Simulator<N> {
         self.nodes
     }
 
-    fn schedule(&mut self, time: f64, kind: EventKind<N::Msg>) {
+    fn schedule(&mut self, time: f64, event: Event) {
         self.seq += 1;
         self.queue.push(Scheduled {
             time,
             seq: self.seq,
-            kind,
+            event,
         });
     }
 
@@ -243,86 +295,148 @@ impl<N: Node> Simulator<N> {
     /// quiesce within the event budget.
     pub fn run(&mut self) -> Result<SimStats> {
         for i in 0..self.nodes.len() {
-            self.schedule(0.0, EventKind::Start(NodeId(i)));
+            self.schedule(0.0, Event::Start(NodeId(i)));
         }
         self.drain()
     }
 
     fn drain(&mut self) -> Result<SimStats> {
-        while let Some(ev) = self.queue.pop() {
+        loop {
+            let Some(mut head) = self.queue.peek_mut() else {
+                return Ok(self.stats);
+            };
+            let (time, event) = (head.time, head.event);
+            let node = match event {
+                Event::Start(node) | Event::Timer { node, .. } => {
+                    PeekMut::pop(head);
+                    node
+                }
+                Event::Burst(slot) => {
+                    let burst = &mut self.bursts[slot];
+                    let to = burst.deliveries[burst.next].to;
+                    burst.next += 1;
+                    match burst.deliveries.get(burst.next) {
+                        // Re-key the entry to the burst's next recipient in
+                        // place; the sift-down this triggers stops at once
+                        // while the burst still comes first.
+                        Some(next) => {
+                            head.time = next.time;
+                            head.seq = next.seq;
+                            drop(head);
+                        }
+                        None => {
+                            PeekMut::pop(head);
+                        }
+                    }
+                    to
+                }
+            };
             if self.stats.events >= self.event_budget {
                 return Err(NetError::EventBudgetExhausted {
                     budget: self.event_budget,
                 });
             }
             self.stats.events += 1;
-            self.time = self.time.max(ev.time);
+            self.time = self.time.max(time);
 
-            let mut actions = Vec::new();
-            match ev.kind {
-                EventKind::Start(node) => {
-                    let mut api = Api {
-                        now: self.time,
-                        me: node,
-                        actions: &mut actions,
-                    };
-                    self.nodes[node.index()].on_start(&mut api);
-                    self.apply(node, actions);
-                }
-                EventKind::Deliver { to, from, msg } => {
+            let mut actions = std::mem::take(&mut self.actions);
+            let mut api = Api {
+                now: self.time,
+                me: node,
+                actions: &mut actions,
+            };
+            let state = &mut self.nodes[node.index()];
+            match event {
+                Event::Start(_) => state.on_start(&mut api),
+                Event::Timer { id, .. } => state.on_timer(id, &mut api),
+                Event::Burst(slot) => {
                     self.stats.delivered += 1;
-                    let mut api = Api {
-                        now: self.time,
-                        me: to,
-                        actions: &mut actions,
-                    };
-                    self.nodes[to.index()].on_message(from, msg, &mut api);
-                    self.apply(to, actions);
-                }
-                EventKind::Timer { node, id } => {
-                    let mut api = Api {
-                        now: self.time,
-                        me: node,
-                        actions: &mut actions,
-                    };
-                    self.nodes[node.index()].on_timer(id, &mut api);
-                    self.apply(node, actions);
-                }
-            }
-        }
-        Ok(self.stats)
-    }
-
-    fn apply(&mut self, origin: NodeId, actions: Vec<Action<N::Msg>>) {
-        for action in actions {
-            match action {
-                Action::Broadcast(msg) => {
-                    let neighbors: Vec<NodeId> = self.topology.neighbors(origin).to_vec();
-                    for to in neighbors {
-                        self.transmit(origin, to, msg.clone());
+                    let burst = &mut self.bursts[slot];
+                    let msg = burst
+                        .msg
+                        .as_ref()
+                        .expect("a queued burst holds its message");
+                    state.on_message(burst.from, msg, &mut api);
+                    if burst.next == burst.deliveries.len() {
+                        burst.msg = None;
+                        burst.deliveries.clear();
+                        burst.next = 0;
+                        self.free_bursts.push(slot);
                     }
                 }
+            }
+            self.apply(node, actions);
+        }
+    }
+
+    /// Carries out a callback's actions in order, then hands the emptied
+    /// buffer back for the next callback.
+    fn apply(&mut self, origin: NodeId, mut actions: Vec<Action<N::Msg>>) {
+        for action in actions.drain(..) {
+            match action {
+                Action::Broadcast(msg) => self.transmit(origin, None, msg),
                 Action::Send(to, msg) => {
                     if self.topology.are_neighbors(origin, to) {
-                        self.transmit(origin, to, msg);
+                        self.transmit(origin, Some(to), msg);
                     } else {
                         self.stats.dropped += 1;
                     }
                 }
                 Action::Timer(delay, id) => {
-                    self.schedule(self.time + delay, EventKind::Timer { node: origin, id });
+                    self.schedule(self.time + delay, Event::Timer { node: origin, id });
                 }
             }
         }
+        self.actions = actions;
     }
 
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
-        if self.radio.delivered(&mut self.rng) {
-            let latency = self.radio.latency(&mut self.rng);
-            self.schedule(self.time + latency, EventKind::Deliver { to, from, msg });
-        } else {
-            self.stats.dropped += 1;
+    /// Sends `msg` from `from` to one neighbour (`Some(to)`) or to all of
+    /// them (`None`) as one burst.
+    fn transmit(&mut self, from: NodeId, to: Option<NodeId>, msg: N::Msg) {
+        let slot = self.free_bursts.pop().unwrap_or_else(|| {
+            self.bursts.push(Burst {
+                from,
+                msg: None,
+                deliveries: Vec::new(),
+                next: 0,
+            });
+            self.bursts.len() - 1
+        });
+        let burst = &mut self.bursts[slot];
+        let recipients = match &to {
+            Some(to) => std::slice::from_ref(to),
+            None => self.topology.neighbors(from),
+        };
+        for &to in recipients {
+            if self.radio.delivered(&mut self.rng) {
+                let latency = self.radio.latency(&mut self.rng);
+                self.seq += 1;
+                burst.deliveries.push(Delivery {
+                    time: self.time + latency,
+                    seq: self.seq,
+                    to,
+                });
+            } else {
+                self.stats.dropped += 1;
+            }
         }
+        if burst.deliveries.is_empty() {
+            self.free_bursts.push(slot);
+            return;
+        }
+        // Seqs ascend in draw order, so a stable sort by time alone
+        // leaves the recipients in `(time, seq)` order.
+        burst
+            .deliveries
+            .sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite event times"));
+        let first = burst.deliveries[0];
+        burst.from = from;
+        burst.msg = Some(msg);
+        self.queue.push(Scheduled {
+            time: first.time,
+            seq: first.seq,
+            event: Event::Burst(slot),
+        });
     }
 }
 
@@ -352,8 +466,8 @@ mod tests {
             api.broadcast(7);
             self.sent = true;
         }
-        fn on_message(&mut self, _from: NodeId, msg: u32, _api: &mut Api<'_, u32>) {
-            assert_eq!(msg, 7);
+        fn on_message(&mut self, _from: NodeId, msg: &u32, _api: &mut Api<'_, u32>) {
+            assert_eq!(*msg, 7);
             self.heard += 1;
         }
     }
@@ -388,7 +502,7 @@ mod tests {
                 api.send(NodeId(1), ()); // neighbor
                 api.send(NodeId(2), ()); // out of range -> dropped
             }
-            fn on_message(&mut self, _f: NodeId, _m: (), _a: &mut Api<'_, ()>) {}
+            fn on_message(&mut self, _f: NodeId, _m: &(), _a: &mut Api<'_, ()>) {}
         }
         let positions = line_positions(3, 8.0);
         let mut sim = Simulator::new(
@@ -414,7 +528,7 @@ mod tests {
                 api.set_timer(0.1, 1);
                 api.set_timer(0.2, 2);
             }
-            fn on_message(&mut self, _f: NodeId, _m: (), _a: &mut Api<'_, ()>) {}
+            fn on_message(&mut self, _f: NodeId, _m: &(), _a: &mut Api<'_, ()>) {}
             fn on_timer(&mut self, id: u64, _api: &mut Api<'_, ()>) {
                 self.fired.push(id);
             }
@@ -452,7 +566,7 @@ mod tests {
             fn on_start(&mut self, api: &mut Api<'_, ()>) {
                 api.broadcast(());
             }
-            fn on_message(&mut self, _f: NodeId, _m: (), api: &mut Api<'_, ()>) {
+            fn on_message(&mut self, _f: NodeId, _m: &(), api: &mut Api<'_, ()>) {
                 api.broadcast(());
             }
         }
@@ -552,7 +666,7 @@ mod tests {
             api.set_timer(0.004 + (me % 5) as f64 * 0.001, me as u64);
             api.set_timer(0.0, 99);
         }
-        fn on_message(&mut self, from: NodeId, msg: (u32, u32), api: &mut Api<'_, (u32, u32)>) {
+        fn on_message(&mut self, from: NodeId, msg: &(u32, u32), api: &mut Api<'_, (u32, u32)>) {
             log_delivery(
                 &self.log,
                 api.now(),
@@ -583,7 +697,7 @@ mod tests {
         fn on_start(&mut self, api: &mut Api<'_, Self::Msg>) {
             self.inner.on_start(api);
         }
-        fn on_message(&mut self, from: NodeId, msg: Self::Msg, api: &mut Api<'_, Self::Msg>) {
+        fn on_message(&mut self, from: NodeId, msg: &Self::Msg, api: &mut Api<'_, Self::Msg>) {
             let words = [
                 msg.origin.index() as u64,
                 msg.hops as u64,
@@ -636,8 +750,14 @@ mod tests {
         let stats = sim.run().unwrap();
         let flood = finish_log(&log, stats, sim.time());
 
-        assert_eq!(chatty, GOLDEN_CHATTY, "lossy jittered delivery order drifted");
-        assert_eq!(flood, GOLDEN_FLOOD, "multi-origin flood delivery order drifted");
+        assert_eq!(
+            chatty, GOLDEN_CHATTY,
+            "lossy jittered delivery order drifted"
+        );
+        assert_eq!(
+            flood, GOLDEN_FLOOD,
+            "multi-origin flood delivery order drifted"
+        );
     }
 
     #[test]

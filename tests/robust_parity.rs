@@ -17,6 +17,10 @@
 //!   which a naive "reweight by 1.0 and re-solve anyway" implementation
 //!   would perturb.
 //!
+//! One more pin covers the distributed pipeline under
+//! `TransformGuards::permissive()`, where receivers filter neighbour maps
+//! by the looser three-shared-node guard.
+//!
 //! Golden values are fingerprints of the vendored xoshiro256++ stream's
 //! output and are not portable to upstream `rand`.
 
