@@ -27,10 +27,11 @@
 //!
 //! Everything is deterministic: the event loop is driven by one seeded
 //! RNG, events pop in `(time, seq)` order (`seq` numbers events as they
-//! are scheduled, so equal timestamps pop in a fixed order — bursts
-//! merge into exactly that order), and no code reads ambient entropy — so a simulation replays bit-for-bit and can
-//! safely run inside the sharded campaign workers of `rl-bench` (see the
-//! seeding contract in `rl_math::rng`).
+//! are scheduled, so equal timestamps pop in a fixed order, and bursts
+//! merge into exactly that order), and no code reads ambient entropy —
+//! so a simulation replays bit-for-bit and can safely run inside the
+//! sharded campaign workers of `rl-bench` (see the seeding contract in
+//! `rl_math::rng`).
 //!
 //! # Examples
 //!
