@@ -1,5 +1,5 @@
-//! Criterion benches for the network substrate: flooding, topology
-//! construction and shortest paths (the MDS-MAP completion step).
+//! Criterion benches for the network substrate: flooding and topology
+//! construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -18,11 +18,6 @@ fn bench_topology(c: &mut Criterion) {
     let pts = positions(8, 9.0);
     c.bench_function("net/topology_64_nodes", |b| {
         b.iter(|| black_box(Topology::from_positions(black_box(&pts), 22.0)))
-    });
-
-    let topo = Topology::from_positions(&pts, 22.0);
-    c.bench_function("net/shortest_paths_64_nodes", |b| {
-        b.iter(|| black_box(topo.shortest_paths(|a, b| pts[a.index()].distance(pts[b.index()]))))
     });
 }
 

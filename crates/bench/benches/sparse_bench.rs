@@ -8,8 +8,9 @@
 //!   eigensolver).
 //! * **LSS objective**: one stress value + gradient evaluation with the
 //!   soft constraint on the dense backend (materialized `O(n²)`
-//!   complement scan) versus the sparse backend (spatial-grid active
-//!   set).
+//!   complement scan) versus the sparse backend (Verlet candidate
+//!   list; repeated evaluations at one configuration reuse it, as most
+//!   descent steps do).
 //!
 //! The dense rungs stop at 500 nodes — at 1000 the dense MDS-MAP
 //! eigendecomposition alone runs for minutes, which is precisely the

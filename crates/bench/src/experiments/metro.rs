@@ -121,7 +121,7 @@ pub fn metro_sweep(seed: u64) -> ExperimentResult {
     ))
     .with_note(
         "all six solver families run at every rung: the sparse backend (CSR shortest paths, \
-         iterative top-2 eigensolver, spatial-grid soft constraint) replaces the dense \
+         iterative top-2 eigensolver, Verlet-list soft constraint) replaces the dense \
          O(n^2)-O(n^3) stages that previously confined LSS and MDS-MAP to town scale",
     )
     .with_note(

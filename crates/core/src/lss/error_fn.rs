@@ -27,15 +27,32 @@
 //! * **Dense** materializes the complement pair list once and scans it on
 //!   every evaluation — exact, simple, `O(n²)` memory *and* time per
 //!   gradient step; the reference at paper scale.
-//! * **Sparse** exploits that only pairs closer than `d_min` contribute:
-//!   every evaluation bins the current configuration into a uniform grid
-//!   of cell size `d_min` and visits only neighboring-cell pairs, in
-//!   `O(n + a)` for `a` active pairs. Because non-violating pairs
-//!   contribute exactly `+0.0` to the sum (and are skipped by the dense
-//!   gradient too), the sparse backend reproduces the dense objective
-//!   **bit for bit** — same value, same gradient, so the whole descent
-//!   trajectory is identical. `tests/sparse_parity.rs` asserts this.
+//! * **Sparse** exploits that only pairs closer than `d_min` contribute.
+//!   It keeps a *Verlet list* with a skin `s` of 2 m: the sorted
+//!   unmeasured pairs closer than `d_min + s` at the configuration where
+//!   the list was built, found by binning that configuration into a
+//!   uniform grid of cell size `d_min + s` and visiting only
+//!   neighboring-cell pairs (`O(n + c)` for `c` candidates). An
+//!   evaluation filters the list by `dist < d_min` at the current
+//!   configuration, in `O(n + c)` with no grid work at all. The list is
+//!   reused while every node is within `s / 2` of its build position
+//!   (minus a float margin). By the triangle inequality any pair now
+//!   closer than `d_min` was then closer than `d_min + s`, so it is on
+//!   the list. A larger move or a non-finite coordinate rebuilds the
+//!   list at the current configuration.
+//!
+//! Non-violating pairs contribute exactly `+0.0` to the sum (and are
+//! skipped by the dense gradient too), and the sparse backend finds the
+//! same violators as the dense scan, computes their distances with the
+//! same expression and visits them in the same sorted `i < j` order. So
+//! it reproduces the dense objective **bit for bit** — same value, same
+//! gradient, so the whole descent trajectory is identical — whether the
+//! list was just built or reused. The cache lives in a `RefCell` and can
+//! only change how fast a result is found, never the result.
+//! `tests/sparse_parity.rs` asserts this along a trajectory that reuses
+//! and rebuilds the list.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 use rl_math::gradient::Objective;
@@ -45,6 +62,11 @@ use crate::problem::SolverBackend;
 
 /// Guard against division by a vanishing computed distance.
 const MIN_DISTANCE: f64 = 1e-9;
+
+/// Verlet skin of the sparse constraint backend, meters: the list holds
+/// pairs closer than `d_min + SKIN_M` and survives node moves of up to
+/// `SKIN_M / 2`.
+const SKIN_M: f64 = 2.0;
 
 /// The minimum-spacing soft constraint.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,11 +89,53 @@ enum ConstraintBackend {
         /// Unmeasured pairs `(i, j)` with `i < j`, sorted.
         unmeasured: Vec<(usize, usize)>,
     },
-    /// Spatial-grid active set, rebuilt per evaluation.
+    /// Verlet candidate list, rebuilt by a spatial-grid sweep when a
+    /// node moves too far.
     Sparse {
         /// Measured pairs `(min, max)` for exclusion during grid sweeps.
         measured_lookup: HashSet<(usize, usize)>,
+        /// The candidate list, cached across evaluations.
+        verlet: RefCell<VerletList>,
     },
+}
+
+/// The sparse backend's cached candidate pairs (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct VerletList {
+    /// The configuration the list was built at; empty before the first
+    /// build.
+    built_at: Vec<f64>,
+    /// Unmeasured pairs `(i, j)` with `i < j`, sorted, closer than
+    /// `d_min + SKIN_M` at `built_at`.
+    pairs: Vec<(usize, usize)>,
+    /// Number of builds so far.
+    #[cfg(test)]
+    builds: usize,
+}
+
+impl VerletList {
+    /// Whether every node of `x` is within the reuse radius of its build
+    /// position. Non-finite displacements compare false and force a
+    /// rebuild.
+    fn covers(&self, x: &[f64], d_min: f64) -> bool {
+        if self.built_at.len() != x.len() {
+            return false;
+        }
+        // Computed distances and displacements carry a relative rounding
+        // error of a few ulp, so the margin only has to cover a few ulp
+        // of `d_min + SKIN_M`; 1e-9 of it is generous. An absurd `d_min`
+        // leaves no positive reach and rebuilds every time.
+        let reach = 0.5 * SKIN_M - 1e-9 * (d_min + SKIN_M);
+        if !(reach > 0.0) {
+            return false;
+        }
+        let n = x.len() / 2;
+        (0..n).all(|k| {
+            let dx = x[k] - self.built_at[k];
+            let dy = x[n + k] - self.built_at[n + k];
+            dx * dx + dy * dy <= reach * reach
+        })
+    }
 }
 
 /// The LSS stress objective over a measurement set.
@@ -87,7 +151,7 @@ pub struct LssObjective {
 impl LssObjective {
     /// Builds the objective with automatic backend selection
     /// ([`SolverBackend::Auto`]): the dense complement list below the
-    /// size threshold, the spatial-grid active set above it.
+    /// size threshold, the Verlet candidate list above it.
     pub fn new(set: &MeasurementSet, soft: Option<SoftConstraint>) -> Self {
         Self::with_backend(set, soft, SolverBackend::Auto)
     }
@@ -110,6 +174,7 @@ impl LssObjective {
         } else if backend.use_sparse(n) {
             ConstraintBackend::Sparse {
                 measured_lookup: measured.iter().map(|&(i, j, _, _)| (i, j)).collect(),
+                verlet: RefCell::default(),
             }
         } else {
             let mut unmeasured = Vec::new();
@@ -150,7 +215,7 @@ impl LssObjective {
         self.n * (self.n - 1) / 2 - self.measured.len()
     }
 
-    /// Whether the spatial-grid (sparse) constraint backend is active.
+    /// Whether the Verlet-list (sparse) constraint backend is active.
     pub fn uses_sparse_constraint(&self) -> bool {
         matches!(self.backend, ConstraintBackend::Sparse { .. })
     }
@@ -159,6 +224,15 @@ impl LssObjective {
     #[inline]
     fn coords(x: &[f64], n: usize, i: usize) -> (f64, f64) {
         (x[i], x[n + i])
+    }
+
+    /// The computed distance between nodes `i` and `j` at `x` — one
+    /// expression for every backend, so their distances agree bitwise.
+    #[inline]
+    fn distance(x: &[f64], n: usize, i: usize, j: usize) -> f64 {
+        let (xi, yi) = Self::coords(x, n, i);
+        let (xj, yj) = Self::coords(x, n, j);
+        ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()
     }
 
     /// The unmeasured pairs violating the constraint at `x` (distance
@@ -171,65 +245,89 @@ impl LssObjective {
             return Vec::new();
         };
         let d_min = soft.min_spacing_m;
-        match &self.backend {
-            ConstraintBackend::Off => Vec::new(),
-            ConstraintBackend::Dense { unmeasured } => unmeasured
+        let n = self.n;
+        let violators = |pairs: &[(usize, usize)]| -> Vec<(usize, usize, f64)> {
+            pairs
                 .iter()
                 .filter_map(|&(i, j)| {
-                    let (xi, yi) = Self::coords(x, self.n, i);
-                    let (xj, yj) = Self::coords(x, self.n, j);
-                    let dist = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
+                    let dist = Self::distance(x, n, i, j);
                     (dist < d_min).then_some((i, j, dist))
                 })
-                .collect(),
-            ConstraintBackend::Sparse { measured_lookup } => {
-                // Uniform grid with cell size d_min: any pair closer than
-                // d_min lives in the same or an adjacent cell. The grid is
-                // a flat sorted `(cell_x, cell_y, node)` index — binary
-                // searched per neighbor column, no per-cell allocations.
-                // f64-to-i64 casts saturate, so non-finite probe points
-                // cannot panic (the optimizer rejects them by value).
-                let n = self.n;
-                let cell_of = |px: f64, py: f64| -> (i64, i64) {
-                    ((px / d_min).floor() as i64, (py / d_min).floor() as i64)
-                };
-                let mut keyed: Vec<(i64, i64, u32)> = (0..n)
-                    .map(|i| {
-                        let (xi, yi) = Self::coords(x, n, i);
-                        let (cx, cy) = cell_of(xi, yi);
-                        (cx, cy, i as u32)
-                    })
-                    .collect();
-                keyed.sort_unstable();
-                let mut out = Vec::new();
-                for i in 0..n {
-                    let (xi, yi) = Self::coords(x, n, i);
-                    let (cx, cy) = cell_of(xi, yi);
-                    for dx in -1..=1i64 {
-                        // Entries of column cx+dx with cell_y in
-                        // [cy-1, cy+1] form one contiguous sorted run.
-                        let kx = cx.saturating_add(dx);
-                        let y_lo = cy.saturating_sub(1);
-                        let y_hi = cy.saturating_add(1);
-                        let lo = keyed.partition_point(|&(a, b, _)| (a, b) < (kx, y_lo));
-                        let hi = keyed.partition_point(|&(a, b, _)| (a, b) <= (kx, y_hi));
-                        for &(_, _, j) in &keyed[lo..hi] {
-                            let j = j as usize;
-                            if j <= i || measured_lookup.contains(&(i, j)) {
-                                continue;
-                            }
-                            let (xj, yj) = Self::coords(x, n, j);
-                            let dist = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
-                            if dist < d_min {
-                                out.push((i, j, dist));
-                            }
-                        }
+                .collect()
+        };
+        match &self.backend {
+            ConstraintBackend::Off => Vec::new(),
+            ConstraintBackend::Dense { unmeasured } => violators(unmeasured),
+            ConstraintBackend::Sparse {
+                measured_lookup,
+                verlet,
+            } => {
+                let mut list = verlet.borrow_mut();
+                if !list.covers(x, d_min) {
+                    list.pairs = self.grid_pairs(x, d_min + SKIN_M, measured_lookup);
+                    list.built_at.clear();
+                    list.built_at.extend_from_slice(x);
+                    #[cfg(test)]
+                    {
+                        list.builds += 1;
                     }
                 }
-                out.sort_unstable_by_key(|&(i, j, _)| (i, j));
-                out
+                violators(&list.pairs)
             }
         }
+    }
+
+    /// The unmeasured pairs `(i, j)`, `i < j`, closer than `radius` at
+    /// `x`, sorted ascending.
+    ///
+    /// Uniform grid with cell size `radius`: any pair closer than that
+    /// lives in the same or an adjacent cell. The grid is a flat sorted
+    /// `(cell_x, cell_y, node)` index — binary searched per neighbor
+    /// column, no per-cell allocations. f64-to-i64 casts saturate, so
+    /// non-finite probe points cannot panic (the optimizer rejects them
+    /// by value).
+    fn grid_pairs(
+        &self,
+        x: &[f64],
+        radius: f64,
+        measured_lookup: &HashSet<(usize, usize)>,
+    ) -> Vec<(usize, usize)> {
+        let n = self.n;
+        let cell_of = |i: usize| -> (i64, i64) {
+            let (px, py) = Self::coords(x, n, i);
+            ((px / radius).floor() as i64, (py / radius).floor() as i64)
+        };
+        let mut keyed: Vec<(i64, i64, u32)> = (0..n)
+            .map(|i| {
+                let (cx, cy) = cell_of(i);
+                (cx, cy, i as u32)
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut out = Vec::new();
+        for i in 0..n {
+            let (cx, cy) = cell_of(i);
+            for dx in -1..=1i64 {
+                // Entries of column cx+dx with cell_y in [cy-1, cy+1]
+                // form one contiguous sorted run.
+                let kx = cx.saturating_add(dx);
+                let y_lo = cy.saturating_sub(1);
+                let y_hi = cy.saturating_add(1);
+                let lo = keyed.partition_point(|&(a, b, _)| (a, b) < (kx, y_lo));
+                let hi = keyed.partition_point(|&(a, b, _)| (a, b) <= (kx, y_hi));
+                for &(_, _, j) in &keyed[lo..hi] {
+                    let j = j as usize;
+                    if j <= i || measured_lookup.contains(&(i, j)) {
+                        continue;
+                    }
+                    if Self::distance(x, n, i, j) < radius {
+                        out.push((i, j));
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
     }
 
     /// How many unmeasured pairs currently violate the constraint at `x`.
@@ -247,9 +345,7 @@ impl Objective for LssObjective {
         let n = self.n;
         let mut e = 0.0;
         for &(i, j, d, w) in &self.measured {
-            let (xi, yi) = Self::coords(x, n, i);
-            let (xj, yj) = Self::coords(x, n, j);
-            let dc = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
+            let dc = Self::distance(x, n, i, j);
             e += w * (dc - d) * (dc - d);
         }
         if let Some(soft) = self.soft {
@@ -257,7 +353,7 @@ impl Objective for LssObjective {
             // exactly +0.0, so summing the violators alone (in the same
             // i < j order) reproduces the dense full-complement scan bit
             // for bit. Violators are strictly inside d_min, so the
-            // min-clamp is a no-op and the grid's distance is reused.
+            // min-clamp is a no-op and the filter's distance is reused.
             for (_, _, dc) in self.violating_pairs(x) {
                 let diff = dc - soft.min_spacing_m;
                 e += soft.weight * diff * diff;
@@ -460,6 +556,46 @@ mod tests {
         let x = [f64::INFINITY, 5.0, 3.0, f64::NEG_INFINITY, 0.0, 0.0];
         let v = obj.value(&x);
         assert!(v.is_nan() || v.is_infinite() || v.is_finite());
+    }
+
+    #[test]
+    fn verlet_list_rebuilds_only_past_half_the_skin() {
+        let mut set = MeasurementSet::new(3);
+        set.insert(NodeId(0), NodeId(1), 5.0);
+        let soft = Some(SoftConstraint {
+            min_spacing_m: 6.0,
+            weight: 10.0,
+        });
+        let sparse = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
+        let dense = LssObjective::with_backend(&set, soft, SolverBackend::Dense);
+        let builds = || match &sparse.backend {
+            ConstraintBackend::Sparse { verlet, .. } => verlet.borrow().builds,
+            _ => unreachable!("sparse backend requested"),
+        };
+        let mut grad = vec![0.0; 6];
+        // Node 2 starts 6.5 m from node 0: outside d_min, inside the skin.
+        let x0 = [0.0, 5.0, 6.5, 0.0, 0.0, 0.0];
+        let steps: [(&[f64], usize); 7] = [
+            (&x0, 1),
+            // 0.8 m toward node 0 is under SKIN_M / 2: the list is reused,
+            // and the pair (0, 2) it holds is now a violator.
+            (&[0.0, 5.0, 5.7, 0.0, 0.0, 0.0], 1),
+            // 1.1 m from the build position: rebuilt here.
+            (&[0.0, 5.0, 5.4, 0.0, 0.0, 0.0], 2),
+            (&[0.0, 5.0, 5.4, 0.0, 0.0, 0.9], 2),
+            // A non-finite coordinate rebuilds on every evaluation, and
+            // so does the first return from it.
+            (&[f64::NAN, 5.0, 5.4, 0.0, 0.0, 0.9], 5),
+            (&x0, 6),
+            (&x0, 6),
+        ];
+        for (x, expected) in steps {
+            assert_eq!(sparse.value(x).to_bits(), dense.value(x).to_bits());
+            sparse.gradient(x, &mut grad);
+            assert_eq!(sparse.active_constraints(x), dense.active_constraints(x));
+            assert_eq!(builds(), expected, "builds after evaluating at {x:?}");
+        }
+        assert_eq!(dense.active_constraints(&[0.0, 5.0, 5.7, 0.0, 0.0, 0.0]), 2);
     }
 
     #[test]

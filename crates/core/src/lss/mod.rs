@@ -85,7 +85,7 @@ pub struct LssConfig {
     pub use_anchors: bool,
     /// Which linear-algebra backend the solve runs on: the soft
     /// constraint's complement sum (dense materialized pair list versus
-    /// the spatial-grid active set) and the MDS-MAP initializer's
+    /// the Verlet candidate list) and the MDS-MAP initializer's
     /// completion/eigen stage. The two backends produce bit-identical
     /// descent trajectories for the constraint (see
     /// [`LssObjective`]); `Auto` switches on the node count.

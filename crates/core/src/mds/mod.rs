@@ -99,16 +99,16 @@ pub fn mdsmap_coordinates(set: &MeasurementSet) -> Result<Vec<Point2>> {
 
 /// [`mdsmap_coordinates`] on an explicit linear-algebra backend.
 ///
-/// The two backends share the algorithm but not the machinery:
+/// Both backends complete the distance matrix the same way: per-source
+/// Dijkstra over a CSR adjacency matrix of the measurement graph
+/// ([`dijkstra_multi_into`]). They differ in the eigensolve:
 ///
-/// * **Dense** completes the distance matrix through
-///   [`rl_net::Topology::shortest_paths`] and eigendecomposes the
-///   double-centered matrix with the full `O(n^3)` Jacobi solver.
-/// * **Sparse** runs per-source Dijkstra over a CSR adjacency matrix of
-///   the measurement graph and extracts only the top-2 eigenpairs by
-///   shifted subspace iteration — the double-centered matrix is applied
-///   implicitly (`B x = -1/2 J D² J x`) and never materialized, leaving
-///   the `n x n` squared-distance table as the only quadratic cost.
+/// * **Dense** eigendecomposes the double-centered matrix with the full
+///   `O(n^3)` Jacobi solver.
+/// * **Sparse** extracts only the top-2 eigenpairs by shifted subspace
+///   iteration — the double-centered matrix is applied implicitly
+///   (`B x = -1/2 J D² J x`) and never materialized, leaving the `n x n`
+///   squared-distance table as the only quadratic cost.
 ///
 /// Both produce the same embedding up to the iterative eigensolver's
 /// tolerance (and the usual sign/rotation ambiguity of the degenerate
@@ -135,31 +135,20 @@ fn mdsmap_impl(set: &MeasurementSet, backend: SolverBackend) -> Result<(Vec<Poin
             "MDS-MAP needs at least three nodes",
         ));
     }
+    let completed = complete_distances(set)?;
     if backend.use_sparse(n) {
-        return mdsmap_sparse(set);
+        return mdsmap_sparse(n, &completed);
     }
-    let topology = set.topology();
-    let sp =
-        topology.shortest_paths(|a, b| set.get(a, b).expect("topology edges mirror measurements"));
-    let mut d = DMatrix::zeros(n, n);
-    for (i, row) in sp.iter().enumerate() {
-        for (j, entry) in row.iter().enumerate() {
-            match entry {
-                Some(dist) => d[(i, j)] = *dist,
-                None => {
-                    return Err(LocalizationError::InsufficientMeasurements(
-                        "measurement graph is disconnected",
-                    ))
-                }
-            }
-        }
-    }
+    let d = DMatrix::from_vec(n, n, completed)?;
     classical_mds(&d).map(|coords| (coords, 0))
 }
 
-/// The sparse MDS-MAP path: CSR Dijkstra completion plus an implicit
-/// double-centering operator fed to the iterative top-2 eigensolver.
-fn mdsmap_sparse(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
+/// Geodesic completion: the row-major `n x n` table of shortest-path
+/// distances through the measurement graph, by multi-source Dijkstra
+/// over its CSR adjacency matrix — every node a source, one reused heap
+/// across all of them. The table is the one intrinsically quadratic
+/// artifact of MDS-MAP.
+fn complete_distances(set: &MeasurementSet) -> Result<Vec<f64>> {
     let n = set.node_count();
     let edges: Vec<(usize, usize, f64)> = set
         .iter()
@@ -167,10 +156,6 @@ fn mdsmap_sparse(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
         .collect();
     let adjacency =
         CsrMatrix::symmetric_from_edges(n, &edges).map_err(LocalizationError::Numerical)?;
-
-    // Multi-source Dijkstra over the CSR structure, every node a source
-    // and one reused heap across all of them; the completed distance
-    // table is the one intrinsically quadratic artifact of MDS-MAP.
     let sources: Vec<usize> = (0..n).collect();
     let mut completed = vec![0.0; n * n];
     dijkstra_multi_into(&adjacency, &sources, &mut completed);
@@ -179,7 +164,12 @@ fn mdsmap_sparse(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
             "measurement graph is disconnected",
         ));
     }
+    Ok(completed)
+}
 
+/// The sparse MDS-MAP eigensolve: an implicit double-centering operator
+/// over the completed distances fed to the iterative top-2 eigensolver.
+fn mdsmap_sparse(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
     // Squared, symmetrized distances (mirroring the dense path's
     // tolerance for small asymmetries from summation order).
     let mut d2 = vec![0.0; n * n];

@@ -64,7 +64,7 @@ use crate::{LocalizationError, Result};
 /// eigendecompositions, materialized `O(n^2)` pair lists) are exact and
 /// simple but scale as `O(n^2)`–`O(n^3)`; the sparse paths
 /// ([`rl_math::sparse`]: CSR mat-vec, iterative top-`k` eigensolver,
-/// spatial-grid active sets) exploit the connectivity graph's sparsity
+/// Verlet candidate lists) exploit the connectivity graph's sparsity
 /// under the 22 m ranging cutoff and stay tractable at metro scale.
 /// Solvers honoring this enum ([`LssConfig`](crate::lss::LssConfig),
 /// [`MdsMapLocalizer`](crate::mds::MdsMapLocalizer)) default to

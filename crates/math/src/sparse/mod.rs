@@ -708,6 +708,15 @@ mod tests {
     }
 
     #[test]
+    fn dijkstra_sums_spacings_along_a_line() {
+        let g =
+            CsrMatrix::symmetric_from_edges(4, &[(0, 1, 8.0), (1, 2, 8.0), (2, 3, 8.0)]).unwrap();
+        assert_eq!(dijkstra(&g, 0), vec![0.0, 8.0, 16.0, 24.0]);
+        assert_eq!(dijkstra(&g, 3)[0], 24.0);
+        assert_eq!(dijkstra(&g, 1)[1], 0.0);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn dijkstra_rejects_bad_source() {
         let g = CsrMatrix::from_triplets(2, 2, &[]).unwrap();
@@ -822,6 +831,39 @@ mod tests {
                 let single = a.matvec(x).unwrap();
                 for (s, m) in single.iter().zip(y) {
                     prop_assert_eq!(s.to_bits(), m.to_bits());
+                }
+            }
+        }
+
+        /// All-sources Dijkstra over a Euclidean disk graph satisfies the
+        /// triangle inequality, and reachability is transitive.
+        #[test]
+        fn prop_dijkstra_triangle_inequality(
+            pts in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 3..12),
+            range in 10.0f64..60.0,
+        ) {
+            let n = pts.len();
+            let mut edges = Vec::new();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let d = (pts[i].0 - pts[j].0).hypot(pts[i].1 - pts[j].1);
+                    if d <= range {
+                        edges.push((i, j, d));
+                    }
+                }
+            }
+            let g = CsrMatrix::symmetric_from_edges(n, &edges).unwrap();
+            let sources: Vec<usize> = (0..n).collect();
+            let mut sp = vec![0.0; n * n];
+            dijkstra_multi_into(&g, &sources, &mut sp);
+            for i in 0..n {
+                for j in 0..n {
+                    for k in 0..n {
+                        let (ij, ik, kj) = (sp[i * n + j], sp[i * n + k], sp[k * n + j]);
+                        if ik.is_finite() && kj.is_finite() {
+                            prop_assert!(ij <= ik + kj + 1e-9);
+                        }
+                    }
                 }
             }
         }

@@ -195,75 +195,6 @@ impl Topology {
         }
         out
     }
-
-    /// All-pairs shortest-path distances along edges weighted by `weight`,
-    /// via repeated Dijkstra. `None` marks unreachable pairs.
-    ///
-    /// Used by the MDS-MAP baseline, which completes a sparse distance
-    /// matrix with shortest-path distances.
-    pub fn shortest_paths(&self, weight: impl Fn(NodeId, NodeId) -> f64) -> Vec<Vec<Option<f64>>> {
-        let n = self.len();
-        let mut all = vec![vec![None; n]; n];
-        for (src, row) in all.iter_mut().enumerate() {
-            // Dijkstra with a binary heap of (cost, node).
-            let mut dist: Vec<f64> = vec![f64::INFINITY; n];
-            dist[src] = 0.0;
-            let mut heap = std::collections::BinaryHeap::new();
-            heap.push(HeapEntry {
-                cost: 0.0,
-                node: NodeId(src),
-            });
-            while let Some(HeapEntry { cost, node }) = heap.pop() {
-                if cost > dist[node.index()] {
-                    continue;
-                }
-                for &next in self.neighbors(node) {
-                    let w = weight(node, next);
-                    debug_assert!(w >= 0.0, "negative edge weight");
-                    let cand = cost + w;
-                    if cand < dist[next.index()] {
-                        dist[next.index()] = cand;
-                        heap.push(HeapEntry {
-                            cost: cand,
-                            node: next,
-                        });
-                    }
-                }
-            }
-            for (j, d) in dist.iter().enumerate() {
-                if d.is_finite() {
-                    row[j] = Some(*d);
-                }
-            }
-        }
-        all
-    }
-}
-
-/// Min-heap entry for Dijkstra (reversed ordering on cost).
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // Reverse: smallest cost pops first.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .expect("finite costs")
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[cfg(test)]
@@ -327,44 +258,6 @@ mod tests {
 
         assert!(Topology::from_positions(&[], 5.0).is_connected());
         assert!(Topology::from_positions(&[], 5.0).is_empty());
-    }
-
-    #[test]
-    fn shortest_paths_on_line_sum_spacings() {
-        let t = line(4, 8.0, 10.0);
-        let sp = t.shortest_paths(|_, _| 8.0);
-        assert_eq!(sp[0][3], Some(24.0));
-        assert_eq!(sp[3][0], Some(24.0));
-        assert_eq!(sp[1][1], Some(0.0));
-    }
-
-    #[test]
-    fn shortest_paths_unreachable_is_none() {
-        let t = line(4, 8.0, 7.0);
-        let sp = t.shortest_paths(|_, _| 1.0);
-        assert_eq!(sp[0][1], None);
-        assert_eq!(sp[0][0], Some(0.0));
-    }
-
-    #[test]
-    fn shortest_paths_prefers_cheap_route() {
-        // Triangle where direct edge is expensive: 0-1 (10), 0-2 (1), 2-1 (1).
-        let t = Topology::from_edges(
-            3,
-            [
-                (NodeId(0), NodeId(1)),
-                (NodeId(0), NodeId(2)),
-                (NodeId(2), NodeId(1)),
-            ],
-        );
-        let sp = t.shortest_paths(|a, b| {
-            if (a.index().min(b.index()), a.index().max(b.index())) == (0, 1) {
-                10.0
-            } else {
-                1.0
-            }
-        });
-        assert_eq!(sp[0][1], Some(2.0));
     }
 
     /// The all-pairs reference the spatial-grid builder must reproduce
@@ -449,27 +342,6 @@ mod tests {
             let a = NodeId(0);
             let b = NodeId(positions.len() - 1);
             prop_assert_eq!(t.hop_counts(a)[b.index()], t.hop_counts(b)[a.index()]);
-        }
-
-        /// Shortest paths satisfy the triangle inequality.
-        #[test]
-        fn prop_shortest_paths_triangle(
-            pts in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 3..12),
-            range in 10.0f64..60.0,
-        ) {
-            let positions: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let t = Topology::from_positions(&positions, range);
-            let sp = t.shortest_paths(|a, b| positions[a.index()].distance(positions[b.index()]));
-            let n = positions.len();
-            for i in 0..n {
-                for j in 0..n {
-                    for k in 0..n {
-                        if let (Some(ij), Some(ik), Some(kj)) = (sp[i][j], sp[i][k], sp[k][j]) {
-                            prop_assert!(ij <= ik + kj + 1e-9);
-                        }
-                    }
-                }
-            }
         }
     }
 }

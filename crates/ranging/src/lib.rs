@@ -61,6 +61,9 @@ pub enum RangingError {
     UnknownNode(rl_net::NodeId),
     /// A configuration parameter was out of its documented domain.
     InvalidConfig(&'static str),
+    /// A measurement was rejected: a self pair, an id out of range, or a
+    /// distance or weight outside its domain.
+    InvalidMeasurement(String),
     /// Calibration failed (no successful detections at the reference
     /// distance).
     CalibrationFailed,
@@ -71,6 +74,7 @@ impl core::fmt::Display for RangingError {
         match self {
             RangingError::UnknownNode(id) => write!(f, "unknown node {id}"),
             RangingError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
+            RangingError::InvalidMeasurement(what) => write!(f, "{what}"),
             RangingError::CalibrationFailed => {
                 write!(f, "calibration failed: no detections at reference distance")
             }

@@ -10,6 +10,7 @@
 //!    `D ⊆ D_full` (missing pairs), which this structure represents
 //!    natively.
 
+use crate::RangingError;
 use rl_net::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -90,29 +91,6 @@ struct MeasurementSetRepr {
     edges: Vec<(usize, usize, f64, f64)>,
 }
 
-impl From<MeasurementSet> for MeasurementSetRepr {
-    fn from(set: MeasurementSet) -> Self {
-        MeasurementSetRepr {
-            n: set.n,
-            edges: set
-                .edges
-                .iter()
-                .map(|(&(a, b), e)| (a, b, e.distance, e.weight))
-                .collect(),
-        }
-    }
-}
-
-impl From<MeasurementSetRepr> for MeasurementSet {
-    fn from(repr: MeasurementSetRepr) -> Self {
-        let mut set = MeasurementSet::new(repr.n);
-        for (a, b, d, w) in repr.edges {
-            set.insert_weighted(NodeId(a), NodeId(b), d, w);
-        }
-        set
-    }
-}
-
 // Serialized through `MeasurementSetRepr` (tuple map keys are not valid
 // JSON object keys), mirroring `#[serde(into/from)]`.
 impl Serialize for MeasurementSet {
@@ -130,8 +108,16 @@ impl Serialize for MeasurementSet {
 }
 
 impl Deserialize for MeasurementSet {
+    /// Rejects an invalid edge with an error rather than a panic: the
+    /// input may be untrusted.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        MeasurementSetRepr::from_value(value).map(MeasurementSet::from)
+        let repr = MeasurementSetRepr::from_value(value)?;
+        let mut set = MeasurementSet::new(repr.n);
+        for (a, b, d, w) in repr.edges {
+            set.try_insert_weighted(NodeId(a), NodeId(b), d, w)
+                .map_err(|e| serde::Error::custom(e.to_string()))?;
+        }
+        Ok(set)
     }
 }
 
@@ -185,20 +171,45 @@ impl MeasurementSet {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`MeasurementSet::insert`], plus non-positive
-    /// weights.
+    /// Same conditions as [`MeasurementSet::insert`], plus a weight that
+    /// is not finite and positive. Untrusted input goes through
+    /// [`MeasurementSet::try_insert_weighted`] instead.
     pub fn insert_weighted(&mut self, a: NodeId, b: NodeId, distance_m: f64, weight: f64) {
-        assert!(a != b, "self-distance for {a} is meaningless");
-        assert!(
-            a.index() < self.n && b.index() < self.n,
-            "node out of range: {a}, {b} (n = {})",
-            self.n
-        );
-        assert!(
-            distance_m.is_finite() && distance_m >= 0.0,
-            "distance must be finite and non-negative, got {distance_m}"
-        );
-        assert!(weight > 0.0, "weight must be positive, got {weight}");
+        if let Err(e) = self.try_insert_weighted(a, b, distance_m, weight) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`MeasurementSet::insert_weighted`] that rejects an invalid edge
+    /// instead of panicking; the set is unchanged on error.
+    ///
+    /// # Errors
+    ///
+    /// [`RangingError::InvalidMeasurement`] naming the first violation:
+    /// `a == b`, an id out of range, a distance that is not finite and
+    /// non-negative, or a weight that is not finite and positive.
+    pub fn try_insert_weighted(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        distance_m: f64,
+        weight: f64,
+    ) -> Result<(), RangingError> {
+        let invalid = |what: String| Err(RangingError::InvalidMeasurement(what));
+        if a == b {
+            return invalid(format!("self-distance for {a} is meaningless"));
+        }
+        if a.index() >= self.n || b.index() >= self.n {
+            return invalid(format!("node out of range: {a}, {b} (n = {})", self.n));
+        }
+        if !(distance_m.is_finite() && distance_m >= 0.0) {
+            return invalid(format!(
+                "distance must be finite and non-negative, got {distance_m}"
+            ));
+        }
+        if !(weight.is_finite() && weight > 0.0) {
+            return invalid(format!("weight must be finite and positive, got {weight}"));
+        }
         self.edges.insert(
             Self::key(a, b),
             Edge {
@@ -208,6 +219,7 @@ impl MeasurementSet {
         );
         self.adjacency[a.index()].insert(b.index());
         self.adjacency[b.index()].insert(a.index());
+        Ok(())
     }
 
     /// The measured distance for a pair, in either orientation.
@@ -417,6 +429,49 @@ mod tests {
     #[should_panic(expected = "must be finite")]
     fn negative_distance_panics() {
         MeasurementSet::new(2).insert(id(0), id(1), -1.0);
+    }
+
+    #[test]
+    fn try_insert_rejects_invalid_edges_and_leaves_the_set_unchanged() {
+        let mut set = MeasurementSet::new(3);
+        set.insert(id(0), id(1), 5.0);
+        let before = set.clone();
+        for (a, b, d, w) in [
+            (1, 1, 1.0, 1.0),
+            (0, 3, 1.0, 1.0),
+            (0, 1, -1.0, 1.0),
+            (0, 1, f64::NAN, 1.0),
+            (0, 1, 5.0, 0.0),
+            (0, 1, 5.0, -2.0),
+            (0, 1, 5.0, f64::INFINITY),
+        ] {
+            assert!(
+                matches!(
+                    set.try_insert_weighted(id(a), id(b), d, w),
+                    Err(RangingError::InvalidMeasurement(_))
+                ),
+                "({a}, {b}, {d}, {w}) must be rejected"
+            );
+            assert_eq!(set, before);
+        }
+        set.try_insert_weighted(id(1), id(2), 7.0, 0.5).unwrap();
+        assert_eq!(set.weight(id(2), id(1)), Some(0.5));
+    }
+
+    #[test]
+    fn deserializing_an_invalid_edge_is_an_error_not_a_panic() {
+        for edges in [
+            "[[0,1,5.0,0.0]]",
+            "[[0,1,-1.0,1.0]]",
+            "[[1,1,1.0,1.0]]",
+            "[[0,9,1.0,1.0]]",
+        ] {
+            let json = format!(r#"{{"n":2,"edges":{edges}}}"#);
+            assert!(
+                serde_json::from_str::<MeasurementSet>(&json).is_err(),
+                "{json} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -535,19 +535,11 @@ pub mod stream {
                 }
             };
             let mut measurements = MeasurementSet::new(n);
+            let node = |id: u64| NodeId(usize::try_from(id).unwrap_or(usize::MAX));
             for &(a, b, d, w) in &self.edges {
-                let (a, b) = (slot(a, "edge")?, slot(b, "edge")?);
-                if a == b {
-                    return Err(invalid(format!("self-edge on node {}", a.index())));
-                }
-                if !d.is_finite() || !w.is_finite() {
-                    return Err(invalid(format!(
-                        "non-finite measurement on edge ({}, {})",
-                        a.index(),
-                        b.index()
-                    )));
-                }
-                measurements.insert_weighted(a, b, d, w);
+                measurements
+                    .try_insert_weighted(node(a), node(b), d, w)
+                    .map_err(|e| invalid(format!("edge ({a}, {b}): {e}")))?;
             }
             let mut anchors = Vec::with_capacity(self.anchors.len());
             for &(id, x, y) in &self.anchors {
@@ -1230,6 +1222,27 @@ mod tests {
                 "non-finite range",
                 stream::WireObservation {
                     edges: vec![(0, 1, f64::NAN, 1.0)],
+                    ..ok.clone()
+                },
+            ),
+            (
+                "zero weight",
+                stream::WireObservation {
+                    edges: vec![(0, 1, 5.0, 0.0)],
+                    ..ok.clone()
+                },
+            ),
+            (
+                "negative range",
+                stream::WireObservation {
+                    edges: vec![(0, 1, -1.0, 1.0)],
+                    ..ok.clone()
+                },
+            ),
+            (
+                "non-finite weight",
+                stream::WireObservation {
+                    edges: vec![(0, 1, 5.0, f64::INFINITY)],
                     ..ok.clone()
                 },
             ),

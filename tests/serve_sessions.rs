@@ -186,6 +186,35 @@ fn session_lifecycle_and_partial_reads_over_the_wire() {
 }
 
 #[test]
+fn invalid_pushed_edges_get_typed_errors_and_the_connection_survives() {
+    let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let observations = town_stream(1);
+    let good = stream::WireObservation::from_observation(&observations[0]);
+    let mut session = client
+        .open_stream(town_source(), TrackerSpec::default(), SEED)
+        .unwrap();
+    // A zero weight and a negative distance pass the wire decoder; each
+    // must come back as a typed InvalidObservation, not a dropped
+    // connection.
+    for edge in [(0, 1, 5.0, 0.0), (0, 1, -1.0, 1.0)] {
+        let mut bad = good.clone();
+        bad.edges.push(edge);
+        match session.push_wire(&[bad]) {
+            Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::InvalidObservation),
+            other => panic!("expected InvalidObservation for {edge:?}, got {other:?}"),
+        }
+    }
+    // The same connection keeps serving, and the session took no tick.
+    session.push_wire(&[good]).unwrap();
+    assert_eq!(session.close().unwrap(), 1);
+    client.status().unwrap();
+
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn idle_sessions_evict_deterministically_under_an_injected_clock() {
     let clock = Arc::new(ManualClock::new());
     let config = ServeConfig::default()

@@ -4,16 +4,17 @@
 //! exists to make metro-scale problems tractable, **not** to change any
 //! answer. These tests pin that contract at the integration level:
 //!
-//! * the CSR Dijkstra completion reproduces the dense
-//!   `Topology::shortest_paths` completion on real measurement graphs,
+//! * the CSR Dijkstra completion reproduces a brute-force Bellman–Ford
+//!   fixed point bit for bit on a real measurement graph,
 //! * sparse-path MDS-MAP embeds a town-scale scenario into the same
 //!   geometry as the dense Jacobi path (compared via pairwise distances,
 //!   which are invariant to the eigenvector sign/rotation ambiguity),
 //! * sparse-path LSS reproduces the dense path **bit for bit** on a
-//!   fixed-seed town-scale solve — the spatial-grid constraint evaluates
+//!   fixed-seed town-scale solve — the Verlet-list constraint evaluates
 //!   the identical objective, so the whole descent trajectory matches,
-//! * the LSS objective backends agree on value and gradient for
-//!   arbitrary random configurations (property test).
+//! * the LSS objective backends agree on value and gradient along
+//!   random trajectories that reuse and rebuild the sparse backend's
+//!   cached candidate list (property test).
 
 use proptest::prelude::*;
 use resilient_localization::prelude::*;
@@ -35,8 +36,31 @@ fn town_measurements() -> (Vec<Point2>, MeasurementSet) {
     )
 }
 
+/// Brute-force single-source shortest paths: Bellman–Ford relaxation
+/// of every edge in both directions until nothing changes. The fixed
+/// point holds, for each node, the least left-to-right float sum over
+/// all paths from `source` — the same value Dijkstra settles on.
+fn bellman_ford(n: usize, edges: &[(usize, usize, f64)], source: usize) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; n];
+    dist[source] = 0.0;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(a, b, w) in edges {
+            for (from, to) in [(a, b), (b, a)] {
+                let cand = dist[from] + w;
+                if cand < dist[to] {
+                    dist[to] = cand;
+                    changed = true;
+                }
+            }
+        }
+    }
+    dist
+}
+
 #[test]
-fn csr_dijkstra_matches_dense_shortest_paths_on_town_graph() {
+fn csr_dijkstra_matches_bellman_ford_on_town_graph() {
     let (_, set) = town_measurements();
     let n = set.node_count();
     let edges: Vec<(usize, usize, f64)> = set
@@ -45,20 +69,15 @@ fn csr_dijkstra_matches_dense_shortest_paths_on_town_graph() {
         .collect();
     let adjacency = CsrMatrix::symmetric_from_edges(n, &edges).unwrap();
 
-    let topology = set.topology();
-    let dense = topology.shortest_paths(|a, b| set.get(a, b).expect("edge exists"));
-
-    for (src, dense_row) in dense.iter().enumerate() {
+    for src in 0..n {
+        let reference = bellman_ford(n, &edges, src);
         let sparse = dijkstra(&adjacency, src);
-        for (j, entry) in dense_row.iter().enumerate() {
-            match entry {
-                Some(d) => assert!(
-                    (sparse[j] - d).abs() < 1e-9 * (1.0 + d),
-                    "distance {src}->{j}: sparse {} vs dense {d}",
-                    sparse[j]
-                ),
-                None => assert!(sparse[j].is_infinite()),
-            }
+        for (j, (s, r)) in sparse.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                r.to_bits(),
+                "distance {src}->{j}: dijkstra {s} vs bellman-ford {r}"
+            );
         }
     }
 }
@@ -138,12 +157,23 @@ proptest! {
     /// arbitrary sparse graphs and arbitrary (even far-from-plausible)
     /// configurations: same value bits, same gradient bits, same active
     /// constraint count.
+    ///
+    /// One sparse objective is reused along a whole trajectory, so its
+    /// cached Verlet list (2 m skin) is exercised both ways: jiggles under
+    /// half the skin reuse it, jumps past it and a non-finite probe
+    /// rebuild it, and the walk ends back at the start. Every point is
+    /// checked against a fresh dense objective.
     #[test]
     fn lss_objective_backends_agree_bitwise(
         pts in proptest::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 4..10),
         edges in proptest::collection::vec((0usize..10, 0usize..10), 2..18),
         x0 in proptest::collection::vec(-50.0f64..50.0, 20),
         d_min in 3.0f64..12.0,
+        walk in proptest::collection::vec((0usize..10, -1.5f64..1.5, -1.5f64..1.5), 1..12),
+        jiggle in proptest::collection::vec(-0.35f64..0.35, 20),
+        jump in (0usize..10, 2.0f64..15.0),
+        probe in (0usize..20, 0usize..3),
+        approach in (0usize..10, 0usize..10, 0.3f64..0.9),
     ) {
         let n = pts.len();
         let mut set = MeasurementSet::new(n);
@@ -162,19 +192,59 @@ proptest! {
             min_spacing_m: d_min,
             weight: 10.0,
         });
-        let dense = LssObjective::with_backend(&set, soft, SolverBackend::Dense);
-        let sparse = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
         let x: Vec<f64> = x0.iter().take(2 * n).copied().collect();
         prop_assume!(x.len() == 2 * n);
 
-        prop_assert_eq!(dense.value(&x).to_bits(), sparse.value(&x).to_bits());
+        // The trajectory: start, a jiggle of every node (each move under
+        // 0.5 m, so the list is reused), a random walk of single-node
+        // steps that cross the skin at random, one node approaching
+        // another, a jump of one node, a non-finite probe, and the start
+        // again.
+        let mut points = vec![x.clone()];
+        points.push(x.iter().zip(&jiggle).map(|(a, d)| a + d).collect());
+        let mut cur = x.clone();
+        for &(node, dx, dy) in &walk {
+            let node = node % n;
+            cur[node] += dx;
+            cur[n + node] += dy;
+            points.push(cur.clone());
+        }
+        // One node walks straight at another in steps under half the
+        // skin, from far outside d_min to well inside it: the pair must
+        // turn into a violator through reused and rebuilt lists alike.
+        let (a, b) = (approach.0 % n, approach.1 % n);
+        if a != b {
+            for _ in 0..200 {
+                let (dx, dy) = (cur[b] - cur[a], cur[n + b] - cur[n + a]);
+                let gap = dx.hypot(dy);
+                if gap < 0.5 * d_min {
+                    break;
+                }
+                cur[a] += approach.2 * dx / gap;
+                cur[n + a] += approach.2 * dy / gap;
+                points.push(cur.clone());
+            }
+        }
+        let mut jumped = cur.clone();
+        jumped[jump.0 % n] += jump.1;
+        points.push(jumped);
+        let mut wild = x.clone();
+        wild[probe.0 % (2 * n)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][probe.1];
+        points.push(wild);
+        points.push(x.clone());
+
+        let sparse = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
         let mut gd = vec![0.0; 2 * n];
         let mut gs = vec![0.0; 2 * n];
-        dense.gradient(&x, &mut gd);
-        sparse.gradient(&x, &mut gs);
-        for (a, b) in gd.iter().zip(&gs) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        for p in &points {
+            let dense = LssObjective::with_backend(&set, soft, SolverBackend::Dense);
+            prop_assert_eq!(dense.value(p).to_bits(), sparse.value(p).to_bits());
+            dense.gradient(p, &mut gd);
+            sparse.gradient(p, &mut gs);
+            for (a, b) in gd.iter().zip(&gs) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(dense.active_constraints(p), sparse.active_constraints(p));
         }
-        prop_assert_eq!(dense.active_constraints(&x), sparse.active_constraints(&x));
     }
 }
