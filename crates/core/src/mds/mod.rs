@@ -8,12 +8,22 @@
 //! initializer for the LSS descent.
 
 use rl_geom::Point2;
-use rl_math::sparse::{dijkstra_multi_into, eigen as sparse_eigen, CsrMatrix, LinearOperator};
+use rl_math::sparse::{
+    dijkstra_into, eigen as sparse_eigen, CsrMatrix, DijkstraWorkspace, LinearOperator,
+};
 use rl_math::{DMatrix, SymmetricEigen};
+use rl_net::pool;
 use rl_ranging::measurement::MeasurementSet;
 
-use crate::problem::SolverBackend;
+use crate::problem::{pool_workers, SolverBackend};
 use crate::{LocalizationError, Result};
+
+/// Dijkstra sources per pool task in geodesic completion.
+const COMPLETION_BLOCK: usize = 32;
+
+/// Rows of the squared-distance table per pool task in the centered
+/// operator's products.
+const OPERATOR_BLOCK: usize = 64;
 
 /// Classical (Torgerson) MDS: recovers a 2-D configuration from a complete
 /// distance matrix via double centering and eigendecomposition.
@@ -101,7 +111,7 @@ pub fn mdsmap_coordinates(set: &MeasurementSet) -> Result<Vec<Point2>> {
 ///
 /// Both backends complete the distance matrix the same way: per-source
 /// Dijkstra over a CSR adjacency matrix of the measurement graph
-/// ([`dijkstra_multi_into`]). They differ in the eigensolve:
+/// ([`dijkstra_into`]). They differ in the eigensolve:
 ///
 /// * **Dense** eigendecomposes the double-centered matrix with the full
 ///   `O(n^3)` Jacobi solver.
@@ -114,6 +124,13 @@ pub fn mdsmap_coordinates(set: &MeasurementSet) -> Result<Vec<Point2>> {
 /// tolerance (and the usual sign/rotation ambiguity of the degenerate
 /// case); `tests/sparse_parity.rs` asserts parity on a town-scale
 /// scenario.
+///
+/// At `n >= SolverBackend::AUTO_THRESHOLD` nodes the completion's
+/// Dijkstra sources and the sparse eigensolve's operator products run in
+/// blocks on the [`rl_net::pool`] worker pool, sized to the machine's
+/// parallelism; below it they run serially. Every block computes exactly
+/// what the serial loop computes, so the coordinates are bit-identical
+/// for any core count.
 ///
 /// # Errors
 ///
@@ -135,7 +152,7 @@ fn mdsmap_impl(set: &MeasurementSet, backend: SolverBackend) -> Result<(Vec<Poin
             "MDS-MAP needs at least three nodes",
         ));
     }
-    let completed = complete_distances(set)?;
+    let completed = complete_distances(set, pool_workers(n))?;
     if backend.use_sparse(n) {
         return mdsmap_sparse(n, &completed);
     }
@@ -144,11 +161,12 @@ fn mdsmap_impl(set: &MeasurementSet, backend: SolverBackend) -> Result<(Vec<Poin
 }
 
 /// Geodesic completion: the row-major `n x n` table of shortest-path
-/// distances through the measurement graph, by multi-source Dijkstra
-/// over its CSR adjacency matrix — every node a source, one reused heap
-/// across all of them. The table is the one intrinsically quadratic
-/// artifact of MDS-MAP.
-fn complete_distances(set: &MeasurementSet) -> Result<Vec<f64>> {
+/// distances through the measurement graph, one Dijkstra run per source
+/// over its CSR adjacency matrix. The table is the one intrinsically
+/// quadratic artifact of MDS-MAP. On `workers` pool threads, each task
+/// fills one block of [`COMPLETION_BLOCK`] rows in place, reusing one
+/// heap across its sources.
+fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> {
     let n = set.node_count();
     let edges: Vec<(usize, usize, f64)> = set
         .iter()
@@ -156,9 +174,14 @@ fn complete_distances(set: &MeasurementSet) -> Result<Vec<f64>> {
         .collect();
     let adjacency =
         CsrMatrix::symmetric_from_edges(n, &edges).map_err(LocalizationError::Numerical)?;
-    let sources: Vec<usize> = (0..n).collect();
     let mut completed = vec![0.0; n * n];
-    dijkstra_multi_into(&adjacency, &sources, &mut completed);
+    let mut blocks: Vec<&mut [f64]> = completed.chunks_mut(COMPLETION_BLOCK * n).collect();
+    pool::par_for_each_mut(&mut blocks, workers, |b, rows| {
+        let mut ws = DijkstraWorkspace::new();
+        for (k, row) in rows.chunks_exact_mut(n).enumerate() {
+            dijkstra_into(&adjacency, b * COMPLETION_BLOCK + k, row, &mut ws);
+        }
+    });
     if completed.iter().any(|d| !d.is_finite()) {
         return Err(LocalizationError::InsufficientMeasurements(
             "measurement graph is disconnected",
@@ -179,7 +202,7 @@ fn mdsmap_sparse(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
             d2[i * n + j] = d * d;
         }
     }
-    let operator = CenteredOperator::new(n, d2);
+    let operator = CenteredOperator::new(n, d2, pool_workers(n));
     let k = 2.min(n);
     let top = sparse_eigen::topk_symmetric(&operator, k, &sparse_eigen::TopKConfig::default())
         .map_err(LocalizationError::Numerical)?;
@@ -210,6 +233,8 @@ fn mdsmap_sparse(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
 /// application costs a single dense `D² x` product plus `O(n)` work.
 struct CenteredOperator {
     n: usize,
+    /// Pool threads for the blocked products.
+    workers: usize,
     /// Row-major squared symmetrized distances.
     d2: Vec<f64>,
     /// Row means of `d2`.
@@ -219,7 +244,7 @@ struct CenteredOperator {
 }
 
 impl CenteredOperator {
-    fn new(n: usize, d2: Vec<f64>) -> Self {
+    fn new(n: usize, d2: Vec<f64>, workers: usize) -> Self {
         debug_assert_eq!(d2.len(), n * n);
         let mut row_mean = vec![0.0; n];
         let mut total = 0.0;
@@ -230,6 +255,7 @@ impl CenteredOperator {
         }
         CenteredOperator {
             n,
+            workers,
             d2,
             row_mean,
             total_mean: total / (n * n) as f64,
@@ -256,9 +282,11 @@ impl LinearOperator for CenteredOperator {
     /// Blocked application sharing one pass over the `n x n` distance
     /// table for the whole block — the table is the dominant memory
     /// traffic at metro scale, and the subspace-iteration eigensolver
-    /// applies this operator to `k = 2` vectors every step. Each output
-    /// is bit-identical to the single-vector [`Self::apply`] (the
-    /// campaign fingerprints pin the eigensolver path).
+    /// applies this operator to `k = 2` vectors every step. Blocks of
+    /// [`OPERATOR_BLOCK`] rows run on the pool, each output slot written
+    /// by one task. Each output is bit-identical to the single-vector
+    /// [`Self::apply`] (the campaign fingerprints pin the eigensolver
+    /// path).
     fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
         let n = self.n;
         let sums: Vec<(f64, f64)> = xs
@@ -269,13 +297,26 @@ impl LinearOperator for CenteredOperator {
                 (sum_x, mean_dot)
             })
             .collect();
-        for i in 0..n {
-            let row = &self.d2[i * n..(i + 1) * n];
-            for ((x, y), &(sum_x, mean_dot)) in xs.iter().zip(ys.iter_mut()).zip(&sums) {
-                let d2x: f64 = row.iter().zip(x).map(|(a, b)| a * b).sum();
-                y[i] = -0.5 * (d2x - self.row_mean[i] * sum_x - mean_dot + self.total_mean * sum_x);
+        // blocks[b][j]: rows `b * OPERATOR_BLOCK ..` of output vector j.
+        let mut blocks: Vec<Vec<&mut [f64]>> = (0..n.div_ceil(OPERATOR_BLOCK))
+            .map(|_| Vec::with_capacity(ys.len()))
+            .collect();
+        for y in ys.iter_mut() {
+            for (block, rows) in blocks.iter_mut().zip(y.chunks_mut(OPERATOR_BLOCK)) {
+                block.push(rows);
             }
         }
+        pool::par_for_each_mut(&mut blocks, self.workers, |b, block| {
+            for k in 0..block.first().map_or(0, |rows| rows.len()) {
+                let i = b * OPERATOR_BLOCK + k;
+                let row = &self.d2[i * n..(i + 1) * n];
+                for ((x, y), &(sum_x, mean_dot)) in xs.iter().zip(block.iter_mut()).zip(&sums) {
+                    let d2x: f64 = row.iter().zip(x).map(|(a, b)| a * b).sum();
+                    y[k] = -0.5
+                        * (d2x - self.row_mean[i] * sum_x - mean_dot + self.total_mean * sum_x);
+                }
+            }
+        });
     }
 }
 
@@ -283,7 +324,8 @@ impl LinearOperator for CenteredOperator {
 /// completion plus classical MDS, producing a relative-frame solution
 /// with no per-run randomness. The heavy stages run on the configured
 /// [`SolverBackend`] (`Auto` by default: dense Jacobi at paper scale,
-/// CSR Dijkstra + iterative top-2 eigensolver at metro scale).
+/// CSR Dijkstra + iterative top-2 eigensolver at metro scale), pooled
+/// across cores at metro scale as [`mdsmap_coordinates_with`] describes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MdsMapLocalizer {
     backend: SolverBackend,
@@ -414,6 +456,68 @@ mod tests {
     fn mdsmap_rejects_tiny_networks() {
         let set = MeasurementSet::new(2);
         assert!(mdsmap_coordinates(&set).is_err());
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn completion_is_bit_identical_for_any_worker_count() {
+        // Not a multiple of the block: the last block is short.
+        let n = 2 * COMPLETION_BLOCK + 7;
+        let truth: Vec<Point2> = (0..n)
+            .map(|i| {
+                Point2::new(
+                    (i % 9) as f64 * 8.0 + (i % 5) as f64 * 0.3,
+                    (i / 9) as f64 * 8.0,
+                )
+            })
+            .collect();
+        let set = MeasurementSet::oracle(&truth, 12.0);
+        let reference = complete_distances(&set, 1).unwrap();
+        assert_eq!(reference.len(), n * n);
+        for workers in [2, 3] {
+            let pooled = complete_distances(&set, workers).unwrap();
+            assert_eq!(bits(&pooled), bits(&reference), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn operator_products_are_bit_identical_for_any_worker_count() {
+        use rand::Rng;
+        let n = 2 * OPERATOR_BLOCK + 9;
+        let mut rng = rl_math::rng::seeded(21);
+        let mut d2 = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..i {
+                let v = 100.0 * rng.random::<f64>();
+                d2[i * n + j] = v;
+                d2[j * n + i] = v;
+            }
+        }
+        let xs: Vec<Vec<f64>> = (0..2)
+            .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
+            .collect();
+        let products = |workers: usize| {
+            let operator = CenteredOperator::new(n, d2.clone(), workers);
+            let mut ys = vec![vec![0.0; n]; xs.len()];
+            operator.apply_multi(&xs, &mut ys);
+            ys
+        };
+        let reference = products(1);
+        // The blocked product matches the single-vector one bit for bit.
+        let single = CenteredOperator::new(n, d2.clone(), 1);
+        for (x, y) in xs.iter().zip(&reference) {
+            let mut alone = vec![0.0; n];
+            single.apply(x, &mut alone);
+            assert_eq!(bits(&alone), bits(y));
+        }
+        for workers in [2, 3] {
+            for (pooled, serial) in products(workers).iter().zip(&reference) {
+                assert_eq!(bits(pooled), bits(serial), "workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -22,10 +22,11 @@ pub use consistency::{IntersectionConsistency, RangeToAnchor};
 
 use rand::Rng;
 use rl_geom::Point2;
-use rl_math::gradient::{minimize, DescentConfig, Objective};
-use rl_net::NodeId;
+use rl_math::gradient::{descend, DescentConfig, Objective};
+use rl_net::{pool, NodeId};
 use rl_ranging::measurement::MeasurementSet;
 
+use crate::problem::pool_workers;
 use crate::types::{Anchor, PositionMap};
 use crate::{LocalizationError, Result};
 
@@ -159,6 +160,15 @@ pub fn mean_anchors_available(measurements: &MeasurementSet, anchors: &[Anchor])
 }
 
 /// The multilateration solver.
+///
+/// Runs in rounds: one round in plain mode, and in progressive mode until
+/// a round localizes nobody. Each round computes every pending node's fix
+/// from that node's own ranges to the anchor table as it stood at the
+/// start of the round, then applies the fixes in index order (promoting
+/// them to anchors in progressive mode). The fixes draw no randomness, so
+/// at `n >= SolverBackend::AUTO_THRESHOLD` nodes they run on the
+/// [`rl_net::pool`] worker pool with bit-identical results; below that
+/// they run serially on the calling thread.
 #[derive(Debug, Clone)]
 pub struct MultilaterationSolver {
     config: MultilaterationConfig,
@@ -214,6 +224,12 @@ impl MultilaterationSolver {
     ///
     /// Anchors appear in the output at their known positions.
     ///
+    /// Multilateration consumes no randomness: `_rng` is accepted for
+    /// signature parity with the other solvers and is never drawn, so a
+    /// caller's stream is left exactly where it was. The rounds may run
+    /// on the worker pool (see [`MultilaterationSolver`]); the output is
+    /// bit-identical for any core count.
+    ///
     /// # Errors
     ///
     /// * [`LocalizationError::TooFewAnchors`] with fewer than
@@ -223,7 +239,21 @@ impl MultilaterationSolver {
         &self,
         measurements: &MeasurementSet,
         anchors: &[Anchor],
-        rng: &mut R,
+        _rng: &mut R,
+    ) -> Result<MultilaterationOutcome> {
+        self.solve_on(
+            measurements,
+            anchors,
+            pool_workers(measurements.node_count()),
+        )
+    }
+
+    /// [`Self::solve`] with each round's fixes on `workers` pool threads.
+    fn solve_on(
+        &self,
+        measurements: &MeasurementSet,
+        anchors: &[Anchor],
+        workers: usize,
     ) -> Result<MultilaterationOutcome> {
         let n = measurements.node_count();
         if anchors.len() < self.config.min_anchors {
@@ -253,50 +283,25 @@ impl MultilaterationSolver {
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            let mut newly_localized = Vec::new();
-            for i in 0..n {
-                if anchor_table[i].is_some() || positions.is_localized(NodeId(i)) {
-                    continue;
+            let fixes = pool::par_map_indexed(n, workers, |i| {
+                if positions.is_localized(NodeId(i)) {
+                    (0, None)
+                } else {
+                    self.fix(measurements, &anchor_table, NodeId(i))
                 }
-                let observations: Vec<RangeToAnchor> = measurements
-                    .neighbors_of(NodeId(i))
-                    .into_iter()
-                    .filter_map(|(j, d)| {
-                        anchor_table[j.index()].map(|(pos, w)| RangeToAnchor {
-                            anchor: pos,
-                            distance: d,
-                            weight: w,
-                        })
-                    })
-                    .collect();
-                if observations.len() < self.config.min_anchors {
-                    continue;
-                }
-                let filtered: Vec<RangeToAnchor> = match &self.config.consistency {
-                    Some(check) => {
-                        let kept = check.filter(&observations);
-                        anchors_dropped += observations.len() - kept.len();
-                        kept.into_iter().map(|k| observations[k]).collect()
+            });
+            let mut localized_any = false;
+            for (i, (dropped, fix)) in fixes.into_iter().enumerate() {
+                anchors_dropped += dropped;
+                if let Some(p) = fix {
+                    localized_any = true;
+                    positions.set(NodeId(i), p);
+                    if self.config.progressive {
+                        anchor_table[i] = Some((p, self.config.progressive_weight));
                     }
-                    None => observations,
-                };
-                if filtered.len() < self.config.min_anchors {
-                    continue;
-                }
-                if let Some(estimate) = self.estimate(&filtered, rng) {
-                    newly_localized.push((NodeId(i), estimate));
                 }
             }
-            if newly_localized.is_empty() {
-                break;
-            }
-            for (id, p) in &newly_localized {
-                positions.set(*id, *p);
-                if self.config.progressive {
-                    anchor_table[id.index()] = Some((*p, self.config.progressive_weight));
-                }
-            }
-            if !self.config.progressive {
+            if !localized_any || !self.config.progressive {
                 break;
             }
         }
@@ -307,6 +312,45 @@ impl MultilaterationSolver {
             anchors_dropped,
             rounds,
         })
+    }
+
+    /// One node's fix from the ranges it holds to the anchors in
+    /// `anchor_table`: `(anchors the consistency check dropped, estimate)`.
+    /// Pure in its inputs, so a round's fixes may run in any order.
+    fn fix(
+        &self,
+        measurements: &MeasurementSet,
+        anchor_table: &[Option<(Point2, f64)>],
+        node: NodeId,
+    ) -> (usize, Option<Point2>) {
+        let observations: Vec<RangeToAnchor> = measurements
+            .neighbors_of(node)
+            .into_iter()
+            .filter_map(|(j, d)| {
+                anchor_table[j.index()].map(|(pos, w)| RangeToAnchor {
+                    anchor: pos,
+                    distance: d,
+                    weight: w,
+                })
+            })
+            .collect();
+        if observations.len() < self.config.min_anchors {
+            return (0, None);
+        }
+        let (dropped, filtered): (usize, Vec<RangeToAnchor>) = match &self.config.consistency {
+            Some(check) => {
+                let kept = check.filter(&observations);
+                (
+                    observations.len() - kept.len(),
+                    kept.into_iter().map(|k| observations[k]).collect(),
+                )
+            }
+            None => (0, observations),
+        };
+        if filtered.len() < self.config.min_anchors {
+            return (dropped, None);
+        }
+        (dropped, self.estimate(&filtered))
     }
 
     /// Unified-trait entry point; see [`MultilaterationSolver::solve`] for
@@ -336,11 +380,7 @@ impl MultilaterationSolver {
         ))
     }
 
-    fn estimate<R: Rng + ?Sized>(
-        &self,
-        observations: &[RangeToAnchor],
-        rng: &mut R,
-    ) -> Option<Point2> {
+    fn estimate(&self, observations: &[RangeToAnchor]) -> Option<Point2> {
         match &self.config.estimator {
             Estimator::LeastSquares(descent) => {
                 // Multistart descent: the anchor centroid plus a ring of
@@ -355,10 +395,6 @@ impl MultilaterationSolver {
                     .fold(0.0f64, f64::max)
                     .max(1.0);
                 let objective = NodeObjective { observations };
-                let per_run = DescentConfig {
-                    restarts: 0,
-                    ..descent.clone()
-                };
                 let mut minima: Vec<(Point2, f64)> = Vec::new();
                 for k in 0..6 {
                     let start = if k == 0 {
@@ -367,7 +403,7 @@ impl MultilaterationSolver {
                         let angle = core::f64::consts::TAU * (k - 1) as f64 / 5.0;
                         centroid + rl_geom::Vec2::new(angle.cos(), angle.sin()) * spread
                     };
-                    let outcome = minimize(&objective, &[start.x, start.y], &per_run, rng);
+                    let outcome = descend(&objective, &[start.x, start.y], descent);
                     let p = Point2::new(outcome.x[0], outcome.x[1]);
                     if p.is_finite() {
                         minima.push((p, outcome.value));
@@ -620,6 +656,61 @@ mod tests {
             solver.solve(&set, &bad, &mut rng),
             Err(LocalizationError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn rounds_are_bit_identical_for_any_worker_count() {
+        use rand::Rng;
+        let n = 67;
+        let mut rng = seeded(12);
+        let truth: Vec<Point2> = (0..n)
+            .map(|_| Point2::new(60.0 * rng.random::<f64>(), 60.0 * rng.random::<f64>()))
+            .collect();
+        let mut set = MeasurementSet::new(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = truth[i].distance(truth[j]);
+                if d < 25.0 {
+                    let noisy = (d + rl_math::rng::normal(&mut rng, 0.0, 0.5)).max(0.1);
+                    set.insert(NodeId(i), NodeId(j), noisy);
+                }
+            }
+        }
+        // Gross outliers give the consistency check something to drop.
+        for i in (1..n).step_by(7) {
+            if let Some(d) = set.get(NodeId(i), NodeId(0)) {
+                set.insert(NodeId(i), NodeId(0), d + 15.0);
+            }
+        }
+        let anchors: Vec<Anchor> = (0..n)
+            .step_by(6)
+            .map(|i| Anchor::new(NodeId(i), truth[i]))
+            .collect();
+        for config in [
+            MultilaterationConfig::paper(),
+            MultilaterationConfig::paper().progressive(),
+            MultilaterationConfig::paper()
+                .with_consistency(false)
+                .progressive(),
+        ] {
+            let solver = MultilaterationSolver::new(config);
+            let reference = solver.solve_on(&set, &anchors, 1).unwrap();
+            assert!(reference.positions.localized_count() > anchors.len());
+            // The fixture exercises promotion rounds and dropped ranges.
+            assert!(!solver.config.progressive || reference.rounds > 1);
+            assert!(solver.config.consistency.is_none() || reference.anchors_dropped > 0);
+            let bits = |map: &PositionMap| -> Vec<Option<(u64, u64)>> {
+                (0..map.len())
+                    .map(|i| map.get(NodeId(i)).map(|p| (p.x.to_bits(), p.y.to_bits())))
+                    .collect()
+            };
+            for workers in [2, 3] {
+                let pooled = solver.solve_on(&set, &anchors, workers).unwrap();
+                assert_eq!(bits(&pooled.positions), bits(&reference.positions));
+                assert_eq!(pooled.anchors_dropped, reference.anchors_dropped);
+                assert_eq!(pooled.rounds, reference.rounds);
+            }
+        }
     }
 
     #[test]

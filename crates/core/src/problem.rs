@@ -100,6 +100,21 @@ impl SolverBackend {
     }
 }
 
+/// Worker count for the loops that shard on [`rl_net::pool`] (MDS-MAP's
+/// completion and operator products, multilateration's per-node fixes):
+/// `0`, the machine's parallelism, at sparse scale
+/// (`n >= SolverBackend::AUTO_THRESHOLD`), and `1`, inline on the calling
+/// thread, below it. Paper-scale solves and distributed LSS's local maps
+/// therefore never spawn threads. The outputs are bit-identical either
+/// way.
+pub(crate) fn pool_workers(n: usize) -> usize {
+    if n >= SolverBackend::AUTO_THRESHOLD {
+        0
+    } else {
+        1
+    }
+}
+
 /// The coordinate frame a solution's positions are expressed in. Decides
 /// how [`Problem::evaluate`] compares them with ground truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -130,98 +130,115 @@ pub fn minimize<O: Objective, R: Rng + ?Sized>(
     cfg: &DescentConfig,
     rng: &mut R,
 ) -> DescentOutcome {
+    assert!(cfg.perturbation > 0.0, "perturbation must be positive");
+    let mut best = descend(objective, x0, cfg);
+    let mut gauss = crate::rng::GaussianSampler::new();
+    for _ in 0..cfg.restarts {
+        // Seed: the best configuration so far, perturbed.
+        let start: Vec<f64> = best
+            .x
+            .iter()
+            .map(|&v| v + gauss.sample_with(rng, 0.0, cfg.perturbation))
+            .collect();
+        let round = descend(objective, &start, cfg);
+        best.iterations += round.iterations;
+        best.converged |= round.converged;
+        if let (Some(t), Some(r)) = (best.trace.as_mut(), round.trace) {
+            t.round_starts.push(t.values.len());
+            t.values.extend(r.values);
+        }
+        if round.value < best.value {
+            best.x = round.x;
+            best.value = round.value;
+        }
+    }
+    best
+}
+
+/// One round of [`minimize`]'s descent from `x0`, with no restarts.
+///
+/// Draws no randomness — `cfg.restarts` and `cfg.perturbation` are
+/// ignored — and returns exactly what [`minimize`] returns for
+/// `cfg.restarts == 0`, so callers that never restart need no generator.
+///
+/// # Panics
+///
+/// Panics if `x0.len() != objective.dim()` or the config's `step_size`
+/// or `max_iterations` are non-positive/zero.
+pub fn descend<O: Objective>(objective: &O, x0: &[f64], cfg: &DescentConfig) -> DescentOutcome {
     let n = objective.dim();
     assert_eq!(x0.len(), n, "x0 has wrong dimension");
     assert!(cfg.step_size > 0.0, "step_size must be positive");
-    assert!(cfg.perturbation > 0.0, "perturbation must be positive");
     assert!(cfg.max_iterations > 0, "max_iterations must be nonzero");
 
-    let mut best_x = x0.to_vec();
-    let mut best_value = objective.value(x0);
-    let mut trace = cfg.record_trace.then(DescentTrace::default);
-    let mut total_iterations = 0usize;
+    let mut trace = cfg.record_trace.then(|| DescentTrace {
+        values: Vec::new(),
+        round_starts: vec![0],
+    });
+    let mut iterations = 0usize;
     let mut converged = false;
 
-    let mut gauss = crate::rng::GaussianSampler::new();
+    let mut x = x0.to_vec();
+    let mut value = objective.value(&x);
+    let mut alpha = cfg.step_size;
+    let mut grad = vec![0.0; n];
+    let mut candidate = vec![0.0; n];
+    let mut stall = 0usize;
 
-    for round in 0..=cfg.restarts {
-        // Seed: x0 on the first round, perturbed best thereafter.
-        let mut x = if round == 0 {
-            x0.to_vec()
-        } else {
-            best_x
-                .iter()
-                .map(|&v| v + gauss.sample_with(rng, 0.0, cfg.perturbation))
-                .collect()
-        };
-        if let Some(t) = trace.as_mut() {
-            t.round_starts.push(t.values.len());
+    for _ in 0..cfg.max_iterations {
+        objective.gradient(&x, &mut grad);
+        let gnorm_sq: f64 = grad.iter().map(|g| g * g).sum();
+        if gnorm_sq == 0.0 || !gnorm_sq.is_finite() {
+            converged = gnorm_sq == 0.0;
+            break;
         }
 
-        let mut value = objective.value(&x);
-        let mut alpha = cfg.step_size;
-        let mut grad = vec![0.0; n];
-        let mut candidate = vec![0.0; n];
-        let mut stall = 0usize;
-
-        for _ in 0..cfg.max_iterations {
-            objective.gradient(&x, &mut grad);
-            let gnorm_sq: f64 = grad.iter().map(|g| g * g).sum();
-            if gnorm_sq == 0.0 || !gnorm_sq.is_finite() {
-                converged = gnorm_sq == 0.0 || converged;
+        // Backtracking: shrink alpha until the step improves E.
+        let mut accepted = false;
+        for _ in 0..30 {
+            for i in 0..n {
+                candidate[i] = x[i] - alpha * grad[i];
+            }
+            let cand_value = objective.value(&candidate);
+            if cand_value.is_finite() && cand_value < value {
+                let improvement = (value - cand_value) / value.abs().max(1.0);
+                core::mem::swap(&mut x, &mut candidate);
+                value = cand_value;
+                alpha *= 1.05;
+                accepted = true;
+                iterations += 1;
+                if let Some(t) = trace.as_mut() {
+                    t.values.push(value);
+                }
+                if improvement < cfg.tolerance {
+                    stall += 1;
+                } else {
+                    stall = 0;
+                }
                 break;
             }
-
-            // Backtracking: shrink alpha until the step improves E.
-            let mut accepted = false;
-            for _ in 0..30 {
-                for i in 0..n {
-                    candidate[i] = x[i] - alpha * grad[i];
-                }
-                let cand_value = objective.value(&candidate);
-                if cand_value.is_finite() && cand_value < value {
-                    let improvement = (value - cand_value) / value.abs().max(1.0);
-                    core::mem::swap(&mut x, &mut candidate);
-                    value = cand_value;
-                    alpha *= 1.05;
-                    accepted = true;
-                    total_iterations += 1;
-                    if let Some(t) = trace.as_mut() {
-                        t.values.push(value);
-                    }
-                    if improvement < cfg.tolerance {
-                        stall += 1;
-                    } else {
-                        stall = 0;
-                    }
-                    break;
-                }
-                alpha *= 0.5;
-                if alpha < 1e-300 {
-                    break;
-                }
-            }
-            if !accepted {
-                // Gradient step cannot improve: local minimum at this scale.
-                converged = true;
-                break;
-            }
-            if stall >= cfg.patience {
-                converged = true;
+            alpha *= 0.5;
+            if alpha < 1e-300 {
                 break;
             }
         }
-
-        if value < best_value {
-            best_value = value;
-            best_x = x;
+        if !accepted {
+            // Gradient step cannot improve: local minimum at this scale.
+            converged = true;
+            break;
+        }
+        if stall >= cfg.patience {
+            converged = true;
+            break;
         }
     }
 
+    // Steps are accepted only when they lower E, so the round's last
+    // point is its best one (x0 itself when no step was accepted).
     DescentOutcome {
-        x: best_x,
-        value: best_value,
-        iterations: total_iterations,
+        x,
+        value,
+        iterations,
         converged,
         trace,
     }
@@ -361,6 +378,32 @@ mod tests {
             ..DescentConfig::default()
         };
         let _ = minimize(&Bowl, &[0.0, 0.0], &cfg, &mut rng);
+    }
+
+    /// `descend` is `minimize` without restarts, bit for bit, and never
+    /// needs a generator.
+    #[test]
+    fn descend_is_minimize_without_restarts() {
+        let cfg = DescentConfig {
+            record_trace: true,
+            ..DescentConfig::default()
+        };
+        let with_rng = minimize(
+            &AnisotropicBowl,
+            &[3.0, -2.0, 1.0, 9.0],
+            &cfg,
+            &mut seeded(9),
+        );
+        let without = descend(&AnisotropicBowl, &[3.0, -2.0, 1.0, 9.0], &cfg);
+        assert_eq!(with_rng.value.to_bits(), without.value.to_bits());
+        assert!(with_rng
+            .x
+            .iter()
+            .zip(&without.x)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(with_rng.iterations, without.iterations);
+        assert_eq!(with_rng.converged, without.converged);
+        assert_eq!(with_rng.trace, without.trace);
     }
 
     #[test]

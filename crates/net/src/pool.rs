@@ -1,22 +1,35 @@
 //! A deterministic worker pool for per-node computation phases.
 //!
-//! Protocols simulated on [`crate::Simulator`] often have a *computation*
-//! phase before any message is exchanged — in distributed LSS every node
-//! solves its own local map, which at metro scale dominates the whole
-//! protocol's wall time. Those per-node computations are embarrassingly
-//! parallel (each node only reads shared inputs), so this module shards
-//! them across `std::thread` workers (the `rl-bench` campaign runner
-//! shards its grid on the same pool), under one contract:
+//! Many phases are loops whose iterations only read shared inputs, so
+//! this module shards them across `std::thread` workers. Its consumers:
+//!
+//! * distributed LSS's local phase, where every node solves its own
+//!   local map before any message is exchanged on [`crate::Simulator`];
+//! * the `rl-bench` campaign runner, which shards its grid of cells;
+//! * MDS-MAP in `rl_core::mds`: geodesic completion (blocks of Dijkstra
+//!   sources written in place into the one `n x n` table) and the
+//!   eigensolve's double-centered operator products (blocks of rows).
+//!   Centralized LSS inherits both through its MDS-MAP seed;
+//! * `rl_core::multilateration`: one fix per node per round, which
+//!   DV-hop inherits through its multilateration phase.
+//!
+//! The `rl_core` consumers ask for the machine's parallelism only at
+//! sparse scale (`n >= SolverBackend::AUTO_THRESHOLD`, 100 nodes) and run
+//! serially below it, so paper-scale solves stay on one thread and the
+//! distributed local maps (all under 100 nodes) never spawn threads
+//! inside the distributed pool's own workers.
+//!
+//! Every consumer relies on one contract:
 //!
 //! **The output is bit-identical for any worker count.** [`par_map_indexed`]
-//! requires `f(i)` to be a pure function of the index `i` and the captured
-//! (shared, immutable) inputs — any randomness must come from a stream
-//! derived from `i`, never from a generator shared across calls — and it
-//! returns results in index order regardless of which worker computed
-//! what. This is clause 5 of the `rl_math::rng` seeding contract applied
-//! to the simulator's setup phase.
+//! and [`par_for_each_mut`] require `f(i, …)` to be a pure function of
+//! the index `i` and the captured (shared, immutable) inputs — any
+//! randomness must come from a stream derived from `i`, never from a
+//! generator shared across calls — and they place results by index
+//! regardless of which worker computed what. This is clause 5 of the
+//! `rl_math::rng` seeding contract.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a requested worker count: `0` means "the machine's available
 /// parallelism", and the pool is never larger than the number of items.
@@ -57,38 +70,64 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = resolve_workers(workers, n);
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    par_for_each_mut(&mut slots, workers, |i, slot| *slot = Some(f(i)));
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every slot is filled"))
+        .collect()
+}
+
+/// Calls `f(i, &mut items[i])` for every item on a pool of `workers`
+/// threads (resolved by [`resolve_workers`]).
+///
+/// Each call owns one item exclusively, so a caller can hand out
+/// disjoint `&mut` slices of one preallocated buffer (blocks of rows of
+/// a table, say) and let every worker write its results in place. Under
+/// the same contract as [`par_map_indexed`] — `f(i, item)` depends only
+/// on `i`, the item and immutable captured state — the items end up
+/// **bit-identical for any worker count**; `workers == 1` runs inline.
+///
+/// # Panics
+///
+/// Propagates panics from `f` (the pool joins all workers first).
+///
+/// # Example
+///
+/// ```
+/// use rl_net::pool::par_for_each_mut;
+///
+/// let mut table = vec![0u64; 10];
+/// let mut rows: Vec<&mut [u64]> = table.chunks_mut(3).collect();
+/// par_for_each_mut(&mut rows, 2, |block, row| row.fill(block as u64));
+/// assert_eq!(table, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+/// ```
+pub fn par_for_each_mut<T, F>(items: &mut [T], workers: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let workers = resolve_workers(workers, items.len());
+    if workers <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
     }
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pool worker panicked"))
-            .collect()
+    // Scheduling decides only who computes which item; every item is
+    // written by exactly one call, so the outcome is schedule-independent.
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let next = queue.lock().expect("pool queue poisoned").next();
+                match next {
+                    Some((i, item)) => f(i, item),
+                    None => break,
+                }
+            });
+        }
     });
-    // Scheduling decided only who computed what; index order is restored
-    // here so the output is schedule-independent.
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, v)| v).collect()
 }
 
 #[cfg(test)]
@@ -121,6 +160,26 @@ mod tests {
         };
         let reference = run(1);
         for workers in [2, 4, 8] {
+            assert_eq!(run(workers), reference, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn for_each_mut_fills_disjoint_blocks_for_any_worker_count() {
+        // 10 rows in blocks of 3: the last block is short.
+        let run = |workers: usize| -> Vec<u64> {
+            let mut table = vec![0u64; 10 * 4];
+            let mut blocks: Vec<&mut [u64]> = table.chunks_mut(3 * 4).collect();
+            par_for_each_mut(&mut blocks, workers, |b, block| {
+                for (k, v) in block.iter_mut().enumerate() {
+                    *v = (b * 3 * 4 + k) as u64 * 7;
+                }
+            });
+            table
+        };
+        let reference = run(1);
+        assert_eq!(reference, (0..40).map(|k| k * 7).collect::<Vec<u64>>());
+        for workers in [2, 3, 8] {
             assert_eq!(run(workers), reference, "workers={workers}");
         }
     }

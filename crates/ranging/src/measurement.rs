@@ -15,6 +15,12 @@ use rl_net::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Largest node count a measurement set read from the wire may declare
+/// (the session protocol's universe cap, too). Bounds allocation before
+/// any validation has run; far above every preset (metro-2500) and far
+/// below anything that could balloon memory.
+pub const MAX_UNIVERSE: u64 = 100_000;
+
 /// One raw directed ranging sample: node `from` emitted the chirp train,
 /// node `to` measured `measured_m`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,10 +114,17 @@ impl Serialize for MeasurementSet {
 }
 
 impl Deserialize for MeasurementSet {
-    /// Rejects an invalid edge with an error rather than a panic: the
-    /// input may be untrusted.
+    /// Rejects a node count above [`MAX_UNIVERSE`] before allocating
+    /// anything for it, and an invalid edge with an error rather than a
+    /// panic: the input may be untrusted.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let repr = MeasurementSetRepr::from_value(value)?;
+        if repr.n as u64 > MAX_UNIVERSE {
+            return Err(serde::Error::custom(format!(
+                "node count {} exceeds the {MAX_UNIVERSE}-node limit",
+                repr.n
+            )));
+        }
         let mut set = MeasurementSet::new(repr.n);
         for (a, b, d, w) in repr.edges {
             set.try_insert_weighted(NodeId(a), NodeId(b), d, w)
@@ -472,6 +485,18 @@ mod tests {
                 "{json} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn deserializing_a_huge_node_count_is_rejected_before_allocating() {
+        // Accepted, this would build 10^15 adjacency sets; the cap must
+        // reject it without touching the allocator.
+        let json = r#"{"n":1000000000000000,"edges":[]}"#;
+        let err = serde_json::from_str::<MeasurementSet>(json).unwrap_err();
+        assert!(err.to_string().contains("node limit"), "{err}");
+        let at_cap = format!(r#"{{"n":{MAX_UNIVERSE},"edges":[]}}"#);
+        let set: MeasurementSet = serde_json::from_str(&at_cap).unwrap();
+        assert_eq!(set.node_count() as u64, MAX_UNIVERSE);
     }
 
     #[test]

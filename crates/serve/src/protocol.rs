@@ -331,11 +331,9 @@ pub mod stream {
 
     use super::{ErrorCode, WireError};
 
-    /// Largest node universe a pushed observation may declare. Bounds
-    /// server-side allocation before any validation has run; far above
-    /// every preset (metro-2500) and far below anything that could
-    /// balloon memory.
-    pub const MAX_UNIVERSE: u64 = 100_000;
+    /// Largest node universe a pushed observation may declare: the same
+    /// cap a measurement set read from the wire is held to.
+    pub use rl_ranging::measurement::MAX_UNIVERSE;
 
     /// A session-scoped client-to-server message.
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

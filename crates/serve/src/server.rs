@@ -607,7 +607,8 @@ impl Server {
 
     /// Serves connections until a [`batch::Request::Shutdown`] arrives,
     /// then drains in-flight jobs, joins workers and connection
-    /// handlers, and returns.
+    /// handlers, and returns. Handlers of closed connections are joined
+    /// as each new connection is accepted.
     ///
     /// # Errors
     ///
@@ -621,6 +622,7 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
+                    reap_finished(&mut handlers);
                     let shared = Arc::clone(&self.shared);
                     handlers.push(std::thread::spawn(move || {
                         handle_connection(stream, &shared)
@@ -1213,9 +1215,40 @@ fn send_response(stream: &mut TcpStream, shared: &Shared, response: &Response) -
     protocol::send(stream, response, usize::MAX).is_ok()
 }
 
+/// Joins and drops the handles of connection threads that have already
+/// exited, so a long-running server holds one handle (and its thread's
+/// stack reservation) per open connection, not per connection ever
+/// accepted.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    for finished in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = finished.join();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reaping_joins_exited_handlers_and_keeps_running_ones() {
+        let (release, parked) = mpsc::channel::<()>();
+        let mut handlers: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        handlers.push(std::thread::spawn(move || {
+            let _ = parked.recv();
+        }));
+        while !handlers[..3].iter().all(JoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the parked handler is left");
+        assert!(!handlers[0].is_finished());
+        release.send(()).expect("parked thread listens");
+        handlers
+            .pop()
+            .expect("one handler")
+            .join()
+            .expect("exits cleanly");
+    }
 
     #[test]
     fn solver_registry_resolves_every_listed_name() {

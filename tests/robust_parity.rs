@@ -19,7 +19,10 @@
 //!
 //! One more pin covers the distributed pipeline under
 //! `TransformGuards::permissive()`, where receivers filter neighbour maps
-//! by the looser three-shared-node guard.
+//! by the looser three-shared-node guard. Four more hold the metro-250
+//! registry solvers whose per-node loops run on the worker pool at that
+//! size (MDS-MAP, DV-hop and both multilateration modes), captured from
+//! the serial loops.
 //!
 //! Golden values are fingerprints of the vendored xoshiro256++ stream's
 //! output and are not portable to upstream `rand`.
@@ -64,6 +67,13 @@ const GOLDEN_REFINE_PLAIN: u64 = 0x28f22f44c92ce6a4;
 const GOLDEN_REFINE_CAUCHY: u64 = 0x2c2c86a17396012c;
 const GOLDEN_METRO250_LSS: u64 = 0xe77c6753996835f0;
 const GOLDEN_METRO250_DIST: u64 = 0x328a47167b8ce9b4;
+/// Metro-250 registry solvers whose per-node loops shard on the worker
+/// pool at this size (`n >= SolverBackend::AUTO_THRESHOLD`), captured
+/// from the serial loops before they were pooled.
+const GOLDEN_METRO250_MDSMAP: u64 = 0x1e92c18ae41afb2d;
+const GOLDEN_METRO250_DVHOP: u64 = 0x89597e8b0a7fd5c1;
+const GOLDEN_METRO250_MULTILAT: u64 = 0x4360c1e6bc9f7905;
+const GOLDEN_METRO250_MULTILAT_PROGRESSIVE: u64 = 0xd00de685c44c63bf;
 /// Town distributed LSS under the paper's unguarded transforms, captured
 /// before receivers began discarding maps too small to align.
 const GOLDEN_TOWN_DIST_PERMISSIVE: u64 = 0x0dd67642d7372e52;
@@ -156,6 +166,34 @@ fn metro250_lss_matches_prerefactor_bits() {
         GOLDEN_METRO250_LSS,
         "metro-250 centralized LSS drifted"
     );
+}
+
+/// Metro-250 MDS-MAP (geodesic completion and the eigensolve's operator
+/// products), DV-hop and both multilateration modes run their per-node
+/// loops on the worker pool; the bits must match the serial loops.
+#[test]
+fn metro250_pooled_families_match_serial_bits() {
+    let problem = rl_deploy::Scenario::metro_sized(250, 0.10, 5).instantiate(5);
+    for (name, golden) in [
+        ("mds-map", GOLDEN_METRO250_MDSMAP),
+        ("dv-hop", GOLDEN_METRO250_DVHOP),
+        ("multilateration", GOLDEN_METRO250_MULTILAT),
+        (
+            "multilateration-progressive",
+            GOLDEN_METRO250_MULTILAT_PROGRESSIVE,
+        ),
+    ] {
+        let mut rng = rl_math::rng::seeded(202);
+        let sol = rl_serve::server::make_solver(name)
+            .expect("registry solver")
+            .localize(&problem, &mut rng)
+            .expect("metro-250 solvable");
+        assert_eq!(
+            position_fingerprint(sol.positions()),
+            golden,
+            "metro-250 {name} drifted"
+        );
+    }
 }
 
 /// Metro-250 distributed LSS — local solves, alignment flood, and the
