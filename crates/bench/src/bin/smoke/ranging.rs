@@ -1,0 +1,165 @@
+//! The ranging suite: the signal and ranging chain timed per call, plus
+//! the two Section-4 estimator variants that no solver preset runs.
+//!
+//! Every cell loops its kernel for at least [`crate::MIN_LOOP`] and
+//! gates the mean time of one call. Each budget is about 3x the slowest
+//! mean read over 16 runs on a 2-core x86-64 box.
+
+use std::hint::black_box;
+
+use crate::{mean_call, us};
+use rl_bench::gate::Suite;
+use rl_bench::MASTER_SEED;
+use rl_core::distributed::{estimate_transform, LocalMap, TransformGuards, TransformMethod};
+use rl_core::multilateration::{IntersectionConsistency, RangeToAnchor};
+use rl_geom::{Point2, RigidTransform, Vec2};
+use rl_math::gradient::DescentConfig;
+use rl_net::NodeId;
+use rl_ranging::consistency::{merge_bidirectional, ConsistencyConfig};
+use rl_ranging::filter::StatFilter;
+use rl_ranging::service::{RangingService, ServiceConfig};
+use rl_signal::chirp::ChirpTrainConfig;
+use rl_signal::detection::{detect_signal, record_signal, DetectionParams};
+use rl_signal::detector::ReceptionSimulator;
+use rl_signal::dft::{Band, XsmFilter, XsmToneDetector};
+use rl_signal::env::Environment;
+use rl_signal::waveform::WaveformSpec;
+
+/// Per-call budgets in microseconds.
+const XSM_FILTER_US: f64 = 36.0;
+const TONE_DETECT_US: f64 = 115.0;
+const RECORD_SIGNAL_US: f64 = 4.2;
+const DETECT_SIGNAL_US: f64 = 5.7;
+const RECEPTION_US: f64 = 290.0;
+const GRASS_CAMPAIGN_US: f64 = 112_000.0;
+const MEDIAN_FILTER_US: f64 = 58.0;
+const MERGE_US: f64 = 13.0;
+const MODE_OF_INTERSECTIONS_US: f64 = 40.0;
+const TRANSFORM_MINIMIZATION_US: f64 = 1_380.0;
+
+/// The sliding-DFT filter and tone detector on the Figure-10 waveform,
+/// one chirp-train reception at 12 m on grass with the Figure-3
+/// record/detect routines on its buffer, a 3x3 grass ranging campaign
+/// with its median filter and bidirectional merge, the
+/// mode-of-intersections estimator, and the minimization transform
+/// between two local maps.
+pub fn ranging(suite: &mut Suite) {
+    let mut rng = rl_math::rng::seeded(MASTER_SEED);
+
+    let wave = WaveformSpec::figure10_noisy().synthesize(&mut rng);
+    let filter = mean_call(|| {
+        let mut f = XsmFilter::new();
+        let acc: f64 = wave.iter().map(|&s| f.filter(black_box(s)).quarter).sum();
+        black_box(acc);
+    });
+    suite.at_most("xsm-filter-us", us(filter), XSM_FILTER_US);
+    let tone = mean_call(|| {
+        black_box(XsmToneDetector::new(Band::Quarter).detect_chirps(&wave, 24));
+    });
+    suite.at_most("tone-detect-us", us(tone), TONE_DETECT_US);
+
+    let sim = ReceptionSimulator::new(Environment::Grass.profile(), ChirpTrainConfig::paper());
+    let reception = mean_call(|| {
+        black_box(sim.receive(black_box(12.0), &mut rng));
+    });
+    suite.at_most("reception-12m-us", us(reception), RECEPTION_US);
+    let outcome = sim.receive(12.0, &mut rng);
+    let record = mean_call(|| {
+        let mut acc = outcome.accumulated.clone();
+        record_signal(&mut acc, black_box(&outcome.first_chirp_hits));
+        black_box(acc);
+    });
+    suite.at_most("record-signal-us", us(record), RECORD_SIGNAL_US);
+    let params = DetectionParams::paper();
+    let detect = mean_call(|| {
+        black_box(detect_signal(black_box(&outcome.accumulated), &params));
+    });
+    suite.at_most("detect-signal-us", us(detect), DETECT_SIGNAL_US);
+    suite.check("reception-12m-detected", outcome.detect_default().is_some());
+
+    let service = RangingService::new(Environment::Grass, ServiceConfig::refined(), &mut rng)
+        .expect("refined grass service");
+    let positions: Vec<Point2> = (0..9)
+        .map(|i| Point2::new((i % 3) as f64 * 9.144, (i / 3) as f64 * 9.144))
+        .collect();
+    let campaign = mean_call(|| {
+        black_box(service.run_campaign(&positions, &mut rng));
+    });
+    suite.at_most("grass-3x3-campaign-us", us(campaign), GRASS_CAMPAIGN_US);
+    let raw = service.run_campaign(&positions, &mut rng);
+    let median = mean_call(|| {
+        black_box(StatFilter::Median.apply(&raw));
+    });
+    suite.at_most("median-filter-us", us(median), MEDIAN_FILTER_US);
+    let estimates = StatFilter::Median.apply(&raw);
+    let merge = mean_call(|| {
+        black_box(merge_bidirectional(
+            &estimates,
+            raw.n,
+            &ConsistencyConfig::default(),
+        ));
+    });
+    suite.at_most("bidirectional-merge-us", us(merge), MERGE_US);
+
+    let node = Point2::new(5.0, 5.0);
+    let observations: Vec<RangeToAnchor> = [
+        (0.0, 0.0),
+        (10.0, 0.0),
+        (0.0, 10.0),
+        (10.0, 10.0),
+        (5.0, -5.0),
+        (-5.0, 5.0),
+    ]
+    .iter()
+    .map(|&(x, y)| RangeToAnchor {
+        anchor: Point2::new(x, y),
+        distance: Point2::new(x, y).distance(node) + 0.1,
+        weight: 1.0,
+    })
+    .collect();
+    let check = IntersectionConsistency::default();
+    let mode = mean_call(|| {
+        black_box(check.mode_of_intersections(black_box(&observations)));
+    });
+    suite.at_most(
+        "mode-of-intersections-us",
+        us(mode),
+        MODE_OF_INTERSECTIONS_US,
+    );
+
+    // Twelve shared nodes, the target map a hidden rigid motion (with a
+    // reflection) of the source.
+    let coords: Vec<Point2> = (0..12)
+        .map(|i| Point2::new((i % 4) as f64 * 9.0, (i / 4) as f64 * 9.0))
+        .collect();
+    let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
+    let hidden = RigidTransform::new(0.7, true, Vec2::new(4.0, -2.0));
+    let source = LocalMap {
+        center: NodeId(0),
+        nodes: nodes.clone(),
+        coords: coords.clone(),
+    };
+    let target = LocalMap {
+        center: NodeId(1),
+        nodes,
+        coords: coords.iter().map(|&p| hidden.apply(p)).collect(),
+    };
+    let minimization = TransformMethod::Minimization(DescentConfig {
+        step_size: 0.01,
+        max_iterations: 1_000,
+        restarts: 0,
+        ..DescentConfig::default()
+    });
+    let guards = TransformGuards::default();
+    let transform = mean_call(|| {
+        black_box(
+            estimate_transform(&source, &target, &minimization, &guards)
+                .expect("the maps share twelve nodes"),
+        );
+    });
+    suite.at_most(
+        "transform-minimization-us",
+        us(transform),
+        TRANSFORM_MINIMIZATION_US,
+    );
+}

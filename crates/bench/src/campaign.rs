@@ -405,7 +405,7 @@ impl CampaignReport {
     }
 
     /// Convergence tally of a cell: `(converged, reporting)` over the
-    /// successful runs whose solver reports a convergence criterion
+    /// successful runs whose solver reports a convergence test
     /// (`SolveStats::converged` of `Some(..)`), or `None` when no run
     /// reports one (closed-form baselines, protocol solvers).
     pub fn convergence(&self, scenario: &str, localizer: &str) -> Option<(usize, usize)> {
@@ -646,7 +646,7 @@ mod tests {
         assert!(csv.contains("wall_mean_ms"));
         assert!(csv.contains("wall_max_ms"));
         assert!(!csv.contains("NaN"));
-        // LSS reports a convergence criterion (2/2 here), mds-map reports
+        // LSS reports a convergence test (2/2 here), mds-map reports
         // closed-form success; per-cell iteration means are exposed.
         assert_eq!(
             a.convergence("parking-lot-15-5anchors", "lss"),

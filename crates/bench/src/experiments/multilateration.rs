@@ -131,10 +131,9 @@ pub fn figure11_intersection_consistency(_seed: u64) -> ExperimentResult {
                 Anchor::new(NodeId(i), o.anchor)
             })
             .collect();
-        let mut rng = rl_math::rng::seeded(11);
         let out =
             MultilaterationSolver::new(MultilaterationConfig::paper().with_consistency(false))
-                .solve(&set, &anchors, &mut rng)
+                .solve(&set, &anchors)
                 .expect("enough anchors");
         out.positions.get(target).expect("target localized")
     };

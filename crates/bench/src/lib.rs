@@ -3,8 +3,8 @@
 //! Each evaluation artifact of Kwon et al. (ICDCS 2005) has a matching
 //! experiment function in [`experiments`]; the `figures` binary runs them
 //! and prints the same rows/series the paper reports, alongside CSV dumps
-//! for plotting. The Criterion benches in `benches/` time the underlying
-//! algorithms.
+//! for plotting. The `smoke` binary's suites time the underlying
+//! algorithms against budgets (see [`gate`]).
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|

@@ -159,7 +159,7 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
         reject_ambiguous: false,
         ..MultilaterationConfig::default()
     });
-    let outcome = solver.solve(&set, anchors, rng)?;
+    let outcome = solver.solve(&set, anchors)?;
     Ok(DvHopOutcome {
         positions: outcome.positions,
         meters_per_hop,

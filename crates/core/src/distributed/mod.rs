@@ -464,13 +464,11 @@ impl DistributedConfig {
     /// that measures as a win on this pipeline: warm-started inner CG
     /// solves, seeded from the previous Gauss–Newton delta (rescaled by
     /// a one-matvec line search; CG's never-worse guard makes the seed
-    /// risk-free). Jacobi preconditioning is deliberately *not* enabled:
-    /// the damped normal equations' diagonal is near-uniform on metro
-    /// deployments (uniform edge weights, narrow degree spread), so
-    /// Jacobi measured as a slight iteration-count *increase* there —
-    /// the preconditioner that pays at metro scale is [`IC(0)`] on
-    /// explicitly assembled systems, which the `smoke sparse` CI suite
-    /// gates at ≥2x iteration reduction.
+    /// risk-free). The inner solves stay unpreconditioned: refinement's
+    /// normal operator is matrix-free, and the preconditioner that pays
+    /// at metro scale is [`IC(0)`] on explicitly assembled systems,
+    /// which the `smoke sparse` CI suite gates at ≥2x iteration
+    /// reduction.
     ///
     /// Same optimization problem and stopping rules as `metro()` — the
     /// acceleration changes the *path* to the solution, not its quality —
@@ -610,7 +608,7 @@ impl crate::problem::Localizer for DistributedSolver {
             SolveStats {
                 iterations: out.messages_delivered,
                 // The flood itself terminates by message quiescence, not
-                // by a numerical criterion; when the refinement stage ran
+                // by a numerical test; when the refinement stage ran
                 // it contributes its stress and convergence flag.
                 residual: out.refine.map(|r| r.final_stress),
                 converged: out.refine.map(|r| r.converged),

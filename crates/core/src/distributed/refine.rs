@@ -32,16 +32,12 @@
 //! the refit around them; `RobustLoss::SquaredL2` turns the
 //! reweighting off.
 //!
-//! The inner solves support two opt-in accelerations from the sparse
-//! kernel layer: **Jacobi-preconditioned CG** (the operator's diagonal
-//! falls straight out of the edge list, see
-//! `DampedNormalOperator::diagonal_into`) and **warm starts** seeding
-//! each solve from the previous accepted delta
-//! ([`RefineConfig::cg_warm_start`]). Both are off by default — the
-//! historical zero-started, unpreconditioned path is fingerprint-pinned.
-//! The throughput presets enable warm starts only: Jacobi measured as a
-//! slight loss on metro deployments, whose normal equations carry a
-//! near-uniform diagonal (see
+//! The inner solves are unpreconditioned CG. One opt-in acceleration
+//! from the sparse kernel layer applies: **warm starts** seeding each
+//! solve from the previous accepted delta
+//! ([`RefineConfig::cg_warm_start`]). It is off by default — the
+//! historical zero-started path is fingerprint-pinned — and the
+//! throughput presets turn it on (see
 //! [`DistributedConfig::metro_fast`](super::DistributedConfig::metro_fast)).
 //!
 //! The whole stage is deterministic: no randomness, fixed iteration
@@ -49,7 +45,7 @@
 //! bit-identical replay contract of the surrounding protocol.
 
 use rl_geom::Point2;
-use rl_math::sparse::cg::{conjugate_gradient_with, resolve_preconditioner, CgConfig, CgWorkspace};
+use rl_math::sparse::cg::{conjugate_gradient_with, CgConfig, CgWorkspace};
 use rl_math::sparse::LinearOperator;
 use rl_math::RobustLoss;
 use rl_net::NodeId;
@@ -127,7 +123,7 @@ pub struct RefineOutcome {
     /// Robust stress after the last accepted step.
     pub final_stress: f64,
     /// Whether the loop stopped at a (numerical) stationary point —
-    /// via the relative-improvement criterion or because no damping
+    /// via the relative-improvement test or because no damping
     /// level could find a descending step — rather than exhausting
     /// `max_iterations` while still improving.
     pub converged: bool,
@@ -177,24 +173,6 @@ impl LinearOperator for DampedNormalOperator<'_> {
                 y[m + j] -= s * uy;
             }
         }
-    }
-
-    /// The diagonal of `JᵀWJ + λI` falls straight out of the edge list —
-    /// `λ + Σ_edges w ux²` per x-coordinate (resp. `uy²` per y) — which
-    /// unlocks the Jacobi preconditioner without materializing anything.
-    fn diagonal_into(&self, out: &mut [f64]) -> bool {
-        let m = self.m;
-        out.fill(self.lambda);
-        for (&(i, j, w), &(ux, uy)) in self.edges.iter().zip(self.units) {
-            let (cx, cy) = (w * ux * ux, w * uy * uy);
-            out[i] += cx;
-            out[m + i] += cy;
-            if j != PINNED {
-                out[j] += cx;
-                out[m + j] += cy;
-            }
-        }
-        true
     }
 }
 
@@ -370,10 +348,6 @@ pub fn refine_anchored(
                 units: &lin.units,
                 lambda,
             };
-            // The operator changes with every reweight and damping level,
-            // so the preconditioner is rebuilt per solve (a diagonal
-            // extraction — cheap next to even one CG iteration).
-            let precond = resolve_preconditioner(&op, config.cg.preconditioner);
             // Warm seed: the previous accepted delta, *rescaled* by a
             // one-matvec line search `α = gᵀ(Ad) / ||Ad||²`. The raw
             // delta is sized to the previous (larger) gradient and
@@ -394,14 +368,9 @@ pub fn refine_anchored(
             } else {
                 None
             };
-            let Ok(solve) = conjugate_gradient_with(
-                &op,
-                &g,
-                seed.as_deref(),
-                precond.as_deref(),
-                &config.cg,
-                &mut cg_ws,
-            ) else {
+            let Ok(solve) =
+                conjugate_gradient_with(&op, &g, seed.as_deref(), None, &config.cg, &mut cg_ws)
+            else {
                 // CG only fails here by iteration budget on a
                 // near-singular system; stiffer damping fixes that.
                 lambda *= 10.0;
@@ -677,40 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn preconditioned_warm_started_refine_matches_default_quality() {
-        use rl_math::sparse::cg::PreconditionerKind;
-        let truth = grid(8, 5, 9.0);
-        let set = MeasurementSet::oracle(&truth, 15.0);
-        let fast_cfg = RefineConfig {
-            cg: CgConfig::default()
-                .with_max_iterations(200)
-                .with_tolerance(1e-4)
-                .with_preconditioner(PreconditionerKind::Jacobi),
-            cg_warm_start: true,
-            ..RefineConfig::default()
-        };
-        let mut plain_pos = drifted(&truth, 8.0);
-        let plain = refine_aligned(&set, &mut plain_pos, &RefineConfig::default()).unwrap();
-        let mut fast_pos = drifted(&truth, 8.0);
-        let fast = refine_aligned(&set, &mut fast_pos, &fast_cfg).unwrap();
-        // Same optimization problem, same answer quality — the
-        // accelerations change the path to the solution, not the
-        // solution.
-        assert!(fast.final_stress < fast.initial_stress * 1e-3, "{fast:?}");
-        let plain_err = crate::eval::evaluate_against_truth(&plain_pos, &truth)
-            .unwrap()
-            .mean_error;
-        let fast_err = crate::eval::evaluate_against_truth(&fast_pos, &truth)
-            .unwrap()
-            .mean_error;
-        assert!(
-            (plain_err - fast_err).abs() < 0.05,
-            "plain {plain_err} vs fast {fast_err}"
-        );
-        assert!(fast.cg_iterations > 0 && plain.cg_iterations > 0);
-    }
-
-    #[test]
     fn warm_start_alone_preserves_refined_quality() {
         let truth = grid(6, 4, 9.0);
         let set = MeasurementSet::oracle(&truth, 15.0);
@@ -727,6 +662,20 @@ mod tests {
             "warm-started error {}",
             after.mean_error
         );
+        // Same optimization problem, same answer quality as the
+        // zero-started default — the warm start changes the path to the
+        // solution, not the solution.
+        let mut plain_pos = drifted(&truth, 8.0);
+        let plain = refine_aligned(&set, &mut plain_pos, &RefineConfig::default()).unwrap();
+        let plain_err = crate::eval::evaluate_against_truth(&plain_pos, &truth)
+            .unwrap()
+            .mean_error;
+        assert!(
+            (plain_err - after.mean_error).abs() < 0.05,
+            "plain {plain_err} vs warm {}",
+            after.mean_error
+        );
+        assert!(out.cg_iterations > 0 && plain.cg_iterations > 0);
     }
 
     #[test]

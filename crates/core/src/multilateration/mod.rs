@@ -20,7 +20,6 @@ mod consistency;
 
 pub use consistency::{IntersectionConsistency, RangeToAnchor};
 
-use rand::Rng;
 use rl_geom::Point2;
 use rl_math::gradient::{descend, DescentConfig, Objective};
 use rl_net::{pool, NodeId};
@@ -224,10 +223,8 @@ impl MultilaterationSolver {
     ///
     /// Anchors appear in the output at their known positions.
     ///
-    /// Multilateration consumes no randomness: `_rng` is accepted for
-    /// signature parity with the other solvers and is never drawn, so a
-    /// caller's stream is left exactly where it was. The rounds may run
-    /// on the worker pool (see [`MultilaterationSolver`]); the output is
+    /// Multilateration consumes no randomness. The rounds may run on the
+    /// worker pool (see [`MultilaterationSolver`]); the output is
     /// bit-identical for any core count.
     ///
     /// # Errors
@@ -235,11 +232,10 @@ impl MultilaterationSolver {
     /// * [`LocalizationError::TooFewAnchors`] with fewer than
     ///   `min_anchors` anchors overall,
     /// * [`LocalizationError::InvalidConfig`] for out-of-range anchor ids.
-    pub fn solve<R: Rng + ?Sized>(
+    pub fn solve(
         &self,
         measurements: &MeasurementSet,
         anchors: &[Anchor],
-        _rng: &mut R,
     ) -> Result<MultilaterationOutcome> {
         self.solve_on(
             measurements,
@@ -353,33 +349,6 @@ impl MultilaterationSolver {
         (dropped, self.estimate(&filtered))
     }
 
-    /// Unified-trait entry point; see [`MultilaterationSolver::solve`] for
-    /// the richer inherent API (availability statistics, dropped-anchor
-    /// counts).
-    fn localize_impl(
-        &self,
-        problem: &crate::problem::Problem,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<crate::problem::Solution> {
-        use crate::problem::{Frame, Solution, SolveStats};
-        let start = std::time::Instant::now();
-        let out = self.solve(problem.measurements(), problem.anchors(), rng)?;
-        Ok(Solution::new(
-            out.positions,
-            Frame::Absolute,
-            SolveStats {
-                iterations: out.rounds,
-                residual: None,
-                // A multilateration pass either localizes a node or
-                // leaves it unlocalized; there is no global convergence
-                // criterion to report.
-                converged: None,
-                cg_iterations: None,
-                wall_time: start.elapsed(),
-            },
-        ))
-    }
-
     fn estimate(&self, observations: &[RangeToAnchor]) -> Option<Point2> {
         match &self.config.estimator {
             Estimator::LeastSquares(descent) => {
@@ -439,12 +408,31 @@ impl crate::problem::Localizer for MultilaterationSolver {
         }
     }
 
+    /// Unified-trait entry point; see [`MultilaterationSolver::solve`] for
+    /// the richer inherent API (availability statistics, dropped-anchor
+    /// counts).
     fn localize(
         &self,
         problem: &crate::problem::Problem,
-        rng: &mut dyn rand::RngCore,
+        _rng: &mut dyn rand::RngCore,
     ) -> Result<crate::problem::Solution> {
-        self.localize_impl(problem, rng)
+        use crate::problem::{Frame, Solution, SolveStats};
+        let start = std::time::Instant::now();
+        let out = self.solve(problem.measurements(), problem.anchors())?;
+        Ok(Solution::new(
+            out.positions,
+            Frame::Absolute,
+            SolveStats {
+                iterations: out.rounds,
+                residual: None,
+                // A multilateration pass either localizes a node or
+                // leaves it unlocalized; there is no global convergence
+                // test to report.
+                converged: None,
+                cg_iterations: None,
+                wall_time: start.elapsed(),
+            },
+        ))
     }
 }
 
@@ -475,9 +463,8 @@ mod tests {
     #[test]
     fn exact_ranges_localize_everything() {
         let (truth, anchors, set) = exact_setup();
-        let mut rng = seeded(1);
         let out = MultilaterationSolver::new(MultilaterationConfig::paper())
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         assert_eq!(out.positions.localized_count(), 9);
         let eval = evaluate_absolute(&out.positions, &truth).unwrap();
@@ -493,9 +480,8 @@ mod tests {
         set.remove(NodeId(5), NodeId(0));
         set.remove(NodeId(5), NodeId(1));
         set.remove(NodeId(5), NodeId(2));
-        let mut rng = seeded(2);
         let out = MultilaterationSolver::new(MultilaterationConfig::paper())
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         assert!(!out.positions.is_localized(NodeId(5)));
         assert!(out.positions.is_localized(NodeId(6)));
@@ -506,14 +492,13 @@ mod tests {
         let (truth, anchors, mut set) = exact_setup();
         // Corrupt node 5's range to anchor 3 grossly.
         set.insert(NodeId(5), NodeId(3), 3.0); // true ≈ 17.8
-        let mut rng = seeded(3);
 
         let with = MultilaterationSolver::new(MultilaterationConfig::paper())
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         let without =
             MultilaterationSolver::new(MultilaterationConfig::paper().with_consistency(false))
-                .solve(&set, &anchors, &mut rng)
+                .solve(&set, &anchors)
                 .unwrap();
 
         let err_with = with.positions.get(NodeId(5)).unwrap().distance(truth[5]);
@@ -560,14 +545,13 @@ mod tests {
         add(7, 5);
         add(7, 6);
 
-        let mut rng = seeded(4);
         let plain = MultilaterationSolver::new(MultilaterationConfig::paper())
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         assert!(!plain.positions.is_localized(NodeId(7)));
 
         let progressive = MultilaterationSolver::new(MultilaterationConfig::paper().progressive())
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         assert!(progressive.positions.is_localized(NodeId(7)));
         assert!(progressive.rounds > 1);
@@ -598,13 +582,12 @@ mod tests {
                 Anchor::new(NodeId(i), p)
             })
             .collect();
-        let mut rng = seeded(8);
         // The intersection check cannot help here (all intersections
         // cluster at both the node and its mirror), so disable it to
         // isolate the ambiguity rejection.
         let rejecting =
             MultilaterationSolver::new(MultilaterationConfig::paper().with_consistency(false))
-                .solve(&set, &anchors, &mut rng)
+                .solve(&set, &anchors)
                 .unwrap();
         assert!(
             !rejecting.positions.is_localized(NodeId(3)),
@@ -616,7 +599,7 @@ mod tests {
                 .with_consistency(false)
                 .with_ambiguity_rejection(false),
         )
-        .solve(&set, &anchors, &mut rng)
+        .solve(&set, &anchors)
         .unwrap();
         let p = accepting.positions.get(NodeId(3)).expect("localized");
         // Without rejection the node lands at the truth or its mirror.
@@ -630,13 +613,12 @@ mod tests {
     #[test]
     fn mode_estimator_works_on_clean_ranges() {
         let (truth, anchors, set) = exact_setup();
-        let mut rng = seeded(5);
         let config = MultilaterationConfig {
             estimator: Estimator::ModeOfIntersections,
             ..MultilaterationConfig::paper()
         };
         let out = MultilaterationSolver::new(config)
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         let eval = evaluate_absolute(&out.positions, &truth).unwrap();
         assert!(eval.mean_error < 0.6, "mean error {}", eval.mean_error);
@@ -645,15 +627,14 @@ mod tests {
     #[test]
     fn error_cases() {
         let (_, anchors, set) = exact_setup();
-        let mut rng = seeded(6);
         let solver = MultilaterationSolver::new(MultilaterationConfig::paper());
         assert!(matches!(
-            solver.solve(&set, &anchors[..2], &mut rng),
+            solver.solve(&set, &anchors[..2]),
             Err(LocalizationError::TooFewAnchors { .. })
         ));
         let bad = vec![Anchor::new(NodeId(99), Point2::ORIGIN); 3];
         assert!(matches!(
-            solver.solve(&set, &bad, &mut rng),
+            solver.solve(&set, &bad),
             Err(LocalizationError::InvalidConfig(_))
         ));
     }
@@ -726,7 +707,7 @@ mod tests {
             }
         }
         let out = MultilaterationSolver::new(MultilaterationConfig::paper())
-            .solve(&set, &anchors, &mut rng)
+            .solve(&set, &anchors)
             .unwrap();
         let eval = evaluate_absolute(&out.positions, &truth).unwrap();
         // Anchors at truth + 4 localized nodes with sub-meter error.

@@ -305,7 +305,7 @@ pub struct SolveStats {
     /// refinement stress); `None` for algorithms without a scalar
     /// residual.
     pub residual: Option<f64>,
-    /// Whether the solver's iteration reached its convergence criterion:
+    /// Whether the solver's iteration reached its convergence test:
     /// the stress target for the least-squares solvers, the eigensolver
     /// residual bound for sparse MDS-MAP. `None` for algorithms with no
     /// convergence notion (closed-form baselines, protocol-driven
@@ -314,8 +314,8 @@ pub struct SolveStats {
     /// Cumulative inner conjugate-gradient iterations, for solvers whose
     /// refinement stage runs CG (distributed LSS, the tracking warm
     /// path); `None` for solvers with no CG inside. The `smoke sparse`
-    /// CI suite reads this to gate the preconditioned-CG iteration win —
-    /// deliberately **not** part of any campaign fingerprint, which were
+    /// CI suite gates that it is populated — deliberately **not** part
+    /// of any campaign fingerprint, which were
     /// pinned before the field existed.
     pub cg_iterations: Option<usize>,
     /// Wall-clock time the solve took.

@@ -167,9 +167,7 @@ impl TrackerConfig {
     /// previous accepted Gauss–Newton delta (rescaled by a one-matvec
     /// line search) — the natural fit for tracking, where consecutive
     /// ticks solve nearly identical systems and CG's never-worse guard
-    /// makes the seed risk-free. Jacobi preconditioning is deliberately
-    /// not enabled: metro normal equations have a near-uniform diagonal
-    /// and Jacobi measured as a slight loss there (see
+    /// makes the seed risk-free (see
     /// [`DistributedConfig::metro_fast`](crate::distributed::DistributedConfig::metro_fast)).
     /// Same refinement problem as `new()`, but not bit-identical to it
     /// (the default path's solution fingerprints are pinned in

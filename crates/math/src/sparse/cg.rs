@@ -13,13 +13,12 @@
 //! **opt-in** so the historical default path stays bit-for-bit stable
 //! (campaign fingerprints are pinned on it):
 //!
-//! * **Preconditioning** ([`Preconditioner`], [`PreconditionerKind`]) —
-//!   solves `M^{-1} A x = M^{-1} b` implicitly, trading one cheap
-//!   `z = M^{-1} r` application per iteration for a (often drastically)
-//!   smaller iteration count. [`JacobiPreconditioner`] works for any
-//!   operator that can expose its diagonal; [`IncompleteCholesky`]
-//!   (IC(0)) needs a materialized [`CsrMatrix`] but handles the
-//!   ill-conditioned systems Jacobi cannot.
+//! * **Preconditioning** ([`Preconditioner`]) — passed explicitly to
+//!   [`conjugate_gradient_with`], it solves `M^{-1} A x = M^{-1} b`
+//!   implicitly, trading one `z = M^{-1} r` application per iteration
+//!   for a (often drastically) smaller iteration count.
+//!   [`IncompleteCholesky`] (IC(0)) factors a materialized
+//!   [`CsrMatrix`].
 //! * **Warm starts** — [`conjugate_gradient_with`] accepts an `x0`;
 //!   outer Gauss–Newton loops seed each linearization from the previous
 //!   step's delta, which shrinks the initial residual by orders of
@@ -31,30 +30,6 @@
 use super::{CsrMatrix, LinearOperator};
 use crate::{MathError, Result};
 
-/// Which preconditioner [`conjugate_gradient`] should build for the
-/// operator (resolved by [`resolve_preconditioner`]).
-///
-/// The default is [`PreconditionerKind::None`]: the unpreconditioned
-/// path is fingerprint-pinned by the golden tests and must stay
-/// bit-identical, so presets opt *in* to preconditioning rather than
-/// defaults opting out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PreconditionerKind {
-    /// Plain CG — the historical, fingerprint-pinned default.
-    #[default]
-    None,
-    /// Diagonal (Jacobi) scaling: `M = diag(A)`. Works for any operator
-    /// implementing [`LinearOperator::diagonal_into`]; falls back to
-    /// plain CG when the diagonal is unavailable or not strictly
-    /// positive.
-    Jacobi,
-    /// Incomplete Cholesky with zero fill-in, `M = L L^T` on the sparsity
-    /// pattern of `A`. Needs a materialized [`CsrMatrix`]
-    /// ([`LinearOperator::as_csr`]); falls back to Jacobi, then to plain
-    /// CG, when unavailable.
-    IncompleteCholesky,
-}
-
 /// Configuration for [`conjugate_gradient`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgConfig {
@@ -64,9 +39,6 @@ pub struct CgConfig {
     /// Convergence threshold on the *relative* residual
     /// `||b - A x|| / ||b||`.
     pub tolerance: f64,
-    /// Preconditioner to build for the operator. Defaults to
-    /// [`PreconditionerKind::None`] — see the type docs for why.
-    pub preconditioner: PreconditionerKind,
 }
 
 impl Default for CgConfig {
@@ -74,7 +46,6 @@ impl Default for CgConfig {
         CgConfig {
             max_iterations: 0,
             tolerance: 1e-10,
-            preconditioner: PreconditionerKind::None,
         }
     }
 }
@@ -93,12 +64,6 @@ impl CgConfig {
     /// so solving it past ~1e-6 buys nothing.
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Replaces the preconditioner selection (builder style).
-    pub fn with_preconditioner(mut self, preconditioner: PreconditionerKind) -> Self {
-        self.preconditioner = preconditioner;
         self
     }
 }
@@ -130,76 +95,13 @@ pub trait Preconditioner {
     fn apply_inv(&self, r: &[f64], z: &mut [f64]);
 }
 
-/// Jacobi (diagonal) preconditioner: `M = diag(d)`, applied as
-/// `z_i = r_i / d_i`.
-///
-/// The cheapest preconditioner there is — one multiply per entry — and
-/// effective whenever the diagonal carries most of the conditioning
-/// (e.g. damped normal equations `J^T W J + lambda I` whose node degrees
-/// vary widely).
-#[derive(Debug, Clone, PartialEq)]
-pub struct JacobiPreconditioner {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPreconditioner {
-    /// Builds the preconditioner from the diagonal of an SPD operator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidArgument`] when the diagonal is empty
-    /// or any entry is non-positive or non-finite (an SPD matrix has a
-    /// strictly positive diagonal).
-    pub fn from_diagonal(diag: &[f64]) -> Result<Self> {
-        if diag.is_empty() {
-            return Err(MathError::InvalidArgument("empty diagonal"));
-        }
-        let mut inv_diag = Vec::with_capacity(diag.len());
-        for &d in diag {
-            if !(d > 0.0) || !d.is_finite() {
-                return Err(MathError::InvalidArgument(
-                    "Jacobi preconditioner needs a strictly positive finite diagonal",
-                ));
-            }
-            inv_diag.push(1.0 / d);
-        }
-        Ok(JacobiPreconditioner { inv_diag })
-    }
-
-    /// Builds the preconditioner from an operator's diagonal, or `None`
-    /// when the operator does not expose one
-    /// ([`LinearOperator::diagonal_into`] returns `false`) or the
-    /// diagonal is not strictly positive.
-    pub fn for_operator<O: LinearOperator + ?Sized>(a: &O) -> Option<Self> {
-        let mut diag = vec![0.0; a.dim()];
-        if !a.diagonal_into(&mut diag) {
-            return None;
-        }
-        Self::from_diagonal(&diag).ok()
-    }
-}
-
-impl Preconditioner for JacobiPreconditioner {
-    fn dim(&self) -> usize {
-        self.inv_diag.len()
-    }
-
-    fn apply_inv(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.inv_diag.len());
-        debug_assert_eq!(z.len(), self.inv_diag.len());
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-    }
-}
-
 /// Incomplete Cholesky factorization with zero fill-in — IC(0):
 /// `M = L L^T` where `L` has exactly the lower-triangle sparsity pattern
 /// of `A`.
 ///
-/// Far stronger than Jacobi on mesh-like systems (graph Laplacians,
-/// normal equations of geometric networks) at the cost of needing the
-/// matrix materialized as a [`CsrMatrix`]. Application is two sparse
+/// Effective on mesh-like systems (graph Laplacians, normal equations
+/// of geometric networks) at the cost of needing the matrix
+/// materialized as a [`CsrMatrix`]. Application is two sparse
 /// triangular solves.
 ///
 /// IC(0) can break down on matrices that are SPD but not H-matrices; the
@@ -385,35 +287,6 @@ impl Preconditioner for IncompleteCholesky {
     }
 }
 
-/// Builds the preconditioner a [`PreconditionerKind`] names for a
-/// concrete operator, degrading gracefully: `IncompleteCholesky` needs
-/// [`LinearOperator::as_csr`] and falls back to Jacobi when the operator
-/// is matrix-free; `Jacobi` needs [`LinearOperator::diagonal_into`] and
-/// falls back to `None` (plain CG).
-///
-/// Exposed so outer loops (Gauss–Newton refinement) can resolve once and
-/// reuse the preconditioner across many [`conjugate_gradient_with`]
-/// calls.
-pub fn resolve_preconditioner<O: LinearOperator + ?Sized>(
-    a: &O,
-    kind: PreconditionerKind,
-) -> Option<Box<dyn Preconditioner>> {
-    match kind {
-        PreconditionerKind::None => None,
-        PreconditionerKind::Jacobi => {
-            JacobiPreconditioner::for_operator(a).map(|j| Box::new(j) as Box<dyn Preconditioner>)
-        }
-        PreconditionerKind::IncompleteCholesky => a
-            .as_csr()
-            .and_then(|csr| IncompleteCholesky::factor(csr).ok())
-            .map(|ic| Box::new(ic) as Box<dyn Preconditioner>)
-            .or_else(|| {
-                JacobiPreconditioner::for_operator(a)
-                    .map(|j| Box::new(j) as Box<dyn Preconditioner>)
-            }),
-    }
-}
-
 /// Reusable scratch for [`conjugate_gradient_with`]: the residual,
 /// search-direction, operator-image, and preconditioned-residual vectors.
 ///
@@ -449,11 +322,8 @@ impl CgWorkspace {
 /// indefinite operator typically shows up as a failure to converge.
 /// The run is fully deterministic — no randomness, fixed starting point.
 ///
-/// `cfg.preconditioner` is resolved against the operator via
-/// [`resolve_preconditioner`]; the default
-/// ([`PreconditionerKind::None`]) reproduces the historical
-/// unpreconditioned path bit for bit. For warm starts or scratch reuse,
-/// call [`conjugate_gradient_with`] directly.
+/// The solve is unpreconditioned. For a preconditioner, a warm start or
+/// scratch reuse, call [`conjugate_gradient_with`] directly.
 ///
 /// # Errors
 ///
@@ -468,17 +338,14 @@ pub fn conjugate_gradient<O: LinearOperator + ?Sized>(
     b: &[f64],
     cfg: &CgConfig,
 ) -> Result<CgOutcome> {
-    let m = resolve_preconditioner(a, cfg.preconditioner);
-    conjugate_gradient_with(a, b, None, m.as_deref(), cfg, &mut CgWorkspace::new())
+    conjugate_gradient_with(a, b, None, None, cfg, &mut CgWorkspace::new())
 }
 
 /// The full-control conjugate-gradient entry point: optional warm start
 /// `x0`, optional explicit preconditioner `m`, and caller-owned scratch.
 ///
-/// `cfg.preconditioner` is **ignored** here — the explicit `m` argument
-/// is authoritative (resolve one with [`resolve_preconditioner`] if
-/// needed). With `x0 = None` and `m = None` this is bit-for-bit the
-/// historical unpreconditioned, zero-started path.
+/// With `x0 = None` and `m = None` this is bit-for-bit
+/// [`conjugate_gradient`]: the unpreconditioned, zero-started path.
 ///
 /// The reported `iterations` count has the same meaning in all modes:
 /// operator applications spent in the main loop (a converged warm start
@@ -714,8 +581,7 @@ mod tests {
     }
 
     /// The ill-conditioned workhorse: a 1-D Laplacian chain with a huge
-    /// diagonal spread, where plain CG grinds and both preconditioners
-    /// shine.
+    /// diagonal spread, where plain CG grinds and IC(0) shines.
     fn ill_conditioned(n: usize) -> (CsrMatrix, Vec<f64>) {
         let mut edges: Vec<(usize, usize, f64)> = (0..n)
             .map(|i| (i, i, 2.0 + 1000.0 * (i % 7) as f64))
@@ -793,7 +659,8 @@ mod tests {
             ),
             Err(MathError::InvalidArgument(_))
         ));
-        let wrong_m = JacobiPreconditioner::from_diagonal(&[1.0]).unwrap();
+        let one = CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)]).unwrap();
+        let wrong_m = IncompleteCholesky::factor(&one).unwrap();
         assert!(matches!(
             conjugate_gradient_with(
                 &a,
@@ -826,7 +693,6 @@ mod tests {
         let cfg = CgConfig {
             max_iterations: 1,
             tolerance: 1e-12,
-            preconditioner: PreconditionerKind::None,
         };
         assert!(matches!(
             conjugate_gradient(&a, &b, &cfg),
@@ -876,15 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_rejects_non_spd_diagonals() {
-        assert!(JacobiPreconditioner::from_diagonal(&[]).is_err());
-        assert!(JacobiPreconditioner::from_diagonal(&[1.0, 0.0]).is_err());
-        assert!(JacobiPreconditioner::from_diagonal(&[1.0, -2.0]).is_err());
-        assert!(JacobiPreconditioner::from_diagonal(&[1.0, f64::NAN]).is_err());
-        assert!(JacobiPreconditioner::from_diagonal(&[4.0, 2.0]).is_ok());
-    }
-
-    #[test]
     fn ic0_factors_reproduce_full_cholesky_on_dense_pattern() {
         // With a fully dense lower triangle IC(0) *is* Cholesky, so
         // M^{-1} r must solve exactly: PCG converges in one iteration.
@@ -906,33 +763,25 @@ mod tests {
     }
 
     #[test]
-    fn preconditioners_cut_iterations_on_ill_conditioned_fixture() {
+    fn ic0_cuts_iterations_on_ill_conditioned_fixture() {
         let (a, b) = ill_conditioned(120);
         let plain = conjugate_gradient(&a, &b, &CgConfig::default()).unwrap();
-        let jacobi = conjugate_gradient(
+        let ic = IncompleteCholesky::factor(&a).unwrap();
+        let ic0 = conjugate_gradient_with(
             &a,
             &b,
-            &CgConfig::default().with_preconditioner(PreconditionerKind::Jacobi),
+            None,
+            Some(&ic),
+            &CgConfig::default(),
+            &mut CgWorkspace::new(),
         )
         .unwrap();
-        let ic0 = conjugate_gradient(
-            &a,
-            &b,
-            &CgConfig::default().with_preconditioner(PreconditionerKind::IncompleteCholesky),
-        )
-        .unwrap();
-        assert!(plain.converged && jacobi.converged && ic0.converged);
+        assert!(plain.converged && ic0.converged);
         assert!(
-            jacobi.iterations < plain.iterations,
-            "Jacobi ({}) must beat plain ({}) on the skewed-diagonal chain",
-            jacobi.iterations,
-            plain.iterations
-        );
-        assert!(
-            ic0.iterations <= jacobi.iterations,
-            "IC(0) ({}) should be at least as strong as Jacobi ({})",
+            ic0.iterations < plain.iterations,
+            "IC(0) ({}) must beat plain ({}) on the skewed-diagonal chain",
             ic0.iterations,
-            jacobi.iterations
+            plain.iterations
         );
     }
 
@@ -996,30 +845,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn resolve_falls_back_gracefully_for_matrix_free_operators() {
-        /// Matrix-free operator with no diagonal and no CSR: both
-        /// preconditioner kinds must degrade to plain CG (None).
-        struct Opaque;
-        impl crate::sparse::LinearOperator for Opaque {
-            fn dim(&self) -> usize {
-                3
-            }
-            fn apply(&self, x: &[f64], y: &mut [f64]) {
-                for (yi, xi) in y.iter_mut().zip(x) {
-                    *yi = 2.0 * xi;
-                }
-            }
-        }
-        assert!(resolve_preconditioner(&Opaque, PreconditionerKind::None).is_none());
-        assert!(resolve_preconditioner(&Opaque, PreconditionerKind::Jacobi).is_none());
-        assert!(resolve_preconditioner(&Opaque, PreconditionerKind::IncompleteCholesky).is_none());
-        // A CSR resolves all three kinds.
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 1, 3.0)]).unwrap();
-        assert!(resolve_preconditioner(&a, PreconditionerKind::Jacobi).is_some());
-        assert!(resolve_preconditioner(&a, PreconditionerKind::IncompleteCholesky).is_some());
-    }
-
     proptest! {
         /// CG agrees with the dense eigendecomposition solve on random
         /// well-conditioned SPD systems (the dense<->sparse parity
@@ -1041,7 +866,7 @@ mod tests {
             }
         }
 
-        /// PCG parity: Jacobi and IC(0) land on the same solution as
+        /// PCG parity: IC(0) lands on the same solution as
         /// unpreconditioned CG (within tolerance) on random SPD fixtures
         /// — preconditioning changes the path, never the answer.
         #[test]
@@ -1054,16 +879,14 @@ mod tests {
             let sparse = CsrMatrix::from_dense(&dense);
             let plain = conjugate_gradient(&sparse, &b, &CgConfig::default()).unwrap();
             let scale = plain.x.iter().map(|v| v.abs()).fold(1.0, f64::max);
-            for kind in [PreconditionerKind::Jacobi, PreconditionerKind::IncompleteCholesky] {
-                let pcg = conjugate_gradient(
-                    &sparse,
-                    &b,
-                    &CgConfig::default().with_preconditioner(kind),
-                ).unwrap();
-                prop_assert!(pcg.converged);
-                for (xi, pi) in plain.x.iter().zip(&pcg.x) {
-                    prop_assert!((xi - pi).abs() < 1e-6 * scale, "{kind:?}: {xi} vs {pi}");
-                }
+            let ic = IncompleteCholesky::factor(&sparse).unwrap();
+            let pcg = conjugate_gradient_with(
+                &sparse, &b, None, Some(&ic),
+                &CgConfig::default(), &mut CgWorkspace::new(),
+            ).unwrap();
+            prop_assert!(pcg.converged);
+            for (xi, pi) in plain.x.iter().zip(&pcg.x) {
+                prop_assert!((xi - pi).abs() < 1e-6 * scale, "{xi} vs {pi}");
             }
         }
 

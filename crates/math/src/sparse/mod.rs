@@ -317,26 +317,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Writes the main diagonal into `out` (structural zeros read as
-    /// `0.0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square or `out.len() != rows`.
-    pub fn diagonal_into(&self, out: &mut [f64]) {
-        assert!(self.is_square(), "diagonal of a rectangular matrix");
-        assert_eq!(out.len(), self.rows, "diagonal buffer has wrong length");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                if self.col_idx[k] == i {
-                    *o = self.values[k];
-                    break;
-                }
-            }
-        }
-    }
-
     /// Maximum absolute asymmetry `max |a_ij - a_ji|` over stored entries
     /// (0 for symmetric matrices).
     ///
@@ -387,28 +367,6 @@ pub trait LinearOperator {
             self.apply(x, y);
         }
     }
-
-    /// Writes the operator's main diagonal into `out` and returns `true`,
-    /// or returns `false` (leaving `out` unspecified) when the diagonal
-    /// is unavailable.
-    ///
-    /// Powers the Jacobi preconditioner: matrix-free operators that can
-    /// compute their diagonal analytically (e.g. damped normal equations
-    /// over an edge list) override this to unlock preconditioned CG
-    /// without materializing anything.
-    fn diagonal_into(&self, out: &mut [f64]) -> bool {
-        let _ = out;
-        false
-    }
-
-    /// The operator's materialized CSR form, when it has one.
-    ///
-    /// Powers structure-hungry preconditioners (IC(0) factors the actual
-    /// matrix); matrix-free operators return `None` and CG degrades to a
-    /// weaker preconditioner.
-    fn as_csr(&self) -> Option<&CsrMatrix> {
-        None
-    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -425,15 +383,6 @@ impl LinearOperator for CsrMatrix {
     fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
         self.matvec_multi_into(xs, ys)
             .expect("operator dimensions checked by caller");
-    }
-
-    fn diagonal_into(&self, out: &mut [f64]) -> bool {
-        CsrMatrix::diagonal_into(self, out);
-        true
-    }
-
-    fn as_csr(&self) -> Option<&CsrMatrix> {
-        Some(self)
     }
 }
 
@@ -454,14 +403,6 @@ impl LinearOperator for DMatrix {
             }
             *yi = acc;
         }
-    }
-
-    fn diagonal_into(&self, out: &mut [f64]) -> bool {
-        assert_eq!(out.len(), self.rows(), "diagonal buffer has wrong length");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self[(i, i)];
-        }
-        true
     }
 }
 
@@ -754,21 +695,6 @@ mod tests {
         assert!(a
             .matvec_multi_into(&[vec![0.0; 4]], &mut [vec![0.0; 5]])
             .is_err());
-    }
-
-    #[test]
-    fn diagonal_into_reads_structural_zeros_as_zero() {
-        let a = CsrMatrix::from_triplets(3, 3, &[(0, 0, 2.0), (0, 1, 5.0), (2, 2, -1.5)]).unwrap();
-        let mut d = vec![f64::NAN; 3];
-        CsrMatrix::diagonal_into(&a, &mut d);
-        assert_eq!(d, vec![2.0, 0.0, -1.5]);
-        // Through the trait: available for CSR and dense, not for opaque
-        // matrix-free operators.
-        assert!(LinearOperator::diagonal_into(&a, &mut d));
-        let dense = a.to_dense();
-        let mut dd = vec![f64::NAN; 3];
-        assert!(LinearOperator::diagonal_into(&dense, &mut dd));
-        assert_eq!(d, dd);
     }
 
     #[test]

@@ -644,7 +644,7 @@ pub struct LocalizeReply {
     pub iterations: u64,
     /// Final objective value, when the solver reports one.
     pub residual: Option<f64>,
-    /// Whether the solver reached its convergence criterion, when it has
+    /// Whether the solver reached its convergence test, when it has
     /// one.
     pub converged: Option<bool>,
     /// Server-side mean localization error against the preset's ground

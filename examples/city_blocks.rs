@@ -27,8 +27,7 @@ fn main() -> Result<()> {
 
     // --- Multilateration with 18 anchors -------------------------------
     let anchors = Anchor::from_truth(&scenario.anchors, truth);
-    let out = MultilaterationSolver::new(MultilaterationConfig::paper())
-        .solve(&set, &anchors, &mut rng)?;
+    let out = MultilaterationSolver::new(MultilaterationConfig::paper()).solve(&set, &anchors)?;
     let non_anchors: Vec<NodeId> = scenario.non_anchors();
     let localized: Vec<NodeId> = non_anchors
         .iter()

@@ -68,7 +68,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     );
     let anchors = Anchor::from_truth(&anchor_ids, &field.positions);
     let solver = MultilaterationSolver::new(MultilaterationConfig::paper());
-    match solver.solve(&set, &anchors, &mut rng) {
+    match solver.solve(&set, &anchors) {
         Ok(out) => {
             let non_anchor_localized = out
                 .positions

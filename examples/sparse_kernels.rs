@@ -2,8 +2,8 @@
 //!
 //! Builds an ill-conditioned SPD system (a stiffness-ladder chain, the
 //! kind of spectrum refinement normal equations develop as damping
-//! shrinks), solves it with plain CG, Jacobi-PCG, and IC(0)-PCG, and
-//! shows the iteration counts side by side; then demonstrates the
+//! shrinks), solves it with plain CG and IC(0)-PCG, and shows the
+//! iteration counts side by side; then demonstrates the
 //! warm-start contract — a good seed saves iterations, a stale seed is
 //! discarded rather than paid for.
 //!
@@ -14,7 +14,7 @@
 use resilient_localization::prelude::*;
 
 /// A chain whose diagonal cycles through seven stiffness decades — a
-/// condition number Jacobi scaling genuinely flattens.
+/// condition number plain CG grinds through.
 fn ill_conditioned(n: usize) -> (CsrMatrix, Vec<f64>) {
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
     for i in 0..n {
@@ -35,44 +35,35 @@ fn main() -> Result<()> {
         .with_max_iterations(10_000)
         .with_tolerance(1e-10);
 
-    // One knob selects the preconditioner; None reproduces the
-    // historical unpreconditioned path bit for bit.
+    // Plain CG, then the same solve with an IC(0) factor passed to the
+    // full-control entry point.
     println!("solving a {n}-node stiffness ladder to 1e-10:");
-    let mut reference: Option<Vec<f64>> = None;
-    for kind in [
-        PreconditionerKind::None,
-        PreconditionerKind::Jacobi,
-        PreconditionerKind::IncompleteCholesky,
-    ] {
-        let out = conjugate_gradient(&a, &b, &cfg.with_preconditioner(kind))?;
-        println!(
-            "  {:>18}: {:>4} iterations (relative residual {:.2e})",
-            format!("{kind:?}"),
-            out.iterations,
-            out.relative_residual
-        );
-        if let Some(reference) = &reference {
-            let scale = reference.iter().map(|v| v.abs()).fold(1.0, f64::max);
-            let diff = reference
-                .iter()
-                .zip(&out.x)
-                .map(|(r, x)| (r - x).abs())
-                .fold(0.0, f64::max);
-            assert!(
-                diff / scale < 1e-6,
-                "preconditioning changed the answer: {diff:e}"
-            );
-        } else {
-            reference = Some(out.x);
-        }
-    }
-
-    // Warm starts through the full-control entry point: seeding with the
-    // known solution converges immediately, and a stale seed costs only
-    // the one matvec spent detecting it (the never-worse contract).
-    let exact = reference.expect("solved above");
+    let plain = conjugate_gradient(&a, &b, &cfg)?;
     let ic = IncompleteCholesky::factor(&a)?;
     let mut ws = CgWorkspace::new();
+    let pcg = conjugate_gradient_with(&a, &b, None, Some(&ic), &cfg, &mut ws)?;
+    for (label, out) in [("plain CG", &plain), ("IC(0)-PCG", &pcg)] {
+        println!(
+            "  {label:>10}: {:>4} iterations (relative residual {:.2e})",
+            out.iterations, out.relative_residual
+        );
+    }
+    let scale = plain.x.iter().map(|v| v.abs()).fold(1.0, f64::max);
+    let diff = plain
+        .x
+        .iter()
+        .zip(&pcg.x)
+        .map(|(p, q)| (p - q).abs())
+        .fold(0.0, f64::max);
+    assert!(
+        diff / scale < 1e-6,
+        "preconditioning changed the answer: {diff:e}"
+    );
+
+    // Warm starts: seeding with the known solution converges
+    // immediately, and a stale seed costs only the one matvec spent
+    // detecting it (the never-worse contract).
+    let exact = plain.x;
     let warm = conjugate_gradient_with(&a, &b, Some(&exact), Some(&ic), &cfg, &mut ws)?;
     println!(
         "warm start from the exact solution: {} iterations",
@@ -86,15 +77,15 @@ fn main() -> Result<()> {
         guarded.iterations, cold.iterations
     );
 
-    // The same knobs ride into the refinement pipeline as presets:
+    // Warm starts ride into the refinement pipeline as a preset:
     // DistributedConfig::metro_fast() opts the inner Gauss–Newton CG
-    // solves into warm starts (the zero-started default is
-    // fingerprint-pinned, so the acceleration is opt-in).
+    // solves into them (the zero-started default is fingerprint-pinned,
+    // so the acceleration is opt-in).
     let fast = DistributedConfig::metro_fast();
     let refine = fast.refine.as_ref().expect("metro preset refines");
     println!(
-        "DistributedConfig::metro_fast(): cg_warm_start = {}, preconditioner = {:?}",
-        refine.cg_warm_start, refine.cg.preconditioner
+        "DistributedConfig::metro_fast(): cg_warm_start = {}",
+        refine.cg_warm_start
     );
     Ok(())
 }

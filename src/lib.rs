@@ -107,8 +107,8 @@ pub mod prelude {
     pub use rl_deploy::mobility::{ChurnModel, MobilityScenario, MobilityTrace, MotionModel};
     pub use rl_geom::{Point2, Vec2};
     pub use rl_math::sparse::cg::{
-        conjugate_gradient, conjugate_gradient_with, resolve_preconditioner, CgConfig, CgOutcome,
-        CgWorkspace, IncompleteCholesky, JacobiPreconditioner, Preconditioner, PreconditionerKind,
+        conjugate_gradient, conjugate_gradient_with, CgConfig, CgOutcome, CgWorkspace,
+        IncompleteCholesky, Preconditioner,
     };
     pub use rl_math::sparse::{
         dijkstra, dijkstra_multi_into, CsrMatrix, DijkstraWorkspace, LinearOperator,

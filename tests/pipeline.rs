@@ -61,7 +61,7 @@ fn lss_beats_multilateration_on_sparse_data() {
 
     let anchors = Anchor::from_truth(&scenario.anchors, truth);
     let multi = MultilaterationSolver::new(MultilaterationConfig::paper())
-        .solve(&set, &anchors, &mut rng)
+        .solve(&set, &anchors)
         .expect("enough anchors");
     // Multilateration: anchors "localized" for free, many non-anchors not.
     let non_anchor_localized = multi

@@ -110,7 +110,7 @@ fn multilateration_does_not_invent_positions() {
     let anchor_ids = [NodeId(0), NodeId(4), NodeId(15), NodeId(19), NodeId(7)];
     let anchors = Anchor::from_truth(&anchor_ids, &truth);
     let out = MultilaterationSolver::new(MultilaterationConfig::paper())
-        .solve(&set, &anchors, &mut rng)
+        .solve(&set, &anchors)
         .expect("enough anchors");
 
     for (id, pos) in out.positions.iter() {
