@@ -1,17 +1,20 @@
-//! The ranging suite: the signal and ranging chain timed per call, plus
-//! the two Section-4 estimator variants that no solver preset runs.
+//! The ranging suite: the signal and ranging chain timed per call, the
+//! two Section-4 estimator variants that no solver preset runs, and the
+//! deploy layer that builds measurement sets.
 //!
 //! Every cell loops its kernel for at least [`crate::MIN_LOOP`] and
-//! gates the mean time of one call. Each budget is about 3x the slowest
-//! mean read over 16 runs on a 2-core x86-64 box.
+//! gates the mean time of one call. Each signal and ranging budget is
+//! about 3x the slowest mean read over 16 runs on a 2-core x86-64 box;
+//! each deploy budget about 3x the slowest of 8 runs there.
 
 use std::hint::black_box;
 
-use crate::{mean_call, us};
+use crate::{mean_call, ms, us};
 use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
 use rl_core::distributed::{estimate_transform, LocalMap, TransformGuards, TransformMethod};
 use rl_core::multilateration::{IntersectionConsistency, RangeToAnchor};
+use rl_deploy::{mobility, presets};
 use rl_geom::{Point2, RigidTransform, Vec2};
 use rl_math::gradient::DescentConfig;
 use rl_net::NodeId;
@@ -37,12 +40,20 @@ const MERGE_US: f64 = 13.0;
 const MODE_OF_INTERSECTIONS_US: f64 = 40.0;
 const TRANSFORM_MINIMIZATION_US: f64 = 1_380.0;
 
+/// Per-call budgets in milliseconds for the deploy layer.
+const METRO1000_INSTANTIATE_MS: f64 = 36.0;
+const METRO250_MOBILE_TRACE_MS: f64 = 235.0;
+
+/// Ticks in the timed mobility trace.
+const TRACE_TICKS: usize = 100;
+
 /// The sliding-DFT filter and tone detector on the Figure-10 waveform,
 /// one chirp-train reception at 12 m on grass with the Figure-3
 /// record/detect routines on its buffer, a 3x3 grass ranging campaign
 /// with its median filter and bidirectional merge, the
 /// mode-of-intersections estimator, and the minimization transform
-/// between two local maps.
+/// between two local maps; then the deploy layer: a metro-1000
+/// `Scenario::instantiate` and a 100-tick `metro-250-mobile` trace.
 pub fn ranging(suite: &mut Suite) {
     let mut rng = rl_math::rng::seeded(MASTER_SEED);
 
@@ -161,5 +172,26 @@ pub fn ranging(suite: &mut Suite) {
         "transform-minimization-us",
         us(transform),
         TRANSFORM_MINIMIZATION_US,
+    );
+
+    let metro = presets::preset("metro-1000").expect("registered preset");
+    let instantiate = mean_call(|| {
+        black_box(metro.instantiate(black_box(MASTER_SEED)));
+    });
+    suite.at_most(
+        "metro1000-instantiate-ms",
+        ms(instantiate),
+        METRO1000_INSTANTIATE_MS,
+    );
+    let mobile = mobility::preset("metro-250-mobile")
+        .expect("registered mobility preset")
+        .with_ticks(TRACE_TICKS);
+    let trace = mean_call(|| {
+        black_box(mobile.trace(black_box(MASTER_SEED)));
+    });
+    suite.at_most(
+        "metro250-mobile-trace-100-ms",
+        ms(trace),
+        METRO250_MOBILE_TRACE_MS,
     );
 }

@@ -130,7 +130,7 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
     // Phase 3: each node converts hop counts into distance estimates using
     // the meters-per-hop of its *closest* anchor (the value it would have
     // received first), then multilaterates.
-    let mut set = rl_ranging::measurement::MeasurementSet::new(n);
+    let mut ranges = Vec::new();
     for (i, node_hops) in hops.iter().enumerate().take(n) {
         if anchor_ids.contains(&NodeId(i)) {
             continue;
@@ -147,11 +147,13 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
         for (k, a) in anchors.iter().enumerate() {
             if let Some(h) = node_hops[k] {
                 if h > 0 {
-                    set.insert(NodeId(i), a.id, mph * h as f64);
+                    ranges.push((NodeId(i), a.id, mph * h as f64, 1.0));
                 }
             }
         }
     }
+    let set = rl_ranging::measurement::MeasurementSet::try_from_weighted_edges(n, ranges)
+        .map_err(|_| LocalizationError::InvalidConfig("hop distance estimate is not finite"))?;
     let solver = MultilaterationSolver::new(MultilaterationConfig {
         // Hop-distance estimates are coarse; the intersection check would
         // reject nearly everything, so DV-hop runs without it.

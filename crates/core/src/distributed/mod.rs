@@ -99,7 +99,7 @@ impl LocalMap {
         rng: &mut R,
     ) -> Result<LocalMap> {
         let mut cluster: Vec<NodeId> = vec![center];
-        cluster.extend(set.neighbors_of(center).into_iter().map(|(id, _)| id));
+        cluster.extend(set.neighbors_of(center).map(|(id, _)| id));
         cluster.sort();
         cluster.dedup();
         if cluster.len() < 3 {

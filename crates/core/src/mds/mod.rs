@@ -12,7 +12,7 @@ use rl_math::sparse::{
     dijkstra_into, eigen as sparse_eigen, CsrMatrix, DijkstraWorkspace, LinearOperator,
 };
 use rl_math::{DMatrix, SymmetricEigen};
-use rl_net::pool;
+use rl_net::{pool, NodeId};
 use rl_ranging::measurement::MeasurementSet;
 
 use crate::problem::{pool_workers, SolverBackend};
@@ -160,20 +160,26 @@ fn mdsmap_impl(set: &MeasurementSet, backend: SolverBackend) -> Result<(Vec<Poin
     classical_mds(&d).map(|coords| (coords, 0))
 }
 
+/// The measurement graph's CSR adjacency matrix, distances as values,
+/// copied row by row from the set's sorted neighbor lists.
+fn adjacency(set: &MeasurementSet) -> Result<CsrMatrix> {
+    let n = set.node_count();
+    CsrMatrix::from_sorted_rows(
+        n,
+        (0..n).map(|i| set.neighbors_of(NodeId(i)).map(|(j, d)| (j.index(), d))),
+    )
+    .map_err(LocalizationError::Numerical)
+}
+
 /// Geodesic completion: the row-major `n x n` table of shortest-path
 /// distances through the measurement graph, one Dijkstra run per source
-/// over its CSR adjacency matrix. The table is the one intrinsically
+/// over its CSR [`adjacency`] matrix. The table is the one intrinsically
 /// quadratic artifact of MDS-MAP. On `workers` pool threads, each task
 /// fills one block of [`COMPLETION_BLOCK`] rows in place, reusing one
 /// heap across its sources.
 fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> {
     let n = set.node_count();
-    let edges: Vec<(usize, usize, f64)> = set
-        .iter()
-        .map(|(a, b, d)| (a.index(), b.index(), d))
-        .collect();
-    let adjacency =
-        CsrMatrix::symmetric_from_edges(n, &edges).map_err(LocalizationError::Numerical)?;
+    let adjacency = adjacency(set)?;
     let mut completed = vec![0.0; n * n];
     let mut blocks: Vec<&mut [f64]> = completed.chunks_mut(COMPLETION_BLOCK * n).collect();
     pool::par_for_each_mut(&mut blocks, workers, |b, rows| {
@@ -383,7 +389,6 @@ mod tests {
     use super::*;
     use crate::eval::evaluate_against_truth;
     use crate::types::PositionMap;
-    use rl_net::NodeId;
 
     fn grid(nx: usize, ny: usize, spacing: f64) -> Vec<Point2> {
         let mut out = Vec::new();
@@ -393,6 +398,30 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn adjacency_is_bit_equal_to_the_edge_list_build() {
+        use rand::Rng;
+        let mut rng = rl_math::rng::seeded(11);
+        let positions: Vec<Point2> = (0..120)
+            .map(|_| Point2::new(rng.random::<f64>() * 90.0, rng.random::<f64>() * 90.0))
+            .collect();
+        let mut set = MeasurementSet::oracle(&positions, 22.0);
+        set.insert(NodeId(0), NodeId(1), 0.0);
+        let edges: Vec<(usize, usize, f64)> = set
+            .iter()
+            .map(|(a, b, d)| (a.index(), b.index(), d))
+            .collect();
+        let expect = CsrMatrix::symmetric_from_edges(set.node_count(), &edges).unwrap();
+        let got = adjacency(&set).unwrap();
+        assert_eq!(got, expect);
+        for i in 0..set.node_count() {
+            let bits = |m: &CsrMatrix| -> Vec<(usize, u64)> {
+                m.row(i).map(|(j, v)| (j, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&expect), "row {i}");
+        }
     }
 
     #[test]

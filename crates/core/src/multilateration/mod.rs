@@ -147,7 +147,6 @@ pub fn mean_anchors_available(measurements: &MeasurementSet, anchors: &[Anchor])
         non_anchor_count += 1;
         total_available += measurements
             .neighbors_of(NodeId(i))
-            .iter()
             .filter(|(j, _)| anchor_set.contains(j))
             .count();
     }
@@ -321,7 +320,6 @@ impl MultilaterationSolver {
     ) -> (usize, Option<Point2>) {
         let observations: Vec<RangeToAnchor> = measurements
             .neighbors_of(node)
-            .into_iter()
             .filter_map(|(j, d)| {
                 anchor_table[j.index()].map(|(pos, w)| RangeToAnchor {
                     anchor: pos,

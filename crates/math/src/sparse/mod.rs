@@ -6,8 +6,8 @@
 //! few thousand pairs, not the half-million a dense matrix stores — so
 //! the large-`n` solver paths run on this module instead of [`DMatrix`]:
 //!
-//! * [`CsrMatrix`] — compressed sparse row storage with a triplet
-//!   builder and `O(nnz)` matrix-vector products,
+//! * [`CsrMatrix`] — compressed sparse row storage with triplet and
+//!   sorted-row builders and `O(nnz)` matrix-vector products,
 //! * [`LinearOperator`] — the matrix-free abstraction the iterative
 //!   solvers consume; implemented by [`CsrMatrix`], [`DMatrix`], and any
 //!   problem-specific implicit operator (e.g. the double-centered MDS
@@ -164,6 +164,49 @@ impl CsrMatrix {
             }
         }
         CsrMatrix::from_triplets(n, n, &triplets)
+    }
+
+    /// Builds a matrix with `cols` columns from its rows, each given as
+    /// `(column, value)` pairs with columns strictly increasing: the CSR
+    /// arrays are filled in one pass, with no triplet sort. A graph that
+    /// already keeps sorted neighbor lists hands them over as they are.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::InvalidArgument`] when a column is out of
+    /// bounds or not above its predecessor, or a value is not finite.
+    pub fn from_sorted_rows<R, I>(cols: usize, rows: R) -> Result<Self>
+    where
+        R: IntoIterator<Item = I>,
+        I: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for row in rows {
+            let start = col_idx.len();
+            for (c, v) in row {
+                if c >= cols {
+                    return Err(MathError::InvalidArgument("row entry out of bounds"));
+                }
+                if col_idx.len() > start && c <= col_idx[col_idx.len() - 1] {
+                    return Err(MathError::InvalidArgument("row columns not increasing"));
+                }
+                if !v.is_finite() {
+                    return Err(MathError::InvalidArgument("row value is not finite"));
+                }
+                col_idx.push(c);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Ok(CsrMatrix {
+            rows: row_ptr.len() - 1,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
     }
 
     /// Converts a dense matrix, dropping exact zeros.
@@ -585,6 +628,25 @@ mod tests {
             CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN)]),
             Err(MathError::InvalidArgument(_))
         ));
+    }
+
+    #[test]
+    fn sorted_rows_match_triplets_and_reject_bad_rows() {
+        let rows = [vec![(0, 2.0), (2, 1.5)], vec![], vec![(1, -1.0)]];
+        let a = CsrMatrix::from_sorted_rows(3, rows.iter().map(|r| r.iter().copied())).unwrap();
+        let b = CsrMatrix::from_triplets(3, 3, &[(0, 0, 2.0), (0, 2, 1.5), (2, 1, -1.0)]).unwrap();
+        assert_eq!(a, b);
+        for bad in [
+            vec![(3, 1.0)],
+            vec![(1, 1.0), (1, 2.0)],
+            vec![(2, 1.0), (0, 2.0)],
+            vec![(0, f64::INFINITY)],
+        ] {
+            assert!(matches!(
+                CsrMatrix::from_sorted_rows(3, [bad]),
+                Err(MathError::InvalidArgument(_))
+            ));
+        }
     }
 
     #[test]

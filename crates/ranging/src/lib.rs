@@ -5,7 +5,13 @@
 //!
 //! * [`measurement`] — the sparse measurement graph
 //!   ([`measurement::MeasurementSet`]) consumed by every
-//!   localization algorithm, plus raw per-round campaign data,
+//!   localization algorithm, plus raw per-round campaign data. The graph
+//!   is one adjacency: a row per node, sorted by neighbor id, each edge
+//!   stored under both endpoints. Pairs iterate as `(a, b)` with `a < b`
+//!   in `(a, b)` order, neighbor lists are borrowed rows in id order,
+//!   and untrusted edge lists (serde, the wire) are built through one
+//!   bulk constructor that validates, sorts once and keeps the last of
+//!   repeated pairs,
 //! * [`tdoa`] — detection-index → distance conversion with `δ_const`
 //!   calibration (Section 3.1's combined constant delay),
 //! * [`service`] — the ranging service itself: per-node hardware variation,
@@ -33,7 +39,8 @@
 //! set.insert(NodeId(1), NodeId(2), 10.3);
 //! assert_eq!(set.get(NodeId(1), NodeId(0)), Some(9.1));
 //! assert_eq!(set.len(), 2);
-//! assert_eq!(set.neighbors_of(NodeId(1)).len(), 2);
+//! let neighbors: Vec<_> = set.neighbors_of(NodeId(1)).collect();
+//! assert_eq!(neighbors, [(NodeId(0), 9.1), (NodeId(2), 10.3)]);
 //! ```
 
 #![deny(missing_docs)]

@@ -13,7 +13,7 @@
 use crate::RangingError;
 use rl_net::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Largest node count a measurement set read from the wire may declare
 /// (the session protocol's universe cap, too). Bounds allocation before
@@ -80,33 +80,42 @@ impl RangingCampaign {
 
 /// Sparse undirected distance graph with per-edge weights.
 ///
-/// Edges are stored once under the ordered key `(min, max)`; lookups accept
-/// either orientation. Weights default to 1 and feed LSS's weighted stress
-/// function `E_w`.
+/// One adjacency holds the graph: row `i` lists node `i`'s measured
+/// neighbors with their edge, sorted by neighbor id, and every edge is
+/// stored under both endpoints. Lookups accept either orientation.
+/// [`MeasurementSet::iter`] walks the part of each row above its own id,
+/// so pairs come out as `(a, b)` with `a < b` in `(a, b)` order, and
+/// [`MeasurementSet::neighbors_of`] borrows a row in id order. Weights
+/// default to 1 and feed LSS's weighted stress function `E_w`.
+///
+/// Inserting into a sorted row shifts its tail, so a set built edge by
+/// edge in adversarial order costs quadratic time in a node's degree.
+/// Untrusted edge lists go through
+/// [`MeasurementSet::try_from_weighted_edges`] instead, which validates
+/// every edge, sorts once and builds each row in a single pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementSet {
-    n: usize,
-    edges: BTreeMap<(usize, usize), Edge>,
-    adjacency: Vec<BTreeSet<usize>>,
+    rows: Vec<Vec<(usize, Edge)>>,
+    len: usize,
 }
 
-/// JSON-friendly representation (tuple map keys are not valid JSON keys).
+/// Serialized form: the node count and every pair once, as
+/// [`MeasurementSet::iter_weighted`] yields it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct MeasurementSetRepr {
     n: usize,
     edges: Vec<(usize, usize, f64, f64)>,
 }
 
-// Serialized through `MeasurementSetRepr` (tuple map keys are not valid
-// JSON object keys), mirroring `#[serde(into/from)]`.
+// Serialized through `MeasurementSetRepr`, mirroring
+// `#[serde(into/from)]`.
 impl Serialize for MeasurementSet {
     fn to_value(&self) -> serde::Value {
         MeasurementSetRepr {
-            n: self.n,
+            n: self.node_count(),
             edges: self
-                .edges
-                .iter()
-                .map(|(&(a, b), e)| (a, b, e.distance, e.weight))
+                .iter_weighted()
+                .map(|(a, b, d, w)| (a.index(), b.index(), d, w))
                 .collect(),
         }
         .to_value()
@@ -116,7 +125,9 @@ impl Serialize for MeasurementSet {
 impl Deserialize for MeasurementSet {
     /// Rejects a node count above [`MAX_UNIVERSE`] before allocating
     /// anything for it, and an invalid edge with an error rather than a
-    /// panic: the input may be untrusted.
+    /// panic: the input may be untrusted. Builds through
+    /// [`MeasurementSet::try_from_weighted_edges`], so decoding stays
+    /// `O(m log m)` in any edge order.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let repr = MeasurementSetRepr::from_value(value)?;
         if repr.n as u64 > MAX_UNIVERSE {
@@ -125,49 +136,112 @@ impl Deserialize for MeasurementSet {
                 repr.n
             )));
         }
-        let mut set = MeasurementSet::new(repr.n);
-        for (a, b, d, w) in repr.edges {
-            set.try_insert_weighted(NodeId(a), NodeId(b), d, w)
-                .map_err(|e| serde::Error::custom(e.to_string()))?;
-        }
-        Ok(set)
+        MeasurementSet::try_from_weighted_edges(
+            repr.n,
+            repr.edges
+                .into_iter()
+                .map(|(a, b, d, w)| (NodeId(a), NodeId(b), d, w)),
+        )
+        .map_err(|(_, e)| serde::Error::custom(e.to_string()))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Edge {
     distance: f64,
     weight: f64,
+}
+
+/// Position of neighbor `j` in a sorted row.
+fn search(row: &[(usize, Edge)], j: usize) -> Result<usize, usize> {
+    row.binary_search_by_key(&j, |&(k, _)| k)
 }
 
 impl MeasurementSet {
     /// Creates an empty measurement set over `n` nodes.
     pub fn new(n: usize) -> Self {
         MeasurementSet {
-            n,
-            edges: BTreeMap::new(),
-            adjacency: vec![BTreeSet::new(); n],
+            rows: vec![Vec::new(); n],
+            len: 0,
         }
+    }
+
+    /// Builds a set over `n` nodes from `(a, b, distance, weight)` edges
+    /// in one pass: every edge is checked exactly as
+    /// [`MeasurementSet::try_insert_weighted`] checks it, the edges are
+    /// sorted once, and a pair listed twice keeps its last edge, as
+    /// repeated inserts would. Costs `O(m log m)` whatever the edge
+    /// order, which makes it the constructor for untrusted input.
+    ///
+    /// # Errors
+    ///
+    /// The position of the first invalid edge in `edges` and the
+    /// [`RangingError::InvalidMeasurement`] that
+    /// [`MeasurementSet::try_insert_weighted`] would have returned for it.
+    pub fn try_from_weighted_edges(
+        n: usize,
+        edges: impl IntoIterator<Item = (NodeId, NodeId, f64, f64)>,
+    ) -> Result<Self, (usize, RangingError)> {
+        let edges = edges.into_iter();
+        let mut keyed: Vec<(usize, usize, Edge)> = Vec::with_capacity(edges.size_hint().0);
+        for (k, (a, b, distance, weight)) in edges.enumerate() {
+            Self::check(n, a, b, distance, weight).map_err(|e| (k, e))?;
+            let (x, y) = (a.index().min(b.index()), a.index().max(b.index()));
+            keyed.push((x, y, Edge { distance, weight }));
+        }
+        // A stable sort keeps repeats of a pair in input order; folding
+        // each later repeat into the first keeps the last edge.
+        keyed.sort_by_key(|&(a, b, _)| (a, b));
+        keyed.dedup_by(|later, kept| {
+            let repeat = (later.0, later.1) == (kept.0, kept.1);
+            if repeat {
+                kept.2 = later.2;
+            }
+            repeat
+        });
+        let mut degree = vec![0usize; n];
+        for &(a, b, _) in &keyed {
+            degree[a] += 1;
+            degree[b] += 1;
+        }
+        let mut rows: Vec<Vec<(usize, Edge)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        // In `(a, b)` order, row `b` first receives its lower neighbors
+        // (ascending `a`), then its upper ones (ascending `b'` of
+        // `(b, b')`), so every row comes out sorted.
+        for &(a, b, edge) in &keyed {
+            rows[a].push((b, edge));
+            rows[b].push((a, edge));
+        }
+        Ok(MeasurementSet {
+            rows,
+            len: keyed.len(),
+        })
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Number of measured pairs.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.len
     }
 
     /// Whether no pair has a measurement.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len == 0
     }
 
-    fn key(a: NodeId, b: NodeId) -> (usize, usize) {
-        let (x, y) = (a.index(), b.index());
-        (x.min(y), x.max(y))
+    /// Node `node`'s row (empty for an id out of range).
+    fn row(&self, node: NodeId) -> &[(usize, Edge)] {
+        self.rows.get(node.index()).map_or(&[], Vec::as_slice)
+    }
+
+    fn edge(&self, a: NodeId, b: NodeId) -> Option<Edge> {
+        let row = self.row(a);
+        search(row, b.index()).ok().map(|p| row[p].1)
     }
 
     /// Inserts (or replaces) the measured distance for a pair with weight 1.
@@ -186,11 +260,38 @@ impl MeasurementSet {
     ///
     /// Same conditions as [`MeasurementSet::insert`], plus a weight that
     /// is not finite and positive. Untrusted input goes through
-    /// [`MeasurementSet::try_insert_weighted`] instead.
+    /// [`MeasurementSet::try_insert_weighted`] or
+    /// [`MeasurementSet::try_from_weighted_edges`] instead.
     pub fn insert_weighted(&mut self, a: NodeId, b: NodeId, distance_m: f64, weight: f64) {
         if let Err(e) = self.try_insert_weighted(a, b, distance_m, weight) {
             panic!("{e}");
         }
+    }
+
+    /// The one edge check behind every insert and the bulk constructor.
+    fn check(
+        n: usize,
+        a: NodeId,
+        b: NodeId,
+        distance_m: f64,
+        weight: f64,
+    ) -> Result<(), RangingError> {
+        let invalid = |what: String| Err(RangingError::InvalidMeasurement(what));
+        if a == b {
+            return invalid(format!("self-distance for {a} is meaningless"));
+        }
+        if a.index() >= n || b.index() >= n {
+            return invalid(format!("node out of range: {a}, {b} (n = {n})"));
+        }
+        if !(distance_m.is_finite() && distance_m >= 0.0) {
+            return invalid(format!(
+                "distance must be finite and non-negative, got {distance_m}"
+            ));
+        }
+        if !(weight.is_finite() && weight > 0.0) {
+            return invalid(format!("weight must be finite and positive, got {weight}"));
+        }
+        Ok(())
     }
 
     /// [`MeasurementSet::insert_weighted`] that rejects an invalid edge
@@ -208,155 +309,130 @@ impl MeasurementSet {
         distance_m: f64,
         weight: f64,
     ) -> Result<(), RangingError> {
-        let invalid = |what: String| Err(RangingError::InvalidMeasurement(what));
-        if a == b {
-            return invalid(format!("self-distance for {a} is meaningless"));
+        Self::check(self.node_count(), a, b, distance_m, weight)?;
+        let edge = Edge {
+            distance: distance_m,
+            weight,
+        };
+        let mut added = false;
+        for (x, y) in [(a, b), (b, a)] {
+            let row = &mut self.rows[x.index()];
+            match search(row, y.index()) {
+                Ok(p) => row[p].1 = edge,
+                Err(p) => {
+                    row.insert(p, (y.index(), edge));
+                    added = true;
+                }
+            }
         }
-        if a.index() >= self.n || b.index() >= self.n {
-            return invalid(format!("node out of range: {a}, {b} (n = {})", self.n));
-        }
-        if !(distance_m.is_finite() && distance_m >= 0.0) {
-            return invalid(format!(
-                "distance must be finite and non-negative, got {distance_m}"
-            ));
-        }
-        if !(weight.is_finite() && weight > 0.0) {
-            return invalid(format!("weight must be finite and positive, got {weight}"));
-        }
-        self.edges.insert(
-            Self::key(a, b),
-            Edge {
-                distance: distance_m,
-                weight,
-            },
-        );
-        self.adjacency[a.index()].insert(b.index());
-        self.adjacency[b.index()].insert(a.index());
+        self.len += usize::from(added);
         Ok(())
     }
 
     /// The measured distance for a pair, in either orientation.
     pub fn get(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        if a == b {
-            return None;
-        }
-        self.edges.get(&Self::key(a, b)).map(|e| e.distance)
+        self.edge(a, b).map(|e| e.distance)
     }
 
     /// The weight of a measured pair.
     pub fn weight(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        if a == b {
-            return None;
-        }
-        self.edges.get(&Self::key(a, b)).map(|e| e.weight)
+        self.edge(a, b).map(|e| e.weight)
     }
 
     /// Whether the pair has a measurement.
     pub fn contains(&self, a: NodeId, b: NodeId) -> bool {
-        self.get(a, b).is_some()
+        self.edge(a, b).is_some()
     }
 
     /// Removes a pair's measurement; returns the removed distance.
     pub fn remove(&mut self, a: NodeId, b: NodeId) -> Option<f64> {
-        if a == b || a.index() >= self.n || b.index() >= self.n {
-            return None;
-        }
-        let removed = self.edges.remove(&Self::key(a, b)).map(|e| e.distance);
-        if removed.is_some() {
-            self.adjacency[a.index()].remove(&b.index());
-            self.adjacency[b.index()].remove(&a.index());
-        }
-        removed
+        let p = search(self.row(a), b.index()).ok()?;
+        let (_, edge) = self.rows[a.index()].remove(p);
+        let row = &mut self.rows[b.index()];
+        let q = search(row, a.index()).expect("every edge is stored under both endpoints");
+        row.remove(q);
+        self.len -= 1;
+        Some(edge.distance)
     }
 
-    /// Iterates over `(a, b, distance)` with `a < b`.
+    /// Iterates over `(a, b, distance)` with `a < b`, in `(a, b)` order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
-        self.edges
-            .iter()
-            .map(|(&(a, b), e)| (NodeId(a), NodeId(b), e.distance))
+        self.iter_weighted().map(|(a, b, d, _)| (a, b, d))
     }
 
-    /// Iterates over `(a, b, distance, weight)` with `a < b`.
+    /// Iterates over `(a, b, distance, weight)` with `a < b`, in `(a, b)`
+    /// order: the part of each row above its own id, row by row.
     pub fn iter_weighted(&self) -> impl Iterator<Item = (NodeId, NodeId, f64, f64)> + '_ {
-        self.edges
-            .iter()
-            .map(|(&(a, b), e)| (NodeId(a), NodeId(b), e.distance, e.weight))
+        self.rows.iter().enumerate().flat_map(|(a, row)| {
+            let upper = row.partition_point(|&(b, _)| b < a);
+            row[upper..]
+                .iter()
+                .map(move |&(b, e)| (NodeId(a), NodeId(b), e.distance, e.weight))
+        })
     }
 
-    /// Measured neighbors of `node` with distances.
-    pub fn neighbors_of(&self, node: NodeId) -> Vec<(NodeId, f64)> {
-        let Some(adj) = self.adjacency.get(node.index()) else {
-            return Vec::new();
-        };
-        adj.iter()
-            .map(|&j| {
-                let d = self
-                    .get(node, NodeId(j))
-                    .expect("adjacency is consistent with edges");
-                (NodeId(j), d)
-            })
-            .collect()
+    /// Measured neighbors of `node` with distances, sorted by id; empty
+    /// for an id out of range. Borrows the node's row, so reading it
+    /// allocates nothing.
+    pub fn neighbors_of(&self, node: NodeId) -> impl ExactSizeIterator<Item = (NodeId, f64)> + '_ {
+        self.row(node).iter().map(|&(j, e)| (NodeId(j), e.distance))
     }
 
     /// Node degree (number of measured neighbors).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency
-            .get(node.index())
-            .map(BTreeSet::len)
-            .unwrap_or(0)
+        self.row(node).len()
     }
 
     /// Mean degree over all nodes.
     pub fn average_degree(&self) -> f64 {
-        if self.n == 0 {
+        if self.rows.is_empty() {
             return 0.0;
         }
-        2.0 * self.len() as f64 / self.n as f64
+        2.0 * self.len() as f64 / self.node_count() as f64
     }
 
     /// Extracts the sub-measurement-set induced by `nodes`; returns the set
-    /// (re-indexed `0..nodes.len()`) plus the mapping from new index to the
-    /// original [`NodeId`].
+    /// (re-indexed `0..nodes.len()`, node `k` being `nodes[k]`) plus the
+    /// mapping from new index to the original [`NodeId`]. An id out of
+    /// range becomes an isolated node.
     ///
     /// Used by distributed LSS, where each node localizes only itself and
-    /// its ranging neighbors. Extraction walks the induced nodes'
-    /// adjacency lists — `O(cluster edges)` lookups — rather than
-    /// scanning the whole edge map, so carving `n` per-node clusters out
-    /// of a metro-scale set costs `O(Σ cluster edges)` total instead of
-    /// `O(n · total edges)`.
+    /// its ranging neighbors. Old ids map to new ones through a slot
+    /// vector, and extraction walks only the induced nodes' rows, so
+    /// carving a cluster costs `O(n)` for the slots plus
+    /// `O(cluster edges)`, not a scan of the whole edge list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` lists an id twice: the induced set would need
+    /// two new nodes for one old one.
     pub fn subgraph(&self, nodes: &[NodeId]) -> (MeasurementSet, Vec<NodeId>) {
-        let mapping: Vec<NodeId> = nodes.to_vec();
-        let index_of: BTreeMap<usize, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(new, old)| (old.index(), new))
-            .collect();
-        let mut sub = MeasurementSet::new(nodes.len());
-        for (&old, &ia) in &index_of {
-            let Some(adj) = self.adjacency.get(old) else {
-                continue;
-            };
-            for &other in adj {
-                // Each induced edge is visited from both endpoints; keep
-                // the `old < other` orientation so it is inserted once.
-                if other <= old {
-                    continue;
-                }
-                if let Some(&ib) = index_of.get(&other) {
-                    let edge = self.edges[&(old, other)];
-                    sub.insert_weighted(NodeId(ia), NodeId(ib), edge.distance, edge.weight);
-                }
+        let mut slot = vec![usize::MAX; self.node_count()];
+        for (new, old) in nodes.iter().enumerate() {
+            if let Some(s) = slot.get_mut(old.index()) {
+                assert!(*s == usize::MAX, "subgraph lists node {old} twice");
+                *s = new;
             }
         }
-        (sub, mapping)
+        let mut sub = MeasurementSet::new(nodes.len());
+        for (row, old) in sub.rows.iter_mut().zip(nodes) {
+            row.extend(
+                self.row(*old)
+                    .iter()
+                    .filter(|&&(other, _)| slot[other] != usize::MAX)
+                    .map(|&(other, edge)| (slot[other], edge)),
+            );
+            // New ids follow `nodes`' order, not the old ids'.
+            row.sort_unstable_by_key(|&(j, _)| j);
+            sub.len += row.len();
+        }
+        sub.len /= 2;
+        (sub, nodes.to_vec())
     }
 
     /// The connectivity topology of the measurement graph.
     pub fn topology(&self) -> rl_net::Topology {
-        rl_net::Topology::from_edges(
-            self.n,
-            self.edges.keys().map(|&(a, b)| (NodeId(a), NodeId(b))),
-        )
+        rl_net::Topology::from_edges(self.node_count(), self.iter().map(|(a, b, _)| (a, b)))
     }
 
     /// Builds the set of exact pairwise distances for all pairs closer than
@@ -508,7 +584,7 @@ mod tests {
         assert_eq!(set.remove(id(1), id(0)), Some(5.0));
         assert_eq!(set.remove(id(1), id(0)), None);
         assert_eq!(set.degree(id(1)), 1);
-        assert_eq!(set.neighbors_of(id(1)), vec![(id(2), 6.0)]);
+        assert!(set.neighbors_of(id(1)).eq([(id(2), 6.0)]));
         assert_eq!(set.remove(id(2), id(2)), None);
     }
 
@@ -518,12 +594,12 @@ mod tests {
         set.insert(id(0), id(1), 1.0);
         set.insert(id(0), id(2), 2.0);
         set.insert(id(0), id(3), 3.0);
-        let nbrs = set.neighbors_of(id(0));
+        let nbrs: Vec<_> = set.neighbors_of(id(0)).collect();
         assert_eq!(nbrs, vec![(id(1), 1.0), (id(2), 2.0), (id(3), 3.0)]);
         assert_eq!(set.degree(id(0)), 3);
         assert_eq!(set.degree(id(3)), 1);
         assert!((set.average_degree() - 1.5).abs() < 1e-12);
-        assert!(set.neighbors_of(id(9)).is_empty());
+        assert_eq!(set.neighbors_of(id(9)).len(), 0);
     }
 
     #[test]
@@ -618,6 +694,49 @@ mod tests {
         assert_eq!(back, set);
     }
 
+    #[test]
+    fn bulk_build_keeps_the_last_repeat_and_matches_inserts() {
+        let edges = [
+            (id(3), id(1), 4.0, 1.0),
+            (id(0), id(2), 5.0, 0.5),
+            (id(1), id(3), 6.0, 2.0),
+            (id(2), id(1), 7.0, 1.0),
+        ];
+        let bulk = MeasurementSet::try_from_weighted_edges(4, edges).unwrap();
+        let mut inserted = MeasurementSet::new(4);
+        for (a, b, d, w) in edges {
+            inserted.insert_weighted(a, b, d, w);
+        }
+        assert_eq!(bulk, inserted);
+        assert_eq!(bulk.len(), 3);
+        assert_eq!(bulk.get(id(3), id(1)), Some(6.0));
+        assert_eq!(bulk.weight(id(1), id(3)), Some(2.0));
+        assert!(bulk.neighbors_of(id(1)).eq([(id(2), 7.0), (id(3), 6.0)]));
+    }
+
+    #[test]
+    fn bulk_build_rejects_the_first_invalid_edge_with_the_insert_error() {
+        for (a, b, d, w) in [
+            (1, 1, 1.0, 1.0),
+            (0, 3, 1.0, 1.0),
+            (0, 1, -1.0, 1.0),
+            (0, 1, f64::NAN, 1.0),
+            (0, 1, 5.0, 0.0),
+            (0, 1, 5.0, f64::INFINITY),
+        ] {
+            let edges = [
+                (id(0), id(2), 1.0, 1.0),
+                (id(a), id(b), d, w),
+                (id(1), id(1), 1.0, 1.0),
+            ];
+            let (at, err) = MeasurementSet::try_from_weighted_edges(3, edges).unwrap_err();
+            let expect = MeasurementSet::new(3)
+                .try_insert_weighted(id(a), id(b), d, w)
+                .unwrap_err();
+            assert_eq!((at, err), (1, expect), "({a}, {b}, {d}, {w})");
+        }
+    }
+
     proptest! {
         /// The adjacency-walking subgraph extraction agrees with a full
         /// edge-map scan for arbitrary sets and arbitrary induced node
@@ -650,30 +769,130 @@ mod tests {
             prop_assert_eq!(mapping, nodes);
         }
 
-        /// Adjacency stays consistent with the edge map under arbitrary
-        /// insert/remove interleavings.
+        /// Random inserts, replacing inserts, removes and rejected
+        /// inserts agree, step by step, with a `BTreeMap` model keyed
+        /// by `(min, max)`: every reader, the subgraph, serde and
+        /// equality with a bulk rebuild.
         #[test]
-        fn prop_adjacency_consistent(ops in proptest::collection::vec(
-            (0usize..6, 0usize..6, proptest::bool::ANY, 0.1f64..50.0), 0..60)
+        fn prop_matches_a_btreemap_model(ops in proptest::collection::vec(
+            (0usize..5, 0usize..MODEL_N, 0usize..MODEL_N, 0.0f64..50.0), 1..48)
         ) {
-            let mut set = MeasurementSet::new(6);
-            for (a, b, is_insert, d) in ops {
-                if a == b { continue; }
-                if is_insert {
-                    set.insert(id(a), id(b), d);
-                } else {
-                    set.remove(id(a), id(b));
+            let mut set = MeasurementSet::new(MODEL_N);
+            let mut model: BTreeMap<(usize, usize), (f64, f64)> = BTreeMap::new();
+            for (step, (kind, a, b, d)) in ops.into_iter().enumerate() {
+                let w = 0.25 + d / 8.0;
+                match kind {
+                    // New or replacing insert, either orientation.
+                    0 | 1 if a != b => {
+                        set.insert_weighted(id(a), id(b), d, w);
+                        model.insert((a.min(b), a.max(b)), (d, w));
+                    }
+                    // Replace an existing pair, reversed orientation.
+                    2 if !model.is_empty() => {
+                        let (&(x, y), _) = model.iter().nth((a * MODEL_N + b) % model.len()).unwrap();
+                        set.insert_weighted(id(y), id(x), d, w);
+                        model.insert((x, y), (d, w));
+                    }
+                    3 => {
+                        let expect = if a == b {
+                            None
+                        } else {
+                            model.remove(&(a.min(b), a.max(b))).map(|(d, _)| d)
+                        };
+                        prop_assert_eq!(set.remove(id(a), id(b)), expect);
+                    }
+                    _ => {
+                        let before = set.clone();
+                        let (x, y, dd, ww) = match b % 4 {
+                            0 => (a, a, d, w),
+                            1 => (a, MODEL_N + b, d, w),
+                            2 => (a, (a + 1) % MODEL_N, -1.0 - d, w),
+                            _ => (a, (a + 1) % MODEL_N, d, -w),
+                        };
+                        prop_assert!(set.try_insert_weighted(id(x), id(y), dd, ww).is_err());
+                        prop_assert_eq!(&set, &before);
+                    }
                 }
+                check_against_model(&set, &model, step);
             }
-            // Every adjacency entry has a matching edge and vice versa.
-            let mut count = 0;
-            for i in 0..6 {
-                for (j, d) in set.neighbors_of(id(i)) {
-                    prop_assert_eq!(set.get(id(i), j), Some(d));
-                    count += 1;
-                }
+        }
+    }
+
+    const MODEL_N: usize = 7;
+
+    fn check_against_model(
+        set: &MeasurementSet,
+        model: &BTreeMap<(usize, usize), (f64, f64)>,
+        step: usize,
+    ) {
+        let expect: Vec<_> = model
+            .iter()
+            .map(|(&(a, b), &(d, w))| (id(a), id(b), d, w))
+            .collect();
+        assert_eq!(set.len(), model.len());
+        assert_eq!(set.is_empty(), model.is_empty());
+        assert_eq!(set.iter_weighted().collect::<Vec<_>>(), expect);
+        assert!(set.iter().eq(expect.iter().map(|&(a, b, d, _)| (a, b, d))));
+        // Point lookups in both orientations, including an id out of range.
+        for i in 0..=MODEL_N {
+            for j in 0..=MODEL_N {
+                let want = model.get(&(i.min(j), i.max(j))).filter(|_| i != j);
+                assert_eq!(set.get(id(i), id(j)), want.map(|e| e.0));
+                assert_eq!(set.weight(id(i), id(j)), want.map(|e| e.1));
+                assert_eq!(set.contains(id(i), id(j)), want.is_some());
             }
-            prop_assert_eq!(count, 2 * set.len());
+            let nbrs: Vec<_> = model
+                .iter()
+                .filter_map(|(&(a, b), &(d, _))| match i {
+                    _ if a == i => Some((id(b), d)),
+                    _ if b == i => Some((id(a), d)),
+                    _ => None,
+                })
+                .collect();
+            let mut sorted = nbrs.clone();
+            sorted.sort_by_key(|&(j, _)| j);
+            assert_eq!(nbrs, sorted);
+            assert_eq!(set.neighbors_of(id(i)).collect::<Vec<_>>(), nbrs);
+            assert_eq!(set.degree(id(i)), nbrs.len());
+        }
+        // An induced set in an order that is not the id order.
+        let nodes: Vec<NodeId> = (0..MODEL_N)
+            .rev()
+            .filter(|i| !(i + step).is_multiple_of(3))
+            .map(NodeId)
+            .collect();
+        let (sub, mapping) = set.subgraph(&nodes);
+        assert_eq!(mapping, nodes);
+        let new_of = |old: usize| nodes.iter().position(|&x| x.index() == old);
+        let mut sub_model = BTreeMap::new();
+        for (&(a, b), &e) in model {
+            if let (Some(x), Some(y)) = (new_of(a), new_of(b)) {
+                sub_model.insert((x.min(y), x.max(y)), e);
+            }
+        }
+        let sub_expect: Vec<_> = sub_model
+            .iter()
+            .map(|(&(a, b), &(d, w))| (id(a), id(b), d, w))
+            .collect();
+        assert_eq!(sub.node_count(), nodes.len());
+        assert_eq!(sub.iter_weighted().collect::<Vec<_>>(), sub_expect);
+        // Serde round trip, and equality with bulk rebuilds in reverse
+        // order (with a stale repeat first) and in model order.
+        let back: MeasurementSet =
+            serde_json::from_str(&serde_json::to_string(set).unwrap()).unwrap();
+        assert_eq!(&back, set);
+        let stale = expect.first().map(|&(a, b, d, w)| (b, a, d + 1.0, w));
+        let reversed = stale.into_iter().chain(expect.iter().rev().copied());
+        assert_eq!(
+            &MeasurementSet::try_from_weighted_edges(MODEL_N, reversed).unwrap(),
+            set
+        );
+        let rebuilt = MeasurementSet::try_from_weighted_edges(MODEL_N, expect.clone()).unwrap();
+        assert_eq!(&rebuilt, set);
+        if let Some(&(a, b, d, w)) = expect.first() {
+            let mut changed = rebuilt;
+            changed.insert_weighted(a, b, d + 1.0, w);
+            assert_ne!(&changed, set);
         }
     }
 }

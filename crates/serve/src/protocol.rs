@@ -454,7 +454,8 @@ pub mod stream {
     /// [`WireObservation::from_observation`] then
     /// [`WireObservation::to_observation`] reproduces the original
     /// exactly (the measurement set iterates sorted, so reconstruction
-    /// is order-stable).
+    /// is order-stable). Decoding builds the set in one sorted pass,
+    /// whatever order the edges arrive in.
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
     pub struct WireObservation {
         /// Observation index in the stream, starting at 0.
@@ -532,13 +533,17 @@ pub mod stream {
                     )))
                 }
             };
-            let mut measurements = MeasurementSet::new(n);
             let node = |id: u64| NodeId(usize::try_from(id).unwrap_or(usize::MAX));
-            for &(a, b, d, w) in &self.edges {
-                measurements
-                    .try_insert_weighted(node(a), node(b), d, w)
-                    .map_err(|e| invalid(format!("edge ({a}, {b}): {e}")))?;
-            }
+            let measurements = MeasurementSet::try_from_weighted_edges(
+                n,
+                self.edges
+                    .iter()
+                    .map(|&(a, b, d, w)| (node(a), node(b), d, w)),
+            )
+            .map_err(|(k, e)| {
+                let (a, b, _, _) = self.edges[k];
+                invalid(format!("edge ({a}, {b}): {e}"))
+            })?;
             let mut anchors = Vec::with_capacity(self.anchors.len());
             for &(id, x, y) in &self.anchors {
                 if !x.is_finite() || !y.is_finite() {
@@ -897,7 +902,11 @@ pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rl_net::NodeId;
+    use rl_ranging::measurement::MeasurementSet;
+    use serde::Deserialize;
     use std::io::Cursor;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn frames_round_trip() {
@@ -1301,6 +1310,61 @@ mod tests {
             let (a, b) = (a.unwrap(), b.unwrap());
             assert_eq!(a.0.to_bits(), b.0.to_bits());
             assert_eq!(a.1.to_bits(), b.1.to_bits());
+        }
+    }
+
+    /// Wall bound on decoding the frame-cap star below through either
+    /// untrusted path. Built edge by edge in descending leaf order, the
+    /// star shifts the hub's sorted row on every insert; that quadratic
+    /// build took 1.76–2.20 s in debug and release builds on a 2-core
+    /// x86-64 box, so the bound is more than 20x below it.
+    const STAR_DECODE_BOUND: Duration = Duration::from_millis(85);
+
+    /// The largest star whose compact JSON fits one frame, its leaves
+    /// listed in descending id order.
+    #[test]
+    fn a_frame_cap_star_decodes_in_one_sorted_pass() {
+        const LEAVES: usize = 75_000;
+        let edges: Vec<String> = (1..=LEAVES)
+            .rev()
+            .map(|leaf| format!("[0,{leaf},1,1]"))
+            .collect();
+        let edges = edges.join(",");
+        let set_json = format!(r#"{{"n":{},"edges":[{edges}]}}"#, LEAVES + 1);
+        let wire_json = format!(
+            r#"{{"tick":0,"universe":{},"edges":[{edges}],"anchors":[],"active":[],"joined":[],"left":[],"truth":null}}"#,
+            LEAVES + 1
+        );
+        assert!(
+            wire_json.len() <= DEFAULT_MAX_FRAME,
+            "{} bytes",
+            wire_json.len()
+        );
+        let wire: stream::WireObservation = serde_json::from_str(&wire_json).unwrap();
+        let value: serde::Value = serde_json::from_str(&set_json).unwrap();
+
+        // Best of three, so a busy test runner does not fail the bound.
+        fn best_of_three<T>(mut decode: impl FnMut() -> T) -> (Duration, T) {
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    let out = decode();
+                    (start.elapsed(), out)
+                })
+                .min_by_key(|(took, _)| *took)
+                .expect("three runs")
+        }
+        let (wire_took, pushed) = best_of_three(|| wire.to_observation().unwrap().measurements);
+        let (serde_took, set) = best_of_three(|| MeasurementSet::from_value(&value).unwrap());
+
+        assert_eq!(pushed, set);
+        assert_eq!(set.degree(NodeId(0)), LEAVES);
+        assert!(set
+            .neighbors_of(NodeId(0))
+            .map(|(j, _)| j.index())
+            .eq(1..=LEAVES));
+        for (path, took) in [("to_observation", wire_took), ("Deserialize", serde_took)] {
+            assert!(took < STAR_DECODE_BOUND, "{path} took {took:?}");
         }
     }
 
