@@ -41,8 +41,8 @@ const MODE_OF_INTERSECTIONS_US: f64 = 40.0;
 const TRANSFORM_MINIMIZATION_US: f64 = 1_380.0;
 
 /// Per-call budgets in milliseconds for the deploy layer.
-const METRO1000_INSTANTIATE_MS: f64 = 36.0;
-const METRO250_MOBILE_TRACE_MS: f64 = 235.0;
+const METRO1000_INSTANTIATE_MS: f64 = 13.0;
+const METRO250_MOBILE_TRACE_MS: f64 = 90.0;
 
 /// Ticks in the timed mobility trace.
 const TRACE_TICKS: usize = 100;

@@ -101,13 +101,14 @@ impl SolverBackend {
 }
 
 /// Worker count for the loops that shard on [`rl_net::pool`] (MDS-MAP's
-/// completion and operator products, multilateration's per-node fixes):
-/// `0`, the machine's parallelism, at sparse scale
+/// completion and operator products, multilateration's per-node fixes,
+/// and the per-tick measurement of `rl_deploy`'s mobility traces): `0`,
+/// the machine's parallelism, at sparse scale
 /// (`n >= SolverBackend::AUTO_THRESHOLD`), and `1`, inline on the calling
-/// thread, below it. Paper-scale solves and distributed LSS's local maps
-/// therefore never spawn threads. The outputs are bit-identical either
-/// way.
-pub(crate) fn pool_workers(n: usize) -> usize {
+/// thread, below it. Paper-scale solves and traces and distributed LSS's
+/// local maps therefore never spawn threads. The outputs are
+/// bit-identical either way.
+pub fn pool_workers(n: usize) -> usize {
     if n >= SolverBackend::AUTO_THRESHOLD {
         0
     } else {

@@ -15,10 +15,14 @@
 //! [`Scenario::instantiate`]: the same `(scenario, seed)` pair always
 //! produces a bit-identical trace. Motion and churn draw from one
 //! sequential stream with a **fixed draw order** — every non-anchor
-//! draws every tick, active or not — and each tick's measurement noise
-//! draws from its own salted sub-stream (a pure function of `(seed,
-//! tick)`), so a tick's measurements never depend on how many pairs were
-//! in range on earlier ticks.
+//! draws every tick, active or not — so they run serially, in one pass
+//! over the ticks. Each tick's measurement noise draws from its own
+//! salted sub-stream (a pure function of `(seed, tick)`), so a tick's
+//! measurements never depend on how many pairs were in range on earlier
+//! ticks. That makes each tick's measurement a pure function of its
+//! index and the serial pass's record, so at sparse scale the ticks are
+//! measured on the [`rl_net::pool`] workers, and the trace is
+//! bit-identical for any worker count.
 //!
 //! # Example
 //!
@@ -36,10 +40,12 @@
 //! ```
 
 use rand::Rng;
+use rl_core::problem::pool_workers;
 use rl_core::tracking::TickObservation;
 use rl_geom::Point2;
 use rl_math::rng::{normal, seeded};
 use rl_math::Fnv1a;
+use rl_net::pool::par_map_indexed;
 use rl_net::NodeId;
 use rl_ranging::measurement::MeasurementSet;
 use serde::{Deserialize, Serialize};
@@ -182,8 +188,19 @@ impl MobilityScenario {
     /// truth) for evaluation and protocol-driven solvers.
     ///
     /// The same `(scenario, seed)` pair always produces a bit-identical
-    /// trace.
+    /// trace. At `n >= SolverBackend::AUTO_THRESHOLD` nodes the ticks are
+    /// measured on the machine's worker pool
+    /// ([`rl_core::problem::pool_workers`]), with the same bits.
     pub fn trace(&self, seed: u64) -> MobilityTrace {
+        self.trace_on(seed, pool_workers(self.base.deployment.len()))
+    }
+
+    /// [`MobilityScenario::trace`] with each tick measured on a pool of
+    /// `workers` threads (`0` = the machine's parallelism): motion and
+    /// churn run serially and record every tick's active flags and
+    /// positions, then each tick is measured on its own salted stream and
+    /// assembled into its observation, whichever worker runs it.
+    fn trace_on(&self, seed: u64, workers: usize) -> MobilityTrace {
         let n = self.base.deployment.len();
         let mut is_anchor = vec![false; n];
         for a in &self.base.anchors {
@@ -212,10 +229,9 @@ impl MobilityScenario {
                 .collect();
         }
 
-        let anchors = self.base.anchor_list();
-        let mut observations = Vec::with_capacity(self.ticks);
+        // Per tick: which nodes are active, and where every node is.
+        let mut states: Vec<(Vec<bool>, Vec<Point2>)> = Vec::with_capacity(self.ticks);
         for tick in 0..self.ticks {
-            let previous = active.clone();
             if tick == 0 {
                 for (i, slot) in active.iter_mut().enumerate() {
                     *slot = is_anchor[i]
@@ -278,8 +294,15 @@ impl MobilityScenario {
                 }
             }
 
-            // Re-measure the active subnetwork through the scenario's
-            // error stack, on a per-tick salted sub-stream.
+            states.push((active.clone(), positions.clone()));
+        }
+
+        // Re-measure each tick's active subnetwork through the scenario's
+        // error stack, on the tick's own salted sub-stream.
+        let anchors = self.base.anchor_list();
+        let observations = par_map_indexed(self.ticks, workers, |tick| {
+            let (active, positions) = &states[tick];
+            let was_active = |i: usize| tick > 0 && states[tick - 1].0[i];
             let active_ids: Vec<NodeId> = (0..n).filter(|&i| active[i]).map(NodeId).collect();
             let active_positions: Vec<Point2> =
                 active_ids.iter().map(|id| positions[id.index()]).collect();
@@ -288,20 +311,24 @@ impl MobilityScenario {
                 .base
                 .channel
                 .measure_all(&active_positions, &mut tick_rng);
-            let mut measurements = MeasurementSet::new(n);
-            for (a, b, d, w) in compact.iter_weighted() {
-                measurements.insert_weighted(active_ids[a.index()], active_ids[b.index()], d, w);
-            }
-
+            // Compact ids map to ascending universe ids, so the pairs keep
+            // their order.
+            let measurements = MeasurementSet::try_from_weighted_edges(
+                n,
+                compact
+                    .iter_weighted()
+                    .map(|(a, b, d, w)| (active_ids[a.index()], active_ids[b.index()], d, w)),
+            )
+            .expect("remapped edges stay valid");
             let joined: Vec<NodeId> = (0..n)
-                .filter(|&i| active[i] && !previous[i])
+                .filter(|&i| active[i] && !was_active(i))
                 .map(NodeId)
                 .collect();
             let left: Vec<NodeId> = (0..n)
-                .filter(|&i| !active[i] && previous[i])
+                .filter(|&i| !active[i] && was_active(i))
                 .map(NodeId)
                 .collect();
-            observations.push(TickObservation {
+            TickObservation {
                 tick: tick as u64,
                 measurements,
                 anchors: anchors.clone(),
@@ -309,8 +336,8 @@ impl MobilityScenario {
                 joined,
                 left,
                 truth: Some(positions.clone()),
-            });
-        }
+            }
+        });
         MobilityTrace {
             name: format!("{}-mobile", self.base.name),
             observations,
@@ -453,6 +480,31 @@ mod tests {
         let fp_b: Vec<u64> = b.iter().map(observation_fingerprint).collect();
         assert_eq!(fp_a, fp_b);
         assert_ne!(m.trace(10), a, "different seed, different trace");
+    }
+
+    #[test]
+    fn traces_are_bit_identical_for_any_worker_count() {
+        // Metro-250 is above the pool threshold, and the churn rates make
+        // every tick's active set differ from the last.
+        let m = preset("metro-250-mobile")
+            .unwrap()
+            .with_churn(ChurnModel {
+                join_probability: 0.2,
+                leave_probability: 0.1,
+            })
+            .with_ticks(24);
+        let serial = m.trace_on(17, 1);
+        assert!(serial.iter().any(|obs| !obs.joined.is_empty()));
+        assert!(serial.iter().any(|obs| !obs.left.is_empty()));
+        let fingerprints: Vec<u64> = serial.iter().map(observation_fingerprint).collect();
+        for workers in [2, 3] {
+            let pooled = m.trace_on(17, workers);
+            let pooled_fingerprints: Vec<u64> =
+                pooled.iter().map(observation_fingerprint).collect();
+            assert_eq!(pooled_fingerprints, fingerprints, "{workers} workers");
+            assert_eq!(pooled, serial, "{workers} workers");
+        }
+        assert_eq!(m.trace(17), serial);
     }
 
     #[test]

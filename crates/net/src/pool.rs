@@ -11,13 +11,18 @@
 //!   eigensolve's double-centered operator products (blocks of rows).
 //!   Centralized LSS inherits both through its MDS-MAP seed;
 //! * `rl_core::multilateration`: one fix per node per round, which
-//!   DV-hop inherits through its multilateration phase.
+//!   DV-hop inherits through its multilateration phase;
+//! * `rl_deploy::mobility` traces: one measured tick per item, after
+//!   motion and churn have run serially.
 //!
-//! The `rl_core` consumers ask for the machine's parallelism only at
-//! sparse scale (`n >= SolverBackend::AUTO_THRESHOLD`, 100 nodes) and run
-//! serially below it, so paper-scale solves stay on one thread and the
+//! The `rl_core` and `rl_deploy` consumers ask for the machine's
+//! parallelism only at sparse scale (`n >= SolverBackend::AUTO_THRESHOLD`,
+//! 100 nodes, through `rl_core::problem::pool_workers`) and run serially
+//! below it. So paper-scale solves and traces stay on one thread, and the
 //! distributed local maps (all under 100 nodes) never spawn threads
-//! inside the distributed pool's own workers.
+//! inside the distributed pool's own workers. `Scenario::instantiate`
+//! never pools, because the campaign runner calls it inside its workers,
+//! and no caller generates a trace inside a pool worker.
 //!
 //! Every consumer relies on one contract:
 //!

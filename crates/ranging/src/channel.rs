@@ -233,9 +233,14 @@ impl RangingChannel {
         positions: &[Point2],
         rng: &mut R,
     ) -> MeasurementSet {
-        let mut set = MeasurementSet::new(positions.len());
-        self.augment(&mut set, positions, rng);
-        set
+        let pairs = self.measure_pairs(positions, rng, |_, _| false);
+        MeasurementSet::try_from_weighted_edges(
+            positions.len(),
+            pairs
+                .into_iter()
+                .map(|(i, j, d)| (NodeId(i), NodeId(j), d, 1.0)),
+        )
+        .unwrap_or_else(|(_, e)| panic!("{e}"))
     }
 
     /// Measures every in-range pair that `set` *lacks*, keeping existing
@@ -243,6 +248,18 @@ impl RangingChannel {
     /// data, Section 4.1.3 and Figure 25); returns how many pairs were
     /// added. Draws exactly one `u64` from `rng`, like
     /// [`measure_all`](Self::measure_all).
+    ///
+    /// Both walk the pairs `(i < j)` once, in `(i, j)` order. A pair whose
+    /// squared separation exceeds `max_range_m² · (1 + 10⁻⁹)` is dropped
+    /// before its true distance (a `hypot`) is taken. The prefilter is
+    /// exact: the squared sum and the cutoff's square each carry a few
+    /// ulps of rounding, about 10⁻¹⁵ relative, so the 10⁻⁹ margin is
+    /// some 10⁶ times wider than any disagreement between the two tests,
+    /// and it drops only pairs the `hypot` test would drop too. For a
+    /// cutoff so small that its square is subnormal the margin no longer
+    /// covers the rounding, and every pair goes to the `hypot` test.
+    /// Pairs with non-finite coordinates reach the same verdict as the
+    /// `hypot` test alone gives them.
     ///
     /// # Panics
     ///
@@ -258,6 +275,24 @@ impl RangingChannel {
             positions.len(),
             "measurement set and positions must agree on node count"
         );
+        let pairs = self.measure_pairs(positions, rng, |i, j| set.contains(NodeId(i), NodeId(j)));
+        for &(i, j, d) in &pairs {
+            set.insert(NodeId(i), NodeId(j), d);
+        }
+        pairs.len()
+    }
+
+    /// The pair walk behind [`measure_all`](Self::measure_all) and
+    /// [`augment`](Self::augment): draws the stream base from `rng`, then
+    /// measures every in-range pair `(i < j)` that `skip` does not
+    /// reject, in `(i, j)` order. A skipped pair draws nothing from the
+    /// stages' streams.
+    fn measure_pairs<R: Rng + ?Sized>(
+        &self,
+        positions: &[Point2],
+        rng: &mut R,
+        skip: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, usize, f64)> {
         let base: u64 = rng.random();
         let n = positions.len();
 
@@ -270,22 +305,33 @@ impl RangingChannel {
             .map(|s| StageState::prepare(s, base, n))
             .collect();
 
-        let mut added = 0;
+        // The squared-separation prefilter (see `augment`); off when the
+        // cutoff's square is not a normal float.
+        let range_sq = self.max_range_m * self.max_range_m;
+        let prefilter_sq = if range_sq >= f64::MIN_POSITIVE {
+            range_sq * (1.0 + 1e-9)
+        } else {
+            f64::INFINITY
+        };
+
+        let mut pairs = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
+                if positions[i].distance_sq(positions[j]) > prefilter_sq {
+                    continue;
+                }
                 let true_d = positions[i].distance(positions[j]);
-                if true_d > self.max_range_m || set.contains(NodeId(i), NodeId(j)) {
+                if true_d > self.max_range_m || skip(i, j) {
                     continue;
                 }
                 let mut d = true_d;
                 for state in &mut states {
                     d = state.apply(d, i, j);
                 }
-                set.insert(NodeId(i), NodeId(j), d.max(0.0));
-                added += 1;
+                pairs.push((i, j, d.max(0.0)));
             }
         }
-        added
+        pairs
     }
 }
 
@@ -398,6 +444,169 @@ mod tests {
         (0..nx * ny)
             .map(|i| Point2::new((i % nx) as f64 * spacing, (i / nx) as f64 * spacing))
             .collect()
+    }
+
+    /// The exhaustive pair walk that the squared-separation prefilter
+    /// replaced, kept as the oracle: every pair's `hypot` against the
+    /// cutoff, inserted one at a time.
+    fn oracle_augment<R: Rng + ?Sized>(
+        channel: &RangingChannel,
+        set: &mut MeasurementSet,
+        positions: &[Point2],
+        rng: &mut R,
+    ) -> usize {
+        let base: u64 = rng.random();
+        let n = positions.len();
+        let mut ordered: Vec<&ChannelStage> = channel.stages.iter().collect();
+        ordered.sort_by_key(|s| s.rank());
+        let mut states: Vec<StageState> = ordered
+            .iter()
+            .map(|s| StageState::prepare(s, base, n))
+            .collect();
+        let mut added = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let true_d = positions[i].distance(positions[j]);
+                if true_d > channel.max_range_m || set.contains(NodeId(i), NodeId(j)) {
+                    continue;
+                }
+                let mut d = true_d;
+                for state in &mut states {
+                    d = state.apply(d, i, j);
+                }
+                set.insert(NodeId(i), NodeId(j), d.max(0.0));
+                added += 1;
+            }
+        }
+        added
+    }
+
+    /// One stage of every kind over a `max_range_m` cutoff.
+    fn five_kind_stack(max_range_m: f64) -> RangingChannel {
+        RangingChannel::ideal(max_range_m)
+            .with_stage(ChannelStage::NlosBias {
+                mean_m: 1.0,
+                std_m: 0.5,
+            })
+            .with_stage(ChannelStage::Multipath {
+                delay_spread_m: 0.5,
+            })
+            .with_stage(ChannelStage::GaussianNoise { sigma_m: 0.33 })
+            .with_stage(ChannelStage::ClockDrift { std_ppm: 5_000.0 })
+            .with_stage(ChannelStage::Adversarial {
+                node_fraction: 0.2,
+                corruption_m: 40.0,
+            })
+    }
+
+    /// Asserts that `measure_all` and `augment` agree with the oracle on
+    /// one layout: equal sets, equal `added` counts, and exactly one `u64`
+    /// drawn from the caller's stream. `given` lists the pairs the set
+    /// holds before `augment`. Returns the measured set.
+    fn assert_matches_oracle(
+        channel: &RangingChannel,
+        positions: &[Point2],
+        given: &[(usize, usize)],
+        seed: u64,
+    ) -> MeasurementSet {
+        let n = positions.len();
+        let next_after_one = {
+            let mut rng = rl_math::rng::seeded(seed);
+            let _: u64 = rng.random();
+            rng.random::<u64>()
+        };
+
+        let mut rng = rl_math::rng::seeded(seed);
+        let measured = channel.measure_all(positions, &mut rng);
+        assert_eq!(rng.random::<u64>(), next_after_one, "measure_all stream");
+        let mut expected = MeasurementSet::new(n);
+        let mut rng = rl_math::rng::seeded(seed);
+        let expected_added = oracle_augment(channel, &mut expected, positions, &mut rng);
+        assert_eq!(measured, expected);
+        assert_eq!(measured.len(), expected_added);
+
+        let mut partial = MeasurementSet::new(n);
+        for &(a, b) in given {
+            if a != b {
+                partial.insert(NodeId(a), NodeId(b), 77.0);
+            }
+        }
+        let mut augmented = partial.clone();
+        let mut rng = rl_math::rng::seeded(seed);
+        let added = channel.augment(&mut augmented, positions, &mut rng);
+        assert_eq!(rng.random::<u64>(), next_after_one, "augment stream");
+        let mut rng = rl_math::rng::seeded(seed);
+        let expected_added = oracle_augment(channel, &mut partial, positions, &mut rng);
+        assert_eq!(augmented, partial);
+        assert_eq!(added, expected_added);
+        measured
+    }
+
+    #[test]
+    fn prefilter_matches_the_exhaustive_walk_on_the_range_boundary() {
+        let r = 25.0_f64;
+        let up = f64::next_up;
+        let down = f64::next_down;
+        // (dx, dy) separations of a two-node layout, and whether the pair
+        // is in range (`None`: left to the oracle). 15-20-25 is a
+        // Pythagorean triple, so that diagonal lies exactly on the cutoff.
+        let offsets: [(f64, f64, Option<bool>); 12] = [
+            (r, 0.0, Some(true)),
+            (down(r), 0.0, Some(true)),
+            (up(r), 0.0, Some(false)),
+            (0.0, r, Some(true)),
+            (0.0, up(r), Some(false)),
+            (15.0, 20.0, Some(true)),
+            (15.0, down(20.0), Some(true)),
+            (15.0, up(20.0), None),
+            (up(15.0), up(20.0), None),
+            (-20.0, -15.0, Some(true)),
+            // Inside the prefilter's margin, outside the cutoff: only the
+            // `hypot` test drops it.
+            (r * (1.0 + 4e-10), 0.0, Some(false)),
+            // Just beyond the margin: the prefilter drops it.
+            (r * (1.0 + 6e-10), 0.0, Some(false)),
+        ];
+        let channel = five_kind_stack(r);
+        for shift in [0.0, 1e6] {
+            for (k, &(dx, dy, in_range)) in offsets.iter().enumerate() {
+                let positions = [
+                    Point2::new(shift, shift),
+                    Point2::new(shift + dx, shift + dy),
+                ];
+                let set = assert_matches_oracle(&channel, &positions, &[], 23 + k as u64);
+                if let Some(in_range) = in_range.filter(|_| shift == 0.0) {
+                    assert_eq!(set.len() == 1, in_range, "separation {k}");
+                }
+            }
+            let given = [(0, 1), (5, 10), (3, 12)];
+            // A grid at the cutoff's spacing: every axis neighbour sits
+            // exactly on the boundary.
+            let grid: Vec<Point2> = grid(4, 4, r)
+                .into_iter()
+                .map(|p| Point2::new(p.x + shift, p.y + shift))
+                .collect();
+            assert_eq!(assert_matches_oracle(&channel, &grid, &given, 5).len(), 24);
+        }
+        // A cutoff whose square is subnormal: the squares round by far
+        // more than the margin, and this in-range pair's squared sum
+        // reads above it.
+        let tiny = [
+            Point2::new(0.0, 0.0),
+            Point2::new(9.176797042478298e-161, 3.97320119627379e-161),
+        ];
+        assert_eq!(
+            assert_matches_oracle(&five_kind_stack(1e-160), &tiny, &[], 3).len(),
+            1
+        );
+        // Non-finite coordinates take the branch the `hypot` test alone
+        // gives them.
+        let mut odd = grid(3, 3, 10.0);
+        odd.push(Point2::new(f64::NAN, 0.0));
+        odd.push(Point2::new(f64::INFINITY, 0.0));
+        odd.push(Point2::new(f64::INFINITY, f64::INFINITY));
+        odd.push(Point2::new(f64::NEG_INFINITY, 5.0));
+        assert_matches_oracle(&channel, &odd, &[(0, 9)], 31);
     }
 
     #[test]
@@ -682,6 +891,24 @@ mod tests {
         }
 
         proptest! {
+            /// The prefilter is exact: on random layouts, `measure_all` and
+            /// `augment` (over a random set of given pairs) match the
+            /// exhaustive `hypot` walk bit for bit.
+            #[test]
+            fn prop_pair_walk_matches_the_exhaustive_oracle(
+                coords in proptest::collection::vec((0.0f64..80.0, 0.0f64..80.0), 2..40),
+                given in proptest::collection::vec((0usize..40, 0usize..40), 0..20),
+                max_range_m in 5.0f64..40.0,
+                seed in 0u64..1_000,
+            ) {
+                let positions: Vec<Point2> =
+                    coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+                let n = positions.len();
+                let given: Vec<(usize, usize)> =
+                    given.iter().map(|&(a, b)| (a % n, b % n)).collect();
+                assert_matches_oracle(&five_kind_stack(max_range_m), &positions, &given, seed);
+            }
+
             /// Commutation: for stacks of the five distinct kinds, any
             /// construction order produces bit-identical measurements
             /// for the same seed — stages are canonicalized and each
