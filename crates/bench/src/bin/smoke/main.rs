@@ -16,7 +16,7 @@
 //! | `metro` | six families on metro-250 + metro-1000: no failed cell, distributed LSS ≤ 2 m; at metro-1000, sparse LSS ≤ 3.0×, distributed LSS ≤ 6.0× and DV-hop ≤ 3.5× the MDS-MAP wall; 300 s wall |
 //! | `resilience` | degradation ladder pooled = serial, Cauchy LSS ≤ 2 m where squared loss collapses, 300 s wall |
 //! | `sparse` | IC(0)-PCG ≥ 2× fewer iterations at 1e-4 agreement, warm starts never worse, metro-2500 MDS ≤ 120 s and refinement ≤ 60 s, `cg_iterations` reaches `SolveStats`, sparse backend ≥ 5× faster than dense on metro-250 for MDS-MAP and the LSS objective (town-59 printed) |
-//! | `ranging` | per-call time of XSM filtering (≤ 36 µs) and tone detection (≤ 115 µs) on the Figure-10 waveform, a 12 m grass reception (≤ 290 µs, detected) with `record_signal` (≤ 4.2 µs) and `detect_signal` (≤ 5.7 µs) on its buffer, a 3×3 grass campaign (≤ 112 ms) with median filter (≤ 58 µs) and bidirectional merge (≤ 13 µs), mode of intersections (≤ 40 µs), minimization transform (≤ 1.38 ms); the deploy layer: metro-1000 `Scenario::instantiate` (≤ 13 ms) and a 100-tick `metro-250-mobile` trace (≤ 90 ms) |
+//! | `ranging` | per-call time of XSM filtering (≤ 36 µs) and tone detection (≤ 115 µs) on the Figure-10 waveform, a 12 m grass reception (≤ 290 µs, detected) with `record_signal` (≤ 4.2 µs) and `detect_signal` (≤ 5.7 µs) on its buffer, a 3×3 grass campaign (≤ 112 ms) with median filter (≤ 58 µs) and bidirectional merge (≤ 13 µs), mode of intersections (≤ 40 µs), minimization transform (≤ 1.38 ms); the deploy layer, best of 15 calls: metro-1000 `Scenario::instantiate` (≤ 4 ms, ≤ 0.7× an all-pairs `hypot` walk of its layout) and a 100-tick `metro-250-mobile` trace (≤ 18 ms, and ≤ 1.15× its ticks measured one after another on two or more cores) |
 //! | `tracking` | warm ticks ≥ 3× faster than cold at ≤ 1.25× the error, replay identical at 1 and 2 workers, 300 s wall |
 //! | `serve` | cached town queries ≥ 200 req/s at p99 ≤ 250 ms, every load request a cache hit |
 //! | `sessions` | warm wire ticks p99 ≤ 20 ms, stream ticks drain before a floored batch backlog with no lost tick and correct batch replies |

@@ -20,8 +20,13 @@
 //! salted sub-stream (a pure function of `(seed, tick)`), so a tick's
 //! measurements never depend on how many pairs were in range on earlier
 //! ticks. That makes each tick's measurement a pure function of its
-//! index and the serial pass's record, so at sparse scale the ticks are
-//! measured on the [`rl_net::pool`] workers, and the trace is
+//! index and the serial pass's record of that tick and the one before.
+//! So at sparse scale the motion pass overlaps with measurement: it
+//! hands each tick to a pool of measuring threads (sized by
+//! [`rl_net::pool::resolve_workers`]) as soon as the tick exists, each
+//! tick is measured straight into deployment ids
+//! ([`RangingChannel::measure_subnetwork`](rl_ranging::channel::RangingChannel::measure_subnetwork)),
+//! and the observations are put back in tick order. The trace is
 //! bit-identical for any worker count.
 //!
 //! # Example
@@ -42,13 +47,14 @@
 use rand::Rng;
 use rl_core::problem::pool_workers;
 use rl_core::tracking::TickObservation;
+use rl_core::types::Anchor;
 use rl_geom::Point2;
 use rl_math::rng::{normal, seeded};
 use rl_math::Fnv1a;
-use rl_net::pool::par_map_indexed;
+use rl_net::pool::resolve_workers;
 use rl_net::NodeId;
-use rl_ranging::measurement::MeasurementSet;
 use serde::{Deserialize, Serialize};
+use std::sync::{mpsc, Mutex};
 
 use crate::Scenario;
 
@@ -84,6 +90,8 @@ pub enum MotionModel {
 
 /// Per-tick join/leave churn over the non-anchor population. Anchors
 /// never churn. Serializable for the same wire uses as [`MotionModel`].
+/// Both probabilities must lie in `[0, 1]`:
+/// [`MobilityScenario::trace`] panics on any other value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnModel {
     /// Probability that an inactive non-anchor rejoins each tick.
@@ -189,18 +197,75 @@ impl MobilityScenario {
     ///
     /// The same `(scenario, seed)` pair always produces a bit-identical
     /// trace. At `n >= SolverBackend::AUTO_THRESHOLD` nodes the ticks are
-    /// measured on the machine's worker pool
-    /// ([`rl_core::problem::pool_workers`]), with the same bits.
+    /// measured on the machine's parallelism
+    /// ([`rl_core::problem::pool_workers`]) while the motion pass runs,
+    /// with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a churn probability lies outside `[0, 1]` and the trace
+    /// has more than one tick.
     pub fn trace(&self, seed: u64) -> MobilityTrace {
         self.trace_on(seed, pool_workers(self.base.deployment.len()))
     }
 
     /// [`MobilityScenario::trace`] with each tick measured on a pool of
-    /// `workers` threads (`0` = the machine's parallelism): motion and
-    /// churn run serially and record every tick's active flags and
-    /// positions, then each tick is measured on its own salted stream and
-    /// assembled into its observation, whichever worker runs it.
+    /// `workers` threads (`0` = the machine's parallelism). Motion and
+    /// churn run serially on the calling thread and queue each tick's
+    /// record as soon as it exists; the other workers measure queued ticks
+    /// meanwhile, each on its own salted stream, and the calling thread
+    /// joins them once the pass is done. With one worker no thread is
+    /// spawned: the pass queues every tick, then the calling thread
+    /// measures them in order.
     fn trace_on(&self, seed: u64, workers: usize) -> MobilityTrace {
+        let anchors = self.base.anchor_list();
+        let (sender, receiver) = mpsc::channel::<TickState>();
+        let receiver = Mutex::new(receiver);
+        // Measures queued ticks until the queue is empty and closed.
+        let drain = || {
+            let mut done = Vec::new();
+            loop {
+                let next = receiver.lock().expect("tick queue poisoned").recv();
+                match next {
+                    Ok(state) => done.push(self.observe(seed, &anchors, state)),
+                    Err(_) => break done,
+                }
+            }
+        };
+        let mut observations = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..resolve_workers(workers, self.ticks))
+                .map(|_| scope.spawn(drain))
+                .collect();
+            // The sender moves into the pass, so the queue closes when the
+            // pass returns or unwinds, and no helper waits forever.
+            self.motion_pass(seed, move |state| {
+                sender.send(state).expect("the queue outlives the pass");
+            });
+            let mut observations = drain();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(done) => observations.extend(done),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            observations
+        });
+        observations.sort_unstable_by_key(|obs| obs.tick);
+        MobilityTrace {
+            name: format!("{}-mobile", self.base.name),
+            observations,
+        }
+    }
+
+    /// The serial motion and churn pass: hands every tick's active flags
+    /// (and the tick before's) and every node's position to `emit`, in
+    /// tick order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a churn probability lies outside `[0, 1]`, on the first
+    /// tick that draws churn.
+    fn motion_pass(&self, seed: u64, mut emit: impl FnMut(TickState)) {
         let n = self.base.deployment.len();
         let mut is_anchor = vec![false; n];
         for a in &self.base.anchors {
@@ -229,9 +294,8 @@ impl MobilityScenario {
                 .collect();
         }
 
-        // Per tick: which nodes are active, and where every node is.
-        let mut states: Vec<(Vec<bool>, Vec<Point2>)> = Vec::with_capacity(self.ticks);
         for tick in 0..self.ticks {
+            let was_active = active.clone();
             if tick == 0 {
                 for (i, slot) in active.iter_mut().enumerate() {
                     *slot = is_anchor[i]
@@ -239,6 +303,16 @@ impl MobilityScenario {
                         || rng.gen_bool(self.initial_active_fraction);
                 }
             } else {
+                let ChurnModel {
+                    join_probability,
+                    leave_probability,
+                } = self.churn;
+                assert!(
+                    (0.0..=1.0).contains(&join_probability)
+                        && (0.0..=1.0).contains(&leave_probability),
+                    "churn probabilities {join_probability} and {leave_probability} \
+                     must lie in [0, 1]"
+                );
                 // One churn draw per non-anchor, id order: active nodes
                 // test leaving, inactive ones test rejoining. The draw
                 // count per tick is constant, so editing the churn rates
@@ -248,10 +322,10 @@ impl MobilityScenario {
                         continue;
                     }
                     if active[i] {
-                        if rng.gen_bool(self.churn.leave_probability) {
+                        if rng.gen_bool(leave_probability) {
                             active[i] = false;
                         }
-                    } else if rng.gen_bool(self.churn.join_probability) {
+                    } else if rng.gen_bool(join_probability) {
                         active[i] = true;
                     }
                 }
@@ -293,56 +367,61 @@ impl MobilityScenario {
                     }
                 }
             }
-
-            states.push((active.clone(), positions.clone()));
-        }
-
-        // Re-measure each tick's active subnetwork through the scenario's
-        // error stack, on the tick's own salted sub-stream.
-        let anchors = self.base.anchor_list();
-        let observations = par_map_indexed(self.ticks, workers, |tick| {
-            let (active, positions) = &states[tick];
-            let was_active = |i: usize| tick > 0 && states[tick - 1].0[i];
-            let active_ids: Vec<NodeId> = (0..n).filter(|&i| active[i]).map(NodeId).collect();
-            let active_positions: Vec<Point2> =
-                active_ids.iter().map(|id| positions[id.index()]).collect();
-            let mut tick_rng = seeded(seed ^ (tick as u64 + 1).wrapping_mul(MEASURE_STREAM));
-            let compact = self
-                .base
-                .channel
-                .measure_all(&active_positions, &mut tick_rng);
-            // Compact ids map to ascending universe ids, so the pairs keep
-            // their order.
-            let measurements = MeasurementSet::try_from_weighted_edges(
-                n,
-                compact
-                    .iter_weighted()
-                    .map(|(a, b, d, w)| (active_ids[a.index()], active_ids[b.index()], d, w)),
-            )
-            .expect("remapped edges stay valid");
-            let joined: Vec<NodeId> = (0..n)
-                .filter(|&i| active[i] && !was_active(i))
-                .map(NodeId)
-                .collect();
-            let left: Vec<NodeId> = (0..n)
-                .filter(|&i| !active[i] && was_active(i))
-                .map(NodeId)
-                .collect();
-            TickObservation {
-                tick: tick as u64,
-                measurements,
-                anchors: anchors.clone(),
-                active: active_ids,
-                joined,
-                left,
-                truth: Some(positions.clone()),
-            }
-        });
-        MobilityTrace {
-            name: format!("{}-mobile", self.base.name),
-            observations,
+            emit(TickState {
+                tick,
+                was_active,
+                active: active.clone(),
+                positions: positions.clone(),
+            });
         }
     }
+
+    /// Re-measures one tick's active subnetwork through the scenario's
+    /// error stack, on the tick's own salted sub-stream, straight into
+    /// deployment ids.
+    fn observe(&self, seed: u64, anchors: &[Anchor], state: TickState) -> TickObservation {
+        let TickState {
+            tick,
+            was_active,
+            active,
+            positions,
+        } = state;
+        let n = active.len();
+        let active_ids: Vec<NodeId> = (0..n).filter(|&i| active[i]).map(NodeId).collect();
+        let active_positions: Vec<Point2> =
+            active_ids.iter().map(|id| positions[id.index()]).collect();
+        let mut tick_rng = seeded(seed ^ (tick as u64 + 1).wrapping_mul(MEASURE_STREAM));
+        let measurements =
+            self.base
+                .channel
+                .measure_subnetwork(&active_positions, &active_ids, n, &mut tick_rng);
+        let joined: Vec<NodeId> = (0..n)
+            .filter(|&i| active[i] && !was_active[i])
+            .map(NodeId)
+            .collect();
+        let left: Vec<NodeId> = (0..n)
+            .filter(|&i| !active[i] && was_active[i])
+            .map(NodeId)
+            .collect();
+        TickObservation {
+            tick: tick as u64,
+            measurements,
+            anchors: anchors.to_vec(),
+            active: active_ids,
+            joined,
+            left,
+            truth: Some(positions),
+        }
+    }
+}
+
+/// One tick's record from the motion and churn pass.
+struct TickState {
+    tick: usize,
+    /// Active flags on the tick before (all clear on tick 0).
+    was_active: Vec<bool>,
+    active: Vec<bool>,
+    positions: Vec<Point2>,
 }
 
 /// Names of every serveable mobility preset, in registry order. Like
@@ -484,27 +563,62 @@ mod tests {
 
     #[test]
     fn traces_are_bit_identical_for_any_worker_count() {
-        // Metro-250 is above the pool threshold, and the churn rates make
-        // every tick's active set differ from the last.
-        let m = preset("metro-250-mobile")
-            .unwrap()
-            .with_churn(ChurnModel {
-                join_probability: 0.2,
-                leave_probability: 0.1,
-            })
-            .with_ticks(24);
-        let serial = m.trace_on(17, 1);
-        assert!(serial.iter().any(|obs| !obs.joined.is_empty()));
-        assert!(serial.iter().any(|obs| !obs.left.is_empty()));
-        let fingerprints: Vec<u64> = serial.iter().map(observation_fingerprint).collect();
-        for workers in [2, 3] {
-            let pooled = m.trace_on(17, workers);
-            let pooled_fingerprints: Vec<u64> =
-                pooled.iter().map(observation_fingerprint).collect();
-            assert_eq!(pooled_fingerprints, fingerprints, "{workers} workers");
-            assert_eq!(pooled, serial, "{workers} workers");
+        // Every preset: random walk, waypoint motion with its
+        // data-dependent target draws, and static motion under churn.
+        // Metro-250 gets churn rates that make every tick's active set
+        // differ from the last.
+        for &name in NAMES {
+            let mut m = preset(name).unwrap().with_ticks(24);
+            if name == "metro-250-mobile" {
+                m = m.with_churn(ChurnModel {
+                    join_probability: 0.2,
+                    leave_probability: 0.1,
+                });
+            }
+            let serial = m.trace_on(17, 1);
+            let fingerprints: Vec<u64> = serial.iter().map(observation_fingerprint).collect();
+            for workers in [2, 3] {
+                let pooled = m.trace_on(17, workers);
+                let pooled_fingerprints: Vec<u64> =
+                    pooled.iter().map(observation_fingerprint).collect();
+                assert_eq!(
+                    pooled_fingerprints, fingerprints,
+                    "{name}, {workers} workers"
+                );
+                assert_eq!(pooled, serial, "{name}, {workers} workers");
+            }
+            assert_eq!(m.trace(17), serial, "{name}");
+            if name != "town-waypoint" {
+                assert!(serial.iter().any(|obs| !obs.joined.is_empty()), "{name}");
+                assert!(serial.iter().any(|obs| !obs.left.is_empty()), "{name}");
+            }
         }
-        assert_eq!(m.trace(17), serial);
+    }
+
+    #[test]
+    fn an_invalid_churn_probability_panics_out_of_the_trace() {
+        // The pass panics on tick 1, after tick 0 is queued for the pool:
+        // the trace must unwind, not leave a worker waiting for ticks.
+        for workers in [1, 2, 3] {
+            let mut m = preset("metro-250-mobile").unwrap().with_ticks(50);
+            m.churn.leave_probability = 1.5;
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(|| m.trace_on(3, workers));
+                let message = outcome.err().and_then(|panic| {
+                    panic
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                });
+                done.send(message).unwrap();
+            });
+            let message = finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("the trace hung on {workers} workers"));
+            let message = message.unwrap_or_else(|| panic!("no panic on {workers} workers"));
+            assert!(message.contains("must lie in [0, 1]"), "{message}");
+        }
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!   Centralized LSS inherits both through its MDS-MAP seed;
 //! * `rl_core::multilateration`: one fix per node per round, which
 //!   DV-hop inherits through its multilateration phase;
-//! * `rl_deploy::mobility` traces: one measured tick per item, after
-//!   motion and churn have run serially.
+//! * `rl_deploy::mobility` traces, which size their measuring threads
+//!   with [`resolve_workers`] and feed them each tick through a channel
+//!   as the serial motion pass produces it (a pipeline this module's
+//!   index-based maps cannot express); the same contract holds, and
+//!   results are placed by tick.
 //!
 //! The `rl_core` and `rl_deploy` consumers ask for the machine's
 //! parallelism only at sparse scale (`n >= SolverBackend::AUTO_THRESHOLD`,

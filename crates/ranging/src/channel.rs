@@ -227,20 +227,59 @@ impl RangingChannel {
     /// Measures every pair within the range cutoff, applying the error
     /// stack. Draws exactly one `u64` from `rng` (the stream base); see
     /// the [module docs](self) for the determinism guarantees. Outputs
-    /// are clamped to be non-negative.
+    /// are clamped to be non-negative. This is
+    /// [`measure_subnetwork`](Self::measure_subnetwork) with every node
+    /// keeping its own id.
     pub fn measure_all<R: Rng + ?Sized>(
         &self,
         positions: &[Point2],
         rng: &mut R,
     ) -> MeasurementSet {
-        let pairs = self.measure_pairs(positions, rng, |_, _| false);
-        MeasurementSet::try_from_weighted_edges(
+        let ids: Vec<NodeId> = (0..positions.len()).map(NodeId).collect();
+        self.measure_subnetwork(positions, &ids, positions.len(), rng)
+    }
+
+    /// Measures the nodes at `positions` as
+    /// [`measure_all`](Self::measure_all) does, into a set over
+    /// `universe` nodes in which the node at `positions[k]` is `ids[k]`.
+    /// A mobility tick measures its active nodes this way, straight into
+    /// the ids of the whole deployment.
+    ///
+    /// It draws exactly what `measure_all(positions, rng)` draws, and
+    /// per-node stage state (clock drift, compromised nodes) is drawn in
+    /// `positions` order, so the set equals `measure_all`'s with node `k`
+    /// renamed `ids[k]`. Since `ids` ascend, the walk's pairs keep their
+    /// `(a, b)` order under the renaming, and the set's rows are filled
+    /// straight from the walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` and `positions` differ in length, if `ids` are not
+    /// strictly ascending or reach `universe`, or, like `measure_all`, if
+    /// the stack produces an invalid measurement (a non-finite garbage
+    /// range, say).
+    pub fn measure_subnetwork<R: Rng + ?Sized>(
+        &self,
+        positions: &[Point2],
+        ids: &[NodeId],
+        universe: usize,
+        rng: &mut R,
+    ) -> MeasurementSet {
+        assert_eq!(
+            ids.len(),
             positions.len(),
-            pairs
-                .into_iter()
-                .map(|(i, j, d)| (NodeId(i), NodeId(j), d, 1.0)),
-        )
-        .unwrap_or_else(|(_, e)| panic!("{e}"))
+            "ids and positions must agree on node count"
+        );
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1])
+                && ids.last().is_none_or(|id| id.index() < universe),
+            "ids must ascend strictly below the universe of {universe}"
+        );
+        let mut pairs = self.measure_pairs(positions, rng, |_, _| false);
+        for (a, b, _) in &mut pairs {
+            (*a, *b) = (ids[*a].index(), ids[*b].index());
+        }
+        MeasurementSet::from_ordered_pairs(universe, &pairs).unwrap_or_else(|(_, e)| panic!("{e}"))
     }
 
     /// Measures every in-range pair that `set` *lacks*, keeping existing
@@ -260,6 +299,13 @@ impl RangingChannel {
     /// covers the rounding, and every pair goes to the `hypot` test.
     /// Pairs with non-finite coordinates reach the same verdict as the
     /// `hypot` test alone gives them.
+    ///
+    /// The prefilter itself does not branch: for each `i`, every later
+    /// `j` is written to a candidate buffer whose length advances only
+    /// past the pairs the prefilter keeps, and the `hypot` test and the
+    /// stages then run on those candidates alone, still in `(i, j)`
+    /// order. Unlike `measure_all`, `augment` inserts each new pair into
+    /// the existing set.
     ///
     /// # Panics
     ///
@@ -282,9 +328,9 @@ impl RangingChannel {
         pairs.len()
     }
 
-    /// The pair walk behind [`measure_all`](Self::measure_all) and
-    /// [`augment`](Self::augment): draws the stream base from `rng`, then
-    /// measures every in-range pair `(i < j)` that `skip` does not
+    /// The pair walk behind [`measure_subnetwork`](Self::measure_subnetwork)
+    /// and [`augment`](Self::augment): draws the stream base from `rng`,
+    /// then measures every in-range pair `(i < j)` that `skip` does not
     /// reject, in `(i, j)` order. A skipped pair draws nothing from the
     /// stages' streams.
     fn measure_pairs<R: Rng + ?Sized>(
@@ -315,12 +361,18 @@ impl RangingChannel {
         };
 
         let mut pairs = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if positions[i].distance_sq(positions[j]) > prefilter_sq {
-                    continue;
-                }
-                let true_d = positions[i].distance(positions[j]);
+        let mut candidates = vec![0usize; n];
+        for (i, &p) in positions.iter().enumerate() {
+            // Every later node is written; the length advances past the
+            // ones the prefilter keeps (the same comparison a branch would
+            // take, so NaN and infinite separations are kept alike).
+            let mut len = 0;
+            for (j, &q) in positions.iter().enumerate().skip(i + 1) {
+                candidates[len] = j;
+                len += usize::from(!(p.distance_sq(q) > prefilter_sq));
+            }
+            for &j in &candidates[..len] {
+                let true_d = p.distance(positions[j]);
                 if true_d > self.max_range_m || skip(i, j) {
                     continue;
                 }
@@ -499,10 +551,62 @@ mod tests {
             })
     }
 
-    /// Asserts that `measure_all` and `augment` agree with the oracle on
-    /// one layout: equal sets, equal `added` counts, and exactly one `u64`
-    /// drawn from the caller's stream. `given` lists the pairs the set
-    /// holds before `augment`. Returns the measured set.
+    /// The compact-then-remap oracle for a subnetwork: a compact set from
+    /// the exhaustive walk, rebuilt in universe ids by the validated bulk
+    /// constructor.
+    fn oracle_subnetwork<R: Rng + ?Sized>(
+        channel: &RangingChannel,
+        positions: &[Point2],
+        ids: &[NodeId],
+        universe: usize,
+        rng: &mut R,
+    ) -> MeasurementSet {
+        let mut compact = MeasurementSet::new(positions.len());
+        oracle_augment(channel, &mut compact, positions, rng);
+        MeasurementSet::try_from_weighted_edges(
+            universe,
+            compact
+                .iter_weighted()
+                .map(|(a, b, d, w)| (ids[a.index()], ids[b.index()], d, w)),
+        )
+        .expect("remapped edges stay valid")
+    }
+
+    /// The second `u64` of `seed`'s stream: what a caller draws next after
+    /// a call that took exactly one.
+    fn next_after_one(seed: u64) -> u64 {
+        let mut rng = rl_math::rng::seeded(seed);
+        let _: u64 = rng.random();
+        rng.random::<u64>()
+    }
+
+    /// Asserts that `measure_subnetwork` matches the compact-then-remap
+    /// oracle on one layout and draws exactly one `u64`.
+    fn assert_subnetwork_matches_oracle(
+        channel: &RangingChannel,
+        positions: &[Point2],
+        ids: &[NodeId],
+        universe: usize,
+        seed: u64,
+    ) {
+        let mut rng = rl_math::rng::seeded(seed);
+        let measured = channel.measure_subnetwork(positions, ids, universe, &mut rng);
+        assert_eq!(
+            rng.random::<u64>(),
+            next_after_one(seed),
+            "measure_subnetwork stream"
+        );
+        let mut rng = rl_math::rng::seeded(seed);
+        let expected = oracle_subnetwork(channel, positions, ids, universe, &mut rng);
+        assert_eq!(measured, expected);
+        assert_eq!(measured.node_count(), universe);
+    }
+
+    /// Asserts that `measure_all`, `augment` and `measure_subnetwork` (on
+    /// spread-out odd ids) agree with the oracles on one layout: equal
+    /// sets, equal `added` counts, and exactly one `u64` drawn from the
+    /// caller's stream. `given` lists the pairs the set holds before
+    /// `augment`. Returns the measured set.
     fn assert_matches_oracle(
         channel: &RangingChannel,
         positions: &[Point2],
@@ -510,11 +614,9 @@ mod tests {
         seed: u64,
     ) -> MeasurementSet {
         let n = positions.len();
-        let next_after_one = {
-            let mut rng = rl_math::rng::seeded(seed);
-            let _: u64 = rng.random();
-            rng.random::<u64>()
-        };
+        let next_after_one = next_after_one(seed);
+        let odd: Vec<NodeId> = (0..n).map(|k| NodeId(2 * k + 1)).collect();
+        assert_subnetwork_matches_oracle(channel, positions, &odd, 2 * n + 2, seed);
 
         let mut rng = rl_math::rng::seeded(seed);
         let measured = channel.measure_all(positions, &mut rng);
@@ -607,6 +709,34 @@ mod tests {
         odd.push(Point2::new(f64::INFINITY, f64::INFINITY));
         odd.push(Point2::new(f64::NEG_INFINITY, 5.0));
         assert_matches_oracle(&channel, &odd, &[(0, 9)], 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn subnetwork_ids_must_ascend() {
+        let mut rng = rl_math::rng::seeded(1);
+        let ids = [NodeId(3), NodeId(2)];
+        let _ = RangingChannel::paper().measure_subnetwork(&grid(2, 1, 5.0), &ids, 4, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the universe")]
+    fn subnetwork_ids_must_fit_the_universe() {
+        let mut rng = rl_math::rng::seeded(1);
+        let ids = [NodeId(2), NodeId(4)];
+        let _ = RangingChannel::paper().measure_subnetwork(&grid(2, 1, 50.0), &ids, 4, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "distance must be finite")]
+    fn an_infinite_garbage_range_still_panics() {
+        // A compromised pair reports `U(0, ∞)`: the edge check rejects it.
+        let channel = RangingChannel::ideal(22.0).with_stage(ChannelStage::Adversarial {
+            node_fraction: 1.0,
+            corruption_m: f64::INFINITY,
+        });
+        let mut rng = rl_math::rng::seeded(2);
+        let _ = channel.measure_all(&grid(2, 2, 5.0), &mut rng);
     }
 
     #[test]
@@ -907,6 +1037,34 @@ mod tests {
                 let given: Vec<(usize, usize)> =
                     given.iter().map(|&(a, b)| (a % n, b % n)).collect();
                 assert_matches_oracle(&five_kind_stack(max_range_m), &positions, &given, seed);
+            }
+
+            /// `measure_subnetwork` on random layouts, random strictly
+            /// ascending ids and random cutoffs matches the compact set
+            /// rebuilt in universe ids, bit for bit.
+            #[test]
+            fn prop_subnetwork_matches_the_compact_then_remap_oracle(
+                coords in proptest::collection::vec((0.0f64..80.0, 0.0f64..80.0), 0..40),
+                gaps in proptest::collection::vec(0usize..4, 40),
+                spare in 0usize..5,
+                max_range_m in 5.0f64..40.0,
+                seed in 0u64..1_000,
+            ) {
+                let positions: Vec<Point2> =
+                    coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+                let mut next = 0;
+                let ids: Vec<NodeId> = gaps[..positions.len()]
+                    .iter()
+                    .map(|&gap| {
+                        next += gap;
+                        next += 1;
+                        NodeId(next - 1)
+                    })
+                    .collect();
+                let universe = next + spare;
+                assert_subnetwork_matches_oracle(
+                    &five_kind_stack(max_range_m), &positions, &ids, universe, seed,
+                );
             }
 
             /// Commutation: for stacks of the five distinct kinds, any

@@ -219,6 +219,56 @@ impl MeasurementSet {
         })
     }
 
+    /// Builds a set over `n` nodes from weight-1 `(a, b, distance)` pairs
+    /// that a pair walk visited with `a < b`, in `(a, b)` order, as
+    /// [`crate::channel::RangingChannel`] does. Every edge gets the
+    /// [`MeasurementSet::try_insert_weighted`] check. One degree pass
+    /// sizes each row exactly, then each pair is pushed once under each
+    /// endpoint: the walk's order already leaves every row sorted, for
+    /// the reason given in [`MeasurementSet::try_from_weighted_edges`],
+    /// so nothing is copied, sorted or deduplicated.
+    ///
+    /// # Errors
+    ///
+    /// The position of the first invalid edge and its
+    /// [`RangingError::InvalidMeasurement`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair is not above the one before it in `(a, b)` order
+    /// with `a < b`: the rows would come out unsorted.
+    pub(crate) fn from_ordered_pairs(
+        n: usize,
+        pairs: &[(usize, usize, f64)],
+    ) -> Result<Self, (usize, RangingError)> {
+        let mut degree = vec![0usize; n];
+        let mut previous = None;
+        for (k, &(a, b, distance)) in pairs.iter().enumerate() {
+            Self::check(n, NodeId(a), NodeId(b), distance, 1.0).map_err(|e| (k, e))?;
+            assert!(
+                a < b && previous < Some((a, b)),
+                "pair ({a}, {b}) out of walk order"
+            );
+            previous = Some((a, b));
+            degree[a] += 1;
+            degree[b] += 1;
+        }
+        let mut rows: Vec<Vec<(usize, Edge)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for &(a, b, distance) in pairs {
+            let edge = Edge {
+                distance,
+                weight: 1.0,
+            };
+            rows[a].push((b, edge));
+            rows[b].push((a, edge));
+        }
+        Ok(MeasurementSet {
+            rows,
+            len: pairs.len(),
+        })
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.rows.len()
@@ -735,6 +785,38 @@ mod tests {
                 .unwrap_err();
             assert_eq!((at, err), (1, expect), "({a}, {b}, {d}, {w})");
         }
+    }
+
+    #[test]
+    fn ordered_rows_match_the_bulk_build_and_check_every_edge() {
+        // Every pair of 6 nodes within 2 ids, in walk order.
+        let pairs: Vec<(usize, usize, f64)> = (0..6)
+            .flat_map(|a| ((a + 1)..6).map(move |b| (a, b, (a * 10 + b) as f64)))
+            .filter(|&(a, b, _)| b - a <= 2)
+            .collect();
+        let ordered = MeasurementSet::from_ordered_pairs(7, &pairs).unwrap();
+        let bulk = MeasurementSet::try_from_weighted_edges(
+            7,
+            pairs.iter().map(|&(a, b, d)| (id(a), id(b), d, 1.0)),
+        )
+        .unwrap();
+        assert_eq!(ordered, bulk);
+        assert_eq!(ordered.len(), pairs.len());
+        assert_eq!(ordered.degree(id(6)), 0);
+        for (a, b, d) in [(0, 7, 1.0), (0, 1, f64::NAN), (0, 1, -1.0)] {
+            let bad = [(0, 2, 1.0), (a, b, d)];
+            let (at, err) = MeasurementSet::from_ordered_pairs(7, &bad).unwrap_err();
+            let expect = MeasurementSet::new(7)
+                .try_insert_weighted(id(a), id(b), d, 1.0)
+                .unwrap_err();
+            assert_eq!((at, err), (1, expect), "({a}, {b}, {d})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of walk order")]
+    fn ordered_rows_reject_a_pair_out_of_walk_order() {
+        let _ = MeasurementSet::from_ordered_pairs(4, &[(1, 2, 1.0), (0, 3, 1.0)]);
     }
 
     proptest! {

@@ -138,6 +138,10 @@ pub struct SessionManager {
     mailbox: usize,
     sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
     evicted: Mutex<HashSet<u64>>,
+    /// Clock reading before which lookups skip the full idle scan.
+    next_sweep: Mutex<Duration>,
+    /// Full idle scans run so far.
+    sweeps: AtomicU64,
     /// Nonce for token derivation; also the lifetime open count.
     opened: AtomicU64,
     evicted_total: AtomicU64,
@@ -165,6 +169,8 @@ impl SessionManager {
             mailbox,
             sessions: Mutex::new(HashMap::new()),
             evicted: Mutex::new(HashSet::new()),
+            next_sweep: Mutex::new(Duration::ZERO),
+            sweeps: AtomicU64::new(0),
             opened: AtomicU64::new(0),
             evicted_total: AtomicU64::new(0),
             ticks_served: AtomicU64::new(0),
@@ -184,7 +190,12 @@ impl SessionManager {
         universe: usize,
         tracker: StreamingTracker,
     ) -> Result<u64, WireError> {
-        self.sweep();
+        self.sweep_if_due();
+        if self.capacity > 0 && self.open_count() >= self.capacity as u64 {
+            // Idle sessions must not hold capacity until the next
+            // scheduled scan.
+            self.sweep();
+        }
         let now = self.clock.now();
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         if self.capacity > 0 && sessions.len() >= self.capacity {
@@ -358,7 +369,7 @@ impl SessionManager {
     /// [`ErrorCode::UnknownSession`] / [`ErrorCode::SessionEvicted`]
     /// for a bad token.
     pub fn close(&self, token: u64) -> Result<u64, WireError> {
-        self.sweep();
+        self.lookup(token)?;
         let removed = {
             let mut sessions = self.sessions.lock().expect("session map poisoned");
             sessions.remove(&token)
@@ -378,23 +389,59 @@ impl SessionManager {
     /// of a tick is not idle, and waiting on it here would stall every
     /// other session's lookup behind that tick. A no-op when the TTL is
     /// zero.
+    ///
+    /// This scan visits every session. Lookups run it at most once per
+    /// quarter TTL of the manager's clock and check only the session
+    /// they find in between, so an idle session is evicted by the first
+    /// lookup of its own token past the TTL, and by anyone's lookup
+    /// within a quarter TTL after that.
     pub fn sweep(&self) {
+        *self.next_sweep.lock().expect("sweep schedule poisoned") = Duration::ZERO;
+        self.sweep_if_due();
+    }
+
+    /// [`SessionManager::sweep`], if a quarter TTL has passed since the
+    /// last scan.
+    fn sweep_if_due(&self) {
         if self.ttl.is_zero() {
             return;
         }
         let now = self.clock.now();
+        {
+            let mut next = self.next_sweep.lock().expect("sweep schedule poisoned");
+            if now < *next {
+                return;
+            }
+            *next = now + self.ttl / 4;
+        }
+        self.scan(now);
+    }
+
+    /// Whether `session` sits idle past the TTL at `now`: no reserved
+    /// mailbox slots, and its lock free.
+    fn is_idle(&self, session: &Mutex<SessionState>, now: Duration) -> bool {
+        match session.try_lock() {
+            Ok(state) => state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl,
+            Err(TryLockError::WouldBlock) => false,
+            Err(TryLockError::Poisoned(_)) => panic!("session poisoned"),
+        }
+    }
+
+    /// The full idle scan behind [`SessionManager::sweep`].
+    fn scan(&self, now: Duration) {
+        self.sweeps.fetch_add(1, Ordering::Relaxed);
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         let expired: Vec<u64> = sessions
             .iter()
-            .filter(|(_, session)| match session.try_lock() {
-                Ok(state) => {
-                    state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl
-                }
-                Err(TryLockError::WouldBlock) => false,
-                Err(TryLockError::Poisoned(_)) => panic!("session poisoned"),
-            })
+            .filter(|(_, session)| self.is_idle(session, now))
             .map(|(&token, _)| token)
             .collect();
+        self.evict(&mut sessions, expired);
+    }
+
+    /// Removes `expired` from the open `sessions` and remembers their
+    /// tokens.
+    fn evict(&self, sessions: &mut HashMap<u64, Arc<Mutex<SessionState>>>, expired: Vec<u64>) {
         if expired.is_empty() {
             return;
         }
@@ -429,13 +476,20 @@ impl SessionManager {
         self.capacity
     }
 
+    /// The open session behind `token`. Runs the full idle scan when it
+    /// is due, and otherwise evicts just this session if it sits idle
+    /// past the TTL, so an expired token always reads as evicted.
     fn lookup(&self, token: u64) -> Result<Arc<Mutex<SessionState>>, WireError> {
-        self.sweep();
-        let sessions = self.sessions.lock().expect("session map poisoned");
-        match sessions.get(&token) {
-            Some(session) => Ok(Arc::clone(session)),
-            None => Err(self.missing(token)),
+        self.sweep_if_due();
+        let mut sessions = self.sessions.lock().expect("session map poisoned");
+        let Some(session) = sessions.get(&token) else {
+            return Err(self.missing(token));
+        };
+        if !self.ttl.is_zero() && self.is_idle(session, self.clock.now()) {
+            self.evict(&mut sessions, vec![token]);
+            return Err(self.missing(token));
         }
+        Ok(Arc::clone(session))
     }
 
     fn missing(&self, token: u64) -> WireError {
@@ -627,6 +681,99 @@ mod tests {
                 "the read waited behind another session's tick"
             );
         });
+    }
+
+    #[test]
+    fn lookups_scan_every_session_once_per_quarter_ttl() {
+        let ttl = Duration::from_secs(60);
+        let (manager, clock) = manager(ttl, 0, 0);
+        let tokens: Vec<u64> = (0..1_000)
+            .map(|k| manager.open(&format!("idle-{k}"), 4, tracker(1)).unwrap())
+            .collect();
+        let live = tokens[0];
+        assert_eq!(
+            manager.sweeps.load(Ordering::Relaxed),
+            1,
+            "the first open scans"
+        );
+        for _ in 0..5_000 {
+            manager.reserve(live, 1).unwrap();
+            manager.release(live, 1);
+        }
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), 1);
+        // A quarter TTL later the next lookup scans once more, and no
+        // session is idle long enough to go.
+        clock.advance(ttl / 4);
+        for _ in 0..5_000 {
+            assert!(manager.read(live, None).is_err(), "no tick yet");
+        }
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), 2);
+        assert_eq!(manager.open_count(), 1_000);
+
+        // Past the TTL, a session whose lock is held survives both the
+        // scan and a lookup of its own token, and so does one with queued
+        // work; every other idle one goes.
+        let held = tokens[1];
+        let session = Arc::clone(&manager.sessions.lock().unwrap()[&held]);
+        let guard = session.lock().unwrap();
+        manager.reserve(live, 1).unwrap();
+        clock.advance(ttl);
+        manager.release(live, 1);
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), 3);
+        assert!(manager.lookup(held).is_ok());
+        assert_eq!(manager.open_count(), 2);
+        assert_eq!(manager.evicted_count(), 998);
+        drop(guard);
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn an_expired_token_reads_as_evicted_before_the_next_scan() {
+        let ttl = Duration::from_secs(60);
+        let (manager, clock) = manager(ttl, 0, 0);
+        let idle = manager.open("idle", 4, tracker(1)).unwrap();
+        clock.advance(ttl - Duration::from_secs(1));
+        let fresh = manager.open("fresh", 4, tracker(2)).unwrap();
+        let scans = manager.sweeps.load(Ordering::Relaxed);
+        // One second later `idle` has sat out the TTL, but the last scan
+        // was a second ago: its own lookup evicts it, and nothing else.
+        clock.advance(Duration::from_secs(1));
+        assert!(matches!(
+            manager.reserve(idle, 1).unwrap_err().code,
+            ErrorCode::SessionEvicted
+        ));
+        assert!(matches!(
+            manager.close(idle).unwrap_err().code,
+            ErrorCode::SessionEvicted
+        ));
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), scans);
+        assert_eq!(manager.evicted_count(), 1);
+        assert_eq!(manager.close(fresh).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_full_manager_scans_before_refusing_an_open() {
+        let ttl = Duration::from_secs(60);
+        let (manager, clock) = manager(ttl, 1, 0);
+        manager.open("first", 4, tracker(1)).unwrap();
+        clock.advance(Duration::from_secs(50));
+        // `first` has sat idle 50 s: it stays, and the next scheduled
+        // scan is due at 65 s.
+        manager.sweep();
+        assert_eq!(manager.open_count(), 1);
+        // At 61 s it is idle past the TTL, and a full manager scans
+        // rather than refuse the open.
+        clock.advance(Duration::from_secs(11));
+        let scans = manager.sweeps.load(Ordering::Relaxed);
+        manager.open("second", 4, tracker(2)).unwrap();
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), scans + 1);
+        assert_eq!(manager.evicted_count(), 1);
+        // A full manager with no idle session still refuses.
+        assert!(matches!(
+            manager.open("third", 4, tracker(3)).unwrap_err().code,
+            ErrorCode::Overloaded
+        ));
+        assert_eq!(manager.open_count(), 1);
     }
 
     #[test]
