@@ -1,22 +1,18 @@
 //! The sparse kernel suite: preconditioned, warm-started and batched
-//! kernels end to end on the metro ladder, and the dense and sparse
-//! backends timed against each other.
+//! kernels end to end on the metro ladder.
 
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use crate::{mean_call, ms, us};
+use crate::ms;
 use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
 use rl_core::distributed::refine::{refine_aligned, RefineConfig};
 use rl_core::distributed::{DistributedConfig, DistributedSolver};
-use rl_core::lss::{LssObjective, SoftConstraint};
-use rl_core::mds::mdsmap_coordinates_with;
-use rl_core::problem::{Localizer, Problem, SolverBackend};
+use rl_core::mds::mdsmap_coordinates;
+use rl_core::problem::Localizer;
 use rl_core::types::PositionMap;
 use rl_deploy::presets;
 use rl_geom::Point2;
-use rl_math::gradient::Objective;
 use rl_math::sparse::cg::{
     conjugate_gradient_with, CgConfig, CgWorkspace, IncompleteCholesky, Preconditioner,
 };
@@ -35,12 +31,6 @@ const MDS_2500_WALL_BUDGET: Duration = Duration::from_secs(120);
 /// Wall budget for drifted Gauss–Newton refinement on the metro-2500
 /// rung (~100 ms on a 2-core x86-64 box).
 const REFINE_2500_WALL_BUDGET: Duration = Duration::from_secs(60);
-
-/// The sparse backend must beat the dense one by at least this factor
-/// on metro-250, for MDS-MAP and for one soft-constraint LSS objective
-/// evaluation. Over 6 runs on a 2-core x86-64 box the two ratios read
-/// 19.5-25.3x and 10.5-12.6x.
-const SPARSE_MIN_SPEEDUP: f64 = 5.0;
 
 /// Tolerance for the tight assembled-system solves: loose enough to
 /// converge, tight enough that preconditioning quality dominates the
@@ -103,86 +93,9 @@ fn assemble_normal_equations(
     (a, rhs)
 }
 
-/// Interleaved timing blocks per backend for the LSS objective; the
-/// fastest block counts, so a burst of load on a shared runner cannot
-/// land on one backend only.
-const OBJECTIVE_BLOCKS: usize = 5;
-
-/// Dense and sparse backend walls on one rung: MDS-MAP, and one value
-/// plus gradient of the soft-constraint LSS objective at the true
-/// configuration (repeated evaluations reuse the sparse backend's
-/// Verlet list, as most descent steps do). Returns the dense and sparse
-/// `(MDS-MAP, objective)` times.
-fn backend_walls(problem: &Problem) -> [(Duration, Duration); 2] {
-    let set = problem.measurements();
-    let truth = problem.truth_required().expect("presets carry truth");
-    let n = truth.len();
-    let mut x = vec![0.0; 2 * n];
-    for (i, p) in truth.iter().enumerate() {
-        x[i] = p.x;
-        x[n + i] = p.y;
-    }
-    let soft = Some(SoftConstraint {
-        min_spacing_m: 9.14,
-        weight: 10.0,
-    });
-    let backends = [SolverBackend::Dense, SolverBackend::Sparse];
-    let mut walls = backends.map(|backend| {
-        let mds = mean_call(|| {
-            black_box(mdsmap_coordinates_with(set, backend).expect("preset graphs are connected"));
-        });
-        (mds, Duration::MAX)
-    });
-    let objectives = backends.map(|backend| LssObjective::with_backend(set, soft, backend));
-    let mut grad = vec![0.0; 2 * n];
-    for _ in 0..OBJECTIVE_BLOCKS {
-        for (objective, (_, best)) in objectives.iter().zip(&mut walls) {
-            *best = (*best).min(mean_call(|| {
-                black_box(objective.value(&x));
-                objective.gradient(&x, &mut grad);
-                black_box(&grad);
-            }));
-        }
-    }
-    walls
-}
-
-/// The backends head to head: town-59 (below `AUTO_THRESHOLD`, where
-/// `Auto` picks dense) is printed, and on metro-250 the sparse backend
-/// must be [`SPARSE_MIN_SPEEDUP`] times faster for both kernels.
-fn backend_ladder(suite: &mut Suite) {
-    for name in ["town", "metro-250"] {
-        let problem = presets::preset(name)
-            .expect("a preset")
-            .instantiate(MASTER_SEED);
-        let [(dense_mds, dense_eval), (sparse_mds, sparse_eval)] = backend_walls(&problem);
-        println!(
-            "{name}: MDS-MAP dense {:.1} ms vs sparse {:.1} ms; LSS objective dense {:.1} us vs \
-             sparse {:.1} us",
-            ms(dense_mds),
-            ms(sparse_mds),
-            us(dense_eval),
-            us(sparse_eval),
-        );
-        if name == "metro-250" {
-            suite.at_least(
-                "mds-dense-vs-sparse-metro250",
-                dense_mds.as_secs_f64() / sparse_mds.as_secs_f64().max(1e-9),
-                SPARSE_MIN_SPEEDUP,
-            );
-            suite.at_least(
-                "lss-objective-dense-vs-sparse-metro250",
-                dense_eval.as_secs_f64() / sparse_eval.as_secs_f64().max(1e-9),
-                SPARSE_MIN_SPEEDUP,
-            );
-        }
-    }
-}
-
 /// IC(0)-PCG against plain CG on the metro-1000 refinement normal
 /// equations, warm-started against zero-started refinement, the
-/// metro-2500 wall budgets, the CG counter reaching `SolveStats`, and
-/// the dense-vs-sparse backend ratios.
+/// metro-2500 wall budgets, and the CG counter reaching `SolveStats`.
 pub fn sparse(suite: &mut Suite) {
     let problem_1000 = presets::preset("metro-1000")
         .expect("metro-1000 is a preset")
@@ -263,7 +176,7 @@ pub fn sparse(suite: &mut Suite) {
     let truth_2500 = problem_2500.truth_required().expect("metro has truth");
     let set_2500 = problem_2500.measurements();
     let t = Instant::now();
-    mdsmap_coordinates_with(set_2500, SolverBackend::Sparse).expect("metro-2500 MDS solves");
+    mdsmap_coordinates(set_2500).expect("metro-2500 MDS solves");
     suite.at_most(
         "mds-2500-wall-ms",
         ms(t.elapsed()),
@@ -306,6 +219,4 @@ pub fn sparse(suite: &mut Suite) {
         solution.stats().cg_iterations.unwrap_or(0) as f64,
         1.0,
     );
-
-    backend_ladder(suite);
 }

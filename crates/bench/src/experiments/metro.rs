@@ -34,14 +34,14 @@ const RANGE_M: f64 = 22.0;
 /// The full six-family panel, metro-tuned where it matters:
 ///
 /// * centralized LSS runs [`LssConfig::metro`] (anchor-free + soft
-///   constraint, MDS-MAP seeding, short restart schedule) on the sparse
-///   constraint backend,
+///   constraint, MDS-MAP seeding, short restart schedule), its soft
+///   constraint read from a Verlet candidate list,
 /// * distributed LSS runs [`DistributedConfig::metro`]: MDS-seeded local
 ///   solves sharded on the `rl_net::pool` worker pool, plus the
 ///   Gauss–Newton/CG refinement that collapses cross-district stitching
 ///   drift,
-/// * MDS-MAP auto-selects the sparse path (CSR Dijkstra completion +
-///   iterative top-2 eigensolver) above the backend threshold,
+/// * MDS-MAP takes the sparse path (CSR Dijkstra completion + iterative
+///   top-2 eigensolver) at or above `rl_core::problem::SPARSE_SCALE`,
 /// * the remaining three families were already metro-tractable and run
 ///   their standard configurations.
 pub fn metro_localizers() -> Vec<Box<dyn Localizer>> {

@@ -73,7 +73,7 @@ pub mod types;
 pub use eval::{evaluate_against_truth, Evaluation};
 pub use lss::{LssConfig, LssSolution, LssSolver};
 pub use multilateration::{MultilaterationConfig, MultilaterationSolver};
-pub use problem::{Frame, Localizer, Problem, Solution, SolveStats, SolverBackend};
+pub use problem::{Frame, Localizer, Problem, Solution, SolveStats};
 pub use rl_math::RobustLoss;
 pub use tracking::{StreamingTracker, TickObservation, Tracker, TrackerConfig};
 pub use types::{Anchor, PositionMap};

@@ -16,54 +16,42 @@
 //! The configuration vector is laid out `[x_0 … x_{n−1}, y_0 … y_{n−1}]`,
 //! matching the paper's gradient formulas.
 //!
-//! # Constraint backends
+//! # The constraint's evaluator
 //!
-//! The measured sum is always evaluated over the sparse edge list, but
-//! the soft constraint ranges over the *complement* of the measurement
-//! graph — `O(n²)` pairs. Two interchangeable backends evaluate it
-//! (selected by [`rl_core::SolverBackend`](crate::SolverBackend), `Auto`
-//! by problem size):
+//! The measured sum runs over the sparse edge list, but the soft
+//! constraint ranges over the *complement* of the measurement graph —
+//! `O(n²)` pairs. Only pairs closer than `d_min` contribute, so the
+//! objective never materializes the complement. It keeps a *Verlet
+//! list* with a skin `s` of 2 m: the sorted unmeasured pairs closer
+//! than `d_min + s` at the configuration where the list was built,
+//! found by binning that configuration into a uniform grid of cell size
+//! `d_min + s` and visiting only neighboring-cell pairs (`O(n + c)` for
+//! `c` candidates). An evaluation filters the list by `dist < d_min` at
+//! the current configuration, in `O(n + c)` with no grid work at all.
+//! The list is reused while every node is within `s / 2` of its build
+//! position (minus a float margin). By the triangle inequality any pair
+//! now closer than `d_min` was then closer than `d_min + s`, so it is on
+//! the list. A larger move or a non-finite coordinate rebuilds the list
+//! at the current configuration.
 //!
-//! * **Dense** materializes the complement pair list once and scans it on
-//!   every evaluation — exact, simple, `O(n²)` memory *and* time per
-//!   gradient step; the reference at paper scale.
-//! * **Sparse** exploits that only pairs closer than `d_min` contribute.
-//!   It keeps a *Verlet list* with a skin `s` of 2 m: the sorted
-//!   unmeasured pairs closer than `d_min + s` at the configuration where
-//!   the list was built, found by binning that configuration into a
-//!   uniform grid of cell size `d_min + s` and visiting only
-//!   neighboring-cell pairs (`O(n + c)` for `c` candidates). An
-//!   evaluation filters the list by `dist < d_min` at the current
-//!   configuration, in `O(n + c)` with no grid work at all. The list is
-//!   reused while every node is within `s / 2` of its build position
-//!   (minus a float margin). By the triangle inequality any pair now
-//!   closer than `d_min` was then closer than `d_min + s`, so it is on
-//!   the list. A larger move or a non-finite coordinate rebuilds the
-//!   list at the current configuration.
-//!
-//! Non-violating pairs contribute exactly `+0.0` to the sum (and are
-//! skipped by the dense gradient too), and the sparse backend finds the
-//! same violators as the dense scan, computes their distances with the
-//! same expression and visits them in the same sorted `i < j` order. So
-//! it reproduces the dense objective **bit for bit** — same value, same
-//! gradient, so the whole descent trajectory is identical — whether the
-//! list was just built or reused. The cache lives in a `RefCell` and can
-//! only change how fast a result is found, never the result.
-//! `tests/sparse_parity.rs` asserts this along a trajectory that reuses
-//! and rebuilds the list.
+//! Non-violating pairs contribute exactly `+0.0` to the sum, and the
+//! violators are visited in sorted `i < j` order with one distance
+//! expression. So the objective equals a full scan of the complement
+//! **bit for bit** — same value, same gradient — whether the list was
+//! just built or reused. The cache lives in a `RefCell` and can only
+//! change how fast a result is found, never the result.
+//! `tests/sparse_parity.rs` checks this against a complement scan along
+//! trajectories that reuse and rebuild the list.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 
 use rl_math::gradient::Objective;
 use rl_ranging::measurement::MeasurementSet;
 
-use crate::problem::SolverBackend;
-
 /// Guard against division by a vanishing computed distance.
 const MIN_DISTANCE: f64 = 1e-9;
 
-/// Verlet skin of the sparse constraint backend, meters: the list holds
+/// Verlet skin of the soft constraint's candidate list, meters: it holds
 /// pairs closer than `d_min + SKIN_M` and survives node moves of up to
 /// `SKIN_M / 2`.
 const SKIN_M: f64 = 2.0;
@@ -78,28 +66,7 @@ pub struct SoftConstraint {
     pub weight: f64,
 }
 
-/// How the soft constraint's complement sum is evaluated (see the module
-/// docs).
-#[derive(Debug, Clone)]
-enum ConstraintBackend {
-    /// No soft constraint configured.
-    Off,
-    /// Materialized complement pair list, scanned per evaluation.
-    Dense {
-        /// Unmeasured pairs `(i, j)` with `i < j`, sorted.
-        unmeasured: Vec<(usize, usize)>,
-    },
-    /// Verlet candidate list, rebuilt by a spatial-grid sweep when a
-    /// node moves too far.
-    Sparse {
-        /// Measured pairs `(min, max)` for exclusion during grid sweeps.
-        measured_lookup: HashSet<(usize, usize)>,
-        /// The candidate list, cached across evaluations.
-        verlet: RefCell<VerletList>,
-    },
-}
-
-/// The sparse backend's cached candidate pairs (see the module docs).
+/// The soft constraint's cached candidate pairs (see the module docs).
 #[derive(Debug, Clone, Default)]
 struct VerletList {
     /// The configuration the list was built at; empty before the first
@@ -142,56 +109,25 @@ impl VerletList {
 #[derive(Debug, Clone)]
 pub struct LssObjective {
     n: usize,
-    /// Measured pairs: `(i, j, distance, weight)`.
+    /// Measured pairs: `(i, j, distance, weight)` with `i < j`, sorted.
     measured: Vec<(usize, usize, f64, f64)>,
     soft: Option<SoftConstraint>,
-    backend: ConstraintBackend,
+    /// The soft constraint's candidate list, cached across evaluations.
+    verlet: RefCell<VerletList>,
 }
 
 impl LssObjective {
-    /// Builds the objective with automatic backend selection
-    /// ([`SolverBackend::Auto`]): the dense complement list below the
-    /// size threshold, the Verlet candidate list above it.
+    /// Builds the objective. When `soft` is `None` the constraint
+    /// machinery is skipped entirely.
     pub fn new(set: &MeasurementSet, soft: Option<SoftConstraint>) -> Self {
-        Self::with_backend(set, soft, SolverBackend::Auto)
-    }
-
-    /// Builds the objective on an explicit constraint backend. When
-    /// `soft` is `None` the backend choice is irrelevant (the constraint
-    /// machinery is skipped entirely).
-    pub fn with_backend(
-        set: &MeasurementSet,
-        soft: Option<SoftConstraint>,
-        backend: SolverBackend,
-    ) -> Self {
-        let n = set.node_count();
-        let measured: Vec<(usize, usize, f64, f64)> = set
-            .iter_weighted()
-            .map(|(a, b, d, w)| (a.index(), b.index(), d, w))
-            .collect();
-        let backend = if soft.is_none() {
-            ConstraintBackend::Off
-        } else if backend.use_sparse(n) {
-            ConstraintBackend::Sparse {
-                measured_lookup: measured.iter().map(|&(i, j, _, _)| (i, j)).collect(),
-                verlet: RefCell::default(),
-            }
-        } else {
-            let mut unmeasured = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if !set.contains(rl_net::NodeId(i), rl_net::NodeId(j)) {
-                        unmeasured.push((i, j));
-                    }
-                }
-            }
-            ConstraintBackend::Dense { unmeasured }
-        };
         LssObjective {
-            n,
-            measured,
+            n: set.node_count(),
+            measured: set
+                .iter_weighted()
+                .map(|(a, b, d, w)| (a.index(), b.index(), d, w))
+                .collect(),
             soft,
-            backend,
+            verlet: RefCell::default(),
         }
     }
 
@@ -205,21 +141,6 @@ impl LssObjective {
         self.measured.len()
     }
 
-    /// Number of unmeasured pairs subject to the soft constraint (the
-    /// complement size; the sparse backend never materializes them but
-    /// the count is the same).
-    pub fn constrained_pairs(&self) -> usize {
-        if self.soft.is_none() {
-            return 0;
-        }
-        self.n * (self.n - 1) / 2 - self.measured.len()
-    }
-
-    /// Whether the Verlet-list (sparse) constraint backend is active.
-    pub fn uses_sparse_constraint(&self) -> bool {
-        matches!(self.backend, ConstraintBackend::Sparse { .. })
-    }
-
     /// Extracts `(x_i, y_i)` from the flat configuration vector.
     #[inline]
     fn coords(x: &[f64], n: usize, i: usize) -> (f64, f64) {
@@ -227,7 +148,7 @@ impl LssObjective {
     }
 
     /// The computed distance between nodes `i` and `j` at `x` — one
-    /// expression for every backend, so their distances agree bitwise.
+    /// expression for the candidate filter and the sums alike.
     #[inline]
     fn distance(x: &[f64], n: usize, i: usize, j: usize) -> f64 {
         let (xi, yi) = Self::coords(x, n, i);
@@ -238,43 +159,30 @@ impl LssObjective {
     /// The unmeasured pairs violating the constraint at `x` (distance
     /// strictly below `d_min`) with their distances, sorted ascending by
     /// pair — the only pairs with a nonzero constraint contribution. The
-    /// sort keeps the accumulation order identical to the dense backend's
-    /// `i < j` scan, which is what makes the two backends bit-identical.
+    /// sort keeps the accumulation order that of an `i < j` scan of the
+    /// whole complement.
     fn violating_pairs(&self, x: &[f64]) -> Vec<(usize, usize, f64)> {
         let Some(soft) = self.soft else {
             return Vec::new();
         };
         let d_min = soft.min_spacing_m;
-        let n = self.n;
-        let violators = |pairs: &[(usize, usize)]| -> Vec<(usize, usize, f64)> {
-            pairs
-                .iter()
-                .filter_map(|&(i, j)| {
-                    let dist = Self::distance(x, n, i, j);
-                    (dist < d_min).then_some((i, j, dist))
-                })
-                .collect()
-        };
-        match &self.backend {
-            ConstraintBackend::Off => Vec::new(),
-            ConstraintBackend::Dense { unmeasured } => violators(unmeasured),
-            ConstraintBackend::Sparse {
-                measured_lookup,
-                verlet,
-            } => {
-                let mut list = verlet.borrow_mut();
-                if !list.covers(x, d_min) {
-                    list.pairs = self.grid_pairs(x, d_min + SKIN_M, measured_lookup);
-                    list.built_at.clear();
-                    list.built_at.extend_from_slice(x);
-                    #[cfg(test)]
-                    {
-                        list.builds += 1;
-                    }
-                }
-                violators(&list.pairs)
+        let mut list = self.verlet.borrow_mut();
+        if !list.covers(x, d_min) {
+            list.pairs = self.grid_pairs(x, d_min + SKIN_M);
+            list.built_at.clear();
+            list.built_at.extend_from_slice(x);
+            #[cfg(test)]
+            {
+                list.builds += 1;
             }
         }
+        list.pairs
+            .iter()
+            .filter_map(|&(i, j)| {
+                let dist = Self::distance(x, self.n, i, j);
+                (dist < d_min).then_some((i, j, dist))
+            })
+            .collect()
     }
 
     /// The unmeasured pairs `(i, j)`, `i < j`, closer than `radius` at
@@ -285,13 +193,9 @@ impl LssObjective {
     /// `(cell_x, cell_y, node)` index — binary searched per neighbor
     /// column, no per-cell allocations. f64-to-i64 casts saturate, so
     /// non-finite probe points cannot panic (the optimizer rejects them
-    /// by value).
-    fn grid_pairs(
-        &self,
-        x: &[f64],
-        radius: f64,
-        measured_lookup: &HashSet<(usize, usize)>,
-    ) -> Vec<(usize, usize)> {
+    /// by value). Measured pairs are excluded by binary search in the
+    /// sorted `measured` list.
+    fn grid_pairs(&self, x: &[f64], radius: f64) -> Vec<(usize, usize)> {
         let n = self.n;
         let cell_of = |i: usize| -> (i64, i64) {
             let (px, py) = Self::coords(x, n, i);
@@ -317,10 +221,7 @@ impl LssObjective {
                 let hi = keyed.partition_point(|&(a, b, _)| (a, b) <= (kx, y_hi));
                 for &(_, _, j) in &keyed[lo..hi] {
                     let j = j as usize;
-                    if j <= i || measured_lookup.contains(&(i, j)) {
-                        continue;
-                    }
-                    if Self::distance(x, n, i, j) < radius {
+                    if j > i && Self::distance(x, n, i, j) < radius && !self.is_measured(i, j) {
                         out.push((i, j));
                     }
                 }
@@ -328,6 +229,13 @@ impl LssObjective {
         }
         out.sort_unstable();
         out
+    }
+
+    /// Whether `(i, j)`, `i < j`, is a measured pair.
+    fn is_measured(&self, i: usize, j: usize) -> bool {
+        self.measured
+            .binary_search_by(|&(a, b, _, _)| (a, b).cmp(&(i, j)))
+            .is_ok()
     }
 
     /// How many unmeasured pairs currently violate the constraint at `x`.
@@ -350,9 +258,8 @@ impl Objective for LssObjective {
         }
         if let Some(soft) = self.soft {
             // Only violating pairs contribute: clamped pairs at d_min add
-            // exactly +0.0, so summing the violators alone (in the same
-            // i < j order) reproduces the dense full-complement scan bit
-            // for bit. Violators are strictly inside d_min, so the
+            // exactly +0.0, so summing the violators alone (in i < j
+            // order) reproduces a full-complement scan bit for bit. Violators are strictly inside d_min, so the
             // min-clamp is a no-op and the filter's distance is reused.
             for (_, _, dc) in self.violating_pairs(x) {
                 let diff = dc - soft.min_spacing_m;
@@ -405,6 +312,52 @@ mod tests {
         set
     }
 
+    /// The objective's reference: the unconstrained objective plus an
+    /// `i < j` scan of the whole complement, returning value, gradient
+    /// and the number of active constraints.
+    fn complement_scan(
+        set: &MeasurementSet,
+        soft: SoftConstraint,
+        x: &[f64],
+    ) -> (f64, Vec<f64>, usize) {
+        let plain = LssObjective::new(set, None);
+        let n = set.node_count();
+        let mut value = plain.value(x);
+        let mut grad = vec![0.0; x.len()];
+        plain.gradient(x, &mut grad);
+        let mut active = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let dist = LssObjective::distance(x, n, i, j);
+                if set.contains(NodeId(i), NodeId(j)) || !(dist < soft.min_spacing_m) {
+                    continue;
+                }
+                active += 1;
+                let diff = dist - soft.min_spacing_m;
+                value += soft.weight * diff * diff;
+                let (dx, dy) = (x[i] - x[j], x[n + i] - x[n + j]);
+                let dc = dist.max(MIN_DISTANCE);
+                let factor = 2.0 * soft.weight * (dc - soft.min_spacing_m) / dc;
+                grad[i] += factor * dx;
+                grad[j] -= factor * dx;
+                grad[n + i] += factor * dy;
+                grad[n + j] -= factor * dy;
+            }
+        }
+        (value, grad, active)
+    }
+
+    /// Asserts that `obj` evaluates to the complement scan bit for bit.
+    fn assert_matches_scan(obj: &LssObjective, set: &MeasurementSet, x: &[f64]) {
+        let (value, grad, active) = complement_scan(set, obj.soft.unwrap(), x);
+        assert_eq!(obj.value(x).to_bits(), value.to_bits(), "value at {x:?}");
+        let mut got = vec![0.0; x.len()];
+        obj.gradient(x, &mut got);
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&grad), "gradient at {x:?}");
+        assert_eq!(obj.active_constraints(x), active, "active at {x:?}");
+    }
+
     /// Finite-difference gradient check.
     fn check_gradient(obj: &LssObjective, x: &[f64]) {
         let mut grad = vec![0.0; x.len()];
@@ -433,7 +386,6 @@ mod tests {
         assert!(obj.value(&x) < 1e-18);
         assert_eq!(obj.dim(), 4);
         assert_eq!(obj.measured_pairs(), 1);
-        assert_eq!(obj.constrained_pairs(), 0);
     }
 
     #[test]
@@ -474,15 +426,12 @@ mod tests {
             min_spacing_m: 6.0,
             weight: 10.0,
         };
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let obj = LssObjective::with_backend(&set, Some(soft), backend);
-            assert_eq!(obj.constrained_pairs(), 4);
-            // Configuration with some constrained pairs inside d_min and
-            // some outside (avoid the non-differentiable point
-            // dc == d_min).
-            let x = [0.0, 5.0, 1.0, 9.0, 0.0, 0.0, 2.0, 1.5];
-            check_gradient(&obj, &x);
-        }
+        let obj = LssObjective::new(&set, Some(soft));
+        // Configuration with some constrained pairs inside d_min and some
+        // outside (avoid the non-differentiable point dc == d_min).
+        let x = [0.0, 5.0, 1.0, 9.0, 0.0, 0.0, 2.0, 1.5];
+        check_gradient(&obj, &x);
+        assert_matches_scan(&obj, &set, &x);
     }
 
     #[test]
@@ -493,27 +442,25 @@ mod tests {
             min_spacing_m: 6.0,
             weight: 10.0,
         };
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
-            let obj = LssObjective::with_backend(&set, Some(soft), backend);
-            // Pairs (0,2) and (1,2) are unmeasured. Put node 2 far away:
-            // no penalty.
-            let far = [0.0, 5.0, 100.0, 0.0, 0.0, 0.0];
-            assert!(obj.value(&far) < 1e-18);
-            assert_eq!(obj.active_constraints(&far), 0);
-            // Node 2 at 3 m from node 0: one active violation of (6-3)².
-            let near = [0.0, 5.0, 3.0, 0.0, 0.0, 0.0];
-            let expected = 10.0 * (3.0f64 - 6.0).powi(2) + 10.0 * (2.0f64 - 6.0).powi(2);
-            assert!(
-                (obj.value(&near) - expected).abs() < 1e-9,
-                "value {} expected {expected}",
-                obj.value(&near)
-            );
-            assert_eq!(obj.active_constraints(&near), 2);
-        }
+        let obj = LssObjective::new(&set, Some(soft));
+        // Pairs (0,2) and (1,2) are unmeasured. Put node 2 far away: no
+        // penalty.
+        let far = [0.0, 5.0, 100.0, 0.0, 0.0, 0.0];
+        assert!(obj.value(&far) < 1e-18);
+        assert_eq!(obj.active_constraints(&far), 0);
+        // Node 2 at 3 m from node 0: one active violation of (6-3)².
+        let near = [0.0, 5.0, 3.0, 0.0, 0.0, 0.0];
+        let expected = 10.0 * (3.0f64 - 6.0).powi(2) + 10.0 * (2.0f64 - 6.0).powi(2);
+        assert!(
+            (obj.value(&near) - expected).abs() < 1e-9,
+            "value {} expected {expected}",
+            obj.value(&near)
+        );
+        assert_eq!(obj.active_constraints(&near), 2);
     }
 
     #[test]
-    fn backend_auto_selects_by_size_and_both_agree_bitwise() {
+    fn the_candidate_list_reproduces_the_complement_scan_bitwise() {
         let mut set = MeasurementSet::new(6);
         set.insert(NodeId(0), NodeId(1), 4.0);
         set.insert(NodeId(2), NodeId(4), 3.0);
@@ -521,36 +468,20 @@ mod tests {
             min_spacing_m: 5.0,
             weight: 10.0,
         });
-        let auto = LssObjective::new(&set, soft);
-        assert!(!auto.uses_sparse_constraint(), "6 nodes stay dense");
-        let dense = LssObjective::with_backend(&set, soft, SolverBackend::Dense);
-        let sparse = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
-        assert!(sparse.uses_sparse_constraint());
-        assert_eq!(dense.constrained_pairs(), sparse.constrained_pairs());
-
-        // A messy configuration with several violations: value and
-        // gradient must agree bit for bit across backends.
+        // A messy configuration with several violations.
         let x = [0.0, 1.0, 2.0, 7.5, 3.0, 9.0, 0.0, 0.5, 1.0, 8.0, 2.0, 7.0];
-        assert_eq!(dense.value(&x).to_bits(), sparse.value(&x).to_bits());
-        let mut gd = vec![0.0; 12];
-        let mut gs = vec![0.0; 12];
-        dense.gradient(&x, &mut gd);
-        sparse.gradient(&x, &mut gs);
-        for (a, b) in gd.iter().zip(&gs) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(dense.active_constraints(&x), sparse.active_constraints(&x));
+        assert_matches_scan(&LssObjective::new(&set, soft), &set, &x);
     }
 
     #[test]
-    fn sparse_backend_tolerates_non_finite_probe_points() {
+    fn the_constraint_tolerates_non_finite_probe_points() {
         let mut set = MeasurementSet::new(3);
         set.insert(NodeId(0), NodeId(1), 5.0);
         let soft = Some(SoftConstraint {
             min_spacing_m: 6.0,
             weight: 10.0,
         });
-        let obj = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
+        let obj = LssObjective::new(&set, soft);
         // An overflowed descent probe must not panic; the optimizer
         // rejects it by value.
         let x = [f64::INFINITY, 5.0, 3.0, f64::NEG_INFINITY, 0.0, 0.0];
@@ -566,13 +497,7 @@ mod tests {
             min_spacing_m: 6.0,
             weight: 10.0,
         });
-        let sparse = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
-        let dense = LssObjective::with_backend(&set, soft, SolverBackend::Dense);
-        let builds = || match &sparse.backend {
-            ConstraintBackend::Sparse { verlet, .. } => verlet.borrow().builds,
-            _ => unreachable!("sparse backend requested"),
-        };
-        let mut grad = vec![0.0; 6];
+        let obj = LssObjective::new(&set, soft);
         // Node 2 starts 6.5 m from node 0: outside d_min, inside the skin.
         let x0 = [0.0, 5.0, 6.5, 0.0, 0.0, 0.0];
         let steps: [(&[f64], usize); 7] = [
@@ -590,12 +515,14 @@ mod tests {
             (&x0, 6),
         ];
         for (x, expected) in steps {
-            assert_eq!(sparse.value(x).to_bits(), dense.value(x).to_bits());
-            sparse.gradient(x, &mut grad);
-            assert_eq!(sparse.active_constraints(x), dense.active_constraints(x));
-            assert_eq!(builds(), expected, "builds after evaluating at {x:?}");
+            assert_matches_scan(&obj, &set, x);
+            assert_eq!(
+                obj.verlet.borrow().builds,
+                expected,
+                "builds after evaluating at {x:?}"
+            );
         }
-        assert_eq!(dense.active_constraints(&[0.0, 5.0, 5.7, 0.0, 0.0, 0.0]), 2);
+        assert_eq!(obj.active_constraints(&[0.0, 5.0, 5.7, 0.0, 0.0, 0.0]), 2);
     }
 
     #[test]

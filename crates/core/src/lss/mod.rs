@@ -22,7 +22,6 @@ use rl_math::gradient::{minimize, DescentConfig, DescentTrace};
 use rl_math::RobustLoss;
 use rl_ranging::measurement::MeasurementSet;
 
-use crate::problem::SolverBackend;
 use crate::types::PositionMap;
 use crate::{LocalizationError, Result};
 
@@ -83,13 +82,6 @@ pub struct LssConfig {
     /// keep LSS on equal (anchor-less) footing. Ignored by the inherent
     /// [`LssSolver::solve`]/[`LssSolver::solve_anchored`] methods.
     pub use_anchors: bool,
-    /// Which linear-algebra backend the solve runs on: the soft
-    /// constraint's complement sum (dense materialized pair list versus
-    /// the Verlet candidate list) and the MDS-MAP initializer's
-    /// completion/eigen stage. The two backends produce bit-identical
-    /// descent trajectories for the constraint (see
-    /// [`LssObjective`]); `Auto` switches on the node count.
-    pub backend: SolverBackend,
 }
 
 impl Default for LssConfig {
@@ -114,7 +106,6 @@ impl Default for LssConfig {
             init: InitStrategy::Random,
             anchor_weight: 100.0,
             use_anchors: true,
-            backend: SolverBackend::Auto,
         }
     }
 }
@@ -223,21 +214,12 @@ impl LssConfig {
         self
     }
 
-    /// Replaces the linear-algebra backend (builder style). The default
-    /// [`SolverBackend::Auto`] picks dense at paper scale and sparse at
-    /// metro scale.
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// A configuration tuned for metro-scale deployments (hundreds to
     /// thousands of nodes): the paper's soft constraint, anchor-free
     /// operation, the MDS-MAP initializer (whose sparse path makes it
     /// cheap at this size), and a short restart schedule — a good seed
     /// makes long perturbation searches unnecessary, and each descent
-    /// round already costs `O(edges)` per iteration on the sparse
-    /// backend.
+    /// round already costs `O(edges + candidates)` per iteration.
     pub fn metro() -> Self {
         LssConfig {
             soft_constraint: Some(SoftConstraint {
@@ -258,7 +240,6 @@ impl LssConfig {
             init: InitStrategy::MdsMap,
             anchor_weight: 100.0,
             use_anchors: false,
-            backend: SolverBackend::Auto,
         }
     }
 }
@@ -392,8 +373,7 @@ impl LssSolver {
                 "no measured pairs",
             ));
         }
-        let objective =
-            LssObjective::with_backend(set, self.config.soft_constraint, self.config.backend);
+        let objective = LssObjective::new(set, self.config.soft_constraint);
         let x0 = self.initial_configuration(set, rng)?;
 
         // Restart management lives here (not in the generic optimizer) so
@@ -499,11 +479,7 @@ impl LssSolver {
             .collect();
 
         let objective = AnchoredObjective {
-            inner: LssObjective::with_backend(
-                set,
-                self.config.soft_constraint,
-                self.config.backend,
-            ),
+            inner: LssObjective::new(set, self.config.soft_constraint),
             anchors: anchors.iter().map(|a| (a.id.index(), a.position)).collect(),
             weight: self.config.anchor_weight,
             n: set.node_count(),
@@ -544,16 +520,14 @@ impl LssSolver {
                 }
                 Ok(random_square(n, *side, rng))
             }
-            InitStrategy::MdsMap => {
-                match crate::mds::mdsmap_coordinates_with(set, self.config.backend) {
-                    Ok(coords) => Ok(flatten(&coords)),
-                    Err(_) => {
-                        let mean_d = set.iter().map(|(_, _, d)| d).sum::<f64>() / set.len() as f64;
-                        let side = (mean_d * (n as f64).sqrt() * 0.7).max(1.0);
-                        Ok(random_square(n, side, rng))
-                    }
+            InitStrategy::MdsMap => match crate::mds::mdsmap_coordinates(set) {
+                Ok(coords) => Ok(flatten(&coords)),
+                Err(_) => {
+                    let mean_d = set.iter().map(|(_, _, d)| d).sum::<f64>() / set.len() as f64;
+                    let side = (mean_d * (n as f64).sqrt() * 0.7).max(1.0);
+                    Ok(random_square(n, side, rng))
                 }
-            }
+            },
             InitStrategy::Given(coords) => {
                 if coords.len() != n {
                     return Err(LocalizationError::InvalidConfig(

@@ -15,7 +15,7 @@ use rl_math::{DMatrix, SymmetricEigen};
 use rl_net::{pool, NodeId};
 use rl_ranging::measurement::MeasurementSet;
 
-use crate::problem::{pool_workers, SolverBackend};
+use crate::problem::{pool_workers, SPARSE_SCALE};
 use crate::{LocalizationError, Result};
 
 /// Dijkstra sources per pool task in geodesic completion.
@@ -94,58 +94,44 @@ pub fn classical_mds(distances: &DMatrix) -> Result<Vec<Point2>> {
 
 /// MDS-MAP-style coordinates for a *sparse* measurement set: missing
 /// pairwise distances are completed with shortest-path distances through
-/// the measurement graph, then classical MDS is applied. Backend
-/// selection is automatic ([`SolverBackend::Auto`]); see
-/// [`mdsmap_coordinates_with`].
+/// the measurement graph, then classical MDS is applied.
+///
+/// Completion runs per-source Dijkstra over a CSR adjacency matrix of
+/// the measurement graph ([`dijkstra_into`]). The eigensolve depends on
+/// the node count alone:
+///
+/// * below [`SPARSE_SCALE`] it eigendecomposes the double-centered
+///   matrix with the full `O(n^3)` Jacobi solver ([`classical_mds`]);
+/// * at or above it, it extracts only the top-2 eigenpairs by shifted
+///   subspace iteration — the double-centered matrix is applied
+///   implicitly (`B x = -1/2 J D² J x`) and never materialized, leaving
+///   the `n x n` squared-distance table as the only quadratic cost.
+///
+/// Both produce the same embedding up to the iterative eigensolver's
+/// tolerance (and the usual sign/rotation ambiguity of the degenerate
+/// case); the module's unit tests assert parity on a town-scale table.
+///
+/// At `n >= SPARSE_SCALE` nodes the completion's Dijkstra sources and
+/// the iterative eigensolve's operator products run in blocks on the
+/// [`rl_net::pool`] worker pool, sized to the machine's parallelism;
+/// below it they run serially. Every block computes exactly what the
+/// serial loop computes, so the coordinates are bit-identical for any
+/// core count.
 ///
 /// # Errors
 ///
 /// * [`LocalizationError::InsufficientMeasurements`] when the measurement
 ///   graph is disconnected (shortest paths undefined) or has fewer than
-///   three nodes.
+///   three nodes;
+/// * eigensolver convergence failures, surfaced as
+///   [`LocalizationError::Numerical`].
 pub fn mdsmap_coordinates(set: &MeasurementSet) -> Result<Vec<Point2>> {
-    mdsmap_coordinates_with(set, SolverBackend::Auto)
-}
-
-/// [`mdsmap_coordinates`] on an explicit linear-algebra backend.
-///
-/// Both backends complete the distance matrix the same way: per-source
-/// Dijkstra over a CSR adjacency matrix of the measurement graph
-/// ([`dijkstra_into`]). They differ in the eigensolve:
-///
-/// * **Dense** eigendecomposes the double-centered matrix with the full
-///   `O(n^3)` Jacobi solver.
-/// * **Sparse** extracts only the top-2 eigenpairs by shifted subspace
-///   iteration — the double-centered matrix is applied implicitly
-///   (`B x = -1/2 J D² J x`) and never materialized, leaving the `n x n`
-///   squared-distance table as the only quadratic cost.
-///
-/// Both produce the same embedding up to the iterative eigensolver's
-/// tolerance (and the usual sign/rotation ambiguity of the degenerate
-/// case); `tests/sparse_parity.rs` asserts parity on a town-scale
-/// scenario.
-///
-/// At `n >= SolverBackend::AUTO_THRESHOLD` nodes the completion's
-/// Dijkstra sources and the sparse eigensolve's operator products run in
-/// blocks on the [`rl_net::pool`] worker pool, sized to the machine's
-/// parallelism; below it they run serially. Every block computes exactly
-/// what the serial loop computes, so the coordinates are bit-identical
-/// for any core count.
-///
-/// # Errors
-///
-/// Same as [`mdsmap_coordinates`], plus eigensolver convergence failures
-/// surfaced as [`LocalizationError::Numerical`].
-pub fn mdsmap_coordinates_with(
-    set: &MeasurementSet,
-    backend: SolverBackend,
-) -> Result<Vec<Point2>> {
-    mdsmap_impl(set, backend).map(|(coords, _)| coords)
+    mdsmap_impl(set).map(|(coords, _)| coords)
 }
 
 /// Shared implementation returning `(coordinates, eigen iterations)`
-/// (0 for the closed-form dense path).
-fn mdsmap_impl(set: &MeasurementSet, backend: SolverBackend) -> Result<(Vec<Point2>, usize)> {
+/// (0 for the closed-form Jacobi path).
+fn mdsmap_impl(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
     let n = set.node_count();
     if n < 3 {
         return Err(LocalizationError::InsufficientMeasurements(
@@ -153,7 +139,7 @@ fn mdsmap_impl(set: &MeasurementSet, backend: SolverBackend) -> Result<(Vec<Poin
         ));
     }
     let completed = complete_distances(set, pool_workers(n))?;
-    if backend.use_sparse(n) {
+    if n >= SPARSE_SCALE {
         return mdsmap_sparse(n, &completed);
     }
     let d = DMatrix::from_vec(n, n, completed)?;
@@ -328,29 +314,16 @@ impl LinearOperator for CenteredOperator {
 
 /// MDS-MAP as a [`Localizer`](crate::problem::Localizer): shortest-path
 /// completion plus classical MDS, producing a relative-frame solution
-/// with no per-run randomness. The heavy stages run on the configured
-/// [`SolverBackend`] (`Auto` by default: dense Jacobi at paper scale,
-/// CSR Dijkstra + iterative top-2 eigensolver at metro scale), pooled
-/// across cores at metro scale as [`mdsmap_coordinates_with`] describes.
+/// with no per-run randomness. Dense Jacobi at paper scale, CSR Dijkstra
+/// plus the iterative top-2 eigensolver pooled across cores at metro
+/// scale, as [`mdsmap_coordinates`] describes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MdsMapLocalizer {
-    backend: SolverBackend,
-}
+pub struct MdsMapLocalizer;
 
 impl MdsMapLocalizer {
-    /// Creates the localizer with automatic backend selection.
+    /// Creates the localizer.
     pub fn new() -> Self {
-        MdsMapLocalizer::default()
-    }
-
-    /// Creates the localizer on an explicit backend.
-    pub fn with_backend(backend: SolverBackend) -> Self {
-        MdsMapLocalizer { backend }
-    }
-
-    /// The configured backend.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
+        MdsMapLocalizer
     }
 }
 
@@ -366,14 +339,14 @@ impl crate::problem::Localizer for MdsMapLocalizer {
     ) -> Result<crate::problem::Solution> {
         use crate::problem::{Frame, Solution, SolveStats};
         let start = std::time::Instant::now();
-        let (coords, eigen_iterations) = mdsmap_impl(problem.measurements(), self.backend)?;
+        let (coords, eigen_iterations) = mdsmap_impl(problem.measurements())?;
         Ok(Solution::new(
             crate::types::PositionMap::complete(coords),
             Frame::Relative,
             SolveStats {
                 iterations: eigen_iterations,
                 residual: None,
-                // The dense path is closed-form; the sparse path's
+                // The Jacobi path is closed-form; the iterative
                 // eigensolver errors out instead of returning an
                 // unconverged embedding. Reaching here means converged.
                 converged: Some(true),
@@ -547,6 +520,73 @@ mod tests {
                 assert_eq!(bits(pooled), bits(serial), "workers={workers}");
             }
         }
+    }
+
+    /// A jittered `cols x rows` layout at `spacing` meters.
+    fn jittered(cols: usize, rows: usize, spacing: f64, seed: u64) -> Vec<Point2> {
+        use rand::Rng;
+        let mut rng = rl_math::rng::seeded(seed);
+        grid(cols, rows, spacing)
+            .into_iter()
+            .map(|p| {
+                let (dx, dy) = (rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5);
+                Point2::new(p.x + 0.4 * spacing * dx, p.y + 0.4 * spacing * dy)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn jacobi_and_iterative_eigensolves_embed_one_table_alike() {
+        // Town scale: 60 nodes under the paper's 22 m cutoff.
+        let truth = jittered(10, 6, 9.0, 7);
+        let n = truth.len();
+        let completed = complete_distances(&MeasurementSet::oracle(&truth, 22.0), 1).unwrap();
+        let jacobi = classical_mds(&DMatrix::from_vec(n, n, completed.clone()).unwrap()).unwrap();
+        let (iterative, iterations) = mdsmap_sparse(n, &completed).unwrap();
+        assert!(iterations > 0);
+
+        // Pairwise distances are invariant to the eigenvector sign /
+        // degenerate-rotation ambiguity between the two eigensolvers.
+        let scale: f64 = jacobi
+            .iter()
+            .flat_map(|a| jacobi.iter().map(move |b| a.distance(*b)))
+            .fold(1.0, f64::max);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (dj, di) = (
+                    jacobi[i].distance(jacobi[j]),
+                    iterative[i].distance(iterative[j]),
+                );
+                assert!(
+                    (dj - di).abs() < 1e-5 * scale,
+                    "pair {i}-{j}: Jacobi {dj} vs iterative {di}"
+                );
+            }
+        }
+        let error = |coords| {
+            evaluate_against_truth(&PositionMap::complete(coords), &truth)
+                .unwrap()
+                .mean_error
+        };
+        let (ej, ei) = (error(jacobi), error(iterative));
+        assert!((ej - ei).abs() < 1e-4, "Jacobi {ej} vs iterative {ei}");
+    }
+
+    #[test]
+    fn the_eigensolver_switches_at_sparse_scale() {
+        use crate::problem::{Localizer, Problem};
+        let iterations = |n: usize| {
+            let rows = SPARSE_SCALE / 10 + 1;
+            let truth: Vec<Point2> = jittered(10, rows, 9.0, 3).into_iter().take(n).collect();
+            let problem = Problem::builder(MeasurementSet::oracle(&truth, 22.0))
+                .build()
+                .unwrap();
+            let mut rng = rl_math::rng::seeded(1);
+            let solution = MdsMapLocalizer::new().localize(&problem, &mut rng).unwrap();
+            solution.stats().iterations
+        };
+        assert_eq!(iterations(SPARSE_SCALE - 1), 0, "Jacobi below the scale");
+        assert!(iterations(SPARSE_SCALE) > 0, "iterative at the scale");
     }
 
     #[test]

@@ -58,58 +58,23 @@ use crate::eval::{evaluate_absolute, evaluate_against_truth, Evaluation};
 use crate::types::{Anchor, PositionMap};
 use crate::{LocalizationError, Result};
 
-/// Which linear-algebra backend a solver runs its heavy stages on.
-///
-/// The dense paths ([`DMatrix`](rl_math::DMatrix) products, full Jacobi
-/// eigendecompositions, materialized `O(n^2)` pair lists) are exact and
-/// simple but scale as `O(n^2)`–`O(n^3)`; the sparse paths
-/// ([`rl_math::sparse`]: CSR mat-vec, iterative top-`k` eigensolver,
-/// Verlet candidate lists) exploit the connectivity graph's sparsity
-/// under the 22 m ranging cutoff and stay tractable at metro scale.
-/// Solvers honoring this enum ([`LssConfig`](crate::lss::LssConfig),
-/// [`MdsMapLocalizer`](crate::mds::MdsMapLocalizer)) default to
-/// [`SolverBackend::Auto`], which switches on the problem's node count at
-/// [`SolverBackend::AUTO_THRESHOLD`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Pick per problem: dense below [`SolverBackend::AUTO_THRESHOLD`]
-    /// nodes, sparse at or above it.
-    #[default]
-    Auto,
-    /// Force the dense path regardless of size (the small-`n` reference
-    /// implementation and parity oracle).
-    Dense,
-    /// Force the sparse path regardless of size.
-    Sparse,
-}
-
-impl SolverBackend {
-    /// Node count at which [`SolverBackend::Auto`] switches to the sparse
-    /// path. Below it the dense `O(n^3)` work is cheaper than the sparse
-    /// machinery's constant factors; the paper-scale scenarios (town: 59
-    /// nodes) stay dense, the metro ladder (250+) goes sparse.
-    pub const AUTO_THRESHOLD: usize = 100;
-
-    /// Whether the sparse path should run for an `n`-node problem.
-    pub fn use_sparse(self, n: usize) -> bool {
-        match self {
-            SolverBackend::Auto => n >= Self::AUTO_THRESHOLD,
-            SolverBackend::Dense => false,
-            SolverBackend::Sparse => true,
-        }
-    }
-}
+/// Node count at which a problem counts as sparse-scale, read from `n`
+/// alone. Two choices hang on it: MDS-MAP eigensolves below it with
+/// the dense `O(n^3)` Jacobi decomposition and at or above it with the
+/// iterative top-2 eigensolver, and [`pool_workers`] runs serially below
+/// it. The paper-scale scenarios (town: 59 nodes) and every distributed
+/// local map stay below it; the metro ladder (250+) is above it.
+pub const SPARSE_SCALE: usize = 100;
 
 /// Worker count for the loops that shard on [`rl_net::pool`] (MDS-MAP's
 /// completion and operator products, multilateration's per-node fixes,
 /// and the per-tick measurement of `rl_deploy`'s mobility traces): `0`,
-/// the machine's parallelism, at sparse scale
-/// (`n >= SolverBackend::AUTO_THRESHOLD`), and `1`, inline on the calling
-/// thread, below it. Paper-scale solves and traces and distributed LSS's
-/// local maps therefore never spawn threads. The outputs are
-/// bit-identical either way.
+/// the machine's parallelism, at sparse scale (`n >= SPARSE_SCALE`), and
+/// `1`, inline on the calling thread, below it. Paper-scale solves and
+/// traces and distributed LSS's local maps therefore never spawn
+/// threads. The outputs are bit-identical either way.
 pub fn pool_workers(n: usize) -> usize {
-    if n >= SolverBackend::AUTO_THRESHOLD {
+    if n >= SPARSE_SCALE {
         0
     } else {
         1

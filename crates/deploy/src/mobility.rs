@@ -196,7 +196,7 @@ impl MobilityScenario {
     /// truth) for evaluation and protocol-driven solvers.
     ///
     /// The same `(scenario, seed)` pair always produces a bit-identical
-    /// trace. At `n >= SolverBackend::AUTO_THRESHOLD` nodes the ticks are
+    /// trace. At `n >= rl_core::problem::SPARSE_SCALE` nodes the ticks are
     /// measured on the machine's parallelism
     /// ([`rl_core::problem::pool_workers`]) while the motion pass runs,
     /// with the same bits.

@@ -20,8 +20,8 @@
 //!   matrix, the sparse replacement for dense all-pairs completion.
 //!
 //! Dense counterparts ([`DMatrix`], [`SymmetricEigen`]) stay the
-//! small-`n` fallback and the parity oracle in tests; the solver crates
-//! select a backend automatically by problem size.
+//! small-`n` eigensolve of MDS-MAP, which picks it by problem size, and
+//! the parity oracle in tests.
 //!
 //! [`SymmetricEigen`]: crate::SymmetricEigen
 //!

@@ -19,7 +19,7 @@
 //!   results are placed by tick.
 //!
 //! The `rl_core` and `rl_deploy` consumers ask for the machine's
-//! parallelism only at sparse scale (`n >= SolverBackend::AUTO_THRESHOLD`,
+//! parallelism only at sparse scale (`n >= rl_core::problem::SPARSE_SCALE`,
 //! 100 nodes, through `rl_core::problem::pool_workers`) and run serially
 //! below it. So paper-scale solves and traces stay on one thread, and the
 //! distributed local maps (all under 100 nodes) never spawn threads

@@ -13,12 +13,15 @@
 //! ```text
 //! open ──► active ──┬── push/read (touches last-active) ──► active
 //!                   ├── close ──────────────────────────► gone
-//!                   └── idle ≥ TTL, mailbox drained ─────► evicted
+//!                   ├── idle ≥ TTL, mailbox drained ─────► evicted
+//!                   └── a tick panics (lock poisoned) ───► evicted
 //! ```
 //!
 //! Tokens for evicted sessions are remembered (a bounded tombstone set)
 //! so clients get the typed [`ErrorCode::SessionEvicted`] instead of an
-//! indistinguishable [`ErrorCode::UnknownSession`].
+//! indistinguishable [`ErrorCode::UnknownSession`]. A session whose lock
+//! a panicking tick poisoned is dead: the first lookup, lock or scan
+//! that meets it evicts it, and every other session carries on.
 //!
 //! # Determinism
 //!
@@ -32,7 +35,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use rl_core::tracking::{solution_fingerprint, StreamingTracker, TickObservation, Tracker};
@@ -240,7 +243,7 @@ impl SessionManager {
     /// overflow the mailbox.
     pub fn reserve(&self, token: u64, count: usize) -> Result<usize, WireError> {
         let session = self.lookup(token)?;
-        let mut state = session.lock().expect("session poisoned");
+        let mut state = self.lock(token, &session)?;
         if self.mailbox > 0 && state.pending + count > self.mailbox {
             return Err(WireError::new(
                 ErrorCode::Overloaded,
@@ -260,9 +263,10 @@ impl SessionManager {
     /// (the enqueue was rejected after a successful reservation).
     pub fn release(&self, token: u64, count: usize) {
         if let Ok(session) = self.lookup(token) {
-            let mut state = session.lock().expect("session poisoned");
-            state.pending = state.pending.saturating_sub(count);
-            state.last_active = self.clock.now();
+            if let Ok(mut state) = self.lock(token, &session) {
+                state.pending = state.pending.saturating_sub(count);
+                state.last_active = self.clock.now();
+            }
         }
     }
 
@@ -281,7 +285,7 @@ impl SessionManager {
         observations: &[TickObservation],
     ) -> Result<PushReply, WireError> {
         let session = self.lookup(token)?;
-        let mut state = session.lock().expect("session poisoned");
+        let mut state = self.lock(token, &session)?;
         state.pending = state.pending.saturating_sub(observations.len());
         state.last_active = self.clock.now();
         let mut accepted = 0u64;
@@ -319,7 +323,7 @@ impl SessionManager {
     /// projection id.
     pub fn read(&self, token: u64, nodes: Option<&[u64]>) -> Result<SolutionReply, WireError> {
         let session = self.lookup(token)?;
-        let mut state = session.lock().expect("session poisoned");
+        let mut state = self.lock(token, &session)?;
         state.last_active = self.clock.now();
         let universe = state.universe;
         let ticks = state.tracker.ticks();
@@ -375,20 +379,23 @@ impl SessionManager {
             sessions.remove(&token)
         };
         match removed {
-            Some(session) => {
-                let state = session.lock().expect("session poisoned");
-                Ok(state.tracker.ticks())
-            }
+            // Closed either way; a dead session's tick count still reads.
+            Some(session) => Ok(session
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .tracker
+                .ticks()),
             None => Err(self.missing(token)),
         }
     }
 
-    /// Evicts every session idle past the TTL. Sessions with reserved
-    /// mailbox slots are never evicted (their work is in flight), and
+    /// Evicts every dead session (one whose lock a panicking tick
+    /// poisoned) and every one idle past the TTL. Sessions with reserved
+    /// mailbox slots are never idle (their work is in flight), and
     /// neither are sessions whose lock is held: a session in the middle
     /// of a tick is not idle, and waiting on it here would stall every
     /// other session's lookup behind that tick. A no-op when the TTL is
-    /// zero.
+    /// zero; dead sessions then go at their next lookup.
     ///
     /// This scan visits every session. Lookups run it at most once per
     /// quarter TTL of the manager's clock and check only the session
@@ -417,13 +424,40 @@ impl SessionManager {
         self.scan(now);
     }
 
-    /// Whether `session` sits idle past the TTL at `now`: no reserved
-    /// mailbox slots, and its lock free.
-    fn is_idle(&self, session: &Mutex<SessionState>, now: Duration) -> bool {
+    /// Whether `session` is due for eviction at `now`: dead, or idle
+    /// past a nonzero TTL with no reserved mailbox slots and its lock
+    /// free. A session whose lock a panicking tick poisoned is dead.
+    fn is_expired(&self, session: &Mutex<SessionState>, now: Duration) -> bool {
         match session.try_lock() {
-            Ok(state) => state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl,
+            Ok(state) => {
+                !self.ttl.is_zero()
+                    && state.pending == 0
+                    && now.saturating_sub(state.last_active) >= self.ttl
+            }
             Err(TryLockError::WouldBlock) => false,
-            Err(TryLockError::Poisoned(_)) => panic!("session poisoned"),
+            Err(TryLockError::Poisoned(_)) => true,
+        }
+    }
+
+    /// Locks the session `lookup` found for `token`. If a tick panicked
+    /// while holding the lock, the session is dead: it is evicted and
+    /// its token reads as evicted.
+    fn lock<'a>(
+        &self,
+        token: u64,
+        session: &'a Mutex<SessionState>,
+    ) -> Result<MutexGuard<'a, SessionState>, WireError> {
+        match session.lock() {
+            Ok(state) => Ok(state),
+            Err(dead) => {
+                // Lock order: release the session before the map.
+                drop(dead);
+                self.evict(
+                    &mut self.sessions.lock().expect("session map poisoned"),
+                    vec![token],
+                );
+                Err(self.missing(token))
+            }
         }
     }
 
@@ -433,7 +467,7 @@ impl SessionManager {
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         let expired: Vec<u64> = sessions
             .iter()
-            .filter(|(_, session)| self.is_idle(session, now))
+            .filter(|(_, session)| self.is_expired(session, now))
             .map(|(&token, _)| token)
             .collect();
         self.evict(&mut sessions, expired);
@@ -450,9 +484,12 @@ impl SessionManager {
             evicted.clear();
         }
         for token in expired {
-            sessions.remove(&token);
-            evicted.insert(token);
-            self.evicted_total.fetch_add(1, Ordering::Relaxed);
+            // A session that already went (closed, or evicted by a racing
+            // lock) is neither remembered nor counted twice.
+            if sessions.remove(&token).is_some() {
+                evicted.insert(token);
+                self.evicted_total.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -461,7 +498,7 @@ impl SessionManager {
         self.sessions.lock().expect("session map poisoned").len() as u64
     }
 
-    /// Lifetime TTL evictions.
+    /// Lifetime evictions: sessions idle past the TTL, and dead ones.
     pub fn evicted_count(&self) -> u64 {
         self.evicted_total.load(Ordering::Relaxed)
     }
@@ -477,15 +514,16 @@ impl SessionManager {
     }
 
     /// The open session behind `token`. Runs the full idle scan when it
-    /// is due, and otherwise evicts just this session if it sits idle
-    /// past the TTL, so an expired token always reads as evicted.
+    /// is due, and otherwise evicts just this session if it is dead or
+    /// sits idle past the TTL, so an expired token always reads as
+    /// evicted.
     fn lookup(&self, token: u64) -> Result<Arc<Mutex<SessionState>>, WireError> {
         self.sweep_if_due();
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         let Some(session) = sessions.get(&token) else {
             return Err(self.missing(token));
         };
-        if !self.ttl.is_zero() && self.is_idle(session, self.clock.now()) {
+        if self.is_expired(session, self.clock.now()) {
             self.evict(&mut sessions, vec![token]);
             return Err(self.missing(token));
         }
@@ -497,7 +535,10 @@ impl SessionManager {
         if evicted.contains(&token) {
             WireError::new(
                 ErrorCode::SessionEvicted,
-                format!("session {token:#018x} was evicted after sitting idle"),
+                format!(
+                    "session {token:#018x} was evicted: idle past the TTL, or a tick \
+                     on it panicked"
+                ),
             )
         } else {
             WireError::new(
@@ -725,6 +766,73 @@ mod tests {
         assert_eq!(manager.evicted_count(), 998);
         drop(guard);
         assert_eq!(manager.sweeps.load(Ordering::Relaxed), 3);
+    }
+
+    /// Poisons `token`'s lock the way a tracker panicking mid-tick would.
+    fn poison(manager: &SessionManager, token: u64) -> Arc<Mutex<SessionState>> {
+        let session = Arc::clone(&manager.sessions.lock().unwrap()[&token]);
+        let held = Arc::clone(&session);
+        std::thread::spawn(move || {
+            let _tick = held.lock().unwrap();
+            panic!("a tick panicked");
+        })
+        .join()
+        .unwrap_err();
+        assert!(session.is_poisoned());
+        session
+    }
+
+    #[test]
+    fn a_poisoned_session_is_evicted_and_the_others_carry_on() {
+        let ttl = Duration::from_secs(60);
+        let (manager, clock) = manager(ttl, 0, 0);
+        let dead = manager.open("dead", 4, tracker(1)).unwrap();
+        let live = manager.open("live", 4, tracker(2)).unwrap();
+        manager.reserve(live, 1).unwrap();
+        manager.process(live, &[square_tick(0)]).unwrap();
+        poison(&manager, dead);
+        // A quarter TTL on, the next lookup runs a due sweep. Nothing is
+        // idle yet, so only the dead session goes.
+        clock.advance(ttl / 4);
+        let scans = manager.sweeps.load(Ordering::Relaxed);
+        assert!(manager.read(live, None).is_ok());
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), scans + 1);
+        assert_eq!(manager.open_count(), 1);
+        assert_eq!(manager.evicted_count(), 1);
+        for err in [
+            manager.read(dead, None).unwrap_err(),
+            manager.reserve(dead, 1).unwrap_err(),
+            manager.close(dead).unwrap_err(),
+        ] {
+            assert!(matches!(err.code, ErrorCode::SessionEvicted), "{err:?}");
+        }
+        manager.reserve(live, 1).unwrap();
+        assert_eq!(manager.process(live, &[square_tick(1)]).unwrap().ticks, 2);
+    }
+
+    #[test]
+    fn poisoned_sessions_go_at_lookup_or_lock_without_a_ttl() {
+        let (manager, _) = manager(Duration::ZERO, 0, 0);
+        let looked_up = manager.open("a", 4, tracker(1)).unwrap();
+        let locked = manager.open("b", 4, tracker(2)).unwrap();
+        poison(&manager, looked_up);
+        assert!(matches!(
+            manager.read(looked_up, None).unwrap_err().code,
+            ErrorCode::SessionEvicted
+        ));
+        // A caller that found the session before the panic and then
+        // waited on its lock gets the same typed refusal.
+        let session = manager.lookup(locked).unwrap();
+        poison(&manager, locked);
+        assert!(matches!(
+            manager.lock(locked, &session).map(drop),
+            Err(WireError {
+                code: ErrorCode::SessionEvicted,
+                ..
+            })
+        ));
+        assert_eq!(manager.open_count(), 0);
+        assert_eq!(manager.evicted_count(), 2);
     }
 
     #[test]

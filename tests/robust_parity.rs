@@ -68,7 +68,7 @@ const GOLDEN_REFINE_CAUCHY: u64 = 0x2c2c86a17396012c;
 const GOLDEN_METRO250_LSS: u64 = 0xe77c6753996835f0;
 const GOLDEN_METRO250_DIST: u64 = 0x328a47167b8ce9b4;
 /// Metro-250 registry solvers whose per-node loops shard on the worker
-/// pool at this size (`n >= SolverBackend::AUTO_THRESHOLD`), captured
+/// pool at this size (`n >= rl_core::problem::SPARSE_SCALE`), captured
 /// from the serial loops before they were pooled.
 const GOLDEN_METRO250_MDSMAP: u64 = 0x1e92c18ae41afb2d;
 const GOLDEN_METRO250_DVHOP: u64 = 0x89597e8b0a7fd5c1;
@@ -152,8 +152,8 @@ fn refinement_losses_match_prerefactor_bits() {
     );
 }
 
-/// Metro-250 centralized LSS (`LssConfig::metro()`, sparse backend,
-/// MDS-MAP init) is untouched by the refactor.
+/// Metro-250 centralized LSS (`LssConfig::metro()`, Verlet-list soft
+/// constraint, MDS-MAP init) is untouched by the refactor.
 #[test]
 fn metro250_lss_matches_prerefactor_bits() {
     let problem = rl_deploy::Scenario::metro_sized(250, 0.10, 5).instantiate(5);

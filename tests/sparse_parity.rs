@@ -1,40 +1,22 @@
-//! Dense ↔ sparse backend parity, end to end.
+//! The sparse kernels against brute-force references, end to end.
 //!
-//! The sparse backend (`rl_math::sparse` + the solver paths built on it)
-//! exists to make metro-scale problems tractable, **not** to change any
+//! The sparse paths (`rl_math::sparse` + the solver paths built on it)
+//! exist to make metro-scale problems tractable, **not** to change any
 //! answer. These tests pin that contract at the integration level:
 //!
 //! * the CSR Dijkstra completion reproduces a brute-force Bellman–Ford
 //!   fixed point bit for bit on a real measurement graph,
-//! * sparse-path MDS-MAP embeds a town-scale scenario into the same
-//!   geometry as the dense Jacobi path (compared via pairwise distances,
-//!   which are invariant to the eigenvector sign/rotation ambiguity),
-//! * sparse-path LSS reproduces the dense path **bit for bit** on a
-//!   fixed-seed town-scale solve — the Verlet-list constraint evaluates
-//!   the identical objective, so the whole descent trajectory matches,
-//! * the LSS objective backends agree on value and gradient along
-//!   random trajectories that reuse and rebuild the sparse backend's
-//!   cached candidate list (property test).
+//! * the LSS objective, whose soft constraint reads a cached Verlet
+//!   candidate list, reproduces a scan of the whole complement bit for
+//!   bit on value, gradient and active count, along random trajectories
+//!   that reuse and rebuild the list (property test).
 
 use proptest::prelude::*;
 use resilient_localization::prelude::*;
-use rl_core::lss::{LssConfig, LssObjective, LssSolver, SoftConstraint};
-use rl_core::mds::mdsmap_coordinates_with;
-use rl_core::SolverBackend;
+use rl_core::lss::{LssObjective, SoftConstraint};
 use rl_math::gradient::Objective;
 use rl_math::sparse::{dijkstra, CsrMatrix};
 use rl_net::NodeId as NetNodeId;
-
-/// The town-scale measurement graph every end-to-end test runs on: the
-/// paper's 59-node town under its synthetic 22 m / N(0, 0.33 m) model.
-fn town_measurements() -> (Vec<Point2>, MeasurementSet) {
-    let scenario = rl_deploy::Scenario::town(7);
-    let problem = scenario.instantiate(7);
-    (
-        problem.truth().expect("scenario carries truth").to_vec(),
-        problem.measurements().clone(),
-    )
-}
 
 /// Brute-force single-source shortest paths: Bellman–Ford relaxation
 /// of every edge in both directions until nothing changes. The fixed
@@ -61,7 +43,10 @@ fn bellman_ford(n: usize, edges: &[(usize, usize, f64)], source: usize) -> Vec<f
 
 #[test]
 fn csr_dijkstra_matches_bellman_ford_on_town_graph() {
-    let (_, set) = town_measurements();
+    // The paper's 59-node town under its synthetic 22 m / N(0, 0.33 m)
+    // model.
+    let problem = rl_deploy::Scenario::town(7).instantiate(7);
+    let set = problem.measurements();
     let n = set.node_count();
     let edges: Vec<(usize, usize, f64)> = set
         .iter()
@@ -82,89 +67,56 @@ fn csr_dijkstra_matches_bellman_ford_on_town_graph() {
     }
 }
 
-#[test]
-fn sparse_mdsmap_embeds_the_town_like_the_dense_path() {
-    let (truth, set) = town_measurements();
-    let dense = mdsmap_coordinates_with(&set, SolverBackend::Dense).unwrap();
-    let sparse = mdsmap_coordinates_with(&set, SolverBackend::Sparse).unwrap();
-    assert_eq!(dense.len(), sparse.len());
-
-    // Pairwise distances are invariant to the eigenvector sign /
-    // degenerate-rotation ambiguity between the two eigensolvers.
-    let scale: f64 = dense
-        .iter()
-        .flat_map(|a| dense.iter().map(move |b| a.distance(*b)))
-        .fold(1.0, f64::max);
-    for i in 0..dense.len() {
-        for j in (i + 1)..dense.len() {
-            let dd = dense[i].distance(dense[j]);
-            let ds = sparse[i].distance(sparse[j]);
-            assert!(
-                (dd - ds).abs() < 1e-5 * scale,
-                "pair {i}-{j}: dense {dd} vs sparse {ds}"
-            );
+/// The LSS objective's reference: the unconstrained objective plus an
+/// `i < j` scan of the whole complement of the measurement graph, with
+/// the objective's own distance expression and gradient guard. Returns
+/// value, gradient and active-constraint count.
+fn complement_scan(
+    set: &MeasurementSet,
+    soft: SoftConstraint,
+    x: &[f64],
+) -> (f64, Vec<f64>, usize) {
+    let plain = LssObjective::new(set, None);
+    let n = set.node_count();
+    let mut value = plain.value(x);
+    let mut grad = vec![0.0; x.len()];
+    plain.gradient(x, &mut grad);
+    let mut active = 0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let (dx, dy) = (x[i] - x[j], x[n + i] - x[n + j]);
+            let dist = (dx.powi(2) + dy.powi(2)).sqrt();
+            if set.contains(NetNodeId(i), NetNodeId(j)) || !(dist < soft.min_spacing_m) {
+                continue;
+            }
+            active += 1;
+            let diff = dist - soft.min_spacing_m;
+            value += soft.weight * diff * diff;
+            let dc = dist.max(1e-9);
+            let factor = 2.0 * soft.weight * (dc - soft.min_spacing_m) / dc;
+            grad[i] += factor * dx;
+            grad[j] -= factor * dx;
+            grad[n + i] += factor * dy;
+            grad[n + j] -= factor * dy;
         }
     }
-
-    // Both embeddings evaluate identically against ground truth.
-    let dense_eval = evaluate_against_truth(&PositionMap::complete(dense), &truth).unwrap();
-    let sparse_eval = evaluate_against_truth(&PositionMap::complete(sparse), &truth).unwrap();
-    assert!(
-        (dense_eval.mean_error - sparse_eval.mean_error).abs() < 1e-4,
-        "dense {} vs sparse {}",
-        dense_eval.mean_error,
-        sparse_eval.mean_error
-    );
-}
-
-#[test]
-fn sparse_lss_reproduces_the_dense_solve_bit_for_bit() {
-    let (_, set) = town_measurements();
-    // A short fixed-seed solve is enough: bitwise equality of the whole
-    // trajectory either holds from the first accepted step or not at all.
-    let config = |backend| {
-        LssConfig::default()
-            .with_min_spacing(9.14, 10.0)
-            .with_backend(backend)
-            .with_descent(rl_math::DescentConfig {
-                max_iterations: 600,
-                restarts: 4,
-                ..LssConfig::default().descent
-            })
-    };
-    let solve = |backend| {
-        let mut rng = rl_math::rng::seeded(99);
-        LssSolver::new(config(backend))
-            .solve(&set, &mut rng)
-            .expect("town graph is solvable")
-    };
-    let dense = solve(SolverBackend::Dense);
-    let sparse = solve(SolverBackend::Sparse);
-
-    assert_eq!(dense.stress().to_bits(), sparse.stress().to_bits());
-    assert_eq!(dense.iterations(), sparse.iterations());
-    assert_eq!(dense.converged(), sparse.converged());
-    for (a, b) in dense.coordinates().iter().zip(sparse.coordinates()) {
-        assert_eq!(a.x.to_bits(), b.x.to_bits(), "x coordinates diverged");
-        assert_eq!(a.y.to_bits(), b.y.to_bits(), "y coordinates diverged");
-    }
+    (value, grad, active)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The two constraint backends evaluate the identical objective for
-    /// arbitrary sparse graphs and arbitrary (even far-from-plausible)
-    /// configurations: same value bits, same gradient bits, same active
-    /// constraint count.
+    /// The objective equals the complement scan for arbitrary sparse
+    /// graphs and arbitrary (even far-from-plausible) configurations:
+    /// same value bits, same gradient bits, same active constraint count.
     ///
-    /// One sparse objective is reused along a whole trajectory, so its
-    /// cached Verlet list (2 m skin) is exercised both ways: jiggles under
-    /// half the skin reuse it, jumps past it and a non-finite probe
-    /// rebuild it, and the walk ends back at the start. Every point is
-    /// checked against a fresh dense objective.
+    /// One objective is reused along a whole trajectory, so its cached
+    /// Verlet list (2 m skin) is exercised both ways: jiggles under half
+    /// the skin reuse it, jumps past it and a non-finite probe rebuild
+    /// it, and the walk ends back at the start. Every point is checked
+    /// against the scan.
     #[test]
-    fn lss_objective_backends_agree_bitwise(
+    fn lss_objective_matches_the_complement_scan_bitwise(
         pts in proptest::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 4..10),
         edges in proptest::collection::vec((0usize..10, 0usize..10), 2..18),
         x0 in proptest::collection::vec(-50.0f64..50.0, 20),
@@ -188,10 +140,10 @@ proptest! {
                 set.insert(NetNodeId(a), NetNodeId(b), d);
             }
         }
-        let soft = Some(SoftConstraint {
+        let soft = SoftConstraint {
             min_spacing_m: d_min,
             weight: 10.0,
-        });
+        };
         let x: Vec<f64> = x0.iter().take(2 * n).copied().collect();
         prop_assume!(x.len() == 2 * n);
 
@@ -233,18 +185,16 @@ proptest! {
         points.push(wild);
         points.push(x.clone());
 
-        let sparse = LssObjective::with_backend(&set, soft, SolverBackend::Sparse);
-        let mut gd = vec![0.0; 2 * n];
-        let mut gs = vec![0.0; 2 * n];
+        let objective = LssObjective::new(&set, Some(soft));
+        let mut grad = vec![0.0; 2 * n];
         for p in &points {
-            let dense = LssObjective::with_backend(&set, soft, SolverBackend::Dense);
-            prop_assert_eq!(dense.value(p).to_bits(), sparse.value(p).to_bits());
-            dense.gradient(p, &mut gd);
-            sparse.gradient(p, &mut gs);
-            for (a, b) in gd.iter().zip(&gs) {
+            let (value, expected, active) = complement_scan(&set, soft, p);
+            prop_assert_eq!(objective.value(p).to_bits(), value.to_bits());
+            objective.gradient(p, &mut grad);
+            for (a, b) in grad.iter().zip(&expected) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
-            prop_assert_eq!(dense.active_constraints(p), sparse.active_constraints(p));
+            prop_assert_eq!(objective.active_constraints(p), active);
         }
     }
 }
