@@ -1,7 +1,7 @@
 //! The campaign-driven suites: parallel determinism, the six-family
 //! metro panel, and the degradation ladder.
 
-use rl_bench::campaign::{Campaign, CampaignConfig, CampaignReport, Chunking};
+use rl_bench::campaign::{Campaign, CampaignConfig, CampaignReport};
 use rl_bench::experiments::degradation::{contaminated_channel, degraded, regimes};
 use rl_bench::experiments::metro::metro_localizers;
 use rl_bench::gate::Suite;
@@ -57,9 +57,8 @@ fn failed_cells(report: &CampaignReport) -> f64 {
     f64::from(failed)
 }
 
-/// A multi-cell grid run four ways — serial, auto-sized pool, 4 workers
-/// chunked by instance, 4 workers chunked by cell — must give
-/// bit-identical reports (the determinism contract in
+/// A multi-cell grid run three ways — serial, auto-sized pool, 4 workers
+/// — must give bit-identical reports (the determinism contract in
 /// `rl_bench::campaign`). The serial-vs-parallel speedup is printed, not
 /// gated: only a multi-core runner can show it.
 pub fn campaign(suite: &mut Suite) {
@@ -76,12 +75,6 @@ pub fn campaign(suite: &mut Suite) {
         ("serial", CampaignConfig::serial()),
         ("auto", CampaignConfig::default()),
         ("workers4", CampaignConfig::default().with_workers(4)),
-        (
-            "workers4-cell",
-            CampaignConfig::default()
-                .with_workers(4)
-                .with_chunking(Chunking::Cell),
-        ),
     ];
     let reports: Vec<_> = schedules
         .into_iter()

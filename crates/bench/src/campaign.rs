@@ -16,13 +16,13 @@
 //! Grid cells are independent by construction — each `(source, seed,
 //! localizer)` cell instantiates its problem from `(source, seed)` alone
 //! and derives a private RNG stream from `(seed, localizer index)` — so
-//! [`Campaign::run`] shards them across the [`rl_net::pool`] workers
-//! ([`CampaignConfig`] sets the pool size and the work-unit
-//! [`Chunking`]). The contract, asserted by `tests/determinism.rs` at the
+//! [`Campaign::run`] shards them across the [`rl_net::pool`] workers, one
+//! `(source, seed)` instance per work unit ([`CampaignConfig`] sets the
+//! pool size). The contract, asserted by `tests/determinism.rs` at the
 //! repository root and by the `smoke campaign` release suite:
 //!
 //! **Same campaign, same seeds ⇒ a bit-identical [`CampaignReport`],
-//! regardless of worker count or chunking.** Records land in canonical
+//! regardless of worker count.** Records land in canonical
 //! grid order (source-major, then seed, then localizer) no matter which
 //! worker ran them or when it finished, and no cell's randomness depends
 //! on scheduling. Only the wall-clock fields ([`RunRecord::wall_time`],
@@ -88,27 +88,6 @@ impl ProblemSource {
     }
 }
 
-/// How [`Campaign::run_with`] groups grid cells into work units for the
-/// worker pool.
-///
-/// Either choice yields the identical [`CampaignReport`] (the problem a
-/// cell sees is a pure function of `(source, seed)`); they trade
-/// instantiation cost against scheduling granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Chunking {
-    /// One `(source, seed)` instance per unit: the problem is instantiated
-    /// once and every localizer in the campaign runs on it. Cheapest in
-    /// total work (mirrors the serial execution exactly) and the right
-    /// default when the grid has at least as many instances as workers.
-    #[default]
-    Instance,
-    /// One `(source, seed, localizer)` cell per unit: each cell
-    /// re-instantiates its problem, buying maximum scheduling granularity.
-    /// Worth it when a few slow localizers dominate an otherwise small
-    /// grid (e.g. one scenario, eight algorithms).
-    Cell,
-}
-
 /// Execution knobs for [`Campaign::run_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignConfig {
@@ -116,29 +95,18 @@ pub struct CampaignConfig {
     /// available parallelism; the pool is never larger than the number of
     /// work units.
     pub workers: usize,
-    /// How cells are grouped into work units.
-    pub chunking: Chunking,
 }
 
 impl CampaignConfig {
-    /// Single-threaded execution (one worker, instance chunking) — the
-    /// reference schedule every parallel run must reproduce bit-for-bit.
+    /// Single-threaded execution (one worker) — the reference schedule
+    /// every parallel run must reproduce bit-for-bit.
     pub fn serial() -> Self {
-        CampaignConfig {
-            workers: 1,
-            chunking: Chunking::Instance,
-        }
+        CampaignConfig { workers: 1 }
     }
 
     /// Sets the worker count (builder style). `0` means "ask the OS".
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the chunking granularity (builder style).
-    pub fn with_chunking(mut self, chunking: Chunking) -> Self {
-        self.chunking = chunking;
         self
     }
 }
@@ -228,22 +196,15 @@ impl Campaign {
         } else {
             &self.seeds
         };
-        let n_loc = self.localizers.len();
-        let instances = self.sources.len() * seeds.len();
-        let units = match config.chunking {
-            Chunking::Instance => instances,
-            Chunking::Cell => instances * n_loc,
-        };
+        let units = self.sources.len() * seeds.len();
         let workers = resolve_workers(config.workers, units);
         let started = Instant::now();
         // The pool returns units in index order, and units cover the grid
         // in canonical order, so the report is schedule-independent.
-        let runs = par_map_indexed(units, workers, |unit| {
-            self.execute_unit(unit, config.chunking, seeds)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let runs = par_map_indexed(units, workers, |unit| self.execute_unit(unit, seeds))
+            .into_iter()
+            .flatten()
+            .collect();
         CampaignReport {
             runs,
             workers,
@@ -251,28 +212,16 @@ impl Campaign {
         }
     }
 
-    /// Executes one work unit, returning its records in canonical cell
-    /// order. A unit is one problem instance (all localizers) under
-    /// [`Chunking::Instance`], or a single cell under [`Chunking::Cell`].
-    fn execute_unit(&self, unit: usize, chunking: Chunking, seeds: &[u64]) -> Vec<RunRecord> {
-        let n_loc = self.localizers.len();
-        match chunking {
-            Chunking::Instance => {
-                let source = &self.sources[unit / seeds.len()];
-                let seed = seeds[unit % seeds.len()];
-                let problem = source.instantiate(seed);
-                (0..n_loc)
-                    .map(|li| self.run_cell(&problem, source.name(), seed, li))
-                    .collect()
-            }
-            Chunking::Cell => {
-                let (instance, li) = (unit / n_loc, unit % n_loc);
-                let source = &self.sources[instance / seeds.len()];
-                let seed = seeds[instance % seeds.len()];
-                let problem = source.instantiate(seed);
-                vec![self.run_cell(&problem, source.name(), seed, li)]
-            }
-        }
+    /// Executes one work unit — one problem instance, instantiated once
+    /// and handed to every localizer — returning its records in canonical
+    /// cell order.
+    fn execute_unit(&self, unit: usize, seeds: &[u64]) -> Vec<RunRecord> {
+        let source = &self.sources[unit / seeds.len()];
+        let seed = seeds[unit % seeds.len()];
+        let problem = source.instantiate(seed);
+        (0..self.localizers.len())
+            .map(|li| self.run_cell(&problem, source.name(), seed, li))
+            .collect()
     }
 
     /// Runs one localizer on one instantiated problem, timing the cell.
@@ -438,7 +387,7 @@ impl CampaignReport {
     /// record's identity, solution positions (bit-exact), solver stats
     /// (minus wall time), evaluations, and error messages. Two runs of the
     /// same campaign agree on this fingerprint **iff** they reproduced
-    /// each other — regardless of worker count, chunking, or scheduling.
+    /// each other — regardless of worker count or scheduling.
     /// Wall-clock fields and [`CampaignReport::workers`] are excluded.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a via the shared `rl_math::fingerprint` machinery (stable
@@ -662,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_and_chunking_never_change_the_report() {
+    fn worker_count_never_changes_the_report() {
         let campaign = Campaign::new()
             .scenario(Scenario::parking_lot(11))
             .scenario(Scenario::town(11))
@@ -675,12 +624,7 @@ mod tests {
         for config in [
             CampaignConfig::default(),
             CampaignConfig::default().with_workers(4),
-            CampaignConfig::default()
-                .with_workers(4)
-                .with_chunking(Chunking::Cell),
-            CampaignConfig::default()
-                .with_workers(3)
-                .with_chunking(Chunking::Cell),
+            CampaignConfig::default().with_workers(3),
         ] {
             let parallel = campaign.run_with(config);
             assert_eq!(

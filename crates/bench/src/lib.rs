@@ -80,7 +80,7 @@ pub mod experiments;
 pub mod gate;
 pub mod report;
 
-pub use campaign::{Campaign, CampaignConfig, CampaignReport, Chunking};
+pub use campaign::{Campaign, CampaignConfig, CampaignReport};
 pub use report::Table;
 
 /// The master seed all experiments derive their RNG streams from, so the

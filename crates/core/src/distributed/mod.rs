@@ -460,32 +460,6 @@ impl DistributedConfig {
         }
     }
 
-    /// [`DistributedConfig::metro`] plus the sparse-kernel acceleration
-    /// that measures as a win on this pipeline: warm-started inner CG
-    /// solves, seeded from the previous Gauss–Newton delta (rescaled by
-    /// a one-matvec line search; CG's never-worse guard makes the seed
-    /// risk-free). The inner solves stay unpreconditioned: refinement's
-    /// normal operator is matrix-free, and the preconditioner that pays
-    /// at metro scale is [`IC(0)`] on explicitly assembled systems,
-    /// which the `smoke sparse` CI suite gates at ≥2x iteration
-    /// reduction.
-    ///
-    /// Same optimization problem and stopping rules as `metro()` — the
-    /// acceleration changes the *path* to the solution, not its quality —
-    /// but **not** bit-identical to it: `metro()` predates the kernel
-    /// work and its output bits are fingerprint-pinned
-    /// (`tests/robust_parity.rs`), so the warm-started variant is a
-    /// separate opt-in preset rather than a silent upgrade.
-    ///
-    /// [`IC(0)`]: rl_math::sparse::cg::IncompleteCholesky
-    pub fn metro_fast() -> Self {
-        let mut config = Self::metro();
-        if let Some(refine) = &mut config.refine {
-            refine.cg_warm_start = true;
-        }
-        config
-    }
-
     /// Replaces the refinement configuration (builder style); `None`
     /// reproduces the paper's raw flood output.
     pub fn with_refine(mut self, refine: Option<RefineConfig>) -> Self {

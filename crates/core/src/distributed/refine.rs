@@ -32,13 +32,12 @@
 //! the refit around them; `RobustLoss::SquaredL2` turns the
 //! reweighting off.
 //!
-//! The inner solves are unpreconditioned CG. One opt-in acceleration
-//! from the sparse kernel layer applies: **warm starts** seeding each
-//! solve from the previous accepted delta
+//! The inner solves are matrix-free CG. One opt-in acceleration applies:
+//! **warm starts** seeding each solve from the previous accepted delta
 //! ([`RefineConfig::cg_warm_start`]). It is off by default — the
-//! historical zero-started path is fingerprint-pinned — and the
-//! throughput presets turn it on (see
-//! [`DistributedConfig::metro_fast`](super::DistributedConfig::metro_fast)).
+//! historical zero-started path is fingerprint-pinned — and the tracking
+//! preset turns it on (see
+//! [`TrackerConfig::metro`](crate::tracking::TrackerConfig::metro)).
 //!
 //! The whole stage is deterministic: no randomness, fixed iteration
 //! order (edges in measurement-set order), so it preserves the
@@ -82,9 +81,9 @@ pub struct RefineConfig {
     /// gradient and would overshoot). Combined with CG's never-worse
     /// guard the seed is risk-free: measured a few percent fewer inner
     /// iterations on metro refinement, never more. `false` by default:
-    /// the zero-started path is fingerprint-pinned; the fast presets
-    /// ([`DistributedConfig::metro_fast`](super::DistributedConfig::metro_fast))
-    /// opt in.
+    /// the zero-started path is fingerprint-pinned; the tracking preset
+    /// ([`TrackerConfig::metro`](crate::tracking::TrackerConfig::metro))
+    /// opts in.
     pub cg_warm_start: bool,
     /// Stop once the relative stress improvement of an accepted step
     /// falls below this.
@@ -369,7 +368,7 @@ pub fn refine_anchored(
                 None
             };
             let Ok(solve) =
-                conjugate_gradient_with(&op, &g, seed.as_deref(), None, &config.cg, &mut cg_ws)
+                conjugate_gradient_with(&op, &g, seed.as_deref(), &config.cg, &mut cg_ws)
             else {
                 // CG only fails here by iteration budget on a
                 // near-singular system; stiffer damping fixes that.

@@ -45,6 +45,8 @@
 
 use std::cell::RefCell;
 
+use rl_geom::grid::for_each_grid_pair;
+use rl_geom::Point2;
 use rl_math::gradient::Objective;
 use rl_ranging::measurement::MeasurementSet;
 
@@ -188,45 +190,22 @@ impl LssObjective {
     /// The unmeasured pairs `(i, j)`, `i < j`, closer than `radius` at
     /// `x`, sorted ascending.
     ///
-    /// Uniform grid with cell size `radius`: any pair closer than that
-    /// lives in the same or an adjacent cell. The grid is a flat sorted
-    /// `(cell_x, cell_y, node)` index — binary searched per neighbor
-    /// column, no per-cell allocations. f64-to-i64 casts saturate, so
-    /// non-finite probe points cannot panic (the optimizer rejects them
-    /// by value). Measured pairs are excluded by binary search in the
-    /// sorted `measured` list.
+    /// Candidates come from [`for_each_grid_pair`] with cell size
+    /// `radius`. Non-finite probe points cannot panic there (the
+    /// optimizer rejects them by value). Measured pairs are excluded by
+    /// binary search in the sorted `measured` list.
     fn grid_pairs(&self, x: &[f64], radius: f64) -> Vec<(usize, usize)> {
         let n = self.n;
-        let cell_of = |i: usize| -> (i64, i64) {
+        let point = |i: usize| {
             let (px, py) = Self::coords(x, n, i);
-            ((px / radius).floor() as i64, (py / radius).floor() as i64)
+            Point2::new(px, py)
         };
-        let mut keyed: Vec<(i64, i64, u32)> = (0..n)
-            .map(|i| {
-                let (cx, cy) = cell_of(i);
-                (cx, cy, i as u32)
-            })
-            .collect();
-        keyed.sort_unstable();
         let mut out = Vec::new();
-        for i in 0..n {
-            let (cx, cy) = cell_of(i);
-            for dx in -1..=1i64 {
-                // Entries of column cx+dx with cell_y in [cy-1, cy+1]
-                // form one contiguous sorted run.
-                let kx = cx.saturating_add(dx);
-                let y_lo = cy.saturating_sub(1);
-                let y_hi = cy.saturating_add(1);
-                let lo = keyed.partition_point(|&(a, b, _)| (a, b) < (kx, y_lo));
-                let hi = keyed.partition_point(|&(a, b, _)| (a, b) <= (kx, y_hi));
-                for &(_, _, j) in &keyed[lo..hi] {
-                    let j = j as usize;
-                    if j > i && Self::distance(x, n, i, j) < radius && !self.is_measured(i, j) {
-                        out.push((i, j));
-                    }
-                }
+        for_each_grid_pair(n, radius, point, |i, j| {
+            if Self::distance(x, n, i, j) < radius && !self.is_measured(i, j) {
+                out.push((i, j));
             }
-        }
+        });
         out.sort_unstable();
         out
     }

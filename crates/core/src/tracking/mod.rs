@@ -162,13 +162,12 @@ impl TrackerConfig {
         }
     }
 
-    /// [`TrackerConfig::new`] plus the sparse-kernel acceleration on
-    /// the warm path: warm-started inner CG solves seeded from the
-    /// previous accepted Gauss–Newton delta (rescaled by a one-matvec
-    /// line search) — the natural fit for tracking, where consecutive
-    /// ticks solve nearly identical systems and CG's never-worse guard
-    /// makes the seed risk-free (see
-    /// [`DistributedConfig::metro_fast`](crate::distributed::DistributedConfig::metro_fast)).
+    /// [`TrackerConfig::new`] plus warm-started inner CG solves on the
+    /// warm path, seeded from the previous accepted Gauss–Newton delta
+    /// (rescaled by a one-matvec line search; see
+    /// [`RefineConfig::cg_warm_start`]) — the natural fit for tracking,
+    /// where consecutive ticks solve nearly identical systems and CG's
+    /// never-worse guard makes the seed risk-free.
     /// Same refinement problem as `new()`, but not bit-identical to it
     /// (the default path's solution fingerprints are pinned in
     /// `tests/tracking_golden.rs`), hence a separate opt-in preset.

@@ -9,6 +9,8 @@
 //!   convention (Section 4.3.1),
 //! * [`circle`] — circle–circle intersection, the primitive behind the
 //!   multilateration *intersection consistency check* (Section 4.1.2),
+//! * [`grid`] — the uniform-grid walk that finds every close point pair
+//!   without an all-pairs scan,
 //! * [`procrustes`] — closed-form best-fit rigid alignment between point
 //!   sets (the paper's center-of-mass/covariance transform method, also used
 //!   to align computed coordinates with ground truth for evaluation).
@@ -28,6 +30,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod circle;
+pub mod grid;
 pub mod point;
 pub mod procrustes;
 pub mod transform;

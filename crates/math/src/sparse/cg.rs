@@ -1,5 +1,5 @@
 //! Conjugate gradient for symmetric positive-definite systems, with
-//! optional preconditioning and warm starts.
+//! optional warm starts.
 //!
 //! The large-`n` solver paths need `A x = b` solves where `A` is only
 //! available as a matrix-free [`LinearOperator`] — assembling a dense
@@ -9,25 +9,19 @@
 //! `n` steps in exact arithmetic (far fewer on the well-conditioned
 //! systems the solvers produce).
 //!
-//! Three orthogonal extensions sit on top of the plain method, all
+//! Two orthogonal extensions sit on top of the plain method, both
 //! **opt-in** so the historical default path stays bit-for-bit stable
 //! (campaign fingerprints are pinned on it):
 //!
-//! * **Preconditioning** ([`Preconditioner`]) — passed explicitly to
-//!   [`conjugate_gradient_with`], it solves `M^{-1} A x = M^{-1} b`
-//!   implicitly, trading one `z = M^{-1} r` application per iteration
-//!   for a (often drastically) smaller iteration count.
-//!   [`IncompleteCholesky`] (IC(0)) factors a materialized
-//!   [`CsrMatrix`].
 //! * **Warm starts** — [`conjugate_gradient_with`] accepts an `x0`;
 //!   outer Gauss–Newton loops seed each linearization from the previous
 //!   step's delta, which shrinks the initial residual by orders of
 //!   magnitude once the outer iteration is in its contraction regime.
-//! * **Scratch reuse** ([`CgWorkspace`]) — the per-solve `r`/`p`/`Ap`/`z`
+//! * **Scratch reuse** ([`CgWorkspace`]) — the per-solve `r`/`p`/`Ap`
 //!   vectors live in a caller-owned workspace, so a refinement loop
 //!   running hundreds of CG solves allocates them once.
 
-use super::{CsrMatrix, LinearOperator};
+use super::LinearOperator;
 use crate::{MathError, Result};
 
 /// Configuration for [`conjugate_gradient`].
@@ -81,214 +75,8 @@ pub struct CgOutcome {
     pub converged: bool,
 }
 
-/// A symmetric positive-definite preconditioner `M ~ A`, applied as
-/// `z = M^{-1} r` once per CG iteration.
-///
-/// Implementations must be SPD for preconditioned CG to retain its
-/// convergence guarantees; an indefinite `M` surfaces as a breakdown
-/// error mid-solve.
-pub trait Preconditioner {
-    /// Dimension `n` of the (square) preconditioner.
-    fn dim(&self) -> usize;
-
-    /// Writes `M^{-1} r` into `z` (`r.len() == z.len() == self.dim()`).
-    fn apply_inv(&self, r: &[f64], z: &mut [f64]);
-}
-
-/// Incomplete Cholesky factorization with zero fill-in — IC(0):
-/// `M = L L^T` where `L` has exactly the lower-triangle sparsity pattern
-/// of `A`.
-///
-/// Effective on mesh-like systems (graph Laplacians, normal equations
-/// of geometric networks) at the cost of needing the matrix
-/// materialized as a [`CsrMatrix`]. Application is two sparse
-/// triangular solves.
-///
-/// IC(0) can break down on matrices that are SPD but not H-matrices; the
-/// factorization retries with increasing diagonal shifts
-/// (`A + alpha diag(A)`, the Manteuffel strategy) before giving up.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncompleteCholesky {
-    n: usize,
-    /// `L` in CSR (columns ascending, so the diagonal is each row's last
-    /// stored entry).
-    l_row_ptr: Vec<usize>,
-    l_col: Vec<usize>,
-    l_val: Vec<f64>,
-    /// `L^T` in CSR (columns ascending, so the diagonal is each row's
-    /// first stored entry) — the backward solve walks this.
-    u_row_ptr: Vec<usize>,
-    u_col: Vec<usize>,
-    u_val: Vec<f64>,
-}
-
-impl IncompleteCholesky {
-    /// Factors the lower triangle of a square, symmetric, SPD-ish CSR
-    /// matrix. Only stored lower-triangle entries participate (symmetry
-    /// is assumed, not checked — same contract as
-    /// [`conjugate_gradient`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`MathError::NotSquare`] for rectangular matrices.
-    /// * [`MathError::InvalidArgument`] for an empty matrix, a
-    ///   non-positive diagonal entry, or a persistent pivot breakdown
-    ///   after the shift retries.
-    pub fn factor(a: &CsrMatrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(MathError::NotSquare {
-                dims: (a.rows(), a.cols()),
-            });
-        }
-        let n = a.rows();
-        if n == 0 {
-            return Err(MathError::InvalidArgument("empty matrix"));
-        }
-        // Manteuffel shifts: retry `A + alpha diag(A)` with growing alpha
-        // until the pivots stay positive.
-        for &alpha in &[0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0] {
-            if let Some(ic) = Self::try_factor(a, alpha)? {
-                return Ok(ic);
-            }
-        }
-        Err(MathError::InvalidArgument(
-            "IC(0) breakdown persists under diagonal shifts",
-        ))
-    }
-
-    /// One factorization attempt at shift `alpha`; `Ok(None)` signals a
-    /// pivot breakdown (retry with a larger shift), `Err` a structural
-    /// problem no shift can fix.
-    fn try_factor(a: &CsrMatrix, alpha: f64) -> Result<Option<Self>> {
-        let n = a.rows();
-        let mut l_row_ptr = Vec::with_capacity(n + 1);
-        let mut l_col: Vec<usize> = Vec::new();
-        let mut l_val: Vec<f64> = Vec::new();
-        l_row_ptr.push(0);
-        for i in 0..n {
-            let mut diag = None;
-            for (j, v) in a.row(i) {
-                if j > i {
-                    break;
-                }
-                if j == i {
-                    diag = Some(v * (1.0 + alpha));
-                    continue;
-                }
-                // l_ij = (a_ij - sum_p l_ip l_jp) / l_jj over the shared
-                // pattern p < j of rows i (partial) and j (complete).
-                let mut s = v;
-                let row_i = l_row_ptr[i]..l_col.len();
-                let row_j = l_row_ptr[j]..l_row_ptr[j + 1];
-                let mut pi = row_i.start;
-                let mut pj = row_j.start;
-                while pi < row_i.end && pj < row_j.end {
-                    let (ci, cj) = (l_col[pi], l_col[pj]);
-                    if ci >= j || cj >= j {
-                        break;
-                    }
-                    match ci.cmp(&cj) {
-                        core::cmp::Ordering::Less => pi += 1,
-                        core::cmp::Ordering::Greater => pj += 1,
-                        core::cmp::Ordering::Equal => {
-                            s -= l_val[pi] * l_val[pj];
-                            pi += 1;
-                            pj += 1;
-                        }
-                    }
-                }
-                // l_jj is row j's last stored entry (columns ascend).
-                let l_jj = l_val[l_row_ptr[j + 1] - 1];
-                l_col.push(j);
-                l_val.push(s / l_jj);
-            }
-            let Some(mut d) = diag else {
-                return Err(MathError::InvalidArgument(
-                    "IC(0) needs every diagonal entry stored",
-                ));
-            };
-            for v in &l_val[l_row_ptr[i]..] {
-                d -= v * v;
-            }
-            if !(d > 0.0) || !d.is_finite() {
-                return Ok(None); // pivot breakdown: caller retries shifted
-            }
-            l_col.push(i);
-            l_val.push(d.sqrt());
-            l_row_ptr.push(l_col.len());
-        }
-
-        // Transpose L into U = L^T (counting sort by column).
-        let nnz = l_col.len();
-        let mut counts = vec![0usize; n + 1];
-        for &c in &l_col {
-            counts[c + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let u_row_ptr = counts.clone();
-        let mut u_col = vec![0usize; nnz];
-        let mut u_val = vec![0.0; nnz];
-        let mut cursor = counts;
-        for i in 0..n {
-            for k in l_row_ptr[i]..l_row_ptr[i + 1] {
-                let c = l_col[k];
-                u_col[cursor[c]] = i;
-                u_val[cursor[c]] = l_val[k];
-                cursor[c] += 1;
-            }
-        }
-        Ok(Some(IncompleteCholesky {
-            n,
-            l_row_ptr,
-            l_col,
-            l_val,
-            u_row_ptr,
-            u_col,
-            u_val,
-        }))
-    }
-
-    /// Number of stored entries in `L`.
-    pub fn nnz(&self) -> usize {
-        self.l_val.len()
-    }
-}
-
-impl Preconditioner for IncompleteCholesky {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn apply_inv(&self, r: &[f64], z: &mut [f64]) {
-        debug_assert_eq!(r.len(), self.n);
-        debug_assert_eq!(z.len(), self.n);
-        // Forward solve L y = r (y lives in z; the diagonal is each L
-        // row's last entry).
-        for i in 0..self.n {
-            let row = self.l_row_ptr[i]..self.l_row_ptr[i + 1];
-            let mut s = r[i];
-            for k in row.start..row.end - 1 {
-                s -= self.l_val[k] * z[self.l_col[k]];
-            }
-            z[i] = s / self.l_val[row.end - 1];
-        }
-        // Backward solve L^T z = y in place: row i of U only references
-        // z[j] for j > i, which are already final.
-        for i in (0..self.n).rev() {
-            let row = self.u_row_ptr[i]..self.u_row_ptr[i + 1];
-            let mut s = z[i];
-            for k in row.start + 1..row.end {
-                s -= self.u_val[k] * z[self.u_col[k]];
-            }
-            z[i] = s / self.u_val[row.start];
-        }
-    }
-}
-
 /// Reusable scratch for [`conjugate_gradient_with`]: the residual,
-/// search-direction, operator-image, and preconditioned-residual vectors.
+/// search-direction and operator-image vectors.
 ///
 /// A workspace is not tied to a system size — it grows to fit and is
 /// reusable across solves of different dimensions.
@@ -297,7 +85,6 @@ pub struct CgWorkspace {
     r: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
-    z: Vec<f64>,
 }
 
 impl CgWorkspace {
@@ -310,7 +97,6 @@ impl CgWorkspace {
         self.r.resize(n, 0.0);
         self.p.resize(n, 0.0);
         self.ap.resize(n, 0.0);
-        self.z.resize(n, 0.0);
     }
 }
 
@@ -322,8 +108,8 @@ impl CgWorkspace {
 /// indefinite operator typically shows up as a failure to converge.
 /// The run is fully deterministic — no randomness, fixed starting point.
 ///
-/// The solve is unpreconditioned. For a preconditioner, a warm start or
-/// scratch reuse, call [`conjugate_gradient_with`] directly.
+/// For a warm start or scratch reuse, call [`conjugate_gradient_with`]
+/// directly.
 ///
 /// # Errors
 ///
@@ -338,16 +124,16 @@ pub fn conjugate_gradient<O: LinearOperator + ?Sized>(
     b: &[f64],
     cfg: &CgConfig,
 ) -> Result<CgOutcome> {
-    conjugate_gradient_with(a, b, None, None, cfg, &mut CgWorkspace::new())
+    conjugate_gradient_with(a, b, None, cfg, &mut CgWorkspace::new())
 }
 
 /// The full-control conjugate-gradient entry point: optional warm start
-/// `x0`, optional explicit preconditioner `m`, and caller-owned scratch.
+/// `x0` and caller-owned scratch.
 ///
-/// With `x0 = None` and `m = None` this is bit-for-bit
-/// [`conjugate_gradient`]: the unpreconditioned, zero-started path.
+/// With `x0 = None` this is bit-for-bit [`conjugate_gradient`]: the
+/// zero-started path.
 ///
-/// The reported `iterations` count has the same meaning in all modes:
+/// The reported `iterations` count has the same meaning in both modes:
 /// operator applications spent in the main loop (a converged warm start
 /// can cost 0).
 ///
@@ -360,14 +146,13 @@ pub fn conjugate_gradient<O: LinearOperator + ?Sized>(
 /// # Errors
 ///
 /// Same as [`conjugate_gradient`], plus
-/// [`MathError::DimensionMismatch`] when `x0` or `m` disagree with the
-/// operator dimension and [`MathError::InvalidArgument`] when the
-/// preconditioner turns out not to be positive definite.
+/// [`MathError::DimensionMismatch`] when `x0` disagrees with the
+/// operator dimension and [`MathError::InvalidArgument`] when `x0` is
+/// not finite.
 pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
     a: &O,
     b: &[f64],
     x0: Option<&[f64]>,
-    m: Option<&dyn Preconditioner>,
     cfg: &CgConfig,
     ws: &mut CgWorkspace,
 ) -> Result<CgOutcome> {
@@ -387,14 +172,6 @@ pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
         }
         if x0.iter().any(|v| !v.is_finite()) {
             return Err(MathError::InvalidArgument("warm start is not finite"));
-        }
-    }
-    if let Some(m) = &m {
-        if m.dim() != n {
-            return Err(MathError::DimensionMismatch {
-                left: (n, n),
-                right: (m.dim(), m.dim()),
-            });
         }
     }
     if n == 0 {
@@ -443,20 +220,10 @@ pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
             ws.r.copy_from_slice(b); // r = b - A*0
         }
     }
-    // rs tracks ||r||^2 (the convergence metric in every mode); rho is
-    // the CG inner product r^T z — identical to rs when unpreconditioned.
+    // rs tracks ||r||^2: both the convergence metric and CG's step inner
+    // product.
     let mut rs = dot(&ws.r, &ws.r);
-    let mut rho = match &m {
-        Some(m) => {
-            m.apply_inv(&ws.r, &mut ws.z);
-            ws.p.copy_from_slice(&ws.z);
-            dot(&ws.r, &ws.z)
-        }
-        None => {
-            ws.p.copy_from_slice(&ws.r);
-            rs
-        }
-    };
+    ws.p.copy_from_slice(&ws.r);
 
     for iteration in 0..max_iterations {
         let rel = rs.sqrt() / b_norm;
@@ -468,11 +235,6 @@ pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
                 converged: true,
             });
         }
-        if m.is_some() && (!(rho > 0.0) || !rho.is_finite()) {
-            return Err(MathError::InvalidArgument(
-                "CG breakdown: preconditioner is not positive definite",
-            ));
-        }
         a.apply(&ws.p, &mut ws.ap);
         let p_ap = dot(&ws.p, &ws.ap);
         if !(p_ap > 0.0) || !p_ap.is_finite() {
@@ -480,35 +242,19 @@ pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
                 "CG breakdown: operator is not positive definite",
             ));
         }
-        let alpha = rho / p_ap;
+        let alpha = rs / p_ap;
         for (xi, pi) in x.iter_mut().zip(&ws.p) {
             *xi += alpha * pi;
         }
         for (ri, ai) in ws.r.iter_mut().zip(&ws.ap) {
             *ri -= alpha * ai;
         }
-        rs = dot(&ws.r, &ws.r);
-        let rho_new = match &m {
-            Some(m) => {
-                m.apply_inv(&ws.r, &mut ws.z);
-                dot(&ws.r, &ws.z)
-            }
-            None => rs,
-        };
-        let beta = rho_new / rho;
-        match &m {
-            Some(_) => {
-                for i in 0..n {
-                    ws.p[i] = ws.z[i] + beta * ws.p[i];
-                }
-            }
-            None => {
-                for i in 0..n {
-                    ws.p[i] = ws.r[i] + beta * ws.p[i];
-                }
-            }
+        let rs_new = dot(&ws.r, &ws.r);
+        let beta = rs_new / rs;
+        for i in 0..n {
+            ws.p[i] = ws.r[i] + beta * ws.p[i];
         }
-        rho = rho_new;
+        rs = rs_new;
     }
 
     let rel = rs.sqrt() / b_norm;
@@ -581,7 +327,7 @@ mod tests {
     }
 
     /// The ill-conditioned workhorse: a 1-D Laplacian chain with a huge
-    /// diagonal spread, where plain CG grinds and IC(0) shines.
+    /// diagonal spread, where CG needs many iterations.
     fn ill_conditioned(n: usize) -> (CsrMatrix, Vec<f64>) {
         let mut edges: Vec<(usize, usize, f64)> = (0..n)
             .map(|i| (i, i, 2.0 + 1000.0 * (i % 7) as f64))
@@ -636,13 +382,12 @@ mod tests {
         ));
         let empty = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
         assert!(conjugate_gradient(&empty, &[], &CgConfig::default()).is_err());
-        // Warm starts and explicit preconditioners are validated too.
+        // Warm starts are validated too.
         assert!(matches!(
             conjugate_gradient_with(
                 &a,
                 &[1.0, 1.0],
                 Some(&[1.0]),
-                None,
                 &CgConfig::default(),
                 &mut CgWorkspace::new()
             ),
@@ -653,24 +398,10 @@ mod tests {
                 &a,
                 &[1.0, 1.0],
                 Some(&[f64::INFINITY, 0.0]),
-                None,
                 &CgConfig::default(),
                 &mut CgWorkspace::new()
             ),
             Err(MathError::InvalidArgument(_))
-        ));
-        let one = CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)]).unwrap();
-        let wrong_m = IncompleteCholesky::factor(&one).unwrap();
-        assert!(matches!(
-            conjugate_gradient_with(
-                &a,
-                &[1.0, 1.0],
-                None,
-                Some(&wrong_m),
-                &CgConfig::default(),
-                &mut CgWorkspace::new()
-            ),
-            Err(MathError::DimensionMismatch { .. })
         ));
     }
 
@@ -727,62 +458,12 @@ mod tests {
         assert_eq!(h.finish(), 0x1fed314636c515f1, "solution bits drifted");
         assert_eq!(out.x[0].to_bits(), 0xbff31e57e1e919d6);
         assert_eq!(out.x[23].to_bits(), 0x3fbbcc05f7a2a7e0);
-        // The explicit-plumbing entry with everything disabled is the
-        // same code path.
-        let again = conjugate_gradient_with(
-            &a,
-            &b,
-            None,
-            None,
-            &CgConfig::default(),
-            &mut CgWorkspace::new(),
-        )
-        .unwrap();
+        // The explicit-plumbing entry without a warm start is the same
+        // code path.
+        let again =
+            conjugate_gradient_with(&a, &b, None, &CgConfig::default(), &mut CgWorkspace::new())
+                .unwrap();
         assert_eq!(again, out);
-    }
-
-    #[test]
-    fn ic0_factors_reproduce_full_cholesky_on_dense_pattern() {
-        // With a fully dense lower triangle IC(0) *is* Cholesky, so
-        // M^{-1} r must solve exactly: PCG converges in one iteration.
-        let a = CsrMatrix::from_dense(&spd_from_seed(
-            &[1.0, -0.5, 2.0, 0.3, -1.0, 0.7, 1.5, -0.2, 0.9, 2.2],
-            &[3.0, 5.0, 8.0, 11.0],
-        ));
-        let ic = IncompleteCholesky::factor(&a).unwrap();
-        let b = [1.0, -2.0, 3.0, -4.0];
-        let cfg = CgConfig::default();
-        let out = conjugate_gradient_with(&a, &b, None, Some(&ic), &cfg, &mut CgWorkspace::new())
-            .unwrap();
-        assert!(out.converged);
-        assert!(
-            out.iterations <= 2,
-            "exact factorization should solve in ~1 iteration, took {}",
-            out.iterations
-        );
-    }
-
-    #[test]
-    fn ic0_cuts_iterations_on_ill_conditioned_fixture() {
-        let (a, b) = ill_conditioned(120);
-        let plain = conjugate_gradient(&a, &b, &CgConfig::default()).unwrap();
-        let ic = IncompleteCholesky::factor(&a).unwrap();
-        let ic0 = conjugate_gradient_with(
-            &a,
-            &b,
-            None,
-            Some(&ic),
-            &CgConfig::default(),
-            &mut CgWorkspace::new(),
-        )
-        .unwrap();
-        assert!(plain.converged && ic0.converged);
-        assert!(
-            ic0.iterations < plain.iterations,
-            "IC(0) ({}) must beat plain ({}) on the skewed-diagonal chain",
-            ic0.iterations,
-            plain.iterations
-        );
     }
 
     #[test]
@@ -793,7 +474,6 @@ mod tests {
             &a,
             &b,
             Some(&exact.x),
-            None,
             &CgConfig::default().with_tolerance(1e-8),
             &mut CgWorkspace::new(),
         )
@@ -814,7 +494,6 @@ mod tests {
             &a,
             &b,
             Some(&stale),
-            None,
             &CgConfig::default(),
             &mut CgWorkspace::new(),
         )
@@ -829,11 +508,10 @@ mod tests {
     fn workspace_is_reusable_across_sizes() {
         let mut ws = CgWorkspace::new();
         let (a1, b1) = ill_conditioned(40);
-        let first =
-            conjugate_gradient_with(&a1, &b1, None, None, &CgConfig::default(), &mut ws).unwrap();
+        let first = conjugate_gradient_with(&a1, &b1, None, &CgConfig::default(), &mut ws).unwrap();
         let (a2, b2) = ill_conditioned(80);
         let second =
-            conjugate_gradient_with(&a2, &b2, None, None, &CgConfig::default(), &mut ws).unwrap();
+            conjugate_gradient_with(&a2, &b2, None, &CgConfig::default(), &mut ws).unwrap();
         // Same answers as fresh-workspace runs.
         assert_eq!(
             first,
@@ -866,30 +544,6 @@ mod tests {
             }
         }
 
-        /// PCG parity: IC(0) lands on the same solution as
-        /// unpreconditioned CG (within tolerance) on random SPD fixtures
-        /// — preconditioning changes the path, never the answer.
-        #[test]
-        fn prop_pcg_matches_plain_cg(
-            entries in proptest::collection::vec(-3.0f64..3.0, 15),
-            lambdas in proptest::collection::vec(1.0f64..10.0, 5),
-            b in proptest::collection::vec(-5.0f64..5.0, 5),
-        ) {
-            let dense = spd_from_seed(&entries, &lambdas);
-            let sparse = CsrMatrix::from_dense(&dense);
-            let plain = conjugate_gradient(&sparse, &b, &CgConfig::default()).unwrap();
-            let scale = plain.x.iter().map(|v| v.abs()).fold(1.0, f64::max);
-            let ic = IncompleteCholesky::factor(&sparse).unwrap();
-            let pcg = conjugate_gradient_with(
-                &sparse, &b, None, Some(&ic),
-                &CgConfig::default(), &mut CgWorkspace::new(),
-            ).unwrap();
-            prop_assert!(pcg.converged);
-            for (xi, pi) in plain.x.iter().zip(&pcg.x) {
-                prop_assert!((xi - pi).abs() < 1e-6 * scale, "{xi} vs {pi}");
-            }
-        }
-
         /// Warm-starting from a perturbed solution never changes the
         /// answer, only the work: the result still matches plain CG.
         #[test]
@@ -904,34 +558,13 @@ mod tests {
             let cold = conjugate_gradient(&sparse, &b, &CgConfig::default()).unwrap();
             let x0: Vec<f64> = cold.x.iter().zip(&jitter).map(|(x, j)| x + j).collect();
             let warm = conjugate_gradient_with(
-                &sparse, &b, Some(&x0), None,
+                &sparse, &b, Some(&x0),
                 &CgConfig::default(), &mut CgWorkspace::new(),
             ).unwrap();
             prop_assert!(warm.converged);
             let scale = cold.x.iter().map(|v| v.abs()).fold(1.0, f64::max);
             for (ci, wi) in cold.x.iter().zip(&warm.x) {
                 prop_assert!((ci - wi).abs() < 1e-6 * scale, "{ci} vs {wi}");
-            }
-        }
-
-        /// IC(0) really factors: `L L^T` reproduces `A` exactly on a
-        /// fully stored pattern (where IC(0) degenerates to Cholesky).
-        #[test]
-        fn prop_ic0_is_exact_on_dense_pattern(
-            entries in proptest::collection::vec(-2.0f64..2.0, 10),
-            lambdas in proptest::collection::vec(1.0f64..8.0, 4),
-        ) {
-            let dense = spd_from_seed(&entries, &lambdas);
-            let sparse = CsrMatrix::from_dense(&dense);
-            if let Ok(ic) = IncompleteCholesky::factor(&sparse) {
-                // M^{-1} A should act as identity: apply to random-ish b.
-                let b = [1.0, -1.0, 0.5, 2.0];
-                let ab = sparse.matvec(&b).unwrap();
-                let mut z = vec![0.0; 4];
-                ic.apply_inv(&ab, &mut z);
-                for (zi, bi) in z.iter().zip(&b) {
-                    prop_assert!((zi - bi).abs() < 1e-6, "{zi} vs {bi}");
-                }
             }
         }
     }

@@ -359,28 +359,6 @@ impl CsrMatrix {
         }
         Ok(())
     }
-
-    /// Maximum absolute asymmetry `max |a_ij - a_ji|` over stored entries
-    /// (0 for symmetric matrices).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::NotSquare`] for rectangular matrices.
-    pub fn asymmetry(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(MathError::NotSquare {
-                dims: (self.rows, self.cols),
-            });
-        }
-        let mut worst: f64 = 0.0;
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                let mirror = self.get(j, i).unwrap_or(0.0);
-                worst = worst.max((v - mirror).abs());
-            }
-        }
-        Ok(worst)
-    }
 }
 
 /// A matrix-free square linear operator `x -> A x`.
@@ -674,16 +652,7 @@ mod tests {
         let a = CsrMatrix::symmetric_from_edges(3, &[(0, 1, 2.0), (1, 2, 3.0)]).unwrap();
         assert_eq!(a.get(0, 1), Some(2.0));
         assert_eq!(a.get(1, 0), Some(2.0));
-        assert_eq!(a.asymmetry().unwrap(), 0.0);
         assert_eq!(a.nnz(), 4);
-    }
-
-    #[test]
-    fn asymmetry_detects_one_sided_entries() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 3.0)]).unwrap();
-        assert_eq!(a.asymmetry().unwrap(), 3.0);
-        let rect = CsrMatrix::from_triplets(1, 2, &[]).unwrap();
-        assert!(matches!(rect.asymmetry(), Err(MathError::NotSquare { .. })));
     }
 
     #[test]

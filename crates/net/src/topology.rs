@@ -6,6 +6,7 @@
 //! [`Topology`] serves either role.
 
 use crate::NodeId;
+use rl_geom::grid::for_each_grid_pair;
 use rl_geom::Point2;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -29,55 +30,19 @@ impl Topology {
     pub fn from_positions(positions: &[Point2], range_m: f64) -> Self {
         let n = positions.len();
         let mut neighbors = vec![Vec::new(); n];
-        // Flat sorted (cell_x, cell_y, node) index, binary searched per
-        // neighbor column — the same idiom as the LSS spatial-grid
-        // constraint backend. f64-to-i64 casts saturate, so neither
-        // non-finite coordinates nor degenerate ranges can panic: equal
-        // points always share a cell (range 0), an infinite range puts
-        // everything in cell (0, 0), and the final `<= range_m` check
-        // keeps the semantics of the all-pairs scan in every case.
-        let cell_of = |p: Point2| -> (i64, i64) {
-            (
-                (p.x / range_m).floor() as i64,
-                (p.y / range_m).floor() as i64,
-            )
-        };
-        let mut keyed: Vec<(i64, i64, u32)> = (0..n)
-            .map(|i| {
-                let (cx, cy) = cell_of(positions[i]);
-                (cx, cy, i as u32)
-            })
-            .collect();
-        keyed.sort_unstable();
-        for i in 0..n {
-            let (cx, cy) = cell_of(positions[i]);
-            // Saturation can collapse adjacent column indices onto the
-            // same value at the i64 extremes; visiting a collapsed
-            // column twice would record the same pair twice, so
-            // duplicates are skipped.
-            let columns = [cx.saturating_sub(1), cx, cx.saturating_add(1)];
-            for (k, &kx) in columns.iter().enumerate() {
-                if columns[..k].contains(&kx) {
-                    continue;
+        // The final `<= range_m` check keeps the semantics of the
+        // all-pairs scan for every range, degenerate ones included.
+        for_each_grid_pair(
+            n,
+            range_m,
+            |i| positions[i],
+            |i, j| {
+                if positions[i].distance(positions[j]) <= range_m {
+                    neighbors[i].push(NodeId(j));
+                    neighbors[j].push(NodeId(i));
                 }
-                // Entries of column kx with cell_y in [cy-1, cy+1]
-                // form one contiguous sorted run.
-                let y_lo = cy.saturating_sub(1);
-                let y_hi = cy.saturating_add(1);
-                let lo = keyed.partition_point(|&(a, b, _)| (a, b) < (kx, y_lo));
-                let hi = keyed.partition_point(|&(a, b, _)| (a, b) <= (kx, y_hi));
-                for &(_, _, j) in &keyed[lo..hi] {
-                    let j = j as usize;
-                    if j <= i {
-                        continue;
-                    }
-                    if positions[i].distance(positions[j]) <= range_m {
-                        neighbors[i].push(NodeId(j));
-                        neighbors[j].push(NodeId(i));
-                    }
-                }
-            }
-        }
+            },
+        );
         // The grid sweep discovers pairs in cell order, not id order;
         // sorting restores the exact adjacency lists of the all-pairs
         // scan (each list ascending), keeping `Topology` values — and
@@ -315,19 +280,51 @@ mod tests {
     }
 
     proptest! {
-        /// The spatial-grid disk-graph builder reproduces the all-pairs
-        /// scan exactly — same neighbor sets, same (ascending) adjacency
-        /// order — on arbitrary point clouds, including clustered ones
-        /// spanning many grid cells.
+        /// The shared grid walk and the disk-graph builder on top of it
+        /// reproduce the all-pairs scan exactly. The walk must yield every
+        /// pair within its cell size exactly once, under both a strict
+        /// (`<`, the LSS soft constraint) and an inclusive (`<=`, the
+        /// disk graph) distance test. Besides arbitrary point clouds,
+        /// integer lattices with an integer radius put pairs exactly at
+        /// the radius (axis offsets, 3-4-5 triangles) and points exactly
+        /// on cell boundaries.
         #[test]
         fn prop_grid_builder_matches_all_pairs(
             pts in proptest::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 0..60),
             range in 0.5f64..50.0,
+            lattice in proptest::collection::vec((-12i32..12, -12i32..12), 0..60),
+            lattice_range in 1i32..6,
         ) {
-            let positions: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let grid = Topology::from_positions(&positions, range);
-            let reference = from_positions_all_pairs(&positions, range);
-            prop_assert_eq!(grid, reference);
+            let cloud: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+            let grid: Vec<Point2> = lattice
+                .iter()
+                .map(|&(x, y)| Point2::new(f64::from(x), f64::from(y)))
+                .collect();
+            for (positions, radius) in [(cloud, range), (grid, f64::from(lattice_range))] {
+                prop_assert_eq!(
+                    Topology::from_positions(&positions, radius),
+                    from_positions_all_pairs(&positions, radius)
+                );
+                for strict in [false, true] {
+                    let within = |i: usize, j: usize| {
+                        let d = positions[i].distance(positions[j]);
+                        if strict { d < radius } else { d <= radius }
+                    };
+                    let mut walked = Vec::new();
+                    for_each_grid_pair(positions.len(), radius, |i| positions[i], |i, j| {
+                        if within(i, j) {
+                            walked.push((i, j));
+                        }
+                    });
+                    walked.sort_unstable();
+                    let n = positions.len();
+                    let oracle: Vec<(usize, usize)> = (0..n)
+                        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                        .filter(|&(i, j)| within(i, j))
+                        .collect();
+                    prop_assert_eq!(walked, oracle);
+                }
+            }
         }
 
         /// Hop counts are symmetric for undirected graphs built from

@@ -32,6 +32,11 @@
 //!    classes, so a firehose of stream ticks cannot starve batch solves
 //!    or vice versa.
 //!
+//! A job that panics — a batch solve or a session's tick — is caught
+//! on its worker: its requester and every coalesced waiter get
+//! [`ErrorCode::SolveFailed`], nothing is cached, and the worker goes
+//! on draining the queues.
+//!
 //! Determinism is inherited from the solving layers: a batch solve seeds
 //! its RNG from the request seed alone ([`solve_direct`] is the
 //! in-process equivalent, and the integration suite asserts the served
@@ -53,6 +58,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -117,6 +123,8 @@ pub fn make_solver(name: &str) -> Option<Box<dyn Localizer>> {
         "mds-map" => Some(Box::new(MdsMapLocalizer::new())),
         "dv-hop" => Some(Box::new(DvHopLocalizer::new(RadioModel::ideal(RANGE_M)))),
         "centroid" => Some(Box::new(CentroidLocalizer::new(RANGE_M))),
+        #[cfg(test)]
+        tests::PANICKING_SOLVER => Some(Box::new(tests::Panicking)),
         _ => None,
     }
 }
@@ -699,7 +707,17 @@ fn worker_loop(shared: &Shared) {
         match job {
             Job::Batch(job) => run_batch_job(shared, job),
             Job::Stream(job) => {
-                let result = shared.sessions.process(job.session, &job.observations);
+                // A panicking tick poisons only its own session, which
+                // the next lookup evicts.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    shared.sessions.process(job.session, &job.observations)
+                }))
+                .unwrap_or_else(|_| {
+                    Err(WireError::new(
+                        ErrorCode::SolveFailed,
+                        "tick processing panicked; the session is evicted",
+                    ))
+                });
                 let _ = job.tx.send(result);
             }
         }
@@ -707,9 +725,21 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn run_batch_job(shared: &Shared, job: BatchJob) {
-    let problem = shared.problem(job.preset, job.seed);
-    let name = shared.presets[job.preset].name.clone();
-    let result = reply_for(&problem, &name, &job.solver, job.seed).map(Arc::new);
+    // No lock is held while the problem is instantiated or solved, so a
+    // panic there leaves every shared structure intact: it becomes a
+    // typed failure for the waiters and the worker lives on.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let problem = shared.problem(job.preset, job.seed);
+        let name = &shared.presets[job.preset].name;
+        reply_for(&problem, name, &job.solver, job.seed)
+    }))
+    .unwrap_or_else(|_| {
+        Err(WireError::new(
+            ErrorCode::SolveFailed,
+            format!("solver `{}` panicked", job.solver),
+        ))
+    })
+    .map(Arc::new);
     shared.solves.fetch_add(1, Ordering::Relaxed);
     // Publish: cache (successes only) and waiter hand-off happen
     // under the in-flight lock so no request can fall between
@@ -1228,6 +1258,82 @@ fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, ClientError};
+
+    /// A registry name only test builds resolve: a solver that panics.
+    pub(super) const PANICKING_SOLVER: &str = "test-panic";
+
+    pub(super) struct Panicking;
+
+    impl Localizer for Panicking {
+        fn name(&self) -> &str {
+            PANICKING_SOLVER
+        }
+
+        fn localize(
+            &self,
+            _problem: &Problem,
+            _rng: &mut dyn rand::RngCore,
+        ) -> rl_core::Result<rl_core::problem::Solution> {
+            panic!("deliberate solver panic");
+        }
+    }
+
+    fn failed_code(result: Result<LocalizeReply, ClientError>) -> ErrorCode {
+        match result {
+            Err(ClientError::Server(e)) => e.code,
+            other => panic!("expected a typed server error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panicking_solve_fails_typed_and_keeps_the_worker() {
+        // One worker, and a floor long enough for a duplicate to join the
+        // panicking solve while it is in flight. The reply timeout turns
+        // a stalled request into a failure instead of a hang.
+        let config = ServeConfig::default()
+            .with_workers(1)
+            .with_solve_floor(Duration::from_millis(200));
+        let (addr, handle) = Server::spawn(config).unwrap();
+        let connect = move || {
+            let mut client = Client::connect(addr).unwrap();
+            client
+                .set_reply_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            client
+        };
+        let first = std::thread::spawn(move || connect().localize("town", PANICKING_SOLVER, 1));
+        let mut control = connect();
+        while control.status().unwrap().solves_started < 1 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let coalesced = connect().localize("town", PANICKING_SOLVER, 1);
+        assert_eq!(failed_code(coalesced), ErrorCode::SolveFailed);
+        assert_eq!(failed_code(first.join().unwrap()), ErrorCode::SolveFailed);
+        // Nothing was cached and the key is no longer in flight: a repeat
+        // solves (and fails) again instead of waiting forever.
+        let again = control.localize("town", PANICKING_SOLVER, 1);
+        assert_eq!(failed_code(again), ErrorCode::SolveFailed);
+        // The single worker survived both panics.
+        let reply = control
+            .localize("parking-lot", "multilateration", 3)
+            .unwrap();
+        assert_eq!(
+            reply,
+            solve_direct("parking-lot", "multilateration", 3).unwrap()
+        );
+
+        let stats = control.status().unwrap();
+        control.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        assert_eq!(stats.workers, 1);
+        assert_eq!(stats.solves, 3, "two panicking solves, one normal one");
+        assert!(
+            stats.coalesced >= 1,
+            "the duplicate joined the in-flight solve"
+        );
+        assert_eq!(stats.cache_entries, 1, "only the normal reply is cached");
+    }
 
     #[test]
     fn reaping_joins_exited_handlers_and_keeps_running_ones() {

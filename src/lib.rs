@@ -91,7 +91,7 @@ pub use rl_signal as signal;
 /// the two-parameter form alongside the glob import should name
 /// `std::result::Result` explicitly.
 pub mod prelude {
-    pub use rl_bench::campaign::{Campaign, CampaignConfig, CampaignReport, Chunking};
+    pub use rl_bench::campaign::{Campaign, CampaignConfig, CampaignReport};
     pub use rl_core::baselines::{CentroidLocalizer, DvHopLocalizer};
     pub use rl_core::distributed::{DistributedConfig, DistributedSolver};
     pub use rl_core::eval::{evaluate_absolute, evaluate_against_truth, Evaluation};
@@ -108,7 +108,6 @@ pub mod prelude {
     pub use rl_geom::{Point2, Vec2};
     pub use rl_math::sparse::cg::{
         conjugate_gradient, conjugate_gradient_with, CgConfig, CgOutcome, CgWorkspace,
-        IncompleteCholesky, Preconditioner,
     };
     pub use rl_math::sparse::{
         dijkstra, dijkstra_multi_into, CsrMatrix, DijkstraWorkspace, LinearOperator,

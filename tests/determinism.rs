@@ -99,14 +99,6 @@ fn campaign_reports_are_bit_identical_for_1_and_4_workers() {
         "worker count leaked into the campaign report"
     );
     assert_eq!(coordinate_bits(&one), coordinate_bits(&four));
-
-    // Cell chunking is the other scheduling axis; it must not leak either.
-    let cells = campaign.run_with(
-        CampaignConfig::default()
-            .with_workers(4)
-            .with_chunking(Chunking::Cell),
-    );
-    assert_eq!(one.fingerprint(), cells.fingerprint());
 }
 
 /// The distributed pipeline's local-solve phase shards across the

@@ -57,11 +57,6 @@ fn city_blocks_runs_and_prints_finite_output() {
 }
 
 #[test]
-fn sparse_kernels_runs_and_prints_finite_output() {
-    run_example("sparse_kernels");
-}
-
-#[test]
 fn compare_solvers_runs_and_prints_finite_output() {
     run_example("compare_solvers");
 }
