@@ -1,4 +1,4 @@
-//! The sparse kernel suite: warm-started CG refinement and the large-`n`
+//! The sparse kernel suite: CG refinement budgets and the large-`n`
 //! kernels end to end on the metro ladder.
 
 use std::time::{Duration, Instant};
@@ -23,6 +23,16 @@ const MDS_2500_WALL_BUDGET: Duration = Duration::from_secs(120);
 /// rung (~100 ms on a 2-core x86-64 box).
 const REFINE_2500_WALL_BUDGET: Duration = Duration::from_secs(60);
 
+/// Inner CG iterations of the drifted metro-1000 refinement when every
+/// solve started from zero: read once from that path, which the
+/// warm-started solves must not exceed.
+const ZERO_START_CG_ITERATIONS: f64 = 471.0;
+
+/// Final robust stress of the same zero-started refinement. Warm starts
+/// change the path to the solution, not the solution: the final stress
+/// stays within 1% of it.
+const ZERO_START_FINAL_STRESS: f64 = 1277.6813041924336;
+
 /// Deterministic smooth warp of the true positions: the refinement
 /// starting point. Quadratic in `x` so the displacement field is
 /// spatially correlated (rigid-ish near the origin, drifting with
@@ -40,7 +50,7 @@ fn drifted(truth: &[Point2], scale: f64) -> PositionMap {
     positions
 }
 
-/// Warm-started against zero-started refinement on metro-1000, the
+/// Drifted metro-1000 refinement against its zero-start budgets, the
 /// metro-2500 wall budgets, and the CG counter reaching `SolveStats`.
 pub fn sparse(suite: &mut Suite) {
     let problem_1000 = presets::preset("metro-1000")
@@ -50,25 +60,21 @@ pub fn sparse(suite: &mut Suite) {
     let set_1000 = problem_1000.measurements();
 
     // Warm-started refinement never spends more CG iterations than the
-    // default path and lands at the same refined stress.
-    let run_refine = |cg_warm_start: bool| {
-        let mut positions = drifted(truth_1000, 12.0);
-        let config = RefineConfig {
-            max_iterations: 30,
-            cg_warm_start,
-            ..RefineConfig::default()
-        };
-        refine_aligned(set_1000, &mut positions, &config).expect("metro refines")
+    // zero-started path did and lands at the same refined stress.
+    let mut positions = drifted(truth_1000, 12.0);
+    let config = RefineConfig {
+        max_iterations: 30,
+        ..RefineConfig::default()
     };
-    let (cold, warm) = (run_refine(false), run_refine(true));
+    let refined = refine_aligned(set_1000, &mut positions, &config).expect("metro refines");
     suite.at_most(
         "warm-start-cg-iterations",
-        warm.cg_iterations as f64,
-        cold.cg_iterations as f64,
+        refined.cg_iterations as f64,
+        ZERO_START_CG_ITERATIONS,
     );
     suite.at_most(
         "warm-start-stress-rel-diff",
-        (warm.final_stress - cold.final_stress).abs() / cold.final_stress.max(f64::MIN_POSITIVE),
+        (refined.final_stress - ZERO_START_FINAL_STRESS).abs() / ZERO_START_FINAL_STRESS,
         1e-2,
     );
 
@@ -89,16 +95,8 @@ pub fn sparse(suite: &mut Suite) {
     );
     let mut positions_2500 = drifted(truth_2500, 12.0);
     let t = Instant::now();
-    let refine_2500 = refine_aligned(
-        set_2500,
-        &mut positions_2500,
-        &RefineConfig {
-            max_iterations: 30,
-            cg_warm_start: true,
-            ..RefineConfig::default()
-        },
-    )
-    .expect("metro-2500 refines");
+    let refine_2500 =
+        refine_aligned(set_2500, &mut positions_2500, &config).expect("metro-2500 refines");
     suite.at_most(
         "refine-2500-wall-ms",
         ms(t.elapsed()),

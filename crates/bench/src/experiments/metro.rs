@@ -40,8 +40,8 @@ const RANGE_M: f64 = 22.0;
 ///   solves sharded on the `rl_net::pool` worker pool, plus the
 ///   Gauss–Newton/CG refinement that collapses cross-district stitching
 ///   drift,
-/// * MDS-MAP takes the sparse path (CSR Dijkstra completion + iterative
-///   top-2 eigensolver) at or above `rl_core::problem::SPARSE_SCALE`,
+/// * MDS-MAP runs its one path (CSR Dijkstra completion + iterative
+///   top-2 eigensolver), pooled at sparse scale,
 /// * the remaining three families were already metro-tractable and run
 ///   their standard configurations.
 pub fn metro_localizers() -> Vec<Box<dyn Localizer>> {

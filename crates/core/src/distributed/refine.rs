@@ -32,12 +32,14 @@
 //! the refit around them; `RobustLoss::SquaredL2` turns the
 //! reweighting off.
 //!
-//! The inner solves are matrix-free CG. One opt-in acceleration applies:
-//! **warm starts** seeding each solve from the previous accepted delta
-//! ([`RefineConfig::cg_warm_start`]). It is off by default — the
-//! historical zero-started path is fingerprint-pinned — and the tracking
-//! preset turns it on (see
-//! [`TrackerConfig::metro`](crate::tracking::TrackerConfig::metro)).
+//! The inner solves are matrix-free CG, **warm-started**: every solve
+//! after the first accepted step is seeded from the previous accepted
+//! delta, rescaled by a one-matvec line search against the new
+//! right-hand side (the raw delta is sized to the previous, larger
+//! gradient and would overshoot). CG's never-worse guard discards a seed
+//! that does not beat the zero start, so the seed can cost one matvec
+//! but never iterations. This is the seeded, neighbour-local iterative
+//! refinement DILAND runs, and the one CG start every caller gets.
 //!
 //! The whole stage is deterministic: no randomness, fixed iteration
 //! order (edges in measurement-set order), so it preserves the
@@ -75,16 +77,6 @@ pub struct RefineConfig {
     /// loop simply stiffens `λ`, which also improves the system's
     /// conditioning for the retry).
     pub cg: CgConfig,
-    /// Seed each inner CG solve with the *previous accepted step's*
-    /// delta, rescaled by a one-matvec line search against the new
-    /// right-hand side (the raw delta is sized to the previous, larger
-    /// gradient and would overshoot). Combined with CG's never-worse
-    /// guard the seed is risk-free: measured a few percent fewer inner
-    /// iterations on metro refinement, never more. `false` by default:
-    /// the zero-started path is fingerprint-pinned; the tracking preset
-    /// ([`TrackerConfig::metro`](crate::tracking::TrackerConfig::metro))
-    /// opts in.
-    pub cg_warm_start: bool,
     /// Stop once the relative stress improvement of an accepted step
     /// falls below this.
     pub min_relative_improvement: f64,
@@ -99,7 +91,6 @@ impl Default for RefineConfig {
             cg: CgConfig::default()
                 .with_max_iterations(200)
                 .with_tolerance(1e-4),
-            cg_warm_start: false,
             min_relative_improvement: 1e-6,
         }
     }
@@ -313,8 +304,7 @@ pub fn refine_anchored(
     let initial_stress = lin.stress;
     let mut converged = false;
     // CG scratch shared across every inner solve, and the previous
-    // accepted delta for warm starts (opt-in; `None` keeps the
-    // fingerprint-pinned zero-start bits).
+    // accepted delta that seeds the next solve.
     let mut cg_ws = CgWorkspace::new();
     let mut prev_delta: Option<Vec<f64>> = None;
 
@@ -355,18 +345,13 @@ pub fn refine_anchored(
             // scaled seed starts at or below the cold residual by
             // construction whenever the old direction still has a
             // component along the new gradient.
-            let seed: Option<Vec<f64>> = if config.cg_warm_start {
-                prev_delta.as_deref().and_then(|d| {
-                    let mut ad = vec![0.0; 2 * m];
-                    op.apply(d, &mut ad);
-                    let denom: f64 = ad.iter().map(|v| v * v).sum();
-                    let alpha = g.iter().zip(&ad).map(|(gi, ai)| gi * ai).sum::<f64>() / denom;
-                    (alpha.is_finite() && alpha != 0.0)
-                        .then(|| d.iter().map(|di| alpha * di).collect())
-                })
-            } else {
-                None
-            };
+            let seed: Option<Vec<f64>> = prev_delta.as_deref().and_then(|d| {
+                let mut ad = vec![0.0; 2 * m];
+                op.apply(d, &mut ad);
+                let denom: f64 = ad.iter().map(|v| v * v).sum();
+                let alpha = g.iter().zip(&ad).map(|(gi, ai)| gi * ai).sum::<f64>() / denom;
+                (alpha.is_finite() && alpha != 0.0).then(|| d.iter().map(|di| alpha * di).collect())
+            });
             let Ok(solve) =
                 conjugate_gradient_with(&op, &g, seed.as_deref(), &config.cg, &mut cg_ws)
             else {
@@ -642,39 +627,6 @@ mod tests {
         let out = refine_anchored(&set, &mut positions, &pins, &RefineConfig::default());
         assert!(out.is_some());
         assert_eq!(positions.get(NodeId(2)), None);
-    }
-
-    #[test]
-    fn warm_start_alone_preserves_refined_quality() {
-        let truth = grid(6, 4, 9.0);
-        let set = MeasurementSet::oracle(&truth, 15.0);
-        let cfg = RefineConfig {
-            cg_warm_start: true,
-            ..RefineConfig::default()
-        };
-        let mut positions = drifted(&truth, 8.0);
-        let out = refine_aligned(&set, &mut positions, &cfg).unwrap();
-        assert!(out.final_stress < out.initial_stress * 1e-3, "{out:?}");
-        let after = crate::eval::evaluate_against_truth(&positions, &truth).unwrap();
-        assert!(
-            after.mean_error < 0.5,
-            "warm-started error {}",
-            after.mean_error
-        );
-        // Same optimization problem, same answer quality as the
-        // zero-started default — the warm start changes the path to the
-        // solution, not the solution.
-        let mut plain_pos = drifted(&truth, 8.0);
-        let plain = refine_aligned(&set, &mut plain_pos, &RefineConfig::default()).unwrap();
-        let plain_err = crate::eval::evaluate_against_truth(&plain_pos, &truth)
-            .unwrap()
-            .mean_error;
-        assert!(
-            (plain_err - after.mean_error).abs() < 0.05,
-            "plain {plain_err} vs warm {}",
-            after.mean_error
-        );
-        assert!(out.cg_iterations > 0 && plain.cg_iterations > 0);
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl LssConfig {
         self
     }
 
-    /// Replaces the descent configuration (builder style).
-    pub fn with_descent(mut self, descent: DescentConfig) -> Self {
-        self.descent = descent;
-        self
-    }
-
     /// Enables robust outlier reweighting (builder style).
     pub fn with_robust_reweight(mut self, robust: RobustReweight) -> Self {
         self.robust = Some(robust);

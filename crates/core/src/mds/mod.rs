@@ -9,13 +9,12 @@
 
 use rl_geom::Point2;
 use rl_math::sparse::{
-    dijkstra_into, eigen as sparse_eigen, CsrMatrix, DijkstraWorkspace, LinearOperator,
+    dijkstra_into, eigen::topk_symmetric, CsrMatrix, DijkstraWorkspace, LinearOperator,
 };
-use rl_math::{DMatrix, SymmetricEigen};
 use rl_net::{pool, NodeId};
 use rl_ranging::measurement::MeasurementSet;
 
-use crate::problem::{pool_workers, SPARSE_SCALE};
+use crate::problem::pool_workers;
 use crate::{LocalizationError, Result};
 
 /// Dijkstra sources per pool task in geodesic completion.
@@ -25,94 +24,23 @@ const COMPLETION_BLOCK: usize = 32;
 /// operator's products.
 const OPERATOR_BLOCK: usize = 64;
 
-/// Classical (Torgerson) MDS: recovers a 2-D configuration from a complete
-/// distance matrix via double centering and eigendecomposition.
-///
-/// # Errors
-///
-/// * [`LocalizationError::InvalidConfig`] if the matrix is not square or
-///   has negative entries,
-/// * numerical errors from the eigensolver.
-///
-/// # Example
-///
-/// ```
-/// use rl_math::DMatrix;
-/// use rl_core::mds::classical_mds;
-///
-/// // Three points on a line: 0, 3, 5.
-/// let d = DMatrix::from_rows(&[
-///     &[0.0, 3.0, 5.0],
-///     &[3.0, 0.0, 2.0],
-///     &[5.0, 2.0, 0.0],
-/// ]).unwrap();
-/// let coords = classical_mds(&d)?;
-/// let d01 = coords[0].distance(coords[1]);
-/// assert!((d01 - 3.0).abs() < 1e-9);
-/// # Ok::<(), rl_core::LocalizationError>(())
-/// ```
-pub fn classical_mds(distances: &DMatrix) -> Result<Vec<Point2>> {
-    if !distances.is_square() {
-        return Err(LocalizationError::InvalidConfig(
-            "distance matrix must be square",
-        ));
-    }
-    let n = distances.rows();
-    if n == 0 {
-        return Err(LocalizationError::InvalidConfig("empty distance matrix"));
-    }
-    for i in 0..n {
-        for j in 0..n {
-            if distances[(i, j)] < 0.0 || !distances[(i, j)].is_finite() {
-                return Err(LocalizationError::InvalidConfig(
-                    "distances must be finite and non-negative",
-                ));
-            }
-        }
-    }
-    // Squared distances, symmetrized to tolerate small asymmetries.
-    let d2 = DMatrix::from_fn(n, n, |i, j| {
-        let d = 0.5 * (distances[(i, j)] + distances[(j, i)]);
-        d * d
-    });
-    let b = d2.double_center()?;
-    let eigen = SymmetricEigen::new(&b)?;
-    let coords = eigen.principal_coordinates(2.min(n));
-    Ok((0..n)
-        .map(|i| {
-            Point2::new(
-                coords[(i, 0)],
-                if coords.cols() > 1 {
-                    coords[(i, 1)]
-                } else {
-                    0.0
-                },
-            )
-        })
-        .collect())
-}
-
 /// MDS-MAP-style coordinates for a *sparse* measurement set: missing
 /// pairwise distances are completed with shortest-path distances through
 /// the measurement graph, then classical MDS is applied.
 ///
 /// Completion runs per-source Dijkstra over a CSR adjacency matrix of
-/// the measurement graph ([`dijkstra_into`]). The eigensolve depends on
-/// the node count alone:
-///
-/// * below [`SPARSE_SCALE`] it eigendecomposes the double-centered
-///   matrix with the full `O(n^3)` Jacobi solver ([`classical_mds`]);
-/// * at or above it, it extracts only the top-2 eigenpairs by shifted
-///   subspace iteration — the double-centered matrix is applied
-///   implicitly (`B x = -1/2 J D² J x`) and never materialized, leaving
-///   the `n x n` squared-distance table as the only quadratic cost.
-///
-/// Both produce the same embedding up to the iterative eigensolver's
-/// tolerance (and the usual sign/rotation ambiguity of the degenerate
-/// case); the module's unit tests assert parity on a town-scale table.
+/// the measurement graph ([`dijkstra_into`]). The eigensolve extracts
+/// only the top-2 eigenpairs by shifted subspace iteration
+/// ([`topk_symmetric`]): the double-centered matrix is applied
+/// implicitly (`B x = -1/2 J D² J x`) and never materialized, leaving
+/// the `n x n` squared-distance table as the only quadratic cost. The
+/// same path runs at every `n`, from a three-node local map up to
+/// metro scale; the module's unit tests hold it to a dense
+/// [`SymmetricEigen`](rl_math::SymmetricEigen) oracle at local-map and
+/// town sizes, degenerate layouts included.
 ///
 /// At `n >= SPARSE_SCALE` nodes the completion's Dijkstra sources and
-/// the iterative eigensolve's operator products run in blocks on the
+/// the eigensolve's operator products run in blocks on the
 /// [`rl_net::pool`] worker pool, sized to the machine's parallelism;
 /// below it they run serially. Every block computes exactly what the
 /// serial loop computes, so the coordinates are bit-identical for any
@@ -129,8 +57,7 @@ pub fn mdsmap_coordinates(set: &MeasurementSet) -> Result<Vec<Point2>> {
     mdsmap_impl(set).map(|(coords, _)| coords)
 }
 
-/// Shared implementation returning `(coordinates, eigen iterations)`
-/// (0 for the closed-form Jacobi path).
+/// Shared implementation returning `(coordinates, eigen iterations)`.
 fn mdsmap_impl(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
     let n = set.node_count();
     if n < 3 {
@@ -139,11 +66,7 @@ fn mdsmap_impl(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
         ));
     }
     let completed = complete_distances(set, pool_workers(n))?;
-    if n >= SPARSE_SCALE {
-        return mdsmap_sparse(n, &completed);
-    }
-    let d = DMatrix::from_vec(n, n, completed)?;
-    classical_mds(&d).map(|coords| (coords, 0))
+    embed(n, &completed)
 }
 
 /// The measurement graph's CSR adjacency matrix, distances as values,
@@ -182,11 +105,11 @@ fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> 
     Ok(completed)
 }
 
-/// The sparse MDS-MAP eigensolve: an implicit double-centering operator
-/// over the completed distances fed to the iterative top-2 eigensolver.
-fn mdsmap_sparse(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
-    // Squared, symmetrized distances (mirroring the dense path's
-    // tolerance for small asymmetries from summation order).
+/// Classical MDS of a completed `n x n` distance table: an implicit
+/// double-centering operator over its squared, symmetrized entries
+/// (symmetrizing absorbs small asymmetries from summation order) fed to
+/// the iterative top-2 eigensolver.
+fn embed(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
     let mut d2 = vec![0.0; n * n];
     for i in 0..n {
         for j in 0..n {
@@ -195,21 +118,10 @@ fn mdsmap_sparse(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
         }
     }
     let operator = CenteredOperator::new(n, d2, pool_workers(n));
-    let k = 2.min(n);
-    let top = sparse_eigen::topk_symmetric(&operator, k, &sparse_eigen::TopKConfig::default())
-        .map_err(LocalizationError::Numerical)?;
+    let top = topk_symmetric(&operator, 2).map_err(LocalizationError::Numerical)?;
     let coords = top.principal_coordinates();
     let points = (0..n)
-        .map(|i| {
-            Point2::new(
-                coords[(i, 0)],
-                if coords.cols() > 1 {
-                    coords[(i, 1)]
-                } else {
-                    0.0
-                },
-            )
-        })
+        .map(|i| Point2::new(coords[(i, 0)], coords[(i, 1)]))
         .collect();
     Ok((points, top.iterations))
 }
@@ -314,9 +226,10 @@ impl LinearOperator for CenteredOperator {
 
 /// MDS-MAP as a [`Localizer`](crate::problem::Localizer): shortest-path
 /// completion plus classical MDS, producing a relative-frame solution
-/// with no per-run randomness. Dense Jacobi at paper scale, CSR Dijkstra
-/// plus the iterative top-2 eigensolver pooled across cores at metro
-/// scale, as [`mdsmap_coordinates`] describes.
+/// with no per-run randomness. CSR Dijkstra plus the iterative top-2
+/// eigensolver at every size, pooled across cores at metro scale, as
+/// [`mdsmap_coordinates`] describes; `SolveStats::iterations` counts the
+/// eigensolver's subspace iterations.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MdsMapLocalizer;
 
@@ -346,8 +259,7 @@ impl crate::problem::Localizer for MdsMapLocalizer {
             SolveStats {
                 iterations: eigen_iterations,
                 residual: None,
-                // The Jacobi path is closed-form; the iterative
-                // eigensolver errors out instead of returning an
+                // The eigensolver errors out instead of returning an
                 // unconverged embedding. Reaching here means converged.
                 converged: Some(true),
                 cg_iterations: None,
@@ -397,37 +309,37 @@ mod tests {
         }
     }
 
+    /// A measurement set holding every pair of `truth` at `distance(i, j)`.
+    fn complete_set(
+        truth: &[Point2],
+        mut distance: impl FnMut(usize, usize) -> f64,
+    ) -> MeasurementSet {
+        let mut set = MeasurementSet::new(truth.len());
+        for i in 0..truth.len() {
+            for j in (i + 1)..truth.len() {
+                set.insert(NodeId(i), NodeId(j), distance(i, j));
+            }
+        }
+        set
+    }
+
     #[test]
-    fn classical_mds_recovers_complete_geometry() {
+    fn mdsmap_recovers_complete_geometry() {
         let truth = grid(3, 3, 5.0);
-        let n = truth.len();
-        let d = DMatrix::from_fn(n, n, |i, j| truth[i].distance(truth[j]));
-        let coords = classical_mds(&d).unwrap();
+        let set = complete_set(&truth, |i, j| truth[i].distance(truth[j]));
+        let coords = mdsmap_coordinates(&set).unwrap();
         let eval = evaluate_against_truth(&PositionMap::complete(coords), &truth).unwrap();
         assert!(eval.mean_error < 1e-6, "mean error {}", eval.mean_error);
     }
 
     #[test]
-    fn classical_mds_input_validation() {
-        assert!(classical_mds(&DMatrix::zeros(2, 3)).is_err());
-        assert!(classical_mds(&DMatrix::zeros(0, 0)).is_err());
-        let negative = DMatrix::from_rows(&[&[0.0, -1.0], &[-1.0, 0.0]]).unwrap();
-        assert!(classical_mds(&negative).is_err());
-    }
-
-    #[test]
-    fn classical_mds_tolerates_noise() {
+    fn mdsmap_tolerates_noise() {
         let truth = grid(3, 3, 9.0);
-        let n = truth.len();
         let mut rng = rl_math::rng::seeded(11);
-        let d = DMatrix::from_fn(n, n, |i, j| {
-            if i == j {
-                0.0
-            } else {
-                (truth[i].distance(truth[j]) + rl_math::rng::normal(&mut rng, 0.0, 0.33)).max(0.1)
-            }
+        let set = complete_set(&truth, |i, j| {
+            (truth[i].distance(truth[j]) + rl_math::rng::normal(&mut rng, 0.0, 0.33)).max(0.1)
         });
-        let coords = classical_mds(&d).unwrap();
+        let coords = mdsmap_coordinates(&set).unwrap();
         let eval = evaluate_against_truth(&PositionMap::complete(coords), &truth).unwrap();
         assert!(eval.mean_error < 1.0, "mean error {}", eval.mean_error);
     }
@@ -535,58 +447,89 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn jacobi_and_iterative_eigensolves_embed_one_table_alike() {
-        // Town scale: 60 nodes under the paper's 22 m cutoff.
-        let truth = jittered(10, 6, 9.0, 7);
-        let n = truth.len();
-        let completed = complete_distances(&MeasurementSet::oracle(&truth, 22.0), 1).unwrap();
-        let jacobi = classical_mds(&DMatrix::from_vec(n, n, completed.clone()).unwrap()).unwrap();
-        let (iterative, iterations) = mdsmap_sparse(n, &completed).unwrap();
-        assert!(iterations > 0);
+    /// The dense reference: classical MDS of a completed table through
+    /// the full Jacobi eigendecomposition of the materialized
+    /// double-centered matrix.
+    fn dense_embedding(n: usize, completed: &[f64]) -> Vec<Point2> {
+        let d2 = rl_math::DMatrix::from_fn(n, n, |i, j| {
+            let d = 0.5 * (completed[i * n + j] + completed[j * n + i]);
+            d * d
+        });
+        let eigen = rl_math::SymmetricEigen::new(&d2.double_center().unwrap()).unwrap();
+        let coords = eigen.principal_coordinates(2);
+        (0..n)
+            .map(|i| Point2::new(coords[(i, 0)], coords[(i, 1)]))
+            .collect()
+    }
 
-        // Pairwise distances are invariant to the eigenvector sign /
-        // degenerate-rotation ambiguity between the two eigensolvers.
-        let scale: f64 = jacobi
+    /// Completes `truth` under a `range` cutoff, embeds the table both
+    /// ways and compares them. Pairwise distances are invariant to the
+    /// eigenvector sign / degenerate-rotation ambiguity between the two
+    /// eigensolvers.
+    fn assert_embeds_alike(layout: &str, truth: &[Point2], range: f64) {
+        let n = truth.len();
+        let completed = complete_distances(&MeasurementSet::oracle(truth, range), 1).unwrap();
+        let dense = dense_embedding(n, &completed);
+        let (iterative, iterations) = embed(n, &completed).unwrap();
+        assert!(iterations > 0, "{layout}");
+        let scale: f64 = dense
             .iter()
-            .flat_map(|a| jacobi.iter().map(move |b| a.distance(*b)))
+            .flat_map(|a| dense.iter().map(move |b| a.distance(*b)))
             .fold(1.0, f64::max);
         for i in 0..n {
             for j in (i + 1)..n {
-                let (dj, di) = (
-                    jacobi[i].distance(jacobi[j]),
+                let (dd, di) = (
+                    dense[i].distance(dense[j]),
                     iterative[i].distance(iterative[j]),
                 );
                 assert!(
-                    (dj - di).abs() < 1e-5 * scale,
-                    "pair {i}-{j}: Jacobi {dj} vs iterative {di}"
+                    (dd - di).abs() < 1e-5 * scale,
+                    "{layout} pair {i}-{j}: dense {dd} vs iterative {di}"
                 );
             }
         }
         let error = |coords| {
-            evaluate_against_truth(&PositionMap::complete(coords), &truth)
+            evaluate_against_truth(&PositionMap::complete(coords), truth)
                 .unwrap()
                 .mean_error
         };
-        let (ej, ei) = (error(jacobi), error(iterative));
-        assert!((ej - ei).abs() < 1e-4, "Jacobi {ej} vs iterative {ei}");
+        let (ed, ei) = (error(dense), error(iterative));
+        assert!(
+            (ed - ei).abs() < 1e-4,
+            "{layout}: dense {ed} vs iterative {ei}"
+        );
     }
 
     #[test]
-    fn the_eigensolver_switches_at_sparse_scale() {
-        use crate::problem::{Localizer, Problem};
-        let iterations = |n: usize| {
-            let rows = SPARSE_SCALE / 10 + 1;
-            let truth: Vec<Point2> = jittered(10, rows, 9.0, 3).into_iter().take(n).collect();
-            let problem = Problem::builder(MeasurementSet::oracle(&truth, 22.0))
-                .build()
-                .unwrap();
-            let mut rng = rl_math::rng::seeded(1);
-            let solution = MdsMapLocalizer::new().localize(&problem, &mut rng).unwrap();
-            solution.stats().iterations
-        };
-        assert_eq!(iterations(SPARSE_SCALE - 1), 0, "Jacobi below the scale");
-        assert!(iterations(SPARSE_SCALE) > 0, "iterative at the scale");
+    fn jacobi_and_iterative_eigensolves_embed_one_table_alike() {
+        let p = Point2::new;
+        assert_embeds_alike("triangle", &[p(0.0, 0.0), p(7.0, 1.0), p(3.0, 6.0)], 22.0);
+        // Equal top eigenvalues: any rotation of the pair is an answer.
+        let square = [p(0.0, 0.0), p(10.0, 0.0), p(10.0, 10.0), p(0.0, 10.0)];
+        assert_embeds_alike("square", &square, 22.0);
+        // Rank one: the second eigenvalue is zero, as is the rest of the
+        // spectrum. The 10 m cutoff makes completion walk the line.
+        let line = [
+            p(0.0, 0.0),
+            p(4.0, 0.0),
+            p(9.0, 0.0),
+            p(15.0, 0.0),
+            p(18.0, 0.0),
+        ];
+        for n in 3..=5 {
+            assert_embeds_alike(&format!("{n} collinear"), &line[..n], 10.0);
+        }
+        // A zigzag 42 m long and 0.5 m wide: the second eigenvalue is
+        // ~4e-4 of the first, which stalls subspace iteration, so the
+        // eigensolve finishes in its Krylov cycles.
+        let strip: Vec<Point2> = (0..8)
+            .map(|i| p(6.0 * i as f64, if i % 2 == 0 { 0.0 } else { 0.5 }))
+            .collect();
+        assert_embeds_alike("thin strip", &strip, 22.0);
+        // A distributed local map's size, then town scale: 60 nodes
+        // under the paper's 22 m cutoff.
+        assert_embeds_alike("30-node cluster", &jittered(6, 5, 9.0, 5), 22.0);
+        assert_embeds_alike("town", &jittered(10, 6, 9.0, 7), 22.0);
     }
 
     #[test]
@@ -596,9 +539,8 @@ mod tests {
             Point2::new(4.0, 0.0),
             Point2::new(9.0, 0.0),
         ];
-        let n = truth.len();
-        let d = DMatrix::from_fn(n, n, |i, j| truth[i].distance(truth[j]));
-        let coords = classical_mds(&d).unwrap();
+        let set = complete_set(&truth, |i, j| truth[i].distance(truth[j]));
+        let coords = mdsmap_coordinates(&set).unwrap();
         // Second coordinate collapses to ~0 for collinear input.
         for p in &coords {
             assert!(p.y.abs() < 1e-6, "expected 1-D embedding, got {p}");

@@ -164,9 +164,9 @@ pub fn mean_anchors_available(measurements: &MeasurementSet, anchors: &[Anchor])
 /// from that node's own ranges to the anchor table as it stood at the
 /// start of the round, then applies the fixes in index order (promoting
 /// them to anchors in progressive mode). The fixes draw no randomness, so
-/// at `n >=` [`SPARSE_SCALE`](crate::problem::SPARSE_SCALE) nodes they
-/// run on the [`rl_net::pool`] worker pool with bit-identical results;
-/// below that they run serially on the calling thread.
+/// they run on as many [`rl_net::pool`] workers as [`pool_workers`]
+/// gives (the machine's parallelism at sparse scale, the calling thread
+/// below it) with bit-identical results at any worker count.
 #[derive(Debug, Clone)]
 pub struct MultilaterationSolver {
     config: MultilaterationConfig,

@@ -59,11 +59,10 @@ use crate::types::{Anchor, PositionMap};
 use crate::{LocalizationError, Result};
 
 /// Node count at which a problem counts as sparse-scale, read from `n`
-/// alone. Two choices hang on it: MDS-MAP eigensolves below it with
-/// the dense `O(n^3)` Jacobi decomposition and at or above it with the
-/// iterative top-2 eigensolver, and [`pool_workers`] runs serially below
-/// it. The paper-scale scenarios (town: 59 nodes) and every distributed
-/// local map stay below it; the metro ladder (250+) is above it.
+/// alone. One choice hangs on it: [`pool_workers`] runs serially below
+/// it. No solver changes its arithmetic at this size. The paper-scale
+/// scenarios (town: 59 nodes) and every distributed local map stay below
+/// it; the metro ladder (250+) is above it.
 pub const SPARSE_SCALE: usize = 100;
 
 /// Worker count for the loops that shard on [`rl_net::pool`] (MDS-MAP's
@@ -72,7 +71,8 @@ pub const SPARSE_SCALE: usize = 100;
 /// the machine's parallelism, at sparse scale (`n >= SPARSE_SCALE`), and
 /// `1`, inline on the calling thread, below it. Paper-scale solves and
 /// traces and distributed LSS's local maps therefore never spawn
-/// threads. The outputs are bit-identical either way.
+/// threads. The outputs are bit-identical either way, so this is the
+/// only size decision in the solvers and it moves no bits.
 pub fn pool_workers(n: usize) -> usize {
     if n >= SPARSE_SCALE {
         0
@@ -309,11 +309,6 @@ impl Solution {
     /// The estimated positions (unlocalized nodes stay `None`).
     pub fn positions(&self) -> &PositionMap {
         &self.positions
-    }
-
-    /// Consumes the solution, returning the position map.
-    pub fn into_positions(self) -> PositionMap {
-        self.positions
     }
 
     /// The coordinate frame the positions are expressed in.

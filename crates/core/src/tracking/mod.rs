@@ -162,19 +162,12 @@ impl TrackerConfig {
         }
     }
 
-    /// [`TrackerConfig::new`] plus warm-started inner CG solves on the
-    /// warm path, seeded from the previous accepted Gauss–Newton delta
-    /// (rescaled by a one-matvec line search; see
-    /// [`RefineConfig::cg_warm_start`]) — the natural fit for tracking,
-    /// where consecutive ticks solve nearly identical systems and CG's
-    /// never-worse guard makes the seed risk-free.
-    /// Same refinement problem as `new()`, but not bit-identical to it
-    /// (the default path's solution fingerprints are pinned in
-    /// `tests/tracking_golden.rs`), hence a separate opt-in preset.
+    /// The `metro` tracker preset that wire clients and the benchmark
+    /// select by name. It equals [`TrackerConfig::new`]: every
+    /// refinement already warm-starts its inner CG solves (see
+    /// [`refine`](crate::distributed::refine)).
     pub fn metro(seed: u64) -> Self {
-        let mut config = Self::new(seed);
-        config.warm.cg_warm_start = true;
-        config
+        Self::new(seed)
     }
 
     /// Sets the warm path's Gauss–Newton step budget per tick (builder

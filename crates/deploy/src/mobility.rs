@@ -196,10 +196,10 @@ impl MobilityScenario {
     /// truth) for evaluation and protocol-driven solvers.
     ///
     /// The same `(scenario, seed)` pair always produces a bit-identical
-    /// trace. At `n >= rl_core::problem::SPARSE_SCALE` nodes the ticks are
-    /// measured on the machine's parallelism
-    /// ([`rl_core::problem::pool_workers`]) while the motion pass runs,
-    /// with the same bits.
+    /// trace. The ticks are measured while the motion pass runs, on as
+    /// many threads as [`rl_core::problem::pool_workers`] gives for the
+    /// node count (the calling thread alone below sparse scale), with the
+    /// same bits at any count.
     ///
     /// # Panics
     ///

@@ -118,11 +118,6 @@ impl RigidTransform {
         }
     }
 
-    /// Applies the transform to every point in a slice.
-    pub fn apply_all(&self, points: &[Point2]) -> Vec<Point2> {
-        points.iter().map(|&p| self.apply(p)).collect()
-    }
-
     /// Returns the transform as the paper's 3×3 row-vector homogeneous
     /// matrix, row-major: `[x, y, 1] = [u, v, 1] · M`.
     pub fn to_matrix(&self) -> [[f64; 3]; 3] {

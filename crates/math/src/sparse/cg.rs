@@ -9,14 +9,13 @@
 //! `n` steps in exact arithmetic (far fewer on the well-conditioned
 //! systems the solvers produce).
 //!
-//! Two orthogonal extensions sit on top of the plain method, both
-//! **opt-in** so the historical default path stays bit-for-bit stable
-//! (campaign fingerprints are pinned on it):
+//! Two orthogonal extensions sit on top of the plain method:
 //!
-//! * **Warm starts** — [`conjugate_gradient_with`] accepts an `x0`;
-//!   outer Gauss–Newton loops seed each linearization from the previous
-//!   step's delta, which shrinks the initial residual by orders of
-//!   magnitude once the outer iteration is in its contraction regime.
+//! * **Warm starts** — [`conjugate_gradient_with`] accepts an `x0`; the
+//!   refinement's Gauss–Newton loop seeds every linearization after the
+//!   first from the previous step's delta, which shrinks the initial
+//!   residual by orders of magnitude once the outer iteration is in its
+//!   contraction regime.
 //! * **Scratch reuse** ([`CgWorkspace`]) — the per-solve `r`/`p`/`Ap`
 //!   vectors live in a caller-owned workspace, so a refinement loop
 //!   running hundreds of CG solves allocates them once.

@@ -16,6 +16,14 @@
 //! positive-semidefinite `A + sigma I` (`sigma ~ 1.1 rho`), whose
 //! magnitude order equals `A`'s algebraic order.
 //!
+//! Subspace iteration stalls when the `k`-th eigenvalue is tiny next to
+//! the shift: the second axis of a thin, nearly collinear layout, which
+//! a distributed local map along a street can be. A run that exhausts
+//! its iteration budget continues with thick-restarted block Krylov
+//! cycles from the block it reached, so every run that converged by
+//! subspace iteration alone keeps its bits, and small operators always
+//! converge: their Krylov space spans the whole dimension.
+//!
 //! The run is deterministic: starting vectors come from a fixed-seed
 //! stream, so two runs on the same operator produce bit-identical
 //! eigenpairs (the campaign determinism contract extends through this
@@ -29,27 +37,21 @@ use crate::{DMatrix, MathError, Result, SymmetricEigen};
 /// Fixed seed for the deterministic starting block (see module docs).
 const INIT_SEED: u64 = 0x5EED_E16E;
 
-/// Configuration for [`topk_symmetric`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopKConfig {
-    /// Iteration cap for the subspace iteration.
-    pub max_iterations: usize,
-    /// Convergence threshold on the worst Ritz-pair *residual*:
-    /// stop when `max_j ||A x_j - lambda_j x_j|| <= tolerance *
-    /// max(spectral scale, 1)`. A residual bound controls the eigenvector
-    /// error directly (value-settling criteria converge twice as fast as
-    /// the vectors and would stop too early).
-    pub tolerance: f64,
-}
+/// Iteration cap for the subspace iteration.
+const MAX_ITERATIONS: usize = 2_000;
 
-impl Default for TopKConfig {
-    fn default() -> Self {
-        TopKConfig {
-            max_iterations: 2_000,
-            tolerance: 1e-8,
-        }
-    }
-}
+/// Convergence threshold on the worst Ritz-pair *residual*: stop when
+/// `max_j ||A x_j - lambda_j x_j|| <= TOLERANCE * max(spectral scale, 1)`.
+/// A residual bound controls the eigenvector error directly
+/// (value-settling criteria converge twice as fast as the vectors and
+/// would stop too early).
+const TOLERANCE: f64 = 1e-8;
+
+/// Basis size of one block Krylov cycle once subspace iteration stalls.
+const KRYLOV_BASIS: usize = 32;
+
+/// Block Krylov cycles before giving up.
+const KRYLOV_CYCLES: usize = 50;
 
 /// The `k` algebraically largest eigenpairs of a symmetric operator,
 /// eigenvalues in descending order.
@@ -91,13 +93,9 @@ impl TopKEigen {
 ///
 /// * [`MathError::InvalidArgument`] when `k` is zero or exceeds the
 ///   operator dimension, or the dimension is zero.
-/// * [`MathError::NoConvergence`] when the Ritz values fail to settle
-///   within the iteration budget (pathologically small eigengaps).
-pub fn topk_symmetric<O: LinearOperator + ?Sized>(
-    a: &O,
-    k: usize,
-    cfg: &TopKConfig,
-) -> Result<TopKEigen> {
+/// * [`MathError::NoConvergence`] when the Ritz pairs fail to settle
+///   within both the subspace-iteration and the Krylov budgets.
+pub fn topk_symmetric<O: LinearOperator + ?Sized>(a: &O, k: usize) -> Result<TopKEigen> {
     let n = a.dim();
     if n == 0 {
         return Err(MathError::InvalidArgument("empty operator"));
@@ -118,79 +116,20 @@ pub fn topk_symmetric<O: LinearOperator + ?Sized>(
     let mut w: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
     let mut worst_residual = f64::INFINITY;
 
-    // Per-iteration scratch, hoisted out of the loop: the Rayleigh-Ritz
-    // projection and the Ritz-pair blocks are refilled every pass, so a
-    // long subspace iteration allocates them once instead of per step.
-    let mut b = DMatrix::zeros(k, k);
+    // Ritz-pair blocks refilled every pass, so a long subspace iteration
+    // allocates them once instead of per step.
     let mut xs: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
     let mut sxs: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
 
-    for iteration in 1..=cfg.max_iterations {
+    for iteration in 1..=MAX_ITERATIONS {
         // One blocked application S V = A V + sigma V: operators with
         // structure (CSR, the MDS centering operator) push the whole
         // block through a single traversal.
-        a.apply_multi(&v, &mut w);
-        for (vj, wj) in v.iter().zip(w.iter_mut()) {
-            for (wi, vi) in wj.iter_mut().zip(vj) {
-                *wi += sigma * vi;
-            }
-        }
-        // Rayleigh-Ritz on the current block: B = V^T S V, symmetrized
-        // against round-off before the small dense eigensolve.
-        for i in 0..k {
-            for j in 0..k {
-                b[(i, j)] = dot(&v[i], &w[j]);
-            }
-        }
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let m = 0.5 * (b[(i, j)] + b[(j, i)]);
-                b[(i, j)] = m;
-                b[(j, i)] = m;
-            }
-        }
-        let ritz = SymmetricEigen::new(&b)?;
-        let theta = ritz.eigenvalues();
-        let u = ritz.eigenvectors();
-
-        // Ritz pairs and their residuals, both free in extra operator
-        // applications: X = V U and S X = (S V) U = W U.
-        for x in xs.iter_mut() {
-            x.fill(0.0);
-        }
-        for x in sxs.iter_mut() {
-            x.fill(0.0);
-        }
-        for j in 0..k {
-            for c in 0..k {
-                let coeff = u[(c, j)];
-                for i in 0..n {
-                    xs[j][i] += coeff * v[c][i];
-                    sxs[j][i] += coeff * w[c][i];
-                }
-            }
-        }
-        let scale = theta[0].abs().max(1.0);
-        worst_residual = (0..k)
-            .map(|j| {
-                let r: f64 = (0..n)
-                    .map(|i| {
-                        let r = sxs[j][i] - theta[j] * xs[j][i];
-                        r * r
-                    })
-                    .sum();
-                r.sqrt()
-            })
-            .fold(0.0, f64::max);
-        if worst_residual <= cfg.tolerance * scale {
-            for x in xs.iter_mut() {
-                normalize(x);
-            }
-            return Ok(TopKEigen {
-                eigenvalues: theta.iter().map(|t| t - sigma).collect(),
-                eigenvectors: xs,
-                iterations: iteration,
-            });
+        shifted_apply(a, sigma, &v, &mut w);
+        let (theta, worst) = rayleigh_ritz(&v, &w, &mut xs, &mut sxs)?;
+        worst_residual = worst;
+        if worst <= TOLERANCE * theta[0].abs().max(1.0) {
+            return Ok(converged(theta, sigma, xs, iteration));
         }
 
         // Next subspace: orthonormalized image.
@@ -198,10 +137,150 @@ pub fn topk_symmetric<O: LinearOperator + ?Sized>(
         orthonormalize(&mut v, &mut rng);
     }
 
+    // The subspace iteration contracts unwanted components by
+    // `(sigma + lambda_{k+1}) / (sigma + lambda_k)` per step, which stalls
+    // when `lambda_k` is tiny next to the shift: the second axis of a
+    // thin, nearly collinear layout. Continue from the current block with
+    // thick-restarted block Krylov cycles instead: Rayleigh–Ritz over the
+    // block's Krylov space, restarted from the top-k Ritz vectors. A
+    // space that reaches the whole dimension is exact.
+    let m = KRYLOV_BASIS.max(k).min(n);
+    let mut steps = MAX_ITERATIONS;
+    for _cycle in 0..KRYLOV_CYCLES {
+        let mut q: Vec<Vec<f64>> = Vec::with_capacity(m);
+        let mut sq: Vec<Vec<f64>> = Vec::with_capacity(m);
+        let mut block = v;
+        while q.len() < m {
+            let start = q.len();
+            for mut x in block {
+                if q.len() == m {
+                    break;
+                }
+                for _pass in 0..2 {
+                    for qi in &q {
+                        let proj = dot(qi, &x);
+                        for (xj, qj) in x.iter_mut().zip(qi) {
+                            *xj -= proj * qj;
+                        }
+                    }
+                }
+                if normalize(&mut x) {
+                    q.push(x);
+                }
+            }
+            if q.len() == start {
+                // The space is invariant: its Ritz pairs are exact.
+                break;
+            }
+            let mut images = vec![vec![0.0; n]; q.len() - start];
+            shifted_apply(a, sigma, &q[start..], &mut images);
+            steps += 1;
+            sq.extend(images.iter().cloned());
+            block = images;
+        }
+        let (theta, worst) = rayleigh_ritz(&q, &sq, &mut xs, &mut sxs)?;
+        worst_residual = worst;
+        if worst <= TOLERANCE * theta[0].abs().max(1.0) {
+            return Ok(converged(theta, sigma, xs, steps));
+        }
+        v = xs.clone();
+    }
+
     Err(MathError::NoConvergence {
-        sweeps: cfg.max_iterations,
+        sweeps: steps,
         off_diagonal: worst_residual,
     })
+}
+
+/// `ys = (A + sigma I) xs` in one blocked application.
+fn shifted_apply<O: LinearOperator + ?Sized>(
+    a: &O,
+    sigma: f64,
+    xs: &[Vec<f64>],
+    ys: &mut [Vec<f64>],
+) {
+    a.apply_multi(xs, ys);
+    for (x, y) in xs.iter().zip(ys.iter_mut()) {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += sigma * xi;
+        }
+    }
+}
+
+/// Rayleigh–Ritz on the orthonormal basis `q` with images `sq = S q`:
+/// fills `xs` with the top `xs.len()` Ritz vectors and `sxs` with their
+/// images (both free in extra operator applications: `X = Q U` and
+/// `S X = (S Q) U`), and returns their Ritz values, descending, with the
+/// worst residual norm `max_j ||S x_j - theta_j x_j||`.
+fn rayleigh_ritz(
+    q: &[Vec<f64>],
+    sq: &[Vec<f64>],
+    xs: &mut [Vec<f64>],
+    sxs: &mut [Vec<f64>],
+) -> Result<(Vec<f64>, f64)> {
+    // B = Q^T S Q, symmetrized against round-off before the small dense
+    // eigensolve.
+    let p = q.len();
+    let mut b = DMatrix::zeros(p, p);
+    for i in 0..p {
+        for j in 0..p {
+            b[(i, j)] = dot(&q[i], &sq[j]);
+        }
+    }
+    for i in 0..p {
+        for j in (i + 1)..p {
+            let m = 0.5 * (b[(i, j)] + b[(j, i)]);
+            b[(i, j)] = m;
+            b[(j, i)] = m;
+        }
+    }
+    let ritz = SymmetricEigen::new(&b)?;
+    let theta = &ritz.eigenvalues()[..xs.len()];
+    let u = ritz.eigenvectors();
+    for x in xs.iter_mut() {
+        x.fill(0.0);
+    }
+    for x in sxs.iter_mut() {
+        x.fill(0.0);
+    }
+    for (j, (x, sx)) in xs.iter_mut().zip(sxs.iter_mut()).enumerate() {
+        for c in 0..p {
+            let coeff = u[(c, j)];
+            for i in 0..x.len() {
+                x[i] += coeff * q[c][i];
+                sx[i] += coeff * sq[c][i];
+            }
+        }
+    }
+    let worst = xs
+        .iter()
+        .zip(sxs.iter())
+        .zip(theta)
+        .map(|((x, sx), t)| {
+            let r: f64 = x
+                .iter()
+                .zip(sx)
+                .map(|(xi, sxi)| {
+                    let r = sxi - t * xi;
+                    r * r
+                })
+                .sum();
+            r.sqrt()
+        })
+        .fold(0.0, f64::max);
+    Ok((theta.to_vec(), worst))
+}
+
+/// The converged result: unshifted eigenvalues and unit eigenvectors.
+fn converged(theta: Vec<f64>, sigma: f64, mut xs: Vec<Vec<f64>>, iterations: usize) -> TopKEigen {
+    for x in xs.iter_mut() {
+        normalize(x);
+    }
+    TopKEigen {
+        eigenvalues: theta.iter().map(|t| t - sigma).collect(),
+        eigenvectors: xs,
+        iterations,
+    }
 }
 
 /// A safe positive shift `sigma >= |lambda|_max * 1.1`, estimated by a
@@ -296,7 +375,7 @@ mod tests {
     #[test]
     fn two_by_two_known_eigenpair() {
         let a = DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let top = topk_symmetric(&a, 2, &TopKConfig::default()).unwrap();
+        let top = topk_symmetric(&a, 2).unwrap();
         assert!((top.eigenvalues[0] - 3.0).abs() < 1e-8);
         assert!((top.eigenvalues[1] - 1.0).abs() < 1e-8);
         assert!((alignment(&top.eigenvectors[0], &[1.0, 1.0]) - 1.0).abs() < 1e-7);
@@ -308,7 +387,7 @@ mod tests {
         // diag(1, -5): the magnitude-dominant eigenvalue is -5, but MDS
         // needs the algebraically largest, +1. The shift must deliver it.
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, -5.0)]).unwrap();
-        let top = topk_symmetric(&a, 1, &TopKConfig::default()).unwrap();
+        let top = topk_symmetric(&a, 1).unwrap();
         assert!(
             (top.eigenvalues[0] - 1.0).abs() < 1e-8,
             "{:?}",
@@ -323,7 +402,7 @@ mod tests {
             .unwrap();
         let dense = SymmetricEigen::new(&a).unwrap();
         let sparse = CsrMatrix::from_dense(&a);
-        let top = topk_symmetric(&sparse, 3, &TopKConfig::default()).unwrap();
+        let top = topk_symmetric(&sparse, 3).unwrap();
         for j in 0..3 {
             assert!(
                 (top.eigenvalues[j] - dense.eigenvalues()[j]).abs() < 1e-8,
@@ -336,9 +415,32 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_subspace_iteration_finishes_in_krylov_cycles() {
+        // The second eigenvalue is 0.3% of the first and the rest of the
+        // spectrum sits at zero, so subspace iteration would need
+        // thousands of steps; the Krylov space spans all seven
+        // dimensions and is exact.
+        let lambdas = [100.0, 0.3, 0.0, 0.0, 0.0, 0.0, -0.1];
+        let diagonal: Vec<(usize, usize, f64)> = lambdas
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (i, i, l))
+            .collect();
+        let a = CsrMatrix::from_triplets(7, 7, &diagonal).unwrap();
+        let top = topk_symmetric(&a, 2).unwrap();
+        assert!(top.iterations > MAX_ITERATIONS, "{}", top.iterations);
+        for j in 0..2 {
+            assert!((top.eigenvalues[j] - lambdas[j]).abs() < 1e-8 * lambdas[0]);
+            let mut axis = [0.0; 7];
+            axis[j] = 1.0;
+            assert!((alignment(&top.eigenvectors[j], &axis) - 1.0).abs() < 1e-6);
+        }
+    }
+
+    #[test]
     fn zero_operator_yields_zero_eigenvalues() {
         let a = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
-        let top = topk_symmetric(&a, 2, &TopKConfig::default()).unwrap();
+        let top = topk_symmetric(&a, 2).unwrap();
         for l in &top.eigenvalues {
             assert!(l.abs() < 1e-12);
         }
@@ -348,23 +450,23 @@ mod tests {
     fn rejects_bad_k_and_empty_operators() {
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]).unwrap();
         assert!(matches!(
-            topk_symmetric(&a, 0, &TopKConfig::default()),
+            topk_symmetric(&a, 0),
             Err(MathError::InvalidArgument(_))
         ));
         assert!(matches!(
-            topk_symmetric(&a, 3, &TopKConfig::default()),
+            topk_symmetric(&a, 3),
             Err(MathError::InvalidArgument(_))
         ));
         let empty = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
-        assert!(topk_symmetric(&empty, 1, &TopKConfig::default()).is_err());
+        assert!(topk_symmetric(&empty, 1).is_err());
     }
 
     #[test]
     fn runs_are_bit_deterministic() {
         let a =
             DMatrix::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]).unwrap();
-        let first = topk_symmetric(&a, 2, &TopKConfig::default()).unwrap();
-        let second = topk_symmetric(&a, 2, &TopKConfig::default()).unwrap();
+        let first = topk_symmetric(&a, 2).unwrap();
+        let second = topk_symmetric(&a, 2).unwrap();
         assert_eq!(first.eigenvalues, second.eigenvalues);
         assert_eq!(first.eigenvectors, second.eigenvectors);
     }
@@ -373,7 +475,7 @@ mod tests {
     fn principal_coordinates_recover_rank_one_gram() {
         let xs = [-8.0 / 3.0, 1.0 / 3.0, 7.0 / 3.0];
         let g = DMatrix::from_fn(3, 3, |i, j| xs[i] * xs[j]);
-        let top = topk_symmetric(&g, 2, &TopKConfig::default()).unwrap();
+        let top = topk_symmetric(&g, 2).unwrap();
         let coords = top.principal_coordinates();
         let sign = if coords[(0, 0)] * xs[0] >= 0.0 {
             1.0
@@ -430,7 +532,7 @@ mod tests {
             }
             let (a, q) = with_known_spectrum(&entries, &lambdas);
             let sparse = CsrMatrix::from_dense(&a);
-            let top = topk_symmetric(&sparse, k, &TopKConfig::default()).unwrap();
+            let top = topk_symmetric(&sparse, k).unwrap();
             let dense = SymmetricEigen::new(&a).unwrap();
             for j in 0..k {
                 prop_assert!(

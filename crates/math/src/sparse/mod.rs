@@ -56,7 +56,7 @@
 //!
 //! let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)])
 //!     .unwrap();
-//! let top = eigen::topk_symmetric(&a, 1, &eigen::TopKConfig::default()).unwrap();
+//! let top = eigen::topk_symmetric(&a, 1).unwrap();
 //! assert!((top.eigenvalues[0] - 3.0).abs() < 1e-8);
 //! ```
 

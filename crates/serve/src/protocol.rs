@@ -431,7 +431,8 @@ pub mod stream {
         /// Configuration preset: `"default"`
         /// ([`TrackerConfig::new`](rl_core::tracking::TrackerConfig::new))
         /// or `"metro"`
-        /// ([`TrackerConfig::metro`](rl_core::tracking::TrackerConfig::metro)).
+        /// ([`TrackerConfig::metro`](rl_core::tracking::TrackerConfig::metro),
+        /// the same configuration today).
         pub preset: String,
         /// Overrides the warm path's Gauss–Newton step budget per tick.
         pub steps_per_tick: Option<u64>,

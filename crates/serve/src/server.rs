@@ -229,12 +229,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the solution-cache capacity.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// Sets the per-connection idle timeout.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;

@@ -131,12 +131,6 @@ impl ReceptionSimulator {
         }
     }
 
-    /// Replaces the hardware variation model (builder style).
-    pub fn with_variation(mut self, variation: VariationModel) -> Self {
-        self.variation = variation;
-        self
-    }
-
     /// The chirp configuration in use.
     pub fn config(&self) -> &ChirpTrainConfig {
         &self.config

@@ -167,12 +167,6 @@ impl XsmToneDetector {
         }
     }
 
-    /// Overrides the detection ratio (builder style).
-    pub fn with_ratio(mut self, ratio: f64) -> Self {
-        self.ratio = ratio;
-        self
-    }
-
     /// Consumes one sample; returns `(filtered_output, detected)`, where
     /// `filtered_output` is the noise-subtracted band power (the "filtered
     /// signal" trace of Figure 10).

@@ -163,9 +163,12 @@ fn stats_ride_along_with_solutions() {
     let stress = stats.residual.expect("LSS reports stress");
     assert!(stress.is_finite() && stress >= 0.0);
 
-    let closed_form = MdsMapLocalizer::new()
+    let mds = MdsMapLocalizer::new()
         .localize(&problem, &mut rng)
         .expect("solvable");
-    assert_eq!(closed_form.stats().iterations, 0);
-    assert!(closed_form.stats().residual.is_none());
+    assert!(
+        mds.stats().iterations > 0,
+        "MDS-MAP reports eigensolver iterations"
+    );
+    assert!(mds.stats().residual.is_none());
 }

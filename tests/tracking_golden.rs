@@ -34,11 +34,14 @@ const GOLDEN_TOWN_OBSERVATIONS: [u64; 4] = [
 /// Per-tick solution fingerprints of a default warm-started
 /// `StreamingTracker` (seed 2005, LSS cold engine) consuming that same
 /// trajectory: tick 0 is the cold bootstrap, ticks 1..4 are warm updates.
+/// Re-generated when the cold bootstrap's MDS-MAP seed moved onto the
+/// iterative eigensolve and warm updates began warm-starting their CG
+/// solves.
 const GOLDEN_TOWN_SOLUTIONS: [u64; 4] = [
-    0x3866_a85f_1921_1cf9,
-    0x909a_936f_bf0e_f1c0,
-    0x7e68_41fc_4726_8853,
-    0x3a66_5f3b_0b49_0521,
+    0x4f53_2507_3176_9e81,
+    0x5f8c_3c16_b3d8_3321,
+    0x48de_59f5_3f7b_869d,
+    0x434d_8555_9e1f_e52c,
 ];
 
 fn golden_trace() -> MobilityTrace {
