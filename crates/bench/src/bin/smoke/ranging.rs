@@ -1,5 +1,5 @@
 //! The ranging suite: the signal and ranging chain timed per call, the
-//! two Section-4 estimator variants that no solver preset runs, and the
+//! one Section-4 estimator variant that no solver preset runs, and the
 //! deploy layer that builds measurement sets.
 //!
 //! Every signal and ranging cell loops its kernel for at least
@@ -21,7 +21,6 @@ use crate::{mean_call, ms, us};
 use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
 use rl_core::distributed::{estimate_transform, LocalMap, TransformGuards, TransformMethod};
-use rl_core::multilateration::{IntersectionConsistency, RangeToAnchor};
 use rl_deploy::{mobility, presets};
 use rl_geom::{Point2, RigidTransform, Vec2};
 use rl_math::gradient::DescentConfig;
@@ -45,7 +44,6 @@ const RECEPTION_US: f64 = 290.0;
 const GRASS_CAMPAIGN_US: f64 = 112_000.0;
 const MEDIAN_FILTER_US: f64 = 58.0;
 const MERGE_US: f64 = 13.0;
-const MODE_OF_INTERSECTIONS_US: f64 = 40.0;
 const TRANSFORM_MINIMIZATION_US: f64 = 1_380.0;
 
 /// Best-call budgets in milliseconds for the deploy layer.
@@ -69,9 +67,8 @@ const DEPLOY_CALLS: usize = 15;
 /// The sliding-DFT filter and tone detector on the Figure-10 waveform,
 /// one chirp-train reception at 12 m on grass with the Figure-3
 /// record/detect routines on its buffer, a 3x3 grass ranging campaign
-/// with its median filter and bidirectional merge, the
-/// mode-of-intersections estimator, and the minimization transform
-/// between two local maps; then the deploy layer: a metro-1000
+/// with its median filter and bidirectional merge, and the minimization
+/// transform between two local maps; then the deploy layer: a metro-1000
 /// `Scenario::instantiate` and a 100-tick `metro-250-mobile` trace.
 pub fn ranging(suite: &mut Suite) {
     let mut rng = rl_math::rng::seeded(MASTER_SEED);
@@ -130,32 +127,6 @@ pub fn ranging(suite: &mut Suite) {
         ));
     });
     suite.at_most("bidirectional-merge-us", us(merge), MERGE_US);
-
-    let node = Point2::new(5.0, 5.0);
-    let observations: Vec<RangeToAnchor> = [
-        (0.0, 0.0),
-        (10.0, 0.0),
-        (0.0, 10.0),
-        (10.0, 10.0),
-        (5.0, -5.0),
-        (-5.0, 5.0),
-    ]
-    .iter()
-    .map(|&(x, y)| RangeToAnchor {
-        anchor: Point2::new(x, y),
-        distance: Point2::new(x, y).distance(node) + 0.1,
-        weight: 1.0,
-    })
-    .collect();
-    let check = IntersectionConsistency::default();
-    let mode = mean_call(|| {
-        black_box(check.mode_of_intersections(black_box(&observations)));
-    });
-    suite.at_most(
-        "mode-of-intersections-us",
-        us(mode),
-        MODE_OF_INTERSECTIONS_US,
-    );
 
     // Twelve shared nodes, the target map a hidden rigid motion (with a
     // reflection) of the source.

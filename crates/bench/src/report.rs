@@ -35,12 +35,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn push_display<D: core::fmt::Display>(&mut self, cells: &[D]) {
-        let row: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.push(&row);
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -156,7 +150,7 @@ mod tests {
     fn sample() -> Table {
         let mut t = Table::new("demo", &["name", "value"]);
         t.push(&["alpha".into(), "1.5".into()]);
-        t.push_display(&["beta", "2"]);
+        t.push(&["beta".into(), "2".into()]);
         t
     }
 

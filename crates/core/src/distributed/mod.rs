@@ -379,9 +379,6 @@ pub struct DistributedConfig {
     pub guards: TransformGuards,
     /// Radio model for the protocol run.
     pub radio: RadioModel,
-    /// Delay before the root starts the alignment flood, seconds (must
-    /// exceed one map-exchange round trip).
-    pub alignment_delay_s: f64,
     /// Post-alignment Gauss–Newton/CG refinement of the stitched map
     /// (`None` reproduces the paper's raw flood output). See [`refine`].
     pub refine: Option<RefineConfig>,
@@ -414,7 +411,6 @@ impl Default for DistributedConfig {
             transform: TransformMethod::Covariance,
             guards: TransformGuards::default(),
             radio: RadioModel::mica2(),
-            alignment_delay_s: 1.0,
             refine: Some(RefineConfig::default()),
             workers: 0,
         }
@@ -612,6 +608,10 @@ pub enum DistMsg {
 
 const ALIGN_TIMER: u64 = 1;
 
+/// Delay before the root starts the alignment flood, seconds (must exceed
+/// one map-exchange round trip).
+const ALIGN_DELAY_S: f64 = 1.0;
+
 /// Membership bitset over the node ids of one local map, covering only
 /// the 64-id words between its smallest and largest id.
 #[derive(Debug, Default)]
@@ -660,7 +660,6 @@ struct DistNode {
     is_root: bool,
     transform: TransformMethod,
     guards: TransformGuards,
-    align_delay_s: f64,
 }
 
 impl DistNode {
@@ -691,7 +690,7 @@ impl Node for DistNode {
         if self.is_root {
             // Give the map exchange time to complete, then start the
             // alignment flood from this node's frame.
-            api.set_timer(self.align_delay_s, ALIGN_TIMER);
+            api.set_timer(ALIGN_DELAY_S, ALIGN_TIMER);
         }
     }
 
@@ -816,7 +815,6 @@ pub fn run_distributed<R: Rng + ?Sized>(
             is_root: i == root.index(),
             transform: config.transform.clone(),
             guards: config.guards,
-            align_delay_s: config.alignment_delay_s,
         })
         .collect();
 
@@ -1056,7 +1054,6 @@ mod tests {
                     is_root: false,
                     transform: TransformMethod::Covariance,
                     guards,
-                    align_delay_s: 1.0,
                 })
                 .collect();
             let positions = [Point2::ORIGIN, Point2::new(5.0, 0.0), Point2::new(0.0, 5.0)];

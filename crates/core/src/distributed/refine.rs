@@ -54,15 +54,20 @@ use rl_ranging::measurement::MeasurementSet;
 
 use crate::types::PositionMap;
 
+/// Initial Tikhonov damping `λ` (per coordinate, against edge weights of
+/// ~1). Adapted multiplicatively: ×0.3 on accepted steps, ×10 on rejected
+/// ones.
+const TIKHONOV: f64 = 1e-2;
+
+/// Refinement stops once the relative stress improvement of an accepted
+/// step falls below this.
+const MIN_RELATIVE_IMPROVEMENT: f64 = 1e-6;
+
 /// Configuration of the post-alignment refinement stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefineConfig {
     /// Maximum Gauss–Newton (outer) iterations.
     pub max_iterations: usize,
-    /// Initial Tikhonov damping `λ` (per coordinate, against edge weights
-    /// of ~1). Adapted multiplicatively: ×0.3 on accepted steps, ×10 on
-    /// rejected ones.
-    pub tikhonov: f64,
     /// The robust loss kernel applied to edge residuals: an edge's
     /// weight is multiplied by the loss's IRLS factor at its current
     /// residual each outer iteration. The default Cauchy loss at a 2 m
@@ -77,21 +82,16 @@ pub struct RefineConfig {
     /// loop simply stiffens `λ`, which also improves the system's
     /// conditioning for the retry).
     pub cg: CgConfig,
-    /// Stop once the relative stress improvement of an accepted step
-    /// falls below this.
-    pub min_relative_improvement: f64,
 }
 
 impl Default for RefineConfig {
     fn default() -> Self {
         RefineConfig {
             max_iterations: 12,
-            tikhonov: 1e-2,
             loss: RobustLoss::Cauchy { scale_m: 2.0 },
             cg: CgConfig::default()
                 .with_max_iterations(200)
                 .with_tolerance(1e-4),
-            min_relative_improvement: 1e-6,
         }
     }
 }
@@ -296,7 +296,7 @@ pub fn refine_anchored(
         lin
     };
 
-    let mut lambda = config.tikhonov.max(f64::MIN_POSITIVE);
+    let mut lambda = TIKHONOV;
     let lambda_ceiling = lambda * 1e9;
     let mut iterations = 0usize;
     let mut cg_iterations = 0usize;
@@ -368,11 +368,11 @@ pub fn refine_anchored(
                     (lin.stress - trial_lin.stress) / lin.stress.max(f64::MIN_POSITIVE);
                 x = trial;
                 lin = trial_lin;
-                lambda = (lambda * 0.3).max(config.tikhonov * 1e-3);
+                lambda = (lambda * 0.3).max(TIKHONOV * 1e-3);
                 iterations += 1;
                 accepted = true;
                 prev_delta = Some(solve.x);
-                if improvement < config.min_relative_improvement {
+                if improvement < MIN_RELATIVE_IMPROVEMENT {
                     converged = true;
                 }
                 break;

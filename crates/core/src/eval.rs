@@ -37,15 +37,6 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Fraction of nodes localized.
-    pub fn localized_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.localized as f64 / self.total as f64
-        }
-    }
-
     /// A view of the evaluation with the given nodes excluded from the
     /// metric (and cleared in [`Evaluation::aligned`]). Used to keep
     /// anchors — inputs, not estimates — out of an anchor-based
@@ -240,7 +231,6 @@ mod tests {
         assert_eq!(eval.localized, 4);
         assert!(eval.mean_error < 1e-10);
         assert!(eval.max_error < 1e-10);
-        assert_eq!(eval.localized_fraction(), 1.0);
     }
 
     #[test]
@@ -273,7 +263,6 @@ mod tests {
         let eval = evaluate_against_truth(&est, &t).unwrap();
         assert_eq!(eval.localized, 2);
         assert_eq!(eval.total, 4);
-        assert_eq!(eval.localized_fraction(), 0.5);
         assert_eq!(eval.per_node.len(), 2);
         assert!(!eval.aligned.is_localized(NodeId(1)));
     }

@@ -138,11 +138,6 @@ impl LssObjective {
         self.n
     }
 
-    /// Number of measured pairs driving `E_w`.
-    pub fn measured_pairs(&self) -> usize {
-        self.measured.len()
-    }
-
     /// Extracts `(x_i, y_i)` from the flat configuration vector.
     #[inline]
     fn coords(x: &[f64], n: usize, i: usize) -> (f64, f64) {
@@ -364,7 +359,6 @@ mod tests {
         let x = [0.0, 5.0, 0.0, 0.0];
         assert!(obj.value(&x) < 1e-18);
         assert_eq!(obj.dim(), 4);
-        assert_eq!(obj.measured_pairs(), 1);
     }
 
     #[test]

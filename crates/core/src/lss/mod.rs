@@ -42,6 +42,10 @@ pub enum InitStrategy {
     Given(Vec<Point2>),
 }
 
+/// Weight of the quadratic anchor springs used by
+/// [`LssSolver::solve_anchored`].
+const ANCHOR_WEIGHT: f64 = 100.0;
+
 /// Configuration of the centralized LSS solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LssConfig {
@@ -72,9 +76,6 @@ pub struct LssConfig {
     pub robust: Option<RobustReweight>,
     /// Configuration seeding strategy.
     pub init: InitStrategy,
-    /// Weight of the quadratic anchor springs used by
-    /// [`LssSolver::solve_anchored`]. Ignored by plain [`LssSolver::solve`].
-    pub anchor_weight: f64,
     /// Whether the unified [`Localizer`](crate::problem::Localizer) entry
     /// point may use a problem's anchors (anchored solve, absolute
     /// output). Disable to force the paper's anchor-free operation even
@@ -104,7 +105,6 @@ impl Default for LssConfig {
             target_stress_per_pair: 0.5,
             robust: None,
             init: InitStrategy::Random,
-            anchor_weight: 100.0,
             use_anchors: true,
         }
     }
@@ -232,7 +232,6 @@ impl LssConfig {
             target_stress_per_pair: 1.0,
             robust: None,
             init: InitStrategy::MdsMap,
-            anchor_weight: 100.0,
             use_anchors: false,
         }
     }
@@ -433,9 +432,8 @@ impl LssSolver {
         })
     }
 
-    /// Solves with anchors pinned by quadratic springs of weight
-    /// `config.anchor_weight`, producing coordinates directly in the
-    /// anchors' (absolute) frame.
+    /// Solves with anchors pinned by quadratic springs of weight 100,
+    /// producing coordinates directly in the anchors' (absolute) frame.
     ///
     /// This is an extension beyond the paper (which evaluates LSS
     /// anchor-free and aligns post hoc); it is useful when a deployment has
@@ -475,7 +473,7 @@ impl LssSolver {
         let objective = AnchoredObjective {
             inner: LssObjective::new(set, self.config.soft_constraint),
             anchors: anchors.iter().map(|a| (a.id.index(), a.position)).collect(),
-            weight: self.config.anchor_weight,
+            weight: ANCHOR_WEIGHT,
             n: set.node_count(),
         };
         let x0 = flatten(&seeded);

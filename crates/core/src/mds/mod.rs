@@ -24,6 +24,10 @@ const COMPLETION_BLOCK: usize = 32;
 /// operator's products.
 const OPERATOR_BLOCK: usize = 64;
 
+/// Gram-entry sizes `n · max(d)²` that [`embed`] solves unscaled: their
+/// squares stay well inside the normal `f64` range.
+const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
+
 /// MDS-MAP-style coordinates for a *sparse* measurement set: missing
 /// pairwise distances are completed with shortest-path distances through
 /// the measurement graph, then classical MDS is applied.
@@ -109,7 +113,27 @@ fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> 
 /// double-centering operator over its squared, symmetrized entries
 /// (symmetrizing absorbs small asymmetries from summation order) fed to
 /// the iterative top-2 eigensolver.
+///
+/// The eigensolver squares Gram entries of size up to `n · max(d)²`. When
+/// that size leaves [`SCALE_RANGE`], the table is first divided by the
+/// power of two at or below `max(d)` and the coordinates multiplied back,
+/// both exactly; every other table embeds unscaled, bit for bit.
 fn embed(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
+    let max_d = completed.iter().fold(0.0, |m: f64, &d| m.max(d));
+    let scale = if max_d >= f64::MIN_POSITIVE && !SCALE_RANGE.contains(&(n as f64 * max_d * max_d))
+    {
+        // Keep only the exponent bits: 2^floor(log2(max_d)).
+        f64::from_bits(max_d.to_bits() & 0x7ff0_0000_0000_0000)
+    } else {
+        1.0
+    };
+    let scaled: Vec<f64>;
+    let completed = if scale == 1.0 {
+        completed
+    } else {
+        scaled = completed.iter().map(|d| d / scale).collect();
+        &scaled
+    };
     let mut d2 = vec![0.0; n * n];
     for i in 0..n {
         for j in 0..n {
@@ -121,7 +145,7 @@ fn embed(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
     let top = topk_symmetric(&operator, 2).map_err(LocalizationError::Numerical)?;
     let coords = top.principal_coordinates();
     let points = (0..n)
-        .map(|i| Point2::new(coords[(i, 0)], coords[(i, 1)]))
+        .map(|i| Point2::new(coords[(i, 0)] * scale, coords[(i, 1)] * scale))
         .collect();
     Ok((points, top.iterations))
 }

@@ -73,40 +73,6 @@ impl IntersectionConsistency {
         }
         keep
     }
-
-    /// The "mode of the intersection points" estimator: the centroid of
-    /// the densest cluster of intersection points. Returns `None` when no
-    /// intersections exist.
-    ///
-    /// The paper suggests this as an alternative to error minimization
-    /// "if the number of anchors is large enough".
-    pub fn mode_of_intersections(&self, observations: &[RangeToAnchor]) -> Option<Point2> {
-        let circles: Vec<Circle> = observations
-            .iter()
-            .map(|o| Circle::new(o.anchor, o.distance.max(0.0)))
-            .collect();
-        let points: Vec<Point2> = pairwise_intersections(&circles)
-            .into_iter()
-            .map(|(_, _, p)| p)
-            .collect();
-        if points.is_empty() {
-            return None;
-        }
-        // Densest point: the one with the most neighbors within radius.
-        let neighbor_count = |center: Point2| {
-            points
-                .iter()
-                .filter(|p| p.distance(center) <= self.cluster_radius_m)
-                .count()
-        };
-        let best = points.iter().copied().max_by_key(|&p| neighbor_count(p))?;
-        let cluster: Vec<Point2> = points
-            .iter()
-            .copied()
-            .filter(|p| p.distance(best) <= self.cluster_radius_m)
-            .collect();
-        rl_geom::centroid(&cluster)
-    }
 }
 
 #[cfg(test)]
@@ -174,31 +140,5 @@ mod tests {
         let two = &consistent_observations()[..2];
         assert_eq!(check.filter(two), vec![0, 1]);
         assert_eq!(check.filter(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn mode_of_intersections_finds_the_node() {
-        let check = IntersectionConsistency::default();
-        let est = check
-            .mode_of_intersections(&consistent_observations())
-            .unwrap();
-        assert!(est.distance(Point2::new(5.0, 5.0)) < 0.5, "estimate {est}");
-    }
-
-    #[test]
-    fn mode_with_no_intersections_is_none() {
-        let check = IntersectionConsistency::default();
-        // Two tiny, far-apart circles.
-        let observations = vec![obs(0.0, 0.0, 0.5), obs(100.0, 0.0, 0.5)];
-        assert_eq!(check.mode_of_intersections(&observations), None);
-    }
-
-    #[test]
-    fn mode_resists_one_outlier() {
-        let check = IntersectionConsistency::default();
-        let mut observations = consistent_observations();
-        observations.push(obs(20.0, 20.0, 5.0)); // intersects nothing near
-        let est = check.mode_of_intersections(&observations).unwrap();
-        assert!(est.distance(Point2::new(5.0, 5.0)) < 0.5, "estimate {est}");
     }
 }

@@ -29,45 +29,22 @@ use crate::problem::pool_workers;
 use crate::types::{Anchor, PositionMap};
 use crate::{LocalizationError, Result};
 
-/// Position estimator used once an anchor set is selected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Estimator {
-    /// Weighted least squares by gradient descent (the paper's method).
-    LeastSquares(DescentConfig),
-    /// Centroid of the densest circle-intersection cluster.
-    ModeOfIntersections,
-}
+/// Minimum usable anchors per node (3 for an unambiguous 2-D fix).
+const MIN_ANCHORS: usize = 3;
 
-impl Default for Estimator {
-    fn default() -> Self {
-        Estimator::LeastSquares(DescentConfig {
-            step_size: 0.05,
-            max_iterations: 500,
-            tolerance: 1e-12,
-            patience: 20,
-            // A few perturbation restarts dodge the mirror-image local
-            // minimum that near-collinear anchor sets produce.
-            restarts: 4,
-            perturbation: 5.0,
-            record_trace: false,
-        })
-    }
-}
+/// Weight of a derived (non-original) anchor in progressive mode; original
+/// anchors weigh 1.
+const PROGRESSIVE_WEIGHT: f64 = 0.5;
 
 /// Configuration of the multilateration solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultilaterationConfig {
-    /// Minimum usable anchors per node (3 for an unambiguous 2-D fix).
-    pub min_anchors: usize,
     /// Intersection consistency check, if enabled.
     pub consistency: Option<IntersectionConsistency>,
     /// Whether localized nodes become anchors for later nodes.
     pub progressive: bool,
-    /// Weight multiplier applied to derived (non-original) anchors in
-    /// progressive mode.
-    pub progressive_weight: f64,
-    /// The position estimator.
-    pub estimator: Estimator,
+    /// Gradient descent of each node's weighted least-squares fix.
+    pub descent: DescentConfig,
     /// Whether to leave a node unlocalized when its least-squares problem
     /// has two well-separated minima of comparable residual (the
     /// mirror-image ambiguity of near-collinear anchor sets). Disabling
@@ -79,11 +56,19 @@ pub struct MultilaterationConfig {
 impl Default for MultilaterationConfig {
     fn default() -> Self {
         MultilaterationConfig {
-            min_anchors: 3,
             consistency: Some(IntersectionConsistency::default()),
             progressive: false,
-            progressive_weight: 0.5,
-            estimator: Estimator::default(),
+            descent: DescentConfig {
+                step_size: 0.05,
+                max_iterations: 500,
+                tolerance: 1e-12,
+                patience: 20,
+                // A few perturbation restarts dodge the mirror-image local
+                // minimum that near-collinear anchor sets produce.
+                restarts: 4,
+                perturbation: 5.0,
+                record_trace: false,
+            },
             reject_ambiguous: true,
         }
     }
@@ -229,7 +214,7 @@ impl MultilaterationSolver {
     /// # Errors
     ///
     /// * [`LocalizationError::TooFewAnchors`] with fewer than
-    ///   `min_anchors` anchors overall,
+    ///   three anchors overall,
     /// * [`LocalizationError::InvalidConfig`] for out-of-range anchor ids.
     pub fn solve(
         &self,
@@ -251,9 +236,9 @@ impl MultilaterationSolver {
         workers: usize,
     ) -> Result<MultilaterationOutcome> {
         let n = measurements.node_count();
-        if anchors.len() < self.config.min_anchors {
+        if anchors.len() < MIN_ANCHORS {
             return Err(LocalizationError::TooFewAnchors {
-                needed: self.config.min_anchors,
+                needed: MIN_ANCHORS,
                 got: anchors.len(),
             });
         }
@@ -292,7 +277,7 @@ impl MultilaterationSolver {
                     localized_any = true;
                     positions.set(NodeId(i), p);
                     if self.config.progressive {
-                        anchor_table[i] = Some((p, self.config.progressive_weight));
+                        anchor_table[i] = Some((p, PROGRESSIVE_WEIGHT));
                     }
                 }
             }
@@ -328,7 +313,7 @@ impl MultilaterationSolver {
                 })
             })
             .collect();
-        if observations.len() < self.config.min_anchors {
+        if observations.len() < MIN_ANCHORS {
             return (0, None);
         }
         let (dropped, filtered): (usize, Vec<RangeToAnchor>) = match &self.config.consistency {
@@ -341,59 +326,52 @@ impl MultilaterationSolver {
             }
             None => (0, observations),
         };
-        if filtered.len() < self.config.min_anchors {
+        if filtered.len() < MIN_ANCHORS {
             return (dropped, None);
         }
         (dropped, self.estimate(&filtered))
     }
 
+    /// Weighted least squares by gradient descent.
     fn estimate(&self, observations: &[RangeToAnchor]) -> Option<Point2> {
-        match &self.config.estimator {
-            Estimator::LeastSquares(descent) => {
-                // Multistart descent: the anchor centroid plus a ring of
-                // perturbed starts. A single start from the centroid (the
-                // surveyor's choice) finds *a* minimum; the ring reveals
-                // whether a second, mirror-image minimum competes.
-                let anchors: Vec<Point2> = observations.iter().map(|o| o.anchor).collect();
-                let centroid = rl_geom::centroid(&anchors)?;
-                let spread = anchors
-                    .iter()
-                    .map(|a| a.distance(centroid))
-                    .fold(0.0f64, f64::max)
-                    .max(1.0);
-                let objective = NodeObjective { observations };
-                let mut minima: Vec<(Point2, f64)> = Vec::new();
-                for k in 0..6 {
-                    let start = if k == 0 {
-                        centroid
-                    } else {
-                        let angle = core::f64::consts::TAU * (k - 1) as f64 / 5.0;
-                        centroid + rl_geom::Vec2::new(angle.cos(), angle.sin()) * spread
-                    };
-                    let outcome = descend(&objective, &[start.x, start.y], descent);
-                    let p = Point2::new(outcome.x[0], outcome.x[1]);
-                    if p.is_finite() {
-                        minima.push((p, outcome.value));
-                    }
-                }
-                let &(best_p, best_v) = minima
-                    .iter()
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite residuals"))?;
-                if self.config.reject_ambiguous {
-                    let competing = minima
-                        .iter()
-                        .any(|&(p, v)| p.distance(best_p) > 2.0 && v <= best_v * 9.0 + 0.5);
-                    if competing {
-                        return None;
-                    }
-                }
-                Some(best_p)
-            }
-            Estimator::ModeOfIntersections => {
-                let check = self.config.consistency.unwrap_or_default();
-                check.mode_of_intersections(observations)
+        // Multistart descent: the anchor centroid plus a ring of
+        // perturbed starts. A single start from the centroid (the
+        // surveyor's choice) finds *a* minimum; the ring reveals
+        // whether a second, mirror-image minimum competes.
+        let anchors: Vec<Point2> = observations.iter().map(|o| o.anchor).collect();
+        let centroid = rl_geom::centroid(&anchors)?;
+        let spread = anchors
+            .iter()
+            .map(|a| a.distance(centroid))
+            .fold(0.0f64, f64::max)
+            .max(1.0);
+        let objective = NodeObjective { observations };
+        let mut minima: Vec<(Point2, f64)> = Vec::new();
+        for k in 0..6 {
+            let start = if k == 0 {
+                centroid
+            } else {
+                let angle = core::f64::consts::TAU * (k - 1) as f64 / 5.0;
+                centroid + rl_geom::Vec2::new(angle.cos(), angle.sin()) * spread
+            };
+            let outcome = descend(&objective, &[start.x, start.y], &self.config.descent);
+            let p = Point2::new(outcome.x[0], outcome.x[1]);
+            if p.is_finite() {
+                minima.push((p, outcome.value));
             }
         }
+        let &(best_p, best_v) = minima
+            .iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite residuals"))?;
+        if self.config.reject_ambiguous {
+            let competing = minima
+                .iter()
+                .any(|&(p, v)| p.distance(best_p) > 2.0 && v <= best_v * 9.0 + 0.5);
+            if competing {
+                return None;
+            }
+        }
+        Some(best_p)
     }
 }
 
@@ -606,20 +584,6 @@ mod tests {
             p.distance(truth_node) < 0.2 || p.distance(mirror) < 0.2,
             "got {p}"
         );
-    }
-
-    #[test]
-    fn mode_estimator_works_on_clean_ranges() {
-        let (truth, anchors, set) = exact_setup();
-        let config = MultilaterationConfig {
-            estimator: Estimator::ModeOfIntersections,
-            ..MultilaterationConfig::paper()
-        };
-        let out = MultilaterationSolver::new(config)
-            .solve(&set, &anchors)
-            .unwrap();
-        let eval = evaluate_absolute(&out.positions, &truth).unwrap();
-        assert!(eval.mean_error < 0.6, "mean error {}", eval.mean_error);
     }
 
     #[test]

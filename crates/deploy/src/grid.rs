@@ -56,12 +56,6 @@ impl OffsetGrid {
         }
     }
 
-    /// Marks grid positions as unfilled (builder style).
-    pub fn with_dropped(mut self, dropped: Vec<usize>) -> Self {
-        self.dropped = dropped;
-        self
-    }
-
     /// Generates the deployment.
     pub fn generate(&self) -> Deployment {
         let mut positions = Vec::with_capacity(self.columns * self.rows);
@@ -139,9 +133,11 @@ mod tests {
 
     #[test]
     fn dropped_positions_are_skipped() {
-        let d = OffsetGrid::new(2, 2, 5.0, 5.0)
-            .with_dropped(vec![0, 3])
-            .generate();
+        let d = OffsetGrid {
+            dropped: vec![0, 3],
+            ..OffsetGrid::new(2, 2, 5.0, 5.0)
+        }
+        .generate();
         assert_eq!(d.len(), 2);
         assert_eq!(d.positions[0], Point2::new(0.0, 5.0));
     }

@@ -81,12 +81,6 @@ impl MetroMap {
         self
     }
 
-    /// Sets the obstruction-belt width (builder style).
-    pub fn with_belt(mut self, belt_m: f64) -> Self {
-        self.belt_m = belt_m;
-        self
-    }
-
     /// One district's street extent `(width, height)` in meters.
     pub fn district_extent(&self) -> (f64, f64) {
         (
@@ -202,9 +196,10 @@ mod tests {
 
     #[test]
     fn small_district_grids_work() {
-        let metro = MetroMap::default_metro()
-            .with_districts(2, 1)
-            .with_belt(9.0);
+        let metro = MetroMap {
+            belt_m: 9.0,
+            ..MetroMap::default_metro().with_districts(2, 1)
+        };
         let mut rng = seeded(3);
         let n = metro.capacity() / 2;
         let d = metro.generate(n, &mut rng);

@@ -625,12 +625,12 @@ mod tests {
     fn anchors_are_immortal_and_static() {
         let m = small();
         let trace = m.trace(4);
-        let anchor_truth = m.base.anchor_positions();
+        let start = &m.base.deployment.positions;
         for obs in trace.iter() {
-            for (id, p) in &anchor_truth {
+            for id in &m.base.anchors {
                 assert!(obs.active.contains(id), "anchor {id:?} inactive");
                 let truth = obs.truth.as_ref().unwrap();
-                assert_eq!(truth[id.index()], *p, "anchor {id:?} moved");
+                assert_eq!(truth[id.index()], start[id.index()], "anchor {id:?} moved");
             }
         }
     }

@@ -9,10 +9,8 @@
 //! [`Problem`] for the unified
 //! [`Localizer`](rl_core::problem::Localizer) API.
 
-use rand::Rng;
 use rl_core::problem::Problem;
 use rl_core::types::Anchor;
-use rl_geom::Point2;
 use rl_net::NodeId;
 use rl_ranging::channel::RangingChannel;
 use serde::{Deserialize, Serialize};
@@ -177,14 +175,6 @@ impl Scenario {
         }
     }
 
-    /// Ground-truth positions of the anchors.
-    pub fn anchor_positions(&self) -> Vec<(NodeId, Point2)> {
-        self.anchors
-            .iter()
-            .map(|&a| (a, self.deployment.positions[a.index()]))
-            .collect()
-    }
-
     /// Non-anchor node ids.
     pub fn non_anchors(&self) -> Vec<NodeId> {
         crate::anchors::split_nodes(self.deployment.len(), &self.anchors).1
@@ -241,27 +231,11 @@ impl Scenario {
             .build()
             .expect("scenario anchors and truth are consistent by construction")
     }
-
-    /// Draws a fresh random anchor set of the same size (for repeated
-    /// trials).
-    pub fn reanchored<R: Rng + ?Sized>(&self, rng: &mut R) -> Scenario {
-        let anchors = AnchorSelection::Random {
-            count: self.anchors.len(),
-        }
-        .select(&self.deployment, rng);
-        Scenario {
-            name: self.name.clone(),
-            deployment: self.deployment.clone(),
-            anchors,
-            channel: self.channel.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rl_math::rng::seeded;
 
     #[test]
     fn grass_grid_matches_paper_counts() {
@@ -277,7 +251,6 @@ mod tests {
         assert_eq!(s.deployment.len(), 46);
         assert_eq!(s.anchors.len(), 13);
         assert_eq!(s.non_anchors().len(), 33);
-        assert_eq!(s.anchor_positions().len(), 13);
     }
 
     #[test]
@@ -328,16 +301,6 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn metro_rejects_bad_anchor_fraction() {
         let _ = Scenario::metro_sized(100, 1.5, 1);
-    }
-
-    #[test]
-    fn reanchoring_keeps_geometry() {
-        let s = Scenario::town(1);
-        let mut rng = seeded(99);
-        let r = s.reanchored(&mut rng);
-        assert_eq!(r.deployment, s.deployment);
-        assert_eq!(r.anchors.len(), s.anchors.len());
-        assert_ne!(r.anchors, s.anchors);
     }
 
     #[test]
@@ -392,11 +355,9 @@ mod tests {
         // Channel instantiation is bit-deterministic per seed.
         assert_eq!(hostile.instantiate(13), b);
         assert_ne!(hostile.instantiate(14), b);
-        // And survives serde + reanchoring.
+        // And survives serde.
         let json = serde_json::to_string(&hostile).unwrap();
         assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), hostile);
-        let mut rng = seeded(5);
-        assert_eq!(hostile.reanchored(&mut rng).channel, hostile.channel);
     }
 
     #[test]

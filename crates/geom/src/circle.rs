@@ -45,11 +45,6 @@ impl Circle {
         Circle { center, radius }
     }
 
-    /// Whether `p` lies on the circle within `tol`.
-    pub fn contains_on_boundary(&self, p: Point2, tol: f64) -> bool {
-        (self.center.distance(p) - self.radius).abs() <= tol
-    }
-
     /// Intersects two circles.
     ///
     /// Tangency is detected with an absolute tolerance of `1e-9` relative to
@@ -120,11 +115,6 @@ impl CircleIntersection {
             CircleIntersection::Two(p, q) => vec![p, q],
         }
     }
-
-    /// Whether at least one discrete intersection point exists.
-    pub fn is_intersecting(&self) -> bool {
-        !matches!(self, CircleIntersection::None)
-    }
 }
 
 /// Computes all pairwise intersection points of a set of circles, tagged with
@@ -148,6 +138,11 @@ pub fn pairwise_intersections(circles: &[Circle]) -> Vec<(usize, usize, Point2)>
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Whether `p` lies on `c` within `tol`.
+    fn on_boundary(c: &Circle, p: Point2, tol: f64) -> bool {
+        (c.center.distance(p) - c.radius).abs() <= tol
+    }
 
     #[test]
     fn two_point_intersection_symmetric() {
@@ -217,7 +212,6 @@ mod tests {
         let a = Circle::new(Point2::new(3.0, 4.0), 2.0);
         assert_eq!(a.intersect(&a), CircleIntersection::Coincident);
         assert!(a.intersect(&a).points().is_empty());
-        assert!(a.intersect(&a).is_intersecting());
     }
 
     #[test]
@@ -236,14 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_test_tolerance() {
-        let c = Circle::new(Point2::ORIGIN, 5.0);
-        assert!(c.contains_on_boundary(Point2::new(5.0, 0.0), 1e-9));
-        assert!(c.contains_on_boundary(Point2::new(5.05, 0.0), 0.1));
-        assert!(!c.contains_on_boundary(Point2::new(6.0, 0.0), 0.1));
-    }
-
-    #[test]
     fn pairwise_intersections_count_and_tags() {
         // Three mutually intersecting circles -> 3 pairs x 2 points.
         let circles = [
@@ -255,8 +241,8 @@ mod tests {
         assert_eq!(pts.len(), 6);
         for &(i, j, p) in &pts {
             assert!(i < j);
-            assert!(circles[i].contains_on_boundary(p, 1e-6));
-            assert!(circles[j].contains_on_boundary(p, 1e-6));
+            assert!(on_boundary(&circles[i], p, 1e-6));
+            assert!(on_boundary(&circles[j], p, 1e-6));
         }
     }
 
@@ -270,8 +256,8 @@ mod tests {
             let a = Circle::new(Point2::new(ax, ay), ar);
             let b = Circle::new(Point2::new(bx, by), br);
             for p in a.intersect(&b).points() {
-                prop_assert!(a.contains_on_boundary(p, 1e-6 * (ar + br + 1.0)));
-                prop_assert!(b.contains_on_boundary(p, 1e-6 * (ar + br + 1.0)));
+                prop_assert!(on_boundary(&a, p, 1e-6 * (ar + br + 1.0)));
+                prop_assert!(on_boundary(&b, p, 1e-6 * (ar + br + 1.0)));
             }
         }
 

@@ -60,14 +60,6 @@ impl Point2 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    pub fn lerp(self, other: Point2, t: f64) -> Point2 {
-        Point2 {
-            x: self.x + (other.x - self.x) * t,
-            y: self.y + (other.y - self.y) * t,
-        }
-    }
 }
 
 impl Vec2 {
@@ -99,15 +91,6 @@ impl Vec2 {
         self.x * other.y - self.y * other.x
     }
 
-    /// Returns the vector rotated counterclockwise by `angle` radians.
-    pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
-        Vec2 {
-            x: c * self.x - s * self.y,
-            y: s * self.x + c * self.y,
-        }
-    }
-
     /// Returns the perpendicular vector (counterclockwise quarter-turn).
     pub fn perp(self) -> Vec2 {
         Vec2 {
@@ -116,31 +99,9 @@ impl Vec2 {
         }
     }
 
-    /// Returns a unit vector in this direction, or `None` for (near-)zero
-    /// vectors (norm below `1e-12`).
-    pub fn normalized(self) -> Option<Vec2> {
-        let n = self.norm();
-        if n < 1e-12 {
-            None
-        } else {
-            Some(Vec2 {
-                x: self.x / n,
-                y: self.y / n,
-            })
-        }
-    }
-
     /// Angle of the vector from the +x axis, in `(-pi, pi]`.
     pub fn angle(self) -> f64 {
         self.y.atan2(self.x)
-    }
-
-    /// Interprets the displacement as a point offset from the origin.
-    pub fn to_point(self) -> Point2 {
-        Point2 {
-            x: self.x,
-            y: self.y,
-        }
     }
 }
 
@@ -291,32 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn rotation_quarter_turn() {
-        let v = Vec2::new(1.0, 0.0).rotated(core::f64::consts::FRAC_PI_2);
-        assert!((v.x).abs() < 1e-15);
-        assert!((v.y - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalized_handles_zero() {
-        assert_eq!(Vec2::ZERO.normalized(), None);
-        let u = Vec2::new(3.0, 4.0).normalized().unwrap();
-        assert!((u.norm() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn angle_of_axes() {
         assert_eq!(Vec2::new(1.0, 0.0).angle(), 0.0);
         assert!((Vec2::new(0.0, 1.0).angle() - core::f64::consts::FRAC_PI_2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point2::new(0.0, 0.0);
-        let b = Point2::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point2::new(1.0, 2.0));
     }
 
     #[test]
@@ -337,7 +275,6 @@ mod tests {
         let p: Point2 = (1.0, 2.0).into();
         let v: Vec2 = (3.0, 4.0).into();
         assert_eq!(p.to_vec(), Vec2::new(1.0, 2.0));
-        assert_eq!(v.to_point(), Point2::new(3.0, 4.0));
         assert_eq!(p.to_string(), "(1.000, 2.000)");
         assert_eq!(v.to_string(), "<3.000, 4.000>");
         assert!(p.is_finite());
@@ -362,14 +299,6 @@ mod tests {
             let b = Point2::new(bx, by);
             let c = Point2::new(cx, cy);
             prop_assert!(a.distance(c) <= a.distance(b) + b.distance(c) + 1e-9);
-        }
-
-        #[test]
-        fn prop_rotation_preserves_norm(
-            x in -100.0f64..100.0, y in -100.0f64..100.0, theta in -10.0f64..10.0,
-        ) {
-            let v = Vec2::new(x, y);
-            prop_assert!((v.rotated(theta).norm() - v.norm()).abs() < 1e-9);
         }
 
         #[test]

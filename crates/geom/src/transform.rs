@@ -176,34 +176,6 @@ impl RigidTransform {
         }
         RigidTransform::from_matrix(&m).expect("composition of rigid transforms is rigid")
     }
-
-    /// The inverse transform.
-    pub fn inverse(&self) -> RigidTransform {
-        // Invert by applying the reverse operations: p' = R(p) + t, so
-        // p = R^{-1}(p' - t). Extract the parameters of that map by probing
-        // the origin and axes — cheap and avoids sign bookkeeping.
-        let o = self.apply(Point2::ORIGIN);
-        let reflected = self.reflected;
-        // Linear block L of self (row-vector convention): rows are images of
-        // the input axes. The inverse block is L^T when f = +1; when
-        // reflected, invert directly.
-        let theta = if reflected {
-            // L = [[c, -s], [-s, -c]] (f = -1): it is its own inverse block
-            // family; recompute angle from the inverse matrix.
-            let m = self.to_matrix();
-            // 2x2 inverse of [[a,b],[c,d]] = 1/det [[d,-b],[-c,a]], det = -1.
-            let (a, b, c, d) = (m[0][0], m[0][1], m[1][0], m[1][1]);
-            let det = a * d - b * c;
-            let ia = d / det;
-            let ib = -b / det;
-            (-ib).atan2(ia)
-        } else {
-            -self.theta
-        };
-        let inv_linear = RigidTransform::new(theta, reflected, Vec2::ZERO);
-        let t = inv_linear.apply_vec(-o.to_vec());
-        RigidTransform::new(theta, reflected, t)
-    }
 }
 
 impl Default for RigidTransform {
@@ -308,24 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_of_rotation_translation() {
-        let t = RigidTransform::new(1.1, false, Vec2::new(3.0, -2.0));
-        let inv = t.inverse();
-        let p = Point2::new(-7.0, 2.5);
-        assert!(close(inv.apply(t.apply(p)), p));
-        assert!(close(t.apply(inv.apply(p)), p));
-    }
-
-    #[test]
-    fn inverse_with_reflection() {
-        let t = RigidTransform::new(-0.6, true, Vec2::new(1.0, 4.0));
-        let inv = t.inverse();
-        let p = Point2::new(2.0, 3.0);
-        assert!(close(inv.apply(t.apply(p)), p));
-        assert!(close(t.apply(inv.apply(p)), p));
-    }
-
-    #[test]
     fn display_mentions_parameters() {
         let t = RigidTransform::new(0.5, true, Vec2::new(1.0, 2.0));
         let s = t.to_string();
@@ -353,18 +307,6 @@ mod tests {
             let a = Point2::new(ax, ay);
             let b = Point2::new(bx, by);
             prop_assert!((t.apply(a).distance(t.apply(b)) - a.distance(b)).abs() < 1e-9);
-        }
-
-        #[test]
-        fn prop_inverse_roundtrip(
-            theta in -6.3f64..6.3,
-            reflected in proptest::bool::ANY,
-            tx in -100.0f64..100.0, ty in -100.0f64..100.0,
-            px in -50.0f64..50.0, py in -50.0f64..50.0,
-        ) {
-            let t = RigidTransform::new(theta, reflected, Vec2::new(tx, ty));
-            let p = Point2::new(px, py);
-            prop_assert!(t.inverse().apply(t.apply(p)).distance(p) < 1e-8);
         }
 
         #[test]

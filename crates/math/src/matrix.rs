@@ -46,20 +46,6 @@ impl DMatrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::InvalidArgument`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(MathError::InvalidArgument(
-                "data length does not match rows * cols",
-            ));
-        }
-        Ok(DMatrix { rows, cols, data })
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Errors
@@ -341,15 +327,6 @@ mod tests {
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(1, 2)], 0.0);
         assert!(i.is_square());
-    }
-
-    #[test]
-    fn from_vec_checks_length() {
-        assert!(DMatrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-        assert!(matches!(
-            DMatrix::from_vec(2, 2, vec![1.0; 3]),
-            Err(MathError::InvalidArgument(_))
-        ));
     }
 
     #[test]

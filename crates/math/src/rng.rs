@@ -113,29 +113,6 @@ impl GaussianSampler {
     }
 }
 
-/// Samples an index in `0..weights.len()` proportionally to `weights`.
-///
-/// Zero-weight entries are never selected. Returns `None` if the slice is
-/// empty or all weights are non-positive.
-pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-    if !(total > 0.0) {
-        return None;
-    }
-    let mut target = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        if w <= 0.0 {
-            continue;
-        }
-        if target < w {
-            return Some(i);
-        }
-        target -= w;
-    }
-    // Floating-point slack: return the last positive-weight index.
-    weights.iter().rposition(|&w| w > 0.0)
-}
-
 /// Fisher–Yates shuffles indices `0..n` and returns the first `k`.
 ///
 /// Used for random anchor selection ("we randomly chose 13 nodes as anchors
@@ -189,27 +166,6 @@ mod tests {
         assert!((sd - 1.0).abs() < 0.02, "sd {sd}");
         let y = g.sample_with(&mut rng, 10.0, 2.0);
         assert!(y.is_finite());
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = seeded(3);
-        let weights = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..4000 {
-            counts[weighted_index(&mut rng, &weights).unwrap()] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.4, "ratio {ratio}");
-    }
-
-    #[test]
-    fn weighted_index_degenerate_cases() {
-        let mut rng = seeded(4);
-        assert_eq!(weighted_index(&mut rng, &[]), None);
-        assert_eq!(weighted_index(&mut rng, &[0.0, -1.0]), None);
-        assert_eq!(weighted_index(&mut rng, &[0.0, 2.0]), Some(1));
     }
 
     #[test]

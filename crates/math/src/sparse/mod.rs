@@ -224,17 +224,6 @@ impl CsrMatrix {
             .expect("dense entries are in bounds and finite")
     }
 
-    /// Materializes the dense equivalent (for tests and small problems).
-    pub fn to_dense(&self) -> DMatrix {
-        let mut out = DMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                out[(i, j)] = v;
-            }
-        }
-        out
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -581,6 +570,20 @@ impl PartialOrd for MinCost {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl CsrMatrix {
+        /// Materializes the dense equivalent, the reference the sparse
+        /// kernels are checked against.
+        fn to_dense(&self) -> DMatrix {
+            let mut out = DMatrix::zeros(self.rows, self.cols);
+            for i in 0..self.rows {
+                for (j, v) in self.row(i) {
+                    out[(i, j)] = v;
+                }
+            }
+            out
+        }
+    }
 
     #[test]
     fn triplets_sum_duplicates_and_sort_columns() {

@@ -118,29 +118,6 @@ pub fn quantile(xs: &mut [f64], q: f64) -> Option<f64> {
     Some(xs[lo] * (1.0 - frac) + xs[hi] * frac)
 }
 
-/// Median absolute deviation (raw, not scaled to sigma-equivalent).
-pub fn mad(xs: &[f64]) -> Option<f64> {
-    let med = median_of(xs)?;
-    let devs: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median_of(&devs)
-}
-
-/// Mean with the `trim` fraction of smallest and largest samples removed.
-///
-/// `trim = 0.1` discards the bottom and top 10 %. Returns `None` when the
-/// slice is empty, `trim` is out of `[0, 0.5)`, or trimming removes
-/// everything.
-pub fn trimmed_mean(xs: &[f64], trim: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..0.5).contains(&trim) {
-        return None;
-    }
-    let mut buf = xs.to_vec();
-    buf.sort_by(|a, b| a.partial_cmp(b).expect("NaN in trimmed_mean input"));
-    let k = (buf.len() as f64 * trim).floor() as usize;
-    let kept = &buf[k..buf.len() - k];
-    mean(kept)
-}
-
 /// A fixed-width histogram over `[lo, hi)` with out-of-range counters.
 ///
 /// Used to reproduce the ranging-error histograms of Figures 6 and 7.
@@ -221,25 +198,6 @@ impl Histogram {
     /// Total number of samples added, including out-of-range ones.
     pub fn total(&self) -> usize {
         self.bins.iter().sum::<usize>() + self.underflow + self.overflow
-    }
-
-    /// Fraction of in-range samples falling within `[a, b)`, computed from
-    /// whole bins overlapping that interval.
-    pub fn fraction_within(&self, a: f64, b: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut count = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let lo = self.lo + i as f64 * w;
-            let hi = lo + w;
-            if lo >= a && hi <= b {
-                count += c;
-            }
-        }
-        count as f64 / total as f64
     }
 }
 
@@ -351,21 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn mad_of_symmetric_data() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(mad(&xs), Some(1.0));
-    }
-
-    #[test]
-    fn trimmed_mean_drops_tails() {
-        let xs = [1.0, 10.0, 10.0, 10.0, 100.0];
-        let t = trimmed_mean(&xs, 0.2).unwrap();
-        assert_eq!(t, 10.0);
-        assert!(trimmed_mean(&xs, 0.5).is_none());
-        assert!(trimmed_mean(&[], 0.1).is_none());
-    }
-
-    #[test]
     fn histogram_counts_and_ranges() {
         let mut h = Histogram::new(-1.0, 1.0, 4);
         h.extend([-2.0, -0.9, -0.1, 0.1, 0.9, 1.0, 5.0]);
@@ -374,8 +317,6 @@ mod tests {
         assert_eq!(h.bins(), &[1, 1, 1, 1]);
         assert_eq!(h.total(), 7);
         assert!((h.bin_center(0) + 0.75).abs() < 1e-12);
-        // Fraction within [-0.5, 0.5): the two middle bins over 7 samples.
-        assert!((h.fraction_within(-0.5, 0.5) - 2.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -435,11 +376,6 @@ mod tests {
             let mut h = Histogram::new(-5.0, 5.0, 10);
             h.extend(xs.iter().cloned());
             prop_assert_eq!(h.total(), xs.len());
-        }
-
-        #[test]
-        fn prop_mad_nonnegative(xs in proptest::collection::vec(-100.0f64..100.0, 1..40)) {
-            prop_assert!(mad(&xs).unwrap() >= 0.0);
         }
     }
 }

@@ -46,16 +46,6 @@ impl DriftingClock {
     pub fn local_from_global(&self, global_s: f64) -> f64 {
         self.offset_s + (1.0 + self.skew) * global_s
     }
-
-    /// Global instant corresponding to a local reading.
-    pub fn global_from_local(&self, local_s: f64) -> f64 {
-        (local_s - self.offset_s) / (1.0 + self.skew)
-    }
-
-    /// Relative rate difference to another clock (dimensionless).
-    pub fn rate_difference(&self, other: &DriftingClock) -> f64 {
-        ((1.0 + self.skew) / (1.0 + other.skew) - 1.0).abs()
-    }
 }
 
 impl Default for DriftingClock {
@@ -93,7 +83,7 @@ impl TimeSync {
     ///
     /// The returned [`SyncState`] converts sender-local instants to
     /// receiver-local instants; its error grows as
-    /// `rate_difference × (t − t_sync)`.
+    /// the clocks' relative rate difference × `(t − t_sync)`.
     pub fn synchronize<R: Rng + ?Sized>(
         &self,
         sender: &DriftingClock,
@@ -157,18 +147,7 @@ mod tests {
     fn perfect_clock_is_identity() {
         let c = DriftingClock::perfect();
         assert_eq!(c.local_from_global(12.5), 12.5);
-        assert_eq!(c.global_from_local(12.5), 12.5);
         assert_eq!(DriftingClock::default(), c);
-    }
-
-    #[test]
-    fn local_global_roundtrip() {
-        let c = DriftingClock {
-            offset_s: 3.2,
-            skew: 4.0e-5,
-        };
-        let t = 1234.5;
-        assert!((c.global_from_local(c.local_from_global(t)) - t).abs() < 1e-9);
     }
 
     #[test]
@@ -179,22 +158,6 @@ mod tests {
             assert!(c.offset_s.abs() <= 10.0);
             assert!(c.skew.abs() <= 5.0e-5);
         }
-    }
-
-    #[test]
-    fn rate_difference_is_symmetric_enough() {
-        let a = DriftingClock {
-            offset_s: 0.0,
-            skew: 2.5e-5,
-        };
-        let b = DriftingClock {
-            offset_s: 5.0,
-            skew: -2.5e-5,
-        };
-        let d = a.rate_difference(&b);
-        assert!((d - 5.0e-5).abs() < 1e-8, "rate diff {d}");
-        // Symmetric only to first order in the skews.
-        assert!((a.rate_difference(&b) - b.rate_difference(&a)).abs() < 1e-8);
     }
 
     #[test]

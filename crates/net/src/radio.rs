@@ -44,11 +44,6 @@ impl RadioModel {
         }
     }
 
-    /// Whether two nodes at the given distance can communicate at all.
-    pub fn in_range(&self, distance_m: f64) -> bool {
-        distance_m <= self.range_m
-    }
-
     /// Samples whether one transmission over an in-range link is delivered.
     pub fn delivered<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.loss_probability <= 0.0 || rng.random::<f64>() >= self.loss_probability
@@ -100,13 +95,6 @@ mod tests {
     fn presets_are_valid() {
         RadioModel::mica2().validate().unwrap();
         RadioModel::ideal(50.0).validate().unwrap();
-    }
-
-    #[test]
-    fn range_check() {
-        let r = RadioModel::ideal(10.0);
-        assert!(r.in_range(10.0));
-        assert!(!r.in_range(10.1));
     }
 
     #[test]

@@ -272,11 +272,6 @@ impl<N: Node> Simulator<N> {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
-    /// Consumes the simulator, returning the node state machines.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
-    }
-
     fn schedule(&mut self, time: f64, event: Event) {
         self.seq += 1;
         self.queue.push(Scheduled {
@@ -448,15 +443,11 @@ mod tests {
     /// Counts pings; used by several tests.
     struct Ping {
         heard: usize,
-        sent: bool,
     }
 
     impl Ping {
         fn new() -> Self {
-            Ping {
-                heard: 0,
-                sent: false,
-            }
+            Ping { heard: 0 }
         }
     }
 
@@ -464,7 +455,6 @@ mod tests {
         type Msg = u32;
         fn on_start(&mut self, api: &mut Api<'_, u32>) {
             api.broadcast(7);
-            self.sent = true;
         }
         fn on_message(&mut self, _from: NodeId, msg: &u32, _api: &mut Api<'_, u32>) {
             assert_eq!(*msg, 7);
@@ -595,21 +585,6 @@ mod tests {
             sim.iter().map(|(_, n)| n.heard).collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn into_nodes_returns_all_state() {
-        let positions = line_positions(2, 5.0);
-        let mut sim = Simulator::new(
-            vec![Ping::new(), Ping::new()],
-            &positions,
-            RadioModel::ideal(10.0),
-            6,
-        );
-        sim.run().unwrap();
-        let nodes = sim.into_nodes();
-        assert_eq!(nodes.len(), 2);
-        assert!(nodes.iter().all(|n| n.sent));
     }
 
     /// A shared delivery log: every delivery's time bits, sender,

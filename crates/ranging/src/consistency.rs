@@ -94,82 +94,6 @@ pub fn merge_bidirectional(
     set
 }
 
-/// A triangle-inequality violation: the long edge of a triple whose other
-/// two sides sum to less than it ("the estimates of two sides of the
-/// triangle add up to less than the third").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TriangleViolation {
-    /// The suspiciously long edge.
-    pub long_edge: (NodeId, NodeId),
-    /// The third node of the violating triangle.
-    pub witness: NodeId,
-    /// Violation size: `d_long − (d_a + d_b)` in meters.
-    pub excess_m: f64,
-}
-
-/// Finds every triangle-inequality violation among fully measured triples,
-/// with a slack tolerance in meters.
-pub fn triangle_violations(set: &MeasurementSet, tolerance_m: f64) -> Vec<TriangleViolation> {
-    let n = set.node_count();
-    let mut out = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let Some(dij) = set.get(NodeId(i), NodeId(j)) else {
-                continue;
-            };
-            for k in (j + 1)..n {
-                let (Some(dik), Some(djk)) =
-                    (set.get(NodeId(i), NodeId(k)), set.get(NodeId(j), NodeId(k)))
-                else {
-                    continue;
-                };
-                // Identify the longest edge and test it against the others.
-                let mut edges = [
-                    (dij, (NodeId(i), NodeId(j)), NodeId(k)),
-                    (dik, (NodeId(i), NodeId(k)), NodeId(j)),
-                    (djk, (NodeId(j), NodeId(k)), NodeId(i)),
-                ];
-                edges.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite distances"));
-                let (longest, long_edge, witness) = edges[0];
-                let others = edges[1].0 + edges[2].0;
-                if longest > others + tolerance_m {
-                    out.push(TriangleViolation {
-                        long_edge,
-                        witness,
-                        excess_m: longest - others,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Removes edges implicated as the long side of at least `min_votes`
-/// triangle violations. Returns the removed edges.
-///
-/// The paper notes no check can identify the wrong measurement with
-/// certainty; requiring multiple votes implements the "retain suspicious
-/// measurements when data is scarce" caveat.
-pub fn drop_triangle_violators(
-    set: &mut MeasurementSet,
-    tolerance_m: f64,
-    min_votes: usize,
-) -> Vec<(NodeId, NodeId)> {
-    let violations = triangle_violations(set, tolerance_m);
-    let mut votes: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
-    for v in &violations {
-        *votes.entry(v.long_edge).or_insert(0) += 1;
-    }
-    let mut removed = Vec::new();
-    for (edge, count) in votes {
-        if count >= min_votes && set.remove(edge.0, edge.1).is_some() {
-            removed.push(edge);
-        }
-    }
-    removed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,74 +150,5 @@ mod tests {
         let d = directed(&[((2, 0), 8.0)]);
         let set = merge_bidirectional(&d, 3, &ConsistencyConfig::default());
         assert_eq!(set.get(id(0), id(2)), Some(8.0));
-    }
-
-    fn triangle_set(dij: f64, dik: f64, djk: f64) -> MeasurementSet {
-        let mut set = MeasurementSet::new(3);
-        set.insert(id(0), id(1), dij);
-        set.insert(id(0), id(2), dik);
-        set.insert(id(1), id(2), djk);
-        set
-    }
-
-    #[test]
-    fn valid_triangle_has_no_violations() {
-        let set = triangle_set(3.0, 4.0, 5.0);
-        assert!(triangle_violations(&set, 0.1).is_empty());
-    }
-
-    #[test]
-    fn violating_triangle_flags_long_edge() {
-        // 1 + 2 < 10: the 10 m edge is the suspect.
-        let set = triangle_set(10.0, 1.0, 2.0);
-        let vs = triangle_violations(&set, 0.1);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].long_edge, (id(0), id(1)));
-        assert_eq!(vs[0].witness, id(2));
-        assert!((vs[0].excess_m - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tolerance_spares_borderline_triangles() {
-        let set = triangle_set(5.2, 2.0, 3.0);
-        assert!(triangle_violations(&set, 0.5).is_empty());
-        assert_eq!(triangle_violations(&set, 0.1).len(), 1);
-    }
-
-    #[test]
-    fn incomplete_triples_are_ignored() {
-        let mut set = MeasurementSet::new(3);
-        set.insert(id(0), id(1), 100.0);
-        set.insert(id(1), id(2), 1.0);
-        // No 0-2 edge: no triangle to test.
-        assert!(triangle_violations(&set, 0.1).is_empty());
-    }
-
-    #[test]
-    fn drop_violators_removes_voted_edges() {
-        // Node 3 sits near node 0; edge 0-1 is wildly overestimated and is
-        // the long edge in triangles (0,1,2) and (0,1,3).
-        let mut set = MeasurementSet::new(4);
-        set.insert(id(0), id(1), 20.0); // bad edge (true ~5)
-        set.insert(id(0), id(2), 3.0);
-        set.insert(id(1), id(2), 4.0);
-        set.insert(id(0), id(3), 2.0);
-        set.insert(id(1), id(3), 5.0);
-        let removed = drop_triangle_violators(&mut set, 0.5, 2);
-        assert_eq!(removed, vec![(id(0), id(1))]);
-        assert_eq!(set.get(id(0), id(1)), None);
-        assert_eq!(set.len(), 4);
-    }
-
-    #[test]
-    fn drop_violators_respects_min_votes() {
-        let mut set = triangle_set(10.0, 1.0, 2.0);
-        // Only one violating triangle: below the two-vote threshold.
-        let removed = drop_triangle_violators(&mut set, 0.1, 2);
-        assert!(removed.is_empty());
-        assert_eq!(set.len(), 3);
-        // With min_votes = 1 it goes.
-        let removed = drop_triangle_violators(&mut set, 0.1, 1);
-        assert_eq!(removed.len(), 1);
     }
 }

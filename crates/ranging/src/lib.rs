@@ -19,8 +19,7 @@
 //!   baseline and refined modes,
 //! * [`filter`] — statistical filtering (median / mode) of repeated
 //!   measurements (Section 3.5),
-//! * [`consistency`] — bidirectional agreement and triangle-inequality
-//!   checks (Section 3.5),
+//! * [`consistency`] — bidirectional agreement checks (Section 3.5),
 //! * [`channel`] — the composable ranging-error channel stack
 //!   ([`channel::RangingChannel`]) that measures every simulated
 //!   scenario: the paper's synthetic recipe (`RangingChannel::paper()`)

@@ -18,9 +18,7 @@ use rl_signal::detector::{NodeAcoustics, ReceptionOutcome, ReceptionSimulator};
 use rl_signal::env::Environment;
 use serde::{Deserialize, Serialize};
 
-use crate::consistency::{merge_bidirectional, ConsistencyConfig};
-use crate::filter::StatFilter;
-use crate::measurement::{DirectedSample, MeasurementSet, RangingCampaign};
+use crate::measurement::{DirectedSample, RangingCampaign};
 use crate::tdoa::TdoaConverter;
 use crate::{RangingError, Result};
 
@@ -302,26 +300,17 @@ impl RangingService {
         let hardware: Vec<NodeHardware> = (0..n)
             .map(|_| NodeHardware::sample(rng, &self.config.hardware))
             .collect();
-        self.run_campaign_with_hardware(positions, &hardware, rng)
+        self.campaign_with_hardware(positions, &hardware, rng)
     }
 
-    /// Runs a campaign with explicit per-node hardware (for reproducible
-    /// fault-injection tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hardware` and `positions` differ in length.
-    pub fn run_campaign_with_hardware<R: Rng + ?Sized>(
+    /// [`Self::run_campaign`] with explicit per-node hardware, one entry per
+    /// position.
+    fn campaign_with_hardware<R: Rng + ?Sized>(
         &self,
         positions: &[Point2],
         hardware: &[NodeHardware],
         rng: &mut R,
     ) -> RangingCampaign {
-        assert_eq!(
-            positions.len(),
-            hardware.len(),
-            "one hardware description per node"
-        );
         let n = positions.len();
         let mut samples = Vec::new();
         for round in 0..self.config.rounds {
@@ -352,26 +341,13 @@ impl RangingService {
             samples,
         }
     }
-
-    /// Convenience pipeline: campaign → statistical filter → bidirectional
-    /// consistency → measurement set.
-    pub fn measurement_set<R: Rng + ?Sized>(
-        &self,
-        positions: &[Point2],
-        filter: StatFilter,
-        consistency: &ConsistencyConfig,
-        rng: &mut R,
-    ) -> (MeasurementSet, RangingCampaign) {
-        let campaign = self.run_campaign(positions, rng);
-        let directed = filter.apply(&campaign);
-        let set = merge_bidirectional(&directed, campaign.n, consistency);
-        (set, campaign)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consistency::{merge_bidirectional, ConsistencyConfig};
+    use crate::filter::StatFilter;
     use rl_math::rng::seeded;
 
     fn small_line(n: usize, spacing: f64) -> Vec<Point2> {
@@ -459,7 +435,7 @@ mod tests {
         let mut hardware = vec![NodeHardware::nominal(), NodeHardware::nominal()];
         hardware[1].faulty = true;
         hardware[1].phantom_fraction = 0.15; // phantom at ~4.5 m
-        let campaign = svc.run_campaign_with_hardware(&positions, &hardware, &mut rng);
+        let campaign = svc.campaign_with_hardware(&positions, &hardware, &mut rng);
         // Measurements toward the faulty microphone that lock onto the
         // phantom yield ~4.5 m instead of 12 m, consistently.
         let toward_faulty: Vec<f64> = campaign
@@ -487,12 +463,9 @@ mod tests {
         let svc =
             RangingService::new(Environment::Grass, ServiceConfig::refined(), &mut rng).unwrap();
         let positions = small_line(4, 9.0);
-        let (set, campaign) = svc.measurement_set(
-            &positions,
-            StatFilter::Median,
-            &ConsistencyConfig::default(),
-            &mut rng,
-        );
+        let campaign = svc.run_campaign(&positions, &mut rng);
+        let directed = StatFilter::Median.apply(&campaign);
+        let set = merge_bidirectional(&directed, campaign.n, &ConsistencyConfig::default());
         assert!(campaign.samples.len() > set.len());
         assert!(set.len() >= 3, "adjacent pairs should survive the pipeline");
         // Every surviving distance is close to truth.

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
+use rl_core::problem::{Frame, Solution};
 use rl_core::tracking::{solution_fingerprint, StreamingTracker, TickObservation, Tracker};
 use rl_core::types::NodeId;
 use rl_math::fingerprint::Fnv1a;
@@ -111,16 +112,60 @@ impl Clock for ManualClock {
     }
 }
 
-/// One live session: a tracker plus the bookkeeping the quotas need.
-struct SessionState {
-    tracker: StreamingTracker,
+/// One live session. A tick holds `state` for its whole run; a read
+/// takes only the short `published` lock, so it never waits for a tick
+/// in progress.
+struct Session {
+    state: Mutex<SessionState>,
     /// Slot-universe size every observation must match.
     universe: usize,
-    /// Last time a request touched this session (mailbox reservations
-    /// count — a session with queued work is never idle).
-    last_active: Duration,
+    /// Clock reading in nanoseconds when a request last touched this
+    /// session (mailbox reservations count — a session with queued work
+    /// is never idle).
+    last_active: AtomicU64,
+    /// What the latest tick left behind, replaced after every tick.
+    published: Mutex<Arc<Snapshot>>,
+}
+
+/// The tracker plus the mailbox count the quotas need.
+struct SessionState {
+    tracker: StreamingTracker,
     /// Observations reserved in the mailbox but not yet processed.
     pending: usize,
+}
+
+/// A tracker's state after one tick, as reads see it.
+struct Snapshot {
+    ticks: u64,
+    /// The latest solution and its fingerprint, once a tick has solved.
+    solution: Option<(Solution, u64)>,
+}
+
+impl Snapshot {
+    fn of(tracker: &StreamingTracker) -> Snapshot {
+        Snapshot {
+            ticks: tracker.ticks(),
+            solution: tracker
+                .latest()
+                .map(|solution| (solution.clone(), solution_fingerprint(solution))),
+        }
+    }
+}
+
+impl Session {
+    fn touch(&self, now: Duration) {
+        self.last_active
+            .store(now.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    fn publish(&self, tracker: &StreamingTracker) {
+        let snapshot = Arc::new(Snapshot::of(tracker));
+        *self.published.lock().expect("snapshot poisoned") = snapshot;
+    }
+
+    fn latest(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.published.lock().expect("snapshot poisoned"))
+    }
 }
 
 /// Owns every streaming session on a server: token issue, lookup,
@@ -139,7 +184,7 @@ pub struct SessionManager {
     /// Maximum queued-but-unprocessed observations per session; `0`
     /// means unbounded.
     mailbox: usize,
-    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
+    sessions: Mutex<HashMap<u64, Arc<Session>>>,
     evicted: Mutex<HashSet<u64>>,
     /// Clock reading before which lookups skip the full idle scan.
     next_sweep: Mutex<Duration>,
@@ -219,14 +264,18 @@ impl SessionManager {
             }
         };
         drop(evicted);
+        let published = Mutex::new(Arc::new(Snapshot::of(&tracker)));
         sessions.insert(
             token,
-            Arc::new(Mutex::new(SessionState {
-                tracker,
+            Arc::new(Session {
+                state: Mutex::new(SessionState {
+                    tracker,
+                    pending: 0,
+                }),
                 universe,
-                last_active: now,
-                pending: 0,
-            })),
+                last_active: AtomicU64::new(now.as_nanos() as u64),
+                published,
+            }),
         );
         Ok(token)
     }
@@ -255,8 +304,8 @@ impl SessionManager {
             ));
         }
         state.pending += count;
-        state.last_active = self.clock.now();
-        Ok(state.universe)
+        session.touch(self.clock.now());
+        Ok(session.universe)
     }
 
     /// Returns `count` reserved mailbox slots without processing them
@@ -265,7 +314,7 @@ impl SessionManager {
         if let Ok(session) = self.lookup(token) {
             if let Ok(mut state) = self.lock(token, &session) {
                 state.pending = state.pending.saturating_sub(count);
-                state.last_active = self.clock.now();
+                session.touch(self.clock.now());
             }
         }
     }
@@ -287,10 +336,12 @@ impl SessionManager {
         let session = self.lookup(token)?;
         let mut state = self.lock(token, &session)?;
         state.pending = state.pending.saturating_sub(observations.len());
-        state.last_active = self.clock.now();
+        session.touch(self.clock.now());
         let mut accepted = 0u64;
         for obs in observations {
-            if let Err(e) = state.tracker.observe(obs) {
+            let observed = state.tracker.observe(obs).map(drop);
+            session.publish(&state.tracker);
+            if let Err(e) = observed {
                 return Err(WireError::new(
                     ErrorCode::SolveFailed,
                     format!(
@@ -303,18 +354,20 @@ impl SessionManager {
             accepted += 1;
             self.ticks_served.fetch_add(1, Ordering::Relaxed);
         }
+        let latest = session.latest();
         Ok(PushReply {
             session: token,
             accepted,
-            ticks: state.tracker.ticks(),
+            ticks: latest.ticks,
             warm_updates: state.tracker.warm_updates(),
             cold_solves: state.tracker.cold_solves(),
-            fingerprint: state.tracker.latest().map_or(0, solution_fingerprint),
+            fingerprint: latest.solution.as_ref().map_or(0, |&(_, f)| f),
         })
     }
 
     /// Reads the session's latest solution, optionally projected onto
     /// `nodes`. The reply's fingerprint is always of the full solution.
+    /// A read during a tick answers with the tick before it.
     ///
     /// # Errors
     ///
@@ -323,20 +376,18 @@ impl SessionManager {
     /// projection id.
     pub fn read(&self, token: u64, nodes: Option<&[u64]>) -> Result<SolutionReply, WireError> {
         let session = self.lookup(token)?;
-        let mut state = self.lock(token, &session)?;
-        state.last_active = self.clock.now();
-        let universe = state.universe;
-        let ticks = state.tracker.ticks();
-        let Some(solution) = state.tracker.latest() else {
+        session.touch(self.clock.now());
+        let universe = session.universe;
+        let snapshot = session.latest();
+        let Some((solution, fingerprint)) = &snapshot.solution else {
             return Err(WireError::new(
                 ErrorCode::SolveFailed,
                 "the session has no solution yet; push at least one tick first",
             ));
         };
-        let fingerprint = solution_fingerprint(solution);
         let frame = match solution.frame() {
-            rl_core::problem::Frame::Absolute => "absolute".to_string(),
-            rl_core::problem::Frame::Relative => "relative".to_string(),
+            Frame::Absolute => "absolute".to_string(),
+            Frame::Relative => "relative".to_string(),
         };
         let slot = |id: usize| solution.positions().get(NodeId(id)).map(|p| (p.x, p.y));
         let (nodes, positions) = match nodes {
@@ -357,12 +408,12 @@ impl SessionManager {
         };
         Ok(SolutionReply {
             session: token,
-            ticks,
+            ticks: snapshot.ticks,
             frame,
             nodes,
             localized: positions.iter().flatten().count() as u64,
             positions,
-            fingerprint,
+            fingerprint: *fingerprint,
         })
     }
 
@@ -381,6 +432,7 @@ impl SessionManager {
         match removed {
             // Closed either way; a dead session's tick count still reads.
             Some(session) => Ok(session
+                .state
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .tracker
@@ -427,12 +479,13 @@ impl SessionManager {
     /// Whether `session` is due for eviction at `now`: dead, or idle
     /// past a nonzero TTL with no reserved mailbox slots and its lock
     /// free. A session whose lock a panicking tick poisoned is dead.
-    fn is_expired(&self, session: &Mutex<SessionState>, now: Duration) -> bool {
-        match session.try_lock() {
+    fn is_expired(&self, session: &Session, now: Duration) -> bool {
+        match session.state.try_lock() {
             Ok(state) => {
+                let last_active = Duration::from_nanos(session.last_active.load(Ordering::Relaxed));
                 !self.ttl.is_zero()
                     && state.pending == 0
-                    && now.saturating_sub(state.last_active) >= self.ttl
+                    && now.saturating_sub(last_active) >= self.ttl
             }
             Err(TryLockError::WouldBlock) => false,
             Err(TryLockError::Poisoned(_)) => true,
@@ -445,9 +498,9 @@ impl SessionManager {
     fn lock<'a>(
         &self,
         token: u64,
-        session: &'a Mutex<SessionState>,
+        session: &'a Session,
     ) -> Result<MutexGuard<'a, SessionState>, WireError> {
-        match session.lock() {
+        match session.state.lock() {
             Ok(state) => Ok(state),
             Err(dead) => {
                 // Lock order: release the session before the map.
@@ -475,7 +528,7 @@ impl SessionManager {
 
     /// Removes `expired` from the open `sessions` and remembers their
     /// tokens.
-    fn evict(&self, sessions: &mut HashMap<u64, Arc<Mutex<SessionState>>>, expired: Vec<u64>) {
+    fn evict(&self, sessions: &mut HashMap<u64, Arc<Session>>, expired: Vec<u64>) {
         if expired.is_empty() {
             return;
         }
@@ -517,7 +570,7 @@ impl SessionManager {
     /// is due, and otherwise evicts just this session if it is dead or
     /// sits idle past the TTL, so an expired token always reads as
     /// evicted.
-    fn lookup(&self, token: u64) -> Result<Arc<Mutex<SessionState>>, WireError> {
+    fn lookup(&self, token: u64) -> Result<Arc<Session>, WireError> {
         self.sweep_if_due();
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         let Some(session) = sessions.get(&token) else {
@@ -712,7 +765,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             // Stands in for a worker in the middle of a tick on `busy`.
-            let tick = busy.lock().unwrap();
+            let tick = busy.state.lock().unwrap();
             s.spawn(move || tx.send(manager.read(idle, None).is_ok()).unwrap());
             let read = rx.recv_timeout(Duration::from_secs(2));
             drop(tick);
@@ -721,6 +774,28 @@ mod tests {
                 Ok(true),
                 "the read waited behind another session's tick"
             );
+        });
+    }
+
+    #[test]
+    fn a_read_during_its_own_sessions_tick_returns_the_previous_tick() {
+        let (manager, _) = manager(Duration::from_secs(300), 0, 0);
+        let token = manager.open("id", 4, tracker(1)).unwrap();
+        manager.reserve(token, 1).unwrap();
+        let pushed = manager.process(token, &[square_tick(0)]).unwrap();
+        let session = Arc::clone(&manager.sessions.lock().unwrap()[&token]);
+        let manager = &manager;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            // Stands in for a worker in the middle of the next tick.
+            let tick = session.state.lock().unwrap();
+            s.spawn(move || tx.send(manager.read(token, None)).unwrap());
+            let read = rx.recv_timeout(Duration::from_secs(2));
+            drop(tick);
+            let read = read.expect("the read waited behind its own session's tick");
+            let read = read.unwrap();
+            assert_eq!(read.ticks, 1);
+            assert_eq!(read.fingerprint, pushed.fingerprint);
         });
     }
 
@@ -756,7 +831,7 @@ mod tests {
         // work; every other idle one goes.
         let held = tokens[1];
         let session = Arc::clone(&manager.sessions.lock().unwrap()[&held]);
-        let guard = session.lock().unwrap();
+        let guard = session.state.lock().unwrap();
         manager.reserve(live, 1).unwrap();
         clock.advance(ttl);
         manager.release(live, 1);
@@ -769,16 +844,16 @@ mod tests {
     }
 
     /// Poisons `token`'s lock the way a tracker panicking mid-tick would.
-    fn poison(manager: &SessionManager, token: u64) -> Arc<Mutex<SessionState>> {
+    fn poison(manager: &SessionManager, token: u64) -> Arc<Session> {
         let session = Arc::clone(&manager.sessions.lock().unwrap()[&token]);
         let held = Arc::clone(&session);
         std::thread::spawn(move || {
-            let _tick = held.lock().unwrap();
+            let _tick = held.state.lock().unwrap();
             panic!("a tick panicked");
         })
         .join()
         .unwrap_err();
-        assert!(session.is_poisoned());
+        assert!(session.state.is_poisoned());
         session
     }
 

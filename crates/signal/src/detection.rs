@@ -142,23 +142,6 @@ pub fn detect_signal(accumulated: &[u8], params: &DetectionParams) -> Option<usi
     None
 }
 
-/// Applies `detect-signal` at every threshold from `hi` down to 1 and
-/// returns the most confident detection: the result at the highest
-/// threshold that yields one.
-///
-/// This mirrors how the service can trade false positives against false
-/// negatives by threshold choice (Section 3.6), preferring stricter
-/// evidence when available.
-pub fn detect_signal_adaptive(accumulated: &[u8], base: &DetectionParams) -> Option<usize> {
-    for threshold in (1..=base.threshold).rev() {
-        let params = DetectionParams { threshold, ..*base };
-        if let Some(idx) = detect_signal(accumulated, &params) {
-            return Some(idx);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,27 +256,6 @@ mod tests {
         assert_eq!(detect_signal(&start, &p), Some(0));
         let end = [0u8, 0, 0, 0, 1, 1, 1, 1];
         assert_eq!(detect_signal(&end, &p), Some(4));
-    }
-
-    #[test]
-    fn adaptive_prefers_high_threshold() {
-        let mut buf = vec![0u8; 100];
-        // Weak noise region at 10 (accumulation 1), strong signal at 60.
-        buf[10..20].fill(1);
-        buf[60..80].fill(6);
-        let base = DetectionParams {
-            threshold: 3,
-            window: 8,
-            required: 5,
-        };
-        // Plain detection at threshold 3 finds the signal; adaptive should
-        // agree (highest threshold first), not fall back to the noise.
-        assert_eq!(detect_signal_adaptive(&buf, &base), Some(60));
-        // With only the weak region present, adaptive falls back to T=1.
-        let mut weak = vec![0u8; 100];
-        weak[30..40].fill(1);
-        assert_eq!(detect_signal(&weak, &base), None);
-        assert_eq!(detect_signal_adaptive(&weak, &base), Some(30));
     }
 
     proptest! {

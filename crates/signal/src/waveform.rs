@@ -117,34 +117,19 @@ pub fn add_tone_burst(
     }
 }
 
-/// Adds a delayed, attenuated copy of the `[start, start+len)` region of the
-/// waveform onto itself (a crude single-bounce echo).
-pub fn add_echo(wave: &mut [f64], start: usize, len: usize, delay: usize, attenuation: f64) {
-    // Copy source region first so the echo does not feed back on itself.
-    let end = (start + len).min(wave.len());
-    let source: Vec<f64> = wave[start..end].to_vec();
-    for (j, &s) in source.iter().enumerate() {
-        let idx = start + delay + j;
-        if idx >= wave.len() {
-            break;
-        }
-        wave[idx] += s * attenuation;
-    }
-}
-
-/// Root-mean-square amplitude of a waveform segment.
-pub fn rms(wave: &[f64]) -> f64 {
-    if wave.is_empty() {
-        return 0.0;
-    }
-    (wave.iter().map(|s| s * s).sum::<f64>() / wave.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dft::{Band, XsmToneDetector};
     use rl_math::rng::seeded;
+
+    /// Root-mean-square amplitude of a waveform segment.
+    fn rms(wave: &[f64]) -> f64 {
+        if wave.is_empty() {
+            return 0.0;
+        }
+        (wave.iter().map(|s| s * s).sum::<f64>() / wave.len() as f64).sqrt()
+    }
 
     #[test]
     fn clean_spec_has_four_onsets() {
@@ -222,22 +207,6 @@ mod tests {
         let mut flat = vec![0.0; 64];
         add_tone_burst(&mut flat, 0, 64, 0.25, 2.0, 0);
         assert!(rms(&flat) > 1.0);
-    }
-
-    #[test]
-    fn echo_adds_attenuated_copy() {
-        let mut wave = vec![0.0; 300];
-        add_tone_burst(&mut wave, 50, 40, 0.25, 1.0, 1);
-        let original = wave.clone();
-        add_echo(&mut wave, 50, 40, 100, 0.5);
-        // The echoed region gained energy; the original region is unchanged.
-        assert_eq!(wave[50..90], original[50..90]);
-        assert!(rms(&wave[150..190]) > 0.3);
-    }
-
-    #[test]
-    fn rms_of_empty_is_zero() {
-        assert_eq!(rms(&[]), 0.0);
     }
 
     #[test]

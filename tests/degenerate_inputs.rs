@@ -8,8 +8,13 @@
 //!   `U(0, 60 m)` garbage (the degradation ladder's limit case),
 //! * **zero measurements**: a deployment that produced no ranges at all,
 //! * **collinear anchors**: every anchor on one line, so anchor-based
-//!   position fixes have a reflection ambiguity everywhere.
+//!   position fixes have a reflection ambiguity everywhere,
+//! * **the degenerate corpus**: fifteen valid problems at the edges of
+//!   the input domain — lines, co-located and disconnected nodes,
+//!   coordinates near the ends of the `f64` range, extreme weights, the
+//!   smallest networks, a star and a long zigzag strip.
 
+use rand::Rng;
 use resilient_localization::prelude::*;
 use rl_deploy::Scenario;
 use rl_net::RadioModel;
@@ -17,11 +22,12 @@ use rl_ranging::channel::{ChannelStage, RangingChannel};
 
 const RANGE_M: f64 = 22.0;
 
-/// The full six-family panel, freshly boxed (solvers are stateless, but
-/// `Box<dyn Localizer>` is not `Clone`).
+/// The full six-family panel plus the paper-scale LSS preset, freshly
+/// boxed (solvers are stateless, but `Box<dyn Localizer>` is not `Clone`).
 fn panel() -> Vec<Box<dyn Localizer>> {
     vec![
         Box::new(LssSolver::new(LssConfig::metro())),
+        Box::new(LssSolver::new(LssConfig::default())),
         Box::new(MultilaterationSolver::new(
             MultilaterationConfig::paper().progressive(),
         )),
@@ -77,35 +83,211 @@ fn all_families_survive_total_contamination() {
 
 #[test]
 fn all_families_survive_zero_measurements() {
-    let truth: Vec<Point2> = (0..12)
-        .map(|i| Point2::new((i % 4) as f64 * 9.0, (i / 4) as f64 * 9.0))
-        .collect();
-    let anchors = Anchor::from_truth(&[NodeId(0), NodeId(3), NodeId(5), NodeId(10)], &truth);
-    let problem = Problem::builder(MeasurementSet::new(truth.len()))
-        .name("zero-measurements")
-        .anchors(anchors)
-        .truth(truth)
-        .build()
-        .expect("an empty measurement set is a valid (if hopeless) problem");
+    let problem = zero_measurements();
     assert_eq!(problem.measurements().len(), 0);
     assert_no_panic_no_nan(&problem, "zero measurements");
 }
 
 #[test]
 fn all_families_survive_collinear_anchors() {
-    // A 4x4 grid whose four anchors all sit on the bottom row: every
-    // anchor-based fix has a mirror ambiguity across that line.
-    let truth: Vec<Point2> = (0..16)
-        .map(|i| Point2::new((i % 4) as f64 * 9.0, (i / 4) as f64 * 9.0))
-        .collect();
-    let anchor_ids = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
-    let anchors = Anchor::from_truth(&anchor_ids, &truth);
-    let measurements = MeasurementSet::oracle(&truth, 25.0);
-    let problem = Problem::builder(measurements)
-        .name("collinear-anchors")
-        .anchors(anchors)
+    assert_no_panic_no_nan(&collinear_anchors(), "collinear anchors");
+}
+
+/// A `cols x rows` grid with spacing `spacing_m`, origin at (0, 0).
+fn grid(cols: usize, rows: usize, spacing_m: f64) -> Vec<Point2> {
+    (0..cols * rows)
+        .map(|i| Point2::new((i % cols) as f64 * spacing_m, (i / cols) as f64 * spacing_m))
+        .collect()
+}
+
+/// A problem over `truth` with the given ranges and the listed nodes as
+/// anchors.
+fn problem(
+    name: impl Into<String>,
+    truth: Vec<Point2>,
+    set: MeasurementSet,
+    anchor_ids: &[usize],
+) -> Problem {
+    let ids: Vec<NodeId> = anchor_ids.iter().map(|&i| NodeId(i)).collect();
+    Problem::builder(set)
+        .name(name)
+        .anchors(Anchor::from_truth(&ids, &truth))
         .truth(truth)
         .build()
-        .expect("collinear anchors are a valid problem");
-    assert_no_panic_no_nan(&problem, "collinear anchors");
+        .expect("every corpus problem is valid")
+}
+
+/// Exact ranges for every pair of `truth` within `range_m`.
+fn oracle(
+    name: impl Into<String>,
+    truth: Vec<Point2>,
+    range_m: f64,
+    anchor_ids: &[usize],
+) -> Problem {
+    let set = MeasurementSet::oracle(&truth, range_m);
+    problem(name, truth, set, anchor_ids)
+}
+
+/// A 12-node grid that produced no ranges at all.
+fn zero_measurements() -> Problem {
+    problem(
+        "zero-measurements",
+        grid(4, 3, 9.0),
+        MeasurementSet::new(12),
+        &[0, 3, 5, 10],
+    )
+}
+
+/// A 4x4 grid whose four anchors all sit on the bottom row: every
+/// anchor-based fix has a mirror ambiguity across that line.
+fn collinear_anchors() -> Problem {
+    oracle("collinear-anchors", grid(4, 4, 9.0), 25.0, &[0, 1, 2, 3])
+}
+
+/// A 5x5 grid of 9 m spacing, every pair measured exactly, with every
+/// coordinate and range multiplied by `scale`.
+fn scaled_grid(scale: f64) -> Problem {
+    let truth: Vec<Point2> = grid(5, 5, 9.0)
+        .into_iter()
+        .map(|p| Point2::new(p.x * scale, p.y * scale))
+        .collect();
+    oracle(
+        format!("grid-x{scale:e}"),
+        truth,
+        f64::INFINITY,
+        &[0, 4, 20],
+    )
+}
+
+/// The fifteen problems of the degenerate corpus.
+fn corpus() -> Vec<Problem> {
+    let mut rng = rl_math::rng::seeded(15);
+    let line: Vec<Point2> = (0..50).map(|i| Point2::new(i as f64 * 9.0, 0.0)).collect();
+    let two_components: Vec<Point2> = grid(4, 4, 9.0)
+        .into_iter()
+        .chain(
+            grid(4, 4, 9.0)
+                .into_iter()
+                .map(|p| Point2::new(p.x + 1_000.0, p.y)),
+        )
+        .collect();
+    let garbage = {
+        let truth = grid(5, 5, 9.0);
+        let mut set = MeasurementSet::oracle(&truth, 22.0);
+        let pairs: Vec<(NodeId, NodeId, f64)> = set.iter().collect();
+        for (a, b, _) in pairs {
+            set.insert(a, b, 60.0 * rng.random::<f64>());
+        }
+        problem("garbage-U(0,60m)", truth, set, &[0, 4, 20])
+    };
+    let heavy = {
+        let truth = grid(5, 5, 9.0);
+        let mut set = MeasurementSet::new(truth.len());
+        for (a, b, d) in MeasurementSet::oracle(&truth, 22.0).iter() {
+            set.insert_weighted(a, b, d, 1e300);
+        }
+        problem("weights-1e300", truth, set, &[0, 4, 20])
+    };
+    let far_node = {
+        let mut truth = grid(5, 5, 9.0);
+        truth.push(Point2::new(1e300, 0.0));
+        let mut set = MeasurementSet::oracle(&truth, 22.0);
+        set.insert(NodeId(4), NodeId(25), truth[25].distance(truth[4]));
+        problem("node-at-1e300m", truth, set, &[0, 4, 20])
+    };
+    let star = {
+        let truth: Vec<Point2> = std::iter::once(Point2::ORIGIN)
+            .chain((0..30).map(|k| {
+                let angle = std::f64::consts::TAU * k as f64 / 30.0;
+                Point2::new(20.0 * angle.cos(), 20.0 * angle.sin())
+            }))
+            .collect();
+        let mut set = MeasurementSet::new(truth.len());
+        for leaf in 1..truth.len() {
+            set.insert(NodeId(0), NodeId(leaf), 20.0);
+        }
+        problem("star-31", truth, set, &[0, 1, 11, 21])
+    };
+    let zigzag: Vec<Point2> = (0..300)
+        .map(|i| Point2::new(i as f64 * 4.0, if i % 2 == 0 { 0.0 } else { 6.0 }))
+        .collect();
+    let co_located = vec![Point2::new(3.0, 4.0); 20];
+    vec![
+        oracle("line-50", line, 22.0, &[0, 10, 20, 30]),
+        oracle("co-located-20", co_located, 22.0, &[0, 1, 2]),
+        oracle(
+            "two-components-1km",
+            two_components,
+            22.0,
+            &[0, 3, 12, 16, 19],
+        ),
+        scaled_grid(1e150),
+        scaled_grid(1e-150),
+        garbage,
+        heavy,
+        far_node,
+        oracle("n=1", vec![Point2::ORIGIN], 22.0, &[]),
+        oracle("n=2", grid(2, 1, 9.0), 22.0, &[0]),
+        oracle("n=3", grid(3, 1, 9.0), 22.0, &[0, 1, 2]),
+        star,
+        oracle("zigzag-300", zigzag, 8.0, &[0, 150, 299]),
+        zero_measurements(),
+        collinear_anchors(),
+    ]
+}
+
+#[test]
+fn all_families_survive_the_degenerate_corpus() {
+    let corpus = corpus();
+    assert_eq!(corpus.len(), 15);
+    for problem in &corpus {
+        assert_no_panic_no_nan(problem, problem.name());
+    }
+}
+
+/// MDS-MAP's pairwise distances on `problem`, row-major over every pair
+/// `i < j`.
+fn mds_map_pair_distances(problem: &Problem) -> Vec<f64> {
+    let solution = MdsMapLocalizer::new()
+        .localize(problem, &mut rl_math::rng::seeded(1))
+        .unwrap_or_else(|e| panic!("{}: {e}", problem.name()));
+    let positions = solution.positions();
+    let n = problem.node_count();
+    let point = |i: usize| {
+        positions
+            .get(NodeId(i))
+            .expect("MDS-MAP localizes every node")
+    };
+    (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .map(|(i, j)| point(i).distance(point(j)))
+        .collect()
+}
+
+/// MDS-MAP embeds a grid at 1e150 m and at 1e-150 m as it embeds the
+/// same grid in meters: within 1e-12 relative of the meter grid's own
+/// pair distances, scaled (they read ~1.6e-15). Against the truth the
+/// bound is 1e-7: the iterative eigensolve stops at a 1e-8 residual, and
+/// the meter grid itself reads 4.9e-8.
+#[test]
+fn mds_map_localizes_grids_at_1e150_and_1e_minus_150_m() {
+    let reference = mds_map_pair_distances(&scaled_grid(1.0));
+    for scale in [1e150, 1e-150] {
+        let problem = scaled_grid(scale);
+        let truth = problem.truth().expect("the corpus carries truth");
+        let n = truth.len();
+        let want = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| truth[i].distance(truth[j])));
+        let got = mds_map_pair_distances(&problem);
+        for ((got, want), meters) in got.into_iter().zip(want).zip(&reference) {
+            assert!(
+                (got - want).abs() <= 1e-7 * want,
+                "x{scale:e}: {got:e} vs true {want:e}"
+            );
+            let unscaled = got / scale;
+            assert!(
+                (unscaled - meters).abs() <= 1e-12 * meters,
+                "x{scale:e}: {unscaled} vs {meters} in meters"
+            );
+        }
+    }
 }
