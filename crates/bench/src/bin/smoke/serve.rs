@@ -1,15 +1,18 @@
 //! The serving suites: cached batch throughput and streaming sessions
 //! against a loopback server.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ms;
 use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
+use rl_core::tracking::{solution_fingerprint, StreamingTracker, Tracker};
 use rl_deploy::mobility;
 use rl_math::stats::quantile;
 use rl_serve::protocol::stream::{StreamSource, TrackerSpec};
-use rl_serve::server::solve_direct;
+use rl_serve::server::{make_tracker_config, solve_direct};
 use rl_serve::{Client, ServeConfig, Server};
 
 /// Concurrent clients replaying the cached town query.
@@ -30,6 +33,13 @@ const STORM_TICKS: usize = 4;
 
 /// Per-job solve floor in the non-starvation phase.
 const STORM_FLOOR: Duration = Duration::from_millis(30);
+
+/// Connections looping on fresh metro-1000 distributed-LSS solves in
+/// the noisy-neighbour phase: the default worker count on a 2-core box.
+const NOISY_SOLVERS: u64 = 2;
+
+/// Metro-250 ticks pushed, one per push, in the noisy-neighbour phase.
+const NOISY_TICKS: usize = 200;
 
 /// [`CLIENTS`] concurrent clients replaying a cached town query must
 /// sustain ≥ 200 req/s at p99 ≤ 250 ms, every load request a cache hit.
@@ -87,10 +97,11 @@ fn town_source() -> StreamSource {
 }
 
 /// Warm over-the-wire ticks at town scale must come back at p99
-/// ≤ 20 ms, and with one worker, a solve floor and a queue full of
-/// batch jobs, interleaved stream ticks must drain before the batch
-/// backlog does, none lost, while every batch job still completes with
-/// the direct solve's reply.
+/// ≤ 20 ms; with one worker, a solve floor and a queue full of batch
+/// jobs, interleaved stream ticks must drain before the batch backlog
+/// does, none lost, while every batch job still completes with the
+/// direct solve's reply; and metro-250 ticks pushed beside fresh
+/// metro-1000 solves must stay fast and exact ([`noisy_neighbours`]).
 pub fn sessions(suite: &mut Suite) {
     let observations = mobility::preset("town-mobile")
         .expect("registry preset")
@@ -184,4 +195,99 @@ pub fn sessions(suite: &mut Suite) {
         STORM_TICKS as f64,
     );
     suite.at_most("storm-replies-diverged", f64::from(diverged), 0.0);
+
+    noisy_neighbours(suite);
+}
+
+/// On a default server, [`NOISY_SOLVERS`] connections loop on fresh
+/// metro-1000 distributed-LSS solves while another pushes
+/// [`NOISY_TICKS`] metro-250 ticks one at a time. The ticks after the
+/// cold first one must come back at p99 ≤ 100 ms, no push may fail,
+/// and every push's fingerprint must equal a direct tracker replay's.
+fn noisy_neighbours(suite: &mut Suite) {
+    let spec = TrackerSpec {
+        preset: "metro".into(),
+        ..TrackerSpec::default()
+    };
+    let observations = mobility::preset("metro-250-mobile")
+        .expect("registry preset")
+        .with_ticks(NOISY_TICKS)
+        .trace(MASTER_SEED)
+        .observations;
+    let config = make_tracker_config(&spec, MASTER_SEED).expect("tracker preset");
+    let mut direct = StreamingTracker::with_lss(config);
+    let direct_prints: Vec<u64> = observations
+        .iter()
+        .map(|obs| {
+            direct.observe(obs).expect("direct tick");
+            solution_fingerprint(direct.latest().expect("solved tick"))
+        })
+        .collect();
+
+    let (addr, handle) = Server::spawn(ServeConfig::default()).expect("bind");
+    let stop = Arc::new(AtomicBool::new(false));
+    let noisy: Vec<_> = (0..NOISY_SOLVERS)
+        .map(|i| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect noisy client");
+                let mut seed = MASTER_SEED + 1 + i * 1_000;
+                while !stop.load(Ordering::Relaxed) {
+                    client
+                        .localize("metro-1000", "distributed-lss", seed)
+                        .expect("noisy solve");
+                    seed += 1;
+                }
+            })
+        })
+        .collect();
+    let mut client = Client::connect(addr).expect("connect");
+    while client.status().expect("status").solves_started < NOISY_SOLVERS {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let source = StreamSource::Preset {
+        name: "metro-250-mobile".into(),
+    };
+    let mut session = client
+        .open_stream(source, spec, MASTER_SEED)
+        .expect("open session");
+    let mut warm_ms = Vec::new();
+    let (mut failed, mut mismatched) = (0, 0);
+    for (tick, (obs, &expected)) in observations.iter().zip(&direct_prints).enumerate() {
+        let t0 = Instant::now();
+        match session.push(std::slice::from_ref(obs)) {
+            Ok(reply) => {
+                // Tick 0 is the cold solve.
+                if tick > 0 {
+                    warm_ms.push(ms(t0.elapsed()));
+                }
+                if reply.fingerprint != expected {
+                    mismatched += 1;
+                }
+            }
+            Err(e) => {
+                eprintln!("noisy-neighbour tick {tick}: push failed: {e}");
+                failed += 1;
+            }
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    session.close().expect("close session");
+    for t in noisy {
+        t.join().expect("noisy thread");
+    }
+    client.shutdown().expect("shutdown");
+    handle.join().expect("join").expect("serve");
+
+    println!(
+        "{NOISY_TICKS} metro-250 ticks beside {NOISY_SOLVERS} metro-1000 solvers: warm p50 {:.2} ms",
+        quantile(&mut warm_ms, 0.50).unwrap_or(f64::NAN),
+    );
+    suite.at_most(
+        "noisy-tick-p99-ms",
+        quantile(&mut warm_ms, 0.99).unwrap_or(f64::INFINITY),
+        100.0,
+    );
+    suite.at_most("noisy-pushes-failed", f64::from(failed), 0.0);
+    suite.at_most("noisy-fingerprint-mismatches", f64::from(mismatched), 0.0);
 }

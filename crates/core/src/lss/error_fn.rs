@@ -278,6 +278,8 @@ impl Objective for LssObjective {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rl_geom::Point2;
     use rl_net::NodeId;
 
     fn pair_set(d: f64) -> MeasurementSet {
@@ -444,6 +446,97 @@ mod tests {
         // A messy configuration with several violations.
         let x = [0.0, 1.0, 2.0, 7.5, 3.0, 9.0, 0.0, 0.5, 1.0, 8.0, 2.0, 7.0];
         assert_matches_scan(&LssObjective::new(&set, soft), &set, &x);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The objective equals the complement scan for arbitrary sparse
+        /// graphs and arbitrary (even far-from-plausible) configurations:
+        /// same value bits, same gradient bits, same active constraint
+        /// count.
+        ///
+        /// One objective is reused along a whole trajectory, so its
+        /// cached Verlet list (2 m skin) is exercised both ways: jiggles
+        /// under half the skin reuse it, jumps past it and a non-finite
+        /// probe rebuild it, and the walk ends back at the start. Every
+        /// point is checked against the scan.
+        #[test]
+        fn lss_objective_matches_the_complement_scan_bitwise(
+            pts in proptest::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 4..10),
+            edges in proptest::collection::vec((0usize..10, 0usize..10), 2..18),
+            x0 in proptest::collection::vec(-50.0f64..50.0, 20),
+            d_min in 3.0f64..12.0,
+            walk in proptest::collection::vec((0usize..10, -1.5f64..1.5, -1.5f64..1.5), 1..12),
+            jiggle in proptest::collection::vec(-0.35f64..0.35, 20),
+            jump in (0usize..10, 2.0f64..15.0),
+            probe in (0usize..20, 0usize..3),
+            approach in (0usize..10, 0usize..10, 0.3f64..0.9),
+        ) {
+            let n = pts.len();
+            let mut set = MeasurementSet::new(n);
+            for &(a, b) in &edges {
+                if a == b || a >= n || b >= n {
+                    continue;
+                }
+                let pa = Point2::new(pts[a].0, pts[a].1);
+                let pb = Point2::new(pts[b].0, pts[b].1);
+                let d = pa.distance(pb);
+                if d > 1e-6 {
+                    set.insert(NodeId(a), NodeId(b), d);
+                }
+            }
+            let soft = SoftConstraint {
+                min_spacing_m: d_min,
+                weight: 10.0,
+            };
+            let x: Vec<f64> = x0.iter().take(2 * n).copied().collect();
+            prop_assume!(x.len() == 2 * n);
+
+            // The trajectory: start, a jiggle of every node (each move
+            // under 0.5 m, so the list is reused), a random walk of
+            // single-node steps that cross the skin at random, one node
+            // approaching another, a jump of one node, a non-finite
+            // probe, and the start again.
+            let mut points = vec![x.clone()];
+            points.push(x.iter().zip(&jiggle).map(|(a, d)| a + d).collect());
+            let mut cur = x.clone();
+            for &(node, dx, dy) in &walk {
+                let node = node % n;
+                cur[node] += dx;
+                cur[n + node] += dy;
+                points.push(cur.clone());
+            }
+            // One node walks straight at another in steps under half the
+            // skin, from far outside d_min to well inside it: the pair
+            // must turn into a violator through reused and rebuilt lists
+            // alike.
+            let (a, b) = (approach.0 % n, approach.1 % n);
+            if a != b {
+                for _ in 0..200 {
+                    let (dx, dy) = (cur[b] - cur[a], cur[n + b] - cur[n + a]);
+                    let gap = dx.hypot(dy);
+                    if gap < 0.5 * d_min {
+                        break;
+                    }
+                    cur[a] += approach.2 * dx / gap;
+                    cur[n + a] += approach.2 * dy / gap;
+                    points.push(cur.clone());
+                }
+            }
+            let mut jumped = cur.clone();
+            jumped[jump.0 % n] += jump.1;
+            points.push(jumped);
+            let mut wild = x.clone();
+            wild[probe.0 % (2 * n)] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][probe.1];
+            points.push(wild);
+            points.push(x.clone());
+
+            let objective = LssObjective::new(&set, Some(soft));
+            for p in &points {
+                assert_matches_scan(&objective, &set, p);
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,11 @@
 use crate::{GeomError, Point2, Result, RigidTransform, Vec2};
 use serde::{Deserialize, Serialize};
 
+/// Sizes `n · extent²` of the squared sums that [`fit_weighted`] fits
+/// unscaled, `extent` being the largest coordinate magnitude: their
+/// squares stay well inside the normal `f64` range.
+const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
+
 /// Outcome of fitting a rigid transform `T` with `T(source[i]) ≈ target[i]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlignmentFit {
@@ -111,6 +116,12 @@ pub fn fit_rigid_transform_weighted(
 /// Shared implementation of the (weighted) rigid fit. `weights: None` is
 /// the uniform case and reproduces the historical unweighted arithmetic
 /// bit for bit (every factor is then exactly `1.0`).
+///
+/// The spreads and cross-covariances square coordinates. When
+/// `n · extent²` leaves [`SCALE_RANGE`], both point sets are first
+/// divided by the power of two at or below `extent` and the fit scaled
+/// back, so a set at 1e300 m neither overflows nor one at 1e-150 m
+/// reads as coincident; every other input fits unscaled, bit for bit.
 fn fit_weighted(
     source: &[Point2],
     target: &[Point2],
@@ -127,6 +138,34 @@ fn fit_weighted(
         return Err(GeomError::TooFewPoints {
             needed: 2,
             got: source.len(),
+        });
+    }
+    let extent = source
+        .iter()
+        .chain(target)
+        .fold(0.0, |m: f64, p| m.max(p.x.abs()).max(p.y.abs()));
+    if (f64::MIN_POSITIVE..=f64::MAX).contains(&extent)
+        && !SCALE_RANGE.contains(&(source.len() as f64 * extent * extent))
+    {
+        // Keep only the exponent bits: 2^floor(log2(extent)). The shrunk
+        // extent lies in [1, 2), so the inner fit runs unscaled.
+        let scale = f64::from_bits(extent.to_bits() & 0x7ff0_0000_0000_0000);
+        let shrink = |pts: &[Point2]| -> Vec<Point2> {
+            pts.iter()
+                .map(|p| Point2::new(p.x / scale, p.y / scale))
+                .collect()
+        };
+        let fit = fit_weighted(&shrink(source), &shrink(target), weights, allow_reflection)?;
+        let t = fit.transform;
+        return Ok(AlignmentFit {
+            transform: RigidTransform::new(
+                t.theta(),
+                t.is_reflected(),
+                t.translation_vec() * scale,
+            ),
+            sse: fit.sse * scale * scale,
+            rmse: fit.rmse * scale,
+            residuals: fit.residuals.iter().map(|r| r * scale).collect(),
         });
     }
     let w_of = |i: usize| weights.map_or(1.0, |w| w[i]);

@@ -349,7 +349,7 @@ impl<'a> StreamSession<'a> {
     /// # Errors
     ///
     /// Transport failures, typed server errors (unknown/evicted session,
-    /// full mailbox, invalid observation, failed tick), or protocol
+    /// invalid observation, failed tick), or protocol
     /// violations.
     pub fn push(
         &mut self,

@@ -7,8 +7,8 @@
 //! that serving layer, std-only (no async runtime, no network crates —
 //! `std::net` and threads), with four production behaviors:
 //!
-//! * **Concurrency** — a fixed worker pool drains the shared job queues
-//!   ([`server`]).
+//! * **Concurrency** — a fixed worker pool drains the shared batch-solve
+//!   queue ([`server`]).
 //! * **Batching** — concurrent identical requests coalesce into one
 //!   shared solve whose result fans out to every waiter.
 //! * **Caching** — completed solutions land in an LRU keyed by a
@@ -18,15 +18,16 @@
 //!   layer behind the wire: server-owned
 //!   [`StreamingTracker`](rl_core::tracking::StreamingTracker) sessions
 //!   ([`session`]) fed by client-pushed observation deltas, with TTL
-//!   eviction, bounded per-session mailboxes, and a scheduler that
-//!   alternates stream ticks with batch solves on the worker pool.
+//!   eviction and a session capacity. A push ticks on its own
+//!   connection's thread, so batch solves holding every worker never
+//!   stall a session.
 //!
 //! Modules:
 //!
 //! * [`protocol`] — the wire protocol: length-prefixed JSON frames, the
 //!   `batch`/`stream` namespaces, versioning, typed errors,
-//! * [`server`] — [`Server`], the worker pool, coalescing, the
-//!   batch/stream scheduler, and the graceful lifecycle,
+//! * [`server`] — [`Server`], the worker pool, coalescing, and the
+//!   graceful lifecycle,
 //! * [`session`] — [`SessionManager`], the
 //!   injectable [`Clock`], and TTL eviction,
 //! * [`client`] — [`Client`], a blocking handshaken client, and its

@@ -80,14 +80,16 @@
 //!
 //! # Session counters
 //!
-//! [`ServerStats`] exposes the fairness policy's observability surface:
+//! [`ServerStats`] exposes the session side of the server:
 //!
 //! * `sessions_open` — streaming sessions currently alive (a gauge),
 //! * `sessions_evicted` — sessions reaped by the idle TTL (cumulative),
 //! * `session_capacity` — the configured open-session bound,
 //! * `ticks_served` — observations accepted by session trackers
-//!   (cumulative),
-//! * `batch_queued` / `stream_queued` — per-class queue depths (gauges).
+//!   (cumulative).
+//!
+//! Pushed ticks run on their connection's thread and never queue, so
+//! `batch_queued`, the one queue gauge, counts batch solves only.
 
 use std::io::{self, Read, Write};
 
@@ -95,7 +97,7 @@ use serde::{Deserialize, Serialize};
 
 /// The protocol version, the only one the server speaks. See the module
 /// docs for the bump policy.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Default maximum frame size (1 MiB): comfortably above a metro-1000
 /// [`LocalizeReply`] (~50 KiB), far below anything a hostile or confused
@@ -693,10 +695,10 @@ pub struct ServerStats {
     pub cache_entries: u64,
     /// Solution-cache capacity.
     pub cache_capacity: u64,
-    /// Configured per-class job-queue depth bound; `0` means unbounded.
+    /// Configured batch-queue depth bound; `0` means unbounded.
     pub queue_depth: u64,
-    /// Requests rejected with [`ErrorCode::Overloaded`] (full queue,
-    /// full session mailbox, or session capacity).
+    /// Requests rejected with [`ErrorCode::Overloaded`] (full batch
+    /// queue, or session capacity).
     pub overloaded: u64,
     /// Streaming sessions currently alive (a gauge).
     pub sessions_open: u64,
@@ -706,10 +708,8 @@ pub struct ServerStats {
     pub session_capacity: u64,
     /// Observations accepted by session trackers (cumulative).
     pub ticks_served: u64,
-    /// Batch jobs waiting in their queue (a gauge).
+    /// Batch solves waiting in the queue (a gauge).
     pub batch_queued: u64,
-    /// Streaming tick jobs waiting in their queue (a gauge).
-    pub stream_queued: u64,
 }
 
 /// A typed error response.
@@ -763,8 +763,8 @@ pub enum ErrorCode {
     SolveFailed,
     /// The server is shutting down and no longer accepts work.
     ShuttingDown,
-    /// A queue or quota is at its bound: the job queue, the per-session
-    /// mailbox, or the open-session capacity. The request was rejected
+    /// A queue or quota is at its bound: the batch queue, or the
+    /// open-session capacity. The request was rejected
     /// without being accepted; retry after a backoff — the connection
     /// stays open.
     Overloaded,
@@ -1088,15 +1088,15 @@ mod tests {
             assert_eq!(serde_json::from_str::<T>(bytes).unwrap(), message);
         }
         pin(
-            Request::Hello { protocol: 3 },
-            r#"{"Hello":{"protocol":3}}"#,
+            Request::Hello { protocol: 4 },
+            r#"{"Hello":{"protocol":4}}"#,
         );
         pin(
             Response::Hello {
-                protocol: 3,
+                protocol: 4,
                 server: "rl-serve/x".into(),
             },
-            r#"{"Hello":{"protocol":3,"server":"rl-serve/x"}}"#,
+            r#"{"Hello":{"protocol":4,"server":"rl-serve/x"}}"#,
         );
         pin(
             Request::localize("town", "lss", 7),

@@ -7,9 +7,9 @@
 //!
 //! 1. **Concurrency** — a fixed pool of solver workers (sized by
 //!    [`rl_net::pool::resolve_workers`], the same resolution rule as the
-//!    campaign and simulator pools) drains the shared job queues, so N
-//!    clients are served in parallel while connection threads stay thin
-//!    (framing and dispatch only).
+//!    campaign and simulator pools) drains the shared batch-solve queue,
+//!    so N clients are served in parallel. Every other request, session
+//!    ticks included, runs on the thread of the connection that sent it.
 //! 2. **Batching** — concurrent requests for the same
 //!    `(deployment, solver, seed)` triple coalesce: the first arrival
 //!    enqueues one solve, later arrivals register as waiters on it, and
@@ -26,16 +26,16 @@
 //! 4. **Sessions** — the protocol's `stream` namespace maps onto
 //!    server-owned [`StreamingTracker`] sessions managed by a
 //!    [`SessionManager`]: `OpenStream` hands out a capability token,
-//!    `PushTicks` feeds observation deltas through the worker pool, and
-//!    idle sessions are reaped by a TTL. Tick jobs and batch solves
-//!    share the pool through a scheduler that alternates the two
-//!    classes, so a firehose of stream ticks cannot starve batch solves
-//!    or vice versa.
+//!    `PushTicks` feeds observation deltas through the session's tracker
+//!    on the pushing connection's own thread, and idle sessions are
+//!    reaped by a TTL. A tick never waits for a worker, so batch solves
+//!    that hold every worker cannot stall another client's session.
 //!
-//! A job that panics — a batch solve or a session's tick — is caught
-//! on its worker: its requester and every coalesced waiter get
-//! [`ErrorCode::SolveFailed`], nothing is cached, and the worker goes
-//! on draining the queues.
+//! A batch solve that panics is caught on its worker: its requester
+//! and every coalesced waiter get [`ErrorCode::SolveFailed`], nothing
+//! is cached, and the worker goes on draining the queue. A tick that
+//! panics is caught on its connection thread: the push gets
+//! [`ErrorCode::SolveFailed`] and the poisoned session is evicted.
 //!
 //! Determinism is inherited from the solving layers: a batch solve seeds
 //! its RNG from the request seed alone ([`solve_direct`] is the
@@ -49,7 +49,7 @@
 //!
 //! [`Server::bind`] binds the listener and starts the worker pool;
 //! [`Server::run`] blocks in the accept loop until a
-//! [`batch::Request::Shutdown`] arrives, then drains in-flight jobs,
+//! [`batch::Request::Shutdown`] arrives, then drains queued solves,
 //! joins the workers and connection handlers, and returns. Connections
 //! are read with a short poll tick, so idle timeouts
 //! ([`ServeConfig::read_timeout`]) and shutdown both take effect
@@ -71,7 +71,7 @@ use rl_core::lss::{LssConfig, LssSolver};
 use rl_core::mds::MdsMapLocalizer;
 use rl_core::multilateration::{MultilaterationConfig, MultilaterationSolver};
 use rl_core::problem::{Frame, Localizer, Problem};
-use rl_core::tracking::{StreamingTracker, TickObservation, TrackerConfig};
+use rl_core::tracking::{StreamingTracker, TrackerConfig};
 use rl_deploy::Scenario;
 use rl_deploy::{mobility, presets};
 use rl_math::Fnv1a;
@@ -166,16 +166,16 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Maximum accepted frame size (bytes).
     pub max_frame: usize,
-    /// Per-class job-queue depth bound: a request arriving while this
-    /// many jobs of its class are already waiting is rejected with
+    /// Batch-queue depth bound: a localize arriving while this many
+    /// solves are already waiting is rejected with
     /// [`ErrorCode::Overloaded`] instead of enqueued (cache hits and
-    /// coalesced joins are unaffected — they never enqueue). `0` means
-    /// unbounded.
+    /// coalesced joins are unaffected — they never enqueue, and neither
+    /// do pushed ticks). `0` means unbounded.
     pub queue_depth: usize,
     /// Test instrumentation: a minimum wall-clock floor applied to every
-    /// job a worker picks up (batch solves and stream ticks alike). The
-    /// batching and quota tests use it to hold work in flight long
-    /// enough that races become *deterministic*; production
+    /// batch solve a worker picks up (pushed ticks never see it). The
+    /// batching, quota and isolation tests use it to hold work in
+    /// flight long enough that races become *deterministic*; production
     /// configurations leave it at zero (a no-op).
     pub solve_floor: Duration,
     /// Idle TTL for streaming sessions: a session untouched for this
@@ -186,10 +186,6 @@ pub struct ServeConfig {
     /// Maximum concurrently open streaming sessions; opens beyond it are
     /// rejected with [`ErrorCode::Overloaded`]. `0` means unbounded.
     pub session_capacity: usize,
-    /// Per-session mailbox bound: observations queued (pushed but not
-    /// yet processed) beyond it reject the push with
-    /// [`ErrorCode::Overloaded`]. `0` means unbounded.
-    pub session_mailbox: usize,
     /// Time source for session TTL eviction; `None` means the monotonic
     /// [`SystemClock`]. Tests inject a
     /// [`ManualClock`](crate::session::ManualClock) to make eviction
@@ -210,7 +206,6 @@ impl Default for ServeConfig {
             solve_floor: Duration::ZERO,
             session_ttl: Duration::from_secs(300),
             session_capacity: 64,
-            session_mailbox: 256,
             clock: None,
         }
     }
@@ -241,7 +236,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-class job-queue depth bound (`0` = unbounded).
+    /// Sets the batch-queue depth bound (`0` = unbounded).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -266,12 +261,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-session mailbox bound (`0` = unbounded).
-    pub fn with_session_mailbox(mut self, mailbox: usize) -> Self {
-        self.session_mailbox = mailbox;
-        self
-    }
-
     /// Injects a [`Clock`] for session TTL eviction (test
     /// instrumentation).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
@@ -289,47 +278,12 @@ struct BatchJob {
     seed: u64,
 }
 
-/// One queued stream push: reserved observations bound for a session's
-/// tracker, plus the waiting connection's reply channel.
-struct StreamJob {
-    session: u64,
-    observations: Vec<TickObservation>,
-    tx: mpsc::Sender<Result<stream::PushReply, WireError>>,
-}
-
-/// The shared scheduler state: both class queues plus the shutdown
-/// latch, guarded together so a successful enqueue is always drained
-/// before the workers exit.
+/// The shared queue state: the batch queue plus the shutdown latch,
+/// guarded together so a successful enqueue is always drained before
+/// the workers exit.
 struct QueueState {
     batch: VecDeque<BatchJob>,
-    stream: VecDeque<StreamJob>,
-    /// Whether the stream class is offered work first on the next pop;
-    /// flips to the class that did *not* supply the last job, which is
-    /// what makes the alternation fair under sustained load.
-    stream_turn: bool,
     shutdown: bool,
-}
-
-enum Job {
-    Batch(BatchJob),
-    Stream(StreamJob),
-}
-
-impl QueueState {
-    /// Pops the next job, alternating batch and stream. The scheduler
-    /// is work-conserving: when only one class has work, it runs
-    /// without waiting on the other's turn.
-    fn pop_next(&mut self) -> Option<Job> {
-        let batch = |q: &mut Self| q.batch.pop_front().map(Job::Batch);
-        let stream = |q: &mut Self| q.stream.pop_front().map(Job::Stream);
-        let job = if self.stream_turn {
-            stream(self).or_else(|| batch(self))
-        } else {
-            batch(self).or_else(|| stream(self))
-        }?;
-        self.stream_turn = matches!(job, Job::Batch(_));
-        Some(job)
-    }
 }
 
 type SolveResult = Result<Arc<LocalizeReply>, WireError>;
@@ -372,10 +326,7 @@ impl Shared {
     fn stats(&self) -> ServerStats {
         // Queue before cache: the cache lock is innermost everywhere
         // else, so it is never held while waiting on the queue.
-        let (batch_queued, stream_queued) = {
-            let q = self.queue.lock().expect("queue lock");
-            (q.batch.len() as u64, q.stream.len() as u64)
-        };
+        let batch_queued = self.queue.lock().expect("queue lock").batch.len() as u64;
         let cache = self.cache.lock().expect("cache lock");
         ServerStats {
             protocol: PROTOCOL_VERSION,
@@ -396,7 +347,6 @@ impl Shared {
             session_capacity: self.sessions.capacity() as u64,
             ticks_served: self.sessions.ticks_served(),
             batch_queued,
-            stream_queued,
         }
     }
 
@@ -420,12 +370,6 @@ impl Shared {
             .expect("problems lock")
             .insert((preset, seed), Arc::clone(&problem));
         problem
-    }
-
-    /// Counts and builds an [`ErrorCode::Overloaded`] rejection.
-    fn overloaded_error(&self, message: String) -> WireError {
-        self.overloaded.fetch_add(1, Ordering::Relaxed);
-        WireError::new(ErrorCode::Overloaded, message)
     }
 }
 
@@ -557,19 +501,12 @@ impl Server {
             .clock
             .clone()
             .unwrap_or_else(|| Arc::new(SystemClock::new()));
-        let sessions = SessionManager::new(
-            clock,
-            config.session_ttl,
-            config.session_capacity,
-            config.session_mailbox,
-        );
+        let sessions = SessionManager::new(clock, config.session_ttl, config.session_capacity);
         let shared = Arc::new(Shared {
             resolved_workers,
             presets,
             queue: Mutex::new(QueueState {
                 batch: VecDeque::new(),
-                stream: VecDeque::new(),
-                stream_turn: false,
                 shutdown: false,
             }),
             queue_cv: Condvar::new(),
@@ -635,9 +572,9 @@ impl Server {
                 }
             }
         }
-        // Shutdown: workers drain both queues (every accepted job
-        // answers its waiters), handlers notice the stop flag on their
-        // next read tick.
+        // Shutdown: workers drain the queue (every accepted job answers
+        // its waiters), handlers notice the stop flag on their next read
+        // tick.
         for w in self.workers {
             let _ = w.join();
         }
@@ -662,7 +599,7 @@ impl Server {
     }
 }
 
-/// Requests a shutdown: latches the queues (no further enqueues), wakes
+/// Requests a shutdown: latches the queue (no further enqueues), wakes
 /// the workers, and pokes the accept loop awake with a throwaway
 /// connection.
 fn trigger_shutdown(shared: &Shared, local_addr: SocketAddr) {
@@ -681,7 +618,7 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut q = shared.queue.lock().expect("queue lock");
             loop {
-                if let Some(job) = q.pop_next() {
+                if let Some(job) = q.batch.pop_front() {
                     break job;
                 }
                 if q.shutdown {
@@ -692,29 +629,11 @@ fn worker_loop(shared: &Shared) {
         };
         // "Started" means picked up: the gauge moves before the solve
         // floor so tests (and operators) can observe an occupied worker.
-        if let Job::Batch(_) = job {
-            shared.solves_started.fetch_add(1, Ordering::Relaxed);
-        }
+        shared.solves_started.fetch_add(1, Ordering::Relaxed);
         if !shared.config.solve_floor.is_zero() {
             std::thread::sleep(shared.config.solve_floor);
         }
-        match job {
-            Job::Batch(job) => run_batch_job(shared, job),
-            Job::Stream(job) => {
-                // A panicking tick poisons only its own session, which
-                // the next lookup evicts.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    shared.sessions.process(job.session, &job.observations)
-                }))
-                .unwrap_or_else(|_| {
-                    Err(WireError::new(
-                        ErrorCode::SolveFailed,
-                        "tick processing panicked; the session is evicted",
-                    ))
-                });
-                let _ = job.tx.send(result);
-            }
-        }
+        run_batch_job(shared, job);
     }
 }
 
@@ -842,9 +761,11 @@ fn localize_reply(
             // shutdown path; any request that coalesced onto it in the
             // meantime receives the same typed rejection.
             drop(q);
-            let err = shared.overloaded_error(format!(
-                "batch job queue is full ({depth} waiting); retry after a backoff"
-            ));
+            shared.overloaded.fetch_add(1, Ordering::Relaxed);
+            let err = WireError::new(
+                ErrorCode::Overloaded,
+                format!("batch job queue is full ({depth} waiting); retry after a backoff"),
+            );
             let waiters = shared
                 .inflight
                 .lock()
@@ -938,8 +859,8 @@ fn handle_open(
 }
 
 /// Handles [`stream::Request::PushTicks`]: validates and converts the
-/// observations, reserves mailbox room, enqueues one stream job, and
-/// waits for the worker's reply.
+/// observations, then feeds them through the session's tracker on this
+/// connection's thread.
 fn handle_push(
     shared: &Shared,
     session: u64,
@@ -952,65 +873,22 @@ fn handle_push(
             Err(err) => return Response::Error(err),
         }
     }
-    let universe = match shared.sessions.reserve(session, converted.len()) {
-        Ok(universe) => universe,
-        Err(err) => {
-            if err.code == ErrorCode::Overloaded {
-                shared.overloaded.fetch_add(1, Ordering::Relaxed);
-            }
-            return Response::Error(err);
-        }
-    };
-    if let Some(obs) = converted
-        .iter()
-        .find(|obs| obs.measurements.node_count() != universe)
-    {
-        shared.sessions.release(session, converted.len());
-        return Response::Error(WireError::new(
-            ErrorCode::InvalidObservation,
-            format!(
-                "tick {} declares a {}-slot universe; the session's is {universe}",
-                obs.tick,
-                obs.measurements.node_count()
-            ),
-        ));
-    }
-    let (tx, rx) = mpsc::channel();
-    {
-        let mut q = shared.queue.lock().expect("queue lock");
-        if q.shutdown {
-            drop(q);
-            shared.sessions.release(session, converted.len());
-            return Response::Error(WireError::new(
-                ErrorCode::ShuttingDown,
-                "server is shutting down",
-            ));
-        }
-        let depth = shared.config.queue_depth;
-        if depth > 0 && q.stream.len() >= depth {
-            drop(q);
-            shared.sessions.release(session, converted.len());
-            return Response::Error(shared.overloaded_error(format!(
-                "stream job queue is full ({depth} waiting); retry after a backoff"
-            )));
-        }
-        q.stream.push_back(StreamJob {
-            session,
-            observations: converted,
-            tx,
-        });
-    }
-    shared.queue_cv.notify_one();
-    match rx.recv() {
-        Ok(Ok(reply)) => stream::Response::TicksPushed(reply).into(),
-        Ok(Err(err)) => Response::Error(err),
-        Err(_) => Response::Error(WireError::new(
+    // A panicking tick poisons only its own session, which the next
+    // lookup evicts.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        shared.sessions.process(session, &converted)
+    }))
+    .unwrap_or_else(|_| {
+        Err(WireError::new(
             ErrorCode::SolveFailed,
-            "push abandoned during shutdown",
-        )),
+            "tick processing panicked; the session is evicted",
+        ))
+    });
+    match result {
+        Ok(reply) => stream::Response::TicksPushed(reply).into(),
+        Err(err) => Response::Error(err),
     }
 }
-
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // No Nagle: the protocol is strict request/response with small
     // frames, so coalescing delay is pure added latency.
@@ -1408,55 +1286,6 @@ mod tests {
         // Same geometry under a different registry name is a different
         // serveable thing.
         assert_ne!(preset_digest("town", &town), preset_digest("town2", &town));
-    }
-
-    #[test]
-    fn scheduler_alternates_classes_and_conserves_work() {
-        let mut q = QueueState {
-            batch: VecDeque::new(),
-            stream: VecDeque::new(),
-            stream_turn: false,
-            shutdown: false,
-        };
-        let (tx, _rx) = mpsc::channel();
-        for i in 0..4 {
-            q.batch.push_back(BatchJob {
-                key: i,
-                preset: 0,
-                solver: "lss".to_string(),
-                seed: i,
-            });
-        }
-        for i in 0..2 {
-            q.stream.push_back(StreamJob {
-                session: i,
-                observations: Vec::new(),
-                tx: tx.clone(),
-            });
-        }
-        let mut order = String::new();
-        while let Some(job) = q.pop_next() {
-            order.push(match job {
-                Job::Batch(_) => 'B',
-                Job::Stream(_) => 'S',
-            });
-        }
-        // Alternation while both queues are backlogged, then the
-        // work-conserving drain of the leftover batch jobs.
-        assert_eq!(order, "BSBSBB");
-        // A stream job arriving after a batch-only drain is next in line.
-        q.batch.push_back(BatchJob {
-            key: 9,
-            preset: 0,
-            solver: "lss".to_string(),
-            seed: 9,
-        });
-        q.stream.push_back(StreamJob {
-            session: 9,
-            observations: Vec::new(),
-            tx,
-        });
-        assert!(matches!(q.pop_next(), Some(Job::Stream(_))));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Server-owned streaming sessions: the state behind the protocol's
 //! `stream` namespace.
 //!
-//! A session pairs a [`StreamingTracker`] with a capability token and a
-//! bounded mailbox. The [`SessionManager`] owns every session, hands out
-//! tokens on open, enforces the capacity and mailbox quotas, and evicts
-//! sessions that sit idle past the TTL. Time is injected through the
+//! A session pairs a [`StreamingTracker`] with a capability token. The
+//! [`SessionManager`] owns every session, hands out tokens on open,
+//! enforces the capacity quota, and evicts sessions that sit idle past
+//! the TTL. A push runs its ticks on the caller's thread while holding
+//! the session's lock, so pushes to one session run one at a time and
+//! a session mid-tick is never idle. Time is injected through the
 //! [`Clock`] trait so eviction is deterministic under test (see
 //! [`ManualClock`]).
 //!
@@ -13,7 +15,7 @@
 //! ```text
 //! open ──► active ──┬── push/read (touches last-active) ──► active
 //!                   ├── close ──────────────────────────► gone
-//!                   ├── idle ≥ TTL, mailbox drained ─────► evicted
+//!                   ├── idle ≥ TTL, no tick running ─────► evicted
 //!                   └── a tick panics (lock poisoned) ───► evicted
 //! ```
 //!
@@ -112,26 +114,18 @@ impl Clock for ManualClock {
     }
 }
 
-/// One live session. A tick holds `state` for its whole run; a read
+/// One live session. A push holds `tracker` for its whole run; a read
 /// takes only the short `published` lock, so it never waits for a tick
 /// in progress.
 struct Session {
-    state: Mutex<SessionState>,
+    tracker: Mutex<StreamingTracker>,
     /// Slot-universe size every observation must match.
     universe: usize,
     /// Clock reading in nanoseconds when a request last touched this
-    /// session (mailbox reservations count — a session with queued work
-    /// is never idle).
+    /// session (a push touches it as it starts and as it ends).
     last_active: AtomicU64,
     /// What the latest tick left behind, replaced after every tick.
     published: Mutex<Arc<Snapshot>>,
-}
-
-/// The tracker plus the mailbox count the quotas need.
-struct SessionState {
-    tracker: StreamingTracker,
-    /// Observations reserved in the mailbox but not yet processed.
-    pending: usize,
 }
 
 /// A tracker's state after one tick, as reads see it.
@@ -168,9 +162,9 @@ impl Session {
     }
 }
 
-/// Owns every streaming session on a server: token issue, lookup,
-/// mailbox accounting, and TTL eviction. All methods take `&self` —
-/// the manager is shared freely across connection and worker threads.
+/// Owns every streaming session on a server: token issue, lookup, the
+/// capacity quota, and TTL eviction. All methods take `&self` — the
+/// manager is shared freely across connection threads.
 ///
 /// Lock order: the session map is always taken before any individual
 /// session's lock, and per-session work (tracker ticks) runs with the
@@ -181,9 +175,6 @@ pub struct SessionManager {
     ttl: Duration,
     /// Maximum concurrently open sessions; `0` means unbounded.
     capacity: usize,
-    /// Maximum queued-but-unprocessed observations per session; `0`
-    /// means unbounded.
-    mailbox: usize,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
     evicted: Mutex<HashSet<u64>>,
     /// Clock reading before which lookups skip the full idle scan.
@@ -201,7 +192,6 @@ impl fmt::Debug for SessionManager {
         f.debug_struct("SessionManager")
             .field("ttl", &self.ttl)
             .field("capacity", &self.capacity)
-            .field("mailbox", &self.mailbox)
             .field("open", &self.open_count())
             .finish_non_exhaustive()
     }
@@ -209,12 +199,11 @@ impl fmt::Debug for SessionManager {
 
 impl SessionManager {
     /// A manager enforcing the given quotas against the given clock.
-    pub fn new(clock: Arc<dyn Clock>, ttl: Duration, capacity: usize, mailbox: usize) -> Self {
+    pub fn new(clock: Arc<dyn Clock>, ttl: Duration, capacity: usize) -> Self {
         SessionManager {
             clock,
             ttl,
             capacity,
-            mailbox,
             sessions: Mutex::new(HashMap::new()),
             evicted: Mutex::new(HashSet::new()),
             next_sweep: Mutex::new(Duration::ZERO),
@@ -268,10 +257,7 @@ impl SessionManager {
         sessions.insert(
             token,
             Arc::new(Session {
-                state: Mutex::new(SessionState {
-                    tracker,
-                    pending: 0,
-                }),
+                tracker: Mutex::new(tracker),
                 universe,
                 last_active: AtomicU64::new(now.as_nanos() as u64),
                 published,
@@ -280,52 +266,16 @@ impl SessionManager {
         Ok(token)
     }
 
-    /// Reserves `count` mailbox slots ahead of enqueueing a push, and
-    /// returns the session's universe size for observation validation.
-    /// Must be balanced by [`SessionManager::process`] (normally) or
-    /// [`SessionManager::release`] (when the enqueue itself fails).
+    /// Feeds `observations` through the session's tracker, in order, on
+    /// the caller's thread. The session's lock is held for the whole
+    /// push, so pushes to one session never interleave, and the session
+    /// is touched as the push starts and as it ends.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::UnknownSession`] / [`ErrorCode::SessionEvicted`] for
-    /// a bad token; [`ErrorCode::Overloaded`] when the reservation would
-    /// overflow the mailbox.
-    pub fn reserve(&self, token: u64, count: usize) -> Result<usize, WireError> {
-        let session = self.lookup(token)?;
-        let mut state = self.lock(token, &session)?;
-        if self.mailbox > 0 && state.pending + count > self.mailbox {
-            return Err(WireError::new(
-                ErrorCode::Overloaded,
-                format!(
-                    "push of {count} observations would overflow the session's \
-                     {}-slot mailbox ({} already queued)",
-                    self.mailbox, state.pending
-                ),
-            ));
-        }
-        state.pending += count;
-        session.touch(self.clock.now());
-        Ok(session.universe)
-    }
-
-    /// Returns `count` reserved mailbox slots without processing them
-    /// (the enqueue was rejected after a successful reservation).
-    pub fn release(&self, token: u64, count: usize) {
-        if let Ok(session) = self.lookup(token) {
-            if let Ok(mut state) = self.lock(token, &session) {
-                state.pending = state.pending.saturating_sub(count);
-                session.touch(self.clock.now());
-            }
-        }
-    }
-
-    /// Feeds reserved observations through the session's tracker (the
-    /// worker half of a push). Frees the reservation whether or not the
-    /// tracker accepts every tick.
-    ///
-    /// # Errors
-    ///
-    /// A bad token, or [`ErrorCode::SolveFailed`] when the tracker
+    /// A bad token; [`ErrorCode::InvalidObservation`] when an
+    /// observation's universe is not the session's (checked before any
+    /// tick runs); or [`ErrorCode::SolveFailed`] when the tracker
     /// rejects an observation — the session stays usable and ticks
     /// consumed so far are reflected in the message.
     pub fn process(
@@ -334,33 +284,49 @@ impl SessionManager {
         observations: &[TickObservation],
     ) -> Result<PushReply, WireError> {
         let session = self.lookup(token)?;
-        let mut state = self.lock(token, &session)?;
-        state.pending = state.pending.saturating_sub(observations.len());
+        let universe = session.universe;
+        if let Some(obs) = observations
+            .iter()
+            .find(|obs| obs.measurements.node_count() != universe)
+        {
+            return Err(WireError::new(
+                ErrorCode::InvalidObservation,
+                format!(
+                    "tick {} declares a {}-slot universe; the session's is {universe}",
+                    obs.tick,
+                    obs.measurements.node_count()
+                ),
+            ));
+        }
+        let mut tracker = self.lock(token, &session)?;
         session.touch(self.clock.now());
         let mut accepted = 0u64;
-        for obs in observations {
-            let observed = state.tracker.observe(obs).map(drop);
-            session.publish(&state.tracker);
-            if let Err(e) = observed {
-                return Err(WireError::new(
+        let ticked = observations.iter().try_for_each(|obs| {
+            let observed = tracker.observe(obs).map(drop);
+            session.publish(&tracker);
+            observed.map_err(|e| {
+                WireError::new(
                     ErrorCode::SolveFailed,
                     format!(
                         "tick {} rejected after {accepted} of {} accepted: {e}",
                         obs.tick,
                         observations.len()
                     ),
-                ));
-            }
+                )
+            })?;
             accepted += 1;
             self.ticks_served.fetch_add(1, Ordering::Relaxed);
-        }
+            Ok(())
+        });
+        session.touch(self.clock.now());
+        ticked?;
         let latest = session.latest();
         Ok(PushReply {
             session: token,
             accepted,
             ticks: latest.ticks,
-            warm_updates: state.tracker.warm_updates(),
-            cold_solves: state.tracker.cold_solves(),
+            warm_updates: tracker.warm_updates(),
+            cold_solves: tracker.cold_solves(),
             fingerprint: latest.solution.as_ref().map_or(0, |&(_, f)| f),
         })
     }
@@ -432,21 +398,19 @@ impl SessionManager {
         match removed {
             // Closed either way; a dead session's tick count still reads.
             Some(session) => Ok(session
-                .state
+                .tracker
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .tracker
                 .ticks()),
             None => Err(self.missing(token)),
         }
     }
 
     /// Evicts every dead session (one whose lock a panicking tick
-    /// poisoned) and every one idle past the TTL. Sessions with reserved
-    /// mailbox slots are never idle (their work is in flight), and
-    /// neither are sessions whose lock is held: a session in the middle
-    /// of a tick is not idle, and waiting on it here would stall every
-    /// other session's lookup behind that tick. A no-op when the TTL is
+    /// poisoned) and every one idle past the TTL. Sessions whose lock is
+    /// held are never idle: a session in the middle of a push is not
+    /// idle, and waiting on it here would stall every other session's
+    /// lookup behind that push. A no-op when the TTL is
     /// zero; dead sessions then go at their next lookup.
     ///
     /// This scan visits every session. Lookups run it at most once per
@@ -477,15 +441,13 @@ impl SessionManager {
     }
 
     /// Whether `session` is due for eviction at `now`: dead, or idle
-    /// past a nonzero TTL with no reserved mailbox slots and its lock
-    /// free. A session whose lock a panicking tick poisoned is dead.
+    /// past a nonzero TTL with its lock free. A session whose lock a
+    /// panicking tick poisoned is dead.
     fn is_expired(&self, session: &Session, now: Duration) -> bool {
-        match session.state.try_lock() {
-            Ok(state) => {
+        match session.tracker.try_lock() {
+            Ok(_) => {
                 let last_active = Duration::from_nanos(session.last_active.load(Ordering::Relaxed));
-                !self.ttl.is_zero()
-                    && state.pending == 0
-                    && now.saturating_sub(last_active) >= self.ttl
+                !self.ttl.is_zero() && now.saturating_sub(last_active) >= self.ttl
             }
             Err(TryLockError::WouldBlock) => false,
             Err(TryLockError::Poisoned(_)) => true,
@@ -499,9 +461,9 @@ impl SessionManager {
         &self,
         token: u64,
         session: &'a Session,
-    ) -> Result<MutexGuard<'a, SessionState>, WireError> {
-        match session.state.lock() {
-            Ok(state) => Ok(state),
+    ) -> Result<MutexGuard<'a, StreamingTracker>, WireError> {
+        match session.tracker.lock() {
+            Ok(tracker) => Ok(tracker),
             Err(dead) => {
                 // Lock order: release the session before the map.
                 drop(dead);
@@ -648,21 +610,16 @@ mod tests {
         }
     }
 
-    fn manager(
-        ttl: Duration,
-        capacity: usize,
-        mailbox: usize,
-    ) -> (SessionManager, Arc<ManualClock>) {
+    fn manager(ttl: Duration, capacity: usize) -> (SessionManager, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
-        let manager = SessionManager::new(clock.clone(), ttl, capacity, mailbox);
+        let manager = SessionManager::new(clock.clone(), ttl, capacity);
         (manager, clock)
     }
 
     #[test]
     fn sessions_open_push_read_and_close() {
-        let (manager, _) = manager(Duration::from_secs(300), 4, 16);
+        let (manager, _) = manager(Duration::from_secs(300), 4);
         let token = manager.open("id", 4, tracker(7)).unwrap();
-        assert_eq!(manager.reserve(token, 2).unwrap(), 4);
         let reply = manager
             .process(token, &[square_tick(0), square_tick(1)])
             .unwrap();
@@ -690,7 +647,7 @@ mod tests {
 
     #[test]
     fn reads_before_any_tick_are_typed_errors() {
-        let (manager, _) = manager(Duration::ZERO, 0, 0);
+        let (manager, _) = manager(Duration::ZERO, 0);
         let token = manager.open("id", 4, tracker(7)).unwrap();
         assert!(matches!(
             manager.read(token, None).unwrap_err().code,
@@ -704,9 +661,8 @@ mod tests {
 
     #[test]
     fn projections_reject_out_of_universe_nodes() {
-        let (manager, _) = manager(Duration::ZERO, 0, 0);
+        let (manager, _) = manager(Duration::ZERO, 0);
         let token = manager.open("id", 4, tracker(7)).unwrap();
-        manager.reserve(token, 1).unwrap();
         manager.process(token, &[square_tick(0)]).unwrap();
         assert!(matches!(
             manager.read(token, Some(&[4])).unwrap_err().code,
@@ -715,32 +671,26 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_mailbox_quotas_reject_with_overloaded() {
-        let (manager, _) = manager(Duration::from_secs(300), 1, 2);
+    fn the_capacity_quota_rejects_with_overloaded() {
+        let (manager, _) = manager(Duration::from_secs(300), 1);
         let token = manager.open("a", 4, tracker(1)).unwrap();
         assert!(matches!(
             manager.open("b", 4, tracker(2)).unwrap_err().code,
             ErrorCode::Overloaded
         ));
-        manager.reserve(token, 2).unwrap();
-        assert!(matches!(
-            manager.reserve(token, 1).unwrap_err().code,
-            ErrorCode::Overloaded
-        ));
-        // Releasing the reservation frees the mailbox again.
-        manager.release(token, 2);
-        assert_eq!(manager.reserve(token, 2).unwrap(), 4);
+        // Closing frees the capacity again.
+        manager.close(token).unwrap();
+        manager.open("b", 4, tracker(2)).unwrap();
     }
 
     #[test]
     fn idle_sessions_evict_after_the_ttl() {
         let ttl = Duration::from_secs(60);
-        let (manager, clock) = manager(ttl, 0, 0);
+        let (manager, clock) = manager(ttl, 0);
         let idle = manager.open("idle", 4, tracker(1)).unwrap();
         let busy = manager.open("busy", 4, tracker(2)).unwrap();
         clock.advance(Duration::from_secs(59));
         // Touching `busy` resets its idle timer.
-        manager.reserve(busy, 1).unwrap();
         manager.process(busy, &[square_tick(0)]).unwrap();
         clock.advance(Duration::from_secs(1));
         manager.sweep();
@@ -755,17 +705,16 @@ mod tests {
 
     #[test]
     fn reads_do_not_wait_behind_another_sessions_tick() {
-        let (manager, _) = manager(Duration::from_secs(300), 0, 0);
+        let (manager, _) = manager(Duration::from_secs(300), 0);
         let busy = manager.open("busy", 4, tracker(1)).unwrap();
         let idle = manager.open("idle", 4, tracker(2)).unwrap();
-        manager.reserve(idle, 1).unwrap();
         manager.process(idle, &[square_tick(0)]).unwrap();
         let busy = Arc::clone(&manager.sessions.lock().unwrap()[&busy]);
         let manager = &manager;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            // Stands in for a worker in the middle of a tick on `busy`.
-            let tick = busy.state.lock().unwrap();
+            // Stands in for a push in the middle of a tick on `busy`.
+            let tick = busy.tracker.lock().unwrap();
             s.spawn(move || tx.send(manager.read(idle, None).is_ok()).unwrap());
             let read = rx.recv_timeout(Duration::from_secs(2));
             drop(tick);
@@ -779,16 +728,15 @@ mod tests {
 
     #[test]
     fn a_read_during_its_own_sessions_tick_returns_the_previous_tick() {
-        let (manager, _) = manager(Duration::from_secs(300), 0, 0);
+        let (manager, _) = manager(Duration::from_secs(300), 0);
         let token = manager.open("id", 4, tracker(1)).unwrap();
-        manager.reserve(token, 1).unwrap();
         let pushed = manager.process(token, &[square_tick(0)]).unwrap();
         let session = Arc::clone(&manager.sessions.lock().unwrap()[&token]);
         let manager = &manager;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            // Stands in for a worker in the middle of the next tick.
-            let tick = session.state.lock().unwrap();
+            // Stands in for a push in the middle of the next tick.
+            let tick = session.tracker.lock().unwrap();
             s.spawn(move || tx.send(manager.read(token, None)).unwrap());
             let read = rx.recv_timeout(Duration::from_secs(2));
             drop(tick);
@@ -802,7 +750,7 @@ mod tests {
     #[test]
     fn lookups_scan_every_session_once_per_quarter_ttl() {
         let ttl = Duration::from_secs(60);
-        let (manager, clock) = manager(ttl, 0, 0);
+        let (manager, clock) = manager(ttl, 0);
         let tokens: Vec<u64> = (0..1_000)
             .map(|k| manager.open(&format!("idle-{k}"), 4, tracker(1)).unwrap())
             .collect();
@@ -812,9 +760,8 @@ mod tests {
             1,
             "the first open scans"
         );
-        for _ in 0..5_000 {
-            manager.reserve(live, 1).unwrap();
-            manager.release(live, 1);
+        for _ in 0..10_000 {
+            manager.lookup(live).unwrap();
         }
         assert_eq!(manager.sweeps.load(Ordering::Relaxed), 1);
         // A quarter TTL later the next lookup scans once more, and no
@@ -827,18 +774,15 @@ mod tests {
         assert_eq!(manager.open_count(), 1_000);
 
         // Past the TTL, a session whose lock is held survives both the
-        // scan and a lookup of its own token, and so does one with queued
-        // work; every other idle one goes.
+        // scan and a lookup of its own token; every other idle one goes.
         let held = tokens[1];
         let session = Arc::clone(&manager.sessions.lock().unwrap()[&held]);
-        let guard = session.state.lock().unwrap();
-        manager.reserve(live, 1).unwrap();
+        let guard = session.tracker.lock().unwrap();
         clock.advance(ttl);
-        manager.release(live, 1);
-        assert_eq!(manager.sweeps.load(Ordering::Relaxed), 3);
         assert!(manager.lookup(held).is_ok());
-        assert_eq!(manager.open_count(), 2);
-        assert_eq!(manager.evicted_count(), 998);
+        assert_eq!(manager.sweeps.load(Ordering::Relaxed), 3);
+        assert_eq!(manager.open_count(), 1);
+        assert_eq!(manager.evicted_count(), 999);
         drop(guard);
         assert_eq!(manager.sweeps.load(Ordering::Relaxed), 3);
     }
@@ -848,22 +792,21 @@ mod tests {
         let session = Arc::clone(&manager.sessions.lock().unwrap()[&token]);
         let held = Arc::clone(&session);
         std::thread::spawn(move || {
-            let _tick = held.state.lock().unwrap();
+            let _tick = held.tracker.lock().unwrap();
             panic!("a tick panicked");
         })
         .join()
         .unwrap_err();
-        assert!(session.state.is_poisoned());
+        assert!(session.tracker.is_poisoned());
         session
     }
 
     #[test]
     fn a_poisoned_session_is_evicted_and_the_others_carry_on() {
         let ttl = Duration::from_secs(60);
-        let (manager, clock) = manager(ttl, 0, 0);
+        let (manager, clock) = manager(ttl, 0);
         let dead = manager.open("dead", 4, tracker(1)).unwrap();
         let live = manager.open("live", 4, tracker(2)).unwrap();
-        manager.reserve(live, 1).unwrap();
         manager.process(live, &[square_tick(0)]).unwrap();
         poison(&manager, dead);
         // A quarter TTL on, the next lookup runs a due sweep. Nothing is
@@ -876,18 +819,17 @@ mod tests {
         assert_eq!(manager.evicted_count(), 1);
         for err in [
             manager.read(dead, None).unwrap_err(),
-            manager.reserve(dead, 1).unwrap_err(),
+            manager.process(dead, &[square_tick(0)]).unwrap_err(),
             manager.close(dead).unwrap_err(),
         ] {
             assert!(matches!(err.code, ErrorCode::SessionEvicted), "{err:?}");
         }
-        manager.reserve(live, 1).unwrap();
         assert_eq!(manager.process(live, &[square_tick(1)]).unwrap().ticks, 2);
     }
 
     #[test]
     fn poisoned_sessions_go_at_lookup_or_lock_without_a_ttl() {
-        let (manager, _) = manager(Duration::ZERO, 0, 0);
+        let (manager, _) = manager(Duration::ZERO, 0);
         let looked_up = manager.open("a", 4, tracker(1)).unwrap();
         let locked = manager.open("b", 4, tracker(2)).unwrap();
         poison(&manager, looked_up);
@@ -913,7 +855,7 @@ mod tests {
     #[test]
     fn an_expired_token_reads_as_evicted_before_the_next_scan() {
         let ttl = Duration::from_secs(60);
-        let (manager, clock) = manager(ttl, 0, 0);
+        let (manager, clock) = manager(ttl, 0);
         let idle = manager.open("idle", 4, tracker(1)).unwrap();
         clock.advance(ttl - Duration::from_secs(1));
         let fresh = manager.open("fresh", 4, tracker(2)).unwrap();
@@ -922,7 +864,7 @@ mod tests {
         // was a second ago: its own lookup evicts it, and nothing else.
         clock.advance(Duration::from_secs(1));
         assert!(matches!(
-            manager.reserve(idle, 1).unwrap_err().code,
+            manager.process(idle, &[square_tick(0)]).unwrap_err().code,
             ErrorCode::SessionEvicted
         ));
         assert!(matches!(
@@ -937,7 +879,7 @@ mod tests {
     #[test]
     fn a_full_manager_scans_before_refusing_an_open() {
         let ttl = Duration::from_secs(60);
-        let (manager, clock) = manager(ttl, 1, 0);
+        let (manager, clock) = manager(ttl, 1);
         manager.open("first", 4, tracker(1)).unwrap();
         clock.advance(Duration::from_secs(50));
         // `first` has sat idle 50 s: it stays, and the next scheduled
@@ -960,17 +902,31 @@ mod tests {
     }
 
     #[test]
-    fn sessions_with_queued_work_never_evict() {
+    fn a_session_with_a_push_in_flight_never_evicts() {
         let ttl = Duration::from_secs(60);
-        let (manager, clock) = manager(ttl, 0, 0);
+        let (manager, clock) = manager(ttl, 0);
         let token = manager.open("id", 4, tracker(1)).unwrap();
-        manager.reserve(token, 1).unwrap();
-        clock.advance(Duration::from_secs(3600));
+        let session = Arc::clone(&manager.sessions.lock().unwrap()[&token]);
+        let manager = &manager;
+        std::thread::scope(|s| {
+            // Stands in for an earlier push in the middle of a tick; a
+            // second push finds the session and waits on its lock.
+            let tick = session.tracker.lock().unwrap();
+            let push = s.spawn(move || manager.process(token, &[square_tick(0)]));
+            while Arc::strong_count(&session) < 3 {
+                std::thread::yield_now();
+            }
+            clock.advance(Duration::from_secs(3600));
+            manager.sweep();
+            assert_eq!(manager.open_count(), 1);
+            drop(tick);
+            assert_eq!(push.join().unwrap().unwrap().ticks, 1);
+        });
+        // The push re-armed the TTL from "now".
+        clock.advance(ttl - Duration::from_secs(1));
         manager.sweep();
         assert_eq!(manager.open_count(), 1);
-        // Draining the mailbox re-arms the TTL from "now".
-        manager.process(token, &[square_tick(0)]).unwrap();
-        clock.advance(ttl);
+        clock.advance(Duration::from_secs(1));
         manager.sweep();
         assert_eq!(manager.open_count(), 0);
         assert!(matches!(
@@ -981,7 +937,7 @@ mod tests {
 
     #[test]
     fn zero_ttl_disables_eviction() {
-        let (manager, clock) = manager(Duration::ZERO, 0, 0);
+        let (manager, clock) = manager(Duration::ZERO, 0);
         let token = manager.open("id", 4, tracker(1)).unwrap();
         clock.advance(Duration::from_secs(1_000_000));
         manager.sweep();
@@ -990,8 +946,8 @@ mod tests {
 
     #[test]
     fn tokens_are_deterministic_for_a_fresh_manager() {
-        let (a, _) = manager(Duration::ZERO, 0, 0);
-        let (b, _) = manager(Duration::ZERO, 0, 0);
+        let (a, _) = manager(Duration::ZERO, 0);
+        let (b, _) = manager(Duration::ZERO, 0);
         let ta = a.open("same-identity", 4, tracker(7)).unwrap();
         let tb = b.open("same-identity", 4, tracker(7)).unwrap();
         assert_eq!(ta, tb);
@@ -1001,16 +957,14 @@ mod tests {
     }
 
     #[test]
-    fn tracker_errors_free_the_mailbox_and_keep_the_session() {
-        let (manager, _) = manager(Duration::ZERO, 0, 2);
+    fn tracker_errors_keep_the_session() {
+        let (manager, _) = manager(Duration::ZERO, 0);
         let token = manager.open("id", 4, tracker(7)).unwrap();
         let mut bad = square_tick(0);
         bad.active.clear(); // empty active set: tracker rejects it
-        manager.reserve(token, 1).unwrap();
         let err = manager.process(token, &[bad]).unwrap_err();
         assert!(matches!(err.code, ErrorCode::SolveFailed));
-        // The reservation was freed and the session still works.
-        manager.reserve(token, 2).unwrap();
+        // The session still works.
         let reply = manager
             .process(token, &[square_tick(1), square_tick(2)])
             .unwrap();

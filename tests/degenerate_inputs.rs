@@ -17,6 +17,7 @@
 use rand::Rng;
 use resilient_localization::prelude::*;
 use rl_deploy::Scenario;
+use rl_geom::{fit_rigid_transform, RigidTransform};
 use rl_net::RadioModel;
 use rl_ranging::channel::{ChannelStage, RangingChannel};
 
@@ -39,8 +40,11 @@ fn panel() -> Vec<Box<dyn Localizer>> {
 }
 
 /// Every family either returns a structured error or a solution whose
-/// localized positions are all finite. Reaching the end of this function
-/// is the assertion: no family panicked, no family emitted NaN.
+/// localized positions are all finite, and evaluating that solution
+/// against the truth gives a structured error or a finite mean error
+/// (the rigid fit squares coordinates, so a node at 1e300 m reads NaN
+/// unless the fit rescales). Reaching the end of this function is the
+/// assertion: no family panicked, no family emitted NaN.
 fn assert_no_panic_no_nan(problem: &Problem, label: &str) {
     for solver in panel() {
         let mut rng = rl_math::rng::seeded(1);
@@ -55,6 +59,16 @@ fn assert_no_panic_no_nan(problem: &Problem, label: &str) {
                             solver.name(),
                         );
                     }
+                }
+                let truth = problem.truth().expect("every problem here carries truth");
+                if let Ok(eval) = evaluate_against_truth(positions, truth) {
+                    assert!(
+                        eval.mean_error.is_finite() && eval.max_error >= eval.mean_error,
+                        "{} on {label}: mean error {} max {}",
+                        solver.name(),
+                        eval.mean_error,
+                        eval.max_error
+                    );
                 }
             }
             Err(e) => {
@@ -290,4 +304,26 @@ fn mds_map_localizes_grids_at_1e150_and_1e_minus_150_m() {
             );
         }
     }
+}
+
+/// A grid at 1e-150 m, whose squared spread (~1e-296) used to read as
+/// "all points coincide", gets a rigid fit, and MDS-MAP's estimate of it
+/// evaluates to within 1e-7 of its spacing.
+#[test]
+fn a_grid_at_1e_minus_150_m_fits_and_evaluates() {
+    let problem = scaled_grid(1e-150);
+    let truth = problem.truth().expect("the corpus carries truth");
+    let hidden = RigidTransform::new(0.8, true, Vec2::new(3e-150, -1e-150));
+    let moved: Vec<Point2> = truth.iter().map(|&p| hidden.apply(p)).collect();
+    let fit = fit_rigid_transform(truth, &moved, true).expect("the fit succeeds");
+    assert!(fit.rmse <= 1e-12 * 9e-150, "rmse {:e}", fit.rmse);
+    let solution = MdsMapLocalizer::new()
+        .localize(&problem, &mut rl_math::rng::seeded(1))
+        .expect("MDS-MAP localizes the grid");
+    let eval = evaluate_against_truth(solution.positions(), truth).expect("evaluates");
+    assert!(
+        eval.max_error <= 1e-7 * 9e-150,
+        "max error {:e}",
+        eval.max_error
+    );
 }
