@@ -89,7 +89,7 @@ fn adjacency(set: &MeasurementSet) -> Result<CsrMatrix> {
 /// over its CSR [`adjacency`] matrix. The table is the one intrinsically
 /// quadratic artifact of MDS-MAP. On `workers` pool threads, each task
 /// fills one block of [`COMPLETION_BLOCK`] rows in place, reusing one
-/// heap across its sources.
+/// [`DijkstraWorkspace`] across its sources.
 fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> {
     let n = set.node_count();
     let adjacency = adjacency(set)?;
@@ -189,39 +189,23 @@ impl CenteredOperator {
             total_mean: total / (n * n) as f64,
         }
     }
-}
 
-impl LinearOperator for CenteredOperator {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.n;
-        let sum_x: f64 = x.iter().sum();
-        let mean_dot: f64 = self.row_mean.iter().zip(x).map(|(r, xi)| r * xi).sum();
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.d2[i * n..(i + 1) * n];
-            let d2x: f64 = row.iter().zip(x).map(|(a, b)| a * b).sum();
-            *yi = -0.5 * (d2x - self.row_mean[i] * sum_x - mean_dot + self.total_mean * sum_x);
-        }
-    }
-
-    /// Blocked application sharing one pass over the `n x n` distance
-    /// table for the whole block — the table is the dominant memory
-    /// traffic at metro scale, and the subspace-iteration eigensolver
-    /// applies this operator to `k = 2` vectors every step. Blocks of
-    /// [`OPERATOR_BLOCK`] rows run on the pool, each output slot written
-    /// by one task. Each output is bit-identical to the single-vector
-    /// [`Self::apply`] (the campaign fingerprints pin the eigensolver
-    /// path).
-    fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
+    /// `ys[j] = B xs[j]` for a block of vectors: the one product kernel
+    /// behind [`LinearOperator::apply`] and
+    /// [`LinearOperator::apply_multi`].
+    ///
+    /// Blocks of [`OPERATOR_BLOCK`] rows run on the pool, each output
+    /// slot written by one task. A task walks its rows four at a time
+    /// ([`dot4`]): one pass over a vector feeds four rows' `D² x` sums,
+    /// and every vector of the block passes over the same four rows
+    /// while they are in cache.
+    fn product(&self, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
         let n = self.n;
         let sums: Vec<(f64, f64)> = xs
             .iter()
             .map(|x| {
                 let sum_x: f64 = x.iter().sum();
-                let mean_dot: f64 = self.row_mean.iter().zip(x).map(|(r, xi)| r * xi).sum();
+                let mean_dot: f64 = self.row_mean.iter().zip(*x).map(|(r, xi)| r * xi).sum();
                 (sum_x, mean_dot)
             })
             .collect();
@@ -235,16 +219,66 @@ impl LinearOperator for CenteredOperator {
             }
         }
         pool::par_for_each_mut(&mut blocks, self.workers, |b, block| {
-            for k in 0..block.first().map_or(0, |rows| rows.len()) {
-                let i = b * OPERATOR_BLOCK + k;
-                let row = &self.d2[i * n..(i + 1) * n];
+            let first = b * OPERATOR_BLOCK;
+            let len = block.first().map_or(0, |rows| rows.len());
+            for k in (0..len).step_by(4) {
+                // A short last group repeats its last row and drops the
+                // repeats' sums.
+                let rows = std::array::from_fn(|r| {
+                    let i = first + (k + r).min(len - 1);
+                    &self.d2[i * n..(i + 1) * n]
+                });
                 for ((x, y), &(sum_x, mean_dot)) in xs.iter().zip(block.iter_mut()).zip(&sums) {
-                    let d2x: f64 = row.iter().zip(x).map(|(a, b)| a * b).sum();
-                    y[k] = -0.5
-                        * (d2x - self.row_mean[i] * sum_x - mean_dot + self.total_mean * sum_x);
+                    let d2x = dot4(rows, x);
+                    for (r, &d2x) in d2x.iter().enumerate().take(len - k) {
+                        let i = first + k + r;
+                        y[k + r] = -0.5
+                            * (d2x - self.row_mean[i] * sum_x - mean_dot + self.total_mean * sum_x);
+                    }
                 }
             }
         });
+    }
+}
+
+/// The four dot products `rows[r] · x` in one pass over `x`, with four
+/// independent accumulators. Each sums its products in column order
+/// starting from `-0.0`, exactly as `Iterator::sum` does for one row, so
+/// every sum keeps the one-row loop's bits.
+fn dot4(rows: [&[f64]; 4], x: &[f64]) -> [f64; 4] {
+    let n = x.len();
+    let (r0, r1, r2, r3) = (&rows[0][..n], &rows[1][..n], &rows[2][..n], &rows[3][..n]);
+    let mut acc = [-0.0; 4];
+    for j in 0..n {
+        let xj = x[j];
+        acc[0] += r0[j] * xj;
+        acc[1] += r1[j] * xj;
+        acc[2] += r2[j] * xj;
+        acc[3] += r3[j] * xj;
+    }
+    acc
+}
+
+impl LinearOperator for CenteredOperator {
+    fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// One vector through [`CenteredOperator::product`], on the pool like
+    /// a block: the eigensolver's shift estimate applies it 12 times.
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.product(&[x], &mut [y]);
+    }
+
+    /// The whole block through [`CenteredOperator::product`]: one pass
+    /// over the `n x n` distance table, the dominant memory traffic at
+    /// metro scale, serves every vector. Each output is bit-identical to
+    /// [`Self::apply`] on that vector alone (the campaign fingerprints
+    /// pin the eigensolver path).
+    fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
+        let xs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        let mut ys: Vec<&mut [f64]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+        self.product(&xs, &mut ys);
     }
 }
 
@@ -421,40 +455,70 @@ mod tests {
         }
     }
 
+    /// The one-row loop the four-row kernel replaced: `(B x)_i` from the
+    /// operator's own means, each row's `D² x` summed by `Iterator::sum`.
+    fn one_row_product(op: &CenteredOperator, x: &[f64]) -> Vec<f64> {
+        let n = op.n;
+        let sum_x: f64 = x.iter().sum();
+        let mean_dot: f64 = op.row_mean.iter().zip(x).map(|(r, xi)| r * xi).sum();
+        (0..n)
+            .map(|i| {
+                let row = &op.d2[i * n..(i + 1) * n];
+                let d2x: f64 = row.iter().zip(x).map(|(a, b)| a * b).sum();
+                -0.5 * (d2x - op.row_mean[i] * sum_x - mean_dot + op.total_mean * sum_x)
+            })
+            .collect()
+    }
+
     #[test]
-    fn operator_products_are_bit_identical_for_any_worker_count() {
+    fn four_row_products_match_the_one_row_loop_bitwise() {
         use rand::Rng;
-        let n = 2 * OPERATOR_BLOCK + 9;
         let mut rng = rl_math::rng::seeded(21);
-        let mut d2 = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..i {
-                let v = 100.0 * rng.random::<f64>();
-                d2[i * n + j] = v;
-                d2[j * n + i] = v;
+        // Every short last group of rows, then blocks of the pool with a
+        // short last block.
+        for n in (1..=9).chain([2 * OPERATOR_BLOCK + 9]) {
+            let xs: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
+                .collect();
+            let mut d2 = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..i {
+                    let v = 100.0 * rng.random::<f64>();
+                    d2[i * n + j] = v;
+                    d2[j * n + i] = v;
+                }
             }
-        }
-        let xs: Vec<Vec<f64>> = (0..2)
-            .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
-            .collect();
-        let products = |workers: usize| {
-            let operator = CenteredOperator::new(n, d2.clone(), workers);
-            let mut ys = vec![vec![0.0; n]; xs.len()];
-            operator.apply_multi(&xs, &mut ys);
-            ys
-        };
-        let reference = products(1);
-        // The blocked product matches the single-vector one bit for bit.
-        let single = CenteredOperator::new(n, d2.clone(), 1);
-        for (x, y) in xs.iter().zip(&reference) {
-            let mut alone = vec![0.0; n];
-            single.apply(x, &mut alone);
-            assert_eq!(bits(&alone), bits(y));
-        }
-        for workers in [2, 3] {
-            for (pooled, serial) in products(workers).iter().zip(&reference) {
-                assert_eq!(bits(pooled), bits(serial), "workers={workers}");
+            // One row of signed zeros whose every product with the
+            // first vector is -0.0.
+            let zero_row = n / 2;
+            for (d, x) in d2[zero_row * n..(zero_row + 1) * n].iter_mut().zip(&xs[0]) {
+                *d = if *x < 0.0 { 0.0 } else { -0.0 };
             }
+            for vectors in 1..=3 {
+                let xs = &xs[..vectors];
+                for workers in 1..=3 {
+                    let op = CenteredOperator::new(n, d2.clone(), workers);
+                    let mut ys = vec![vec![f64::NAN; n]; vectors];
+                    op.apply_multi(xs, &mut ys);
+                    for (x, y) in xs.iter().zip(&ys) {
+                        let at = format!("n={n} vectors={vectors} workers={workers}");
+                        assert_eq!(bits(y), bits(&one_row_product(&op, x)), "{at}");
+                        let mut alone = vec![f64::NAN; n];
+                        op.apply(x, &mut alone);
+                        assert_eq!(bits(&alone), bits(y), "{at}");
+                    }
+                }
+            }
+            // Each accumulator starts at -0.0, as `Iterator::sum` does, so
+            // the zero row's sum keeps its sign in any of the four lanes.
+            let row = |i: usize| &d2[i * n..(i + 1) * n];
+            let lanes = [zero_row, 0, n - 1, zero_row];
+            let sums = dot4(lanes.map(row), &xs[0]);
+            for (sum, i) in sums.iter().zip(lanes) {
+                let one_row: f64 = row(i).iter().zip(&xs[0]).map(|(a, b)| a * b).sum();
+                assert_eq!(sum.to_bits(), one_row.to_bits(), "n={n} row {i}");
+            }
+            assert_eq!(sums[0].to_bits(), (-0.0f64).to_bits(), "n={n}");
         }
     }
 

@@ -17,11 +17,12 @@
 //! * [`eigen`] — a shifted subspace-iteration top-`k` eigensolver for
 //!   symmetric operators, needing only mat-vec applications,
 //! * [`dijkstra`] — single-source shortest paths over a CSR adjacency
-//!   matrix, the sparse replacement for dense all-pairs completion.
+//!   matrix on an indexed 4-ary heap with decrease-key, the sparse
+//!   replacement for dense all-pairs completion.
 //!
-//! Dense counterparts ([`DMatrix`], [`SymmetricEigen`]) stay the
-//! small-`n` eigensolve of MDS-MAP, which picks it by problem size, and
-//! the parity oracle in tests.
+//! MDS-MAP eigensolves through [`eigen`] at every size. The dense
+//! counterparts ([`DMatrix`], [`SymmetricEigen`]) remain the small
+//! Rayleigh–Ritz solve inside [`eigen`] and the parity oracle in tests.
 //!
 //! [`SymmetricEigen`]: crate::SymmetricEigen
 //!
@@ -209,21 +210,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Converts a dense matrix, dropping exact zeros.
-    pub fn from_dense(dense: &DMatrix) -> Self {
-        let mut triplets = Vec::new();
-        for i in 0..dense.rows() {
-            for j in 0..dense.cols() {
-                let v = dense[(i, j)];
-                if v != 0.0 {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        CsrMatrix::from_triplets(dense.rows(), dense.cols(), &triplets)
-            .expect("dense entries are in bounds and finite")
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -366,12 +352,14 @@ pub trait LinearOperator {
 
     /// Writes `A xs[j]` into `ys[j]` for a block of vectors.
     ///
-    /// The default simply loops [`LinearOperator::apply`]; operators with
-    /// exploitable structure (CSR, the MDS double-centering operator)
-    /// override it to share one traversal across the block. Overrides
-    /// must keep each output bit-identical to the single-vector `apply` —
-    /// the blocked eigensolver path is covered by the campaign
-    /// determinism fingerprints.
+    /// The default simply loops [`LinearOperator::apply`]. CSR overrides
+    /// it to read each stored entry once for the whole block. The MDS
+    /// double-centering operator runs `apply` and `apply_multi` through
+    /// one pooled kernel that walks its dense table four rows per pass
+    /// and, for each group of rows, passes every vector over them.
+    /// Overrides must keep each output bit-identical to the
+    /// single-vector `apply` — the blocked eigensolver path is covered by
+    /// the campaign determinism fingerprints.
     fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
         for (x, y) in xs.iter().zip(ys.iter_mut()) {
             self.apply(x, y);
@@ -419,9 +407,12 @@ impl LinearOperator for DMatrix {
 /// Single-source shortest-path distances over a CSR adjacency matrix
 /// whose stored values are non-negative edge weights.
 ///
-/// Runs binary-heap Dijkstra in `O((n + nnz) log n)`; unreachable nodes
-/// get `f64::INFINITY`. Ties are broken by node id, so the result is
-/// deterministic for any insertion order.
+/// Runs Dijkstra on an indexed 4-ary min-heap with decrease-key (see
+/// [`DijkstraWorkspace`]) in `O((n + nnz) log n)`; unreachable nodes get
+/// `f64::INFINITY`. A node's final distance is the smallest
+/// `dist[u] + w`, rounded in `f64`, over its neighbours `u`. The order
+/// in which equal costs leave the heap cannot change that minimum, so
+/// the result is deterministic.
 ///
 /// This is the sparse replacement for the dense all-pairs completion in
 /// MDS-MAP: calling it once per source node costs
@@ -450,18 +441,108 @@ pub fn dijkstra(adjacency: &CsrMatrix, source: usize) -> Vec<f64> {
     dist
 }
 
-/// Reusable scratch for [`dijkstra_into`]: the priority-queue allocation
-/// survives across calls, so an all-sources sweep pays for the heap's
-/// backing storage once instead of once per source.
+/// [`DijkstraWorkspace`] slot of a node that is not in the heap.
+const NOT_QUEUED: usize = usize::MAX;
+
+/// Reusable scratch for [`dijkstra_into`]: an indexed 4-ary min-heap of
+/// tentative distances with decrease-key. Each node is queued at most
+/// once, so a relaxation that lowers a queued node's distance moves its
+/// entry up instead of pushing a stale duplicate.
+///
+/// Entries are keyed on [`f64::to_bits`] of the costs. Costs are sums of
+/// non-negative weights starting from `+0.0`, never `-0.0`, so their bit
+/// patterns order like their values. Both buffers survive across calls,
+/// so an all-sources sweep allocates them once, and one workspace serves
+/// graphs of any size.
 #[derive(Debug, Default)]
 pub struct DijkstraWorkspace {
-    heap: std::collections::BinaryHeap<MinCost>,
+    /// Heap entries `(cost bits, node)`; the children of slot `s` are
+    /// slots `4s + 1 ..= 4s + 4`.
+    heap: Vec<(u64, usize)>,
+    /// `slot[node]`: the node's heap slot, or [`NOT_QUEUED`].
+    slot: Vec<usize>,
 }
 
 impl DijkstraWorkspace {
     /// An empty workspace; the heap grows to fit on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the heap and sizes the slot index for `n` nodes.
+    fn reset(&mut self, n: usize) {
+        self.heap.clear();
+        self.slot.clear();
+        self.slot.resize(n, NOT_QUEUED);
+    }
+
+    /// Queues `node` at `key`, or lowers the key of its queued entry.
+    fn push_or_decrease(&mut self, node: usize, key: u64) {
+        let mut s = self.slot[node];
+        if s == NOT_QUEUED {
+            s = self.heap.len();
+            self.heap.push((key, node));
+        }
+        while s > 0 {
+            let parent = (s - 1) / 4;
+            let above = self.heap[parent];
+            if above.0 <= key {
+                break;
+            }
+            self.heap[s] = above;
+            self.slot[above.1] = s;
+            s = parent;
+        }
+        self.heap[s] = (key, node);
+        self.slot[node] = s;
+    }
+
+    /// Removes and returns the entry with the smallest key.
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let top = *self.heap.first()?;
+        self.slot[top.1] = NOT_QUEUED;
+        let last = self.heap.pop().expect("the heap is not empty");
+        let len = self.heap.len();
+        if len == 0 {
+            return Some(top);
+        }
+        // Sift the former last entry down from the root.
+        let mut s = 0;
+        loop {
+            let first = 4 * s + 1;
+            if first >= len {
+                break;
+            }
+            let mut child = first;
+            if first + 4 <= len {
+                // A two-round tournament over the four children, free of
+                // branches on the keys, which no predictor can guess.
+                let keys = &self.heap[first..first + 4];
+                let left = first + usize::from(keys[1].0 < keys[0].0);
+                let right = first + 2 + usize::from(keys[3].0 < keys[2].0);
+                child = if self.heap[right].0 < self.heap[left].0 {
+                    right
+                } else {
+                    left
+                };
+            } else {
+                for c in first + 1..len {
+                    if self.heap[c].0 < self.heap[child].0 {
+                        child = c;
+                    }
+                }
+            }
+            let below = self.heap[child];
+            if below.0 >= last.0 {
+                break;
+            }
+            self.heap[s] = below;
+            self.slot[below.1] = s;
+            s = child;
+        }
+        self.heap[s] = last;
+        self.slot[last.1] = s;
+        Some(top)
     }
 }
 
@@ -490,27 +571,21 @@ pub fn dijkstra_into(
 
     dist.fill(f64::INFINITY);
     dist[source] = 0.0;
-    let heap = &mut ws.heap;
-    heap.clear();
-    heap.push(MinCost {
-        cost: 0.0,
-        node: source,
-    });
-    while let Some(MinCost { cost, node }) = heap.pop() {
-        if cost > dist[node] {
-            continue;
-        }
-        for k in adjacency.row_ptr[node]..adjacency.row_ptr[node + 1] {
-            let next = adjacency.col_idx[k];
-            let w = adjacency.values[k];
+    ws.reset(n);
+    ws.push_or_decrease(source, 0.0f64.to_bits());
+    while let Some((key, node)) = ws.pop() {
+        // A queued key is always its node's current distance.
+        let cost = f64::from_bits(key);
+        let span = adjacency.row_ptr[node]..adjacency.row_ptr[node + 1];
+        for (&next, &w) in adjacency.col_idx[span.clone()]
+            .iter()
+            .zip(&adjacency.values[span])
+        {
             debug_assert!(w >= 0.0, "negative edge weight {w}");
             let cand = cost + w;
             if cand < dist[next] {
                 dist[next] = cand;
-                heap.push(MinCost {
-                    cost: cand,
-                    node: next,
-                });
+                ws.push_or_decrease(next, cand.to_bits());
             }
         }
     }
@@ -519,7 +594,7 @@ pub fn dijkstra_into(
 /// Multi-source Dijkstra into a row-major `sources.len() x n` distance
 /// buffer: row `s` holds the distances from `sources[s]`.
 ///
-/// One heap allocation serves every source (the kernel shape geodesic
+/// One [`DijkstraWorkspace`] serves every source (the kernel shape geodesic
 /// completion needs: `n` sources over the same adjacency). Each row is
 /// identical to the corresponding single-source [`dijkstra`] run.
 ///
@@ -540,38 +615,28 @@ pub fn dijkstra_multi_into(adjacency: &CsrMatrix, sources: &[usize], dist: &mut 
     }
 }
 
-/// Min-heap entry for [`dijkstra`] (reversed ordering on cost, ties by
-/// node id).
-#[derive(Debug, PartialEq)]
-struct MinCost {
-    cost: f64,
-    node: usize,
-}
-
-impl Eq for MinCost {}
-
-impl Ord for MinCost {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .expect("finite costs")
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for MinCost {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     impl CsrMatrix {
+        /// Converts a dense matrix, dropping exact zeros: how the tests in
+        /// this module, `cg` and `eigen` state their small matrices.
+        pub(crate) fn from_dense(dense: &DMatrix) -> Self {
+            let mut triplets = Vec::new();
+            for i in 0..dense.rows() {
+                for j in 0..dense.cols() {
+                    let v = dense[(i, j)];
+                    if v != 0.0 {
+                        triplets.push((i, j, v));
+                    }
+                }
+            }
+            CsrMatrix::from_triplets(dense.rows(), dense.cols(), &triplets)
+                .expect("dense entries are in bounds and finite")
+        }
+
         /// Materializes the dense equivalent, the reference the sparse
         /// kernels are checked against.
         fn to_dense(&self) -> DMatrix {
@@ -640,14 +705,6 @@ mod tests {
             a.matvec(&[1.0, 2.0]),
             Err(MathError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dense_round_trip() {
-        let dense = DMatrix::from_rows(&[&[0.0, 1.5, 0.0], &[-2.0, 0.0, 0.0]]).unwrap();
-        let sparse = CsrMatrix::from_dense(&dense);
-        assert_eq!(sparse.nnz(), 2);
-        assert_eq!(sparse.to_dense(), dense);
     }
 
     #[test]
@@ -749,18 +806,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dijkstra_workspace_is_reusable() {
-        let g = CsrMatrix::symmetric_from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let mut ws = DijkstraWorkspace::new();
-        let mut d = vec![0.0; 3];
-        dijkstra_into(&g, 0, &mut d, &mut ws);
-        assert_eq!(d, vec![0.0, 1.0, 2.0]);
-        dijkstra_into(&g, 2, &mut d, &mut ws);
-        assert_eq!(d, vec![2.0, 1.0, 0.0]);
+    /// The plain `BinaryHeap` Dijkstra with stale entries that the
+    /// indexed heap replaced: the bitwise oracle for [`dijkstra_into`].
+    fn binary_heap_dijkstra(g: &CsrMatrix, source: usize) -> Vec<f64> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut dist = vec![f64::INFINITY; g.rows()];
+        dist[source] = 0.0;
+        let mut heap = BinaryHeap::from([Reverse((0.0f64.to_bits(), source))]);
+        while let Some(Reverse((key, node))) = heap.pop() {
+            let cost = f64::from_bits(key);
+            if cost > dist[node] {
+                continue;
+            }
+            for (next, w) in g.row(node) {
+                let cand = cost + w;
+                if cand < dist[next] {
+                    dist[next] = cand;
+                    heap.push(Reverse((cand.to_bits(), next)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// An edge weight drawn as a class: `+0.0`, `-0.0`, one of two
+    /// repeated values (ties), or the continuous draw `w`.
+    fn weight(class: u8, w: f64) -> f64 {
+        match class {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => 2.5,
+            _ => w,
+        }
     }
 
     proptest! {
+        /// The indexed 4-ary heap settles every node at the bits the
+        /// plain binary heap does, with one workspace reused across
+        /// graphs of shrinking size. Zero and `-0.0` weights, ties and
+        /// isolated nodes are all drawn.
+        #[test]
+        fn prop_dijkstra_matches_the_binary_heap_bitwise(
+            mut graphs in proptest::collection::vec(
+                (
+                    1usize..40,
+                    proptest::collection::vec((0usize..40, 0usize..40, 0u8..7, 0.0f64..10.0), 0..80),
+                ),
+                1..5,
+            ),
+        ) {
+            graphs.sort_by_key(|g| std::cmp::Reverse(g.0));
+            let mut ws = DijkstraWorkspace::new();
+            for (n, edges) in &graphs {
+                let edges: Vec<(usize, usize, f64)> = edges
+                    .iter()
+                    .map(|&(i, j, class, w)| (i % n, j % n, weight(class, w)))
+                    .collect();
+                let g = CsrMatrix::symmetric_from_edges(*n, &edges).unwrap();
+                let mut dist = vec![f64::NAN; *n];
+                for source in 0..*n {
+                    dijkstra_into(&g, source, &mut dist, &mut ws);
+                    let expect = binary_heap_dijkstra(&g, source);
+                    for (node, (got, want)) in dist.iter().zip(&expect).enumerate() {
+                        prop_assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "n={} source={} node={}", n, source, node
+                        );
+                    }
+                }
+            }
+        }
+
         /// Sparse mat-vec equals the dense product for arbitrary sparse
         /// patterns (the CSR parity oracle).
         #[test]
@@ -826,16 +945,6 @@ mod tests {
                     }
                 }
             }
-        }
-
-        /// CSR round-trips through dense regardless of triplet order.
-        #[test]
-        fn prop_dense_round_trip(
-            triplets in proptest::collection::vec((0usize..5, 0usize..5, -4.0f64..4.0), 0..20),
-        ) {
-            let sparse = CsrMatrix::from_triplets(5, 5, &triplets).unwrap();
-            let back = CsrMatrix::from_dense(&sparse.to_dense());
-            prop_assert_eq!(back.to_dense(), sparse.to_dense());
         }
     }
 }
