@@ -31,8 +31,6 @@ pub enum InitStrategy {
     /// Uniform random positions in a square sized to the measurement
     /// scale (side ≈ mean measured distance × √n).
     Random,
-    /// Uniform random positions in a square of the given side, meters.
-    RandomInSquare(f64),
     /// Seed from MDS-MAP (shortest-path completion + classical MDS),
     /// falling back to [`InitStrategy::Random`] when the graph is
     /// disconnected. An extension beyond the paper that typically speeds
@@ -383,8 +381,7 @@ impl LssSolver {
         let mut gauss = rl_math::rng::GaussianSampler::new();
 
         // Scale for fresh random re-seeds (see below).
-        let mean_d = set.iter().map(|(_, _, d)| d).sum::<f64>() / set.len() as f64;
-        let fresh_side = (mean_d * (n as f64).sqrt() * 0.7).max(1.0);
+        let fresh_side = square_side(set);
         let mut stale_rounds = 0usize;
 
         for round in 0..=self.config.descent.restarts {
@@ -499,26 +496,10 @@ impl LssSolver {
     ) -> Result<Vec<f64>> {
         let n = set.node_count();
         match &self.config.init {
-            InitStrategy::Random => {
-                let mean_d = set.iter().map(|(_, _, d)| d).sum::<f64>() / set.len() as f64;
-                let side = (mean_d * (n as f64).sqrt() * 0.7).max(1.0);
-                Ok(random_square(n, side, rng))
-            }
-            InitStrategy::RandomInSquare(side) => {
-                if !(*side > 0.0) {
-                    return Err(LocalizationError::InvalidConfig(
-                        "init square side must be positive",
-                    ));
-                }
-                Ok(random_square(n, *side, rng))
-            }
+            InitStrategy::Random => Ok(random_square(n, square_side(set), rng)),
             InitStrategy::MdsMap => match crate::mds::mdsmap_coordinates(set) {
                 Ok(coords) => Ok(flatten(&coords)),
-                Err(_) => {
-                    let mean_d = set.iter().map(|(_, _, d)| d).sum::<f64>() / set.len() as f64;
-                    let side = (mean_d * (n as f64).sqrt() * 0.7).max(1.0);
-                    Ok(random_square(n, side, rng))
-                }
+                Err(_) => Ok(random_square(n, square_side(set), rng)),
             },
             InitStrategy::Given(coords) => {
                 if coords.len() != n {
@@ -613,6 +594,13 @@ impl rl_math::gradient::Objective for AnchoredObjective {
             grad[self.n + i] += 2.0 * self.weight * (x[self.n + i] - p.y);
         }
     }
+}
+
+/// Side of the random start square, sized to the measurement scale:
+/// mean measured distance × √n × 0.7, at least 1 m.
+fn square_side(set: &MeasurementSet) -> f64 {
+    let mean_d = set.iter().map(|(_, _, d)| d).sum::<f64>() / set.len() as f64;
+    (mean_d * (set.node_count() as f64).sqrt() * 0.7).max(1.0)
 }
 
 fn random_square<R: Rng + ?Sized>(n: usize, side: f64, rng: &mut R) -> Vec<f64> {
@@ -743,9 +731,6 @@ mod tests {
             bad_init.solve(&set, &mut rng),
             Err(LocalizationError::InvalidConfig(_))
         ));
-        let bad_square =
-            LssSolver::new(LssConfig::default().with_init(InitStrategy::RandomInSquare(0.0)));
-        assert!(bad_square.solve(&set, &mut rng).is_err());
     }
 
     #[test]

@@ -63,11 +63,7 @@ impl Default for MultilaterationConfig {
                 max_iterations: 500,
                 tolerance: 1e-12,
                 patience: 20,
-                // A few perturbation restarts dodge the mirror-image local
-                // minimum that near-collinear anchor sets produce.
-                restarts: 4,
-                perturbation: 5.0,
-                record_trace: false,
+                ..DescentConfig::default()
             },
             reject_ambiguous: true,
         }
@@ -336,8 +332,9 @@ impl MultilaterationSolver {
     fn estimate(&self, observations: &[RangeToAnchor]) -> Option<Point2> {
         // Multistart descent: the anchor centroid plus a ring of
         // perturbed starts. A single start from the centroid (the
-        // surveyor's choice) finds *a* minimum; the ring reveals
-        // whether a second, mirror-image minimum competes.
+        // surveyor's choice) finds *a* minimum; the ring dodges the
+        // mirror-image local minimum that near-collinear anchor sets
+        // produce, and reveals whether that minimum competes.
         let anchors: Vec<Point2> = observations.iter().map(|o| o.anchor).collect();
         let centroid = rl_geom::centroid(&anchors)?;
         let spread = anchors

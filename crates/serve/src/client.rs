@@ -95,6 +95,15 @@ impl From<FrameError> for ClientError {
     }
 }
 
+/// The error for a reply other than the `expected` one: the server's
+/// typed error, or a protocol violation.
+fn unexpected(reply: Response, expected: &str) -> ClientError {
+    match reply {
+        Response::Error(e) => ClientError::Server(e),
+        other => ClientError::Protocol(format!("expected {expected}, got {other:?}")),
+    }
+}
+
 /// A connected, handshaken client. See the module docs.
 pub struct Client {
     stream: TcpStream,
@@ -128,10 +137,7 @@ impl Client {
                 client.server = server;
                 Ok(client)
             }
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Hello, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "Hello")),
         }
     }
 
@@ -186,10 +192,7 @@ impl Client {
     ) -> Result<LocalizeReply, ClientError> {
         match self.roundtrip(&Request::localize(deployment, solver, seed))? {
             Response::Batch(batch::Response::Localized(reply)) => Ok(reply),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Localized, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "Localized")),
         }
     }
 
@@ -218,10 +221,7 @@ impl Client {
         });
         match self.roundtrip(&request)? {
             Response::Batch(batch::Response::Projected(projection)) => Ok(projection),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Projected, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "Projected")),
         }
     }
 
@@ -233,14 +233,11 @@ impl Client {
     pub fn status(&mut self) -> Result<ServerStats, ClientError> {
         match self.roundtrip(&Request::Batch(batch::Request::Status))? {
             Response::Batch(batch::Response::Status(stats)) => Ok(stats),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Status, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "Status")),
         }
     }
 
-    /// Asks the server to shut down gracefully (drain in-flight solves,
+    /// Asks the server to shut down gracefully (finish running requests,
     /// then exit its accept loop). Returns once the server acknowledges.
     ///
     /// # Errors
@@ -249,10 +246,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         match self.roundtrip(&Request::Batch(batch::Request::Shutdown))? {
             Response::Batch(batch::Response::ShuttingDown) => Ok(()),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected ShuttingDown, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "ShuttingDown")),
         }
     }
 
@@ -285,10 +279,7 @@ impl Client {
                     open: true,
                 })
             }
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected StreamOpened, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "StreamOpened")),
         }
     }
 }
@@ -378,10 +369,7 @@ impl<'a> StreamSession<'a> {
         });
         match self.client.roundtrip(&request)? {
             Response::Stream(stream::Response::TicksPushed(reply)) => Ok(reply),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected TicksPushed, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "TicksPushed")),
         }
     }
 
@@ -418,10 +406,7 @@ impl<'a> StreamSession<'a> {
         });
         match self.client.roundtrip(&request)? {
             Response::Stream(stream::Response::Solution(reply)) => Ok(reply),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Solution, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "Solution")),
         }
     }
 
@@ -438,10 +423,7 @@ impl<'a> StreamSession<'a> {
         });
         match self.client.roundtrip(&request)? {
             Response::Stream(stream::Response::StreamClosed { ticks, .. }) => Ok(ticks),
-            Response::Error(e) => Err(ClientError::Server(e)),
-            other => Err(ClientError::Protocol(format!(
-                "expected StreamClosed, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "StreamClosed")),
         }
     }
 

@@ -7,8 +7,9 @@
 //! that serving layer, std-only (no async runtime, no network crates —
 //! `std::net` and threads), with four production behaviors:
 //!
-//! * **Concurrency** — a fixed worker pool drains the shared batch-solve
-//!   queue ([`server`]).
+//! * **Concurrency** — every request runs on its own connection's
+//!   thread; a FIFO gate bounds the batch solves running at once
+//!   ([`server`]).
 //! * **Batching** — concurrent identical requests coalesce into one
 //!   shared solve whose result fans out to every waiter.
 //! * **Caching** — completed solutions land in an LRU keyed by a
@@ -19,14 +20,14 @@
 //!   [`StreamingTracker`](rl_core::tracking::StreamingTracker) sessions
 //!   ([`session`]) fed by client-pushed observation deltas, with TTL
 //!   eviction and a session capacity. A push ticks on its own
-//!   connection's thread, so batch solves holding every worker never
-//!   stall a session.
+//!   connection's thread and takes no turn, so batch solves holding
+//!   every turn never stall a session.
 //!
 //! Modules:
 //!
 //! * [`protocol`] — the wire protocol: length-prefixed JSON frames, the
 //!   `batch`/`stream` namespaces, versioning, typed errors,
-//! * [`server`] — [`Server`], the worker pool, coalescing, and the
+//! * [`server`] — [`Server`], the solve gate, coalescing, and the
 //!   graceful lifecycle,
 //! * [`session`] — [`SessionManager`], the
 //!   injectable [`Clock`], and TTL eviction,

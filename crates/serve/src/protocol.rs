@@ -88,8 +88,8 @@
 //! * `ticks_served` — observations accepted by session trackers
 //!   (cumulative).
 //!
-//! Pushed ticks run on their connection's thread and never queue, so
-//! `batch_queued`, the one queue gauge, counts batch solves only.
+//! Pushed ticks never wait for a solve turn, so `batch_queued`, the
+//! one queue gauge, counts waiting batch solves only.
 
 use std::io::{self, Read, Write};
 
@@ -672,7 +672,7 @@ pub struct LocalizeReply {
 pub struct ServerStats {
     /// The server's [`PROTOCOL_VERSION`].
     pub protocol: u32,
-    /// Solver worker-pool size.
+    /// Batch solves that may run at once.
     pub workers: u64,
     /// Names of the serveable deployment presets.
     pub deployments: Vec<String>,
@@ -682,12 +682,12 @@ pub struct ServerStats {
     /// Localize requests answered straight from the solution cache.
     pub cache_hits: u64,
     /// Localize requests that joined an already-in-flight identical
-    /// solve instead of enqueueing their own.
+    /// solve instead of solving their own.
     pub coalesced: u64,
-    /// Solves picked up by a worker.
+    /// Solves that took a turn.
     pub solves_started: u64,
-    /// Solves completed by a worker (each may have fanned out to many
-    /// coalesced waiters).
+    /// Solves completed (each may have fanned out to many coalesced
+    /// waiters).
     pub solves: u64,
     /// Typed error responses sent.
     pub errors: u64,
@@ -695,7 +695,8 @@ pub struct ServerStats {
     pub cache_entries: u64,
     /// Solution-cache capacity.
     pub cache_capacity: u64,
-    /// Configured batch-queue depth bound; `0` means unbounded.
+    /// Configured bound on batch solves waiting for a turn; `0` means
+    /// unbounded.
     pub queue_depth: u64,
     /// Requests rejected with [`ErrorCode::Overloaded`] (full batch
     /// queue, or session capacity).
@@ -708,7 +709,7 @@ pub struct ServerStats {
     pub session_capacity: u64,
     /// Observations accepted by session trackers (cumulative).
     pub ticks_served: u64,
-    /// Batch solves waiting in the queue (a gauge).
+    /// Batch solves waiting for a turn (a gauge).
     pub batch_queued: u64,
 }
 

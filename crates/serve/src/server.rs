@@ -5,16 +5,18 @@
 //! [`Problem`]s on demand and memoized) and serves
 //! [`Request`]s over TCP with four production behaviors:
 //!
-//! 1. **Concurrency** — a fixed pool of solver workers (sized by
+//! 1. **Concurrency** — every request runs on the thread of the
+//!    connection that sent it, so N clients are served in parallel. A
+//!    batch solve first takes a turn from a FIFO ticket gate that lets
+//!    at most `workers` solves run at once (sized by
 //!    [`rl_net::pool::resolve_workers`], the same resolution rule as the
-//!    campaign and simulator pools) drains the shared batch-solve queue,
-//!    so N clients are served in parallel. Every other request, session
-//!    ticks included, runs on the thread of the connection that sent it.
+//!    campaign and simulator pools), then runs on a scoped thread that
+//!    the connection joins at once.
 //! 2. **Batching** — concurrent requests for the same
 //!    `(deployment, solver, seed)` triple coalesce: the first arrival
-//!    enqueues one solve, later arrivals register as waiters on it, and
-//!    the finished [`LocalizeReply`] fans out to every waiter. The
-//!    server never solves the same triple twice concurrently.
+//!    solves, later arrivals register as waiters on it, and the finished
+//!    [`LocalizeReply`] fans out to every waiter. The server never
+//!    solves the same triple twice concurrently.
 //! 3. **Caching** — completed replies land in an LRU cache keyed by a
 //!    problem/config fingerprint ([`job_key`], built on
 //!    [`rl_math::fingerprint`]); a repeat request is answered from
@@ -28,12 +30,12 @@
 //!    [`SessionManager`]: `OpenStream` hands out a capability token,
 //!    `PushTicks` feeds observation deltas through the session's tracker
 //!    on the pushing connection's own thread, and idle sessions are
-//!    reaped by a TTL. A tick never waits for a worker, so batch solves
-//!    that hold every worker cannot stall another client's session.
+//!    reaped by a TTL. A tick never waits for a turn, so batch solves
+//!    that hold every turn cannot stall another client's session.
 //!
-//! A batch solve that panics is caught on its worker: its requester
-//! and every coalesced waiter get [`ErrorCode::SolveFailed`], nothing
-//! is cached, and the worker goes on draining the queue. A tick that
+//! A batch solve that panics ends its scoped thread: its requester and
+//! every coalesced waiter get [`ErrorCode::SolveFailed`], nothing is
+//! cached, and the turn passes to the next waiting solve. A tick that
 //! panics is caught on its connection thread: the push gets
 //! [`ErrorCode::SolveFailed`] and the poisoned session is evicted.
 //!
@@ -41,22 +43,22 @@
 //! its RNG from the request seed alone ([`solve_direct`] is the
 //! in-process equivalent, and the integration suite asserts the served
 //! reply matches it bitwise), and a session is exactly a
-//! [`StreamingTracker`] fed the pushed observations in order — so worker
-//! count, scheduling order, and cache state can never change any byte of
-//! any reply.
+//! [`StreamingTracker`] fed the pushed observations in order — so the
+//! turn count, scheduling order, and cache state can never change any
+//! byte of any reply.
 //!
 //! # Lifecycle
 //!
-//! [`Server::bind`] binds the listener and starts the worker pool;
+//! [`Server::bind`] binds the listener and starts no thread;
 //! [`Server::run`] blocks in the accept loop until a
-//! [`batch::Request::Shutdown`] arrives, then drains queued solves,
-//! joins the workers and connection handlers, and returns. Connections
-//! are read with a short poll tick, so idle timeouts
-//! ([`ServeConfig::read_timeout`]) and shutdown both take effect
-//! promptly without a signal handler.
+//! [`batch::Request::Shutdown`] arrives, then joins the connection
+//! handlers (each finishes the request it is running, waiting solves
+//! included) and returns. Connections are read with a short poll tick,
+//! so idle timeouts ([`ServeConfig::read_timeout`]) and shutdown both
+//! take effect promptly, even mid-frame, without a signal handler.
 
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::collections::HashMap;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,8 +81,8 @@ use rl_net::RadioModel;
 
 use crate::cache::LruCache;
 use crate::protocol::{
-    self, batch, stream, ErrorCode, LocalizeReply, Request, Response, ServerStats, WireError,
-    PROTOCOL_VERSION,
+    self, batch, stream, ErrorCode, FrameError, LocalizeReply, Request, Response, ServerStats,
+    WireError, PROTOCOL_VERSION,
 };
 use crate::session::{Clock, SessionManager, SystemClock};
 
@@ -153,8 +155,9 @@ pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (the default,
     /// `127.0.0.1:0`, is what the tests and benches use).
     pub addr: String,
-    /// Solver worker-pool size; `0` means the machine's available
-    /// parallelism (the [`rl_net::pool::resolve_workers`] rule).
+    /// Batch solves that may run at once; `0` means the machine's
+    /// available parallelism (the [`rl_net::pool::resolve_workers`]
+    /// rule).
     pub workers: usize,
     /// Solution-cache capacity (entries).
     pub cache_capacity: usize,
@@ -166,14 +169,14 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Maximum accepted frame size (bytes).
     pub max_frame: usize,
-    /// Batch-queue depth bound: a localize arriving while this many
-    /// solves are already waiting is rejected with
-    /// [`ErrorCode::Overloaded`] instead of enqueued (cache hits and
-    /// coalesced joins are unaffected — they never enqueue, and neither
-    /// do pushed ticks). `0` means unbounded.
+    /// Bound on batch solves waiting for a turn: a localize miss arriving
+    /// while this many solves already wait is rejected with
+    /// [`ErrorCode::Overloaded`] instead of queued (cache hits and
+    /// coalesced joins are unaffected — they never take a turn, and
+    /// neither do pushed ticks). `0` means unbounded.
     pub queue_depth: usize,
     /// Test instrumentation: a minimum wall-clock floor applied to every
-    /// batch solve a worker picks up (pushed ticks never see it). The
+    /// batch solve once it has its turn (pushed ticks never see it). The
     /// batching, quota and isolation tests use it to hold work in
     /// flight long enough that races become *deterministic*; production
     /// configurations leave it at zero (a no-op).
@@ -218,7 +221,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the worker-pool size (`0` = auto).
+    /// Sets how many batch solves may run at once (`0` = auto).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -236,7 +239,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the batch-queue depth bound (`0` = unbounded).
+    /// Sets the bound on solves waiting for a turn (`0` = unbounded).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -269,21 +272,17 @@ impl ServeConfig {
     }
 }
 
-/// One queued batch solve: a validated `(deployment, solver, seed)`
-/// triple plus its cache key.
-struct BatchJob {
-    key: u64,
-    preset: usize,
-    solver: String,
-    seed: u64,
-}
-
-/// The shared queue state: the batch queue plus the shutdown latch,
-/// guarded together so a successful enqueue is always drained before
-/// the workers exit.
-struct QueueState {
-    batch: VecDeque<BatchJob>,
-    shutdown: bool,
+/// The FIFO ticket gate that bounds the batch solves running at once:
+/// a miss draws the next ticket and solves once every earlier ticket is
+/// admitted and fewer than `workers` solves run.
+#[derive(Default)]
+struct Turns {
+    /// Solves holding a turn.
+    running: usize,
+    /// Tickets drawn so far.
+    issued: u64,
+    /// Tickets admitted so far; `issued - admitted` wait.
+    admitted: u64,
 }
 
 type SolveResult = Result<Arc<LocalizeReply>, WireError>;
@@ -298,12 +297,16 @@ struct PresetEntry {
 
 struct Shared {
     config: ServeConfig,
+    /// The bound address; shutdown connects to it to wake the accept
+    /// loop.
+    local_addr: SocketAddr,
     resolved_workers: usize,
     presets: Vec<PresetEntry>,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
-    /// In-flight solves: cache key -> waiters. Lock order is `inflight`
-    /// before `cache` (the worker publishes results under both).
+    turns: Mutex<Turns>,
+    turn_cv: Condvar,
+    /// In-flight solves: cache key -> coalesced waiters. Lock order is
+    /// `inflight` before `cache` (the solving connection publishes
+    /// results under both).
     inflight: Mutex<HashMap<u64, Vec<mpsc::Sender<SolveResult>>>>,
     cache: Mutex<LruCache<u64, Arc<LocalizeReply>>>,
     problems: Mutex<LruCache<(usize, u64), Arc<Problem>>>,
@@ -324,9 +327,10 @@ impl Shared {
     }
 
     fn stats(&self) -> ServerStats {
-        // Queue before cache: the cache lock is innermost everywhere
-        // else, so it is never held while waiting on the queue.
-        let batch_queued = self.queue.lock().expect("queue lock").batch.len() as u64;
+        let batch_queued = {
+            let turns = self.turns.lock().expect("turns lock");
+            turns.issued - turns.admitted
+        };
         let cache = self.cache.lock().expect("cache lock");
         ServerStats {
             protocol: PROTOCOL_VERSION,
@@ -370,6 +374,36 @@ impl Shared {
             .expect("problems lock")
             .insert((preset, seed), Arc::clone(&problem));
         problem
+    }
+
+    /// Waits for a turn to solve, in arrival order. Refuses with
+    /// [`ErrorCode::Overloaded`] once `queue_depth` misses already wait.
+    fn take_turn(&self) -> Result<(), WireError> {
+        let mut turns = self.turns.lock().expect("turns lock");
+        let depth = self.config.queue_depth as u64;
+        if depth > 0 && turns.issued - turns.admitted >= depth {
+            self.overloaded.fetch_add(1, Ordering::Relaxed);
+            return Err(WireError::new(
+                ErrorCode::Overloaded,
+                format!("batch solve queue is full ({depth} waiting); retry after a backoff"),
+            ));
+        }
+        let ticket = turns.issued;
+        turns.issued += 1;
+        while ticket != turns.admitted || turns.running >= self.resolved_workers {
+            turns = self.turn_cv.wait(turns).expect("turns lock");
+        }
+        turns.admitted += 1;
+        turns.running += 1;
+        drop(turns);
+        // The next ticket may fit in a free turn too.
+        self.turn_cv.notify_all();
+        Ok(())
+    }
+
+    fn end_turn(&self) {
+        self.turns.lock().expect("turns lock").running -= 1;
+        self.turn_cv.notify_all();
     }
 }
 
@@ -472,14 +506,12 @@ pub fn solve_direct(deployment: &str, solver: &str, seed: u64) -> Result<Localiz
 /// A bound, running localization server. See the module docs.
 pub struct Server {
     listener: TcpListener,
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener, loads the preset registry, and starts the
-    /// solver worker pool. The server does not accept connections until
+    /// Binds the listener and loads the preset registry; no thread
+    /// starts. The server does not accept connections until
     /// [`Server::run`] is called.
     ///
     /// # Errors
@@ -503,13 +535,11 @@ impl Server {
             .unwrap_or_else(|| Arc::new(SystemClock::new()));
         let sessions = SessionManager::new(clock, config.session_ttl, config.session_capacity);
         let shared = Arc::new(Shared {
+            local_addr,
             resolved_workers,
             presets,
-            queue: Mutex::new(QueueState {
-                batch: VecDeque::new(),
-                shutdown: false,
-            }),
-            queue_cv: Condvar::new(),
+            turns: Mutex::new(Turns::default()),
+            turn_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             problems: Mutex::new(LruCache::new(config.problem_capacity)),
@@ -524,30 +554,19 @@ impl Server {
             overloaded: AtomicU64::new(0),
             config,
         });
-        let workers = (0..resolved_workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Ok(Server {
-            listener,
-            local_addr,
-            shared,
-            workers,
-        })
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (resolves port `0` to the actual ephemeral
     /// port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// Serves connections until a [`batch::Request::Shutdown`] arrives,
-    /// then drains in-flight jobs, joins workers and connection
-    /// handlers, and returns. Handlers of closed connections are joined
-    /// as each new connection is accepted.
+    /// then joins the connection handlers (each finishes the request it
+    /// is running, solves included) and returns. Handlers of closed
+    /// connections are joined as each new connection is accepted.
     ///
     /// # Errors
     ///
@@ -572,12 +591,8 @@ impl Server {
                 }
             }
         }
-        // Shutdown: workers drain the queue (every accepted job answers
-        // its waiters), handlers notice the stop flag on their next read
-        // tick.
-        for w in self.workers {
-            let _ = w.join();
-        }
+        // Shutdown: handlers answer the request they are running and
+        // notice the stop flag on their next read tick.
         for h in handlers {
             let _ = h.join();
         }
@@ -599,82 +614,27 @@ impl Server {
     }
 }
 
-/// Requests a shutdown: latches the queue (no further enqueues), wakes
-/// the workers, and pokes the accept loop awake with a throwaway
-/// connection.
-fn trigger_shutdown(shared: &Shared, local_addr: SocketAddr) {
-    {
-        let mut q = shared.queue.lock().expect("queue lock");
-        q.shutdown = true;
-    }
+/// Requests a shutdown: raises the stop flag and pokes the accept loop
+/// awake with a throwaway connection.
+fn trigger_shutdown(shared: &Shared) {
     shared.stop.store(true, Ordering::SeqCst);
-    shared.queue_cv.notify_all();
     // Unblock the blocking accept; the loop re-checks the stop flag.
-    let _ = TcpStream::connect(local_addr);
+    let _ = TcpStream::connect(shared.local_addr);
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(job) = q.batch.pop_front() {
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.queue_cv.wait(q).expect("queue lock");
-            }
-        };
-        // "Started" means picked up: the gauge moves before the solve
-        // floor so tests (and operators) can observe an occupied worker.
-        shared.solves_started.fetch_add(1, Ordering::Relaxed);
-        if !shared.config.solve_floor.is_zero() {
-            std::thread::sleep(shared.config.solve_floor);
-        }
-        run_batch_job(shared, job);
-    }
-}
-
-fn run_batch_job(shared: &Shared, job: BatchJob) {
-    // No lock is held while the problem is instantiated or solved, so a
-    // panic there leaves every shared structure intact: it becomes a
-    // typed failure for the waiters and the worker lives on.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let problem = shared.problem(job.preset, job.seed);
-        let name = &shared.presets[job.preset].name;
-        reply_for(&problem, name, &job.solver, job.seed)
-    }))
-    .unwrap_or_else(|_| {
-        Err(WireError::new(
-            ErrorCode::SolveFailed,
-            format!("solver `{}` panicked", job.solver),
-        ))
-    })
-    .map(Arc::new);
-    shared.solves.fetch_add(1, Ordering::Relaxed);
-    // Publish: cache (successes only) and waiter hand-off happen
-    // under the in-flight lock so no request can fall between
-    // "not in flight" and "not yet cached".
-    let waiters = {
-        let mut inflight = shared.inflight.lock().expect("inflight lock");
-        if let Ok(reply) = &result {
-            shared
-                .cache
-                .lock()
-                .expect("cache lock")
-                .insert(job.key, Arc::clone(reply));
-        }
-        inflight.remove(&job.key).unwrap_or_default()
-    };
-    for tx in waiters {
-        let _ = tx.send(result.clone());
-    }
+/// The typed error for a deployment outside the preset registry.
+fn unknown_deployment(deployment: &str) -> WireError {
+    WireError::new(
+        ErrorCode::UnknownDeployment,
+        format!(
+            "unknown deployment `{deployment}` (serveable: {})",
+            presets::NAMES.join(", ")
+        ),
+    )
 }
 
 /// Handles one localize request end to end (cache, coalesce, or
-/// enqueue + wait), then shapes the reply: the full frame, or its
+/// solve), then shapes the reply: the full frame, or its
 /// [`Projection::slice`](batch::Projection::slice) when `nodes` asks
 /// for a subset. The projection runs over the same (possibly cached)
 /// full reply, so projected frames are byte-identical to slicing a
@@ -698,7 +658,7 @@ fn handle_localize(
     }
 }
 
-/// The cache/coalesce/enqueue core of a localize request; returns the
+/// The cache/coalesce/solve core of a localize request; returns the
 /// full reply every response shape is derived from.
 fn localize_reply(
     shared: &Shared,
@@ -708,13 +668,7 @@ fn localize_reply(
 ) -> Result<Arc<LocalizeReply>, WireError> {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let Some(preset) = shared.preset_index(deployment) else {
-        return Err(WireError::new(
-            ErrorCode::UnknownDeployment,
-            format!(
-                "unknown deployment `{deployment}` (serveable: {})",
-                presets::NAMES.join(", ")
-            ),
-        ));
+        return Err(unknown_deployment(deployment));
     };
     if make_solver(solver).is_none() {
         return Err(WireError::new(
@@ -727,72 +681,83 @@ fn localize_reply(
     }
     let key = job_key(shared.presets[preset].digest, solver, seed);
 
-    let (tx, rx) = mpsc::channel();
-    let enqueue = {
-        let mut inflight = shared.inflight.lock().expect("inflight lock");
-        if let Some(waiters) = inflight.get_mut(&key) {
-            // An identical solve is already in flight: join it.
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-            waiters.push(tx);
-            false
-        } else if let Some(reply) = shared.cache.lock().expect("cache lock").get(&key) {
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(reply));
-        } else {
-            inflight.insert(key, vec![tx]);
-            true
-        }
-    };
-    if enqueue {
-        let mut q = shared.queue.lock().expect("queue lock");
-        if q.shutdown {
-            // Undo the registration; nobody will drain this job.
-            drop(q);
-            shared.inflight.lock().expect("inflight lock").remove(&key);
-            return Err(WireError::new(
-                ErrorCode::ShuttingDown,
-                "server is shutting down",
-            ));
-        }
-        let depth = shared.config.queue_depth;
-        if depth > 0 && q.batch.len() >= depth {
-            // Queue at its bound: reject instead of growing without
-            // limit. The registration is undone the same way as the
-            // shutdown path; any request that coalesced onto it in the
-            // meantime receives the same typed rejection.
-            drop(q);
-            shared.overloaded.fetch_add(1, Ordering::Relaxed);
-            let err = WireError::new(
-                ErrorCode::Overloaded,
-                format!("batch job queue is full ({depth} waiting); retry after a backoff"),
-            );
-            let waiters = shared
-                .inflight
-                .lock()
-                .expect("inflight lock")
-                .remove(&key)
-                .unwrap_or_default();
-            for tx in waiters {
-                let _ = tx.send(Err(err.clone()));
-            }
-            return Err(err);
-        }
-        q.batch.push_back(BatchJob {
-            key,
-            preset,
-            solver: solver.to_string(),
-            seed,
+    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    if let Some(waiters) = inflight.get_mut(&key) {
+        // An identical solve is already in flight: join it.
+        shared.coalesced.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = mpsc::channel();
+        waiters.push(tx);
+        drop(inflight);
+        return rx.recv().unwrap_or_else(|_| {
+            Err(WireError::new(
+                ErrorCode::SolveFailed,
+                "the coalesced solve was abandoned",
+            ))
         });
-        drop(q);
-        shared.queue_cv.notify_one();
     }
-    match rx.recv() {
-        Ok(result) => result,
-        Err(_) => Err(WireError::new(
-            ErrorCode::SolveFailed,
-            "solve abandoned during shutdown",
-        )),
+    // Bound to a local so the cache guard drops before the solve.
+    let cached = shared.cache.lock().expect("cache lock").get(&key).cloned();
+    if let Some(reply) = cached {
+        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        return Ok(reply);
     }
+    inflight.insert(key, Vec::new());
+    drop(inflight);
+    let result = solve_miss(shared, preset, solver, seed).map(Arc::new);
+    // Publish: cache (successes only) and waiter hand-off happen under
+    // the in-flight lock so no request can fall between "not in flight"
+    // and "not yet cached".
+    let waiters = {
+        let mut inflight = shared.inflight.lock().expect("inflight lock");
+        if let Ok(reply) = &result {
+            shared
+                .cache
+                .lock()
+                .expect("cache lock")
+                .insert(key, Arc::clone(reply));
+        }
+        inflight.remove(&key).unwrap_or_default()
+    };
+    for tx in waiters {
+        let _ = tx.send(result.clone());
+    }
+    result
+}
+
+/// Solves a miss on the requesting connection once it has a turn. The
+/// solve runs on a scoped thread, so a panic there becomes a typed
+/// failure for the requester and its waiters while no lock is held.
+fn solve_miss(
+    shared: &Shared,
+    preset: usize,
+    solver: &str,
+    seed: u64,
+) -> Result<LocalizeReply, WireError> {
+    shared.take_turn()?;
+    // "Started" means admitted: the gauge moves before the solve floor
+    // so tests (and operators) can observe an occupied turn.
+    shared.solves_started.fetch_add(1, Ordering::Relaxed);
+    let result = std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .spawn_scoped(scope, || {
+                std::thread::sleep(shared.config.solve_floor);
+                let problem = shared.problem(preset, seed);
+                reply_for(&problem, &shared.presets[preset].name, solver, seed)
+            })
+            .map_err(|e| {
+                WireError::new(ErrorCode::SolveFailed, format!("cannot start a solve: {e}"))
+            })?
+            .join()
+            .unwrap_or_else(|_| {
+                Err(WireError::new(
+                    ErrorCode::SolveFailed,
+                    format!("solver `{solver}` panicked"),
+                ))
+            })
+    });
+    shared.solves.fetch_add(1, Ordering::Relaxed);
+    shared.end_turn();
+    result
 }
 
 /// Handles [`stream::Request::OpenStream`]: resolves the source and
@@ -818,15 +783,7 @@ fn handle_open(
         },
         stream::StreamSource::Custom { deployment, .. } => match presets::preset(deployment) {
             Some(scenario) => scenario.deployment.len(),
-            None => {
-                return Response::Error(WireError::new(
-                    ErrorCode::UnknownDeployment,
-                    format!(
-                        "unknown deployment `{deployment}` (serveable: {})",
-                        presets::NAMES.join(", ")
-                    ),
-                ));
-            }
+            None => return Response::Error(unknown_deployment(deployment)),
         },
     };
     let Some(config) = make_tracker_config(spec, seed) else {
@@ -889,6 +846,7 @@ fn handle_push(
         Err(err) => Response::Error(err),
     }
 }
+
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // No Nagle: the protocol is strict request/response with small
     // frames, so coalescing delay is pure added latency.
@@ -900,27 +858,24 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     {
         return;
     }
-    let local_addr = stream.local_addr().ok();
     loop {
-        let payload = match read_frame_polled(&mut stream, shared) {
-            ReadOutcome::Frame(payload) => payload,
-            ReadOutcome::TooLarge(declared) => {
+        let polled = &mut Polled {
+            stream: &stream,
+            shared,
+        };
+        let payload = match protocol::read_frame(polled, shared.config.max_frame) {
+            Ok(Some(payload)) => payload,
+            Err(err @ FrameError::TooLarge { .. }) => {
                 // Typed rejection, then close: past an oversized length
                 // declaration the byte stream is unsynchronized.
-                let response = Response::Error(WireError::new(
-                    ErrorCode::FrameTooLarge,
-                    format!(
-                        "frame of {declared} bytes exceeds the {}-byte maximum",
-                        shared.config.max_frame
-                    ),
-                ));
+                let response =
+                    Response::Error(WireError::new(ErrorCode::FrameTooLarge, err.to_string()));
                 let _ = send_response(&mut stream, shared, &response);
                 return;
             }
-            ReadOutcome::Closed
-            | ReadOutcome::IdleTimeout
-            | ReadOutcome::Stopped
-            | ReadOutcome::Failed => return,
+            // A clean close, the idle timeout, shutdown, or a transport
+            // failure: nothing to answer.
+            Ok(None) | Err(FrameError::Io(_)) => return,
         };
         let request: Request = match protocol::decode(&payload) {
             Ok(request) => request,
@@ -943,46 +898,46 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 ErrorCode::UnsupportedProtocol,
                 format!("client speaks v{protocol}, server speaks v{PROTOCOL_VERSION}"),
             )),
-            Request::Batch(request) => handle_batch(shared, request, &mut stream),
-            Request::Stream(request) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    Response::Error(WireError::new(
-                        ErrorCode::ShuttingDown,
-                        "server is shutting down",
-                    ))
-                } else {
-                    match request {
-                        stream::Request::OpenStream {
-                            source,
-                            tracker,
-                            seed,
-                        } => handle_open(shared, &source, &tracker, seed),
-                        stream::Request::PushTicks {
-                            session,
-                            observations,
-                        } => handle_push(shared, session, &observations),
-                        stream::Request::ReadSolution { session, nodes } => {
-                            match shared.sessions.read(session, nodes.as_deref()) {
-                                Ok(reply) => stream::Response::Solution(reply).into(),
-                                Err(err) => Response::Error(err),
-                            }
-                        }
-                        stream::Request::CloseStream { session } => {
-                            match shared.sessions.close(session) {
-                                Ok(ticks) => {
-                                    stream::Response::StreamClosed { session, ticks }.into()
-                                }
-                                Err(err) => Response::Error(err),
-                            }
-                        }
-                    }
+            Request::Batch(batch::Request::Status) => {
+                batch::Response::Status(shared.stats()).into()
+            }
+            Request::Batch(batch::Request::Shutdown) => {
+                // Ack first; shutdown is terminal for the connection.
+                let _ = send_response(&mut stream, shared, &batch::Response::ShuttingDown.into());
+                trigger_shutdown(shared);
+                return;
+            }
+            _ if shared.stop.load(Ordering::SeqCst) => Response::Error(WireError::new(
+                ErrorCode::ShuttingDown,
+                "server is shutting down",
+            )),
+            Request::Batch(batch::Request::Localize {
+                deployment,
+                solver,
+                seed,
+                nodes,
+            }) => handle_localize(shared, &deployment, &solver, seed, nodes.as_deref()),
+            Request::Stream(stream::Request::OpenStream {
+                source,
+                tracker,
+                seed,
+            }) => handle_open(shared, &source, &tracker, seed),
+            Request::Stream(stream::Request::PushTicks {
+                session,
+                observations,
+            }) => handle_push(shared, session, &observations),
+            Request::Stream(stream::Request::ReadSolution { session, nodes }) => {
+                match shared.sessions.read(session, nodes.as_deref()) {
+                    Ok(reply) => stream::Response::Solution(reply).into(),
+                    Err(err) => Response::Error(err),
                 }
             }
-        };
-        // Shutdown is terminal for the connection: the ack was already
-        // written inside handle_batch.
-        let Some(response) = response_or_shutdown(response, shared, local_addr) else {
-            return;
+            Request::Stream(stream::Request::CloseStream { session }) => {
+                match shared.sessions.close(session) {
+                    Ok(ticks) => stream::Response::StreamClosed { session, ticks }.into(),
+                    Err(err) => Response::Error(err),
+                }
+            }
         };
         if !send_response(&mut stream, shared, &response) {
             return;
@@ -990,122 +945,37 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Marker wrapped around the shutdown acknowledgment so the connection
-/// loop knows to stop after triggering it.
-fn response_or_shutdown(
-    response: Response,
-    shared: &Shared,
-    local_addr: Option<SocketAddr>,
-) -> Option<Response> {
-    if matches!(response, Response::Batch(batch::Response::ShuttingDown)) {
-        if let Some(addr) = local_addr {
-            trigger_shutdown(shared, addr);
-        }
-        return None;
-    }
-    Some(response)
+/// The connection's byte source for [`protocol::read_frame`]. Each read
+/// retries [`READ_TICK`] timeouts until [`ServeConfig::read_timeout`]
+/// passes with no byte, and fails once the server stops, so the idle
+/// timeout and shutdown both take effect mid-frame.
+struct Polled<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
 }
 
-/// Dispatches one batch-namespace request.
-fn handle_batch(shared: &Shared, request: batch::Request, stream: &mut TcpStream) -> Response {
-    match request {
-        batch::Request::Status => batch::Response::Status(shared.stats()).into(),
-        batch::Request::Shutdown => {
-            // Ack first (the caller tears the server down right after).
-            let ack: Response = batch::Response::ShuttingDown.into();
-            let _ = send_response(stream, shared, &ack);
-            ack
-        }
-        batch::Request::Localize {
-            deployment,
-            solver,
-            seed,
-            nodes,
-        } => {
-            if shared.stop.load(Ordering::SeqCst) {
-                Response::Error(WireError::new(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                ))
-            } else {
-                handle_localize(shared, &deployment, &solver, seed, nodes.as_deref())
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut idle = Duration::ZERO;
+        loop {
+            if self.shared.stop.load(Ordering::SeqCst) {
+                return Err(io::Error::other("server is shutting down"));
             }
-        }
-    }
-}
-
-/// Outcome of one polled frame read.
-enum ReadOutcome {
-    Frame(Vec<u8>),
-    /// Clean close between frames.
-    Closed,
-    /// No complete frame within the idle timeout.
-    IdleTimeout,
-    /// Declared length over the maximum (connection must close).
-    TooLarge(usize),
-    /// The server is shutting down.
-    Stopped,
-    /// Transport failure (reset, mid-frame close, …); nothing to answer.
-    Failed,
-}
-
-/// Reads one frame with a short poll tick so the idle timeout and the
-/// server-wide stop flag are both honored, even mid-frame.
-fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
-    use std::io::Read;
-    let max = shared.config.max_frame;
-    let idle_timeout = shared.config.read_timeout;
-    let mut idle = Duration::ZERO;
-    let mut buf: Vec<u8> = Vec::with_capacity(4);
-    let mut need = 4usize;
-    let mut in_payload = false;
-    let mut chunk = [0u8; 4096];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Stopped;
-        }
-        let want = (need - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return if buf.is_empty() && !in_payload {
-                    ReadOutcome::Closed
-                } else {
-                    // Closed mid-frame: transport failure, nothing to answer.
-                    ReadOutcome::Failed
-                };
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                idle = Duration::ZERO;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                idle += READ_TICK;
-                if idle >= idle_timeout {
-                    return ReadOutcome::IdleTimeout;
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    idle += READ_TICK;
+                    if idle >= self.shared.config.read_timeout {
+                        return Err(e);
+                    }
                 }
-                continue;
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                result => return result,
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Failed,
-        }
-        if !in_payload && buf.len() == 4 {
-            let declared = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if declared > max {
-                return ReadOutcome::TooLarge(declared);
-            }
-            if declared == 0 {
-                return ReadOutcome::Frame(Vec::new());
-            }
-            in_payload = true;
-            need = declared;
-            buf = Vec::with_capacity(declared);
-        } else if in_payload && buf.len() == need {
-            return ReadOutcome::Frame(buf);
         }
     }
 }
@@ -1186,7 +1056,7 @@ mod tests {
         // solves (and fails) again instead of waiting forever.
         let again = control.localize("town", PANICKING_SOLVER, 1);
         assert_eq!(failed_code(again), ErrorCode::SolveFailed);
-        // The single worker survived both panics.
+        // The one turn is free again after both panics.
         let reply = control
             .localize("parking-lot", "multilateration", 3)
             .unwrap();

@@ -21,7 +21,7 @@
 //! | [`deploy`] | `rl-deploy` | deployments, anchors, scenarios, mobility |
 //! | [`localization`] | `rl-core` | multilateration, LSS, distributed LSS, MDS, tracking, `Problem`/`Localizer` |
 //! | [`bench`](mod@bench) | `rl-bench` | campaign runner, experiment harness, figure reproductions |
-//! | [`serve`] | `rl-serve` | TCP localization server: worker pool, request batching, solution cache |
+//! | [`serve`] | `rl-serve` | TCP localization server: a thread per connection, bounded concurrent solves, request batching, solution cache |
 //!
 //! # Quickstart
 //!

@@ -4,7 +4,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use resilient_localization::serve::client::{Client, ClientError};
 use resilient_localization::serve::protocol::{
@@ -408,6 +409,107 @@ fn full_queues_reject_with_a_typed_overloaded_error() {
     let stats = control.status().unwrap();
     assert!(stats.overloaded >= 1, "rejections must be counted");
     assert_eq!(stats.batch_queued, 0, "queue gauge must drain to zero");
+    control.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// Opens a raw connection, proves its handler runs with one round trip,
+/// then sends a frame prefix declaring 100 bytes plus only 10 of them,
+/// so the handler stalls mid-frame.
+fn stall_mid_frame(addr: std::net::SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    roundtrip(&mut stream, &Request::Batch(batch::Request::Status));
+    stream.write_all(&100u32.to_be_bytes()).unwrap();
+    stream.write_all(&[b' '; 10]).unwrap();
+    stream
+}
+
+#[test]
+fn a_connection_stalled_mid_frame_closes_after_the_read_timeout() {
+    let timeout = Duration::from_millis(800);
+    let config = ServeConfig::default().with_read_timeout(timeout);
+    let (addr, handle) = Server::spawn(config).unwrap();
+    let started = Instant::now();
+    let mut stalled = stall_mid_frame(addr);
+
+    // Another client is served while the stalled frame is pending.
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client.localize("parking-lot", "centroid", 1).unwrap();
+    assert_reply_bitwise(&reply, &solve_direct("parking-lot", "centroid", 1).unwrap());
+    let served = started.elapsed();
+
+    let mut rest = Vec::new();
+    stalled.read_to_end(&mut rest).unwrap();
+    let closed = started.elapsed();
+    assert!(rest.is_empty(), "a stalled frame gets no answer");
+    assert!(closed >= timeout, "closed early, after {closed:?}");
+    assert!(
+        served < closed,
+        "served at {served:?}, closed at {closed:?}"
+    );
+
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn shutdown_does_not_wait_for_a_connection_stalled_mid_frame() {
+    let config = ServeConfig::default().with_read_timeout(Duration::from_secs(30));
+    let (addr, handle) = Server::spawn(config).unwrap();
+    let mut stalled = stall_mid_frame(addr);
+    let mut client = Client::connect(addr).unwrap();
+
+    let started = Instant::now();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(5), "shutdown took {waited:?}");
+    let mut rest = Vec::new();
+    stalled.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the stalled frame gets no answer");
+}
+
+#[test]
+fn waiting_solves_run_in_arrival_order() {
+    // One turn, held by a floored blocker; three distinct misses then
+    // queue one after another and must complete in the order sent.
+    let config = ServeConfig::default()
+        .with_workers(1)
+        .with_solve_floor(Duration::from_millis(150));
+    let (addr, handle) = Server::spawn(config).unwrap();
+    let (done, completions) = mpsc::channel();
+    let send = |seed: u64| {
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client
+                .set_reply_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            client.localize("parking-lot", "centroid", seed).unwrap();
+            done.send(seed).unwrap();
+        })
+    };
+    let mut control = Client::connect(addr).unwrap();
+    let mut threads = vec![send(100)];
+    while control.status().unwrap().solves_started < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for (queued, seed) in [1, 2, 3].into_iter().zip([101, 102, 103]) {
+        threads.push(send(seed));
+        while control.status().unwrap().batch_queued < queued {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    for thread in threads {
+        thread.join().unwrap();
+    }
+    let order: Vec<u64> = completions.try_iter().collect();
+    assert_eq!(order, [100, 101, 102, 103]);
+
     control.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
