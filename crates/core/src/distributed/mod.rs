@@ -334,27 +334,21 @@ impl Objective for TransformObjective<'_> {
         3
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        let t = RigidTransform::new(x[0], self.reflected, Vec2::new(x[1], x[2]));
-        self.src
-            .iter()
-            .zip(self.tgt)
-            .map(|(&s, &g)| t.apply(s).distance_sq(g))
-            .sum()
-    }
-
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        // Analytic gradient over theta and translation.
+    /// One `sin_cos` per evaluation; each residual serves the value and
+    /// the gradient.
+    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
         let (sin, cos) = x[0].sin_cos();
         let f = if self.reflected { -1.0 } else { 1.0 };
-        grad.iter_mut().for_each(|g| *g = 0.0);
+        grad.fill(0.0);
+        let mut e = -0.0;
         for (&s, &g) in self.src.iter().zip(self.tgt) {
-            // T(s) with row-vector convention:
+            // T(s) with row-vector convention, as `RigidTransform::apply`:
             // x' = s.x cos + s.y f sin + tx ; y' = -s.x sin + s.y f cos + ty
             let px = s.x * cos + s.y * f * sin + x[1];
             let py = -s.x * sin + s.y * f * cos + x[2];
             let rx = px - g.x;
             let ry = py - g.y;
+            e += rx * rx + ry * ry;
             // d px/dθ = -s.x sin + s.y f cos ; d py/dθ = -s.x cos - s.y f sin
             let dpx = -s.x * sin + s.y * f * cos;
             let dpy = -s.x * cos - s.y * f * sin;
@@ -362,6 +356,7 @@ impl Objective for TransformObjective<'_> {
             grad[1] += 2.0 * rx;
             grad[2] += 2.0 * ry;
         }
+        e
     }
 }
 
@@ -851,7 +846,70 @@ pub fn run_distributed<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::eval::evaluate_against_truth;
+    use proptest::prelude::*;
     use rl_math::rng::seeded;
+
+    /// The value and gradient as two passes, before they were fused:
+    /// the oracle `TransformObjective::evaluate` must match bit for bit.
+    impl TransformObjective<'_> {
+        fn value(&self, x: &[f64]) -> f64 {
+            let t = RigidTransform::new(x[0], self.reflected, Vec2::new(x[1], x[2]));
+            self.src
+                .iter()
+                .zip(self.tgt)
+                .map(|(&s, &g)| t.apply(s).distance_sq(g))
+                .sum()
+        }
+
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            let (sin, cos) = x[0].sin_cos();
+            let f = if self.reflected { -1.0 } else { 1.0 };
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            for (&s, &g) in self.src.iter().zip(self.tgt) {
+                let px = s.x * cos + s.y * f * sin + x[1];
+                let py = -s.x * sin + s.y * f * cos + x[2];
+                let rx = px - g.x;
+                let ry = py - g.y;
+                let dpx = -s.x * sin + s.y * f * cos;
+                let dpy = -s.x * cos - s.y * f * sin;
+                grad[0] += 2.0 * (rx * dpx + ry * dpy);
+                grad[1] += 2.0 * rx;
+                grad[2] += 2.0 * ry;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused transform evaluation equals the two-pass value and
+        /// gradient under both reflections.
+        #[test]
+        fn transform_objective_evaluate_matches_the_two_pass_oracle(
+            pairs in proptest::collection::vec(
+                ((-40.0f64..40.0, -40.0f64..40.0), (-40.0f64..40.0, -40.0f64..40.0)),
+                0..24,
+            ),
+            x in (-7.0f64..7.0, -50.0f64..50.0, -50.0f64..50.0),
+        ) {
+            let src: Vec<Point2> = pairs.iter().map(|&((a, b), _)| Point2::new(a, b)).collect();
+            let tgt: Vec<Point2> = pairs.iter().map(|&(_, (a, b))| Point2::new(a, b)).collect();
+            let x = [x.0, x.1, x.2];
+            for reflected in [false, true] {
+                let objective = TransformObjective {
+                    src: &src,
+                    tgt: &tgt,
+                    reflected,
+                };
+                let mut grad = [f64::NAN; 3];
+                let value = objective.evaluate(&x, &mut grad);
+                let mut want = [0.0; 3];
+                objective.gradient(&x, &mut want);
+                prop_assert_eq!(value.to_bits(), objective.value(&x).to_bits());
+                prop_assert_eq!(grad.map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
+    }
 
     fn grid(nx: usize, ny: usize, spacing: f64) -> Vec<Point2> {
         let mut out = Vec::new();

@@ -138,29 +138,23 @@ impl LssObjective {
         self.n
     }
 
-    /// Extracts `(x_i, y_i)` from the flat configuration vector.
+    /// The offset `p_i − p_j` between nodes `i` and `j` at `x` and its
+    /// length — one expression for the candidate filter and the sums
+    /// alike.
     #[inline]
-    fn coords(x: &[f64], n: usize, i: usize) -> (f64, f64) {
-        (x[i], x[n + i])
+    fn offset(x: &[f64], n: usize, i: usize, j: usize) -> (f64, f64, f64) {
+        let (dx, dy) = (x[i] - x[j], x[n + i] - x[n + j]);
+        (dx, dy, (dx * dx + dy * dy).sqrt())
     }
 
-    /// The computed distance between nodes `i` and `j` at `x` — one
-    /// expression for the candidate filter and the sums alike.
-    #[inline]
-    fn distance(x: &[f64], n: usize, i: usize, j: usize) -> f64 {
-        let (xi, yi) = Self::coords(x, n, i);
-        let (xj, yj) = Self::coords(x, n, j);
-        ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt()
-    }
-
-    /// The unmeasured pairs violating the constraint at `x` (distance
-    /// strictly below `d_min`) with their distances, sorted ascending by
+    /// Visits the unmeasured pairs violating the constraint at `x`
+    /// (distance strictly below `d_min`) with their offsets, ascending by
     /// pair — the only pairs with a nonzero constraint contribution. The
-    /// sort keeps the accumulation order that of an `i < j` scan of the
-    /// whole complement.
-    fn violating_pairs(&self, x: &[f64]) -> Vec<(usize, usize, f64)> {
+    /// sorted list keeps the accumulation order that of an `i < j` scan
+    /// of the whole complement. Visits nothing without a constraint.
+    fn for_each_violator(&self, x: &[f64], mut visit: impl FnMut(usize, usize, (f64, f64, f64))) {
         let Some(soft) = self.soft else {
-            return Vec::new();
+            return;
         };
         let d_min = soft.min_spacing_m;
         let mut list = self.verlet.borrow_mut();
@@ -173,13 +167,12 @@ impl LssObjective {
                 list.builds += 1;
             }
         }
-        list.pairs
-            .iter()
-            .filter_map(|&(i, j)| {
-                let dist = Self::distance(x, self.n, i, j);
-                (dist < d_min).then_some((i, j, dist))
-            })
-            .collect()
+        for &(i, j) in &list.pairs {
+            let offset = Self::offset(x, self.n, i, j);
+            if offset.2 < d_min {
+                visit(i, j, offset);
+            }
+        }
     }
 
     /// The unmeasured pairs `(i, j)`, `i < j`, closer than `radius` at
@@ -191,13 +184,10 @@ impl LssObjective {
     /// binary search in the sorted `measured` list.
     fn grid_pairs(&self, x: &[f64], radius: f64) -> Vec<(usize, usize)> {
         let n = self.n;
-        let point = |i: usize| {
-            let (px, py) = Self::coords(x, n, i);
-            Point2::new(px, py)
-        };
+        let point = |i: usize| Point2::new(x[i], x[n + i]);
         let mut out = Vec::new();
         for_each_grid_pair(n, radius, point, |i, j| {
-            if Self::distance(x, n, i, j) < radius && !self.is_measured(i, j) {
+            if Self::offset(x, n, i, j).2 < radius && !self.is_measured(i, j) {
                 out.push((i, j));
             }
         });
@@ -214,7 +204,9 @@ impl LssObjective {
 
     /// How many unmeasured pairs currently violate the constraint at `x`.
     pub fn active_constraints(&self, x: &[f64]) -> usize {
-        self.violating_pairs(x).len()
+        let mut active = 0;
+        self.for_each_violator(x, |_, _, _| active += 1);
+        active
     }
 }
 
@@ -223,55 +215,38 @@ impl Objective for LssObjective {
         2 * self.n
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
+    /// One pass over the measured pairs and one walk of the Verlet list:
+    /// each pair's distance serves its stress term and, clamped away
+    /// from zero, its gradient term.
+    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
         let n = self.n;
-        let mut e = 0.0;
-        for &(i, j, d, w) in &self.measured {
-            let dc = Self::distance(x, n, i, j);
-            e += w * (dc - d) * (dc - d);
-        }
-        if let Some(soft) = self.soft {
-            // Only violating pairs contribute: clamped pairs at d_min add
-            // exactly +0.0, so summing the violators alone (in i < j
-            // order) reproduces a full-complement scan bit for bit. Violators are strictly inside d_min, so the
-            // min-clamp is a no-op and the filter's distance is reused.
-            for (_, _, dc) in self.violating_pairs(x) {
-                let diff = dc - soft.min_spacing_m;
-                e += soft.weight * diff * diff;
-            }
-        }
-        e
-    }
-
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        let n = self.n;
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        for &(i, j, d, w) in &self.measured {
-            let (xi, yi) = Self::coords(x, n, i);
-            let (xj, yj) = Self::coords(x, n, j);
-            let dx = xi - xj;
-            let dy = yi - yj;
-            let dc = (dx * dx + dy * dy).sqrt().max(MIN_DISTANCE);
-            let factor = 2.0 * w * (dc - d) / dc;
+        grad.fill(0.0);
+        // Adds `w (‖p_i − p_j‖ − target)²`'s gradient, returns the term.
+        let mut pair = |i: usize, j: usize, w: f64, target: f64, offset: (f64, f64, f64)| {
+            let (dx, dy, dist) = offset;
+            let dc = dist.max(MIN_DISTANCE);
+            let factor = 2.0 * w * (dc - target) / dc;
             grad[i] += factor * dx;
             grad[j] -= factor * dx;
             grad[n + i] += factor * dy;
             grad[n + j] -= factor * dy;
+            w * (dist - target) * (dist - target)
+        };
+        let mut e = 0.0;
+        for &(i, j, d, w) in &self.measured {
+            e += pair(i, j, w, d, Self::offset(x, n, i, j));
         }
         if let Some(soft) = self.soft {
-            for (i, j, dist) in self.violating_pairs(x) {
-                let (xi, yi) = Self::coords(x, n, i);
-                let (xj, yj) = Self::coords(x, n, j);
-                let dx = xi - xj;
-                let dy = yi - yj;
-                let dc = dist.max(MIN_DISTANCE);
-                let factor = 2.0 * soft.weight * (dc - soft.min_spacing_m) / dc;
-                grad[i] += factor * dx;
-                grad[j] -= factor * dx;
-                grad[n + i] += factor * dy;
-                grad[n + j] -= factor * dy;
-            }
+            // Only violating pairs contribute: clamped pairs at d_min add
+            // exactly +0.0, so summing the violators alone (in i < j
+            // order) reproduces a full-complement scan bit for bit.
+            // Violators are strictly inside d_min, so the min-clamp is a
+            // no-op and the filter's distance is reused.
+            self.for_each_violator(x, |i, j, offset| {
+                e += pair(i, j, soft.weight, soft.min_spacing_m, offset);
+            });
         }
+        e
     }
 }
 
@@ -286,6 +261,66 @@ mod tests {
         let mut set = MeasurementSet::new(2);
         set.insert(NodeId(0), NodeId(1), d);
         set
+    }
+
+    /// The value and gradient as two passes, before they were fused:
+    /// the oracle `LssObjective::evaluate` must match bit for bit.
+    impl LssObjective {
+        fn violating_pairs(&self, x: &[f64]) -> Vec<(usize, usize, f64)> {
+            let mut out = Vec::new();
+            self.for_each_violator(x, |i, j, (_, _, dist)| out.push((i, j, dist)));
+            out
+        }
+
+        pub(crate) fn value(&self, x: &[f64]) -> f64 {
+            let n = self.n;
+            let mut e = 0.0;
+            for &(i, j, d, w) in &self.measured {
+                let dc = LssObjective::offset(x, n, i, j).2;
+                e += w * (dc - d) * (dc - d);
+            }
+            if let Some(soft) = self.soft {
+                for (_, _, dc) in self.violating_pairs(x) {
+                    let diff = dc - soft.min_spacing_m;
+                    e += soft.weight * diff * diff;
+                }
+            }
+            e
+        }
+
+        pub(crate) fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            let n = self.n;
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            for &(i, j, d, w) in &self.measured {
+                let dx = x[i] - x[j];
+                let dy = x[n + i] - x[n + j];
+                let dc = (dx * dx + dy * dy).sqrt().max(MIN_DISTANCE);
+                let factor = 2.0 * w * (dc - d) / dc;
+                grad[i] += factor * dx;
+                grad[j] -= factor * dx;
+                grad[n + i] += factor * dy;
+                grad[n + j] -= factor * dy;
+            }
+            if let Some(soft) = self.soft {
+                for (i, j, dist) in self.violating_pairs(x) {
+                    let dx = x[i] - x[j];
+                    let dy = x[n + i] - x[n + j];
+                    let dc = dist.max(MIN_DISTANCE);
+                    let factor = 2.0 * soft.weight * (dc - soft.min_spacing_m) / dc;
+                    grad[i] += factor * dx;
+                    grad[j] -= factor * dx;
+                    grad[n + i] += factor * dy;
+                    grad[n + j] -= factor * dy;
+                }
+            }
+        }
+    }
+
+    /// The fused value and gradient at `x`.
+    fn eval(obj: &LssObjective, x: &[f64]) -> (f64, Vec<f64>) {
+        let mut grad = vec![f64::NAN; x.len()];
+        let value = obj.evaluate(x, &mut grad);
+        (value, grad)
     }
 
     /// The objective's reference: the unconstrained objective plus an
@@ -304,7 +339,7 @@ mod tests {
         let mut active = 0;
         for i in 0..n {
             for j in (i + 1)..n {
-                let dist = LssObjective::distance(x, n, i, j);
+                let dist = LssObjective::offset(x, n, i, j).2;
                 if set.contains(NodeId(i), NodeId(j)) || !(dist < soft.min_spacing_m) {
                     continue;
                 }
@@ -323,28 +358,38 @@ mod tests {
         (value, grad, active)
     }
 
-    /// Asserts that `obj` evaluates to the complement scan bit for bit.
+    /// Asserts that `obj`'s fused evaluation equals the two-pass oracle
+    /// and, with a constraint, the complement scan, bit for bit.
     fn assert_matches_scan(obj: &LssObjective, set: &MeasurementSet, x: &[f64]) {
-        let (value, grad, active) = complement_scan(set, obj.soft.unwrap(), x);
-        assert_eq!(obj.value(x).to_bits(), value.to_bits(), "value at {x:?}");
-        let mut got = vec![0.0; x.len()];
-        obj.gradient(x, &mut got);
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&grad), "gradient at {x:?}");
+        let (value, grad) = eval(obj, x);
+        let mut oracle = vec![0.0; x.len()];
+        obj.gradient(x, &mut oracle);
+        assert_eq!(
+            value.to_bits(),
+            obj.value(x).to_bits(),
+            "oracle value at {x:?}"
+        );
+        assert_eq!(bits(&grad), bits(&oracle), "oracle gradient at {x:?}");
+        let (scan_value, scan_grad, active) = match obj.soft {
+            Some(soft) => complement_scan(set, soft, x),
+            None => (obj.value(x), oracle, 0),
+        };
+        assert_eq!(value.to_bits(), scan_value.to_bits(), "value at {x:?}");
+        assert_eq!(bits(&grad), bits(&scan_grad), "gradient at {x:?}");
         assert_eq!(obj.active_constraints(x), active, "active at {x:?}");
     }
 
     /// Finite-difference gradient check.
     fn check_gradient(obj: &LssObjective, x: &[f64]) {
-        let mut grad = vec![0.0; x.len()];
-        obj.gradient(x, &mut grad);
+        let grad = eval(obj, x).1;
         let h = 1e-6;
         for k in 0..x.len() {
             let mut xp = x.to_vec();
             xp[k] += h;
             let mut xm = x.to_vec();
             xm[k] -= h;
-            let numeric = (obj.value(&xp) - obj.value(&xm)) / (2.0 * h);
+            let numeric = (eval(obj, &xp).0 - eval(obj, &xm).0) / (2.0 * h);
             assert!(
                 (grad[k] - numeric).abs() < 1e-4 * (1.0 + numeric.abs()),
                 "grad[{k}] = {} vs numeric {numeric}",
@@ -359,7 +404,7 @@ mod tests {
         let obj = LssObjective::new(&set, None);
         // Nodes at distance exactly 5.
         let x = [0.0, 5.0, 0.0, 0.0];
-        assert!(obj.value(&x) < 1e-18);
+        assert!(eval(&obj, &x).0 < 1e-18);
         assert_eq!(obj.dim(), 4);
     }
 
@@ -367,7 +412,7 @@ mod tests {
     fn stress_grows_quadratically() {
         let set = pair_set(5.0);
         let obj = LssObjective::new(&set, None);
-        let at = |d: f64| obj.value(&[0.0, d, 0.0, 0.0]);
+        let at = |d: f64| eval(&obj, &[0.0, d, 0.0, 0.0]).0;
         assert!((at(6.0) - 1.0).abs() < 1e-12);
         assert!((at(7.0) - 4.0).abs() < 1e-12);
         assert!((at(3.0) - 4.0).abs() < 1e-12);
@@ -378,7 +423,7 @@ mod tests {
         let mut set = MeasurementSet::new(2);
         set.insert_weighted(NodeId(0), NodeId(1), 5.0, 3.0);
         let obj = LssObjective::new(&set, None);
-        assert!((obj.value(&[0.0, 6.0, 0.0, 0.0]) - 3.0).abs() < 1e-12);
+        assert!((eval(&obj, &[0.0, 6.0, 0.0, 0.0]).0 - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -421,15 +466,15 @@ mod tests {
         // Pairs (0,2) and (1,2) are unmeasured. Put node 2 far away: no
         // penalty.
         let far = [0.0, 5.0, 100.0, 0.0, 0.0, 0.0];
-        assert!(obj.value(&far) < 1e-18);
+        assert!(eval(&obj, &far).0 < 1e-18);
         assert_eq!(obj.active_constraints(&far), 0);
         // Node 2 at 3 m from node 0: one active violation of (6-3)².
         let near = [0.0, 5.0, 3.0, 0.0, 0.0, 0.0];
         let expected = 10.0 * (3.0f64 - 6.0).powi(2) + 10.0 * (2.0f64 - 6.0).powi(2);
+        let value = eval(&obj, &near).0;
         assert!(
-            (obj.value(&near) - expected).abs() < 1e-9,
-            "value {} expected {expected}",
-            obj.value(&near)
+            (value - expected).abs() < 1e-9,
+            "value {value} expected {expected}"
         );
         assert_eq!(obj.active_constraints(&near), 2);
     }
@@ -532,9 +577,12 @@ mod tests {
             points.push(wild);
             points.push(x.clone());
 
-            let objective = LssObjective::new(&set, Some(soft));
-            for p in &points {
-                assert_matches_scan(&objective, &set, p);
+            // With and without the constraint: the fused evaluation walks
+            // the Verlet list once and the measured pairs once.
+            for objective in [LssObjective::new(&set, Some(soft)), LssObjective::new(&set, None)] {
+                for p in &points {
+                    assert_matches_scan(&objective, &set, p);
+                }
             }
         }
     }
@@ -551,7 +599,7 @@ mod tests {
         // An overflowed descent probe must not panic; the optimizer
         // rejects it by value.
         let x = [f64::INFINITY, 5.0, 3.0, f64::NEG_INFINITY, 0.0, 0.0];
-        let v = obj.value(&x);
+        let v = eval(&obj, &x).0;
         assert!(v.is_nan() || v.is_infinite() || v.is_finite());
     }
 
@@ -574,11 +622,12 @@ mod tests {
             // 1.1 m from the build position: rebuilt here.
             (&[0.0, 5.0, 5.4, 0.0, 0.0, 0.0], 2),
             (&[0.0, 5.0, 5.4, 0.0, 0.0, 0.9], 2),
-            // A non-finite coordinate rebuilds on every evaluation, and
-            // so does the first return from it.
-            (&[f64::NAN, 5.0, 5.4, 0.0, 0.0, 0.9], 5),
-            (&x0, 6),
-            (&x0, 6),
+            // A non-finite coordinate rebuilds on every walk of the list
+            // (`assert_matches_scan` walks it four times), and so does the
+            // first return from it.
+            (&[f64::NAN, 5.0, 5.4, 0.0, 0.0, 0.9], 6),
+            (&x0, 7),
+            (&x0, 7),
         ];
         for (x, expected) in steps {
             assert_matches_scan(&obj, &set, x);
@@ -596,9 +645,8 @@ mod tests {
         let set = pair_set(5.0);
         let obj = LssObjective::new(&set, None);
         let x = [1.0, 1.0, 2.0, 2.0]; // identical positions
-        let mut grad = vec![0.0; 4];
-        obj.gradient(&x, &mut grad);
+        let (value, grad) = eval(&obj, &x);
         assert!(grad.iter().all(|g| g.is_finite()));
-        assert!(obj.value(&x).is_finite());
+        assert!(value.is_finite());
     }
 }

@@ -577,22 +577,16 @@ impl rl_math::gradient::Objective for AnchoredObjective {
         self.inner.dim()
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        let mut e = self.inner.value(x);
+    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let mut e = self.inner.evaluate(x, grad);
         for &(i, p) in &self.anchors {
             let dx = x[i] - p.x;
             let dy = x[self.n + i] - p.y;
             e += self.weight * (dx * dx + dy * dy);
+            grad[i] += 2.0 * self.weight * dx;
+            grad[self.n + i] += 2.0 * self.weight * dy;
         }
         e
-    }
-
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        self.inner.gradient(x, grad);
-        for &(i, p) in &self.anchors {
-            grad[i] += 2.0 * self.weight * (x[i] - p.x);
-            grad[self.n + i] += 2.0 * self.weight * (x[self.n + i] - p.y);
-        }
     }
 }
 
@@ -633,8 +627,73 @@ mod tests {
     use super::*;
     use crate::eval::{evaluate_absolute, evaluate_against_truth};
     use crate::types::Anchor;
+    use proptest::prelude::*;
+    use rl_math::gradient::Objective;
     use rl_math::rng::seeded;
     use rl_net::NodeId;
+
+    /// The value and gradient as two passes, before they were fused:
+    /// the oracle `AnchoredObjective::evaluate` must match bit for bit.
+    impl AnchoredObjective {
+        fn value(&self, x: &[f64]) -> f64 {
+            let mut e = self.inner.value(x);
+            for &(i, p) in &self.anchors {
+                let dx = x[i] - p.x;
+                let dy = x[self.n + i] - p.y;
+                e += self.weight * (dx * dx + dy * dy);
+            }
+            e
+        }
+
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            self.inner.gradient(x, grad);
+            for &(i, p) in &self.anchors {
+                grad[i] += 2.0 * self.weight * (x[i] - p.x);
+                grad[self.n + i] += 2.0 * self.weight * (x[self.n + i] - p.y);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The fused anchored evaluation equals the two-pass value and
+        /// gradient, with and without the soft constraint.
+        #[test]
+        fn anchored_objective_evaluate_matches_the_two_pass_oracle(
+            edges in proptest::collection::vec((0usize..8, 0usize..8, 1.0f64..30.0), 3..20),
+            anchors in proptest::collection::vec((0usize..8, -20.0f64..20.0, -20.0f64..20.0), 2..5),
+            x in proptest::collection::vec(-25.0f64..25.0, 16),
+            constrained in proptest::bool::ANY,
+        ) {
+            let mut set = MeasurementSet::new(8);
+            for &(a, b, d) in &edges {
+                if a != b {
+                    set.insert(NodeId(a), NodeId(b), d);
+                }
+            }
+            let soft = constrained.then_some(SoftConstraint {
+                min_spacing_m: 9.0,
+                weight: 10.0,
+            });
+            let objective = AnchoredObjective {
+                inner: LssObjective::new(&set, soft),
+                anchors: anchors
+                    .iter()
+                    .map(|&(i, px, py)| (i, Point2::new(px, py)))
+                    .collect(),
+                weight: ANCHOR_WEIGHT,
+                n: 8,
+            };
+            let mut grad = vec![f64::NAN; 16];
+            let value = objective.evaluate(&x, &mut grad);
+            let mut want = vec![0.0; 16];
+            objective.gradient(&x, &mut want);
+            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(value.to_bits(), objective.value(&x).to_bits());
+            prop_assert_eq!(bits(&grad), bits(&want));
+        }
+    }
 
     fn grid(nx: usize, ny: usize, spacing: f64) -> Vec<Point2> {
         let mut out = Vec::new();

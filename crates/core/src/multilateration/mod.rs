@@ -163,28 +163,24 @@ impl Objective for NodeObjective<'_> {
         2
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
+    /// One `hypot` per observation serves both the residual and, clamped
+    /// away from zero, the gradient's direction.
+    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
         let p = Point2::new(x[0], x[1]);
-        self.observations
-            .iter()
-            .map(|o| {
-                let diff = p.distance(o.anchor) - o.distance;
-                o.weight * diff * diff
-            })
-            .sum()
-    }
-
-    fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-        let p = Point2::new(x[0], x[1]);
+        let mut e = -0.0;
         grad[0] = 0.0;
         grad[1] = 0.0;
         for o in self.observations {
             let dvec = p - o.anchor;
-            let dc = dvec.norm().max(1e-9);
+            let dist = dvec.norm();
+            let diff = dist - o.distance;
+            e += o.weight * diff * diff;
+            let dc = dist.max(1e-9);
             let factor = 2.0 * o.weight * (dc - o.distance) / dc;
             grad[0] += factor * dvec.x;
             grad[1] += factor * dvec.y;
         }
+        e
     }
 }
 
@@ -413,7 +409,86 @@ impl crate::problem::Localizer for MultilaterationSolver {
 mod tests {
     use super::*;
     use crate::eval::evaluate_absolute;
+    use proptest::prelude::*;
     use rl_math::rng::seeded;
+
+    /// The value and gradient as two passes, before they were fused:
+    /// the oracle `NodeObjective::evaluate` must match bit for bit.
+    impl NodeObjective<'_> {
+        fn value(&self, x: &[f64]) -> f64 {
+            let p = Point2::new(x[0], x[1]);
+            self.observations
+                .iter()
+                .map(|o| {
+                    let diff = p.distance(o.anchor) - o.distance;
+                    o.weight * diff * diff
+                })
+                .sum()
+        }
+
+        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+            let p = Point2::new(x[0], x[1]);
+            grad[0] = 0.0;
+            grad[1] = 0.0;
+            for o in self.observations {
+                let dvec = p - o.anchor;
+                let dc = dvec.norm().max(1e-9);
+                let factor = 2.0 * o.weight * (dc - o.distance) / dc;
+                grad[0] += factor * dvec.x;
+                grad[1] += factor * dvec.y;
+            }
+        }
+    }
+
+    /// Asserts `evaluate` at `x` equals the two-pass oracle bit for bit.
+    fn assert_fused_matches(objective: &NodeObjective<'_>, x: &[f64]) {
+        let mut grad = [f64::NAN; 2];
+        let value = objective.evaluate(x, &mut grad);
+        let mut want = [0.0; 2];
+        objective.gradient(x, &mut want);
+        assert_eq!(
+            value.to_bits(),
+            objective.value(x).to_bits(),
+            "value at {x:?}"
+        );
+        assert_eq!(
+            grad.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "gradient at {x:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused evaluation equals the two-pass value and gradient
+        /// for 3 to 120 observations, at a random point and exactly at
+        /// every anchor, where the 1e-9 clamp applies.
+        #[test]
+        fn node_objective_evaluate_matches_the_two_pass_oracle(
+            observations in proptest::collection::vec(
+                ((-80.0f64..80.0, -80.0f64..80.0), 0.0f64..90.0, 0.1f64..2.0),
+                3..121,
+            ),
+            x in (-120.0f64..120.0, -120.0f64..120.0),
+        ) {
+            let observations: Vec<RangeToAnchor> = observations
+                .into_iter()
+                .map(|((ax, ay), distance, weight)| RangeToAnchor {
+                    anchor: Point2::new(ax, ay),
+                    distance,
+                    weight,
+                })
+                .collect();
+            let objective = NodeObjective {
+                observations: &observations,
+            };
+            assert_fused_matches(&objective, &[x.0, x.1]);
+            for o in &observations {
+                assert_fused_matches(&objective, &[o.anchor.x, o.anchor.y]);
+            }
+        }
+    }
 
     /// Five anchors and four hidden nodes on a 20x20 field, exact ranges.
     fn exact_setup() -> (Vec<Point2>, Vec<Anchor>, MeasurementSet) {

@@ -11,23 +11,32 @@
 //! `alpha` slightly, rejected steps (those that increase `E`) shrink it and
 //! are retried. This keeps the fixed-step spirit while avoiding manual
 //! per-problem tuning.
+//!
+//! # One evaluation per point
+//!
+//! An [`Objective`] returns `E(x)` and `∇E(x)` from one pass, so the
+//! descent evaluates `x0` once and each candidate once: an accepted
+//! candidate's gradient is the next step's. Backtracking stops as soon as
+//! `x − α·g` rounds to `x` bit for bit. That exit is exact: rounding is
+//! monotone, so every smaller `α` rounds to `x` too, and the value at `x`
+//! cannot pass `cand < value`. The skipped halvings could only have
+//! re-evaluated `x` and been rejected.
 
 use rand::Rng;
 
 /// A differentiable objective `E : R^n -> R`.
 ///
-/// Implementors provide the dimension, the value, and the gradient. The
-/// optimizer never requires the gradient and value to be consistent to
-/// machine precision, but descent quality degrades if they diverge.
+/// One fused evaluation returns the value and writes the gradient, so the
+/// terms both need (distances, mostly) are computed once per point. It
+/// must be a pure function of `x`, bit for bit. Value and gradient need
+/// not agree to machine precision, but descent degrades if they diverge.
 pub trait Objective {
     /// Dimension `n` of the search space.
     fn dim(&self) -> usize;
 
-    /// Objective value at `x` (`x.len() == self.dim()`).
-    fn value(&self, x: &[f64]) -> f64;
-
-    /// Writes the gradient at `x` into `grad` (`grad.len() == self.dim()`).
-    fn gradient(&self, x: &[f64], grad: &mut [f64]);
+    /// Returns `E(x)` and writes `∇E(x)` into `grad`
+    /// (`x.len() == grad.len() == self.dim()`).
+    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64;
 }
 
 /// Configuration for [`minimize`].
@@ -112,10 +121,10 @@ pub struct DescentOutcome {
 /// struct Bowl;
 /// impl Objective for Bowl {
 ///     fn dim(&self) -> usize { 2 }
-///     fn value(&self, x: &[f64]) -> f64 { x[0].powi(2) + (x[1] - 1.0).powi(2) }
-///     fn gradient(&self, x: &[f64], g: &mut [f64]) {
+///     fn evaluate(&self, x: &[f64], g: &mut [f64]) -> f64 {
 ///         g[0] = 2.0 * x[0];
 ///         g[1] = 2.0 * (x[1] - 1.0);
+///         x[0].powi(2) + (x[1] - 1.0).powi(2)
 ///     }
 /// }
 ///
@@ -179,30 +188,37 @@ pub fn descend<O: Objective>(objective: &O, x0: &[f64], cfg: &DescentConfig) -> 
     let mut converged = false;
 
     let mut x = x0.to_vec();
-    let mut value = objective.value(&x);
-    let mut alpha = cfg.step_size;
     let mut grad = vec![0.0; n];
+    let mut value = objective.evaluate(&x, &mut grad);
+    let mut alpha = cfg.step_size;
     let mut candidate = vec![0.0; n];
+    let mut cand_grad = vec![0.0; n];
     let mut stall = 0usize;
 
     for _ in 0..cfg.max_iterations {
-        objective.gradient(&x, &mut grad);
         let gnorm_sq: f64 = grad.iter().map(|g| g * g).sum();
         if gnorm_sq == 0.0 || !gnorm_sq.is_finite() {
             converged = gnorm_sq == 0.0;
             break;
         }
 
-        // Backtracking: shrink alpha until the step improves E.
+        // Backtracking: shrink alpha until the step improves E, or until
+        // the step no longer moves x (see the module docs).
         let mut accepted = false;
         for _ in 0..30 {
+            let mut moved = false;
             for i in 0..n {
                 candidate[i] = x[i] - alpha * grad[i];
+                moved |= candidate[i].to_bits() != x[i].to_bits();
             }
-            let cand_value = objective.value(&candidate);
+            if !moved {
+                break;
+            }
+            let cand_value = objective.evaluate(&candidate, &mut cand_grad);
             if cand_value.is_finite() && cand_value < value {
                 let improvement = (value - cand_value) / value.abs().max(1.0);
                 core::mem::swap(&mut x, &mut candidate);
+                core::mem::swap(&mut grad, &mut cand_grad);
                 value = cand_value;
                 alpha *= 1.05;
                 accepted = true;
@@ -249,17 +265,18 @@ mod tests {
     use super::*;
     use crate::rng::seeded;
 
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+
     struct Bowl;
     impl Objective for Bowl {
         fn dim(&self) -> usize {
             2
         }
-        fn value(&self, x: &[f64]) -> f64 {
-            x[0] * x[0] + (x[1] - 1.0) * (x[1] - 1.0)
-        }
-        fn gradient(&self, x: &[f64], g: &mut [f64]) {
+        fn evaluate(&self, x: &[f64], g: &mut [f64]) -> f64 {
             g[0] = 2.0 * x[0];
             g[1] = 2.0 * (x[1] - 1.0);
+            x[0] * x[0] + (x[1] - 1.0) * (x[1] - 1.0)
         }
     }
 
@@ -270,12 +287,10 @@ mod tests {
         fn dim(&self) -> usize {
             1
         }
-        fn value(&self, x: &[f64]) -> f64 {
+        fn evaluate(&self, x: &[f64], g: &mut [f64]) -> f64 {
+            g[0] = 4.0 * x[0] * (x[0] * x[0] - 1.0) + 0.3;
             let q = x[0] * x[0] - 1.0;
             q * q + 0.3 * x[0]
-        }
-        fn gradient(&self, x: &[f64], g: &mut [f64]) {
-            g[0] = 4.0 * x[0] * (x[0] * x[0] - 1.0) + 0.3;
         }
     }
 
@@ -357,7 +372,7 @@ mod tests {
     fn outcome_never_worse_than_start() {
         let mut rng = seeded(4);
         let start = [0.3, 0.7];
-        let before = Bowl.value(&start);
+        let before = Bowl.evaluate(&start, &mut [0.0; 2]);
         let out = minimize(&Bowl, &start, &DescentConfig::default(), &mut rng);
         assert!(out.value <= before);
     }
@@ -428,19 +443,13 @@ mod tests {
             4
         }
 
-        fn value(&self, x: &[f64]) -> f64 {
-            Self::CURVATURE
-                .iter()
-                .zip(Self::CENTER)
-                .zip(x)
-                .map(|((a, c), xi)| a * (xi - c).powi(2))
-                .sum()
-        }
-
-        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+        fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            let mut e = -0.0;
             for i in 0..4 {
+                e += Self::CURVATURE[i] * (x[i] - Self::CENTER[i]).powi(2);
                 grad[i] = 2.0 * Self::CURVATURE[i] * (x[i] - Self::CENTER[i]);
             }
+            e
         }
     }
 
@@ -479,5 +488,275 @@ mod tests {
         };
         let out = minimize(&AnisotropicBowl, &[10.0, 10.0, 10.0, 10.0], &cfg, &mut rng);
         assert!(out.value < 1e-6, "value {}", out.value);
+    }
+
+    /// The descent loop as it was before evaluations were fused: the
+    /// value of every candidate, then the gradient at the accepted point
+    /// in a second call, and all 30 halvings of a step that cannot move.
+    /// `descend` must return exactly what this returns.
+    fn two_call_descend<O: Objective>(
+        objective: &O,
+        x0: &[f64],
+        cfg: &DescentConfig,
+    ) -> DescentOutcome {
+        let n = objective.dim();
+        let mut scratch = vec![0.0; n];
+        let mut trace = cfg.record_trace.then(|| DescentTrace {
+            values: Vec::new(),
+            round_starts: vec![0],
+        });
+        let mut iterations = 0usize;
+        let mut converged = false;
+        let mut x = x0.to_vec();
+        let mut value = objective.evaluate(&x, &mut scratch);
+        let mut alpha = cfg.step_size;
+        let mut grad = vec![0.0; n];
+        let mut candidate = vec![0.0; n];
+        let mut stall = 0usize;
+        for _ in 0..cfg.max_iterations {
+            objective.evaluate(&x, &mut grad);
+            let gnorm_sq: f64 = grad.iter().map(|g| g * g).sum();
+            if gnorm_sq == 0.0 || !gnorm_sq.is_finite() {
+                converged = gnorm_sq == 0.0;
+                break;
+            }
+            let mut accepted = false;
+            for _ in 0..30 {
+                for i in 0..n {
+                    candidate[i] = x[i] - alpha * grad[i];
+                }
+                let cand_value = objective.evaluate(&candidate, &mut scratch);
+                if cand_value.is_finite() && cand_value < value {
+                    let improvement = (value - cand_value) / value.abs().max(1.0);
+                    core::mem::swap(&mut x, &mut candidate);
+                    value = cand_value;
+                    alpha *= 1.05;
+                    accepted = true;
+                    iterations += 1;
+                    if let Some(t) = trace.as_mut() {
+                        t.values.push(value);
+                    }
+                    if improvement < cfg.tolerance {
+                        stall += 1;
+                    } else {
+                        stall = 0;
+                    }
+                    break;
+                }
+                alpha *= 0.5;
+                if alpha < 1e-300 {
+                    break;
+                }
+            }
+            if !accepted || stall >= cfg.patience {
+                converged = true;
+                break;
+            }
+        }
+        DescentOutcome {
+            x,
+            value,
+            iterations,
+            converged,
+            trace,
+        }
+    }
+
+    /// Asserts that `descend` returns what the two-call loop returns.
+    fn assert_parity<O: Objective>(objective: &O, x0: &[f64], cfg: &DescentConfig) {
+        assert_same_outcome(
+            &descend(objective, x0, cfg),
+            &two_call_descend(objective, x0, cfg),
+        );
+    }
+
+    /// Asserts two outcomes are equal bit for bit, traces included.
+    fn assert_same_outcome(got: &DescentOutcome, want: &DescentOutcome) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.x), bits(&want.x), "x");
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "value");
+        assert_eq!(got.iterations, want.iterations, "iterations");
+        assert_eq!(got.converged, want.converged, "converged");
+        let trace_bits = |t: &Option<DescentTrace>| {
+            t.as_ref()
+                .map(|t| (bits(&t.values), t.round_starts.clone()))
+        };
+        assert_eq!(trace_bits(&got.trace), trace_bits(&want.trace), "trace");
+    }
+
+    /// A 2-D weighted range fix, multilateration's shape: descents on it
+    /// end in the backtracking tail, at a point no halving can move.
+    struct Ranges {
+        anchors: Vec<(f64, f64, f64)>,
+    }
+
+    impl Objective for Ranges {
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            let mut e = -0.0;
+            grad[0] = 0.0;
+            grad[1] = 0.0;
+            for &(ax, ay, d) in &self.anchors {
+                let (dx, dy) = (x[0] - ax, x[1] - ay);
+                let dist = dx.hypot(dy);
+                e += (dist - d) * (dist - d);
+                let dc = dist.max(1e-9);
+                grad[0] += 2.0 * (dc - d) / dc * dx;
+                grad[1] += 2.0 * (dc - d) / dc * dy;
+            }
+            e
+        }
+    }
+
+    /// Noisy ranges from four anchors to a node near (3, 4).
+    fn ranges() -> Ranges {
+        Ranges {
+            anchors: vec![
+                (0.0, 0.0, 5.02),
+                (10.0, 0.0, 8.11),
+                (0.0, 10.0, 6.69),
+                (10.0, 10.0, 9.23),
+            ],
+        }
+    }
+
+    /// `E(x) = x − ln x`: NaN left of 0 with a finite gradient there, and
+    /// `+inf` at 0 with an infinite one.
+    struct Barrier;
+
+    impl Objective for Barrier {
+        fn dim(&self) -> usize {
+            1
+        }
+
+        fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            grad[0] = 1.0 - 1.0 / x[0];
+            x[0] - x[0].ln()
+        }
+    }
+
+    /// Records every point it evaluates.
+    struct Recording<O> {
+        inner: O,
+        points: RefCell<Vec<Vec<u64>>>,
+    }
+
+    impl<O: Objective> Recording<O> {
+        fn new(inner: O) -> Self {
+            Recording {
+                inner,
+                points: RefCell::default(),
+            }
+        }
+
+        /// How many times `x` was evaluated, bit for bit.
+        fn visits(&self, x: &[f64]) -> usize {
+            let key: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            self.points.borrow().iter().filter(|p| **p == key).count()
+        }
+    }
+
+    impl<O: Objective> Objective for Recording<O> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            self.points
+                .borrow_mut()
+                .push(x.iter().map(|v| v.to_bits()).collect());
+            self.inner.evaluate(x, grad)
+        }
+    }
+
+    #[test]
+    fn descend_matches_the_two_call_loop_on_fixed_cases() {
+        let cfg = DescentConfig {
+            record_trace: true,
+            ..DescentConfig::default()
+        };
+        let multilateration = DescentConfig {
+            step_size: 0.05,
+            max_iterations: 400,
+            tolerance: 1e-12,
+            patience: 20,
+            ..cfg.clone()
+        };
+        assert_parity(&Bowl, &[10.0, -10.0], &cfg);
+        assert_parity(&Bowl, &[0.0, 1.0], &cfg);
+        assert_parity(&DoubleWell, &[0.9], &cfg);
+        assert_parity(&AnisotropicBowl, &[20.0, -20.0, 20.0, -20.0], &cfg);
+        for x0 in [[5.0, 5.0], [3.0, 4.0], [-20.0, 30.0], [0.0, 0.0]] {
+            assert_parity(&ranges(), &x0, &multilateration);
+        }
+        // A NaN start value with a finite gradient: no candidate can be
+        // accepted. An infinite start gradient stops at once.
+        assert_parity(&Barrier, &[-2.0], &cfg);
+        assert_parity(&Barrier, &[0.0], &cfg);
+        assert!(descend(&Barrier, &[-2.0], &cfg).value.is_nan());
+    }
+
+    /// A descent that reaches a point no step can move evaluates that
+    /// point once; the two-call loop evaluated it again for its gradient
+    /// and once more for every one of the 30 halvings.
+    #[test]
+    fn a_fixed_point_is_evaluated_once() {
+        let cfg = DescentConfig {
+            step_size: 0.05,
+            max_iterations: 400,
+            tolerance: 1e-12,
+            patience: 20,
+            ..DescentConfig::default()
+        };
+        let fused = Recording::new(ranges());
+        let out = descend(&fused, &[5.0, 5.0], &cfg);
+        let old = Recording::new(ranges());
+        let want = two_call_descend(&old, &[5.0, 5.0], &cfg);
+        assert_same_outcome(&out, &want);
+        assert!(out.converged && out.iterations < cfg.max_iterations);
+        assert_eq!(fused.visits(&out.x), 1);
+        assert!(old.visits(&out.x) > 2, "{} visits", old.visits(&out.x));
+        // Every accepted step is one evaluation, and so is the start.
+        let calls = fused.points.borrow().len();
+        assert!(calls > out.iterations && calls < old.points.borrow().len());
+
+        // A start that no step can move is evaluated once, and nothing
+        // else is.
+        // One ulp off the bowl's minimum, the gradient is nonzero but
+        // every step rounds back to the start.
+        let still = Recording::new(Bowl);
+        let out = descend(&still, &[0.0, 1.0 + f64::EPSILON], &cfg);
+        assert_eq!((out.iterations, out.converged), (0, true));
+        assert_eq!(still.points.borrow().len(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `descend` equals the two-call loop bit for bit from arbitrary
+        /// starts and settings, traces included.
+        #[test]
+        fn descend_matches_the_two_call_loop(
+            start in proptest::collection::vec(-60.0f64..60.0, 4),
+            step_size in 1e-4f64..0.5,
+            max_iterations in 1usize..600,
+            tolerance_exp in -16i32..-2,
+            patience in 1usize..40,
+        ) {
+            let cfg = DescentConfig {
+                step_size,
+                max_iterations,
+                tolerance: 10f64.powi(tolerance_exp),
+                patience,
+                record_trace: true,
+                ..DescentConfig::default()
+            };
+            assert_parity(&AnisotropicBowl, &start, &cfg);
+            assert_parity(&ranges(), &start[..2], &cfg);
+            assert_parity(&DoubleWell, &start[2..3], &cfg);
+        }
     }
 }

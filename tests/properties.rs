@@ -8,6 +8,13 @@ use rl_math::gradient::Objective;
 use rl_net::NodeId as NetNodeId;
 use rl_ranging::{ChannelStage, RangingChannel};
 
+/// The objective's value and gradient at `x`.
+fn eval(obj: &LssObjective, x: &[f64]) -> (f64, Vec<f64>) {
+    let mut grad = vec![0.0; x.len()];
+    let value = obj.evaluate(x, &mut grad);
+    (value, grad)
+}
+
 fn measurement_set(
     pts: &[(f64, f64)],
     edges: &[(usize, usize)],
@@ -52,28 +59,26 @@ proptest! {
         let n = truth.len();
         let x: Vec<f64> = x0.iter().take(2 * n).cloned().collect();
         prop_assume!(x.len() == 2 * n);
-        let mut grad = vec![0.0; 2 * n];
-        obj.gradient(&x, &mut grad);
+        let grad = eval(&obj, &x).1;
         let h = 1e-6;
         for k in 0..x.len() {
             let mut xp = x.clone();
             xp[k] += h;
             let mut xm = x.clone();
             xm[k] -= h;
-            let numeric = (obj.value(&xp) - obj.value(&xm)) / (2.0 * h);
+            let numeric = (eval(&obj, &xp).0 - eval(&obj, &xm).0) / (2.0 * h);
             // Skip points near the constraint kink (non-differentiable).
             if (grad[k] - numeric).abs() > 1e-3 * (1.0 + numeric.abs()) {
                 // Verify we are near a kink: re-check with a shifted point.
                 let mut x2 = x.clone();
                 x2[k] += 0.01;
-                let mut g2 = vec![0.0; 2 * n];
-                obj.gradient(&x2, &mut g2);
+                let g2 = eval(&obj, &x2).1;
                 let numeric2 = {
                     let mut xp = x2.clone();
                     xp[k] += h;
                     let mut xm = x2.clone();
                     xm[k] -= h;
-                    (obj.value(&xp) - obj.value(&xm)) / (2.0 * h)
+                    (eval(&obj, &xp).0 - eval(&obj, &xm).0) / (2.0 * h)
                 };
                 prop_assert!(
                     (g2[k] - numeric2).abs() <= 1e-3 * (1.0 + numeric2.abs()),
