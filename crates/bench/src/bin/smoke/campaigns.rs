@@ -24,9 +24,9 @@ const ERROR_BUDGET_M: f64 = 2.0;
 /// ratios depend on the core count: MDS-MAP's completion and eigensolve
 /// products run on the worker pool, as do centralized LSS's MDS-MAP seed
 /// and DV-hop's multilateration, while the LSS descent, distributed
-/// LSS's exchange and DV-hop's floods run on one thread. The more cores,
-/// the smaller the denominator, and the more a numerator's serial work
-/// weighs in its ratio. Each budget is about 1.5x the highest ratio read
+/// LSS's exchange and DV-hop's breadth-first hop counts run on one
+/// thread. The more cores, the smaller the denominator, and the more a
+/// numerator's serial work weighs in its ratio. Each budget is about 1.5x the highest ratio read
 /// over 12 runs on a 2-core box.
 ///
 /// Centralized sparse LSS (the soft constraint's Verlet list is what
@@ -38,9 +38,9 @@ const LSS_WALL_FACTOR: f64 = 3.7;
 /// 3.62-5.35.
 const DIST_WALL_FACTOR: f64 = 8.0;
 
-/// DV-hop — its anchor floods run on the `rl_net` simulator — must
-/// finish within this factor of MDS-MAP; it read 2.86-4.14.
-const DVHOP_WALL_FACTOR: f64 = 6.2;
+/// DV-hop (one breadth-first search per anchor, then multilateration)
+/// must finish within this factor of MDS-MAP; it read 1.27-1.73.
+const DVHOP_WALL_FACTOR: f64 = 2.6;
 
 /// The metro-1000 scenario name the distributed gates key on.
 const METRO_1000: &str = "metro-1000-100anchors";

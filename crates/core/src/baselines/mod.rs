@@ -14,8 +14,6 @@
 //!   hear. Coarse but nearly free.
 
 use rl_geom::Point2;
-use rl_net::flood::FloodNode;
-use rl_net::sim::Simulator;
 use rl_net::{NodeId, RadioModel, Topology};
 
 use crate::multilateration::{MultilaterationConfig, MultilaterationSolver};
@@ -36,17 +34,24 @@ pub struct DvHopOutcome {
 /// positions (connectivity is physical; the algorithm itself only ever
 /// sees hop counts and anchor coordinates).
 ///
+/// The hop counts are those the anchors' floods record on a lossless,
+/// jitter-free radio: breadth-first distances in the radio graph. Nothing
+/// here is random, so `rng` draws nothing; the parameter keeps the
+/// signature existing callers use.
+///
 /// # Errors
 ///
 /// * [`LocalizationError::TooFewAnchors`] with fewer than 3 anchors,
-/// * [`LocalizationError::InvalidConfig`] for out-of-range anchor ids,
+/// * [`LocalizationError::InvalidConfig`] for out-of-range anchor ids, an
+///   invalid radio model, or a lossy or jittered one (whose floods need
+///   not record shortest-path hop counts),
 /// * [`LocalizationError::InsufficientMeasurements`] if no anchor pair is
 ///   mutually reachable (no meters-per-hop estimate possible).
 pub fn dv_hop<R: rand::Rng + ?Sized>(
     truth_positions: &[Point2],
     anchors: &[Anchor],
     radio: &RadioModel,
-    rng: &mut R,
+    _rng: &mut R,
 ) -> Result<DvHopOutcome> {
     let n = truth_positions.len();
     if anchors.len() < 3 {
@@ -60,45 +65,22 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
             return Err(LocalizationError::InvalidConfig("anchor id out of range"));
         }
     }
+    radio
+        .validate()
+        .map_err(|_| LocalizationError::InvalidConfig("invalid radio model"))?;
+    if radio.loss_probability > 0.0 || radio.mac_jitter_s > 0.0 {
+        return Err(LocalizationError::InvalidConfig(
+            "DV-hop needs a lossless, jitter-free radio",
+        ));
+    }
 
-    // Phase 1: every anchor floods; every node learns hop counts.
-    let anchor_ids: Vec<NodeId> = anchors.iter().map(|a| a.id).collect();
-    let nodes: Vec<FloodNode<()>> = (0..n)
-        .map(|i| {
-            if anchor_ids.contains(&NodeId(i)) {
-                FloodNode::origin(())
-            } else {
-                FloodNode::relay()
-            }
-        })
-        .collect();
-    let seed = rng.random::<u64>();
-    let sim = Simulator::new(nodes, truth_positions, radio.clone(), seed);
-    // The default event budget is a runaway-protocol guard sized for
-    // town-scale networks; `anchors` concurrent floods legitimately cost
-    // on the order of anchors x directed-edges events, so at metro scale
-    // (1000 nodes, 100 anchors) the budget must grow with the workload.
-    let edges = sim.topology().edge_count();
-    let budget = 1_000_000usize.max(8 * anchors.len() * edges + 1_000 * n);
-    let mut sim = sim.with_event_budget(budget);
-    sim.run()
-        .map_err(|_| LocalizationError::InvalidConfig("flooding exhausted the event budget"))?;
-
-    // hops[i][k]: hop count from node i to anchor k.
-    let hops: Vec<Vec<Option<usize>>> = (0..n)
-        .map(|i| {
-            anchor_ids
-                .iter()
-                .map(|&aid| {
-                    if NodeId(i) == aid {
-                        Some(0)
-                    } else {
-                        sim.node(NodeId(i)).hops_from(aid)
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    // Phase 1: every node's hop count to every anchor. On a lossless,
+    // jitter-free radio every hop costs the same MAC delay, so the first
+    // copy of an anchor's flood reaches each node along a shortest path:
+    // the flood would record exactly the breadth-first distance in the
+    // radio graph. hops[k][i]: hop count from anchor k to node i.
+    let topology = Topology::from_positions(truth_positions, radio.range_m);
+    let hops: Vec<Vec<Option<usize>>> = anchors.iter().map(|a| topology.hop_counts(a.id)).collect();
 
     // Phase 2: each anchor computes average meters-per-hop from its known
     // straight-line distances to the other anchors.
@@ -110,7 +92,7 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
             if j == k {
                 continue;
             }
-            if let Some(h) = hops[a.id.index()][j] {
+            if let Some(h) = hops[j][a.id.index()] {
                 total_m += a.position.distance(b.position);
                 total_hops += h;
             }
@@ -131,21 +113,21 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
     // the meters-per-hop of its *closest* anchor (the value it would have
     // received first), then multilaterates.
     let mut ranges = Vec::new();
-    for (i, node_hops) in hops.iter().enumerate().take(n) {
-        if anchor_ids.contains(&NodeId(i)) {
+    for i in 0..n {
+        if anchors.iter().any(|a| a.id == NodeId(i)) {
             continue;
         }
         // Closest anchor by hops with a finite calibration value.
-        let mph = anchor_ids
+        let mph = hops
             .iter()
-            .enumerate()
-            .filter_map(|(k, _)| node_hops[k].map(|h| (h, meters_per_hop[k])))
+            .zip(&meters_per_hop)
+            .filter_map(|(from_anchor, &m)| from_anchor[i].map(|h| (h, m)))
             .filter(|(_, m)| m.is_finite())
             .min_by_key(|&(h, _)| h)
             .map(|(_, m)| m);
         let Some(mph) = mph else { continue };
-        for (k, a) in anchors.iter().enumerate() {
-            if let Some(h) = node_hops[k] {
+        for (a, from_anchor) in anchors.iter().zip(&hops) {
+            if let Some(h) = from_anchor[i] {
                 if h > 0 {
                     ranges.push((NodeId(i), a.id, mph * h as f64, 1.0));
                 }
@@ -220,8 +202,8 @@ pub struct DvHopLocalizer {
 }
 
 impl DvHopLocalizer {
-    /// Creates the localizer with the radio model the hop-count floods run
-    /// on.
+    /// Creates the localizer over the connectivity graph of `radio`, which
+    /// must be lossless and jitter-free (see [`dv_hop`]).
     pub fn new(radio: RadioModel) -> Self {
         DvHopLocalizer { radio }
     }
@@ -388,6 +370,31 @@ mod tests {
             dv_hop(&truth, &bad, &RadioModel::ideal(15.0), &mut rng),
             Err(LocalizationError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn dv_hop_rejects_radios_without_shortest_path_floods() {
+        let truth = grid(3, 3, 10.0);
+        let anchors = corner_anchors(&truth, 3, 3);
+        let mut rng = seeded(4);
+        let invalid = [0.0, -1.0, f64::NAN].map(RadioModel::ideal);
+        let lossy = RadioModel {
+            loss_probability: 0.1,
+            ..RadioModel::ideal(15.0)
+        };
+        let jittered = RadioModel {
+            mac_jitter_s: 1.0e-3,
+            ..RadioModel::ideal(15.0)
+        };
+        for radio in invalid.iter().chain([&lossy, &jittered]) {
+            assert!(
+                matches!(
+                    dv_hop(&truth, &anchors, radio, &mut rng),
+                    Err(LocalizationError::InvalidConfig(_))
+                ),
+                "{radio:?} must be rejected"
+            );
+        }
     }
 
     #[test]

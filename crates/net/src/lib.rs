@@ -17,8 +17,8 @@
 //!   transmission is one *burst* in the event queue — the message, held
 //!   once, and the recipients the radio reached — and receivers get the
 //!   message by reference, so the simulator never copies one,
-//! * [`flood`] — reusable network-wide flooding with hop counting (also the
-//!   basis of a DV-hop baseline),
+//! * [`flood`] — a network-wide flooding protocol that records hop counts
+//!   (on an ideal radio, the breadth-first distances of the topology),
 //! * [`pool`] — a deterministic worker pool for the per-node computation
 //!   phases of simulated protocols (bit-identical output for any worker
 //!   count; distributed LSS shards its local-map solves on it),
@@ -52,20 +52,23 @@
 //! assert!(topo.is_connected());
 //! ```
 //!
-//! A full protocol run — flooding hop counts through the event
-//! simulator over an ideal radio:
+//! A full protocol run — one flood through the event simulator over an
+//! ideal radio:
 //!
 //! ```
-//! use rl_net::flood::run_flood;
-//! use rl_net::{NodeId, RadioModel};
+//! use rl_net::flood::FloodNode;
+//! use rl_net::{NodeId, RadioModel, Simulator};
 //! use rl_geom::Point2;
 //!
 //! let positions: Vec<Point2> =
 //!     (0..5).map(|i| Point2::new(i as f64 * 8.0, 0.0)).collect();
-//! let result = run_flood(&positions, RadioModel::ideal(10.0), NodeId(0), 7)?;
-//! assert_eq!(result.coverage, 1.0, "every node hears the flood");
-//! assert_eq!(result.hops[4], Some(4), "line topology: 4 hops to the end");
-//! assert_eq!(result.parents[4], Some(NodeId(3)));
+//! let nodes = (0..5)
+//!     .map(|i| if i == 0 { FloodNode::origin(()) } else { FloodNode::relay() })
+//!     .collect();
+//! let mut sim = Simulator::new(nodes, &positions, RadioModel::ideal(10.0), 7);
+//! sim.run()?;
+//! let end = sim.node(NodeId(4));
+//! assert_eq!(end.hops_from(NodeId(0)), Some(4), "line topology: 4 hops to the end");
 //! # Ok::<(), rl_net::NetError>(())
 //! ```
 

@@ -73,7 +73,7 @@ impl RadioModel {
         if !(0.0..=1.0).contains(&self.loss_probability) {
             return Err(InvalidConfig("loss_probability must be in [0, 1]"));
         }
-        if self.mac_delay_s < 0.0 || self.mac_jitter_s < 0.0 {
+        if !(self.mac_delay_s >= 0.0) || !(self.mac_jitter_s >= 0.0) {
             return Err(InvalidConfig("delays must be non-negative"));
         }
         Ok(())
@@ -144,5 +144,10 @@ mod tests {
             ..RadioModel::mica2()
         };
         assert!(bad_delay.validate().is_err());
+        let nan_jitter = RadioModel {
+            mac_jitter_s: f64::NAN,
+            ..RadioModel::mica2()
+        };
+        assert!(nan_jitter.validate().is_err());
     }
 }

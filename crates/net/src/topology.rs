@@ -2,8 +2,9 @@
 //!
 //! Localization algorithms care about two graphs: the *radio* graph (who
 //! can exchange messages) and the *ranging* graph (who has distance
-//! measurements to whom). Both are undirected neighbor structures;
-//! [`Topology`] serves either role.
+//! measurements to whom). [`Topology`] is the radio graph, an undirected
+//! disk graph over node positions; the ranging graph is the measurement
+//! set itself (`rl_ranging::measurement::MeasurementSet`).
 
 use crate::NodeId;
 use rl_geom::grid::for_each_grid_pair;
@@ -53,23 +54,6 @@ impl Topology {
         Topology { neighbors }
     }
 
-    /// Builds a topology from an explicit undirected edge list.
-    ///
-    /// Duplicate and self edges are ignored.
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
-        let mut neighbors = vec![Vec::new(); n];
-        for (a, b) in edges {
-            if a == b || a.index() >= n || b.index() >= n {
-                continue;
-            }
-            if !neighbors[a.index()].contains(&b) {
-                neighbors[a.index()].push(b);
-                neighbors[b.index()].push(a);
-            }
-        }
-        Topology { neighbors }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.neighbors.len()
@@ -96,14 +80,6 @@ impl Topology {
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
         self.neighbors.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
-    /// Mean node degree.
-    pub fn average_degree(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.neighbors.iter().map(Vec::len).sum::<usize>() as f64 / self.len() as f64
     }
 
     /// Breadth-first hop counts from `root`; unreachable nodes get `None`.
@@ -134,32 +110,6 @@ impl Topology {
         }
         self.hop_counts(NodeId(0)).iter().all(Option::is_some)
     }
-
-    /// Connected components as sorted lists of node ids.
-    pub fn components(&self) -> Vec<Vec<NodeId>> {
-        let mut seen = vec![false; self.len()];
-        let mut out = Vec::new();
-        for start in 0..self.len() {
-            if seen[start] {
-                continue;
-            }
-            let mut comp = Vec::new();
-            let mut queue = VecDeque::from([NodeId(start)]);
-            seen[start] = true;
-            while let Some(u) = queue.pop_front() {
-                comp.push(u);
-                for &v in self.neighbors(u) {
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            comp.sort();
-            out.push(comp);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,22 +130,6 @@ mod tests {
         assert!(t.are_neighbors(NodeId(0), NodeId(1)));
         assert!(!t.are_neighbors(NodeId(0), NodeId(2)));
         assert_eq!(t.edge_count(), 2);
-        assert!((t.average_degree() - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_edges_ignores_junk() {
-        let t = Topology::from_edges(
-            3,
-            [
-                (NodeId(0), NodeId(1)),
-                (NodeId(1), NodeId(0)), // duplicate
-                (NodeId(2), NodeId(2)), // self edge
-                (NodeId(0), NodeId(9)), // out of range
-            ],
-        );
-        assert_eq!(t.edge_count(), 1);
-        assert!(t.are_neighbors(NodeId(1), NodeId(0)));
     }
 
     #[test]
@@ -212,14 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_and_components() {
-        let connected = line(4, 8.0, 10.0);
-        assert!(connected.is_connected());
-        assert_eq!(connected.components().len(), 1);
-
-        let split = line(4, 8.0, 7.0); // spacing exceeds range
-        assert!(!split.is_connected());
-        assert_eq!(split.components().len(), 4);
+    fn connectivity() {
+        assert!(line(4, 8.0, 10.0).is_connected());
+        assert!(!line(4, 8.0, 7.0).is_connected()); // spacing exceeds range
 
         assert!(Topology::from_positions(&[], 5.0).is_connected());
         assert!(Topology::from_positions(&[], 5.0).is_empty());
@@ -228,14 +157,17 @@ mod tests {
     /// The all-pairs reference the spatial-grid builder must reproduce
     /// exactly (adjacency lists ascending).
     fn from_positions_all_pairs(positions: &[Point2], range_m: f64) -> Topology {
-        Topology::from_edges(
-            positions.len(),
-            (0..positions.len()).flat_map(|i| {
-                (i + 1..positions.len())
-                    .filter(move |&j| positions[i].distance(positions[j]) <= range_m)
-                    .map(move |j| (NodeId(i), NodeId(j)))
-            }),
-        )
+        let n = positions.len();
+        let mut neighbors = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in i + 1..n {
+                if positions[i].distance(positions[j]) <= range_m {
+                    neighbors[i].push(NodeId(j));
+                    neighbors[j].push(NodeId(i));
+                }
+            }
+        }
+        Topology { neighbors }
     }
 
     #[test]

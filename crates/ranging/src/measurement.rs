@@ -480,11 +480,6 @@ impl MeasurementSet {
         (sub, nodes.to_vec())
     }
 
-    /// The connectivity topology of the measurement graph.
-    pub fn topology(&self) -> rl_net::Topology {
-        rl_net::Topology::from_edges(self.node_count(), self.iter().map(|(a, b, _)| (a, b)))
-    }
-
     /// Builds the set of exact pairwise distances for all pairs closer than
     /// `max_range` (an oracle measurement set, useful for tests and ideal
     /// baselines).
@@ -688,15 +683,6 @@ mod tests {
         assert_eq!(set.get(id(0), id(1)), Some(10.0));
         assert_eq!(set.get(id(1), id(2)), None); // 30 m > 22 m
         assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn topology_reflects_edges() {
-        let mut set = MeasurementSet::new(3);
-        set.insert(id(0), id(1), 5.0);
-        let topo = set.topology();
-        assert!(topo.are_neighbors(id(0), id(1)));
-        assert!(!topo.are_neighbors(id(0), id(2)));
     }
 
     #[test]

@@ -149,7 +149,8 @@ pub fn make_tracker_config(spec: &stream::TrackerSpec, seed: u64) -> Option<Trac
     Some(config)
 }
 
-/// Server configuration (builder style).
+/// Server configuration. Set fields directly (struct-update syntax over
+/// [`Default`]) or through the few builder setters.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (the default,
@@ -227,47 +228,10 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-connection idle timeout.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the maximum accepted frame size.
-    pub fn with_max_frame(mut self, max: usize) -> Self {
-        self.max_frame = max;
-        self
-    }
-
-    /// Sets the bound on solves waiting for a turn (`0` = unbounded).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
     /// Sets the job wall-clock floor (test instrumentation; see the
     /// field docs).
     pub fn with_solve_floor(mut self, floor: Duration) -> Self {
         self.solve_floor = floor;
-        self
-    }
-
-    /// Sets the session idle TTL (`Duration::ZERO` = never evict).
-    pub fn with_session_ttl(mut self, ttl: Duration) -> Self {
-        self.session_ttl = ttl;
-        self
-    }
-
-    /// Sets the open-session capacity (`0` = unbounded).
-    pub fn with_session_capacity(mut self, capacity: usize) -> Self {
-        self.session_capacity = capacity;
-        self
-    }
-
-    /// Injects a [`Clock`] for session TTL eviction (test
-    /// instrumentation).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
         self
     }
 }

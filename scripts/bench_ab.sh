@@ -14,13 +14,18 @@
 # pair to pair. Then it prints, for every end-to-end metric in
 # BENCHMARK.json, each side's range, quartiles and median, the relative
 # change of the medians, and in how many pairs the working tree read
-# lower (every end-to-end metric there is lower-is-better). Runs whose
-# result line is not `"correct": true` are reported, and the script
-# exits 1 if any was.
+# lower (every end-to-end metric there is lower-is-better). After that
+# table it prints the same statistics for every per-family line an
+# untraced run prints before its result line (`metric solve_s.<family>`
+# and `metric error_m.<family>`, both lower-is-better), so a change can
+# show the family it moved without a traced run. Runs whose result line
+# is not `"correct": true` are reported, and the script exits 1 if any
+# was.
 #
 # SEED defaults to 20050614 and <seconds> to 1. The worktrees and their
-# build directories are removed on exit; raw result lines stay in
-# $OUT (default: a fresh directory under the temporary directory, kept).
+# build directories are removed on exit; each run's full stdout
+# (<side>-<pair>.txt) and result line (<side>-<pair>.json) stay in $OUT
+# (default: a fresh directory under the temporary directory, kept).
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
@@ -69,8 +74,10 @@ incorrect=0
 run() {
     local side=$1 pair=$2 line
     # The benchmark reads its inputs relative to the checkout's root.
-    line=$(cd "$tmp/$side" && "$tmp/target-$side/release/rl-benchmark" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+    (cd "$tmp/$side" && "$tmp/target-$side/release/rl-benchmark" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
+        > "$out/$side-$pair.txt"
+    line=$(tail -n 1 "$out/$side-$pair.txt")
     echo "$line" > "$out/$side-$pair.json"
     case $line in
         *'"correct": true'*) ;;
@@ -90,21 +97,36 @@ python3 - "$out" "$pairs" $metrics <<'EOF'
 import json, statistics, sys
 
 out, pairs, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+sides = ("base", "head")
 def read(side, pair):
     with open(f"{out}/{side}-{pair}.json") as f:
-        return json.load(f)["metrics"]
-runs = {s: [read(s, p) for p in range(1, pairs + 1)] for s in ("base", "head")}
+        metrics = {k: m["value"] for k, m in json.load(f)["metrics"].items()}
+    # Per-family lines: `metric <name> <value> <unit> n=<samples>`.
+    with open(f"{out}/{side}-{pair}.txt") as f:
+        for line in f:
+            fields = line.split()
+            if len(fields) >= 3 and fields[0] == "metric" and fields[1].startswith(("solve_s.", "error_m.")):
+                metrics[fields[1]] = float(fields[2])
+    return metrics
+runs = {s: [read(s, p) for p in range(1, pairs + 1)] for s in sides}
 def summary(v):
     q = statistics.quantiles(v, n=4) if len(v) > 1 else [v[0]] * 3
     return f"{min(v):.6g} [{q[0]:.6g} {q[1]:.6g} {q[2]:.6g}] {max(v):.6g}"
-print("per side: min [q1 median q3] max; change of the medians; pairs where the tree read lower")
-for name in names:
-    b = [r[name]["value"] for r in runs["base"]]
-    h = [r[name]["value"] for r in runs["head"]]
+def compare(name):
+    b = [r[name] for r in runs["base"]]
+    h = [r[name] for r in runs["head"]]
     mb, mh = statistics.median(b), statistics.median(h)
     change = (mh - mb) / mb * 100 if mb else float("nan")
     lower = sum(y < x for x, y in zip(b, h))
     print(f"{name}\n  base {summary(b)}\n  tree {summary(h)}\n  change {change:+.1f}%, lower in {lower}/{pairs}")
+print("per side: min [q1 median q3] max; change of the medians; pairs where the tree read lower")
+for name in names:
+    compare(name)
+families = [k for k in runs["base"][0] if k not in names and all(k in r for s in sides for r in runs[s])]
+if families:
+    print("per-family lines")
+    for name in families:
+        compare(name)
 EOF
 echo "result lines: $out" >&2
 exit "$incorrect"

@@ -16,7 +16,7 @@
 //! | [`math`] | `rl-math` | matrices, eigensolver, robust stats, gradient descent |
 //! | [`geom`] | `rl-geom` | points, rigid transforms, circles, Procrustes |
 //! | [`signal`] | `rl-signal` | acoustic channel, tone detection, chirp patterns |
-//! | [`net`] | `rl-net` | discrete-event WSN simulator, time sync, flooding |
+//! | [`net`] | `rl-net` | discrete-event WSN simulator, time sync, flooding, connectivity graphs and hop counts |
 //! | [`ranging`] | `rl-ranging` | TDoA ranging service, filtering, consistency, the `RangingChannel` error stack |
 //! | [`deploy`] | `rl-deploy` | deployments, anchors, scenarios, mobility |
 //! | [`localization`] | `rl-core` | multilateration, LSS, distributed LSS, MDS, tracking, `Problem`/`Localizer` |

@@ -226,7 +226,10 @@ fn malformed_frames_get_typed_errors_without_dropping_the_connection() {
 
 #[test]
 fn oversized_frames_are_rejected_then_the_connection_closes() {
-    let config = ServeConfig::default().with_max_frame(256);
+    let config = ServeConfig {
+        max_frame: 256,
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
     let mut stream = TcpStream::connect(addr).unwrap();
 
@@ -253,7 +256,10 @@ fn oversized_frames_are_rejected_then_the_connection_closes() {
 
 #[test]
 fn idle_connections_time_out_without_affecting_others() {
-    let config = ServeConfig::default().with_read_timeout(Duration::from_millis(150));
+    let config = ServeConfig {
+        read_timeout: Duration::from_millis(150),
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
     let mut idle = TcpStream::connect(addr).unwrap();
     let mut busy = Client::connect(addr).unwrap();
@@ -357,10 +363,12 @@ fn full_queues_reject_with_a_typed_overloaded_error() {
     // occupies the worker, a second distinct request fills the queue, and
     // a third must be rejected with `Overloaded` instead of waiting —
     // without taking the server down.
-    let config = ServeConfig::default()
-        .with_workers(1)
-        .with_queue_depth(1)
-        .with_solve_floor(Duration::from_millis(300));
+    let config = ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        solve_floor: Duration::from_millis(300),
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
 
     let blocker = std::thread::spawn(move || {
@@ -430,7 +438,10 @@ fn stall_mid_frame(addr: std::net::SocketAddr) -> TcpStream {
 #[test]
 fn a_connection_stalled_mid_frame_closes_after_the_read_timeout() {
     let timeout = Duration::from_millis(800);
-    let config = ServeConfig::default().with_read_timeout(timeout);
+    let config = ServeConfig {
+        read_timeout: timeout,
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
     let started = Instant::now();
     let mut stalled = stall_mid_frame(addr);
@@ -458,7 +469,10 @@ fn a_connection_stalled_mid_frame_closes_after_the_read_timeout() {
 
 #[test]
 fn shutdown_does_not_wait_for_a_connection_stalled_mid_frame() {
-    let config = ServeConfig::default().with_read_timeout(Duration::from_secs(30));
+    let config = ServeConfig {
+        read_timeout: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
     let mut stalled = stall_mid_frame(addr);
     let mut client = Client::connect(addr).unwrap();

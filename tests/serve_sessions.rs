@@ -230,9 +230,11 @@ fn invalid_pushed_edges_get_typed_errors_and_the_connection_survives() {
 #[test]
 fn idle_sessions_evict_deterministically_under_an_injected_clock() {
     let clock = Arc::new(ManualClock::new());
-    let config = ServeConfig::default()
-        .with_session_ttl(Duration::from_secs(60))
-        .with_clock(clock.clone());
+    let config = ServeConfig {
+        session_ttl: Duration::from_secs(60),
+        clock: Some(clock.clone()),
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
     let mut client = Client::connect(addr).unwrap();
 
@@ -268,7 +270,10 @@ fn idle_sessions_evict_deterministically_under_an_injected_clock() {
 
 #[test]
 fn session_quotas_reject_with_typed_overloaded_errors() {
-    let config = ServeConfig::default().with_session_capacity(1);
+    let config = ServeConfig {
+        session_capacity: 1,
+        ..ServeConfig::default()
+    };
     let (addr, handle) = Server::spawn(config).unwrap();
     let mut client = Client::connect(addr).unwrap();
 
