@@ -186,12 +186,4 @@ mod tests {
         assert_eq!(anchors.len(), 1);
         assert_eq!(anchors[0].position, Point2::new(5.0, 5.0));
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut m = PositionMap::unlocalized(2);
-        m.set(NodeId(0), Point2::new(1.5, -2.0));
-        let json = serde_json::to_string(&m).unwrap();
-        assert_eq!(serde_json::from_str::<PositionMap>(&json).unwrap(), m);
-    }
 }

@@ -141,11 +141,4 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.positions[0], Point2::new(0.0, 5.0));
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = OffsetGrid::paper_figure5();
-        let json = serde_json::to_string(&g).unwrap();
-        assert_eq!(serde_json::from_str::<OffsetGrid>(&json).unwrap(), g);
-    }
 }

@@ -304,13 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let s = Scenario::parking_lot(1);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), s);
-    }
-
-    #[test]
     fn instantiate_builds_consistent_problem() {
         let s = Scenario::town(7);
         let p = s.instantiate(13);

@@ -281,13 +281,6 @@ mod tests {
         assert!(!Point2::new(f64::NAN, 0.0).is_finite());
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        let p = Point2::new(1.25, -7.5);
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(serde_json::from_str::<Point2>(&json).unwrap(), p);
-    }
-
     proptest! {
         #[test]
         fn prop_triangle_inequality(

@@ -287,13 +287,6 @@ mod tests {
         assert!(s.contains("f=-1"));
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        let t = RigidTransform::new(0.25, true, Vec2::new(-1.0, 2.0));
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(serde_json::from_str::<RigidTransform>(&json).unwrap(), t);
-    }
-
     proptest! {
         #[test]
         fn prop_preserves_distances(

@@ -437,12 +437,4 @@ mod tests {
         assert!(s.contains("1.0000"));
         assert!(s.lines().count() == 2);
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = DMatrix::from_rows(&[&[1.5, -2.5], &[0.0, 4.0]]).unwrap();
-        let json = serde_json::to_string(&a).unwrap();
-        let back: DMatrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
-    }
 }

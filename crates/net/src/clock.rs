@@ -215,14 +215,4 @@ mod tests {
         // 100 µs/s relative drift over 1 s ≈ 100 µs error.
         assert!((err_at(1.0) - 1.0e-4).abs() < 2.0e-5, "err {}", err_at(1.0));
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = DriftingClock {
-            offset_s: 1.0,
-            skew: -3.0e-5,
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(serde_json::from_str::<DriftingClock>(&json).unwrap(), c);
-    }
 }

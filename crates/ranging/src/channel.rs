@@ -905,13 +905,14 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        use serde::{Deserialize, Serialize};
         let channel = RangingChannel::paper().with_stage(ChannelStage::Multipath {
             delay_spread_m: 2.0,
         });
-        let v = channel.to_value();
-        let back = RangingChannel::from_value(&v).unwrap();
-        assert_eq!(channel, back);
+        let json = serde_json::to_string(&channel).unwrap();
+        assert_eq!(
+            serde_json::from_str::<RangingChannel>(&json).unwrap(),
+            channel
+        );
     }
 
     #[test]

@@ -985,98 +985,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_and_responses_round_trip_through_json() {
-        let requests = [
-            Request::Hello {
-                protocol: PROTOCOL_VERSION,
-            },
-            Request::localize("town", "lss", 7),
-            Request::Batch(batch::Request::Localize {
-                deployment: "town".into(),
-                solver: "lss".into(),
-                seed: 7,
-                nodes: Some(vec![0, 3, 5]),
-            }),
-            Request::Batch(batch::Request::Status),
-            Request::Batch(batch::Request::Shutdown),
-            Request::Stream(stream::Request::OpenStream {
-                source: stream::StreamSource::Preset {
-                    name: "town-mobile".into(),
-                },
-                tracker: stream::TrackerSpec::default(),
-                seed: 11,
-            }),
-            Request::Stream(stream::Request::OpenStream {
-                source: stream::StreamSource::Custom {
-                    deployment: "town".into(),
-                    motion: rl_deploy::mobility::MotionModel::RandomWalk { step_m: 0.5 },
-                    churn: rl_deploy::mobility::ChurnModel::light(),
-                },
-                tracker: stream::TrackerSpec {
-                    preset: "metro".into(),
-                    steps_per_tick: Some(6),
-                    churn_restart_fraction: None,
-                },
-                seed: 11,
-            }),
-            Request::Stream(stream::Request::PushTicks {
-                session: 99,
-                observations: vec![],
-            }),
-            Request::Stream(stream::Request::ReadSolution {
-                session: 99,
-                nodes: Some(vec![1, 2]),
-            }),
-            Request::Stream(stream::Request::CloseStream { session: 99 }),
-        ];
-        for req in &requests {
-            let json = serde_json::to_string(req).unwrap();
-            assert_eq!(&serde_json::from_str::<Request>(&json).unwrap(), req);
-        }
-        let responses = [
-            Response::Hello {
-                protocol: PROTOCOL_VERSION,
-                server: "rl-serve/test".into(),
-            },
-            Response::Batch(batch::Response::Localized(sample_reply())),
-            Response::Batch(batch::Response::Projected(
-                batch::Projection::slice(&sample_reply(), &[1, 0]).unwrap(),
-            )),
-            Response::Batch(batch::Response::ShuttingDown),
-            Response::Stream(stream::Response::StreamOpened {
-                session: 5,
-                universe: 59,
-            }),
-            Response::Stream(stream::Response::TicksPushed(stream::PushReply {
-                session: 5,
-                accepted: 3,
-                ticks: 9,
-                warm_updates: 8,
-                cold_solves: 1,
-                fingerprint: 0xDEAD,
-            })),
-            Response::Stream(stream::Response::Solution(stream::SolutionReply {
-                session: 5,
-                ticks: 9,
-                frame: "absolute".into(),
-                nodes: None,
-                positions: vec![Some((1.0, 2.0)), None],
-                localized: 1,
-                fingerprint: 0xDEAD,
-            })),
-            Response::Stream(stream::Response::StreamClosed {
-                session: 5,
-                ticks: 9,
-            }),
-            Response::Error(WireError::new(ErrorCode::UnknownSession, "no such session")),
-        ];
-        for resp in &responses {
-            let json = serde_json::to_string(resp).unwrap();
-            assert_eq!(&serde_json::from_str::<Response>(&json).unwrap(), resp);
-        }
-    }
-
     /// The wire bytes, pinned: derived-enum encoding (unit variant =
     /// string, tuple variant = single-key map to a list, struct
     /// variant/field order = declaration order), with each namespace
@@ -1286,40 +1194,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reply_coordinates_round_trip_bit_exactly() {
-        // The cache contract leans on exact f64 text round-trips.
-        let coords = [
-            (0.1, 1.0 / 3.0),
-            (core::f64::consts::PI, -0.0),
-            (5e-324, 1e300),
-        ];
-        let reply = LocalizeReply {
-            deployment: "d".into(),
-            solver: "s".into(),
-            seed: 1,
-            frame: "absolute".into(),
-            positions: coords.iter().map(|&p| Some(p)).collect(),
-            iterations: 0,
-            residual: None,
-            converged: None,
-            mean_error_m: None,
-            localized: coords.len() as u64,
-        };
-        let json = serde_json::to_string(&reply).unwrap();
-        let back: LocalizeReply = serde_json::from_str(&json).unwrap();
-        for (a, b) in reply.positions.iter().zip(&back.positions) {
-            let (a, b) = (a.unwrap(), b.unwrap());
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-    }
-
-    /// Wall bound on decoding the frame-cap star below through either
-    /// untrusted path. Built edge by edge in descending leaf order, the
-    /// star shifts the hub's sorted row on every insert; that quadratic
-    /// build took 1.76–2.20 s in debug and release builds on a 2-core
-    /// x86-64 box, so the bound is more than 20x below it.
+    /// Wall bound on building the frame-cap star below through either
+    /// untrusted path, beyond parsing its edge list. Built edge by edge in
+    /// descending leaf order, the star shifts the hub's sorted row on
+    /// every insert; that quadratic build took 1.76–2.20 s in debug and
+    /// release builds on a 2-core x86-64 box, so the bound is more than
+    /// 20x below it.
     const STAR_DECODE_BOUND: Duration = Duration::from_millis(85);
 
     /// The largest star whose compact JSON fits one frame, its leaves
@@ -1343,7 +1223,6 @@ mod tests {
             wire_json.len()
         );
         let wire: stream::WireObservation = serde_json::from_str(&wire_json).unwrap();
-        let value: serde::Value = serde_json::from_str(&set_json).unwrap();
 
         // Best of three, so a busy test runner does not fail the bound.
         fn best_of_three<T>(mut decode: impl FnMut() -> T) -> (Duration, T) {
@@ -1357,7 +1236,11 @@ mod tests {
                 .expect("three runs")
         }
         let (wire_took, pushed) = best_of_three(|| wire.to_observation().unwrap().measurements);
-        let (serde_took, set) = best_of_three(|| MeasurementSet::from_value(&value).unwrap());
+        let (serde_took, set) =
+            best_of_three(|| serde_json::from_str::<MeasurementSet>(&set_json).unwrap());
+        // The text path parses as it builds; charge it only the building.
+        let (parse_took, _) = best_of_three(|| serde::Deserializer::new(&set_json).skip());
+        let serde_took = serde_took.saturating_sub(parse_took);
 
         assert_eq!(pushed, set);
         assert_eq!(set.degree(NodeId(0)), LEAVES);
@@ -1365,7 +1248,7 @@ mod tests {
             .neighbors_of(NodeId(0))
             .map(|(j, _)| j.index())
             .eq(1..=LEAVES));
-        for (path, took) in [("to_observation", wire_took), ("Deserialize", serde_took)] {
+        for (path, took) in [("to_observation", wire_took), ("from_str", serde_took)] {
             assert!(took < STAR_DECODE_BOUND, "{path} took {took:?}");
         }
     }

@@ -335,11 +335,4 @@ mod tests {
             assert!(cfg.validate().is_err(), "{field} should be rejected");
         }
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = ChirpTrainConfig::paper();
-        let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(serde_json::from_str::<ChirpTrainConfig>(&json).unwrap(), c);
-    }
 }

@@ -310,11 +310,4 @@ mod tests {
         assert_eq!(Environment::Grass.to_string(), "grass");
         assert_eq!(Environment::Urban.to_string(), "urban");
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let e = Environment::Pavement;
-        let json = serde_json::to_string(&e).unwrap();
-        assert_eq!(serde_json::from_str::<Environment>(&json).unwrap(), e);
-    }
 }

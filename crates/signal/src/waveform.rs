@@ -208,11 +208,4 @@ mod tests {
         add_tone_burst(&mut flat, 0, 64, 0.25, 2.0, 0);
         assert!(rms(&flat) > 1.0);
     }
-
-    #[test]
-    fn serde_roundtrip() {
-        let spec = WaveformSpec::figure10_noisy();
-        let json = serde_json::to_string(&spec).unwrap();
-        assert_eq!(serde_json::from_str::<WaveformSpec>(&json).unwrap(), spec);
-    }
 }

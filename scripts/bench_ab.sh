@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # A/B the repository benchmark: a base revision against the working tree.
 #
-#   scripts/bench_ab.sh <base-rev> <workload> <pairs> [seconds]
+#   [TRACE=1] scripts/bench_ab.sh <base-rev> <workload> <pairs> [seconds]
 #
 # Checks out <base-rev> and the working tree (HEAD plus uncommitted
 # changes to tracked files, through `git stash create`; untracked files
@@ -22,14 +22,25 @@
 # is not `"correct": true` are reported, and the script exits 1 if any
 # was.
 #
+# With TRACE=1, each pair also makes one traced run (`--trace 1`) per
+# side, in the same alternating order, and a second table follows: for
+# every per-layer metric in BENCHMARK.json, each side's median and range
+# over the traced runs, the relative change of the medians, and in how
+# many pairs the working tree read better (lower or higher, as the
+# metric's `better` says). Traced `serve-mixed` runs need <seconds> of at
+# least 20: in shorter windows the feed pushes fewer than the 1,000 ticks
+# `server.wait_p99_ms.tick` needs and the run ends without a result, so
+# the script refuses them.
+#
 # SEED defaults to 20050614 and <seconds> to 1. The worktrees and their
 # build directories are removed on exit; each run's full stdout
-# (<side>-<pair>.txt) and result line (<side>-<pair>.json) stay in $OUT
-# (default: a fresh directory under the temporary directory, kept).
+# (<side>-<pair>.txt, traced <side>-<pair>-trace.txt) and result line
+# (the same names ending in .json) stay in $OUT (default: a fresh
+# directory under the temporary directory, kept).
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <base-rev> <workload> <pairs> [seconds]" >&2
+    echo "usage: [TRACE=1] $0 <base-rev> <workload> <pairs> [seconds]" >&2
     exit 2
 fi
 base_rev=$1
@@ -37,10 +48,19 @@ workload=$2
 pairs=$3
 seconds=${4:-1}
 seed=${SEED:-20050614}
+trace=${TRACE:-0}
 case $pairs in
     '' | *[!0-9]*) echo "pairs must be a positive integer, got '$pairs'" >&2; exit 2 ;;
 esac
 [ "$pairs" -ge 1 ] || { echo "pairs must be at least 1" >&2; exit 2; }
+case $trace in
+    0 | 1) ;;
+    *) echo "TRACE must be 0 or 1, got '$trace'" >&2; exit 2 ;;
+esac
+if [ "$trace" = 1 ] && [ "$workload" = serve-mixed ] && awk "BEGIN { exit !($seconds < 20) }"; then
+    echo "traced serve-mixed runs need seconds >= 20, got $seconds" >&2
+    exit 2
+fi
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -72,31 +92,34 @@ done
 
 incorrect=0
 run() {
-    local side=$1 pair=$2 line
+    local side=$1 pair=$2 traced=$3 name=$1-$2 line
+    [ "$traced" = 1 ] && name=$name-trace
     # The benchmark reads its inputs relative to the checkout's root.
     (cd "$tmp/$side" && "$tmp/target-$side/release/rl-benchmark" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
-        > "$out/$side-$pair.txt"
-    line=$(tail -n 1 "$out/$side-$pair.txt")
-    echo "$line" > "$out/$side-$pair.json"
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$traced") \
+        > "$out/$name.txt"
+    line=$(tail -n 1 "$out/$name.txt")
+    echo "$line" > "$out/$name.json"
     case $line in
         *'"correct": true'*) ;;
-        *) echo "pair $pair, $side: not correct: $line" >&2; incorrect=1 ;;
+        *) echo "$name: not correct: $line" >&2; incorrect=1 ;;
     esac
 }
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
-    for side in $order; do
-        echo "pair $pair/$pairs: $side" >&2
-        run "$side" "$pair"
+    for traced in $(seq 0 "$trace"); do
+        for side in $order; do
+            echo "pair $pair/$pairs: $side$([ "$traced" = 1 ] && echo ", traced")" >&2
+            run "$side" "$pair" "$traced"
+        done
     done
 done
 
 echo "base $(git rev-parse --short "$base") vs working tree, $workload, seed $seed, --seconds $seconds, $pairs pairs"
-python3 - "$out" "$pairs" $metrics <<'EOF'
+python3 - "$out" "$pairs" "$trace" $metrics <<'EOF'
 import json, statistics, sys
 
-out, pairs, names = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+out, pairs, trace, names = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", sys.argv[4:]
 sides = ("base", "head")
 def read(side, pair):
     with open(f"{out}/{side}-{pair}.json") as f:
@@ -127,6 +150,25 @@ if families:
     print("per-family lines")
     for name in families:
         compare(name)
+if trace:
+    with open("BENCHMARK.json") as f:
+        layers = [(m["name"], m["better"]) for m in json.load(f)["per_layer"]]
+    traced = {}
+    for s in sides:
+        traced[s] = []
+        for p in range(1, pairs + 1):
+            with open(f"{out}/{s}-{p}-trace.json") as f:
+                traced[s].append({k: m["value"] for k, m in json.load(f)["metrics"].items()})
+    print("per-layer metrics, traced runs: per side median [min, max]; change of the medians;"
+          " pairs where the tree read better")
+    for name, better in layers:
+        b = [r[name] for r in traced["base"]]
+        h = [r[name] for r in traced["head"]]
+        mb, mh = statistics.median(b), statistics.median(h)
+        change = (mh - mb) / abs(mb) * 100 if mb else float("nan")
+        won = sum((y < x) if better == "lower" else (y > x) for x, y in zip(b, h))
+        print(f"{name} ({better} is better)\n  base {mb:.6g} [{min(b):.6g}, {max(b):.6g}]"
+              f"\n  tree {mh:.6g} [{min(h):.6g}, {max(h):.6g}]\n  change {change:+.1f}%, better in {won}/{pairs}")
 EOF
 echo "result lines: $out" >&2
 exit "$incorrect"

@@ -129,9 +129,36 @@ fn full_pipeline_is_deterministic() {
 }
 
 /// Serde round-trips across crate boundaries: a scenario and its
-/// measurement set survive JSON.
+/// measurement set survive JSON, as does a value of each crate's other
+/// serialized types.
 #[test]
 fn cross_crate_serde_roundtrip() {
+    fn round_trip<T>(value: T)
+    where
+        T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+    {
+        let json = serde_json::to_string(&value).expect("serializes");
+        assert_eq!(serde_json::from_str::<T>(&json).expect(&json), value);
+    }
+    round_trip(rl_net::DriftingClock {
+        offset_s: 1.0,
+        skew: -3.0e-5,
+    });
+    round_trip(Environment::Pavement);
+    round_trip(rl_signal::ChirpTrainConfig::paper());
+    round_trip(rl_signal::waveform::WaveformSpec::figure10_noisy());
+    round_trip(rl_math::DMatrix::from_rows(&[&[1.5, -2.5], &[0.0, 4.0]]).unwrap());
+    round_trip(rl_deploy::grid::OffsetGrid::paper_figure5());
+    let mut positions = rl_core::PositionMap::unlocalized(2);
+    positions.set(NodeId(0), Point2::new(1.5, -2.0));
+    round_trip(positions);
+    round_trip(rl_geom::transform::RigidTransform::new(
+        0.25,
+        true,
+        rl_geom::Vec2::new(-1.0, 2.0),
+    ));
+    round_trip(Point2::new(1.25, -7.5));
+
     let mut rng = rl_math::rng::seeded(1005);
     let scenario = rl_deploy::Scenario::parking_lot(1005);
     let set =
