@@ -99,58 +99,50 @@ pub struct MeasurementSet {
     len: usize,
 }
 
-// Serialized as `{"n": node count, "edges": [[a, b, distance, weight], ..]}`,
-// every pair once as [`MeasurementSet::iter_weighted`] yields it.
+/// Serialized form: the node count and every pair once, as
+/// [`MeasurementSet::iter_weighted`] yields it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct MeasurementSetRepr {
+    n: usize,
+    edges: Vec<(usize, usize, f64, f64)>,
+}
+
+// Serialized through `MeasurementSetRepr`, mirroring
+// `#[serde(into/from)]`.
 impl Serialize for MeasurementSet {
     fn serialize(&self, out: &mut String) {
-        out.push_str("{\"n\":");
-        self.node_count().serialize(out);
-        out.push_str(",\"edges\":");
-        let edges = self.iter_weighted();
-        serde::write_seq(out, edges.map(|(a, b, d, w)| (a.index(), b.index(), d, w)));
-        out.push('}');
+        MeasurementSetRepr {
+            n: self.node_count(),
+            edges: self
+                .iter_weighted()
+                .map(|(a, b, d, w)| (a.index(), b.index(), d, w))
+                .collect(),
+        }
+        .serialize(out)
     }
 }
 
 impl Deserialize for MeasurementSet {
     /// Rejects a node count above [`MAX_UNIVERSE`] before allocating
     /// anything for it, and an invalid edge with an error rather than a
-    /// panic: the input may be untrusted. Edges listed after the node
-    /// count stream into [`MeasurementSet::try_from_weighted_edges`] as
-    /// they decode, so decoding stays `O(m log m)` in any edge order.
+    /// panic: the input may be untrusted. Builds through
+    /// [`MeasurementSet::try_from_weighted_edges`], so decoding stays
+    /// `O(m log m)` in any edge order.
     fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
-        type Wire = (usize, usize, f64, f64);
-        let build = |n, edges: &mut dyn Iterator<Item = Wire>| {
-            let edges = edges.map(|(a, b, d, w)| (NodeId(a), NodeId(b), d, w));
-            MeasurementSet::try_from_weighted_edges(n, edges)
-                .map_err(|(_, e)| serde::Error::custom(e.to_string()))
-        };
-        let (mut n, mut set, mut early) = (None, None, None::<Vec<Wire>>);
-        de.map_begin()?;
-        while let Some(key) = de.map_key()? {
-            match &*key {
-                "n" if n.is_none() => {
-                    let count = usize::deserialize(de)?;
-                    if count as u64 > MAX_UNIVERSE {
-                        return Err(serde::Error::custom(format!(
-                            "node count {count} exceeds the {MAX_UNIVERSE}-node limit"
-                        )));
-                    }
-                    n = Some(count);
-                }
-                "edges" if set.is_none() && early.is_none() => match n {
-                    Some(n) => set = Some(de.elements(|edges| build(n, edges))??),
-                    None => early = Some(Vec::deserialize(de)?),
-                },
-                _ => de.skip()?,
-            }
+        let repr = MeasurementSetRepr::deserialize(de)?;
+        if repr.n as u64 > MAX_UNIVERSE {
+            return Err(serde::Error::custom(format!(
+                "node count {} exceeds the {MAX_UNIVERSE}-node limit",
+                repr.n
+            )));
         }
-        let n = n.ok_or_else(|| serde::Error::custom("missing field `n`"))?;
-        match (set, early) {
-            (Some(set), _) => Ok(set),
-            (None, Some(edges)) => build(n, &mut edges.into_iter()),
-            (None, None) => Err(serde::Error::custom("missing field `edges`")),
-        }
+        MeasurementSet::try_from_weighted_edges(
+            repr.n,
+            repr.edges
+                .into_iter()
+                .map(|(a, b, d, w)| (NodeId(a), NodeId(b), d, w)),
+        )
+        .map_err(|(_, e)| serde::Error::custom(e.to_string()))
     }
 }
 

@@ -27,8 +27,9 @@
 # every per-layer metric in BENCHMARK.json, each side's median and range
 # over the traced runs, the relative change of the medians, and in how
 # many pairs the working tree read better (lower or higher, as the
-# metric's `better` says). Traced `serve-mixed` runs need <seconds> of at
-# least 20: in shorter windows the feed pushes fewer than the 1,000 ticks
+# metric's `better` says). A traced run makes the serve trace whatever
+# the workload, so traced runs need <seconds> of at least 20: in shorter
+# windows the feed pushes fewer than the 1,000 ticks
 # `server.wait_p99_ms.tick` needs and the run ends without a result, so
 # the script refuses them.
 #
@@ -57,8 +58,8 @@ case $trace in
     0 | 1) ;;
     *) echo "TRACE must be 0 or 1, got '$trace'" >&2; exit 2 ;;
 esac
-if [ "$trace" = 1 ] && [ "$workload" = serve-mixed ] && awk "BEGIN { exit !($seconds < 20) }"; then
-    echo "traced serve-mixed runs need seconds >= 20, got $seconds" >&2
+if [ "$trace" = 1 ] && awk "BEGIN { exit !($seconds < 20) }"; then
+    echo "traced runs need seconds >= 20, got $seconds" >&2
     exit 2
 fi
 
