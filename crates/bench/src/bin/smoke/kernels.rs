@@ -8,7 +8,7 @@ use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
 use rl_core::distributed::refine::{refine_aligned, RefineConfig};
 use rl_core::distributed::{DistributedConfig, DistributedSolver};
-use rl_core::mds::mdsmap_coordinates;
+use rl_core::mds::MdsMapLocalizer;
 use rl_core::problem::Localizer;
 use rl_core::types::PositionMap;
 use rl_deploy::presets;
@@ -18,6 +18,11 @@ use rl_net::NodeId;
 /// Wall budget for sparse MDS-MAP on the metro-2500 rung (~3 s on a
 /// 2-core x86-64 box; the margin absorbs slow shared CI runners).
 const MDS_2500_WALL_BUDGET: Duration = Duration::from_secs(120);
+
+/// Block steps of the metro-2500 MDS-MAP eigensolve: twice the 9 it
+/// reads. The count is deterministic, so this gate catches an eigensolve
+/// that needs more cycles whatever the machine's speed.
+const MDS_2500_EIGEN_STEPS: f64 = 18.0;
 
 /// Wall budget for drifted Gauss–Newton refinement on the metro-2500
 /// rung (~100 ms on a 2-core x86-64 box).
@@ -79,19 +84,26 @@ pub fn sparse(suite: &mut Suite) {
     );
 
     // The metro-2500 rung: multi-source Dijkstra + blocked eigensolver
-    // keep sparse MDS-MAP in seconds; drifted refinement exercises the
-    // matvec path at 2,500 nodes.
+    // keep sparse MDS-MAP in seconds and in a few eigensolve cycles;
+    // drifted refinement exercises the matvec path at 2,500 nodes.
     let problem_2500 = presets::preset("metro-2500")
         .expect("metro-2500 is a preset")
         .instantiate(MASTER_SEED);
     let truth_2500 = problem_2500.truth_required().expect("metro has truth");
     let set_2500 = problem_2500.measurements();
     let t = Instant::now();
-    mdsmap_coordinates(set_2500).expect("metro-2500 MDS solves");
+    let mds_2500 = MdsMapLocalizer::new()
+        .localize(&problem_2500, &mut rl_math::rng::seeded(MASTER_SEED))
+        .expect("metro-2500 MDS solves");
     suite.at_most(
         "mds-2500-wall-ms",
         ms(t.elapsed()),
         ms(MDS_2500_WALL_BUDGET),
+    );
+    suite.at_most(
+        "mds-2500-eigen-steps",
+        mds_2500.stats().iterations as f64,
+        MDS_2500_EIGEN_STEPS,
     );
     let mut positions_2500 = drifted(truth_2500, 12.0);
     let t = Instant::now();

@@ -34,7 +34,7 @@ const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
 ///
 /// Completion runs per-source Dijkstra over a CSR adjacency matrix of
 /// the measurement graph ([`dijkstra_into`]). The eigensolve extracts
-/// only the top-2 eigenpairs by shifted subspace iteration
+/// only the top-2 eigenpairs by restarted block Krylov cycles
 /// ([`topk_symmetric`]): the double-centered matrix is applied
 /// implicitly (`B x = -1/2 J D² J x`) and never materialized, leaving
 /// the `n x n` squared-distance table as the only quadratic cost. The
@@ -287,7 +287,7 @@ impl LinearOperator for CenteredOperator {
 /// with no per-run randomness. CSR Dijkstra plus the iterative top-2
 /// eigensolver at every size, pooled across cores at metro scale, as
 /// [`mdsmap_coordinates`] describes; `SolveStats::iterations` counts the
-/// eigensolver's subspace iterations.
+/// eigensolver's block operator applications.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MdsMapLocalizer;
 
@@ -607,13 +607,21 @@ mod tests {
         for n in 3..=5 {
             assert_embeds_alike(&format!("{n} collinear"), &line[..n], 10.0);
         }
-        // A zigzag 42 m long and 0.5 m wide: the second eigenvalue is
-        // ~4e-4 of the first, which stalls subspace iteration, so the
-        // eigensolve finishes in its Krylov cycles.
-        let strip: Vec<Point2> = (0..8)
-            .map(|i| p(6.0 * i as f64, if i % 2 == 0 { 0.0 } else { 0.5 }))
-            .collect();
-        assert_embeds_alike("thin strip", &strip, 22.0);
+        // Zigzags 0.5 m wide, of 8 and 300 nodes: the second eigenvalue
+        // is a sliver of the first (~4e-4 on the short one), which stalls
+        // a shifted power method for thousands of steps but not the
+        // Krylov cycles.
+        let zigzag = |n: usize| -> Vec<Point2> {
+            (0..n)
+                .map(|i| p(6.0 * i as f64, if i % 2 == 0 { 0.0 } else { 0.5 }))
+                .collect()
+        };
+        assert_embeds_alike("thin strip", &zigzag(8), 22.0);
+        let long = zigzag(300);
+        let completed = complete_distances(&MeasurementSet::oracle(&long, 22.0), 1).unwrap();
+        let (_, steps) = embed(long.len(), &completed).unwrap();
+        // A shifted power method needs 2,016 steps here.
+        assert!(steps <= 16, "300-node strip: {steps} block steps");
         // A distributed local map's size, then town scale: 60 nodes
         // under the paper's 22 m cutoff.
         assert_embeds_alike("30-node cluster", &jittered(6, 5, 9.0, 5), 22.0);

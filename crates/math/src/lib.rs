@@ -24,7 +24,7 @@
 //!   solution cache,
 //! * [`sparse`] — the large-`n` backend: CSR matrices ([`CsrMatrix`]),
 //!   the matrix-free [`LinearOperator`] abstraction, a conjugate-gradient
-//!   solver, a shifted subspace-iteration top-`k` symmetric eigensolver,
+//!   solver, a restarted block Krylov top-`k` symmetric eigensolver,
 //!   and CSR Dijkstra — everything the metro-scale solver paths need
 //!   without `O(n^2)` storage or `O(n^3)` factorizations.
 //!

@@ -4,25 +4,21 @@
 //! double-centered squared-distance matrix, but the dense Jacobi solver
 //! ([`SymmetricEigen`]) computes the full
 //! spectrum in `O(n^3)` — the cost that locks MDS-MAP out of metro-scale
-//! problems. [`topk_symmetric`] replaces it with shifted subspace
-//! (block power) iteration: each step applies the operator to `k`
-//! vectors, re-orthonormalizes, and reads eigenvalue estimates off a
-//! `k x k` Rayleigh–Ritz projection, for `O(k * apply_cost)` per
-//! iteration and no materialized matrix.
+//! problems. [`topk_symmetric`] replaces it with restarted block Krylov
+//! cycles: each cycle grows an orthonormal basis from a block of `k`
+//! vectors by applying the operator to its newest block, reads the top
+//! `k` Ritz pairs off a small Rayleigh–Ritz projection, and restarts
+//! from them, for `O(k * apply_cost)` per block step and no
+//! materialized matrix.
 //!
-//! The shift makes the method converge to the *algebraically* largest
-//! eigenvalues (what MDS needs), not the largest in magnitude: a spectral
-//! radius estimate `rho` from a short power iteration turns `A` into the
-//! positive-semidefinite `A + sigma I` (`sigma ~ 1.1 rho`), whose
-//! magnitude order equals `A`'s algebraic order.
-//!
-//! Subspace iteration stalls when the `k`-th eigenvalue is tiny next to
-//! the shift: the second axis of a thin, nearly collinear layout, which
-//! a distributed local map along a street can be. A run that exhausts
-//! its iteration budget continues with thick-restarted block Krylov
-//! cycles from the block it reached, so every run that converged by
-//! subspace iteration alone keeps its bits, and small operators always
-//! converge: their Krylov space spans the whole dimension.
+//! Rayleigh–Ritz orders Ritz values algebraically, so the cycles
+//! converge to the algebraically largest eigenvalues (what MDS needs),
+//! not the largest in magnitude. No shift is needed: the Krylov space
+//! of `A` equals that of any `A + sigma I`. Nor do the cycles stall when
+//! the `k`-th eigenvalue is tiny next to the first, as on the second
+//! axis of a thin, nearly collinear layout (a distributed local map
+//! along a street), and an operator no larger than the basis is solved
+//! exactly in one cycle.
 //!
 //! The run is deterministic: starting vectors come from a fixed-seed
 //! stream, so two runs on the same operator produce bit-identical
@@ -37,21 +33,23 @@ use crate::{DMatrix, MathError, Result, SymmetricEigen};
 /// Fixed seed for the deterministic starting block (see module docs).
 const INIT_SEED: u64 = 0x5EED_E16E;
 
-/// Iteration cap for the subspace iteration.
-const MAX_ITERATIONS: usize = 2_000;
-
 /// Convergence threshold on the worst Ritz-pair *residual*: stop when
-/// `max_j ||A x_j - lambda_j x_j|| <= TOLERANCE * max(spectral scale, 1)`.
+/// `max_j ||A x_j - theta_j x_j|| <= TOLERANCE * max(|theta|_max, 1)`,
+/// `|theta|_max` being the largest Ritz value magnitude of the cycle.
 /// A residual bound controls the eigenvector error directly
 /// (value-settling criteria converge twice as fast as the vectors and
 /// would stop too early).
 const TOLERANCE: f64 = 1e-8;
 
-/// Basis size of one block Krylov cycle once subspace iteration stalls.
-const KRYLOV_BASIS: usize = 32;
+/// Block steps per cycle: the basis holds `CYCLE_STEPS * k` vectors,
+/// capped at the dimension. Chosen by measurement: MDS's `k = 2` then
+/// converges metro-250 to metro-2500 embeddings and 0.5–5 m wide strips
+/// in three or four cycles, and each of the many small distributed
+/// local maps pays only a 6 x 6 dense Rayleigh–Ritz solve per cycle.
+const CYCLE_STEPS: usize = 3;
 
-/// Block Krylov cycles before giving up.
-const KRYLOV_CYCLES: usize = 50;
+/// Cycles before giving up.
+const MAX_CYCLES: usize = 100;
 
 /// The `k` algebraically largest eigenpairs of a symmetric operator,
 /// eigenvalues in descending order.
@@ -62,7 +60,7 @@ pub struct TopKEigen {
     /// Unit eigenvector estimates; `eigenvectors[j]` pairs with
     /// `eigenvalues[j]` (determined up to sign, like any eigenvector).
     pub eigenvectors: Vec<Vec<f64>>,
-    /// Subspace iterations performed.
+    /// Block operator applications performed, over all cycles.
     pub iterations: usize,
 }
 
@@ -81,7 +79,7 @@ impl TopKEigen {
 }
 
 /// Computes the `k` algebraically largest eigenpairs of the symmetric
-/// operator `a` by shifted subspace iteration.
+/// operator `a` by restarted block Krylov cycles.
 ///
 /// Symmetry is assumed (the algorithm only ever applies `a`); feeding an
 /// asymmetric operator produces meaningless results. Degenerate
@@ -94,7 +92,9 @@ impl TopKEigen {
 /// * [`MathError::InvalidArgument`] when `k` is zero or exceeds the
 ///   operator dimension, or the dimension is zero.
 /// * [`MathError::NoConvergence`] when the Ritz pairs fail to settle
-///   within both the subspace-iteration and the Krylov budgets.
+///   within the cycle budget; `sweeps` counts the block steps and
+///   `off_diagonal` holds the last worst residual relative to the
+///   spectrum's scale.
 pub fn topk_symmetric<O: LinearOperator + ?Sized>(a: &O, k: usize) -> Result<TopKEigen> {
     let n = a.dim();
     if n == 0 {
@@ -106,56 +106,30 @@ pub fn topk_symmetric<O: LinearOperator + ?Sized>(a: &O, k: usize) -> Result<Top
         ));
     }
 
+    // Uniform random vectors: `k <= n` of them are independent with
+    // probability one, so every basis holds the `k` vectors Rayleigh–Ritz
+    // slices.
     let mut rng = crate::rng::seeded(INIT_SEED);
-    let sigma = shift_for(a, &mut rng);
-
-    // The orthonormal block V (k columns of length n) and its image under
-    // the shifted operator S = A + sigma I.
-    let mut v: Vec<Vec<f64>> = (0..k).map(|_| random_unit(n, &mut rng)).collect();
-    orthonormalize(&mut v, &mut rng);
-    let mut w: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
-    let mut worst_residual = f64::INFINITY;
-
-    // Ritz-pair blocks refilled every pass, so a long subspace iteration
-    // allocates them once instead of per step.
-    let mut xs: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
-    let mut sxs: Vec<Vec<f64>> = vec![vec![0.0; n]; k];
-
-    for iteration in 1..=MAX_ITERATIONS {
-        // One blocked application S V = A V + sigma V: operators with
-        // structure (CSR, the MDS centering operator) push the whole
-        // block through a single traversal.
-        shifted_apply(a, sigma, &v, &mut w);
-        let (theta, worst) = rayleigh_ritz(&v, &w, &mut xs, &mut sxs)?;
-        worst_residual = worst;
-        if worst <= TOLERANCE * theta[0].abs().max(1.0) {
-            return Ok(converged(theta, sigma, xs, iteration));
-        }
-
-        // Next subspace: orthonormalized image.
-        core::mem::swap(&mut v, &mut w);
-        orthonormalize(&mut v, &mut rng);
-    }
-
-    // The subspace iteration contracts unwanted components by
-    // `(sigma + lambda_{k+1}) / (sigma + lambda_k)` per step, which stalls
-    // when `lambda_k` is tiny next to the shift: the second axis of a
-    // thin, nearly collinear layout. Continue from the current block with
-    // thick-restarted block Krylov cycles instead: Rayleigh–Ritz over the
-    // block's Krylov space, restarted from the top-k Ritz vectors. A
-    // space that reaches the whole dimension is exact.
-    let m = KRYLOV_BASIS.max(k).min(n);
-    let mut steps = MAX_ITERATIONS;
-    for _cycle in 0..KRYLOV_CYCLES {
+    let mut block: Vec<Vec<f64>> = (0..k)
+        .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
+        .collect();
+    let m = (CYCLE_STEPS * k).min(n);
+    let mut steps = 0;
+    let mut residual = f64::INFINITY;
+    for _cycle in 0..MAX_CYCLES {
+        // The orthonormal basis Q of the block's Krylov space and its
+        // image A Q, one blocked application per step: operators with
+        // structure (CSR, the MDS centering operator) push a whole block
+        // through a single traversal.
         let mut q: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut sq: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut block = v;
+        let mut aq: Vec<Vec<f64>> = Vec::with_capacity(m);
         while q.len() < m {
             let start = q.len();
             for mut x in block {
                 if q.len() == m {
                     break;
                 }
+                // Two Gram–Schmidt passes: "twice is enough".
                 for _pass in 0..2 {
                     for qi in &q {
                         let proj = dot(qi, &x);
@@ -173,58 +147,49 @@ pub fn topk_symmetric<O: LinearOperator + ?Sized>(a: &O, k: usize) -> Result<Top
                 break;
             }
             let mut images = vec![vec![0.0; n]; q.len() - start];
-            shifted_apply(a, sigma, &q[start..], &mut images);
+            a.apply_multi(&q[start..], &mut images);
             steps += 1;
-            sq.extend(images.iter().cloned());
+            aq.extend_from_slice(&images);
             block = images;
         }
-        let (theta, worst) = rayleigh_ritz(&q, &sq, &mut xs, &mut sxs)?;
-        worst_residual = worst;
-        if worst <= TOLERANCE * theta[0].abs().max(1.0) {
-            return Ok(converged(theta, sigma, xs, steps));
+        let (theta, mut xs, worst) = rayleigh_ritz(&q, &aq, k)?;
+        residual = worst;
+        if residual <= TOLERANCE {
+            for x in xs.iter_mut() {
+                normalize(x);
+            }
+            return Ok(TopKEigen {
+                eigenvalues: theta,
+                eigenvectors: xs,
+                iterations: steps,
+            });
         }
-        v = xs.clone();
+        block = xs;
     }
 
     Err(MathError::NoConvergence {
         sweeps: steps,
-        off_diagonal: worst_residual,
+        off_diagonal: residual,
     })
 }
 
-/// `ys = (A + sigma I) xs` in one blocked application.
-fn shifted_apply<O: LinearOperator + ?Sized>(
-    a: &O,
-    sigma: f64,
-    xs: &[Vec<f64>],
-    ys: &mut [Vec<f64>],
-) {
-    a.apply_multi(xs, ys);
-    for (x, y) in xs.iter().zip(ys.iter_mut()) {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += sigma * xi;
-        }
-    }
-}
-
-/// Rayleigh–Ritz on the orthonormal basis `q` with images `sq = S q`:
-/// fills `xs` with the top `xs.len()` Ritz vectors and `sxs` with their
-/// images (both free in extra operator applications: `X = Q U` and
-/// `S X = (S Q) U`), and returns their Ritz values, descending, with the
-/// worst residual norm `max_j ||S x_j - theta_j x_j||`.
+/// Rayleigh–Ritz on the orthonormal basis `q` with images `aq = A q`:
+/// returns the top `k` Ritz values, descending, their Ritz vectors
+/// `X = Q U`, and the worst residual norm `max_j ||A x_j - theta_j x_j||`
+/// over the largest Ritz value magnitude (at least 1). The images
+/// `A X = (A Q) U` cost no extra operator application.
 fn rayleigh_ritz(
     q: &[Vec<f64>],
-    sq: &[Vec<f64>],
-    xs: &mut [Vec<f64>],
-    sxs: &mut [Vec<f64>],
-) -> Result<(Vec<f64>, f64)> {
-    // B = Q^T S Q, symmetrized against round-off before the small dense
+    aq: &[Vec<f64>],
+    k: usize,
+) -> Result<(Vec<f64>, Vec<Vec<f64>>, f64)> {
+    // B = Q^T A Q, symmetrized against round-off before the small dense
     // eigensolve.
     let p = q.len();
     let mut b = DMatrix::zeros(p, p);
     for i in 0..p {
         for j in 0..p {
-            b[(i, j)] = dot(&q[i], &sq[j]);
+            b[(i, j)] = dot(&q[i], &aq[j]);
         }
     }
     for i in 0..p {
@@ -235,112 +200,33 @@ fn rayleigh_ritz(
         }
     }
     let ritz = SymmetricEigen::new(&b)?;
-    let theta = &ritz.eigenvalues()[..xs.len()];
+    let values = ritz.eigenvalues();
+    let scale = values[0].abs().max(values[p - 1].abs()).max(1.0);
     let u = ritz.eigenvectors();
-    for x in xs.iter_mut() {
-        x.fill(0.0);
-    }
-    for x in sxs.iter_mut() {
-        x.fill(0.0);
-    }
-    for (j, (x, sx)) in xs.iter_mut().zip(sxs.iter_mut()).enumerate() {
+    let n = q[0].len();
+    let mut worst: f64 = 0.0;
+    let mut xs = Vec::with_capacity(k);
+    for (j, &theta) in values[..k].iter().enumerate() {
+        let (mut x, mut ax) = (vec![0.0; n], vec![0.0; n]);
         for c in 0..p {
             let coeff = u[(c, j)];
-            for i in 0..x.len() {
+            for i in 0..n {
                 x[i] += coeff * q[c][i];
-                sx[i] += coeff * sq[c][i];
+                ax[i] += coeff * aq[c][i];
             }
         }
+        let r: f64 = x
+            .iter()
+            .zip(&ax)
+            .map(|(xi, axi)| {
+                let r = axi - theta * xi;
+                r * r
+            })
+            .sum();
+        worst = worst.max(r.sqrt());
+        xs.push(x);
     }
-    let worst = xs
-        .iter()
-        .zip(sxs.iter())
-        .zip(theta)
-        .map(|((x, sx), t)| {
-            let r: f64 = x
-                .iter()
-                .zip(sx)
-                .map(|(xi, sxi)| {
-                    let r = sxi - t * xi;
-                    r * r
-                })
-                .sum();
-            r.sqrt()
-        })
-        .fold(0.0, f64::max);
-    Ok((theta.to_vec(), worst))
-}
-
-/// The converged result: unshifted eigenvalues and unit eigenvectors.
-fn converged(theta: Vec<f64>, sigma: f64, mut xs: Vec<Vec<f64>>, iterations: usize) -> TopKEigen {
-    for x in xs.iter_mut() {
-        normalize(x);
-    }
-    TopKEigen {
-        eigenvalues: theta.iter().map(|t| t - sigma).collect(),
-        eigenvectors: xs,
-        iterations,
-    }
-}
-
-/// A safe positive shift `sigma >= |lambda|_max * 1.1`, estimated by a
-/// short power iteration (12 applications).
-fn shift_for<O: LinearOperator + ?Sized>(a: &O, rng: &mut impl Rng) -> f64 {
-    let n = a.dim();
-    let mut x = random_unit(n, rng);
-    let mut y = vec![0.0; n];
-    let mut rho = 0.0;
-    for _ in 0..12 {
-        a.apply(&x, &mut y);
-        rho = dot(&y, &y).sqrt();
-        if rho <= f64::MIN_POSITIVE || !rho.is_finite() {
-            break;
-        }
-        for (xi, yi) in x.iter_mut().zip(&y) {
-            *xi = yi / rho;
-        }
-    }
-    if rho.is_finite() && rho > 0.0 {
-        1.1 * rho
-    } else {
-        1.0
-    }
-}
-
-/// A deterministic unit-norm starting vector.
-fn random_unit(n: usize, rng: &mut impl Rng) -> Vec<f64> {
-    let mut x: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-    if !normalize(&mut x) {
-        x[0] = 1.0;
-    }
-    x
-}
-
-/// In-place modified Gram-Schmidt (two passes — "twice is enough").
-/// Columns that collapse to zero are replaced with fresh deterministic
-/// vectors and re-orthogonalized.
-fn orthonormalize(v: &mut [Vec<f64>], rng: &mut impl Rng) {
-    let n = v.first().map_or(0, Vec::len);
-    for j in 0..v.len() {
-        let mut attempts = 0;
-        loop {
-            for _pass in 0..2 {
-                for i in 0..j {
-                    let proj = dot(&v[i], &v[j]);
-                    let (head, tail) = v.split_at_mut(j);
-                    for (xj, xi) in tail[0].iter_mut().zip(&head[i]) {
-                        *xj -= proj * xi;
-                    }
-                }
-            }
-            if normalize(&mut v[j]) {
-                break;
-            }
-            attempts += 1;
-            assert!(attempts <= n + 1, "cannot complete orthonormal block");
-            v[j] = random_unit(n, rng);
-        }
-    }
+    Ok((values[..k].to_vec(), xs, worst / scale))
 }
 
 /// Normalizes in place; returns `false` when the vector is (numerically)
@@ -385,7 +271,8 @@ mod tests {
     #[test]
     fn algebraic_order_beats_magnitude_order() {
         // diag(1, -5): the magnitude-dominant eigenvalue is -5, but MDS
-        // needs the algebraically largest, +1. The shift must deliver it.
+        // needs the algebraically largest, +1, which Rayleigh–Ritz's
+        // algebraic order delivers without a shift.
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, -5.0)]).unwrap();
         let top = topk_symmetric(&a, 1).unwrap();
         assert!(
@@ -415,11 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn a_stalled_subspace_iteration_finishes_in_krylov_cycles() {
+    fn a_tiny_second_eigenvalue_converges_in_one_cycle() {
         // The second eigenvalue is 0.3% of the first and the rest of the
-        // spectrum sits at zero, so subspace iteration would need
-        // thousands of steps; the Krylov space spans all seven
-        // dimensions and is exact.
+        // spectrum sits at zero, which stalls a shifted power method for
+        // thousands of steps. With four distinct eigenvalues, the block's
+        // Krylov space is invariant at five vectors, inside one cycle,
+        // whose Ritz pairs are then exact.
         let lambdas = [100.0, 0.3, 0.0, 0.0, 0.0, 0.0, -0.1];
         let diagonal: Vec<(usize, usize, f64)> = lambdas
             .iter()
@@ -428,7 +316,7 @@ mod tests {
             .collect();
         let a = CsrMatrix::from_triplets(7, 7, &diagonal).unwrap();
         let top = topk_symmetric(&a, 2).unwrap();
-        assert!(top.iterations > MAX_ITERATIONS, "{}", top.iterations);
+        assert!(top.iterations <= CYCLE_STEPS, "{}", top.iterations);
         for j in 0..2 {
             assert!((top.eigenvalues[j] - lambdas[j]).abs() < 1e-8 * lambdas[0]);
             let mut axis = [0.0; 7];
@@ -438,11 +326,44 @@ mod tests {
     }
 
     #[test]
-    fn zero_operator_yields_zero_eigenvalues() {
-        let a = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
-        let top = topk_symmetric(&a, 2).unwrap();
-        for l in &top.eigenvalues {
-            assert!(l.abs() < 1e-12);
+    fn every_small_k_returns_k_orthonormal_vectors() {
+        // The zero operator leaves only the start block to span the
+        // space, the rank-one operator adds a single direction to it, and
+        // the identity makes every vector an eigenvector.
+        for n in 1..=8 {
+            let u: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+            let zero = CsrMatrix::from_triplets(n, n, &[]).unwrap();
+            let rank_one = DMatrix::from_fn(n, n, |i, j| u[i] * u[j]);
+            let identity = DMatrix::identity(n);
+            let norm2 = dot(&u, &u);
+            let operators: [(&str, &dyn LinearOperator, f64, f64); 3] = [
+                ("zero", &zero, 0.0, 0.0),
+                ("rank one", &rank_one, norm2, 0.0),
+                ("identity", &identity, 1.0, 1.0),
+            ];
+            for (name, a, first, rest) in operators {
+                for k in 1..=n {
+                    let top = topk_symmetric(a, k).unwrap();
+                    assert_eq!(top.eigenvectors.len(), k, "{name} n={n} k={k}");
+                    for (j, l) in top.eigenvalues.iter().enumerate() {
+                        let expect = if j == 0 { first } else { rest };
+                        assert!(
+                            (l - expect).abs() <= 1e-8 * first,
+                            "{name} n={n} k={k}: {l}"
+                        );
+                    }
+                    for (i, x) in top.eigenvectors.iter().enumerate() {
+                        for (j, y) in top.eigenvectors.iter().enumerate() {
+                            let expect = if i == j { 1.0 } else { 0.0 };
+                            assert!(
+                                (dot(x, y) - expect).abs() < 1e-10,
+                                "{name} n={n} k={k}: <x{i}, x{j}> = {}",
+                                dot(x, y)
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

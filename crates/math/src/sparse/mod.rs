@@ -14,7 +14,7 @@
 //!   Gram operator, which is dense but applied without materialization),
 //! * [`cg`] — a conjugate-gradient solver for symmetric
 //!   positive-definite systems,
-//! * [`eigen`] — a shifted subspace-iteration top-`k` eigensolver for
+//! * [`eigen`] — a restarted block Krylov top-`k` eigensolver for
 //!   symmetric operators, needing only mat-vec applications,
 //! * [`dijkstra`] — single-source shortest paths over a CSR adjacency
 //!   matrix on an indexed 4-ary heap with decrease-key, the sparse
@@ -297,7 +297,7 @@ impl CsrMatrix {
     /// For a block of `k` right-hand sides this reads each stored entry
     /// (and its column index) exactly once, amortizing the irregular
     /// memory traffic that dominates sparse mat-vec — the win the
-    /// subspace-iteration eigensolver and batched request paths exploit.
+    /// block Krylov eigensolver and batched request paths exploit.
     ///
     /// Each output is bit-identical to the corresponding single-vector
     /// [`CsrMatrix::matvec_into`]: per vector, the per-row accumulation

@@ -64,16 +64,21 @@ fn position_fingerprint(map: &PositionMap) -> u64 {
 /// re-generated when every refinement CG solve began warm-starting from
 /// the previous accepted step, the latter also when distributed local
 /// maps began seeding through the iterative MDS-MAP eigensolve.
+/// `GOLDEN_METRO250_LSS` and `GOLDEN_METRO250_DIST` were re-generated
+/// when that eigensolve became one restarted block Krylov loop, which
+/// moved their MDS-MAP seeds.
 const GOLDEN_TOWN_PLAIN: u64 = 0x8ce6d6dee54f7622;
 const GOLDEN_TOWN_CAUCHY: u64 = 0xd9d198c6fdfa5fd0;
 const GOLDEN_REFINE_PLAIN: u64 = 0x64cd7d69269a19b4;
 const GOLDEN_REFINE_CAUCHY: u64 = 0x2c2c86a17396012c;
-const GOLDEN_METRO250_LSS: u64 = 0xe77c6753996835f0;
-const GOLDEN_METRO250_DIST: u64 = 0xff23520d735197f3;
+const GOLDEN_METRO250_LSS: u64 = 0xa11f69b3cd4b2743;
+const GOLDEN_METRO250_DIST: u64 = 0xed5e0c4e88bef223;
 /// Metro-250 registry solvers whose per-node loops shard on the worker
 /// pool at this size (`n >= rl_core::problem::SPARSE_SCALE`), captured
-/// from the serial loops before they were pooled.
-const GOLDEN_METRO250_MDSMAP: u64 = 0x1e92c18ae41afb2d;
+/// from the serial loops before they were pooled. `GOLDEN_METRO250_MDSMAP`
+/// was re-generated when the eigensolve became one restarted block
+/// Krylov loop.
+const GOLDEN_METRO250_MDSMAP: u64 = 0xbc4108abeea8f2f1;
 const GOLDEN_METRO250_DVHOP: u64 = 0x89597e8b0a7fd5c1;
 const GOLDEN_METRO250_MULTILAT: u64 = 0x4360c1e6bc9f7905;
 const GOLDEN_METRO250_MULTILAT_PROGRESSIVE: u64 = 0xd00de685c44c63bf;

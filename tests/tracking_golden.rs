@@ -36,12 +36,13 @@ const GOLDEN_TOWN_OBSERVATIONS: [u64; 4] = [
 /// trajectory: tick 0 is the cold bootstrap, ticks 1..4 are warm updates.
 /// Re-generated when the cold bootstrap's MDS-MAP seed moved onto the
 /// iterative eigensolve and warm updates began warm-starting their CG
-/// solves.
+/// solves, and again when that eigensolve became one restarted block
+/// Krylov loop.
 const GOLDEN_TOWN_SOLUTIONS: [u64; 4] = [
-    0x4f53_2507_3176_9e81,
-    0x5f8c_3c16_b3d8_3321,
-    0x48de_59f5_3f7b_869d,
-    0x434d_8555_9e1f_e52c,
+    0xd80f_585a_dcf8_ed85,
+    0x7cf5_ca8c_9c81_5ffc,
+    0x8edd_fd68_8e93_caea,
+    0x88bd_f9f6_576e_0e45,
 ];
 
 fn golden_trace() -> MobilityTrace {
