@@ -3,6 +3,7 @@
 
 use std::time::{Duration, Instant};
 
+use crate::campaigns::ERROR_BUDGET_M;
 use crate::ms;
 use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
@@ -27,6 +28,12 @@ const MDS_2500_EIGEN_STEPS: f64 = 18.0;
 /// Wall budget for drifted Gauss–Newton refinement on the metro-2500
 /// rung (~100 ms on a 2-core x86-64 box).
 const REFINE_2500_WALL_BUDGET: Duration = Duration::from_secs(60);
+
+/// Distributed LSS on the metro-2500 rung must finish within this factor
+/// of the MDS-MAP solve above it. Set by the `metro` suite's method for
+/// its wall ratios: about 1.5x the highest ratio read over two sets of
+/// 12 runs on a 2-core box; it read 1.58-2.45.
+const DIST_2500_WALL_FACTOR: f64 = 3.7;
 
 /// Inner CG iterations of the drifted metro-1000 refinement when every
 /// solve started from zero: read once from that path, which the
@@ -95,9 +102,10 @@ pub fn sparse(suite: &mut Suite) {
     let mds_2500 = MdsMapLocalizer::new()
         .localize(&problem_2500, &mut rl_math::rng::seeded(MASTER_SEED))
         .expect("metro-2500 MDS solves");
+    let mds_2500_wall = t.elapsed();
     suite.at_most(
         "mds-2500-wall-ms",
-        ms(t.elapsed()),
+        ms(mds_2500_wall),
         ms(MDS_2500_WALL_BUDGET),
     );
     suite.at_most(
@@ -117,6 +125,25 @@ pub fn sparse(suite: &mut Suite) {
     println!(
         "metro-2500 refinement: {} GN / {} CG iters",
         refine_2500.iterations, refine_2500.cg_iterations
+    );
+
+    // Distributed LSS end to end at 2,500 nodes: its exchange delivers
+    // about 2.8 million messages, so the simulator's event budget must
+    // come from the protocol's own bound.
+    let t = Instant::now();
+    let distributed_2500 = DistributedSolver::new(DistributedConfig::metro())
+        .localize(&problem_2500, &mut rl_math::rng::seeded(MASTER_SEED));
+    let distributed_2500_wall = t.elapsed();
+    println!("metro-2500 distributed LSS: {distributed_2500_wall:.1?}");
+    let error = distributed_2500
+        .ok()
+        .and_then(|solution| problem_2500.evaluate(&solution).ok())
+        .map_or(f64::NAN, |e| e.mean_error);
+    suite.at_most("distributed-2500-error-m", error, ERROR_BUDGET_M);
+    suite.at_most(
+        "distributed-2500-vs-mds-wall-ratio",
+        distributed_2500_wall.as_secs_f64() / mds_2500_wall.as_secs_f64().max(1e-9),
+        DIST_2500_WALL_FACTOR,
     );
 
     // The CG counter reaches SolveStats through the metro preset's

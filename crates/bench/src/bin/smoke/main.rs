@@ -13,9 +13,9 @@
 //! | suite | gates |
 //! |---|---|
 //! | `campaign` | three campaign schedules bit-identical (prints the serial-vs-parallel speedup) |
-//! | `metro` | six families on metro-250 + metro-1000: no failed cell, distributed LSS ≤ 2 m; at metro-1000, sparse LSS ≤ 4.6×, distributed LSS ≤ 12.5× and DV-hop ≤ 4.1× the MDS-MAP wall; 300 s wall |
+//! | `metro` | six families on metro-250 + metro-1000: no failed cell, distributed LSS ≤ 2 m; at metro-1000, sparse LSS ≤ 4.6×, distributed LSS ≤ 7× and DV-hop ≤ 4.1× the MDS-MAP wall; 300 s wall |
 //! | `resilience` | degradation ladder pooled = serial, Cauchy LSS ≤ 2 m where squared loss collapses, 300 s wall |
-//! | `sparse` | drifted metro-1000 refinement ≤ 471 CG iterations and final stress within 1% of the zero-start path's (budgets read once on that path), metro-2500 MDS ≤ 120 s in ≤ 18 eigensolve block steps and refinement ≤ 60 s, `cg_iterations` reaches `SolveStats` |
+//! | `sparse` | drifted metro-1000 refinement ≤ 471 CG iterations and final stress within 1% of the zero-start path's (budgets read once on that path), metro-2500 MDS ≤ 120 s in ≤ 18 eigensolve block steps, refinement ≤ 60 s, and distributed LSS ≤ 2 m within 3.7× the MDS-MAP wall, `cg_iterations` reaches `SolveStats` |
 //! | `ranging` | per-call time of XSM filtering (≤ 36 µs) and tone detection (≤ 115 µs) on the Figure-10 waveform, a 12 m grass reception (≤ 290 µs, detected) with `record_signal` (≤ 4.2 µs) and `detect_signal` (≤ 5.7 µs) on its buffer, a 3×3 grass campaign (≤ 112 ms) with median filter (≤ 58 µs) and bidirectional merge (≤ 13 µs), minimization transform (≤ 1.38 ms); the deploy layer, best of 15 calls: metro-1000 `Scenario::instantiate` (≤ 4 ms, ≤ 0.7× an all-pairs `hypot` walk of its layout) and a 100-tick `metro-250-mobile` trace (≤ 18 ms, and ≤ 1.15× its ticks measured one after another on two or more cores) |
 //! | `tracking` | warm ticks ≥ 3× faster than cold at ≤ 1.25× the error, replay identical at 1 and 2 workers, 300 s wall |
 //! | `serve` | cached town queries ≥ 200 req/s at p99 ≤ 250 ms, every load request a cache hit |

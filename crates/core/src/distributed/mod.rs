@@ -43,6 +43,7 @@ pub mod refine;
 pub use refine::{refine_aligned, refine_anchored, RefineConfig, RefineOutcome};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::Rng;
 use rl_geom::{fit_rigid_transform, Point2, RigidTransform, Vec2};
@@ -585,10 +586,10 @@ impl crate::problem::Localizer for DistributedSolver {
 }
 
 /// Message exchanged by the distributed protocol.
-#[derive(Debug, Clone)]
-pub enum DistMsg {
+#[derive(Debug)]
+enum DistMsg {
     /// A node's local map (step 2's "local data exchange").
-    Map(LocalMap),
+    Map(Arc<SharedMap>),
     /// The alignment wave: global origin and axis vectors expressed in the
     /// sender's local frame.
     Align {
@@ -598,6 +599,9 @@ pub enum DistMsg {
         ex: Vec2,
         /// Global y-axis unit vector in the sender's local frame.
         ey: Vec2,
+        /// The sender's local map, for the static overlap test of
+        /// [`DistNode::ignores`].
+        sender: Arc<SharedMap>,
     },
 }
 
@@ -628,29 +632,44 @@ impl NodeSet {
         NodeSet { first_word, words }
     }
 
-    fn contains(&self, id: NodeId) -> bool {
-        let word = (id.index() / 64).wrapping_sub(self.first_word);
-        self.words
-            .get(word)
-            .is_some_and(|w| (w >> (id.index() % 64)) & 1 == 1)
+    /// How many ids both sets hold: `a.shared_nodes(b).len()` for the
+    /// sets of maps `a` and `b`, whose node lists hold no repeats.
+    fn overlap(&self, other: &NodeSet) -> usize {
+        let lo = self.first_word.max(other.first_word);
+        let hi = (self.first_word + self.words.len()).min(other.first_word + other.words.len());
+        (lo..hi)
+            .map(|w| {
+                (self.words[w - self.first_word] & other.words[w - other.first_word]).count_ones()
+                    as usize
+            })
+            .sum()
     }
+}
 
-    /// How many of `ids` are members: `a.shared_nodes(b).len()` when
-    /// `self` is `b`'s set and `ids` are `a.nodes`.
-    fn count_in(&self, ids: &[NodeId]) -> usize {
-        ids.iter().filter(|&&id| self.contains(id)).count()
+/// A local map with its membership set, built once and shared by every
+/// message that carries it and every receiver that keeps it.
+#[derive(Debug)]
+struct SharedMap {
+    map: LocalMap,
+    members: NodeSet,
+}
+
+impl SharedMap {
+    fn new(map: LocalMap) -> Arc<Self> {
+        Arc::new(SharedMap {
+            members: NodeSet::new(&map.nodes),
+            map,
+        })
     }
 }
 
 /// Per-node protocol state.
 #[derive(Debug)]
 struct DistNode {
-    local_map: Option<LocalMap>,
-    /// Membership of `local_map`'s nodes (empty without a map).
-    members: NodeSet,
+    local_map: Option<Arc<SharedMap>>,
     /// Received neighbour maps that share enough nodes with `local_map`
     /// to pass [`TransformGuards::min_shared`]; no other map can align.
-    neighbor_maps: BTreeMap<NodeId, LocalMap>,
+    neighbor_maps: BTreeMap<NodeId, Arc<SharedMap>>,
     global_pos: Option<Point2>,
     is_root: bool,
     transform: TransformMethod,
@@ -658,6 +677,19 @@ struct DistNode {
 }
 
 impl DistNode {
+    /// Whether `other` shares at least [`TransformGuards::min_shared`]
+    /// nodes with this node's map (a node without a map shares none).
+    /// `estimate_transform` rejects any pair with fewer, so a smaller
+    /// overlap could never align. The test is static: neither map ever
+    /// changes.
+    fn can_align_with(&self, other: &SharedMap) -> bool {
+        let shared = self
+            .local_map
+            .as_ref()
+            .map_or(0, |own| own.members.overlap(&other.members));
+        shared >= self.guards.min_shared
+    }
+
     fn align_and_forward(
         &mut self,
         origin: Point2,
@@ -665,13 +697,19 @@ impl DistNode {
         ey: Vec2,
         api: &mut Api<'_, DistMsg>,
     ) {
-        let Some(map) = &self.local_map else { return };
-        let Some(p) = map.coord_of(map.center) else {
+        let Some(own) = &self.local_map else { return };
+        let Some(p) = own.map.coord_of(own.map.center) else {
             return;
         };
         let rel = p - origin;
         self.global_pos = Some(Point2::new(rel.dot(ex), rel.dot(ey)));
-        api.broadcast(DistMsg::Align { origin, ex, ey });
+        let sender = Arc::clone(own);
+        api.broadcast(DistMsg::Align {
+            origin,
+            ex,
+            ey,
+            sender,
+        });
     }
 }
 
@@ -679,8 +717,8 @@ impl Node for DistNode {
     type Msg = DistMsg;
 
     fn on_start(&mut self, api: &mut Api<'_, DistMsg>) {
-        if let Some(map) = self.local_map.clone() {
-            api.broadcast(DistMsg::Map(map));
+        if let Some(own) = &self.local_map {
+            api.broadcast(DistMsg::Map(Arc::clone(own)));
         }
         if self.is_root {
             // Give the map exchange time to complete, then start the
@@ -689,27 +727,43 @@ impl Node for DistNode {
         }
     }
 
+    /// Every test here holds for good once it holds: overlaps are
+    /// static, and an aligned node never unaligns.
+    fn ignores(&self, _from: NodeId, msg: &DistMsg) -> bool {
+        match msg {
+            DistMsg::Map(map) => !self.can_align_with(map),
+            // A map this node could not keep is never in `neighbor_maps`,
+            // so its sender's alignment can never land here. Whether the
+            // map arrived is not tested: that can change before the
+            // alignment does.
+            DistMsg::Align { sender, .. } => {
+                self.global_pos.is_some()
+                    || self.local_map.is_none()
+                    || !self.can_align_with(sender)
+            }
+        }
+    }
+
     fn on_message(&mut self, from: NodeId, msg: &DistMsg, api: &mut Api<'_, DistMsg>) {
         match msg {
             DistMsg::Map(map) => {
-                // `estimate_transform` rejects any pair with fewer shared
-                // nodes, so a smaller overlap could never align.
-                if self.members.count_in(&map.nodes) >= self.guards.min_shared {
-                    self.neighbor_maps.insert(from, map.clone());
+                if self.can_align_with(map) {
+                    self.neighbor_maps.insert(from, Arc::clone(map));
                 }
             }
-            &DistMsg::Align { origin, ex, ey } => {
+            &DistMsg::Align { origin, ex, ey, .. } => {
                 if self.global_pos.is_some() {
                     return; // first alignment wins
                 }
-                let Some(my_map) = &self.local_map else {
+                let Some(own) = &self.local_map else {
                     return;
                 };
-                let Some(sender_map) = self.neighbor_maps.get(&from) else {
+                let Some(sender) = self.neighbor_maps.get(&from) else {
                     return;
                 };
                 // Transform from the sender's frame into mine.
-                let Ok(t) = estimate_transform(sender_map, my_map, &self.transform, &self.guards)
+                let Ok(t) =
+                    estimate_transform(&sender.map, &own.map, &self.transform, &self.guards)
                 else {
                     return;
                 };
@@ -797,25 +851,11 @@ pub fn run_distributed<R: Rng + ?Sized>(
         LocalMap::build(NodeId(i), set, &config.local_lss, &mut node_rng).ok()
     });
     let local_maps_built = local_maps.iter().filter(|m| m.is_some()).count();
-    let nodes: Vec<DistNode> = local_maps
-        .into_iter()
-        .enumerate()
-        .map(|(i, local_map)| DistNode {
-            members: local_map
-                .as_ref()
-                .map_or_else(NodeSet::default, |map| NodeSet::new(&map.nodes)),
-            local_map,
-            neighbor_maps: BTreeMap::new(),
-            global_pos: None,
-            is_root: i == root.index(),
-            transform: config.transform.clone(),
-            guards: config.guards,
-        })
-        .collect();
+    let nodes = protocol_nodes(local_maps, root, config);
 
     // Steps 2-3: map exchange + alignment flood on the simulator.
     let seed = rng.random::<u64>();
-    let mut sim = Simulator::new(nodes, truth_positions, config.radio.clone(), seed);
+    let mut sim = exchange_simulator(nodes, truth_positions, &config.radio, seed);
     let stats = sim.run().map_err(|_| {
         LocalizationError::InvalidConfig("network simulation exhausted its event budget")
     })?;
@@ -840,6 +880,43 @@ pub fn run_distributed<R: Rng + ?Sized>(
         messages_delivered: stats.delivered,
         refine,
     })
+}
+
+/// One protocol node per local map, the alignment flood rooted at `root`.
+fn protocol_nodes(
+    local_maps: Vec<Option<LocalMap>>,
+    root: NodeId,
+    config: &DistributedConfig,
+) -> Vec<DistNode> {
+    local_maps
+        .into_iter()
+        .enumerate()
+        .map(|(i, local_map)| DistNode {
+            local_map: local_map.map(SharedMap::new),
+            neighbor_maps: BTreeMap::new(),
+            global_pos: None,
+            is_root: i == root.index(),
+            transform: config.transform.clone(),
+            guards: config.guards,
+        })
+        .collect()
+}
+
+/// The simulator for the map exchange and alignment flood, its event
+/// budget the protocol's own bound: every node broadcasts its map once
+/// and its alignment at most once, so the run takes at most `n` starts,
+/// the root's timer and two deliveries per neighbour of every node.
+fn exchange_simulator<N: Node<Msg = DistMsg>>(
+    nodes: Vec<N>,
+    positions: &[Point2],
+    radio: &RadioModel,
+    seed: u64,
+) -> Simulator<N> {
+    let n = nodes.len();
+    let sim = Simulator::new(nodes, positions, radio.clone(), seed);
+    let degree_sum = 2 * sim.topology().edge_count();
+    let budget = n + 1 + 2 * degree_sum;
+    sim.with_event_budget(budget)
 }
 
 #[cfg(test)]
@@ -1105,8 +1182,7 @@ mod tests {
             let nodes = maps
                 .into_iter()
                 .map(|local_map| DistNode {
-                    members: NodeSet::new(&local_map.nodes),
-                    local_map: Some(local_map),
+                    local_map: Some(SharedMap::new(local_map)),
                     neighbor_maps: BTreeMap::new(),
                     global_pos: None,
                     is_root: false,
@@ -1130,18 +1206,153 @@ mod tests {
         );
     }
 
+    /// Forwards every callback to a [`DistNode`] but keeps the default
+    /// [`Node::ignores`], so the simulator queues every delivery: the
+    /// oracle the elided exchange must match. At each delivery the node
+    /// would ignore, it checks that the delivery changed nothing.
+    struct QueueEverything {
+        inner: DistNode,
+        ignorable: usize,
+        /// Alignments that arrived before a map this node would keep.
+        early_aligns: usize,
+    }
+
+    impl Node for QueueEverything {
+        type Msg = DistMsg;
+        fn on_start(&mut self, api: &mut Api<'_, DistMsg>) {
+            self.inner.on_start(api);
+        }
+        fn on_message(&mut self, from: NodeId, msg: &DistMsg, api: &mut Api<'_, DistMsg>) {
+            let ignorable = self.inner.ignores(from, msg);
+            if !ignorable
+                && matches!(msg, DistMsg::Align { .. })
+                && !self.inner.neighbor_maps.contains_key(&from)
+            {
+                self.early_aligns += 1;
+            }
+            let before = (self.inner.global_pos, self.inner.neighbor_maps.len());
+            self.inner.on_message(from, msg, api);
+            if ignorable {
+                self.ignorable += 1;
+                let after = (self.inner.global_pos, self.inner.neighbor_maps.len());
+                assert_eq!(after, before, "an ignorable delivery changed its node");
+            }
+        }
+        fn on_timer(&mut self, timer: u64, api: &mut Api<'_, DistMsg>) {
+            self.inner.on_timer(timer, api);
+        }
+    }
+
+    /// The exchange that skips ignored deliveries ends with the position
+    /// bits and the statistics of the oracle that queues them all, on
+    /// town and metro-250, under radio loss, the paper's permissive
+    /// guards, and a MAC delay beyond [`ALIGN_DELAY_S`] whose jitter lets
+    /// alignments overtake maps.
     #[test]
-    fn node_set_counts_members_across_words() {
-        let set = NodeSet::new(&[NodeId(70), NodeId(300), NodeId(130)]);
-        assert!(set.contains(NodeId(70)) && set.contains(NodeId(130)) && set.contains(NodeId(300)));
-        assert!(
-            !set.contains(NodeId(3)) && !set.contains(NodeId(71)) && !set.contains(NodeId(2000))
-        );
-        assert_eq!(
-            set.count_in(&[NodeId(3), NodeId(70), NodeId(300), NodeId(999)]),
-            2
-        );
-        assert_eq!(NodeSet::default().count_in(&[NodeId(0)]), 0);
+    fn skipping_ignored_deliveries_moves_no_bit() {
+        let slow = RadioModel {
+            loss_probability: 0.0,
+            mac_delay_s: 1.5 * ALIGN_DELAY_S,
+            mac_jitter_s: 3.0 * ALIGN_DELAY_S,
+            ..RadioModel::mica2()
+        };
+        let cases = [
+            ("mica2", RadioModel::mica2(), TransformGuards::default()),
+            (
+                "30% loss",
+                RadioModel {
+                    loss_probability: 0.3,
+                    ..RadioModel::mica2()
+                },
+                TransformGuards::default(),
+            ),
+            (
+                "permissive",
+                RadioModel::mica2(),
+                TransformGuards::permissive(),
+            ),
+            ("slow MAC", slow, TransformGuards::default()),
+        ];
+        for (preset, config) in [
+            ("town", DistributedConfig::default()),
+            ("metro-250", DistributedConfig::metro()),
+        ] {
+            let problem = rl_deploy::presets::preset(preset)
+                .expect("a preset")
+                .instantiate(11);
+            let set = problem.measurements();
+            let truth = problem.truth_required().expect("presets carry truth");
+            let local_maps: Vec<Option<LocalMap>> = (0..set.node_count())
+                .map(|i| {
+                    LocalMap::build(NodeId(i), set, &config.local_lss, &mut seeded(i as u64)).ok()
+                })
+                .collect();
+            for (case, radio, guards) in &cases {
+                let config = DistributedConfig {
+                    guards: *guards,
+                    ..config.clone()
+                };
+                let nodes = protocol_nodes(local_maps.clone(), NodeId(0), &config);
+                let mut elided = exchange_simulator(nodes, truth, radio, 7);
+                let stats = elided.run().expect("the elided exchange quiesces");
+                let nodes = protocol_nodes(local_maps.clone(), NodeId(0), &config)
+                    .into_iter()
+                    .map(|inner| QueueEverything {
+                        inner,
+                        ignorable: 0,
+                        early_aligns: 0,
+                    })
+                    .collect();
+                let mut queued = exchange_simulator(nodes, truth, radio, 7);
+                let queued_stats = queued.run().expect("the oracle quiesces");
+                assert_eq!(stats, queued_stats, "{preset} {case}: statistics");
+
+                let bits = |p: Option<Point2>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
+                let elided_bits: Vec<_> = elided.iter().map(|(_, n)| bits(n.global_pos)).collect();
+                let queued_bits: Vec<_> = queued
+                    .iter()
+                    .map(|(_, n)| bits(n.inner.global_pos))
+                    .collect();
+                assert_eq!(elided_bits, queued_bits, "{preset} {case}: positions");
+                let aligned = elided_bits.iter().flatten().count();
+                assert!(
+                    aligned * 2 > truth.len(),
+                    "{preset} {case}: {aligned} aligned"
+                );
+                let ignorable: usize = queued.iter().map(|(_, n)| n.ignorable).sum();
+                assert!(ignorable > 0, "{preset} {case}: nothing to skip");
+                if *case == "slow MAC" {
+                    let early: usize = queued.iter().map(|(_, n)| n.early_aligns).sum();
+                    assert!(early > 0, "{preset}: no alignment overtook a map");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The word-wise overlap equals the shared-node count of two maps,
+        /// empty ones included, across the words both sets span.
+        #[test]
+        fn node_set_overlap_matches_shared_nodes(
+            a in proptest::collection::vec(0usize..400, 0..40),
+            b in proptest::collection::vec(0usize..400, 0..40),
+        ) {
+            let map = |ids: &[usize]| {
+                let mut nodes: Vec<NodeId> = ids.iter().copied().map(NodeId).collect();
+                nodes.sort();
+                nodes.dedup();
+                LocalMap {
+                    center: NodeId(0),
+                    coords: vec![Point2::ORIGIN; nodes.len()],
+                    nodes,
+                }
+            };
+            let (a, b) = (map(&a), map(&b));
+            let shared = a.shared_nodes(&b).len();
+            prop_assert_eq!(NodeSet::new(&a.nodes).overlap(&NodeSet::new(&b.nodes)), shared);
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn mdsmap_impl(set: &MeasurementSet) -> Result<(Vec<Point2>, usize)> {
         ));
     }
     let completed = complete_distances(set, pool_workers(n))?;
-    embed(n, &completed)
+    embed(n, completed)
 }
 
 /// The measurement graph's CSR adjacency matrix, distances as values,
@@ -114,12 +114,17 @@ fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> 
 /// (symmetrizing absorbs small asymmetries from summation order) fed to
 /// the iterative top-2 eigensolver.
 ///
+/// The table is squared in place, one pair `(i, j)`, `(j, i)` at a time:
+/// IEEE addition commutes, so `0.5 * (a + b)` is one value for both
+/// entries, and no second `n x n` table is needed.
+///
 /// The eigensolver squares Gram entries of size up to `n · max(d)²`. When
 /// that size leaves [`SCALE_RANGE`], the table is first divided by the
 /// power of two at or below `max(d)` and the coordinates multiplied back,
-/// both exactly; every other table embeds unscaled, bit for bit.
-fn embed(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
-    let max_d = completed.iter().fold(0.0, |m: f64, &d| m.max(d));
+/// both exactly; every other table embeds unscaled (a division by `1.0`
+/// is exact), bit for bit.
+fn embed(n: usize, mut table: Vec<f64>) -> Result<(Vec<Point2>, usize)> {
+    let max_d = table.iter().fold(0.0, |m: f64, &d| m.max(d));
     let scale = if max_d >= f64::MIN_POSITIVE && !SCALE_RANGE.contains(&(n as f64 * max_d * max_d))
     {
         // Keep only the exponent bits: 2^floor(log2(max_d)).
@@ -127,21 +132,14 @@ fn embed(n: usize, completed: &[f64]) -> Result<(Vec<Point2>, usize)> {
     } else {
         1.0
     };
-    let scaled: Vec<f64>;
-    let completed = if scale == 1.0 {
-        completed
-    } else {
-        scaled = completed.iter().map(|d| d / scale).collect();
-        &scaled
-    };
-    let mut d2 = vec![0.0; n * n];
     for i in 0..n {
-        for j in 0..n {
-            let d = 0.5 * (completed[i * n + j] + completed[j * n + i]);
-            d2[i * n + j] = d * d;
+        for j in i..n {
+            let d = 0.5 * (table[i * n + j] / scale + table[j * n + i] / scale);
+            table[i * n + j] = d * d;
+            table[j * n + i] = d * d;
         }
     }
-    let operator = CenteredOperator::new(n, d2, pool_workers(n));
+    let operator = CenteredOperator::new(n, table, pool_workers(n));
     let top = topk_symmetric(&operator, 2).map_err(LocalizationError::Numerical)?;
     let coords = top.principal_coordinates();
     let points = (0..n)
@@ -265,7 +263,8 @@ impl LinearOperator for CenteredOperator {
     }
 
     /// One vector through [`CenteredOperator::product`], on the pool like
-    /// a block: the eigensolver's shift estimate applies it 12 times.
+    /// a block. The eigensolver applies only whole blocks; this is the
+    /// single-vector reference [`Self::apply_multi`] is held to.
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.product(&[x], &mut [y]);
     }
@@ -558,7 +557,7 @@ mod tests {
         let n = truth.len();
         let completed = complete_distances(&MeasurementSet::oracle(truth, range), 1).unwrap();
         let dense = dense_embedding(n, &completed);
-        let (iterative, iterations) = embed(n, &completed).unwrap();
+        let (iterative, iterations) = embed(n, completed).unwrap();
         assert!(iterations > 0, "{layout}");
         let scale: f64 = dense
             .iter()
@@ -619,7 +618,7 @@ mod tests {
         assert_embeds_alike("thin strip", &zigzag(8), 22.0);
         let long = zigzag(300);
         let completed = complete_distances(&MeasurementSet::oracle(&long, 22.0), 1).unwrap();
-        let (_, steps) = embed(long.len(), &completed).unwrap();
+        let (_, steps) = embed(long.len(), completed).unwrap();
         // A shifted power method needs 2,016 steps here.
         assert!(steps <= 16, "300-node strip: {steps} block steps");
         // A distributed local map's size, then town scale: 60 nodes

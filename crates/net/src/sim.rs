@@ -25,6 +25,18 @@
 //! Receivers get the message by reference ([`Node::on_message`]); the
 //! simulator never clones one, so a protocol copies a payload only when
 //! it keeps or relays it.
+//!
+//! # Ignored deliveries
+//!
+//! A protocol may declare, through [`Node::ignores`], that a delivery
+//! could change nothing at its recipient. The radio still draws
+//! `delivered?` and the latency for that recipient, the delivery still
+//! takes its `seq` and still counts in [`SimStats::delivered`] and
+//! [`SimStats::events`], but it is never queued. So the random stream,
+//! the `(time, seq)` key of every queued event, the statistics and the
+//! event budget's meaning are exactly those of a run that queued it and
+//! had the recipient drop it. Only [`Simulator::time`], the time of the
+//! last queued event, can end earlier.
 
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
@@ -44,6 +56,16 @@ pub trait Node {
     /// Called when a message from `from` is delivered to this node. Every
     /// recipient of one transmission sees the same message, by reference.
     fn on_message(&mut self, from: NodeId, msg: &Self::Msg, api: &mut Api<'_, Self::Msg>);
+
+    /// Whether this node ignores `msg` from `from`, asked when the message
+    /// is sent. Returning `true` promises that [`Node::on_message`] would
+    /// change nothing and send nothing, whenever after this call the
+    /// message arrived; the simulator then counts the delivery without
+    /// queueing it (see the module docs). The default ignores nothing.
+    fn ignores(&self, from: NodeId, msg: &Self::Msg) -> bool {
+        let _ = (from, msg);
+        false
+    }
 
     /// Called when a timer set via [`Api::set_timer`] fires.
     fn on_timer(&mut self, timer: u64, api: &mut Api<'_, Self::Msg>) {
@@ -157,9 +179,10 @@ struct Burst<M> {
 /// Statistics of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimStats {
-    /// Events processed (starts + deliveries + timers).
+    /// Events processed (starts + deliveries + timers), ignored
+    /// deliveries included.
     pub events: usize,
-    /// Messages delivered to a node.
+    /// Messages delivered to a node, ignored ones included.
     pub delivered: usize,
     /// Messages lost to radio loss.
     pub dropped: usize,
@@ -248,7 +271,9 @@ impl<N: Node> Simulator<N> {
         &self.topology
     }
 
-    /// Current simulation time, seconds.
+    /// Current simulation time, seconds: the time of the last queued
+    /// event processed. Deliveries a node ignores are never queued, so
+    /// they do not advance it.
     pub fn time(&self) -> f64 {
         self.time
     }
@@ -287,7 +312,7 @@ impl<N: Node> Simulator<N> {
     /// # Errors
     ///
     /// Returns [`NetError::EventBudgetExhausted`] if the protocol does not
-    /// quiesce within the event budget.
+    /// quiesce within the event budget, ignored deliveries counted.
     pub fn run(&mut self) -> Result<SimStats> {
         for i in 0..self.nodes.len() {
             self.schedule(0.0, Event::Start(NodeId(i)));
@@ -298,6 +323,13 @@ impl<N: Node> Simulator<N> {
     fn drain(&mut self) -> Result<SimStats> {
         loop {
             let Some(mut head) = self.queue.peek_mut() else {
+                // Ignored deliveries count when sent, so the last of them
+                // can overrun the budget after the last queued event.
+                if self.stats.events > self.event_budget {
+                    return Err(NetError::EventBudgetExhausted {
+                        budget: self.event_budget,
+                    });
+                }
                 return Ok(self.stats);
             };
             let (time, event) = (head.time, head.event);
@@ -386,7 +418,8 @@ impl<N: Node> Simulator<N> {
     }
 
     /// Sends `msg` from `from` to one neighbour (`Some(to)`) or to all of
-    /// them (`None`) as one burst.
+    /// them (`None`) as one burst. A recipient that [`Node::ignores`] the
+    /// message takes its draws and `seq` and is counted, but not queued.
     fn transmit(&mut self, from: NodeId, to: Option<NodeId>, msg: N::Msg) {
         let slot = self.free_bursts.pop().unwrap_or_else(|| {
             self.bursts.push(Burst {
@@ -406,6 +439,11 @@ impl<N: Node> Simulator<N> {
             if self.radio.delivered(&mut self.rng) {
                 let latency = self.radio.latency(&mut self.rng);
                 self.seq += 1;
+                if self.nodes[to.index()].ignores(from, &msg) {
+                    self.stats.delivered += 1;
+                    self.stats.events += 1;
+                    continue;
+                }
                 burst.deliveries.push(Delivery {
                     time: self.time + latency,
                     seq: self.seq,
@@ -733,6 +771,103 @@ mod tests {
             flood, GOLDEN_FLOOD,
             "multi-origin flood delivery order drifted"
         );
+    }
+
+    /// Lossy chatter in which every odd-tagged message is one its
+    /// recipient drops. With `ignoring` the node says so through
+    /// [`Node::ignores`]; without it the delivery is queued and dropped in
+    /// `on_message`, as under the default.
+    struct Picky {
+        log: Log,
+        ignoring: bool,
+        relayed: usize,
+        dropped: usize,
+    }
+
+    impl Node for Picky {
+        type Msg = (u32, u32);
+        fn on_start(&mut self, api: &mut Api<'_, (u32, u32)>) {
+            let me = api.id().index();
+            api.broadcast((me as u32, 0));
+            api.broadcast((me as u32, 1));
+            api.send(NodeId((me + 1) % 30), (me as u32, 3));
+            api.set_timer(0.002 + (me % 3) as f64 * 0.001, me as u64);
+        }
+        fn on_message(&mut self, from: NodeId, msg: &(u32, u32), api: &mut Api<'_, (u32, u32)>) {
+            if msg.1 % 2 == 1 {
+                assert!(!self.ignoring, "an ignored delivery reached on_message");
+                self.dropped += 1;
+                return;
+            }
+            log_delivery(
+                &self.log,
+                api.now(),
+                from,
+                api.id(),
+                &[msg.0 as u64, msg.1 as u64],
+            );
+            if msg.1 == 0 && self.relayed < 2 {
+                self.relayed += 1;
+                api.broadcast((msg.0, 5));
+                api.broadcast((msg.0, 2));
+            }
+        }
+        fn on_timer(&mut self, id: u64, api: &mut Api<'_, (u32, u32)>) {
+            api.broadcast((id as u32, 7));
+            api.broadcast((id as u32, 4));
+        }
+        fn ignores(&self, _from: NodeId, msg: &(u32, u32)) -> bool {
+            self.ignoring && msg.1 % 2 == 1
+        }
+    }
+
+    /// Ignored deliveries take their radio draws and `seq` and count in
+    /// the statistics and the event budget, so every delivery a node acts
+    /// on comes at the same time and in the same order as when each one
+    /// is queued; none reaches `on_message`.
+    #[test]
+    fn ignored_deliveries_keep_draws_order_and_counts() {
+        let run = |ignoring: bool, budget: usize| {
+            let log = Log::default();
+            let nodes = (0..30)
+                .map(|_| Picky {
+                    log: log.clone(),
+                    ignoring,
+                    relayed: 0,
+                    dropped: 0,
+                })
+                .collect();
+            let radio = RadioModel {
+                range_m: 25.0,
+                loss_probability: 0.2,
+                ..RadioModel::mica2()
+            };
+            let mut sim =
+                Simulator::new(nodes, &jittered_grid(17), radio, 18).with_event_budget(budget);
+            let outcome = sim.run();
+            let dropped: usize = sim.iter().map(|(_, n)| n.dropped).sum();
+            let digest = outcome
+                .as_ref()
+                .ok()
+                .map(|&stats| finish_log(&log, stats, 0.0));
+            (outcome, digest, dropped, sim.time())
+        };
+        let (queued, queued_digest, dropped, queued_end) = run(false, usize::MAX);
+        let (ignored, ignored_digest, none, ignored_end) = run(true, usize::MAX);
+        let stats = queued.unwrap();
+        assert!(dropped > 300 && stats.dropped > 0, "{stats:?}, {dropped}");
+        assert_eq!(none, 0);
+        assert_eq!(ignored, Ok(stats));
+        assert_eq!(ignored_digest, queued_digest);
+        assert!(ignored_end <= queued_end);
+
+        // The budget counts ignored deliveries exactly as queued ones.
+        let exhausted = Err(NetError::EventBudgetExhausted {
+            budget: stats.events - 1,
+        });
+        assert_eq!(run(false, stats.events - 1).0, exhausted);
+        assert_eq!(run(true, stats.events - 1).0, exhausted);
+        assert_eq!(run(true, stats.events).0, Ok(stats));
     }
 
     #[test]
