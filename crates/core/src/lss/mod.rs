@@ -18,7 +18,7 @@ pub use error_fn::{LssObjective, SoftConstraint};
 
 use rand::Rng;
 use rl_geom::Point2;
-use rl_math::gradient::{minimize, DescentConfig, DescentTrace};
+use rl_math::gradient::{descend, DescentConfig, DescentTrace};
 use rl_math::RobustLoss;
 use rl_ranging::measurement::MeasurementSet;
 
@@ -367,12 +367,9 @@ impl LssSolver {
         let objective = LssObjective::new(set, self.config.soft_constraint);
         let x0 = self.initial_configuration(set, rng)?;
 
-        // Restart management lives here (not in the generic optimizer) so
-        // the stress target can end the search early, as in the paper.
-        let per_round = DescentConfig {
-            restarts: 0,
-            ..self.config.descent.clone()
-        };
+        // Restart management lives here (each round is one `descend`, not
+        // the generic optimizer's restart loop) so the stress target can end
+        // the search early, as in the paper.
         let target = self.config.target_stress_per_pair * set.len() as f64;
         let mut best_x = x0.clone();
         let mut best_stress = f64::INFINITY;
@@ -402,7 +399,7 @@ impl LssSolver {
                     .map(|&v| v + gauss.sample_with(rng, 0.0, self.config.descent.perturbation))
                     .collect()
             };
-            let outcome = minimize(&objective, &seed_x, &per_round, rng);
+            let outcome = descend(&objective, &seed_x, &self.config.descent);
             iterations += outcome.iterations;
             if let (Some(t), Some(rt)) = (trace.as_mut(), outcome.trace.as_ref()) {
                 t.round_starts.push(t.values.len());
@@ -475,11 +472,10 @@ impl LssSolver {
         };
         let x0 = flatten(&seeded);
         let refine_cfg = DescentConfig {
-            restarts: 0,
             record_trace: false,
             ..self.config.descent.clone()
         };
-        let outcome = minimize(&objective, &x0, &refine_cfg, rng);
+        let outcome = descend(&objective, &x0, &refine_cfg);
         Ok(LssSolution {
             coordinates: unflatten(&outcome.x, set.node_count()),
             stress: outcome.value,

@@ -7,6 +7,7 @@
 //! MDS-MAP idea of Shang et al., discussed in Related Work), as a fast
 //! initializer for the LSS descent.
 
+use rl_geom::procrustes::power_of_two_scale;
 use rl_geom::Point2;
 use rl_math::sparse::{
     dijkstra_into, eigen::topk_symmetric, CsrMatrix, DijkstraWorkspace, LinearOperator,
@@ -23,10 +24,6 @@ const COMPLETION_BLOCK: usize = 32;
 /// Rows of the squared-distance table per pool task in the centered
 /// operator's products.
 const OPERATOR_BLOCK: usize = 64;
-
-/// Gram-entry sizes `n · max(d)²` that [`embed`] solves unscaled: their
-/// squares stay well inside the normal `f64` range.
-const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
 
 /// MDS-MAP-style coordinates for a *sparse* measurement set: missing
 /// pairwise distances are completed with shortest-path distances through
@@ -119,19 +116,13 @@ fn complete_distances(set: &MeasurementSet, workers: usize) -> Result<Vec<f64>> 
 /// entries, and no second `n x n` table is needed.
 ///
 /// The eigensolver squares Gram entries of size up to `n · max(d)²`. When
-/// that size leaves [`SCALE_RANGE`], the table is first divided by the
+/// [`power_of_two_scale`] asks for it, the table is first divided by the
 /// power of two at or below `max(d)` and the coordinates multiplied back,
 /// both exactly; every other table embeds unscaled (a division by `1.0`
 /// is exact), bit for bit.
 fn embed(n: usize, mut table: Vec<f64>) -> Result<(Vec<Point2>, usize)> {
     let max_d = table.iter().fold(0.0, |m: f64, &d| m.max(d));
-    let scale = if max_d >= f64::MIN_POSITIVE && !SCALE_RANGE.contains(&(n as f64 * max_d * max_d))
-    {
-        // Keep only the exponent bits: 2^floor(log2(max_d)).
-        f64::from_bits(max_d.to_bits() & 0x7ff0_0000_0000_0000)
-    } else {
-        1.0
-    };
+    let scale = power_of_two_scale(n, max_d).unwrap_or(1.0);
     for i in 0..n {
         for j in i..n {
             let d = 0.5 * (table[i * n + j] / scale + table[j * n + i] / scale);

@@ -18,10 +18,24 @@
 use crate::{GeomError, Point2, Result, RigidTransform, Vec2};
 use serde::{Deserialize, Serialize};
 
-/// Sizes `n · extent²` of the squared sums that [`fit_weighted`] fits
-/// unscaled, `extent` being the largest coordinate magnitude: their
-/// squares stay well inside the normal `f64` range.
+/// Sizes `n · extent²` that [`power_of_two_scale`] leaves unscaled:
+/// their squares stay well inside the normal `f64` range.
 const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
+
+/// The exact rescaling for a computation over `n` points that squares
+/// coordinates or distances of magnitude up to `extent`: when
+/// `n · extent²` leaves `1e-150..=1e150` and `extent` is a finite normal
+/// number, `Some` power of two at or below `extent`; otherwise `None`,
+/// and the computation runs unscaled. Dividing by a power of two and
+/// multiplying back is exact, so only inputs that would overflow or
+/// underflow change bits. The rigid fit here and MDS-MAP's embedding
+/// both decide their scale through this one function.
+pub fn power_of_two_scale(n: usize, extent: f64) -> Option<f64> {
+    ((f64::MIN_POSITIVE..=f64::MAX).contains(&extent)
+        && !SCALE_RANGE.contains(&(n as f64 * extent * extent)))
+    // Keep only the exponent bits: 2^floor(log2(extent)).
+    .then(|| f64::from_bits(extent.to_bits() & 0x7ff0_0000_0000_0000))
+}
 
 /// Outcome of fitting a rigid transform `T` with `T(source[i]) ≈ target[i]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -118,10 +132,10 @@ pub fn fit_rigid_transform_weighted(
 /// bit for bit (every factor is then exactly `1.0`).
 ///
 /// The spreads and cross-covariances square coordinates. When
-/// `n · extent²` leaves [`SCALE_RANGE`], both point sets are first
-/// divided by the power of two at or below `extent` and the fit scaled
-/// back, so a set at 1e300 m neither overflows nor one at 1e-150 m
-/// reads as coincident; every other input fits unscaled, bit for bit.
+/// [`power_of_two_scale`] asks for it, both point sets are first divided
+/// by the power of two at or below `extent` and the fit scaled back, so
+/// a set at 1e300 m neither overflows nor one at 1e-150 m reads as
+/// coincident; every other input fits unscaled, bit for bit.
 fn fit_weighted(
     source: &[Point2],
     target: &[Point2],
@@ -144,12 +158,8 @@ fn fit_weighted(
         .iter()
         .chain(target)
         .fold(0.0, |m: f64, p| m.max(p.x.abs()).max(p.y.abs()));
-    if (f64::MIN_POSITIVE..=f64::MAX).contains(&extent)
-        && !SCALE_RANGE.contains(&(source.len() as f64 * extent * extent))
-    {
-        // Keep only the exponent bits: 2^floor(log2(extent)). The shrunk
-        // extent lies in [1, 2), so the inner fit runs unscaled.
-        let scale = f64::from_bits(extent.to_bits() & 0x7ff0_0000_0000_0000);
+    if let Some(scale) = power_of_two_scale(source.len(), extent) {
+        // The shrunk extent lies in [1, 2), so the inner fit runs unscaled.
         let shrink = |pts: &[Point2]| -> Vec<Point2> {
             pts.iter()
                 .map(|p| Point2::new(p.x / scale, p.y / scale))
@@ -261,6 +271,17 @@ mod tests {
     use super::*;
     use crate::centroid;
     use proptest::prelude::*;
+
+    #[test]
+    fn scale_is_the_power_of_two_below_extremes_only() {
+        assert_eq!(power_of_two_scale(25, 1.0), None);
+        assert_eq!(power_of_two_scale(25, 1e70), None);
+        assert_eq!(power_of_two_scale(25, 3e150), Some(2f64.powi(499)));
+        assert_eq!(power_of_two_scale(25, 1e-150), Some(2f64.powi(-499)));
+        for extent in [0.0, 1e-310, f64::INFINITY, f64::NAN] {
+            assert_eq!(power_of_two_scale(25, extent), None, "{extent}");
+        }
+    }
 
     fn square() -> Vec<Point2> {
         vec![

@@ -69,11 +69,6 @@ impl RigidTransform {
         RigidTransform::new(0.0, false, t)
     }
 
-    /// Pure rotation about the origin.
-    pub fn rotation(theta: f64) -> Self {
-        RigidTransform::new(theta, false, Vec2::ZERO)
-    }
-
     /// Rotation angle in radians.
     pub fn theta(&self) -> f64 {
         self.theta
@@ -223,7 +218,7 @@ mod tests {
         // Paper matrix with θ = 90°, f = 1: [u,v,1]·M = (u·0 + v·1, -u·1 + v·0)
         // so (1, 0) -> (0, -1): the row-vector convention rotates clockwise
         // for positive θ.
-        let t = RigidTransform::rotation(core::f64::consts::FRAC_PI_2);
+        let t = RigidTransform::new(core::f64::consts::FRAC_PI_2, false, Vec2::ZERO);
         let p = t.apply(Point2::new(1.0, 0.0));
         assert!(close(p, Point2::new(0.0, -1.0)), "got {p}");
     }
@@ -269,7 +264,7 @@ mod tests {
 
     #[test]
     fn composition_order() {
-        let rot = RigidTransform::rotation(0.3);
+        let rot = RigidTransform::new(0.3, false, Vec2::ZERO);
         let shift = RigidTransform::translation(Vec2::new(5.0, 0.0));
         let p = Point2::new(1.0, 1.0);
         let composed = rot.then(&shift);

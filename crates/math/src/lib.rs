@@ -22,11 +22,12 @@
 //! * [`fingerprint`] — stable FNV-1a digests ([`Fnv1a`]) with prefix-free
 //!   typed writers, shared by campaign reports and the serving layer's
 //!   solution cache,
-//! * [`sparse`] — the large-`n` backend: CSR matrices ([`CsrMatrix`]),
-//!   the matrix-free [`LinearOperator`] abstraction, a conjugate-gradient
-//!   solver, a restarted block Krylov top-`k` symmetric eigensolver,
-//!   and CSR Dijkstra — everything the metro-scale solver paths need
-//!   without `O(n^2)` storage or `O(n^3)` factorizations.
+//! * [`sparse`] — the large-`n` backend: a CSR graph adjacency
+//!   ([`CsrMatrix`]) and Dijkstra over it, the matrix-free
+//!   [`LinearOperator`] abstraction, a conjugate-gradient solver and a
+//!   restarted block Krylov top-`k` symmetric eigensolver — everything
+//!   the metro-scale solver paths need without `O(n^2)` storage or
+//!   `O(n^3)` factorizations.
 //!
 //! # Example
 //!

@@ -153,40 +153,6 @@ impl DMatrix {
         Ok(out)
     }
 
-    /// Element-wise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when shapes differ.
-    pub fn add(&self, rhs: &DMatrix) -> Result<DMatrix> {
-        if self.rows != rhs.rows || self.cols != rhs.cols {
-            return Err(MathError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (rhs.rows, rhs.cols),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(DMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f64) -> DMatrix {
-        DMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
-        }
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> DMatrix {
         let mut out = DMatrix::zeros(self.cols, self.rows);
@@ -355,16 +321,6 @@ mod tests {
             a.mul(&b),
             Err(MathError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let a = DMatrix::from_rows(&[&[1.0, -1.0]]).unwrap();
-        let b = DMatrix::from_rows(&[&[2.0, 3.0]]).unwrap();
-        let s = a.add(&b).unwrap();
-        assert_eq!(s.as_slice(), &[3.0, 2.0]);
-        assert_eq!(s.scale(2.0).as_slice(), &[6.0, 4.0]);
-        assert!(a.add(&DMatrix::zeros(2, 2)).is_err());
     }
 
     #[test]

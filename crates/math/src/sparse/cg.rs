@@ -282,7 +282,6 @@ fn norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::CsrMatrix;
     use crate::{DMatrix, SymmetricEigen};
     use proptest::prelude::*;
 
@@ -325,33 +324,36 @@ mod tests {
         v.mul(&lambda).unwrap().mul(&v.transpose()).unwrap()
     }
 
+    /// The symmetric `n x n` matrix holding `v` at `(i, j)` and `(j, i)`
+    /// for every entry `(i, j, v)`, zero elsewhere.
+    fn symmetric(n: usize, entries: &[(usize, usize, f64)]) -> DMatrix {
+        let mut a = DMatrix::zeros(n, n);
+        for &(i, j, v) in entries {
+            a[(i, j)] = v;
+            a[(j, i)] = v;
+        }
+        a
+    }
+
     /// The ill-conditioned workhorse: a 1-D Laplacian chain with a huge
     /// diagonal spread, where CG needs many iterations.
-    fn ill_conditioned(n: usize) -> (CsrMatrix, Vec<f64>) {
+    fn ill_conditioned(n: usize) -> (DMatrix, Vec<f64>) {
         let mut edges: Vec<(usize, usize, f64)> = (0..n)
             .map(|i| (i, i, 2.0 + 1000.0 * (i % 7) as f64))
             .collect();
         edges.extend((0..n - 1).map(|i| (i, i + 1, -1.0)));
-        let a = CsrMatrix::symmetric_from_edges(n, &edges).unwrap();
+        let a = symmetric(n, &edges);
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
         (a, b)
     }
 
     #[test]
     fn solves_laplacian_system() {
-        let a = CsrMatrix::symmetric_from_edges(
-            3,
-            &[
-                (0, 0, 2.0),
-                (1, 1, 2.0),
-                (2, 2, 2.0),
-                (0, 1, -1.0),
-                (1, 2, -1.0),
-            ],
-        )
-        .unwrap();
+        let a = DMatrix::from_rows(&[&[2.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 2.0]])
+            .unwrap();
         let x_true = [1.0, -2.0, 3.0];
-        let b = a.matvec(&x_true).unwrap();
+        let mut b = vec![0.0; 3];
+        a.apply(&x_true, &mut b);
         let out = conjugate_gradient(&a, &b, &CgConfig::default()).unwrap();
         assert!(out.converged);
         for (xi, ti) in out.x.iter().zip(x_true) {
@@ -361,7 +363,7 @@ mod tests {
 
     #[test]
     fn zero_rhs_returns_zero_immediately() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]).unwrap();
+        let a = DMatrix::identity(2);
         let out = conjugate_gradient(&a, &[0.0, 0.0], &CgConfig::default()).unwrap();
         assert_eq!(out.x, vec![0.0, 0.0]);
         assert_eq!(out.iterations, 0);
@@ -370,7 +372,7 @@ mod tests {
 
     #[test]
     fn error_cases() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]).unwrap();
+        let a = DMatrix::identity(2);
         assert!(matches!(
             conjugate_gradient(&a, &[1.0], &CgConfig::default()),
             Err(MathError::DimensionMismatch { .. })
@@ -379,7 +381,7 @@ mod tests {
             conjugate_gradient(&a, &[f64::NAN, 0.0], &CgConfig::default()),
             Err(MathError::InvalidArgument(_))
         ));
-        let empty = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
+        let empty = DMatrix::zeros(0, 0);
         assert!(conjugate_gradient(&empty, &[], &CgConfig::default()).is_err());
         // Warm starts are validated too.
         assert!(matches!(
@@ -407,7 +409,7 @@ mod tests {
     #[test]
     fn indefinite_operator_breaks_down() {
         // diag(1, -1) is symmetric but indefinite.
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, -1.0)]).unwrap();
+        let a = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
         let err = conjugate_gradient(&a, &[0.0, 1.0], &CgConfig::default()).unwrap_err();
         assert!(matches!(err, MathError::InvalidArgument(_)));
     }
@@ -418,7 +420,7 @@ mod tests {
         let n = 20;
         let mut edges: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 2.0)).collect();
         edges.extend((0..n - 1).map(|i| (i, i + 1, -1.0)));
-        let a = CsrMatrix::symmetric_from_edges(n, &edges).unwrap();
+        let a = symmetric(n, &edges);
         let b = vec![1.0; n];
         let cfg = CgConfig {
             max_iterations: 1,
@@ -441,7 +443,7 @@ mod tests {
             (0..n).map(|i| (i, i, 4.0 + (i % 3) as f64)).collect();
         edges.extend((0..n - 1).map(|i| (i, i + 1, -1.0)));
         edges.extend((0..n - 2).map(|i| (i, i + 2, -0.5)));
-        let a = CsrMatrix::symmetric_from_edges(n, &edges).unwrap();
+        let a = symmetric(n, &edges);
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
         let out = conjugate_gradient(&a, &b, &CgConfig::default()).unwrap();
         assert_eq!(out.iterations, 18, "iteration count drifted");
@@ -524,8 +526,7 @@ mod tests {
 
     proptest! {
         /// CG agrees with the dense eigendecomposition solve on random
-        /// well-conditioned SPD systems (the dense<->sparse parity
-        /// contract of the sparse backend).
+        /// well-conditioned SPD systems.
         #[test]
         fn prop_cg_matches_dense_eigen_solve(
             entries in proptest::collection::vec(-3.0f64..3.0, 15),
@@ -533,8 +534,7 @@ mod tests {
             b in proptest::collection::vec(-5.0f64..5.0, 5),
         ) {
             let dense = spd_from_seed(&entries, &lambdas);
-            let sparse = CsrMatrix::from_dense(&dense);
-            let out = conjugate_gradient(&sparse, &b, &CgConfig::default()).unwrap();
+            let out = conjugate_gradient(&dense, &b, &CgConfig::default()).unwrap();
             prop_assert!(out.converged);
             let oracle = dense_spd_solve(&dense, &b);
             let scale = oracle.iter().map(|v| v.abs()).fold(1.0, f64::max);
@@ -553,11 +553,10 @@ mod tests {
             jitter in proptest::collection::vec(-0.1f64..0.1, 5),
         ) {
             let dense = spd_from_seed(&entries, &lambdas);
-            let sparse = CsrMatrix::from_dense(&dense);
-            let cold = conjugate_gradient(&sparse, &b, &CgConfig::default()).unwrap();
+            let cold = conjugate_gradient(&dense, &b, &CgConfig::default()).unwrap();
             let x0: Vec<f64> = cold.x.iter().zip(&jitter).map(|(x, j)| x + j).collect();
             let warm = conjugate_gradient_with(
-                &sparse, &b, Some(&x0),
+                &dense, &b, Some(&x0),
                 &CgConfig::default(), &mut CgWorkspace::new(),
             ).unwrap();
             prop_assert!(warm.converged);

@@ -249,7 +249,6 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::CsrMatrix;
     use proptest::prelude::*;
 
     fn alignment(v: &[f64], expected: &[f64]) -> f64 {
@@ -273,7 +272,7 @@ mod tests {
         // diag(1, -5): the magnitude-dominant eigenvalue is -5, but MDS
         // needs the algebraically largest, +1, which Rayleigh–Ritz's
         // algebraic order delivers without a shift.
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, -5.0)]).unwrap();
+        let a = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, -5.0]]).unwrap();
         let top = topk_symmetric(&a, 1).unwrap();
         assert!(
             (top.eigenvalues[0] - 1.0).abs() < 1e-8,
@@ -288,8 +287,7 @@ mod tests {
         let a = DMatrix::from_rows(&[&[2.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 2.0]])
             .unwrap();
         let dense = SymmetricEigen::new(&a).unwrap();
-        let sparse = CsrMatrix::from_dense(&a);
-        let top = topk_symmetric(&sparse, 3).unwrap();
+        let top = topk_symmetric(&a, 3).unwrap();
         for j in 0..3 {
             assert!(
                 (top.eigenvalues[j] - dense.eigenvalues()[j]).abs() < 1e-8,
@@ -309,12 +307,7 @@ mod tests {
         // Krylov space is invariant at five vectors, inside one cycle,
         // whose Ritz pairs are then exact.
         let lambdas = [100.0, 0.3, 0.0, 0.0, 0.0, 0.0, -0.1];
-        let diagonal: Vec<(usize, usize, f64)> = lambdas
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (i, i, l))
-            .collect();
-        let a = CsrMatrix::from_triplets(7, 7, &diagonal).unwrap();
+        let a = DMatrix::from_fn(7, 7, |i, j| if i == j { lambdas[i] } else { 0.0 });
         let top = topk_symmetric(&a, 2).unwrap();
         assert!(top.iterations <= CYCLE_STEPS, "{}", top.iterations);
         for j in 0..2 {
@@ -332,7 +325,7 @@ mod tests {
         // the identity makes every vector an eigenvector.
         for n in 1..=8 {
             let u: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-            let zero = CsrMatrix::from_triplets(n, n, &[]).unwrap();
+            let zero = DMatrix::zeros(n, n);
             let rank_one = DMatrix::from_fn(n, n, |i, j| u[i] * u[j]);
             let identity = DMatrix::identity(n);
             let norm2 = dot(&u, &u);
@@ -369,7 +362,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_k_and_empty_operators() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]).unwrap();
+        let a = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 0.0]]).unwrap();
         assert!(matches!(
             topk_symmetric(&a, 0),
             Err(MathError::InvalidArgument(_))
@@ -378,7 +371,7 @@ mod tests {
             topk_symmetric(&a, 3),
             Err(MathError::InvalidArgument(_))
         ));
-        let empty = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
+        let empty = DMatrix::zeros(0, 0);
         assert!(topk_symmetric(&empty, 1).is_err());
     }
 
@@ -452,8 +445,7 @@ mod tests {
                 acc += gaps[i];
             }
             let (a, q) = with_known_spectrum(&entries, &lambdas);
-            let sparse = CsrMatrix::from_dense(&a);
-            let top = topk_symmetric(&sparse, k).unwrap();
+            let top = topk_symmetric(&a, k).unwrap();
             let dense = SymmetricEigen::new(&a).unwrap();
             for j in 0..k {
                 prop_assert!(

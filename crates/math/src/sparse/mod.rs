@@ -1,23 +1,22 @@
-//! Sparse linear algebra: CSR matrices, matrix-free operators, and graph
-//! shortest paths.
+//! Sparse graph shortest paths and matrix-free operators.
 //!
 //! Connectivity graphs under the paper's 22 m ranging cutoff are
 //! inherently sparse — a metro-scale deployment of 1000 nodes measures a
 //! few thousand pairs, not the half-million a dense matrix stores — so
 //! the large-`n` solver paths run on this module instead of [`DMatrix`]:
 //!
-//! * [`CsrMatrix`] — compressed sparse row storage with triplet and
-//!   sorted-row builders and `O(nnz)` matrix-vector products,
+//! * [`CsrMatrix`] — a weighted graph adjacency in compressed sparse row
+//!   form, built from sorted per-node rows or from an edge list,
 //! * [`LinearOperator`] — the matrix-free abstraction the iterative
-//!   solvers consume; implemented by [`CsrMatrix`], [`DMatrix`], and any
+//!   solvers consume; implemented by [`DMatrix`] and any
 //!   problem-specific implicit operator (e.g. the double-centered MDS
 //!   Gram operator, which is dense but applied without materialization),
 //! * [`cg`] — a conjugate-gradient solver for symmetric
 //!   positive-definite systems,
 //! * [`eigen`] — a restarted block Krylov top-`k` eigensolver for
 //!   symmetric operators, needing only mat-vec applications,
-//! * [`dijkstra`] — single-source shortest paths over a CSR adjacency
-//!   matrix on an indexed 4-ary heap with decrease-key, the sparse
+//! * [`dijkstra`] — single-source shortest paths over a [`CsrMatrix`]
+//!   adjacency on an indexed 4-ary heap with decrease-key, the sparse
 //!   replacement for dense all-pairs completion.
 //!
 //! MDS-MAP eigensolves through [`eigen`] at every size. The dense
@@ -26,23 +25,17 @@
 //!
 //! [`SymmetricEigen`]: crate::SymmetricEigen
 //!
-//! # Example: build, multiply, solve
+//! # Example: solve
 //!
 //! ```
-//! use rl_math::sparse::{cg, CsrMatrix};
+//! use rl_math::sparse::cg;
+//! use rl_math::DMatrix;
 //!
 //! // The 1-D Laplacian [[2,-1,0],[-1,2,-1],[0,-1,2]] — SPD.
-//! let a = CsrMatrix::from_triplets(3, 3, &[
-//!     (0, 0, 2.0), (0, 1, -1.0),
-//!     (1, 0, -1.0), (1, 1, 2.0), (1, 2, -1.0),
-//!     (2, 1, -1.0), (2, 2, 2.0),
-//! ]).unwrap();
-//! assert_eq!(a.nnz(), 7);
+//! let a = DMatrix::from_rows(&[&[2.0, -1.0, 0.0], &[-1.0, 2.0, -1.0], &[0.0, -1.0, 2.0]])
+//!     .unwrap();
 //!
-//! let y = a.matvec(&[1.0, 1.0, 1.0]).unwrap();
-//! assert_eq!(y, vec![1.0, 0.0, 1.0]);
-//!
-//! // Conjugate gradient recovers x from b = A x.
+//! // Conjugate gradient recovers x = [1, 1, 1] from b = A x.
 //! let out = cg::conjugate_gradient(&a, &[1.0, 0.0, 1.0], &cg::CgConfig::default()).unwrap();
 //! assert!(out.converged);
 //! for (xi, expect) in out.x.iter().zip([1.0, 1.0, 1.0]) {
@@ -50,13 +43,13 @@
 //! }
 //! ```
 //!
-//! # Example: top-k eigenpairs without a dense matrix
+//! # Example: top-k eigenpairs from mat-vec alone
 //!
 //! ```
-//! use rl_math::sparse::{eigen, CsrMatrix};
+//! use rl_math::sparse::eigen;
+//! use rl_math::DMatrix;
 //!
-//! let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)])
-//!     .unwrap();
+//! let a = DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
 //! let top = eigen::topk_symmetric(&a, 1).unwrap();
 //! assert!((top.eigenvalues[0] - 3.0).abs() < 1e-8);
 //! ```
@@ -66,117 +59,64 @@ pub mod eigen;
 
 use crate::{DMatrix, MathError, Result};
 
-/// A sparse matrix in compressed sparse row (CSR) format.
+/// A weighted graph adjacency over `n` nodes in compressed sparse row
+/// (CSR) form: what [`dijkstra`] and its batched forms walk.
 ///
-/// Entries of row `i` live at `col_idx[row_ptr[i]..row_ptr[i + 1]]` /
-/// `values[row_ptr[i]..row_ptr[i + 1]]`, with column indices strictly
-/// increasing within each row. Explicit zeros are allowed (the builder
-/// keeps whatever the triplets sum to); symmetry is the caller's
-/// responsibility where an algorithm requires it.
+/// The neighbours of node `i` live at `col_idx[row_ptr[i]..row_ptr[i + 1]]`
+/// and their edge weights at `values[row_ptr[i]..row_ptr[i + 1]]`, with
+/// neighbour indices strictly increasing within each row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
-    rows: usize,
-    cols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
 }
 
 impl CsrMatrix {
-    /// Builds a `rows x cols` matrix from `(row, col, value)` triplets.
-    /// Duplicate coordinates are summed; triplet order is irrelevant.
+    /// Builds the symmetric adjacency of an undirected weighted graph over
+    /// `n` nodes: each edge `(i, j, w)` with `i != j` stores `w` at both
+    /// `(i, j)` and `(j, i)`, a self-loop `(i, i, w)` once. Repeated
+    /// entries are summed in edge-list order.
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::InvalidArgument`] when a triplet's coordinate
-    /// is out of bounds or its value is not finite.
-    pub fn from_triplets(
-        rows: usize,
-        cols: usize,
-        triplets: &[(usize, usize, f64)],
-    ) -> Result<Self> {
-        for &(r, c, v) in triplets {
-            if r >= rows || c >= cols {
-                return Err(MathError::InvalidArgument("triplet index out of bounds"));
-            }
-            if !v.is_finite() {
-                return Err(MathError::InvalidArgument("triplet value is not finite"));
-            }
-        }
-        // Counting sort by row, then sort-and-merge within each row.
-        let mut row_counts = vec![0usize; rows];
-        for &(r, _, _) in triplets {
-            row_counts[r] += 1;
-        }
-        let mut row_start = vec![0usize; rows + 1];
-        for i in 0..rows {
-            row_start[i + 1] = row_start[i] + row_counts[i];
-        }
-        let mut scratch: Vec<(usize, f64)> = vec![(0, 0.0); triplets.len()];
-        let mut cursor = row_start.clone();
-        for &(r, c, v) in triplets {
-            scratch[cursor[r]] = (c, v);
-            cursor[r] += 1;
-        }
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::with_capacity(triplets.len());
-        let mut values = Vec::with_capacity(triplets.len());
-        row_ptr.push(0);
-        for i in 0..rows {
-            let row = &mut scratch[row_start[i]..row_start[i + 1]];
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let mut k = 0;
-            while k < row.len() {
-                let (c, mut v) = row[k];
-                k += 1;
-                while k < row.len() && row[k].0 == c {
-                    v += row[k].1;
-                    k += 1;
-                }
-                col_idx.push(c);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Builds a symmetric `n x n` matrix from upper-triangle entries:
-    /// each `(i, j, v)` with `i != j` inserts both `(i, j)` and `(j, i)`.
-    ///
-    /// This is the natural constructor for an undirected weighted graph's
-    /// adjacency matrix.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CsrMatrix::from_triplets`].
+    /// Returns [`MathError::InvalidArgument`] when an endpoint is not
+    /// below `n` or a stored weight is not finite.
     pub fn symmetric_from_edges(n: usize, edges: &[(usize, usize, f64)]) -> Result<Self> {
-        let mut triplets = Vec::with_capacity(edges.len() * 2);
-        for &(i, j, v) in edges {
-            triplets.push((i, j, v));
+        let mut rows = vec![Vec::new(); n];
+        for &(i, j, w) in edges {
+            if i >= n || j >= n {
+                return Err(MathError::InvalidArgument("edge endpoint out of bounds"));
+            }
+            rows[i].push((j, w));
             if i != j {
-                triplets.push((j, i, v));
+                rows[j].push((i, w));
             }
         }
-        CsrMatrix::from_triplets(n, n, &triplets)
+        for row in &mut rows {
+            row.sort_by_key(|&(j, _)| j);
+            row.dedup_by(|repeat, kept| {
+                let same = repeat.0 == kept.0;
+                if same {
+                    kept.1 += repeat.1;
+                }
+                same
+            });
+        }
+        CsrMatrix::from_sorted_rows(n, rows)
     }
 
-    /// Builds a matrix with `cols` columns from its rows, each given as
-    /// `(column, value)` pairs with columns strictly increasing: the CSR
-    /// arrays are filled in one pass, with no triplet sort. A graph that
-    /// already keeps sorted neighbor lists hands them over as they are.
+    /// Builds the adjacency of `n` nodes from their `n` rows, each given
+    /// as `(neighbour, weight)` pairs with neighbours strictly increasing:
+    /// the CSR arrays are filled in one pass. A graph that already keeps
+    /// sorted neighbour lists hands them over as they are.
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::InvalidArgument`] when a column is out of
-    /// bounds or not above its predecessor, or a value is not finite.
-    pub fn from_sorted_rows<R, I>(cols: usize, rows: R) -> Result<Self>
+    /// Returns [`MathError::InvalidArgument`] when a neighbour is not
+    /// below `n` or not above its predecessor, a weight is not finite, or
+    /// there are not exactly `n` rows.
+    pub fn from_sorted_rows<R, I>(n: usize, rows: R) -> Result<Self>
     where
         R: IntoIterator<Item = I>,
         I: IntoIterator<Item = (usize, f64)>,
@@ -187,7 +127,7 @@ impl CsrMatrix {
         for row in rows {
             let start = col_idx.len();
             for (c, v) in row {
-                if c >= cols {
+                if c >= n {
                     return Err(MathError::InvalidArgument("row entry out of bounds"));
                 }
                 if col_idx.len() > start && c <= col_idx[col_idx.len() - 1] {
@@ -201,33 +141,19 @@ impl CsrMatrix {
             }
             row_ptr.push(col_idx.len());
         }
+        if row_ptr.len() != n + 1 {
+            return Err(MathError::InvalidArgument("not one row per node"));
+        }
         Ok(CsrMatrix {
-            rows: row_ptr.len() - 1,
-            cols,
             row_ptr,
             col_idx,
             values,
         })
     }
 
-    /// Number of rows.
+    /// Number of rows: the node count.
     pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
+        self.row_ptr.len() - 1
     }
 
     /// The stored entries of row `i` as `(column, value)` pairs, columns
@@ -237,102 +163,12 @@ impl CsrMatrix {
     ///
     /// Panics if `i >= self.rows()`.
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
+        assert!(i < self.rows(), "row index {i} out of bounds");
         let span = self.row_ptr[i]..self.row_ptr[i + 1];
         self.col_idx[span.clone()]
             .iter()
             .copied()
             .zip(self.values[span].iter().copied())
-    }
-
-    /// The stored value at `(i, j)`, or `None` for a structural zero.
-    pub fn get(&self, i: usize, j: usize) -> Option<f64> {
-        if i >= self.rows || j >= self.cols {
-            return None;
-        }
-        let span = self.row_ptr[i]..self.row_ptr[i + 1];
-        let cols = &self.col_idx[span.clone()];
-        cols.binary_search(&j)
-            .ok()
-            .map(|k| self.values[span.start + k])
-    }
-
-    /// Writes `self * x` into `y`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when `x.len() != cols` or
-    /// `y.len() != rows`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(MathError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (x.len(), 1),
-            });
-        }
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *yi = acc;
-        }
-        Ok(())
-    }
-
-    /// Returns `self * x` as a new vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when `x.len() != cols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
-        Ok(y)
-    }
-
-    /// Writes `self * xs[j]` into `ys[j]` for every vector in the block,
-    /// traversing the CSR structure **once** instead of once per vector.
-    ///
-    /// For a block of `k` right-hand sides this reads each stored entry
-    /// (and its column index) exactly once, amortizing the irregular
-    /// memory traffic that dominates sparse mat-vec — the win the
-    /// block Krylov eigensolver and batched request paths exploit.
-    ///
-    /// Each output is bit-identical to the corresponding single-vector
-    /// [`CsrMatrix::matvec_into`]: per vector, the per-row accumulation
-    /// visits the same entries in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] when the block sizes
-    /// disagree or any vector has the wrong length.
-    pub fn matvec_multi_into(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) -> Result<()> {
-        if xs.len() != ys.len() {
-            return Err(MathError::DimensionMismatch {
-                left: (xs.len(), 0),
-                right: (ys.len(), 0),
-            });
-        }
-        if xs.iter().any(|x| x.len() != self.cols) || ys.iter().any(|y| y.len() != self.rows) {
-            return Err(MathError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (xs.first().map_or(0, Vec::len), xs.len()),
-            });
-        }
-        for i in 0..self.rows {
-            for y in ys.iter_mut() {
-                y[i] = 0.0;
-            }
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    y[i] += v * x[c];
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -340,9 +176,8 @@ impl CsrMatrix {
 ///
 /// The iterative solvers in [`cg`] and [`eigen`] only ever apply the
 /// operator, so any structure that can multiply a vector qualifies: a
-/// [`CsrMatrix`], a dense [`DMatrix`], or an implicit operator that is
-/// never materialized (the MDS double-centering operator is the canonical
-/// example).
+/// dense [`DMatrix`], or an implicit operator that is never materialized
+/// (the MDS double-centering operator is the canonical example).
 pub trait LinearOperator {
     /// Dimension `n` of the (square) operator.
     fn dim(&self) -> usize;
@@ -352,8 +187,7 @@ pub trait LinearOperator {
 
     /// Writes `A xs[j]` into `ys[j]` for a block of vectors.
     ///
-    /// The default simply loops [`LinearOperator::apply`]. CSR overrides
-    /// it to read each stored entry once for the whole block. The MDS
+    /// The default simply loops [`LinearOperator::apply`]. The MDS
     /// double-centering operator runs `apply` and `apply_multi` through
     /// one pooled kernel that walks its dense table four rows per pass
     /// and, for each group of rows, passes every vector over them.
@@ -364,23 +198,6 @@ pub trait LinearOperator {
         for (x, y) in xs.iter().zip(ys.iter_mut()) {
             self.apply(x, y);
         }
-    }
-}
-
-impl LinearOperator for CsrMatrix {
-    fn dim(&self) -> usize {
-        debug_assert!(self.is_square(), "LinearOperator requires a square CSR");
-        self.rows
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.matvec_into(x, y)
-            .expect("operator dimensions checked by caller");
-    }
-
-    fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
-        self.matvec_multi_into(xs, ys)
-            .expect("operator dimensions checked by caller");
     }
 }
 
@@ -404,8 +221,8 @@ impl LinearOperator for DMatrix {
     }
 }
 
-/// Single-source shortest-path distances over a CSR adjacency matrix
-/// whose stored values are non-negative edge weights.
+/// Single-source shortest-path distances over a [`CsrMatrix`] adjacency
+/// whose edge weights are non-negative.
 ///
 /// Runs Dijkstra on an indexed 4-ary min-heap with decrease-key (see
 /// [`DijkstraWorkspace`]) in `O((n + nnz) log n)`; unreachable nodes get
@@ -421,8 +238,8 @@ impl LinearOperator for DMatrix {
 ///
 /// # Panics
 ///
-/// Panics if the matrix is not square, `source` is out of range, or a
-/// negative edge weight is encountered (debug assertions).
+/// Panics if `source` is out of range, or a negative edge weight is
+/// encountered (debug assertions).
 ///
 /// # Example
 ///
@@ -555,16 +372,14 @@ impl DijkstraWorkspace {
 ///
 /// # Panics
 ///
-/// Panics if the matrix is not square, `source` is out of range,
-/// `dist.len()` is not the node count, or a negative edge weight is
-/// encountered (debug assertions).
+/// Panics if `source` is out of range, `dist.len()` is not the node
+/// count, or a negative edge weight is encountered (debug assertions).
 pub fn dijkstra_into(
     adjacency: &CsrMatrix,
     source: usize,
     dist: &mut [f64],
     ws: &mut DijkstraWorkspace,
 ) {
-    assert!(adjacency.is_square(), "adjacency matrix must be square");
     let n = adjacency.rows();
     assert!(source < n, "source {source} out of range ({n} nodes)");
     assert_eq!(dist.len(), n, "distance buffer has wrong length");
@@ -620,67 +435,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    impl CsrMatrix {
-        /// Converts a dense matrix, dropping exact zeros: how the tests in
-        /// this module, `cg` and `eigen` state their small matrices.
-        pub(crate) fn from_dense(dense: &DMatrix) -> Self {
-            let mut triplets = Vec::new();
-            for i in 0..dense.rows() {
-                for j in 0..dense.cols() {
-                    let v = dense[(i, j)];
-                    if v != 0.0 {
-                        triplets.push((i, j, v));
-                    }
-                }
-            }
-            CsrMatrix::from_triplets(dense.rows(), dense.cols(), &triplets)
-                .expect("dense entries are in bounds and finite")
-        }
+    #[test]
+    fn symmetric_builder_mirrors_edges_and_sums_repeats() {
+        let a = CsrMatrix::symmetric_from_edges(
+            3,
+            &[(0, 2, 1.0), (0, 0, 2.0), (2, 0, 0.5), (1, 1, 4.0)],
+        )
+        .unwrap();
+        let rows: Vec<Vec<_>> = (0..3).map(|i| a.row(i).collect()).collect();
+        assert_eq!(
+            rows,
+            vec![vec![(0, 2.0), (2, 1.5)], vec![(1, 4.0)], vec![(0, 1.5)]]
+        );
+    }
 
-        /// Materializes the dense equivalent, the reference the sparse
-        /// kernels are checked against.
-        fn to_dense(&self) -> DMatrix {
-            let mut out = DMatrix::zeros(self.rows, self.cols);
-            for i in 0..self.rows {
-                for (j, v) in self.row(i) {
-                    out[(i, j)] = v;
-                }
-            }
-            out
+    #[test]
+    fn symmetric_builder_rejects_out_of_bounds_and_non_finite() {
+        for bad in [(2, 0, 1.0), (0, 2, 1.0), (0, 1, f64::NAN)] {
+            assert!(matches!(
+                CsrMatrix::symmetric_from_edges(2, &[bad]),
+                Err(MathError::InvalidArgument(_))
+            ));
         }
     }
 
     #[test]
-    fn triplets_sum_duplicates_and_sort_columns() {
-        let a =
-            CsrMatrix::from_triplets(2, 3, &[(0, 2, 1.0), (0, 0, 2.0), (0, 2, 0.5), (1, 1, -1.0)])
-                .unwrap();
-        assert_eq!(a.nnz(), 3);
-        assert_eq!(a.get(0, 0), Some(2.0));
-        assert_eq!(a.get(0, 2), Some(1.5));
-        assert_eq!(a.get(0, 1), None);
-        assert_eq!(a.get(1, 1), Some(-1.0));
-        let row0: Vec<_> = a.row(0).collect();
-        assert_eq!(row0, vec![(0, 2.0), (2, 1.5)]);
-    }
-
-    #[test]
-    fn triplets_reject_out_of_bounds_and_non_finite() {
-        assert!(matches!(
-            CsrMatrix::from_triplets(2, 2, &[(2, 0, 1.0)]),
-            Err(MathError::InvalidArgument(_))
-        ));
-        assert!(matches!(
-            CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN)]),
-            Err(MathError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
-    fn sorted_rows_match_triplets_and_reject_bad_rows() {
-        let rows = [vec![(0, 2.0), (2, 1.5)], vec![], vec![(1, -1.0)]];
+    fn sorted_rows_match_edges_and_reject_bad_rows() {
+        let rows = [
+            vec![(0, 2.0), (2, 1.5)],
+            vec![(2, -1.0)],
+            vec![(0, 1.5), (1, -1.0)],
+        ];
         let a = CsrMatrix::from_sorted_rows(3, rows.iter().map(|r| r.iter().copied())).unwrap();
-        let b = CsrMatrix::from_triplets(3, 3, &[(0, 0, 2.0), (0, 2, 1.5), (2, 1, -1.0)]).unwrap();
+        let b =
+            CsrMatrix::symmetric_from_edges(3, &[(0, 0, 2.0), (0, 2, 1.5), (1, 2, -1.0)]).unwrap();
         assert_eq!(a, b);
         for bad in [
             vec![(3, 1.0)],
@@ -689,42 +477,14 @@ mod tests {
             vec![(0, f64::INFINITY)],
         ] {
             assert!(matches!(
-                CsrMatrix::from_sorted_rows(3, [bad]),
+                CsrMatrix::from_sorted_rows(3, [bad, vec![], vec![]]),
                 Err(MathError::InvalidArgument(_))
             ));
         }
-    }
-
-    #[test]
-    fn matvec_matches_hand_computation() {
-        // [[1, 0, 2], [0, 3, 0]]
-        let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]).unwrap();
-        let y = a.matvec(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![7.0, 6.0]);
         assert!(matches!(
-            a.matvec(&[1.0, 2.0]),
-            Err(MathError::DimensionMismatch { .. })
+            CsrMatrix::from_sorted_rows(3, [vec![(0, 1.0)]]),
+            Err(MathError::InvalidArgument(_))
         ));
-    }
-
-    #[test]
-    fn symmetric_builder_mirrors_edges() {
-        let a = CsrMatrix::symmetric_from_edges(3, &[(0, 1, 2.0), (1, 2, 3.0)]).unwrap();
-        assert_eq!(a.get(0, 1), Some(2.0));
-        assert_eq!(a.get(1, 0), Some(2.0));
-        assert_eq!(a.nnz(), 4);
-    }
-
-    #[test]
-    fn linear_operator_agrees_between_backends() {
-        let dense = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let sparse = CsrMatrix::from_dense(&dense);
-        let x = [0.5, -1.5];
-        let mut yd = vec![0.0; 2];
-        let mut ys = vec![0.0; 2];
-        dense.apply(&x, &mut yd);
-        sparse.apply(&x, &mut ys);
-        assert_eq!(yd, ys);
     }
 
     #[test]
@@ -751,41 +511,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn dijkstra_rejects_bad_source() {
-        let g = CsrMatrix::from_triplets(2, 2, &[]).unwrap();
+        let g = CsrMatrix::symmetric_from_edges(2, &[]).unwrap();
         let _ = dijkstra(&g, 5);
-    }
-
-    #[test]
-    fn matvec_multi_matches_single_vector_bitwise() {
-        let a = CsrMatrix::symmetric_from_edges(
-            5,
-            &[
-                (0, 0, 2.5),
-                (0, 1, -1.0),
-                (1, 3, 0.75),
-                (2, 2, 4.0),
-                (3, 4, -0.125),
-            ],
-        )
-        .unwrap();
-        let xs: Vec<Vec<f64>> = (0..3)
-            .map(|j| (0..5).map(|i| (i * 3 + j) as f64 * 0.37 - 1.1).collect())
-            .collect();
-        let mut ys = vec![vec![f64::NAN; 5]; 3];
-        a.matvec_multi_into(&xs, &mut ys).unwrap();
-        for (x, y) in xs.iter().zip(&ys) {
-            let single = a.matvec(x).unwrap();
-            for (a, b) in single.iter().zip(y) {
-                assert_eq!(a.to_bits(), b.to_bits(), "blocked matvec drifted");
-            }
-        }
-        // Dimension mismatches are rejected.
-        assert!(a
-            .matvec_multi_into(&xs, &mut vec![vec![0.0; 5]; 2])
-            .is_err());
-        assert!(a
-            .matvec_multi_into(&[vec![0.0; 4]], &mut [vec![0.0; 5]])
-            .is_err());
     }
 
     #[test]
@@ -876,40 +603,6 @@ mod tests {
                             "n={} source={} node={}", n, source, node
                         );
                     }
-                }
-            }
-        }
-
-        /// Sparse mat-vec equals the dense product for arbitrary sparse
-        /// patterns (the CSR parity oracle).
-        #[test]
-        fn prop_matvec_matches_dense(
-            triplets in proptest::collection::vec((0usize..6, 0usize..5, -10.0f64..10.0), 0..25),
-            x in proptest::collection::vec(-5.0f64..5.0, 5),
-        ) {
-            let sparse = CsrMatrix::from_triplets(6, 5, &triplets).unwrap();
-            let dense = sparse.to_dense();
-            let ys = sparse.matvec(&x).unwrap();
-            for i in 0..6 {
-                let expected: f64 = (0..5).map(|j| dense[(i, j)] * x[j]).sum();
-                prop_assert!((ys[i] - expected).abs() < 1e-9 * (1.0 + expected.abs()));
-            }
-        }
-
-        /// Blocked mat-vec is bit-identical to the single-vector kernel
-        /// on arbitrary sparse patterns and block sizes.
-        #[test]
-        fn prop_matvec_multi_is_bitwise_single(
-            triplets in proptest::collection::vec((0usize..6, 0usize..6, -10.0f64..10.0), 0..30),
-            xs in proptest::collection::vec(proptest::collection::vec(-5.0f64..5.0, 6), 1..4),
-        ) {
-            let a = CsrMatrix::from_triplets(6, 6, &triplets).unwrap();
-            let mut ys = vec![vec![f64::NAN; 6]; xs.len()];
-            a.matvec_multi_into(&xs, &mut ys).unwrap();
-            for (x, y) in xs.iter().zip(&ys) {
-                let single = a.matvec(x).unwrap();
-                for (s, m) in single.iter().zip(y) {
-                    prop_assert_eq!(s.to_bits(), m.to_bits());
                 }
             }
         }

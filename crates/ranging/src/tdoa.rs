@@ -37,12 +37,6 @@ impl TdoaConverter {
         }
     }
 
-    /// An uncalibrated converter (`δ_const = 0`): every measurement carries
-    /// the constant detection bias.
-    pub fn uncalibrated(config: ChirpTrainConfig) -> Self {
-        TdoaConverter::new(config, 0.0)
-    }
-
     /// The calibration constant in samples.
     pub fn delta_const_samples(&self) -> f64 {
         self.delta_const_samples
@@ -131,12 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn uncalibrated_has_zero_delta() {
-        let conv = TdoaConverter::uncalibrated(ChirpTrainConfig::paper());
-        assert_eq!(conv.delta_const_samples(), 0.0);
-    }
-
-    #[test]
     fn calibration_removes_constant_bias() {
         let sim = sim();
         let params = DetectionParams::paper();
@@ -151,7 +139,7 @@ mod tests {
 
         // Calibrated measurements at a different distance are near-unbiased;
         // uncalibrated ones carry the constant offset.
-        let uncal = TdoaConverter::uncalibrated(sim.config().clone());
+        let uncal = TdoaConverter::new(sim.config().clone(), 0.0);
         let mut cal_errors = Vec::new();
         let mut uncal_errors = Vec::new();
         for _ in 0..80 {

@@ -10,8 +10,7 @@
 //!    batch solve first takes a turn from a FIFO ticket gate that lets
 //!    at most `workers` solves run at once (sized by
 //!    [`rl_net::pool::resolve_workers`], the same resolution rule as the
-//!    campaign and simulator pools), then runs on a scoped thread that
-//!    the connection joins at once.
+//!    campaign and simulator pools), then runs on that same thread.
 //! 2. **Batching** — concurrent requests for the same
 //!    `(deployment, solver, seed)` triple coalesce: the first arrival
 //!    solves, later arrivals register as waiters on it, and the finished
@@ -33,11 +32,11 @@
 //!    reaped by a TTL. A tick never waits for a turn, so batch solves
 //!    that hold every turn cannot stall another client's session.
 //!
-//! A batch solve that panics ends its scoped thread: its requester and
-//! every coalesced waiter get [`ErrorCode::SolveFailed`], nothing is
-//! cached, and the turn passes to the next waiting solve. A tick that
-//! panics is caught on its connection thread: the push gets
-//! [`ErrorCode::SolveFailed`] and the poisoned session is evicted.
+//! Solves and ticks share one panic boundary on the connection thread.
+//! A batch solve that panics gives its requester and every coalesced
+//! waiter [`ErrorCode::SolveFailed`], nothing is cached, and the turn
+//! passes to the next waiting solve. A tick that panics gives the push
+//! [`ErrorCode::SolveFailed`], and the poisoned session is evicted.
 //!
 //! Determinism is inherited from the solving layers: a batch solve seeds
 //! its RNG from the request seed alone ([`solve_direct`] is the
@@ -688,9 +687,9 @@ fn localize_reply(
     result
 }
 
-/// Solves a miss on the requesting connection once it has a turn. The
-/// solve runs on a scoped thread, so a panic there becomes a typed
-/// failure for the requester and its waiters while no lock is held.
+/// Solves a miss on the requesting connection's thread once it has a
+/// turn. A panicking solve becomes a typed failure for the requester and
+/// its waiters ([`fail_on_panic`]), and the turn is released either way.
 fn solve_miss(
     shared: &Shared,
     preset: usize,
@@ -701,27 +700,28 @@ fn solve_miss(
     // "Started" means admitted: the gauge moves before the solve floor
     // so tests (and operators) can observe an occupied turn.
     shared.solves_started.fetch_add(1, Ordering::Relaxed);
-    let result = std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .spawn_scoped(scope, || {
-                std::thread::sleep(shared.config.solve_floor);
-                let problem = shared.problem(preset, seed);
-                reply_for(&problem, &shared.presets[preset].name, solver, seed)
-            })
-            .map_err(|e| {
-                WireError::new(ErrorCode::SolveFailed, format!("cannot start a solve: {e}"))
-            })?
-            .join()
-            .unwrap_or_else(|_| {
-                Err(WireError::new(
-                    ErrorCode::SolveFailed,
-                    format!("solver `{solver}` panicked"),
-                ))
-            })
-    });
+    let result = fail_on_panic(
+        || {
+            std::thread::sleep(shared.config.solve_floor);
+            let problem = shared.problem(preset, seed);
+            reply_for(&problem, &shared.presets[preset].name, solver, seed)
+        },
+        || format!("solver `{solver}` panicked"),
+    );
     shared.solves.fetch_add(1, Ordering::Relaxed);
     shared.end_turn();
     result
+}
+
+/// The server's one panic boundary, shared by batch solves and pushed
+/// ticks: runs `work` on the calling connection's thread and turns a
+/// panic into [`ErrorCode::SolveFailed`] carrying `message()`.
+fn fail_on_panic<T>(
+    work: impl FnOnce() -> Result<T, WireError>,
+    message: impl FnOnce() -> String,
+) -> Result<T, WireError> {
+    catch_unwind(AssertUnwindSafe(work))
+        .unwrap_or_else(|_| Err(WireError::new(ErrorCode::SolveFailed, message())))
 }
 
 /// Handles [`stream::Request::OpenStream`]: resolves the source and
@@ -796,15 +796,10 @@ fn handle_push(
     }
     // A panicking tick poisons only its own session, which the next
     // lookup evicts.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        shared.sessions.process(session, &converted)
-    }))
-    .unwrap_or_else(|_| {
-        Err(WireError::new(
-            ErrorCode::SolveFailed,
-            "tick processing panicked; the session is evicted",
-        ))
-    });
+    let result = fail_on_panic(
+        || shared.sessions.process(session, &converted),
+        || "tick processing panicked; the session is evicted".into(),
+    );
     match result {
         Ok(reply) => stream::Response::TicksPushed(reply).into(),
         Err(err) => Response::Error(err),

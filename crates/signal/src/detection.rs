@@ -41,16 +41,6 @@ impl DetectionParams {
         }
     }
 
-    /// The most permissive setting used in the maximum-range study of
-    /// Section 3.6.2 ("the lowest detection threshold (i.e., 1)").
-    pub fn lowest() -> Self {
-        DetectionParams {
-            threshold: 1,
-            window: 32,
-            required: 6,
-        }
-    }
-
     /// Validates parameter domains.
     ///
     /// # Errors
@@ -242,7 +232,6 @@ mod tests {
         assert!(zero_threshold.validate().is_err());
         assert!(bad_required.validate().is_err());
         assert!(DetectionParams::paper().validate().is_ok());
-        assert!(DetectionParams::lowest().validate().is_ok());
     }
 
     #[test]
