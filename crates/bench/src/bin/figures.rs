@@ -6,7 +6,10 @@
 //! cargo run --release -p rl-bench --bin figures -- --list  # available ids
 //! ```
 //!
-//! Tables print to stdout; CSV dumps land in `experiments/out/`.
+//! Tables print to stdout; CSV dumps land in `experiments/out/`. Each
+//! paper claim an experiment checks prints beside its tables with its
+//! verdict; the binary exits non-zero if a claim fails, an experiment
+//! panics or a CSV cannot be written.
 
 use rl_bench::experiments::{self, ExperimentResult};
 use rl_bench::MASTER_SEED;
@@ -197,6 +200,7 @@ fn main() {
 
     let out_dir = std::path::Path::new("experiments/out");
     let mut failures = 0;
+    let mut failed_claims = 0;
     for (id, desc, runner) in selected {
         eprintln!(">>> running {id} ({desc}) ...");
         let started = std::time::Instant::now();
@@ -204,6 +208,7 @@ fn main() {
         let elapsed = started.elapsed();
         println!("{result}");
         println!("  ({id} completed in {elapsed:.1?})\n");
+        failed_claims += result.claims.iter().filter(|c| !c.holds()).count();
         match result.save_csvs(out_dir) {
             Ok(paths) => {
                 for p in paths {
@@ -216,7 +221,10 @@ fn main() {
             }
         }
     }
-    if failures > 0 {
+    if failed_claims > 0 {
+        eprintln!("{failed_claims} paper claim(s) failed: see the `claim FAIL` lines");
+    }
+    if failures > 0 || failed_claims > 0 {
         std::process::exit(1);
     }
 }

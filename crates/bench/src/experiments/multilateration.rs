@@ -24,7 +24,7 @@ use rl_ranging::measurement::MeasurementSet;
 use rl_ranging::service::{NodeHardware, RangingService, ServiceConfig};
 use rl_signal::env::Environment;
 
-use super::ExperimentResult;
+use super::{Direction, ExperimentResult};
 use crate::report::{m, pct};
 use crate::{Campaign, Table};
 
@@ -220,6 +220,7 @@ pub fn figure12_parking_lot(seed: u64) -> ExperimentResult {
         "paper: average error 0.868 m over 10 non-anchors; measured: {} m over {localized}",
         m(mean_err)
     ))
+    .with_claim("F12 average error (m)", mean_err, Direction::AtMost, 0.868)
 }
 
 /// The sparse grass-grid measurement set used by Figures 13/14 and the LSS
@@ -235,23 +236,32 @@ pub fn grass_grid_measurements(seed: u64) -> (Scenario, MeasurementSet) {
     (scenario, set)
 }
 
+/// Figure 14's solve: the paper's multilateration on the sparse grid's
+/// measurements.
+fn solve_sparse_grid(
+    scenario: &Scenario,
+    set: MeasurementSet,
+    seed: u64,
+) -> (PositionMap, usize, f64, Vec<f64>) {
+    let truth = &scenario.deployment.positions;
+    let problem = Problem::builder(set)
+        .name("grass-grid-field")
+        .anchors(Anchor::from_truth(&scenario.anchors, truth))
+        .truth(truth.clone())
+        .build()
+        .expect("scenario data is consistent");
+    solve_via_campaign(problem, MultilaterationConfig::paper(), seed ^ 0x15)
+}
+
 /// **F13/F14** — multilateration on the sparse 46-node grid with 13 random
 /// anchors: the paper localized only 7 of 33 non-anchors (1.47 anchors per
 /// node on average).
 pub fn figure14_sparse_grid(seed: u64) -> ExperimentResult {
     let (scenario, set) = grass_grid_measurements(seed);
     let truth = &scenario.deployment.positions;
-    let anchors = Anchor::from_truth(&scenario.anchors, truth);
-    let available = mean_anchors_available(&set, &anchors);
+    let available = mean_anchors_available(&set, &Anchor::from_truth(&scenario.anchors, truth));
     let pairs = set.len();
-    let problem = Problem::builder(set)
-        .name("grass-grid-field")
-        .anchors(anchors)
-        .truth(truth.clone())
-        .build()
-        .expect("scenario data is consistent");
-    let (positions, localized, mean_err, _) =
-        solve_via_campaign(problem, MultilaterationConfig::paper(), seed ^ 0x15);
+    let (positions, localized, mean_err, _) = solve_sparse_grid(&scenario, set, seed);
     let non_anchors = truth.len() - scenario.anchors.len();
 
     let mut summary = Table::new("summary", &["metric", "value"]);
@@ -287,6 +297,7 @@ pub fn figure14_sparse_grid(seed: u64) -> ExperimentResult {
 pub fn figure16_augmented_grid(seed: u64) -> ExperimentResult {
     let (scenario, mut set) = grass_grid_measurements(seed);
     let truth = &scenario.deployment.positions;
+    let (_, sparse_localized, _, _) = solve_sparse_grid(&scenario, set.clone(), seed);
     let mut rng = rl_math::rng::seeded(seed ^ 0x16);
     let added = RangingChannel::paper().augment(&mut set, truth, &mut rng);
     let pairs = set.len();
@@ -340,6 +351,14 @@ pub fn figure16_augmented_grid(seed: u64) -> ExperimentResult {
             m(mean_err),
             m(trimmed)
         ))
+        // Augmentation localizes more of the grid than Figure 14 does.
+        .with_claim(
+            "F16 localized, more than F14's",
+            localized as f64,
+            Direction::AtLeast,
+            sparse_localized as f64 + 1.0,
+        )
+        .with_claim("F16 average error (m)", mean_err, Direction::AtMost, 3.5)
 }
 
 /// **F20** — multilateration on the 59-node town map with 18 anchors and

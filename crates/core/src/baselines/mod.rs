@@ -28,6 +28,9 @@ pub struct DvHopOutcome {
     /// The network-wide average meters-per-hop each anchor computed,
     /// indexed like `anchors`.
     pub meters_per_hop: Vec<f64>,
+    /// Fused passes the multilateration of the hop distances took (see
+    /// [`MultilaterationOutcome::passes`](crate::multilateration::MultilaterationOutcome::passes)).
+    pub passes: usize,
 }
 
 /// Runs DV-hop over the connectivity graph induced by `radio` on the true
@@ -147,6 +150,7 @@ pub fn dv_hop<R: rand::Rng + ?Sized>(
     Ok(DvHopOutcome {
         positions: outcome.positions,
         meters_per_hop,
+        passes: outcome.passes,
     })
 }
 

@@ -7,10 +7,20 @@
 //! argmin Σ_{a ∈ A} w(c_a) · (‖p − p_a‖ − d_a)²
 //! ```
 //!
-//! minimized by gradient descent, optionally after the *intersection
-//! consistency check* has discarded anchors with inconsistent ranges. A
-//! *progressive* variant promotes freshly localized nodes to anchors so
-//! later nodes have more references — at the cost of error propagation.
+//! optionally after the *intersection consistency check* has discarded
+//! anchors with inconsistent ranges. A *progressive* variant promotes
+//! freshly localized nodes to anchors so later nodes have more references
+//! — at the cost of error propagation.
+//!
+//! Each fix is a two-unknown problem, so it is minimized by damped
+//! Gauss–Newton (Levenberg–Marquardt) on the weighted range residuals,
+//! from the anchor centroid and from a ring of five starts around it. One
+//! fused *pass* over the ranges returns the residual, the 2×2 normal
+//! matrix `Σ w·u·uᵀ` (`u` the unit vector from anchor to estimate) and
+//! the vector `Σ w·u·r` (`r` the range residual); a step is kept only if
+//! it lowers the residual, and a start ends when its step rounds back to
+//! the same point or the residual's relative drop becomes negligible.
+//! [`MultilaterationOutcome::passes`] counts the passes of a whole run.
 //!
 //! Multilateration is the paper's baseline: accurate when anchors are
 //! plentiful (Figure 12) and essentially useless on sparse field data
@@ -20,8 +30,7 @@ mod consistency;
 
 pub use consistency::{IntersectionConsistency, RangeToAnchor};
 
-use rl_geom::Point2;
-use rl_math::gradient::{descend, DescentConfig, Objective};
+use rl_geom::{Point2, Vec2};
 use rl_net::{pool, NodeId};
 use rl_ranging::measurement::MeasurementSet;
 
@@ -36,6 +45,19 @@ const MIN_ANCHORS: usize = 3;
 /// anchors weigh 1.
 const PROGRESSIVE_WEIGHT: f64 = 0.5;
 
+/// A start stops once an accepted step lowers the residual by no more
+/// than this fraction of it.
+const RELATIVE_DROP: f64 = 1e-12;
+
+/// Damping of a start's first step, relative to the mean eigenvalue of
+/// the normal matrix; divided by 10 after each accepted step and
+/// multiplied by 10 after each rejected one.
+const INITIAL_DAMPING: f64 = 1e-3;
+
+/// Passes one start may take at most; a backstop, since every start
+/// ends by a rounded-back step or a negligible drop well before it.
+const MAX_PASSES: usize = 200;
+
 /// Configuration of the multilateration solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultilaterationConfig {
@@ -43,13 +65,12 @@ pub struct MultilaterationConfig {
     pub consistency: Option<IntersectionConsistency>,
     /// Whether localized nodes become anchors for later nodes.
     pub progressive: bool,
-    /// Gradient descent of each node's weighted least-squares fix.
-    pub descent: DescentConfig,
     /// Whether to leave a node unlocalized when its least-squares problem
     /// has two well-separated minima of comparable residual (the
     /// mirror-image ambiguity of near-collinear anchor sets). Disabling
     /// this reproduces the paper's Figure 16 "victims of the gradient
-    /// descent falling into a local minimum".
+    /// descent falling into a local minimum": a start that converges to
+    /// the wrong minimum with the lowest residual is accepted.
     pub reject_ambiguous: bool,
 }
 
@@ -58,13 +79,6 @@ impl Default for MultilaterationConfig {
         MultilaterationConfig {
             consistency: Some(IntersectionConsistency::default()),
             progressive: false,
-            descent: DescentConfig {
-                step_size: 0.05,
-                max_iterations: 500,
-                tolerance: 1e-12,
-                patience: 20,
-                ..DescentConfig::default()
-            },
             reject_ambiguous: true,
         }
     }
@@ -110,6 +124,9 @@ pub struct MultilaterationOutcome {
     pub anchors_dropped: usize,
     /// Progressive rounds executed (1 when progressive mode is off).
     pub rounds: usize,
+    /// Fused passes over a node's ranges, summed over every start of
+    /// every fix in every round: the solver's unit of work.
+    pub passes: usize,
 }
 
 /// Mean number of anchor ranges available per non-anchor node before any
@@ -148,40 +165,115 @@ pub fn mean_anchors_available(measurements: &MeasurementSet, anchors: &[Anchor])
 /// they run on as many [`rl_net::pool`] workers as [`pool_workers`]
 /// gives (the machine's parallelism at sparse scale, the calling thread
 /// below it) with bit-identical results at any worker count.
+///
+/// A fix runs damped Gauss–Newton from six starts: the centroid of the
+/// node's anchors and a ring of five around it at the anchors' spread.
+/// The lowest residual wins. With [`MultilaterationConfig::reject_ambiguous`]
+/// set, a start that ends more than 2 m from the winner at a residual
+/// within `9·best + 0.5` marks a competing (mirror) minimum, and the node
+/// stays unlocalized. [`MultilaterationOutcome::passes`] counts the fused
+/// passes over the ranges that all starts took.
 #[derive(Debug, Clone)]
 pub struct MultilaterationSolver {
     config: MultilaterationConfig,
 }
 
-/// Least-squares objective for one node's position.
-struct NodeObjective<'a> {
-    observations: &'a [RangeToAnchor],
+/// One fused pass over a node's ranges at one point.
+struct Pass {
+    /// Weighted residual `Σ w·(‖p − a‖ − d)²`.
+    residual: f64,
+    /// The normal matrix `Σ w·u·uᵀ` as `(xx, xy, yy)`.
+    normal: (f64, f64, f64),
+    /// `Σ w·u·r`, half the residual's gradient.
+    gradient: Vec2,
 }
 
-impl Objective for NodeObjective<'_> {
-    fn dim(&self) -> usize {
-        2
-    }
-
-    /// One `hypot` per observation serves both the residual and, clamped
-    /// away from zero, the gradient's direction.
-    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
-        let p = Point2::new(x[0], x[1]);
-        let mut e = -0.0;
-        grad[0] = 0.0;
-        grad[1] = 0.0;
-        for o in self.observations {
+impl Pass {
+    fn at(observations: &[RangeToAnchor], p: Point2) -> Pass {
+        let mut residual = 0.0;
+        let (mut xx, mut xy, mut yy) = (0.0, 0.0, 0.0);
+        let mut gradient = Vec2::ZERO;
+        for o in observations {
             let dvec = p - o.anchor;
             let dist = dvec.norm();
-            let diff = dist - o.distance;
-            e += o.weight * diff * diff;
-            let dc = dist.max(1e-9);
-            let factor = 2.0 * o.weight * (dc - o.distance) / dc;
-            grad[0] += factor * dvec.x;
-            grad[1] += factor * dvec.y;
+            let r = dist - o.distance;
+            residual += o.weight * r * r;
+            // At an anchor the direction is undefined; that range then
+            // adds to the residual only.
+            if dist > 0.0 {
+                let u = dvec * (1.0 / dist);
+                let wu = u * o.weight;
+                xx += wu.x * u.x;
+                xy += wu.x * u.y;
+                yy += wu.y * u.y;
+                gradient = gradient + wu * r;
+            }
         }
-        e
+        Pass {
+            residual,
+            normal: (xx, xy, yy),
+            gradient,
+        }
     }
+
+    /// The step solving `(N + μ·I)·δ = −g`, with `μ` the `damping`
+    /// fraction of `N`'s mean eigenvalue.
+    fn step(&self, damping: f64) -> Vec2 {
+        let (xx, xy, yy) = self.normal;
+        let mu = damping * 0.5 * (xx + yy);
+        let (a, c) = (xx + mu, yy + mu);
+        let det = a * c - xy * xy;
+        let g = self.gradient;
+        Vec2::new((xy * g.y - c * g.x) / det, (xy * g.x - a * g.y) / det)
+    }
+}
+
+/// One start's damped Gauss–Newton descent: `(point, residual, passes)`.
+fn gauss_newton(observations: &[RangeToAnchor], start: Point2) -> (Point2, f64, usize) {
+    let mut p = start;
+    let mut at = Pass::at(observations, p);
+    let mut passes = 1;
+    let mut damping = INITIAL_DAMPING;
+    while passes < MAX_PASSES {
+        let cand = p + at.step(damping);
+        if !cand.is_finite() || (cand.x == p.x && cand.y == p.y) {
+            break;
+        }
+        let next = Pass::at(observations, cand);
+        passes += 1;
+        if next.residual < at.residual {
+            let negligible = at.residual - next.residual <= RELATIVE_DROP * at.residual;
+            p = cand;
+            at = next;
+            damping *= 0.1;
+            if negligible {
+                break;
+            }
+        } else {
+            damping *= 10.0;
+        }
+    }
+    (p, at.residual, passes)
+}
+
+/// The six starts of a fix: the anchors' centroid, then a ring of five
+/// at the anchors' spread (at least 1 m) around it.
+fn starts(observations: &[RangeToAnchor]) -> Option<[Point2; 6]> {
+    let anchors: Vec<Point2> = observations.iter().map(|o| o.anchor).collect();
+    let centroid = rl_geom::centroid(&anchors)?;
+    let spread = anchors
+        .iter()
+        .map(|a| a.distance(centroid))
+        .fold(0.0f64, f64::max)
+        .max(1.0);
+    Some(core::array::from_fn(|k| {
+        if k == 0 {
+            centroid
+        } else {
+            let angle = core::f64::consts::TAU * (k - 1) as f64 / 5.0;
+            centroid + Vec2::new(angle.cos(), angle.sin()) * spread
+        }
+    }))
 }
 
 impl MultilaterationSolver {
@@ -253,19 +345,21 @@ impl MultilaterationSolver {
 
         let mut anchors_dropped = 0usize;
         let mut rounds = 0usize;
+        let mut passes = 0usize;
         loop {
             rounds += 1;
             let fixes = pool::par_map_indexed(n, workers, |i| {
                 if positions.is_localized(NodeId(i)) {
-                    (0, None)
+                    Fix::default()
                 } else {
                     self.fix(measurements, &anchor_table, NodeId(i))
                 }
             });
             let mut localized_any = false;
-            for (i, (dropped, fix)) in fixes.into_iter().enumerate() {
-                anchors_dropped += dropped;
-                if let Some(p) = fix {
+            for (i, fix) in fixes.into_iter().enumerate() {
+                anchors_dropped += fix.dropped;
+                passes += fix.passes;
+                if let Some(p) = fix.position {
                     localized_any = true;
                     positions.set(NodeId(i), p);
                     if self.config.progressive {
@@ -283,18 +377,19 @@ impl MultilaterationSolver {
             mean_anchors_available,
             anchors_dropped,
             rounds,
+            passes,
         })
     }
 
     /// One node's fix from the ranges it holds to the anchors in
-    /// `anchor_table`: `(anchors the consistency check dropped, estimate)`.
-    /// Pure in its inputs, so a round's fixes may run in any order.
+    /// `anchor_table`. Pure in its inputs, so a round's fixes may run in
+    /// any order.
     fn fix(
         &self,
         measurements: &MeasurementSet,
         anchor_table: &[Option<(Point2, f64)>],
         node: NodeId,
-    ) -> (usize, Option<Point2>) {
+    ) -> Fix {
         let observations: Vec<RangeToAnchor> = measurements
             .neighbors_of(node)
             .filter_map(|(j, d)| {
@@ -306,7 +401,7 @@ impl MultilaterationSolver {
             })
             .collect();
         if observations.len() < MIN_ANCHORS {
-            return (0, None);
+            return Fix::default();
         }
         let (dropped, filtered): (usize, Vec<RangeToAnchor>) = match &self.config.consistency {
             Some(check) => {
@@ -319,53 +414,63 @@ impl MultilaterationSolver {
             None => (0, observations),
         };
         if filtered.len() < MIN_ANCHORS {
-            return (dropped, None);
+            return Fix {
+                dropped,
+                ..Fix::default()
+            };
         }
-        (dropped, self.estimate(&filtered))
+        let (position, passes) = self.estimate(&filtered);
+        Fix {
+            dropped,
+            position,
+            passes,
+        }
     }
 
-    /// Weighted least squares by gradient descent.
-    fn estimate(&self, observations: &[RangeToAnchor]) -> Option<Point2> {
-        // Multistart descent: the anchor centroid plus a ring of
-        // perturbed starts. A single start from the centroid (the
-        // surveyor's choice) finds *a* minimum; the ring dodges the
-        // mirror-image local minimum that near-collinear anchor sets
-        // produce, and reveals whether that minimum competes.
-        let anchors: Vec<Point2> = observations.iter().map(|o| o.anchor).collect();
-        let centroid = rl_geom::centroid(&anchors)?;
-        let spread = anchors
-            .iter()
-            .map(|a| a.distance(centroid))
-            .fold(0.0f64, f64::max)
-            .max(1.0);
-        let objective = NodeObjective { observations };
-        let mut minima: Vec<(Point2, f64)> = Vec::new();
-        for k in 0..6 {
-            let start = if k == 0 {
-                centroid
-            } else {
-                let angle = core::f64::consts::TAU * (k - 1) as f64 / 5.0;
-                centroid + rl_geom::Vec2::new(angle.cos(), angle.sin()) * spread
-            };
-            let outcome = descend(&objective, &[start.x, start.y], &self.config.descent);
-            let p = Point2::new(outcome.x[0], outcome.x[1]);
+    /// Weighted least squares from the six [`starts`]: the estimate, if
+    /// any, and the passes taken.
+    fn estimate(&self, observations: &[RangeToAnchor]) -> (Option<Point2>, usize) {
+        // A single start from the centroid (the surveyor's choice) finds
+        // *a* minimum; the ring dodges the mirror-image local minimum
+        // that near-collinear anchor sets produce, and reveals whether
+        // that minimum competes.
+        let Some(starts) = starts(observations) else {
+            return (None, 0);
+        };
+        let mut passes = 0;
+        let mut minima: Vec<(Point2, f64)> = Vec::with_capacity(starts.len());
+        for start in starts {
+            let (p, residual, taken) = gauss_newton(observations, start);
+            passes += taken;
             if p.is_finite() {
-                minima.push((p, outcome.value));
+                minima.push((p, residual));
             }
         }
-        let &(best_p, best_v) = minima
+        let Some(&(best_p, best_v)) = minima
             .iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite residuals"))?;
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite residuals"))
+        else {
+            return (None, passes);
+        };
         if self.config.reject_ambiguous {
             let competing = minima
                 .iter()
                 .any(|&(p, v)| p.distance(best_p) > 2.0 && v <= best_v * 9.0 + 0.5);
             if competing {
-                return None;
+                return (None, passes);
             }
         }
-        Some(best_p)
+        (Some(best_p), passes)
     }
+}
+
+/// One node's fix: the anchors the consistency check dropped, the
+/// estimate, if any, and the passes it took.
+#[derive(Debug, Default)]
+struct Fix {
+    dropped: usize,
+    position: Option<Point2>,
+    passes: usize,
 }
 
 impl crate::problem::Localizer for MultilaterationSolver {
@@ -410,83 +515,168 @@ mod tests {
     use super::*;
     use crate::eval::evaluate_absolute;
     use proptest::prelude::*;
+    use rl_math::gradient::{descend, DescentConfig, Objective};
     use rl_math::rng::seeded;
 
-    /// The value and gradient as two passes, before they were fused:
-    /// the oracle `NodeObjective::evaluate` must match bit for bit.
-    impl NodeObjective<'_> {
-        fn value(&self, x: &[f64]) -> f64 {
-            let p = Point2::new(x[0], x[1]);
-            self.observations
-                .iter()
-                .map(|o| {
-                    let diff = p.distance(o.anchor) - o.distance;
-                    o.weight * diff * diff
-                })
-                .sum()
+    /// The fix before Gauss–Newton, kept as the property test's oracle:
+    /// adaptive-step gradient descent on the same weighted residual.
+    struct DescentOracle<'a> {
+        observations: &'a [RangeToAnchor],
+    }
+
+    impl Objective for DescentOracle<'_> {
+        fn dim(&self) -> usize {
+            2
         }
 
-        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
+        fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
             let p = Point2::new(x[0], x[1]);
+            let mut e = -0.0;
             grad[0] = 0.0;
             grad[1] = 0.0;
             for o in self.observations {
                 let dvec = p - o.anchor;
-                let dc = dvec.norm().max(1e-9);
+                let dist = dvec.norm();
+                let diff = dist - o.distance;
+                e += o.weight * diff * diff;
+                let dc = dist.max(1e-9);
                 let factor = 2.0 * o.weight * (dc - o.distance) / dc;
                 grad[0] += factor * dvec.x;
                 grad[1] += factor * dvec.y;
             }
+            e
         }
     }
 
-    /// Asserts `evaluate` at `x` equals the two-pass oracle bit for bit.
-    fn assert_fused_matches(objective: &NodeObjective<'_>, x: &[f64]) {
-        let mut grad = [f64::NAN; 2];
-        let value = objective.evaluate(x, &mut grad);
-        let mut want = [0.0; 2];
-        objective.gradient(x, &mut want);
-        assert_eq!(
-            value.to_bits(),
-            objective.value(x).to_bits(),
-            "value at {x:?}"
+    /// The lowest-residual end point over the six starts, and its
+    /// residual, from `run` on each start.
+    fn best_of_starts(
+        observations: &[RangeToAnchor],
+        run: impl Fn(Point2) -> (Point2, f64),
+    ) -> (Point2, f64) {
+        starts(observations)
+            .expect("anchors")
+            .into_iter()
+            .map(run)
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("six starts")
+    }
+
+    /// Where the deleted descent ends from `start`, and its residual:
+    /// step 0.05, at most 500 iterations.
+    fn descend_from(observations: &[RangeToAnchor], start: Point2) -> (Point2, f64) {
+        let config = DescentConfig {
+            step_size: 0.05,
+            max_iterations: 500,
+            tolerance: 1e-12,
+            patience: 20,
+            ..DescentConfig::default()
+        };
+        let out = descend(
+            &DescentOracle { observations },
+            &[start.x, start.y],
+            &config,
         );
-        assert_eq!(
-            grad.map(f64::to_bits),
-            want.map(f64::to_bits),
-            "gradient at {x:?}"
-        );
+        (Point2::new(out.x[0], out.x[1]), out.value)
+    }
+
+    /// Anchors spread over a 100 m square, none of the layouts
+    /// near-collinear, and a node inside their hull.
+    fn layout(anchors: Vec<(f64, f64)>, mix: Vec<f64>) -> Option<(Vec<Point2>, Point2)> {
+        let anchors: Vec<Point2> = anchors
+            .into_iter()
+            .map(|(x, y)| Point2::new(x, y))
+            .collect();
+        let c = rl_geom::centroid(&anchors)?;
+        let (mut xx, mut xy, mut yy) = (0.0, 0.0, 0.0);
+        for a in &anchors {
+            let d = *a - c;
+            xx += d.x * d.x;
+            xy += d.x * d.y;
+            yy += d.y * d.y;
+        }
+        let n = anchors.len() as f64;
+        let (xx, xy, yy) = (xx / n, xy / n, yy / n);
+        // The smaller eigenvalue of the anchors' covariance: at least
+        // (15 m)² keeps the mirror minimum out of the layouts.
+        let weakest = 0.5 * (xx + yy) - (0.25 * (xx - yy).powi(2) + xy * xy).sqrt();
+        if weakest < 225.0 {
+            return None;
+        }
+        let total: f64 = mix.iter().take(anchors.len()).sum();
+        let node = anchors
+            .iter()
+            .zip(&mix)
+            .fold(Point2::ORIGIN, |p, (a, w)| p + a.to_vec() * (w / total));
+        Some((anchors, node))
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The fused evaluation equals the two-pass value and gradient
-        /// for 3 to 120 observations, at a random point and exactly at
-        /// every anchor, where the 1e-9 clamp applies.
+        /// Exact ranges to non-collinear anchors: the fix is the node
+        /// itself, and every start of the ring converges to the node or,
+        /// where the residual has a second local minimum, to the point the
+        /// deleted descent from that start stalls at too.
         #[test]
-        fn node_objective_evaluate_matches_the_two_pass_oracle(
-            observations in proptest::collection::vec(
-                ((-80.0f64..80.0, -80.0f64..80.0), 0.0f64..90.0, 0.1f64..2.0),
-                3..121,
-            ),
-            x in (-120.0f64..120.0, -120.0f64..120.0),
+        fn exact_ranges_recover_the_node_from_every_start(
+            anchors in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 3..10),
+            mix in proptest::collection::vec(0.05f64..1.0, 9),
         ) {
-            let observations: Vec<RangeToAnchor> = observations
-                .into_iter()
-                .map(|((ax, ay), distance, weight)| RangeToAnchor {
-                    anchor: Point2::new(ax, ay),
-                    distance,
+            let layout = layout(anchors, mix);
+            prop_assume!(layout.is_some());
+            let (anchors, node) = layout.expect("assumed");
+            let observations: Vec<RangeToAnchor> = anchors
+                .iter()
+                .map(|&a| RangeToAnchor { anchor: a, distance: a.distance(node), weight: 1.0 })
+                .collect();
+            for start in starts(&observations).expect("anchors") {
+                let (p, _, _) = gauss_newton(&observations, start);
+                if p.distance(node) > 1e-9 {
+                    let (stalled, _) = descend_from(&observations, start);
+                    prop_assert!(p.distance(stalled) <= 1e-3, "from {start}: {p}, not {node}");
+                }
+            }
+            let (fix, _) = best_of_starts(&observations, |start| {
+                let (p, residual, _) = gauss_newton(&observations, start);
+                (p, residual)
+            });
+            prop_assert!(fix.distance(node) <= 1e-9, "fix {fix}, node {node}");
+        }
+
+        /// On noisy ranges the Gauss–Newton fix reaches a residual no
+        /// higher than the deleted descent's, at the same point.
+        #[test]
+        fn gauss_newton_fix_matches_the_descent_oracle(
+            anchors in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 4..10),
+            mix in proptest::collection::vec(0.05f64..1.0, 9),
+            noise in proptest::collection::vec((-0.5f64..0.5, 0.5f64..1.0), 9),
+        ) {
+            let layout = layout(anchors, mix);
+            prop_assume!(layout.is_some());
+            let (anchors, node) = layout.expect("assumed");
+            let observations: Vec<RangeToAnchor> = anchors
+                .iter()
+                .zip(&noise)
+                .map(|(&a, &(e, weight))| RangeToAnchor {
+                    anchor: a,
+                    distance: (a.distance(node) + e).max(0.0),
                     weight,
                 })
                 .collect();
-            let objective = NodeObjective {
-                observations: &observations,
-            };
-            assert_fused_matches(&objective, &[x.0, x.1]);
-            for o in &observations {
-                assert_fused_matches(&objective, &[o.anchor.x, o.anchor.y]);
-            }
+            let (want, oracle) =
+                best_of_starts(&observations, |start| descend_from(&observations, start));
+            let (got, residual) = best_of_starts(&observations, |start| {
+                let (p, residual, _) = gauss_newton(&observations, start);
+                (p, residual)
+            });
+            // A start stops once its relative drop is negligible, so the
+            // residual may sit that fraction above the minimum.
+            prop_assert!(
+                residual <= oracle * (1.0 + RELATIVE_DROP),
+                "residual {residual} > oracle {oracle}"
+            );
+            prop_assert!(got.distance(want) <= 1e-3, "{got} vs oracle {want}");
         }
     }
 
@@ -519,6 +709,34 @@ mod tests {
         assert!(eval.mean_error < 0.05, "mean error {}", eval.mean_error);
         assert_eq!(out.rounds, 1);
         assert!((out.mean_anchors_available - 5.0).abs() < 1e-12);
+    }
+
+    /// On the five-anchor field every start of every node's ring reaches
+    /// the node, and the solve counts every pass the starts took.
+    #[test]
+    fn exact_ranges_converge_from_every_ring_start() {
+        let (truth, anchors, set) = exact_setup();
+        let mut passes = 0;
+        for (i, &node) in truth.iter().enumerate().skip(anchors.len()) {
+            let observations: Vec<RangeToAnchor> = anchors
+                .iter()
+                .map(|a| RangeToAnchor {
+                    anchor: a.position,
+                    distance: set.get(NodeId(i), a.id).expect("oracle range"),
+                    weight: 1.0,
+                })
+                .collect();
+            for start in starts(&observations).expect("anchors") {
+                let (p, _, taken) = gauss_newton(&observations, start);
+                assert!(p.distance(node) <= 1e-9, "node {i} from {start}: {p}");
+                passes += taken;
+            }
+        }
+        let out =
+            MultilaterationSolver::new(MultilaterationConfig::paper().with_consistency(false))
+                .solve(&set, &anchors)
+                .unwrap();
+        assert_eq!(out.passes, passes);
     }
 
     #[test]

@@ -19,12 +19,14 @@ use crate::{GeomError, Point2, Result, RigidTransform, Vec2};
 use serde::{Deserialize, Serialize};
 
 /// Sizes `n · extent²` that [`power_of_two_scale`] leaves unscaled:
-/// their squares stay well inside the normal `f64` range.
-const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1e-150..=1e150;
+/// their squares stay well inside the normal `f64` range, and none is so
+/// small that an absolute threshold downstream (the fit's spread test,
+/// the eigensolver's stop test) reads it as zero.
+const SCALE_RANGE: std::ops::RangeInclusive<f64> = 1.0..=1e150;
 
 /// The exact rescaling for a computation over `n` points that squares
 /// coordinates or distances of magnitude up to `extent`: when
-/// `n · extent²` leaves `1e-150..=1e150` and `extent` is a finite normal
+/// `n · extent²` leaves `1..=1e150` and `extent` is a finite normal
 /// number, `Some` power of two at or below `extent`; otherwise `None`,
 /// and the computation runs unscaled. Dividing by a power of two and
 /// multiplying back is exact, so only inputs that would overflow or
@@ -278,6 +280,8 @@ mod tests {
         assert_eq!(power_of_two_scale(25, 1e70), None);
         assert_eq!(power_of_two_scale(25, 3e150), Some(2f64.powi(499)));
         assert_eq!(power_of_two_scale(25, 1e-150), Some(2f64.powi(-499)));
+        assert_eq!(power_of_two_scale(25, 0.1), Some(0.0625));
+        assert_eq!(power_of_two_scale(1, 1.0), None);
         for extent in [0.0, 1e-310, f64::INFINITY, f64::NAN] {
             assert_eq!(power_of_two_scale(25, extent), None, "{extent}");
         }

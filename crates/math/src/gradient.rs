@@ -3,8 +3,10 @@
 //! The paper minimizes the LSS stress function by gradient descent and
 //! escapes local minima by restarting "each round of minimization with seed
 //! positions obtained by perturbing the best results so far" (Section 4.2.1).
-//! This module provides that optimizer generically so both multilateration
-//! and LSS share one well-tested implementation.
+//! This module provides that optimizer generically for LSS, centralized
+//! and distributed. Multilateration no longer shares it: each of its
+//! fixes has two unknowns, so `rl_core::multilateration` solves them by
+//! Gauss–Newton on the 2×2 normal equations instead.
 //!
 //! The step rule is the paper's `x_{t+1} = x_t - alpha * grad E(x_t)`,
 //! augmented with a multiplicative adaptive step size: accepted steps grow

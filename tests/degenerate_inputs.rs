@@ -14,6 +14,7 @@
 //!   coordinates near the ends of the `f64` range, extreme weights, the
 //!   smallest networks, a star and a long zigzag strip.
 
+use proptest::prelude::*;
 use rand::Rng;
 use resilient_localization::prelude::*;
 use rl_deploy::Scenario;
@@ -256,6 +257,62 @@ fn all_families_survive_the_degenerate_corpus() {
     assert_eq!(corpus.len(), 15);
     for problem in &corpus {
         assert_no_panic_no_nan(problem, problem.name());
+    }
+}
+
+/// The 5x5 grid of [`scaled_grid`] and a random 25-node layout over the
+/// same 36 m square, every coordinate multiplied by `2^k`, every pair
+/// measured exactly.
+fn scaled_layouts(k: i32, layout: &[(f64, f64)]) -> [Problem; 2] {
+    let scale = 2f64.powi(k);
+    let random: Vec<Point2> = layout
+        .iter()
+        .map(|&(x, y)| Point2::new(x * scale, y * scale))
+        .collect();
+    [
+        scaled_grid(scale),
+        oracle(format!("random-x2^{k}"), random, f64::INFINITY, &[0, 4, 20]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Scale is free across the whole `f64` range: at `2^k` m the rigid
+    /// fit recovers a hidden rotation, reflection and shift, and MDS-MAP
+    /// places every node, each within 1e-12 of the 9 m spacing scaled.
+    /// Every family either answers with finite positions or refuses with
+    /// a typed error.
+    #[test]
+    fn the_fit_and_mds_map_are_exact_at_every_power_of_two_scale(
+        k in -1000i32..=1000,
+        layout in proptest::collection::vec((0.0f64..36.0, 0.0f64..36.0), 25),
+        angle in 0.0f64..std::f64::consts::TAU,
+        shift in (-50.0f64..50.0, -50.0f64..50.0),
+    ) {
+        let spacing = 9.0 * 2f64.powi(k);
+        for problem in scaled_layouts(k, &layout) {
+            let truth = problem.truth().expect("the layouts carry truth");
+            let hidden = RigidTransform::new(
+                angle,
+                true,
+                Vec2::new(shift.0 * 2f64.powi(k), shift.1 * 2f64.powi(k)),
+            );
+            let moved: Vec<Point2> = truth.iter().map(|&p| hidden.apply(p)).collect();
+            let fit = fit_rigid_transform(truth, &moved, true).expect("the fit succeeds");
+            prop_assert!(fit.rmse <= 1e-12 * spacing, "{}: rmse {:e}", problem.name(), fit.rmse);
+            let solution = MdsMapLocalizer::new()
+                .localize(&problem, &mut rl_math::rng::seeded(1))
+                .unwrap_or_else(|e| panic!("{}: {e}", problem.name()));
+            let eval = evaluate_against_truth(solution.positions(), truth).expect("evaluates");
+            prop_assert!(
+                eval.max_error <= 1e-12 * spacing,
+                "{}: MDS-MAP max error {:e}",
+                problem.name(),
+                eval.max_error
+            );
+            assert_no_panic_no_nan(&problem, problem.name());
+        }
     }
 }
 

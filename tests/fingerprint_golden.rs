@@ -22,9 +22,11 @@ use resilient_localization::prelude::*;
 /// Pre-extraction fingerprint of the Figure-5 head-to-head campaign
 /// (every solver family, seed 2005) — the canonical campaign the
 /// comparison figures are built from. Re-generated when paper-scale
-/// MDS-MAP moved onto the iterative eigensolve, and again when that
-/// eigensolve became one restarted block Krylov loop.
-const GOLDEN_FIGURE5_2005: u64 = 0xb790_5631_753b_52e8;
+/// MDS-MAP moved onto the iterative eigensolve, again when that
+/// eigensolve became one restarted block Krylov loop, and again when
+/// multilateration's fixes (its own cells and DV-hop's) moved from
+/// gradient descent to Gauss–Newton.
+const GOLDEN_FIGURE5_2005: u64 = 0xc642_6938_bf4a_4136;
 
 /// Pre-extraction fingerprint of a two-scenario mixed grid (parking lot +
 /// town, two seeds) covering anchored and anchor-free cells plus a

@@ -77,11 +77,12 @@ const GOLDEN_METRO250_DIST: u64 = 0xed5e0c4e88bef223;
 /// pool at this size (`n >= rl_core::problem::SPARSE_SCALE`), captured
 /// from the serial loops before they were pooled. `GOLDEN_METRO250_MDSMAP`
 /// was re-generated when the eigensolve became one restarted block
-/// Krylov loop.
+/// Krylov loop; the DV-hop and both multilateration pins when each fix
+/// moved from gradient descent to Gauss–Newton.
 const GOLDEN_METRO250_MDSMAP: u64 = 0xbc4108abeea8f2f1;
-const GOLDEN_METRO250_DVHOP: u64 = 0x89597e8b0a7fd5c1;
-const GOLDEN_METRO250_MULTILAT: u64 = 0x4360c1e6bc9f7905;
-const GOLDEN_METRO250_MULTILAT_PROGRESSIVE: u64 = 0xd00de685c44c63bf;
+const GOLDEN_METRO250_DVHOP: u64 = 0x98d8133fc3dd0111;
+const GOLDEN_METRO250_MULTILAT: u64 = 0x4f25df2935245a2e;
+const GOLDEN_METRO250_MULTILAT_PROGRESSIVE: u64 = 0x404ecb7000b0151d;
 /// Town distributed LSS under the paper's unguarded transforms, captured
 /// before receivers began discarding maps too small to align, and
 /// re-generated when local maps began seeding through the iterative
