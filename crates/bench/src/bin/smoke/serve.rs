@@ -12,6 +12,7 @@ use rl_core::tracking::{solution_fingerprint, StreamingTracker, Tracker};
 use rl_deploy::mobility;
 use rl_math::stats::quantile;
 use rl_serve::protocol::stream::{StreamSource, TrackerSpec};
+use rl_serve::protocol::{self, batch, Request, Response};
 use rl_serve::server::{make_tracker_config, solve_direct};
 use rl_serve::{Client, ServeConfig, Server};
 
@@ -42,34 +43,45 @@ const NOISY_SOLVERS: u64 = 2;
 const NOISY_TICKS: usize = 200;
 
 /// [`CLIENTS`] concurrent clients replaying a cached town query must
-/// sustain ≥ 200 req/s at p99 ≤ 250 ms, every load request a cache hit.
+/// sustain ≥ 200 req/s at p99 ≤ 250 ms, every load request a cache hit
+/// whose frame is byte-identical to the warm-up's, which is the direct
+/// solve's.
 pub fn serve(suite: &mut Suite) {
     let (addr, handle) = Server::spawn(ServeConfig::default()).expect("bind throughput server");
     let mut control = Client::connect(addr).expect("connect control");
-    control
-        .localize("town", "lss", MASTER_SEED)
-        .expect("warm cache");
+    let request = Request::localize("town", "lss", MASTER_SEED);
+    let warm = control.request_raw(&request).expect("warm cache");
+    let direct = Response::from(batch::Response::Localized(
+        solve_direct("town", "lss", MASTER_SEED).expect("direct solve"),
+    ));
+    let direct = protocol::encode_frame(&direct, usize::MAX).expect("direct frame");
     let started = Instant::now();
     let clients: Vec<_> = (0..CLIENTS)
         .map(|_| {
+            let (request, warm) = (request.clone(), warm.clone());
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect load client");
-                (0..REQUESTS_PER_CLIENT)
+                let mut diverged = 0;
+                let latencies = (0..REQUESTS_PER_CLIENT)
                     .map(|_| {
                         let t0 = Instant::now();
-                        client
-                            .localize("town", "lss", MASTER_SEED)
-                            .expect("cached solve");
-                        ms(t0.elapsed())
+                        let frame = client.request_raw(&request).expect("cached solve");
+                        let elapsed = ms(t0.elapsed());
+                        diverged += usize::from(frame != warm);
+                        elapsed
                     })
-                    .collect::<Vec<_>>()
+                    .collect::<Vec<_>>();
+                (latencies, diverged)
             })
         })
         .collect();
-    let mut latencies_ms: Vec<f64> = clients
-        .into_iter()
-        .flat_map(|t| t.join().expect("load thread"))
-        .collect();
+    let mut latencies_ms = Vec::with_capacity(CLIENTS * REQUESTS_PER_CLIENT);
+    let mut diverged = 0;
+    for client in clients {
+        let (latencies, wrong) = client.join().expect("load thread");
+        latencies_ms.extend(latencies);
+        diverged += wrong;
+    }
     let wall = started.elapsed();
     let stats = control.status().expect("status");
     control.shutdown().expect("shutdown");
@@ -88,6 +100,8 @@ pub fn serve(suite: &mut Suite) {
     );
     // The warm-up request solved; every load request must hit.
     suite.at_least("cache-hits", stats.cache_hits as f64, total as f64);
+    suite.check("cached-frames-match-warm-up", diverged == 0);
+    suite.check("warm-up-matches-direct", warm[..] == direct[4..]);
 }
 
 fn town_source() -> StreamSource {

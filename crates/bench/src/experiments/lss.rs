@@ -16,7 +16,7 @@ use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 use super::multilateration::grass_grid_measurements;
-use super::ExperimentResult;
+use super::{Direction, ExperimentResult};
 use crate::report::m;
 use crate::{Campaign, Table};
 
@@ -179,6 +179,7 @@ pub fn figure18_grid_constrained(seed: u64) -> ExperimentResult {
         m(best_eval.mean_error_without_worst(5)),
         failures(&errors)
     ))
+    .with_claim("F18 median error (m)", med, Direction::AtMost, 2.2)
 }
 
 /// **F19** — the same data *without* the soft constraint: the
@@ -234,6 +235,7 @@ pub fn figure21_town_constrained(seed: u64) -> ExperimentResult {
             m(med),
             failures(&errors)
         ))
+        .with_claim("F21 median error (m)", med, Direction::AtMost, 0.548)
 }
 
 /// **F22** — the town map without the constraint (paper: 13.6 m average,

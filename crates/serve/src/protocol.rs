@@ -876,16 +876,37 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
     Ok(Some(payload))
 }
 
-/// Serializes a message and writes it as one frame.
+/// Encodes a message as one whole frame, length prefix included, in a
+/// single buffer: the JSON is written after a 4-byte placeholder that
+/// the payload length then overwrites. The bytes are exactly what
+/// [`write_frame`] sends for the message's `serde_json` encoding.
 ///
 /// # Errors
 ///
-/// See [`write_frame`]; serialization itself cannot fail for the
-/// protocol types.
+/// [`FrameError::TooLarge`] when the payload exceeds `max`.
+pub fn encode_frame<T: Serialize + ?Sized>(message: &T, max: usize) -> Result<Vec<u8>, FrameError> {
+    let mut text = String::from("\0\0\0\0");
+    message.serialize(&mut text);
+    let mut frame = text.into_bytes();
+    let declared = frame.len() - 4;
+    if declared > max {
+        return Err(FrameError::TooLarge { declared, max });
+    }
+    frame[..4].copy_from_slice(&(declared as u32).to_be_bytes());
+    Ok(frame)
+}
+
+/// Serializes a message and writes it as one frame ([`encode_frame`]).
+///
+/// # Errors
+///
+/// [`FrameError::TooLarge`] when the payload exceeds `max` (nothing is
+/// written), or the underlying I/O error. Serialization itself cannot
+/// fail for the protocol types.
 pub fn send<W: Write, T: Serialize>(w: &mut W, message: &T, max: usize) -> Result<(), FrameError> {
-    let json = serde_json::to_string(message)
-        .expect("protocol types serialize infallibly through the shim");
-    write_frame(w, json.as_bytes(), max)
+    w.write_all(&encode_frame(message, max)?)?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Decodes a frame payload into a message, mapping JSON/shape failures
@@ -949,6 +970,22 @@ mod tests {
                 declared: 1024,
                 max: 16
             })
+        ));
+    }
+
+    #[test]
+    fn encoded_frames_are_the_written_frames() {
+        let message = Request::localize("town", "lss", 7);
+        let json = serde_json::to_string(&message).unwrap();
+        let mut written = Vec::new();
+        write_frame(&mut written, json.as_bytes(), DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(encode_frame(&message, DEFAULT_MAX_FRAME).unwrap(), written);
+        let mut sent = Vec::new();
+        send(&mut sent, &message, json.len()).unwrap();
+        assert_eq!(sent, written, "a payload of exactly `max` bytes is sent");
+        assert!(matches!(
+            send(&mut Vec::new(), &message, json.len() - 1),
+            Err(FrameError::TooLarge { declared, max }) if declared == json.len() && max == json.len() - 1
         ));
     }
 

@@ -14,15 +14,17 @@
 //! 2. **Batching** — concurrent requests for the same
 //!    `(deployment, solver, seed)` triple coalesce: the first arrival
 //!    solves, later arrivals register as waiters on it, and the finished
-//!    [`LocalizeReply`] fans out to every waiter. The server never
-//!    solves the same triple twice concurrently.
-//! 3. **Caching** — completed replies land in an LRU cache keyed by a
+//!    job fans out to every waiter. The server never solves the same
+//!    triple twice concurrently.
+//! 3. **Caching** — completed jobs land in an LRU cache keyed by a
 //!    problem/config fingerprint ([`job_key`], built on
-//!    [`rl_math::fingerprint`]); a repeat request is answered from
-//!    cache, and because replies carry only deterministic solve content,
-//!    the cached response frame is **bit-identical** to the cold one. A
-//!    projected request (`Localize` with `nodes`) is served against the
-//!    same cache by slicing the full reply
+//!    [`rl_math::fingerprint`]). A job holds its [`LocalizeReply`] and
+//!    the full response frame, encoded once when it is solved: the
+//!    solving request, its coalesced waiters and every later cache hit
+//!    write those same bytes, so a cached frame is **bit-identical** to
+//!    the cold one by construction. A projected request (`Localize`
+//!    with `nodes`) is served against the same cache by slicing the
+//!    stored reply
 //!    ([`Projection::slice`](crate::protocol::batch::Projection::slice)).
 //! 4. **Sessions** — the protocol's `stream` namespace maps onto
 //!    server-owned [`StreamingTracker`] sessions managed by a
@@ -57,7 +59,7 @@
 //! take effect promptly, even mid-frame, without a signal handler.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -159,7 +161,10 @@ pub struct ServeConfig {
     /// available parallelism (the [`rl_net::pool::resolve_workers`]
     /// rule).
     pub workers: usize,
-    /// Solution-cache capacity (entries).
+    /// Solution-cache capacity (entries). An entry holds a reply and
+    /// its encoded full response frame: about 2.6 KB of frame for town,
+    /// 10 KB for metro-250 and 40 KB for metro-1000, so the default 512
+    /// entries hold at most about 20 MB of frames at metro-1000.
     pub cache_capacity: usize,
     /// Instantiated-[`Problem`] memo capacity (entries). Problems are
     /// much heavier than replies, so this is kept small.
@@ -248,7 +253,25 @@ struct Turns {
     admitted: u64,
 }
 
-type SolveResult = Result<Arc<LocalizeReply>, WireError>;
+/// A solved localize job, as the cache and the in-flight hand-off hold
+/// it: the reply, which projections slice, and the full response frame
+/// (length prefix included), encoded once when the job is solved and
+/// written as is to every request for the full reply.
+struct Solved {
+    reply: LocalizeReply,
+    frame: Vec<u8>,
+}
+
+impl Solved {
+    fn new(reply: LocalizeReply) -> Solved {
+        let response = Response::from(batch::Response::Localized(reply.clone()));
+        let frame = protocol::encode_frame(&response, usize::MAX)
+            .expect("the server sends frames of any size");
+        Solved { reply, frame }
+    }
+}
+
+type SolveResult = Result<Arc<Solved>, WireError>;
 
 struct PresetEntry {
     name: String,
@@ -271,7 +294,7 @@ struct Shared {
     /// `inflight` before `cache` (the solving connection publishes
     /// results under both).
     inflight: Mutex<HashMap<u64, Vec<mpsc::Sender<SolveResult>>>>,
-    cache: Mutex<LruCache<u64, Arc<LocalizeReply>>>,
+    cache: Mutex<LruCache<u64, Arc<Solved>>>,
     problems: Mutex<LruCache<(usize, u64), Arc<Problem>>>,
     sessions: SessionManager,
     stop: AtomicBool,
@@ -596,39 +619,9 @@ fn unknown_deployment(deployment: &str) -> WireError {
     )
 }
 
-/// Handles one localize request end to end (cache, coalesce, or
-/// solve), then shapes the reply: the full frame, or its
-/// [`Projection::slice`](batch::Projection::slice) when `nodes` asks
-/// for a subset. The projection runs over the same (possibly cached)
-/// full reply, so projected frames are byte-identical to slicing a
-/// full one client-side.
-fn handle_localize(
-    shared: &Shared,
-    deployment: &str,
-    solver: &str,
-    seed: u64,
-    nodes: Option<&[u64]>,
-) -> Response {
-    match localize_reply(shared, deployment, solver, seed) {
-        Err(err) => Response::Error(err),
-        Ok(reply) => match nodes {
-            None => batch::Response::Localized((*reply).clone()).into(),
-            Some(nodes) => match batch::Projection::slice(&reply, nodes) {
-                Ok(projection) => batch::Response::Projected(projection).into(),
-                Err(err) => Response::Error(err),
-            },
-        },
-    }
-}
-
 /// The cache/coalesce/solve core of a localize request; returns the
-/// full reply every response shape is derived from.
-fn localize_reply(
-    shared: &Shared,
-    deployment: &str,
-    solver: &str,
-    seed: u64,
-) -> Result<Arc<LocalizeReply>, WireError> {
+/// solved job every response shape is derived from.
+fn localize_job(shared: &Shared, deployment: &str, solver: &str, seed: u64) -> SolveResult {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let Some(preset) = shared.preset_index(deployment) else {
         return Err(unknown_deployment(deployment));
@@ -660,24 +653,25 @@ fn localize_reply(
     }
     // Bound to a local so the cache guard drops before the solve.
     let cached = shared.cache.lock().expect("cache lock").get(&key).cloned();
-    if let Some(reply) = cached {
+    if let Some(solved) = cached {
         shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(reply);
+        return Ok(solved);
     }
     inflight.insert(key, Vec::new());
     drop(inflight);
-    let result = solve_miss(shared, preset, solver, seed).map(Arc::new);
+    // The frame is encoded once, after the turn is released.
+    let result = solve_miss(shared, preset, solver, seed).map(|reply| Arc::new(Solved::new(reply)));
     // Publish: cache (successes only) and waiter hand-off happen under
     // the in-flight lock so no request can fall between "not in flight"
     // and "not yet cached".
     let waiters = {
         let mut inflight = shared.inflight.lock().expect("inflight lock");
-        if let Ok(reply) = &result {
+        if let Ok(solved) = &result {
             shared
                 .cache
                 .lock()
                 .expect("cache lock")
-                .insert(key, Arc::clone(reply));
+                .insert(key, Arc::clone(solved));
         }
         inflight.remove(&key).unwrap_or_default()
     };
@@ -875,7 +869,25 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 solver,
                 seed,
                 nodes,
-            }) => handle_localize(shared, &deployment, &solver, seed, nodes.as_deref()),
+            }) => match (localize_job(shared, &deployment, &solver, seed), nodes) {
+                (Err(err), _) => Response::Error(err),
+                // The full reply: the frame its solve encoded, as is.
+                (Ok(solved), None) => {
+                    if stream.write_all(&solved.frame).is_err() {
+                        return;
+                    }
+                    continue;
+                }
+                // A projection slices the same (possibly cached) reply,
+                // so it is byte-identical to slicing a full frame
+                // client-side.
+                (Ok(solved), Some(nodes)) => {
+                    match batch::Projection::slice(&solved.reply, &nodes) {
+                        Ok(projection) => batch::Response::Projected(projection).into(),
+                        Err(err) => Response::Error(err),
+                    }
+                }
+            },
             Request::Stream(stream::Request::OpenStream {
                 source,
                 tracker,
@@ -1034,6 +1046,43 @@ mod tests {
             "the duplicate joined the in-flight solve"
         );
         assert_eq!(stats.cache_entries, 1, "only the normal reply is cached");
+    }
+
+    #[test]
+    fn cache_hits_write_the_frame_their_solve_encoded() {
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(addr).unwrap();
+        let request = Request::localize("parking-lot", "centroid", 5);
+        let cold = client.request_raw(&request).unwrap();
+
+        // Every hit answers from the one stored job, whose frame is the
+        // cold reply's.
+        let job = || localize_job(&shared, "parking-lot", "centroid", 5).unwrap();
+        let stored = job();
+        assert!(Arc::ptr_eq(&stored, &job()), "hits share the stored job");
+        assert_eq!(stored.frame[4..], cold[..]);
+        assert_eq!(shared.solves.load(Ordering::Relaxed), 1);
+
+        // Plant another reply's frame in the entry: a hit must write the
+        // stored bytes, not encode the stored reply again.
+        let other = solve_direct("parking-lot", "centroid", 6).unwrap();
+        let planted = Solved {
+            reply: stored.reply.clone(),
+            frame: Solved::new(other.clone()).frame,
+        };
+        let preset = shared.preset_index("parking-lot").unwrap();
+        let key = job_key(shared.presets[preset].digest, "centroid", 5);
+        shared.cache.lock().unwrap().insert(key, Arc::new(planted));
+        let hit = client.request_raw(&request).unwrap();
+        client.shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+        match protocol::decode(&hit).unwrap() {
+            Response::Batch(batch::Response::Localized(reply)) => assert_eq!(reply, other),
+            other => panic!("expected Localized, got {other:?}"),
+        }
     }
 
     #[test]

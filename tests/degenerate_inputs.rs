@@ -316,6 +316,70 @@ proptest! {
     }
 }
 
+/// Nodes in the graphs and systems of the kernel sweep below.
+const KERNEL_N: usize = 12;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Shortest paths commute with every power-of-two scale: each cost is
+    /// a sum of weights, and a power of two rescales a normal sum
+    /// exactly, so the distances over weights times `2^k` are the
+    /// unscaled distances times `2^k`, bit for bit (unreachable nodes stay
+    /// infinite).
+    #[test]
+    fn dijkstra_distances_scale_exactly_with_the_weights(
+        k in -1000i32..=1000,
+        edges in proptest::collection::vec((0usize..KERNEL_N, 0usize..KERNEL_N, 0.5f64..40.0), 0..=40),
+    ) {
+        use rl_math::sparse::{dijkstra_into, CsrMatrix, DijkstraWorkspace};
+        let scale = 2f64.powi(k);
+        let scaled: Vec<_> = edges.iter().map(|&(i, j, w)| (i, j, w * scale)).collect();
+        let graph = CsrMatrix::symmetric_from_edges(KERNEL_N, &edges).expect("valid edges");
+        let scaled = CsrMatrix::symmetric_from_edges(KERNEL_N, &scaled).expect("valid edges");
+        let ws = &mut DijkstraWorkspace::new();
+        let (mut unit, mut big) = (vec![0.0; KERNEL_N], vec![0.0; KERNEL_N]);
+        for source in 0..KERNEL_N {
+            dijkstra_into(&graph, source, &mut unit, ws);
+            dijkstra_into(&scaled, source, &mut big, ws);
+            for (d, s) in unit.iter().zip(&big) {
+                prop_assert_eq!((d * scale).to_bits(), s.to_bits(), "source {}: {} vs {}", source, d, s);
+            }
+        }
+    }
+
+    /// Conjugate gradient is linear in the right-hand side at every scale
+    /// whose squared residuals stay normal `f64`s: `b` times `2^k`
+    /// solves to the unscaled solution times `2^k`, within 1e-12
+    /// relative. Below about `2^-500` the squared norms underflow: the
+    /// solve first loses accuracy, then silently returns zeros. Above
+    /// about `2^509` they overflow into a typed breakdown. Neither end
+    /// is swept here until CG is scale-free.
+    #[test]
+    fn cg_solutions_scale_with_the_right_hand_side(
+        k in -450i32..=450,
+        off in proptest::collection::vec(-1.0f64..1.0, KERNEL_N * KERNEL_N),
+        b in proptest::collection::vec(0.5f64..4.0, KERNEL_N),
+    ) {
+        use rl_math::sparse::cg::{conjugate_gradient, CgConfig};
+        // Symmetric and strictly diagonally dominant, so positive definite.
+        let entry = |i: usize, j: usize| off[i.min(j) * KERNEL_N + i.max(j)];
+        let dominance = |i: usize| (0..KERNEL_N).filter(|&j| j != i).map(|j| entry(i, j).abs()).sum::<f64>();
+        let a = rl_math::DMatrix::from_fn(KERNEL_N, KERNEL_N, |i, j| {
+            if i == j { 1.0 + dominance(i) } else { entry(i, j) }
+        });
+        let scale = 2f64.powi(k);
+        let config = CgConfig::default();
+        let unit = conjugate_gradient(&a, &b, &config).expect("the unit solve converges");
+        let scaled_b: Vec<f64> = b.iter().map(|v| v * scale).collect();
+        let scaled = conjugate_gradient(&a, &scaled_b, &config).expect("the scaled solve converges");
+        let size = unit.x.iter().fold(0.0f64, |m, v| m.max(v.abs())) * scale;
+        for (u, s) in unit.x.iter().zip(&scaled.x) {
+            prop_assert!((u * scale - s).abs() <= 1e-12 * size, "2^{}: {:e} vs {:e}", k, u * scale, s);
+        }
+    }
+}
+
 /// MDS-MAP's pairwise distances on `problem`, row-major over every pair
 /// `i < j`.
 fn mds_map_pair_distances(problem: &Problem) -> Vec<f64> {

@@ -150,11 +150,13 @@ fn duplicate_requests_coalesce_into_fewer_solves() {
         .map(|_| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                client.localize("town", "centroid", SEED).unwrap()
+                client
+                    .request_raw(&Request::localize("town", "centroid", SEED))
+                    .unwrap()
             })
         })
         .collect();
-    let replies: Vec<_> = waiters.into_iter().map(|t| t.join().unwrap()).collect();
+    let frames: Vec<_> = waiters.into_iter().map(|t| t.join().unwrap()).collect();
     blocker.join().unwrap();
 
     let stats = control.status().unwrap();
@@ -174,10 +176,51 @@ fn duplicate_requests_coalesce_into_fewer_solves() {
         DUPLICATES - 1,
         "every duplicate but the first is coalesced or cache-served"
     );
-    let direct = solve_direct("town", "centroid", SEED).unwrap();
-    for reply in &replies {
-        assert_reply_bitwise(reply, &direct);
+    // The solving request, its coalesced waiters and any cache hit all
+    // write the one frame the solve encoded.
+    for frame in &frames[1..] {
+        assert_eq!(frame, &frames[0], "duplicate frames must be byte-identical");
     }
+    match protocol::decode::<Response>(&frames[0]).unwrap() {
+        Response::Batch(batch::Response::Localized(reply)) => {
+            assert_reply_bitwise(&reply, &solve_direct("town", "centroid", SEED).unwrap());
+        }
+        other => panic!("expected Localized, got {other:?}"),
+    }
+}
+
+#[test]
+fn projections_and_full_frames_share_one_cache_entry() {
+    let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    // A projection solves cold; the full reply is then a cache hit that
+    // writes the stored frame, and a second projection slices the same
+    // cached entry.
+    let nodes = [9u64, 0, 9, 3];
+    let cold = client
+        .localize_nodes("parking-lot", "centroid", SEED, &nodes)
+        .unwrap();
+    let full = client
+        .request_raw(&Request::localize("parking-lot", "centroid", SEED))
+        .unwrap();
+    let cached = client
+        .localize_nodes("parking-lot", "centroid", SEED, &nodes)
+        .unwrap();
+    let stats = client.status().unwrap();
+    client.shutdown().unwrap();
+    handle.join().unwrap().unwrap();
+
+    assert_eq!((stats.solves, stats.cache_hits), (1, 2));
+    let Response::Batch(batch::Response::Localized(full)) = protocol::decode(&full).unwrap() else {
+        panic!("expected the full Localized reply");
+    };
+    assert_reply_bitwise(
+        &full,
+        &solve_direct("parking-lot", "centroid", SEED).unwrap(),
+    );
+    let sliced = batch::Projection::slice(&full, &nodes).unwrap();
+    assert_eq!(cold, sliced, "a cold projection slices the full reply");
+    assert_eq!(cached, sliced, "a cached projection slices the full reply");
 }
 
 #[test]
