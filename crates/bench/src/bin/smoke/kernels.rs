@@ -3,8 +3,8 @@
 
 use std::time::{Duration, Instant};
 
-use crate::campaigns::ERROR_BUDGET_M;
 use crate::ms;
+use rl_bench::experiments::metro::ERROR_BUDGET_M;
 use rl_bench::gate::Suite;
 use rl_bench::MASTER_SEED;
 use rl_core::distributed::refine::{refine_aligned, RefineConfig};
@@ -30,8 +30,8 @@ const MDS_2500_EIGEN_STEPS: f64 = 18.0;
 const REFINE_2500_WALL_BUDGET: Duration = Duration::from_secs(60);
 
 /// Distributed LSS on the metro-2500 rung must finish within this factor
-/// of the MDS-MAP solve above it. Set by the `metro` suite's method for
-/// its wall ratios: about 1.5x the highest ratio read over two sets of
+/// of the MDS-MAP solve above it. Set by the METRO experiment's method
+/// for its wall ratios: about 1.5x the highest ratio read over two sets of
 /// 12 runs on a 2-core box; it read 1.58-2.45.
 const DIST_2500_WALL_FACTOR: f64 = 3.7;
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ms;
-use rl_bench::gate::Suite;
+use rl_bench::gate::{Gate, Suite};
 use rl_bench::MASTER_SEED;
 use rl_core::tracking::{solution_fingerprint, StreamingTracker, Tracker};
 use rl_deploy::mobility;
@@ -197,12 +197,12 @@ pub fn sessions(suite: &mut Suite) {
     let stats = control.status().expect("status");
     control.shutdown().expect("shutdown");
     handle.join().expect("join").expect("serve");
-    suite.gate(
+    suite.push(Gate::new(
         "stream-drain-before-batch-ms",
         ms(stream_done),
         ms(batch_done),
         stream_done < batch_done,
-    );
+    ));
     suite.at_least(
         "storm-ticks-served",
         stats.ticks_served as f64,

@@ -318,6 +318,11 @@ impl CampaignReport {
             .collect()
     }
 
+    /// How many runs' solves returned an error.
+    pub fn failed_runs(&self) -> usize {
+        self.runs.iter().filter(|r| r.outcome.is_err()).count()
+    }
+
     /// Mean localization error of a cell over its evaluated runs, or
     /// `None` when no run produced an evaluation.
     pub fn mean_error(&self, scenario: &str, localizer: &str) -> Option<f64> {

@@ -10,7 +10,8 @@ use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 use super::multilateration::grass_grid_measurements;
-use super::{Direction, ExperimentResult};
+use super::ExperimentResult;
+use crate::gate::Gate;
 use crate::report::m;
 use crate::Table;
 
@@ -142,6 +143,11 @@ pub fn figure24_sparse(seed: u64) -> ExperimentResult {
             m(err_g),
             set.len()
         ))
+        .with_gate(Gate::at_least(
+            "permissive-vs-hardened-error-ratio",
+            err_p / err_g,
+            5.0,
+        ))
 }
 
 /// Field measurements merged with the *strict* bidirectional policy
@@ -193,13 +199,12 @@ pub fn figure25_augmented(seed: u64) -> ExperimentResult {
             m(mean_err),
             m(refined_err)
         ))
-        .with_claim(
-            "F25 localized, all nodes",
+        .with_gate(Gate::at_least(
+            "localized",
             localized as f64,
-            Direction::AtLeast,
             truth.len() as f64,
-        )
-        .with_claim("F25 average error (m)", mean_err, Direction::AtMost, 0.534)
+        ))
+        .with_gate(Gate::at_most("mean-error-m", mean_err, 0.534))
 }
 
 /// **Ablation** — transform estimation method: the mote-friendly

@@ -16,7 +16,8 @@ use rl_ranging::channel::RangingChannel;
 use rl_ranging::measurement::MeasurementSet;
 
 use super::multilateration::grass_grid_measurements;
-use super::{Direction, ExperimentResult};
+use super::ExperimentResult;
+use crate::gate::Gate;
 use crate::report::m;
 use crate::{Campaign, Table};
 
@@ -179,7 +180,7 @@ pub fn figure18_grid_constrained(seed: u64) -> ExperimentResult {
         m(best_eval.mean_error_without_worst(5)),
         failures(&errors)
     ))
-    .with_claim("F18 median error (m)", med, Direction::AtMost, 2.2)
+    .with_gate(Gate::at_most("median-error-m", med, 2.2))
 }
 
 /// **F19** — the same data *without* the soft constraint: the
@@ -202,6 +203,11 @@ pub fn figure19_grid_unconstrained(seed: u64) -> ExperimentResult {
             m(med),
             m(best_eval.mean_error),
             failures(&errors)
+        ))
+        .with_gate(Gate::at_least(
+            "failed-trials",
+            failures(&errors) as f64,
+            1.0,
         ))
 }
 
@@ -235,7 +241,7 @@ pub fn figure21_town_constrained(seed: u64) -> ExperimentResult {
             m(med),
             failures(&errors)
         ))
-        .with_claim("F21 median error (m)", med, Direction::AtMost, 0.548)
+        .with_gate(Gate::at_most("median-error-m", med, 0.548))
 }
 
 /// **F22** — the town map without the constraint (paper: 13.6 m average,
@@ -299,13 +305,19 @@ pub fn figure23_error_vs_epoch(seed: u64) -> ExperimentResult {
     }
     let (_, epochs_c, stress_c, err_c) = final_values[0];
     let (_, epochs_u, stress_u, err_u) = final_values[1];
-    result.with_note(format!(
-        "constrained: {epochs_c} epochs to stress {stress_c:.1} (err {} m); unconstrained: \
+    result
+        .with_note(format!(
+            "constrained: {epochs_c} epochs to stress {stress_c:.1} (err {} m); unconstrained: \
          {epochs_u} epochs to stress {stress_u:.1} (err {} m). paper: the constraint greatly \
          reduces the time to reach a good minimum",
-        m(err_c),
-        m(err_u)
-    ))
+            m(err_c),
+            m(err_u)
+        ))
+        .with_gate(Gate::at_most(
+            "constrained-epochs",
+            epochs_c as f64,
+            epochs_u as f64 - 1.0,
+        ))
 }
 
 /// **Ablation** — soft-constraint weight sweep `w_D ∈ {0, 1, 10, 100}` on

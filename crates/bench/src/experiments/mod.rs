@@ -16,58 +16,12 @@ pub mod signal;
 pub mod sync;
 pub mod tracking;
 
+use crate::gate::Gate;
 use crate::Table;
 
-/// Which side of its bound a [`Claim`]'s measured value must lie on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// The measured value must not exceed the bound.
-    AtMost,
-    /// The measured value must reach the bound.
-    AtLeast,
-}
-
-/// One of the paper's claims, checked on a run: the measured value
-/// against a bound taken from the paper's number or direction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Claim {
-    /// What is measured, e.g. `"F12 average error (m)"`.
-    pub name: &'static str,
-    /// The value this run measured.
-    pub measured: f64,
-    /// The paper's bound.
-    pub bound: f64,
-    /// Which side of `bound` the measured value must lie on.
-    pub direction: Direction,
-}
-
-impl Claim {
-    /// Whether the measured value lies on the bound's side; `NaN` fails.
-    pub fn holds(&self) -> bool {
-        match self.direction {
-            Direction::AtMost => self.measured <= self.bound,
-            Direction::AtLeast => self.measured >= self.bound,
-        }
-    }
-}
-
-impl core::fmt::Display for Claim {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let verdict = if self.holds() { "pass" } else { "FAIL" };
-        let op = match self.direction {
-            Direction::AtMost => "<=",
-            Direction::AtLeast => ">=",
-        };
-        write!(
-            f,
-            "{verdict} {}: {:.3} (paper: {op} {:.3})",
-            self.name, self.measured, self.bound
-        )
-    }
-}
-
 /// The output of one experiment: identifier, result tables,
-/// paper-vs-measured notes and the paper claims it checks.
+/// paper-vs-measured notes and the gates it checks (the paper's claims,
+/// plus the budgets of the experiments beyond the paper).
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentResult {
     /// Experiment id, e.g. `"F18"`.
@@ -78,8 +32,8 @@ pub struct ExperimentResult {
     pub tables: Vec<Table>,
     /// Notes comparing against the paper's reported numbers.
     pub notes: Vec<String>,
-    /// The paper's claims, checked on this run.
-    pub claims: Vec<Claim>,
+    /// The gates this run checked; the `figures` binary records them.
+    pub gates: Vec<Gate>,
 }
 
 impl ExperimentResult {
@@ -90,7 +44,7 @@ impl ExperimentResult {
             description,
             tables: Vec::new(),
             notes: Vec::new(),
-            claims: Vec::new(),
+            gates: Vec::new(),
         }
     }
 
@@ -106,20 +60,9 @@ impl ExperimentResult {
         self
     }
 
-    /// Adds a claim (builder style).
-    pub fn with_claim(
-        mut self,
-        name: &'static str,
-        measured: f64,
-        direction: Direction,
-        bound: f64,
-    ) -> Self {
-        self.claims.push(Claim {
-            name,
-            measured,
-            bound,
-            direction,
-        });
+    /// Adds a gate (builder style).
+    pub fn with_gate(mut self, gate: Gate) -> Self {
+        self.gates.push(gate);
         self
     }
 
@@ -148,9 +91,6 @@ impl core::fmt::Display for ExperimentResult {
         for note in &self.notes {
             writeln!(f, "  * {note}")?;
         }
-        for claim in &self.claims {
-            writeln!(f, "  claim {claim}")?;
-        }
         Ok(())
     }
 }
@@ -170,24 +110,5 @@ mod tests {
         assert!(s.contains("[F0] demo"));
         assert!(s.contains("paper: 1"));
         assert_eq!(r.tables.len(), 1);
-    }
-
-    #[test]
-    fn claims_print_their_verdict_and_nan_fails() {
-        let r = ExperimentResult::new("F0", "demo")
-            .with_claim("error (m)", 0.5, Direction::AtMost, 0.868)
-            .with_claim("localized", 13.0, Direction::AtLeast, 14.0)
-            .with_claim("no fix", f64::NAN, Direction::AtMost, 1.0);
-        let held: Vec<bool> = r.claims.iter().map(Claim::holds).collect();
-        assert_eq!(held, [true, false, false]);
-        let s = r.to_string();
-        assert!(
-            s.contains("claim pass error (m): 0.500 (paper: <= 0.868)"),
-            "{s}"
-        );
-        assert!(
-            s.contains("claim FAIL localized: 13.000 (paper: >= 14.000)"),
-            "{s}"
-        );
     }
 }

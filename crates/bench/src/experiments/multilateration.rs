@@ -24,7 +24,8 @@ use rl_ranging::measurement::MeasurementSet;
 use rl_ranging::service::{NodeHardware, RangingService, ServiceConfig};
 use rl_signal::env::Environment;
 
-use super::{Direction, ExperimentResult};
+use super::ExperimentResult;
+use crate::gate::Gate;
 use crate::report::{m, pct};
 use crate::{Campaign, Table};
 
@@ -220,7 +221,7 @@ pub fn figure12_parking_lot(seed: u64) -> ExperimentResult {
         "paper: average error 0.868 m over 10 non-anchors; measured: {} m over {localized}",
         m(mean_err)
     ))
-    .with_claim("F12 average error (m)", mean_err, Direction::AtMost, 0.868)
+    .with_gate(Gate::at_most("mean-error-m", mean_err, 0.868))
 }
 
 /// The sparse grass-grid measurement set used by Figures 13/14 and the LSS
@@ -352,13 +353,12 @@ pub fn figure16_augmented_grid(seed: u64) -> ExperimentResult {
             m(trimmed)
         ))
         // Augmentation localizes more of the grid than Figure 14 does.
-        .with_claim(
-            "F16 localized, more than F14's",
+        .with_gate(Gate::at_least(
+            "localized-beyond-f14",
             localized as f64,
-            Direction::AtLeast,
             sparse_localized as f64 + 1.0,
-        )
-        .with_claim("F16 average error (m)", mean_err, Direction::AtMost, 3.5)
+        ))
+        .with_gate(Gate::at_most("mean-error-m", mean_err, 3.5))
 }
 
 /// **F20** — multilateration on the 59-node town map with 18 anchors and

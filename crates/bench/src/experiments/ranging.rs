@@ -12,6 +12,7 @@ use rl_signal::detector::{NodeAcoustics, ReceptionSimulator};
 use rl_signal::env::Environment;
 
 use super::ExperimentResult;
+use crate::gate::Gate;
 use crate::report::{m, pct};
 use crate::Table;
 
@@ -186,6 +187,12 @@ pub fn figure7_bidirectional(seed: u64) -> ExperimentResult {
             set.len(),
             one_way.len()
         ))
+        // Fewer gross errors than the unfiltered one-way estimates carry.
+        .with_gate(Gate::at_most(
+            "gross-errors",
+            gross as f64,
+            gross_oneway as f64 - 1.0,
+        ))
 }
 
 /// **F8** — measured and filtered distances versus actual distance
@@ -236,6 +243,11 @@ pub fn figure8_error_vs_distance(seed: u64) -> ExperimentResult {
                 "NOT increasing"
             }
         ))
+        .with_gate(Gate::at_least(
+            "farthest-band-gross-rate",
+            gross_rates[gross_rates.len() - 1],
+            gross_rates[0],
+        ))
 }
 
 /// **MAXR** — the §3.6.2 maximum-range study: detection rate versus
@@ -246,6 +258,8 @@ pub fn max_range_study(seed: u64) -> ExperimentResult {
         "detection rate vs distance (grass / pavement, thresholds 1 / 2)",
     );
     let mut ranges_note = Vec::new();
+    // Maximum range at threshold 1, grass then pavement.
+    let mut t1_max_range = Vec::new();
     let mut table = Table::new(
         "detection rate",
         &["environment", "threshold", "distance_m", "rate"],
@@ -299,6 +313,9 @@ pub fn max_range_study(seed: u64) -> ExperimentResult {
                 }
                 d += 2.0;
             }
+            if threshold == 1 {
+                t1_max_range.push(max_range);
+            }
             ranges_note.push(format!(
                 "{env}/T={threshold}: max {max_range:.0} m, reliable {reliable_range:.0} m"
             ));
@@ -309,7 +326,12 @@ pub fn max_range_study(seed: u64) -> ExperimentResult {
         "paper: grass max ~20 m / reliable ~10 m; pavement max 35-50 m / reliable ~25 m. measured: {}",
         ranges_note.join("; ")
     ));
-    result
+    // Grass carries a shorter range than pavement: at least one 2 m step.
+    result.with_gate(Gate::at_most(
+        "grass-max-range-m",
+        t1_max_range[0],
+        t1_max_range[1] - 2.0,
+    ))
 }
 
 /// **Ablation** — statistical filter comparison (none / median / mode) on

@@ -9,47 +9,61 @@
 //! tick) and once forced cold (a from-scratch batch solve every tick,
 //! seeded identically via [`rl_core::tracking::cold_seed`]). Sustained
 //! updates/sec and per-tick error are reported side by side at town and
-//! metro-250 scale.
+//! metro-250 scale. The metro-250 stream is gated (warm ticks ≥ 3× faster
+//! than cold at ≤ 1.25× the cold error), and so is replay: a town stream
+//! solved cold by distributed LSS gives the same fingerprints at 1 and 2
+//! workers.
 
 use std::time::Duration;
 
+use rl_core::distributed::{DistributedConfig, DistributedSolver};
 use rl_core::eval::evaluate_absolute;
 use rl_core::tracking::{solution_fingerprint, StreamingTracker, Tracker, TrackerConfig};
 use rl_deploy::mobility::{MobilityScenario, MobilityTrace};
 
 use super::ExperimentResult;
+use crate::gate::Gate;
 use crate::Table;
 
 /// A churn-restart threshold no churn fraction can satisfy: with it, the
 /// warm seed is never declared valid and **every** tick is solved cold —
 /// the reference arm of the warm-vs-cold comparison.
-pub const ALWAYS_COLD: f64 = f64::NEG_INFINITY;
+const ALWAYS_COLD: f64 = f64::NEG_INFINITY;
+
+/// Metro-250 trace length. Long enough that the warm path dominates the
+/// mean, short enough that the cold arm (a full batch LSS per tick)
+/// stays cheap.
+const METRO_TICKS: usize = 10;
+
+/// Town-scale replay trace length for the worker-count gate (every tick
+/// is a cold distributed solve, the expensive arm).
+const REPLAY_TICKS: usize = 3;
 
 /// Per-stream aggregates of one tracker pass over one trace.
 #[derive(Debug, Clone)]
-pub struct StreamRun {
+struct StreamRun {
     /// Ticks consumed.
-    pub ticks: usize,
+    ticks: usize,
     /// Ticks answered by the warm incremental path.
-    pub warm_updates: u64,
+    warm_updates: u64,
     /// Ticks answered by the cold fallback.
-    pub cold_solves: u64,
+    cold_solves: u64,
     /// Per-tick solve wall time, index = tick.
-    pub wall: Vec<Duration>,
+    wall: Vec<Duration>,
     /// Whether each tick went through the warm path.
-    pub warm: Vec<bool>,
+    warm: Vec<bool>,
     /// Per-tick mean localization error against that tick's ground
     /// truth, meters.
-    pub error_m: Vec<f64>,
+    error_m: Vec<f64>,
     /// Per-tick solution fingerprints (bit-exact replay digests).
-    pub fingerprints: Vec<u64>,
+    fingerprints: Vec<u64>,
 }
 
 impl StreamRun {
     /// Mean wall time over the ticks selected by `warm_path`
     /// (`true` = warm ticks, `false` = cold ticks), or `None` when no
     /// tick took that path.
-    pub fn mean_wall(&self, warm_path: bool) -> Option<Duration> {
+    fn mean_wall(&self, warm_path: bool) -> Option<Duration> {
         let selected: Vec<&Duration> = self
             .wall
             .iter()
@@ -64,7 +78,7 @@ impl StreamRun {
     }
 
     /// Mean per-tick localization error over the whole stream, meters.
-    pub fn mean_error(&self) -> f64 {
+    fn mean_error(&self) -> f64 {
         if self.error_m.is_empty() {
             return f64::NAN;
         }
@@ -81,7 +95,7 @@ impl StreamRun {
 /// Panics if any tick fails to solve or to evaluate — the mobility
 /// traces this experiment builds are connected by construction, so a
 /// failure is a tracking-layer bug, not a workload property.
-pub fn run_stream(tracker: &mut StreamingTracker, trace: &MobilityTrace) -> StreamRun {
+fn run_stream(tracker: &mut StreamingTracker, trace: &MobilityTrace) -> StreamRun {
     let mut run = StreamRun {
         ticks: 0,
         warm_updates: 0,
@@ -120,7 +134,7 @@ pub fn run_stream(tracker: &mut StreamingTracker, trace: &MobilityTrace) -> Stre
 /// Runs the warm-vs-cold pair on one mobility scenario: the same trace,
 /// the same per-tick cold seeds, one tracker warm-started and one forced
 /// cold. Returns `(warm, cold)`.
-pub fn warm_vs_cold(scenario: &MobilityScenario, seed: u64) -> (StreamRun, StreamRun) {
+fn warm_vs_cold(scenario: &MobilityScenario, seed: u64) -> (StreamRun, StreamRun) {
     let trace = scenario.trace(seed);
     let mut warm = StreamingTracker::with_lss(TrackerConfig::new(seed));
     let mut cold = StreamingTracker::with_lss(
@@ -129,13 +143,31 @@ pub fn warm_vs_cold(scenario: &MobilityScenario, seed: u64) -> (StreamRun, Strea
     (run_stream(&mut warm, &trace), run_stream(&mut cold, &trace))
 }
 
+/// Per-tick fingerprints of a forced-cold town tracker whose cold engine
+/// is distributed LSS, the solver whose internals shard across a pool.
+fn replay_fingerprints(seed: u64, workers: usize) -> Vec<u64> {
+    let trace = MobilityScenario::town(seed)
+        .with_ticks(REPLAY_TICKS)
+        .trace(seed);
+    let cold = DistributedSolver::new(DistributedConfig::metro().with_workers(workers));
+    let mut tracker = StreamingTracker::new(
+        TrackerConfig::new(seed).with_churn_restart_fraction(ALWAYS_COLD),
+        Box::new(cold),
+    );
+    run_stream(&mut tracker, &trace).fingerprints
+}
+
 /// **TRACKING** — sustained updates/sec and per-tick error of the
 /// warm-started tracker vs a cold re-solve every tick, on town- and
-/// metro-250-scale mobility streams (random-walk motion + light churn).
+/// metro-250-scale mobility streams (random-walk motion + light churn),
+/// with the gates in the module docs.
 pub fn tracking_stream(seed: u64) -> ExperimentResult {
     let cells = [
         (MobilityScenario::town(seed).with_ticks(16), "town"),
-        (MobilityScenario::metro_250(seed).with_ticks(8), "metro-250"),
+        (
+            MobilityScenario::metro_250(seed).with_ticks(METRO_TICKS),
+            "metro-250",
+        ),
     ];
     let mut table = Table::new(
         "warm-started tracking vs cold re-solve",
@@ -154,6 +186,7 @@ pub fn tracking_stream(seed: u64) -> ExperimentResult {
         ],
     );
     let mut notes = Vec::new();
+    let mut gates = Vec::new();
     for (scenario, label) in cells {
         let (warm, cold) = warm_vs_cold(&scenario, seed);
         let warm_tick = warm
@@ -186,7 +219,15 @@ pub fn tracking_stream(seed: u64) -> ExperimentResult {
             1.0 / cold_tick.max(1e-9),
             err_ratio,
         ));
+        if label == "metro-250" {
+            gates.push(Gate::at_least("metro-250-warm-speedup", speedup, 3.0));
+            gates.push(Gate::at_most("metro-250-warm-error-ratio", err_ratio, 1.25));
+        }
     }
+    gates.push(Gate::check(
+        "replay-1-vs-2-workers-identical",
+        replay_fingerprints(seed, 1) == replay_fingerprints(seed, 2),
+    ));
     let mut result = ExperimentResult::new(
         "TRACKING",
         "warm-started tracking vs cold re-solve on mobility streams (town, metro-250)",
@@ -197,9 +238,8 @@ pub fn tracking_stream(seed: u64) -> ExperimentResult {
          (rl_core::tracking::cold_seed); the warm arm re-pins anchors and takes 4 bounded \
          Gauss-Newton/CG steps per tick, the cold arm re-solves from scratch every tick",
     );
-    for note in notes {
-        result = result.with_note(note);
-    }
+    result.notes.extend(notes);
+    result.gates = gates;
     result
 }
 

@@ -1,31 +1,30 @@
-//! The release gate harness behind the `smoke` binary.
+//! The gate harness behind the `smoke` and `figures` binaries.
 //!
-//! A suite is a function that runs one scenario and records gates —
-//! `(name, value, budget, ok)` — on a [`Suite`]. [`run`] times every
+//! A suite is a closure that runs one scenario and records [`Gate`]s —
+//! `(name, value, op, budget, ok)` — on a [`Suite`]. [`run`] times every
 //! suite against its optional wall budget, keeps going after a suite
-//! fails (or panics), and returns a [`SmokeRecord`]: the versioned
-//! document the binary writes to `BENCH_smoke.json`, whose
-//! [`SmokeRecord::passed`] is the run's verdict.
+//! fails (or panics), and returns a [`Record`]: the versioned document a
+//! binary writes to its `BENCH_*.json`, whose [`Record::passed`] is the
+//! run's verdict. [`main`] is the whole command line of both binaries.
 //!
 //! ```
 //! use rl_bench::gate::{run, Spec, Suite};
 //!
-//! fn arithmetic(suite: &mut Suite) {
+//! let arithmetic = Spec::new("arithmetic", "2 + 2", |suite: &mut Suite| {
 //!     suite.at_most("two-plus-two", 2.0 + 2.0, 4.0);
-//! }
-//!
-//! let record = run(&[Spec { name: "arithmetic", wall_budget: None, run: arithmetic }]);
-//! assert!(record.passed());
+//! });
+//! assert!(run(&[arithmetic]).passed());
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-/// Schema tag of [`SmokeRecord`]; bump it when the layout changes.
-pub const SCHEMA: &str = "rl-bench/smoke/1";
+/// Schema tag of [`Record`]; bump it when the layout changes.
+pub const SCHEMA: &str = "rl-bench/gates/2";
 
 /// One checked measurement.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -34,10 +33,52 @@ pub struct Gate {
     pub name: String,
     /// The measured value (`NaN` when the measurement is missing).
     pub value: f64,
+    /// How the value was checked: `<=`, `>=`, `==` (a property, value
+    /// `1` when it held) or `budget` (a verdict the caller computed).
+    pub op: &'static str,
     /// The bound the value was checked against.
     pub budget: f64,
     /// Whether the gate held.
     pub ok: bool,
+}
+
+impl Gate {
+    /// A gate whose verdict the caller computed.
+    pub fn new(name: impl Into<String>, value: f64, budget: f64, ok: bool) -> Gate {
+        Gate::judged(name, value, "budget", budget, ok)
+    }
+
+    /// Gates `value <= budget`; a `NaN` value fails.
+    pub fn at_most(name: impl Into<String>, value: f64, budget: f64) -> Gate {
+        Gate::judged(name, value, "<=", budget, value <= budget)
+    }
+
+    /// Gates `value >= floor`; a `NaN` value fails.
+    pub fn at_least(name: impl Into<String>, value: f64, floor: f64) -> Gate {
+        Gate::judged(name, value, ">=", floor, value >= floor)
+    }
+
+    /// Gates a property that holds or not, recorded as value `1` (held)
+    /// or `0` against budget `1`.
+    pub fn check(name: impl Into<String>, ok: bool) -> Gate {
+        Gate::judged(name, f64::from(u8::from(ok)), "==", 1.0, ok)
+    }
+
+    fn judged(
+        name: impl Into<String>,
+        value: f64,
+        op: &'static str,
+        budget: f64,
+        ok: bool,
+    ) -> Gate {
+        Gate {
+            name: name.into(),
+            value,
+            op,
+            budget,
+            ok,
+        }
+    }
 }
 
 /// One suite's gates plus its wall time.
@@ -52,65 +93,74 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Records a gate whose verdict the caller computed, prints it, and
-    /// returns `ok`.
-    pub fn gate(&mut self, name: &str, value: f64, budget: f64, ok: bool) -> bool {
-        self.record(name, value, "budget", budget, ok)
+    /// Records `gate`, prints it, and returns whether it held.
+    pub fn push(&mut self, gate: Gate) -> bool {
+        let verdict = if gate.ok { "ok  " } else { "FAIL" };
+        println!(
+            "  {verdict} {}/{}: {} ({} {})",
+            self.name,
+            gate.name,
+            number(gate.value),
+            gate.op,
+            number(gate.budget)
+        );
+        let ok = gate.ok;
+        self.gates.push(gate);
+        ok
     }
 
-    /// Gates `value <= budget`; a `NaN` value fails.
+    /// Records a [`Gate::at_most`].
     pub fn at_most(&mut self, name: &str, value: f64, budget: f64) -> bool {
-        self.record(name, value, "<=", budget, value <= budget)
+        self.push(Gate::at_most(name, value, budget))
     }
 
-    /// Gates `value >= floor`; a `NaN` value fails.
+    /// Records a [`Gate::at_least`].
     pub fn at_least(&mut self, name: &str, value: f64, floor: f64) -> bool {
-        self.record(name, value, ">=", floor, value >= floor)
+        self.push(Gate::at_least(name, value, floor))
     }
 
-    /// Gates a property that holds or not, recorded as value `1` (held)
-    /// or `0` against budget `1`.
+    /// Records a [`Gate::check`].
     pub fn check(&mut self, name: &str, ok: bool) -> bool {
-        self.record(name, f64::from(u8::from(ok)), "==", 1.0, ok)
+        self.push(Gate::check(name, ok))
     }
 
     /// Whether every gate recorded so far held.
     pub fn passed(&self) -> bool {
         self.gates.iter().all(|g| g.ok)
     }
-
-    fn record(&mut self, name: &str, value: f64, op: &str, budget: f64, ok: bool) -> bool {
-        let verdict = if ok { "ok  " } else { "FAIL" };
-        println!(
-            "  {verdict} {}/{name}: {} ({op} {})",
-            self.name,
-            number(value),
-            number(budget)
-        );
-        self.gates.push(Gate {
-            name: name.to_string(),
-            value,
-            budget,
-            ok,
-        });
-        ok
-    }
 }
 
 /// A named suite and the wall budget the harness times it against.
-#[derive(Debug, Clone, Copy)]
 pub struct Spec {
     /// The suite's name on the command line and in the record.
     pub name: &'static str,
+    /// One line on what the suite runs, for `--list`.
+    pub about: &'static str,
     /// Budget for the whole suite's wall time, if it has one.
     pub wall_budget: Option<Duration>,
     /// Runs the suite, recording its gates.
-    pub run: fn(&mut Suite),
+    pub run: Box<dyn Fn(&mut Suite)>,
 }
 
-/// The whole run: what `BENCH_smoke.json` holds.
+impl Spec {
+    /// A suite without a wall budget.
+    pub fn new(
+        name: &'static str,
+        about: &'static str,
+        run: impl Fn(&mut Suite) + 'static,
+    ) -> Self {
+        Spec {
+            name,
+            about,
+            wall_budget: None,
+            run: Box::new(run),
+        }
+    }
+}
+
+/// The whole run: what a binary's `BENCH_*.json` holds.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SmokeRecord {
+pub struct Record {
     /// Always [`SCHEMA`].
     pub schema: String,
     /// The master seed every suite derives its inputs from.
@@ -119,7 +169,7 @@ pub struct SmokeRecord {
     pub suites: Vec<Suite>,
 }
 
-impl SmokeRecord {
+impl Record {
     /// Whether every gate of every suite held.
     pub fn passed(&self) -> bool {
         self.suites.iter().all(Suite::passed)
@@ -147,7 +197,7 @@ impl SmokeRecord {
 /// Runs `specs` in order and collects their gates. A suite that panics
 /// fails a `completed` gate; a suite over its wall budget fails a
 /// `wall-ms` gate. Either way the later suites still run.
-pub fn run(specs: &[Spec]) -> SmokeRecord {
+pub fn run(specs: &[Spec]) -> Record {
     let suites = specs
         .iter()
         .map(|spec| {
@@ -169,10 +219,80 @@ pub fn run(specs: &[Spec]) -> SmokeRecord {
             suite
         })
         .collect();
-    SmokeRecord {
+    Record {
         schema: SCHEMA.to_string(),
         seed: crate::MASTER_SEED,
         suites,
+    }
+}
+
+/// The suites `args` names, matched case-insensitively and kept in
+/// `specs` order; every suite when `args` is empty.
+///
+/// # Errors
+///
+/// The first argument that names no suite.
+fn select(specs: Vec<Spec>, args: &[String]) -> Result<Vec<Spec>, String> {
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !specs.iter().any(|s| s.name.eq_ignore_ascii_case(a)))
+    {
+        return Err(unknown.clone());
+    }
+    Ok(specs
+        .into_iter()
+        .filter(|s| args.is_empty() || args.iter().any(|a| s.name.eq_ignore_ascii_case(a)))
+        .collect())
+}
+
+/// A gate binary's whole command line: `[--list | suite…]`.
+///
+/// `--list` prints every suite with its one-line description. Otherwise
+/// the named suites (all of them when none is named) run through
+/// [`run`], each suite's wall time and every failed gate print, and the
+/// record is written to `record`. The exit code is `0` when every gate
+/// held and the record was written, `1` otherwise, and `2` for an
+/// argument that names no suite.
+pub fn main(specs: Vec<Spec>, record: &str) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--list") {
+        for spec in &specs {
+            println!("{:14} {}", spec.name, spec.about);
+        }
+        return ExitCode::SUCCESS;
+    }
+    let specs = match select(specs, &args) {
+        Ok(specs) => specs,
+        Err(unknown) => {
+            eprintln!("unknown suite `{unknown}`; try --list");
+            return ExitCode::from(2);
+        }
+    };
+    let result = run(&specs);
+    for suite in &result.suites {
+        println!("{:14} {:>10.1} ms", suite.name, suite.wall_ms);
+    }
+    let mut passed = result.passed();
+    for (suite, g) in result.failures() {
+        eprintln!(
+            "FAILED {suite}/{}: {} ({} {})",
+            g.name,
+            number(g.value),
+            g.op,
+            number(g.budget)
+        );
+    }
+    match result.write(record) {
+        Ok(()) => println!("wrote {record}"),
+        Err(e) => {
+            eprintln!("FAILED to write {record}: {e}");
+            passed = false;
+        }
+    }
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -204,11 +324,7 @@ mod tests {
     }
 
     fn spec(name: &'static str, run: fn(&mut Suite)) -> Spec {
-        Spec {
-            name,
-            wall_budget: None,
-            run,
-        }
+        Spec::new(name, "", run)
     }
 
     #[test]
@@ -220,10 +336,11 @@ mod tests {
         let (suite, gate) = failures[0];
         assert_eq!(suite, "failing");
         assert_eq!(
-            (gate.name.as_str(), gate.value, gate.budget),
-            ("error-m", 2.5, 2.0)
+            (gate.name.as_str(), gate.value, gate.op, gate.budget),
+            ("error-m", 2.5, "<=", 2.0)
         );
         assert!(failures[1].1.value.is_nan());
+        assert!(!Gate::at_least("missing", f64::NAN, 0.0).ok);
     }
 
     #[test]
@@ -243,10 +360,10 @@ mod tests {
 
     #[test]
     fn wall_budgets_are_gated_by_the_harness() {
-        let over = Spec {
-            wall_budget: Some(Duration::ZERO),
-            ..spec("slow", |_| std::thread::sleep(Duration::from_millis(2)))
-        };
+        let mut over = Spec::new("slow", "", |_: &mut Suite| {
+            std::thread::sleep(Duration::from_millis(2))
+        });
+        over.wall_budget = Some(Duration::ZERO);
         let record = run(&[over, spec("passing", passing)]);
         let gate = &record.suites[0].gates[0];
         assert_eq!(
@@ -258,9 +375,21 @@ mod tests {
     }
 
     #[test]
+    fn selection_ignores_case_keeps_spec_order_and_rejects_unknown_names() {
+        let specs = || vec![spec("F18", passing), spec("metro", passing)];
+        let names = |args: &[&str]| -> Result<Vec<&str>, String> {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            select(specs(), &args).map(|s| s.iter().map(|s| s.name).collect())
+        };
+        assert_eq!(names(&[]).unwrap(), ["F18", "metro"]);
+        assert_eq!(names(&["METRO", "f18"]).unwrap(), ["F18", "metro"]);
+        assert_eq!(names(&["metro", "nope"]).unwrap_err(), "nope");
+    }
+
+    #[test]
     fn the_written_record_parses_back_with_its_schema() {
         let record = run(&[spec("passing", passing), spec("failing", failing)]);
-        let path = std::env::temp_dir().join(format!("BENCH_smoke-{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!("BENCH_gates-{}.json", std::process::id()));
         record.write(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();

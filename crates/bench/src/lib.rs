@@ -3,8 +3,9 @@
 //! Each evaluation artifact of Kwon et al. (ICDCS 2005) has a matching
 //! experiment function in [`experiments`]; the `figures` binary runs them
 //! and prints the same rows/series the paper reports, alongside CSV dumps
-//! for plotting. The `smoke` binary's suites time the underlying
-//! algorithms against budgets (see [`gate`]).
+//! for plotting, and gates the paper's claims each experiment returns.
+//! The `smoke` binary's suites time the underlying algorithms against
+//! budgets. Both run on one harness (see [`gate`]).
 //!
 //! | id | paper artifact | function |
 //! |----|----------------|----------|
@@ -44,10 +45,11 @@
 //! solver-comparison experiments above are built on it, and the `METRO`
 //! experiment pushes it to 1000-node deployments.
 //!
-//! The [`gate`] module is the release gate harness behind the `smoke`
-//! binary (`cargo run --release -p rl-bench --bin smoke [suite…]`): each
-//! suite records `(name, value, budget, ok)` gates, and one run writes
-//! one versioned `BENCH_smoke.json`.
+//! The [`gate`] module is the gate harness behind the `smoke` binary
+//! (`cargo run --release -p rl-bench --bin smoke [suite…]`) and the
+//! `figures` binary, which runs each experiment as one suite: each suite
+//! records `(name, value, op, budget, ok)` gates, and one run writes one
+//! versioned `BENCH_smoke.json` or `BENCH_figures.json`.
 //!
 //! ```
 //! use rl_bench::campaign::{Campaign, CampaignConfig};

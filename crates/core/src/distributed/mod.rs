@@ -1444,9 +1444,9 @@ mod tests {
         // accumulates almost no drift, so refinement is a wash within
         // the measurement noise (its real work — collapsing tens of
         // meters of metro-scale drift — is covered by the refine module
-        // tests and the `smoke metro` error budget); what this asserts is
-        // that the stage reports what it did and never *degrades* a
-        // good run beyond noise level.
+        // tests and the METRO experiment's error budget); what this
+        // asserts is that the stage reports what it did and never
+        // *degrades* a good run beyond noise level.
         let truth = grid(5, 4, 9.0);
         let mut seed_rng = seeded(12);
         let mut set = MeasurementSet::new(truth.len());

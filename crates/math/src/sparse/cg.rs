@@ -142,6 +142,13 @@ pub fn conjugate_gradient<O: LinearOperator + ?Sized>(
 /// than the zero start's is discarded and the solve proceeds from
 /// `x = 0`.
 ///
+/// The solve is scale-free: when `||b||^2` leaves `2^-512..=2^512`,
+/// `b` and `x0` are scaled by the one exact power of two that brings
+/// `max |b_i|` near 1, and the solution is scaled back, so squared norms
+/// neither underflow (which would read as a zero right-hand side) nor
+/// overflow (a breakdown). Inside that band nothing is scaled, and the
+/// result is the unscaled iteration's, bit for bit.
+///
 /// # Errors
 ///
 /// Same as [`conjugate_gradient`], plus
@@ -179,7 +186,26 @@ pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
     if b.iter().any(|v| !v.is_finite()) {
         return Err(MathError::InvalidArgument("right-hand side is not finite"));
     }
-    let b_norm = norm(b);
+    let b_squared = dot(b, b);
+    if !RHS_BAND.contains(&b_squared) {
+        let b_max = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        if b_max != 0.0 {
+            // CG is linear in (b, x0): solve at the scale where max |b_i|
+            // is near 1, then undo it. Powers of two keep both steps
+            // exact.
+            let shift = -(b_max.log2().floor() as i32);
+            let scaled_b = scaled(b, shift);
+            // A seed that overflows at the new scale could not beat the
+            // zero start; the never-worse rule would discard it anyway.
+            let scaled_x0 = x0
+                .map(|x0| scaled(x0, shift))
+                .filter(|x0| x0.iter().all(|v| v.is_finite()));
+            let mut out = conjugate_gradient_with(a, &scaled_b, scaled_x0.as_deref(), cfg, ws)?;
+            out.x = scaled(&out.x, -shift);
+            return Ok(out);
+        }
+    }
+    let b_norm = b_squared.sqrt();
     if b_norm == 0.0 {
         return Ok(CgOutcome {
             x: vec![0.0; n],
@@ -271,12 +297,26 @@ pub fn conjugate_gradient_with<O: LinearOperator + ?Sized>(
     })
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// The range of `||b||^2` that [`conjugate_gradient_with`] solves
+/// unscaled: there the iteration's squared norms stay far inside the
+/// normal `f64` range. Rescaled, `max |b_i|` lands in `[1, 2)`, so
+/// `||b||^2` is back inside for any system size that fits in memory.
+const RHS_BAND: core::ops::RangeInclusive<f64> = TWO_POW_MINUS_512..=TWO_POW_512;
+
+const TWO_POW_512: f64 = f64::from_bits((1023 + 512) << 52);
+const TWO_POW_MINUS_512: f64 = f64::from_bits((1023 - 512) << 52);
+
+/// `v` times `2^shift`, exact wherever the result is a normal `f64`.
+/// The factor is applied in two halves, so `|shift|` may exceed the
+/// largest finite power of two's exponent.
+fn scaled(v: &[f64], shift: i32) -> Vec<f64> {
+    let first = 2f64.powi(shift / 2);
+    let second = 2f64.powi(shift - shift / 2);
+    v.iter().map(|x| x * first * second).collect()
 }
 
-fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -465,6 +505,35 @@ mod tests {
             conjugate_gradient_with(&a, &b, None, &CgConfig::default(), &mut CgWorkspace::new())
                 .unwrap();
         assert_eq!(again, out);
+    }
+
+    #[test]
+    fn right_hand_sides_outside_the_band_solve_at_their_scale() {
+        let (a, b) = ill_conditioned(30);
+        let unit = conjugate_gradient(&a, &b, &CgConfig::default()).unwrap();
+        for k in [-1000, -600, 600, 1000] {
+            let scale = 2f64.powi(k);
+            let big: Vec<f64> = b.iter().map(|v| v * scale).collect();
+            let out = conjugate_gradient(&a, &big, &CgConfig::default()).unwrap();
+            assert_eq!(out.iterations, unit.iterations, "2^{k}");
+            for (u, s) in unit.x.iter().zip(&out.x) {
+                assert_eq!((u * scale).to_bits(), s.to_bits(), "2^{k}");
+            }
+        }
+        // A seed that overflows at the solve's scale is dropped, as a
+        // stale one would be.
+        let tiny: Vec<f64> = b.iter().map(|v| v * 2f64.powi(-900)).collect();
+        let seed = vec![2f64.powi(200); 30];
+        let out = conjugate_gradient_with(
+            &a,
+            &tiny,
+            Some(&seed),
+            &CgConfig::default(),
+            &mut CgWorkspace::new(),
+        )
+        .unwrap();
+        assert!(out.converged);
+        assert!(out.x.iter().any(|&v| v != 0.0));
     }
 
     #[test]
