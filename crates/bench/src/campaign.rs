@@ -530,7 +530,8 @@ impl CampaignReport {
 ///
 /// LSS appears twice: anchor-free (the paper's algorithm — it never sees
 /// the 13 anchors the other schemes get) and anchored (this library's
-/// extension pinning anchors with springs).
+/// extension: the relative solve fitted onto the anchors, then a
+/// Gauss–Newton polish with the anchors hard-pinned).
 pub fn figure5_head_to_head(seed: u64) -> Campaign {
     use rl_core::baselines::{CentroidLocalizer, DvHopLocalizer};
     use rl_core::distributed::{DistributedConfig, DistributedSolver};

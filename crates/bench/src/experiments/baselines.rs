@@ -60,7 +60,8 @@ pub fn baseline_comparison(seed: u64) -> ExperimentResult {
         "the paper's positioning: connectivity-only schemes are coarse, anchor-based \
          ranging schemes need density, and the anchor-free LSS (the lss-anchor-free row \
          — it never sees the 13 anchors the other schemes get) matches or beats them \
-         all; lss+constraint additionally pins the anchors with springs",
+         all; lss+constraint additionally pins the anchors and polishes the rest \
+         with Gauss-Newton",
     )
 }
 

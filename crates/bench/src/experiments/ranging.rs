@@ -205,6 +205,7 @@ pub fn figure8_error_vs_distance(seed: u64) -> ExperimentResult {
         &["band_m", "samples", "median_|e|_m", "gross_rate"],
     );
     let mut gross_rates = Vec::new();
+    let mut band_samples = Vec::new();
     for band in [(0.0, 5.0), (5.0, 10.0), (10.0, 15.0), (15.0, 21.0)] {
         let errors: Vec<f64> = campaign
             .samples
@@ -219,6 +220,7 @@ pub fn figure8_error_vs_distance(seed: u64) -> ExperimentResult {
         let gross =
             errors.iter().filter(|e| e.abs() > 1.0).count() as f64 / errors.len().max(1) as f64;
         gross_rates.push(gross);
+        band_samples.push(errors.len());
         t.push(&[
             format!("{:.0}-{:.0}", band.0, band.1),
             errors.len().to_string(),
@@ -227,6 +229,12 @@ pub fn figure8_error_vs_distance(seed: u64) -> ExperimentResult {
         ]);
     }
     let increasing = gross_rates.windows(2).all(|w| w[1] >= w[0] - 0.02);
+    // The claim is that large errors grow with distance: the farthest
+    // band's gross rate must exceed the nearest populated band's by at
+    // least one gross sample's share of the farthest band.
+    let nearest = band_samples.iter().position(|&k| k > 0).unwrap_or(0);
+    let farthest = gross_rates.len() - 1;
+    let one_sample = 1.0 / band_samples[farthest].max(1) as f64;
     ExperimentResult::new("F8", "measured vs actual distance, grass grid")
         .with_table(t)
         .with_table(scatter_table(&campaign))
@@ -245,8 +253,8 @@ pub fn figure8_error_vs_distance(seed: u64) -> ExperimentResult {
         ))
         .with_gate(Gate::at_least(
             "farthest-band-gross-rate",
-            gross_rates[gross_rates.len() - 1],
-            gross_rates[0],
+            gross_rates[farthest],
+            gross_rates[nearest] + one_sample,
         ))
 }
 

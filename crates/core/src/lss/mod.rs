@@ -22,6 +22,7 @@ use rl_math::gradient::{descend, DescentConfig, DescentTrace};
 use rl_math::RobustLoss;
 use rl_ranging::measurement::MeasurementSet;
 
+use crate::distributed::{refine_anchored, RefineConfig};
 use crate::types::PositionMap;
 use crate::{LocalizationError, Result};
 
@@ -39,10 +40,6 @@ pub enum InitStrategy {
     /// Explicit starting coordinates (must match the node count).
     Given(Vec<Point2>),
 }
-
-/// Weight of the quadratic anchor springs used by
-/// [`LssSolver::solve_anchored`].
-const ANCHOR_WEIGHT: f64 = 100.0;
 
 /// Configuration of the centralized LSS solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,8 +72,8 @@ pub struct LssConfig {
     /// Configuration seeding strategy.
     pub init: InitStrategy,
     /// Whether the unified [`Localizer`](crate::problem::Localizer) entry
-    /// point may use a problem's anchors (anchored solve, absolute
-    /// output). Disable to force the paper's anchor-free operation even
+    /// point may use a problem's anchors (anchored solve with the anchors
+    /// hard-pinned, absolute output). Disable to force the paper's anchor-free operation even
     /// when anchors are available — head-to-head comparisons use this to
     /// keep LSS on equal (anchor-less) footing. Ignored by the inherent
     /// [`LssSolver::solve`]/[`LssSolver::solve_anchored`] methods.
@@ -258,12 +255,14 @@ impl LssSolution {
         PositionMap::complete(self.coordinates.clone())
     }
 
-    /// Final stress `E`.
+    /// Final stress `E`; for an anchored solve, the robust stress the
+    /// Gauss–Newton polish ends at.
     pub fn stress(&self) -> f64 {
         self.stress
     }
 
-    /// Total accepted descent iterations.
+    /// Total accepted descent iterations (plus the polish's accepted
+    /// Gauss–Newton steps for an anchored solve).
     pub fn iterations(&self) -> usize {
         self.iterations
     }
@@ -426,8 +425,12 @@ impl LssSolver {
         })
     }
 
-    /// Solves with anchors pinned by quadratic springs of weight 100,
-    /// producing coordinates directly in the anchors' (absolute) frame.
+    /// Solves with the anchors hard-pinned at their surveyed positions,
+    /// producing coordinates directly in the anchors' (absolute) frame:
+    /// the relative [`LssSolver::solve`] is fitted rigidly onto the
+    /// anchors, then [`refine_anchored`] with [`RefineConfig::default`] —
+    /// the Gauss–Newton refinement of distributed LSS and of the tracker's
+    /// warm path — polishes the free nodes. Anchors come back bit for bit.
     ///
     /// This is an extension beyond the paper (which evaluates LSS
     /// anchor-free and aligns post hoc); it is useful when a deployment has
@@ -450,36 +453,30 @@ impl LssSolver {
             });
         }
         let relative = self.solve(set, rng)?;
-        // Align the relative solution onto the anchors (rigid fit), then
-        // run a short anchored refinement with springs.
         let source: Vec<Point2> = anchors
             .iter()
             .map(|a| relative.coordinates[a.id.index()])
             .collect();
         let target: Vec<Point2> = anchors.iter().map(|a| a.position).collect();
         let fit = rl_geom::fit_rigid_transform(&source, &target, true)?;
-        let seeded: Vec<Point2> = relative
-            .coordinates
-            .iter()
-            .map(|&p| fit.transform.apply(p))
-            .collect();
-
-        let objective = AnchoredObjective {
-            inner: LssObjective::new(set, self.config.soft_constraint),
-            anchors: anchors.iter().map(|a| (a.id.index(), a.position)).collect(),
-            weight: ANCHOR_WEIGHT,
-            n: set.node_count(),
-        };
-        let x0 = flatten(&seeded);
-        let refine_cfg = DescentConfig {
-            record_trace: false,
-            ..self.config.descent.clone()
-        };
-        let outcome = descend(&objective, &x0, &refine_cfg);
+        let mut coordinates = relative.coordinates;
+        for p in &mut coordinates {
+            *p = fit.transform.apply(*p);
+        }
+        for a in anchors {
+            coordinates[a.id.index()] = a.position;
+        }
+        let mut positions = PositionMap::complete(coordinates);
+        let pinned: Vec<_> = anchors.iter().map(|a| a.id).collect();
+        let polish = refine_anchored(set, &mut positions, &pinned, &RefineConfig::default());
         Ok(LssSolution {
-            coordinates: unflatten(&outcome.x, set.node_count()),
-            stress: outcome.value,
-            iterations: relative.iterations + outcome.iterations,
+            coordinates: positions
+                .as_slice()
+                .iter()
+                .map(|p| p.expect("a complete map stays complete"))
+                .collect(),
+            stress: polish.map_or(relative.stress, |p| p.final_stress),
+            iterations: relative.iterations + polish.map_or(0, |p| p.iterations),
             converged: relative.converged,
             trace: relative.trace,
         })
@@ -558,34 +555,6 @@ impl crate::problem::Localizer for LssSolver {
     }
 }
 
-/// Anchored LSS objective: the plain stress plus quadratic springs pulling
-/// anchors toward their surveyed positions.
-#[derive(Debug)]
-struct AnchoredObjective {
-    inner: LssObjective,
-    anchors: Vec<(usize, Point2)>,
-    weight: f64,
-    n: usize,
-}
-
-impl rl_math::gradient::Objective for AnchoredObjective {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn evaluate(&self, x: &[f64], grad: &mut [f64]) -> f64 {
-        let mut e = self.inner.evaluate(x, grad);
-        for &(i, p) in &self.anchors {
-            let dx = x[i] - p.x;
-            let dy = x[self.n + i] - p.y;
-            e += self.weight * (dx * dx + dy * dy);
-            grad[i] += 2.0 * self.weight * dx;
-            grad[self.n + i] += 2.0 * self.weight * dy;
-        }
-        e
-    }
-}
-
 /// Side of the random start square, sized to the measurement scale:
 /// mean measured distance × √n × 0.7, at least 1 m.
 fn square_side(set: &MeasurementSet) -> f64 {
@@ -623,73 +592,8 @@ mod tests {
     use super::*;
     use crate::eval::{evaluate_absolute, evaluate_against_truth};
     use crate::types::Anchor;
-    use proptest::prelude::*;
-    use rl_math::gradient::Objective;
     use rl_math::rng::seeded;
     use rl_net::NodeId;
-
-    /// The value and gradient as two passes, before they were fused:
-    /// the oracle `AnchoredObjective::evaluate` must match bit for bit.
-    impl AnchoredObjective {
-        fn value(&self, x: &[f64]) -> f64 {
-            let mut e = self.inner.value(x);
-            for &(i, p) in &self.anchors {
-                let dx = x[i] - p.x;
-                let dy = x[self.n + i] - p.y;
-                e += self.weight * (dx * dx + dy * dy);
-            }
-            e
-        }
-
-        fn gradient(&self, x: &[f64], grad: &mut [f64]) {
-            self.inner.gradient(x, grad);
-            for &(i, p) in &self.anchors {
-                grad[i] += 2.0 * self.weight * (x[i] - p.x);
-                grad[self.n + i] += 2.0 * self.weight * (x[self.n + i] - p.y);
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The fused anchored evaluation equals the two-pass value and
-        /// gradient, with and without the soft constraint.
-        #[test]
-        fn anchored_objective_evaluate_matches_the_two_pass_oracle(
-            edges in proptest::collection::vec((0usize..8, 0usize..8, 1.0f64..30.0), 3..20),
-            anchors in proptest::collection::vec((0usize..8, -20.0f64..20.0, -20.0f64..20.0), 2..5),
-            x in proptest::collection::vec(-25.0f64..25.0, 16),
-            constrained in proptest::bool::ANY,
-        ) {
-            let mut set = MeasurementSet::new(8);
-            for &(a, b, d) in &edges {
-                if a != b {
-                    set.insert(NodeId(a), NodeId(b), d);
-                }
-            }
-            let soft = constrained.then_some(SoftConstraint {
-                min_spacing_m: 9.0,
-                weight: 10.0,
-            });
-            let objective = AnchoredObjective {
-                inner: LssObjective::new(&set, soft),
-                anchors: anchors
-                    .iter()
-                    .map(|&(i, px, py)| (i, Point2::new(px, py)))
-                    .collect(),
-                weight: ANCHOR_WEIGHT,
-                n: 8,
-            };
-            let mut grad = vec![f64::NAN; 16];
-            let value = objective.evaluate(&x, &mut grad);
-            let mut want = vec![0.0; 16];
-            objective.gradient(&x, &mut want);
-            let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(value.to_bits(), objective.value(&x).to_bits());
-            prop_assert_eq!(bits(&grad), bits(&want));
-        }
-    }
 
     fn grid(nx: usize, ny: usize, spacing: f64) -> Vec<Point2> {
         let mut out = Vec::new();
@@ -834,6 +738,36 @@ mod tests {
         // No alignment step: positions must already be in the truth frame.
         let eval = evaluate_absolute(&sol.positions(), &truth).unwrap();
         assert!(eval.mean_error < 0.2, "mean error {}", eval.mean_error);
+    }
+
+    #[test]
+    fn anchored_solve_returns_anchors_exactly_on_noisy_data() {
+        let truth = grid(4, 4, 9.0);
+        let mut rng = seeded(10);
+        let mut set = MeasurementSet::new(truth.len());
+        for i in 0..truth.len() {
+            for j in (i + 1)..truth.len() {
+                let d = truth[i].distance(truth[j]);
+                if d <= 14.0 {
+                    let noisy = d + rl_math::rng::normal(&mut rng, 0.0, 0.33);
+                    set.insert(NodeId(i), NodeId(j), noisy.max(0.1));
+                }
+            }
+        }
+        let anchors = Anchor::from_truth(&[NodeId(0), NodeId(3), NodeId(12), NodeId(15)], &truth);
+        let sol = LssSolver::new(LssConfig::default())
+            .solve_anchored(&set, &anchors, &mut rng)
+            .unwrap();
+        for a in &anchors {
+            let p = sol.coordinates()[a.id.index()];
+            assert_eq!(
+                (p.x.to_bits(), p.y.to_bits()),
+                (a.position.x.to_bits(), a.position.y.to_bits()),
+                "anchor {:?} at {p:?}, surveyed {:?}",
+                a.id,
+                a.position
+            );
+        }
     }
 
     #[test]

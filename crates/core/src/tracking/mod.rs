@@ -30,7 +30,10 @@
 //!   configured batch [`Localizer`] solves the active subnetwork from
 //!   scratch, seeded by [`cold_seed`] — a pure function of the tracker
 //!   seed and the observation index, never of wall clock or thread
-//!   scheduling.
+//!   scheduling. The standard cold engine
+//!   ([`StreamingTracker::with_lss`]) is anchored LSS, which itself ends
+//!   in [`refine_anchored`] with the anchors pinned, so cold and warm
+//!   ticks finish in the same refiner.
 //!
 //! # Determinism contract
 //!
@@ -253,7 +256,10 @@ impl StreamingTracker {
     /// The standard configuration: anchored sparse LSS
     /// ([`LssConfig::metro`] with anchors enabled) as the cold engine,
     /// producing absolute-frame solutions whenever two or more anchors
-    /// are active.
+    /// are active. Such a cold solve ends in the default
+    /// [`refine_anchored`] polish with the active anchors hard-pinned
+    /// (see [`LssSolver::solve_anchored`]), the refiner the warm path
+    /// runs with a bounded step budget.
     pub fn with_lss(config: TrackerConfig) -> Self {
         let lss = LssConfig {
             use_anchors: true,

@@ -25,13 +25,17 @@ use resilient_localization::prelude::*;
 /// MDS-MAP moved onto the iterative eigensolve, again when that
 /// eigensolve became one restarted block Krylov loop, and again when
 /// multilateration's fixes (its own cells and DV-hop's) moved from
-/// gradient descent to Gauss–Newton.
-const GOLDEN_FIGURE5_2005: u64 = 0xc642_6938_bf4a_4136;
+/// gradient descent to Gauss–Newton, and again when anchored LSS (the
+/// `lss+constraint` cell) moved from a spring descent to the hard-pinned
+/// Gauss–Newton polish.
+const GOLDEN_FIGURE5_2005: u64 = 0xa67a_c040_0ec6_494d;
 
 /// Pre-extraction fingerprint of a two-scenario mixed grid (parking lot +
 /// town, two seeds) covering anchored and anchor-free cells plus a
 /// solver failure path (centroid on the anchor-free grass grid).
-const GOLDEN_MIXED_GRID: u64 = 0x4a9f_5e23_3c9f_72ef;
+/// Re-generated when anchored LSS moved from a spring descent to the
+/// hard-pinned Gauss–Newton polish (its parking-lot cells are anchored).
+const GOLDEN_MIXED_GRID: u64 = 0x666f_c7a5_f817_1119;
 
 fn mixed_grid() -> Campaign {
     Campaign::new()

@@ -116,9 +116,10 @@ fn every_family_runs_as_a_trait_object() {
 
 #[test]
 fn anchored_lss_collapses_the_solve_split() {
-    // Through the trait, the anchor set decides between the former
-    // `solve` / `solve_anchored` entry points: with anchors the output is
-    // already absolute, without it needs alignment.
+    // Through the trait, the anchor set decides between `solve` and
+    // `solve_anchored`: with anchors the output is already absolute (the
+    // anchors are pinned and the rest polished), without it needs
+    // alignment.
     let problem = oracle_grid_problem();
     let solver = LssSolver::new(LssConfig::default());
     let mut rng = rl_math::rng::seeded(4);

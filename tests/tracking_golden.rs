@@ -37,12 +37,14 @@ const GOLDEN_TOWN_OBSERVATIONS: [u64; 4] = [
 /// Re-generated when the cold bootstrap's MDS-MAP seed moved onto the
 /// iterative eigensolve and warm updates began warm-starting their CG
 /// solves, and again when that eigensolve became one restarted block
-/// Krylov loop.
+/// Krylov loop, and again when anchored LSS (the cold engine) began
+/// ending in the hard-pinned Gauss–Newton polish instead of a spring
+/// descent — the warm ticks move with the cold tick they start from.
 const GOLDEN_TOWN_SOLUTIONS: [u64; 4] = [
-    0xd80f_585a_dcf8_ed85,
-    0x7cf5_ca8c_9c81_5ffc,
-    0x8edd_fd68_8e93_caea,
-    0x88bd_f9f6_576e_0e45,
+    0x9d10_5e25_385e_42ff,
+    0xb8ee_1c09_93bb_13d3,
+    0xe193_7c41_62b1_6d12,
+    0x61ec_c8b7_a251_949a,
 ];
 
 fn golden_trace() -> MobilityTrace {
